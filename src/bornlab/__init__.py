@@ -7,7 +7,6 @@ defect exactly zero.
 
 from .exact import (
     Matrix,
-    Rational,
     Signature,
     Subspace,
     determinant,

@@ -1,11 +1,22 @@
 """Left-invariant connections: Levi-Civita, Kunneth, canonical and Born averages.
 
-A connection is just its Christoffel array Gamma^k_{ij} on the fixed basis
-(nabla_{e_i} e_j = sum_k Gamma^k_{ij} e_k).  Because all data is
-left-invariant, derivatives of scalar pairings vanish, so compatibility with
-a form b reduces to the purely algebraic defect
+A connection is stored as n matrices Gamma_i = nabla_{e_i} on the fixed
+basis: column j of Gamma_i is nabla_{e_i} e_j.  Because all data is
+left-invariant, derivatives of scalar pairings vanish, and every defining
+property is an identity between exact matrices:
 
-    (nabla_{e_i} b)(e_j, e_k) = -b(nabla_{e_i} e_j, e_k) - b(e_j, nabla_{e_i} e_k).
+    torsion           T(e_i, e_j) = Gamma_i e_j - Gamma_j e_i - [e_i, e_j]
+    b parallel        nabla_{e_i} b = -(Gamma_i^T M_b + M_b Gamma_i) = 0
+    commutes with T   [Gamma_i, T] = 0
+
+The canonical and Born connections are averages under conjugation:
+
+    canonical         Gamma^c_i = (Gamma^g_i + A Gamma^g_i A) / 2
+    Born              Gamma_i   = (Gamma^K_i + B Gamma^K_i B) / 2
+                                = (Gamma^K_i - J Gamma^K_i J) / 2
+
+A trilinear defect d(e_i, e_j, e_k) is kept as n matrices, entry (j, k) of
+the i-th; its witness is the first nonzero (i, j, k) in lexicographic order.
 
 Every constructor re-verifies the defining properties of what it built and
 records them in the connection's certificate; a violation raises, it is never
@@ -30,12 +41,9 @@ from .exact import (
     Subspace,
     determinant,
     invert,
+    linear_combination,
     projection_onto,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
     vec_sub,
-    basis_vector,
 )
 from .liealg import LieAlgebra, ce_d2
 from .multilinear import BilinearForm, Endomorphism, OneTwoTensor, involution_split
@@ -56,149 +64,103 @@ HALF = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class Connection:
-    """Christoffel array of a left-invariant connection."""
+    """Left-invariant connection as the matrices Gamma_i = nabla_{e_i}."""
 
-    n: int
-    gamma: tuple  # gamma[i][j] = coordinate vector of nabla_{e_i} e_j
+    gammas: tuple  # gammas[i] is a Matrix whose column j is nabla_{e_i} e_j
     certified: tuple = field(default=(), compare=False)
 
     def apply(self, x, y):
-        """nabla_x y by bilinear extension over the basis table."""
-        out = (0,) * self.n
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                v = self.gamma[i][j]
-                if not vec_is_zero(v):
-                    out = vec_add(out, vec_scale(xi * yj, v))
-        return out
+        """nabla_x y = (sum_i x_i Gamma_i) y."""
+        return linear_combination(x, self.gammas).matvec(y)
 
     def basis_value(self, i: int, j: int):
         """nabla_{e_{i+1}} e_{j+1} (0-based arguments)."""
-        return self.gamma[i][j]
+        return self.gammas[i].column(j)
 
     def is_zero(self) -> bool:
-        return all(vec_is_zero(v) for row in self.gamma for v in row)
+        return all(m.is_zero() for m in self.gammas)
 
 
-class Trilinear:
-    """Dense trilinear defect table d(e_i, e_j, e_k), reported 1-based."""
+def _first_witness(indexed_vectors) -> Optional[Witness]:
+    """First nonzero coordinate k over (index, vector) pairs, as index + (k,), 1-based."""
+    for index, v in indexed_vectors:
+        for k, value in enumerate(v):
+            if value != 0:
+                return Witness.at(index + (k + 1,), value)
+    return None
 
-    __slots__ = ("n", "entries")
 
-    def __init__(self, n: int, entries):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", tuple(tuple(tuple(row) for row in plane) for plane in entries))
+@dataclass(frozen=True)
+class Defect:
+    """Trilinear defect d(e_i, e_j, e_k): entry (j, k) of matrices[i]."""
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Trilinear is immutable")
-
-    @classmethod
-    def tabulate(cls, n: int, fn) -> "Trilinear":
-        return cls(n, [[[fn(i, j, k) for k in range(n)] for j in range(n)] for i in range(n)])
+    matrices: tuple
 
     def is_zero(self) -> bool:
-        return all(v == 0 for plane in self.entries for row in plane for v in row)
-
-    def witnesses(self, limit: Optional[int] = None):
-        """Nonzero entries as ((i, j, k) 1-based, value), lexicographic order."""
-        out = []
-        for i, plane in enumerate(self.entries):
-            for j, row in enumerate(plane):
-                for k, v in enumerate(row):
-                    if v != 0:
-                        out.append(((i + 1, j + 1, k + 1), v))
-                        if limit is not None and len(out) >= limit:
-                            return out
-        return out
+        return all(m.is_zero() for m in self.matrices)
 
     def first_witness(self) -> Optional[Witness]:
-        hits = self.witnesses(limit=1)
-        if not hits:
-            return None
-        idx, value = hits[0]
-        return Witness.at(idx, value)
-
-
-def _gamma_table(n: int, fn):
-    return tuple(tuple(fn(i, j) for j in range(n)) for i in range(n))
+        """First nonzero (i, j, k), 1-based, in lexicographic order."""
+        return _first_witness(
+            ((i + 1, j + 1), row) for i, m in enumerate(self.matrices) for j, row in enumerate(m.rows)
+        )
 
 
 def torsion(L: LieAlgebra, c: Connection) -> OneTwoTensor:
-    """T^k_{ij} = Gamma^k_{ij} - Gamma^k_{ji} - c^k_{ij}."""
+    """T(e_i, e_j) = Gamma_i e_j - Gamma_j e_i - [e_i, e_j]."""
     return OneTwoTensor.from_function(
         L.n,
-        lambda i, j: vec_sub(vec_sub(c.gamma[i][j], c.gamma[j][i]), L.basis_bracket(i, j)),
+        lambda i, j: vec_sub(vec_sub(c.basis_value(i, j), c.basis_value(j, i)), L.basis_bracket(i, j)),
     )
 
 
-def _rows_times(m: Matrix, v):
-    """v^T m as a tuple of Fractions, so b(v, e_k) = _rows_times(M_b, v)[k]."""
-    n = m.n
-    out = [Fraction(0)] * n
-    for l, vl in enumerate(v):
-        if vl == 0:
-            continue
-        row = m.rows[l]
-        out = [o + vl * row[k] for k, o in enumerate(out)]
-    return tuple(out)
+def _torsion_at(L: LieAlgebra, c: Connection, x, y):
+    return vec_sub(vec_sub(c.apply(x, y), c.apply(y, x)), L.bracket(x, y))
 
 
-def nabla_form(L: LieAlgebra, c: Connection, b: BilinearForm) -> Trilinear:
-    """(nabla_{e_i} b)(e_j, e_k) for all basis triples; all-zero iff b is parallel."""
-    n = L.n
+def nabla_form(L: LieAlgebra, c: Connection, b: BilinearForm) -> Defect:
+    """(nabla_{e_i} b)(e_j, e_k) = -(Gamma_i^T M_b + M_b Gamma_i)[j][k]; zero iff b is parallel."""
     m = b.matrix
-    left = [[_rows_times(m, c.gamma[i][j]) for j in range(n)] for i in range(n)]
-    right = [[m.matvec(c.gamma[i][k]) for k in range(n)] for i in range(n)]
-    return Trilinear.tabulate(n, lambda i, j, k: -left[i][j][k] - right[i][k][j])
+    return Defect(tuple(-(g.transpose() * m + m * g) for g in c.gammas))
 
 
-def _commutation_defect(c: Connection, t: Endomorphism) -> Optional[Witness]:
-    """First basis pair where nabla_{e_i}(T e_j) != T(nabla_{e_i} e_j)."""
-    n = c.n
-    for i in range(n):
-        ei = basis_vector(n, i)
-        for j in range(n):
-            lhs = c.apply(ei, t.matrix.column(j))
-            rhs = t.apply(c.gamma[i][j])
-            diff = vec_sub(lhs, rhs)
-            for k, v in enumerate(diff):
-                if v != 0:
-                    return Witness.at((i + 1, j + 1, k + 1), v)
-    return None
+def _commutes(c: Connection, t: Endomorphism) -> bool:
+    """[Gamma_i, T] = 0 for every i."""
+    return all((g * t.matrix - t.matrix * g).is_zero() for g in c.gammas)
+
+
+def _conjugate_average(c: Connection, t: Endomorphism, sign: int) -> Connection:
+    """(Gamma_i + sign * T Gamma_i T) / 2 for every i."""
+    m = t.matrix
+    return Connection(tuple((g + m * g * m * sign) * HALF for g in c.gammas))
 
 
 @lru_cache(maxsize=None)
 def levi_civita(L: LieAlgebra, g: BilinearForm) -> Connection:
     """Koszul formula restricted to left-invariant fields:
 
-    2 g(nabla_{e_i} e_j, e_k) = g([e_i,e_j],e_k) - g([e_j,e_k],e_i) + g([e_k,e_i],e_j).
+    2 g(nabla_{e_i} e_j, e_k) = g([e_i,e_j],e_k) - g([e_j,e_k],e_i) + g([e_k,e_i],e_j),
 
-    The result is re-verified to be torsion-free and g-parallel.
+    that is 2 M Gamma_i = P_i - P_i^T - R_i, with P_i = M ad_i and column j of
+    R_i the i-th row of P_j.  The result is re-verified to be torsion-free and
+    g-parallel.
     """
     n = L.n
     if determinant(g.matrix) == 0:
         raise DegenerateFormError("metric is degenerate")
-    g_inv = invert(g.matrix)
-    # pairings[i][j][k] = g([e_i, e_j], e_k), built with n^2 row products
-    pairings = [[_rows_times(g.matrix, L.basis_bracket(i, j)) for j in range(n)] for i in range(n)]
-
-    def entry(i, j):
-        rhs = [
-            (pairings[i][j][k] - pairings[j][k][i] + pairings[k][i][j]) * HALF
-            for k in range(n)
-        ]
-        return g_inv.matvec(rhs)
-
-    conn = Connection(n, _gamma_table(n, entry))
+    half_g_inv = invert(g.matrix) * HALF
+    p = [g.matrix * L.ad(i) for i in range(n)]
+    conn = Connection(
+        tuple(
+            half_g_inv * (p[i] - p[i].transpose() - Matrix.from_columns([p_j.rows[i] for p_j in p]))
+            for i in range(n)
+        )
+    )
     if not torsion(L, conn).is_zero():
         raise AxiomFailureError("Levi-Civita connection has torsion")
     if not nabla_form(L, conn, g).is_zero():
         raise AxiomFailureError("Levi-Civita connection does not preserve g")
-    return Connection(n, conn.gamma, ("torsion_free", "parallel:g"))
+    return Connection(conn.gammas, ("torsion_free", "parallel:g"))
 
 
 @lru_cache(maxsize=None)
@@ -206,128 +168,84 @@ def kunneth_connection(k: AlmostKunneth) -> Connection:
     """The unique connection preserving both subspaces, parallel for omega,
     with identically vanishing mixed torsion.
 
-    D is solved from omega(D(e_i, e_j), e_k) = -omega(e_j, [e_i, e_k]) and the
-    connection assembled blockwise:
+    D_a = D(e_a, .) is solved from omega(D_a y, z) = -omega(y, [e_a, z]), that
+    is D_a^T M = -M ad_a, and with D_x = sum_a x_a D_a the connection is
+    assembled blockwise (pi_F, pi_G the projections of the splitting):
 
-        nabla_x y = {D(x_F, y_F)}_F + {[x_G, y_F]}_F + {D(x_G, y_G)}_G + {[x_F, y_G]}_G.
+        Gamma_i = pi_F (D_{pi_F e_i} + ad_{pi_G e_i}) pi_F
+                + pi_G (D_{pi_G e_i} + ad_{pi_F e_i}) pi_G.
 
     All three defining properties are re-verified after construction.
     """
-    L, omega = k.algebra, k.omega
+    L, m = k.algebra, k.omega.matrix
     n = L.n
-    omega_t_inv = invert(omega.matrix.transpose())
-    basis = [basis_vector(n, i) for i in range(n)]
-
-    # omega(e_j, [e_i, e_k]) = (M_omega [e_i, e_k])_j, so one matvec serves all j
-    pair = [[omega.matrix.matvec(L.basis_bracket(i, kk)) for kk in range(n)] for i in range(n)]
-    d_table = [
-        [omega_t_inv.matvec([-pair[i][kk][j] for kk in range(n)]) for j in range(n)]
-        for i in range(n)
-    ]
-
-    def d_of(u, v):
-        out = (0,) * n
-        for i, ui in enumerate(u):
-            if ui == 0:
-                continue
-            for j, vj in enumerate(v):
-                if vj == 0:
-                    continue
-                out = vec_add(out, vec_scale(ui * vj, d_table[i][j]))
-        return out
-
+    ad = [L.ad(a) for a in range(n)]
+    m_t_inv = invert(m.transpose())
+    d = [-(m_t_inv * (m * ad_a).transpose()) for ad_a in ad]
     pi_f, pi_g = projection_onto(k.plus, k.minus)
-
-    def entry(i, j):
-        x_f, x_g = pi_f.matvec(basis[i]), pi_g.matvec(basis[i])
-        y_f, y_g = pi_f.matvec(basis[j]), pi_g.matvec(basis[j])
-        part = pi_f.matvec(d_of(x_f, y_f))
-        part = vec_add(part, pi_f.matvec(L.bracket(x_g, y_f)))
-        part = vec_add(part, pi_g.matvec(d_of(x_g, y_g)))
-        part = vec_add(part, pi_g.matvec(L.bracket(x_f, y_g)))
-        return part
-
-    conn = Connection(n, _gamma_table(n, entry))
+    gammas = []
+    for i in range(n):
+        x_f, x_g = pi_f.column(i), pi_g.column(i)
+        on_f = linear_combination(x_f, d) + linear_combination(x_g, ad)
+        on_g = linear_combination(x_g, d) + linear_combination(x_f, ad)
+        gammas.append(pi_f * on_f * pi_f + pi_g * on_g * pi_g)
+    conn = Connection(tuple(gammas))
     for sub, name in ((k.plus, "plus"), (k.minus, "minus")):
-        for i in range(n):
-            for v in sub.basis:
-                if not sub.contains(conn.apply(basis[i], v)):
-                    raise AxiomFailureError(f"Kunneth connection does not preserve {name}")
-    if not nabla_form(L, conn, omega).is_zero():
+        if not all(sub.contains(g.matvec(v)) for g in conn.gammas for v in sub.basis):
+            raise AxiomFailureError(f"Kunneth connection does not preserve {name}")
+    if not nabla_form(L, conn, k.omega).is_zero():
         raise AxiomFailureError("Kunneth connection does not preserve omega")
     if mixed_torsion_defect(L, conn, k.plus, k.minus):
         raise AxiomFailureError("Kunneth connection has mixed torsion")
-    return Connection(n, conn.gamma, ("preserves_subspaces", "parallel:omega", "mixed_torsion_zero"))
+    return Connection(conn.gammas, ("preserves_subspaces", "parallel:omega", "mixed_torsion_zero"))
 
 
 @lru_cache(maxsize=None)
 def canonical_connection(L: LieAlgebra, g: BilinearForm, a_op: Endomorphism) -> Connection:
     """Average of the Levi-Civita connection under conjugation with A:
 
-    nabla^c_x y = (nabla^g_x y + A nabla^g_x (A y)) / 2.
+    Gamma^c_i = (Gamma^g_i + A Gamma^g_i A) / 2.
 
     Re-verified: commutes with A, parallel for g and for omega(x,y) = g(Ax,y).
     """
     if not a_op.is_involution():
         raise NotInvolutionError(a_op.squared() - Matrix.identity(a_op.n))
-    lc = levi_civita(L, g)
-    n = L.n
-    basis = [basis_vector(n, i) for i in range(n)]
-
-    def entry(i, j):
-        averaged = vec_add(lc.gamma[i][j], a_op.apply(lc.apply(basis[i], a_op.matrix.column(j))))
-        return vec_scale(HALF, averaged)
-
-    conn = Connection(n, _gamma_table(n, entry))
-    witness = _commutation_defect(conn, a_op)
-    if witness is not None:
+    conn = _conjugate_average(levi_civita(L, g), a_op, 1)
+    if not _commutes(conn, a_op):
         raise AxiomFailureError("canonical connection does not commute with A")
     if not nabla_form(L, conn, g).is_zero():
         raise AxiomFailureError("canonical connection does not preserve g")
     omega = BilinearForm.detect(a_op.matrix.transpose() * g.matrix)
     if not nabla_form(L, conn, omega).is_zero():
         raise AxiomFailureError("canonical connection does not preserve omega")
-    return Connection(n, conn.gamma, ("commutes:A", "parallel:g", "parallel:omega"))
+    return Connection(conn.gammas, ("commutes:A", "parallel:g", "parallel:omega"))
 
 
 @lru_cache(maxsize=None)
 def born_connection(b: BornStructure) -> Connection:
     """Average of the Kunneth connection under conjugation with B:
 
-    nabla_x y = (nabla^K_x y + B nabla^K_x (B y)) / 2,
+    Gamma_i = (Gamma^K_i + B Gamma^K_i B) / 2,
 
-    re-verified to equal the J-average (nabla^K_x y - J nabla^K_x (J y)) / 2
-    and to be compatible with the whole structure (g, h, omega parallel;
-    commutes with A, B, J).  For integrable structures this is the Born
-    connection; for non-integrable ones it is still a compatible connection
-    but the identification is not asserted.
+    re-verified to equal the J-average (Gamma^K_i - J Gamma^K_i J) / 2 and to
+    be compatible with the whole structure (g, h, omega parallel; commutes
+    with A, B, J).  For integrable structures this is the Born connection;
+    for non-integrable ones it is still a compatible connection but the
+    identification is not asserted.
     """
     L = b.algebra
-    n = L.n
     kunneth = kunneth_connection(b.underlying_kunneth())
-    basis = [basis_vector(n, i) for i in range(n)]
-
-    def average(op, sign):
-        def entry(i, j):
-            inner = kunneth.apply(basis[i], op.matrix.column(j))
-            combined = vec_add(kunneth.gamma[i][j], vec_scale(sign, op.apply(inner)))
-            return vec_scale(HALF, combined)
-
-        return Connection(n, _gamma_table(n, entry))
-
-    conn = average(b.b_op, 1)
-    j_average = average(b.j_op, -1)
-    if conn.gamma != j_average.gamma:
+    conn = _conjugate_average(kunneth, b.b_op, 1)
+    if conn != _conjugate_average(kunneth, b.j_op, -1):
         raise AxiomFailureError("B-average and J-average of the Kunneth connection differ")
     for name, op in (("A", b.a_op), ("B", b.b_op), ("J", b.j_op)):
-        if _commutation_defect(conn, op) is not None:
+        if not _commutes(conn, op):
             raise AxiomFailureError(f"Born-compatible connection does not commute with {name}")
     for name, form in (("g", b.g), ("h", b.h), ("omega", b.omega)):
         if not nabla_form(L, conn, form).is_zero():
             raise AxiomFailureError(f"Born-compatible connection does not preserve {name}")
     return Connection(
-        n,
-        conn.gamma,
+        conn.gammas,
         ("b_average_equals_j_average", "commutes:A,B,J", "parallel:g,h,omega"),
     )
 
@@ -336,44 +254,36 @@ def mixed_torsion_defect(L: LieAlgebra, c: Connection, plus: Subspace, minus: Su
     """Nonzero values of T(x, y) for x in the plus basis, y in the minus basis.
 
     Witness indices are (a, b, k): positions into the echelon bases and the
-    coordinate where the torsion vector is nonzero.
+    first coordinate where the torsion vector is nonzero.
     """
     out = []
     for a, x in enumerate(plus.basis):
         for b_idx, y in enumerate(minus.basis):
-            t = vec_sub(vec_sub(c.apply(x, y), c.apply(y, x)), L.bracket(x, y))
-            for kk, v in enumerate(t):
-                if v != 0:
-                    out.append(Witness.at((a + 1, b_idx + 1, kk + 1), v))
-                    break
+            witness = _first_witness([((a + 1, b_idx + 1), _torsion_at(L, c, x, y))])
+            if witness is not None:
+                out.append(witness)
     return out
 
 
 def generalized_torsion_defect(
     L: LieAlgebra, c: Connection, cc: Connection, g: BilinearForm
-) -> Trilinear:
+) -> Defect:
     """GT(x,y,z) = g(nabla_x y - nabla_y x, z) + g(nabla_z x, y), compared
-    between c and the canonical connection cc on all basis triples."""
-    n = L.n
+    between c and the canonical connection cc on all basis triples.
+
+    With Delta = c - cc and E_i the matrix whose column j is Delta_j e_i, the
+    i-th matrix of the defect is (Delta_i - E_i)^T M_g + M_g E_i.
+    """
     m = g.matrix
-
-    def tables(conn):
-        anti = [
-            [_rows_times(m, vec_sub(conn.gamma[i][j], conn.gamma[j][i])) for j in range(n)]
-            for i in range(n)
-        ]
-        last = [[_rows_times(m, conn.gamma[k][i]) for i in range(n)] for k in range(n)]
-        return anti, last
-
-    c_anti, c_last = tables(c)
-    cc_anti, cc_last = tables(cc)
-    return Trilinear.tabulate(
-        n,
-        lambda i, j, k: c_anti[i][j][k] + c_last[k][i][j] - cc_anti[i][j][k] - cc_last[k][i][j],
-    )
+    delta = [a - b for a, b in zip(c.gammas, cc.gammas)]
+    out = []
+    for i, delta_i in enumerate(delta):
+        e_i = Matrix.from_columns([delta_j.column(i) for delta_j in delta])
+        out.append((delta_i - e_i).transpose() * m + m * e_i)
+    return Defect(tuple(out))
 
 
-def omega_K_defect(k: AlmostKunneth) -> Trilinear:
+def omega_K_defect(k: AlmostKunneth) -> Defect:
     """Defect of the exact relation between Kunneth and canonical connections:
 
     omega(nabla^K_x y, z) - omega(nabla^c_x y, z)
@@ -389,30 +299,23 @@ def omega_K_defect(k: AlmostKunneth) -> Trilinear:
     first slot unprojected and both signs positive is not an identity (it
     already fails on a non-closed form over the Heisenberg algebra, which the
     test suite demonstrates).
+
+    With C_i the matrix of i_{A e_i} d omega, the i-th matrix of the defect is
+    (Gamma^K_i - Gamma^c_i)^T M_omega + (pi_G^T C_i pi_F - pi_F^T C_i pi_G) / 2.
     """
-    L, omega = k.algebra, k.omega
-    n = L.n
+    L, m = k.algebra, k.omega.matrix
     kunneth = kunneth_connection(k)
-    g = neutral_metric(k)
     a_op = almost_product(k)
-    canonical = canonical_connection(L, g, a_op)
-    d_omega = ce_d2(L, omega)
+    canonical = canonical_connection(L, neutral_metric(k), a_op)
+    d_omega = ce_d2(L, k.omega)
     pi_f, pi_g = projection_onto(k.plus, k.minus)
-    basis = [basis_vector(n, i) for i in range(n)]
-    diff_rows = [
-        [_rows_times(omega.matrix, vec_sub(kunneth.gamma[i][j], canonical.gamma[i][j])) for j in range(n)]
-        for i in range(n)
-    ]
-    ax = [a_op.apply(b) for b in basis]
-    plus_part = [pi_f.matvec(b) for b in basis]
-    minus_part = [pi_g.matvec(b) for b in basis]
-
-    def entry(i, j, kk):
-        correction = d_omega.evaluate(ax[i], minus_part[j], plus_part[kk])
-        correction -= d_omega.evaluate(ax[i], plus_part[j], minus_part[kk])
-        return diff_rows[i][j][kk] + HALF * correction
-
-    return Trilinear.tabulate(n, entry)
+    pi_f_t, pi_g_t = pi_f.transpose(), pi_g.transpose()
+    out = []
+    for i, (nk_i, nc_i) in enumerate(zip(kunneth.gammas, canonical.gammas)):
+        c_i = d_omega.interior(a_op.matrix.column(i))
+        correction = (pi_g_t * c_i * pi_f - pi_f_t * c_i * pi_g) * HALF
+        out.append((nk_i - nc_i).transpose() * m + correction)
+    return Defect(tuple(out))
 
 
 def born_torsion_formula_defect(b: BornStructure) -> StructureReport:
@@ -430,41 +333,26 @@ def born_torsion_formula_defect(b: BornStructure) -> StructureReport:
     born = born_connection(b)
     split = involution_split(b.b_op)
     items = []
-
-    def torsion_vec(x, y):
-        return vec_sub(vec_sub(born.apply(x, y), born.apply(y, x)), L.bracket(x, y))
-
     for name, sub in (("B+", split.plus), ("B-", split.minus)):
-        witness = None
-        for a in range(len(sub.basis)):
-            for c in range(a + 1, len(sub.basis)):
-                t = torsion_vec(sub.basis[a], sub.basis[c])
-                for kk, v in enumerate(t):
-                    if v != 0:
-                        witness = Witness.at((a + 1, c + 1, kk + 1), v)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
+        basis = sub.basis
+        witness = _first_witness(
+            ((a + 1, c + 1), _torsion_at(L, born, basis[a], basis[c]))
+            for a in range(len(basis))
+            for c in range(a + 1, len(basis))
+        )
         items.append(CheckItem(f"T = 0 on {name} x {name}", witness is None, witness))
 
-    witness = None
-    for a, x in enumerate(split.plus.basis):
-        for c, y in enumerate(split.minus.basis):
-            expected = vec_add(
-                vec_scale(-1, split.pi_plus.apply(kunneth.apply(x, y))),
-                split.pi_minus.apply(kunneth.apply(y, x)),
-            )
-            diff = vec_sub(torsion_vec(x, y), expected)
-            for kk, v in enumerate(diff):
-                if v != 0:
-                    witness = Witness.at((a + 1, c + 1, kk + 1), v)
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    def formula_defect(x, y):
+        expected = vec_sub(
+            split.pi_minus.apply(kunneth.apply(y, x)), split.pi_plus.apply(kunneth.apply(x, y))
+        )
+        return vec_sub(_torsion_at(L, born, x, y), expected)
+
+    witness = _first_witness(
+        ((a + 1, c + 1), formula_defect(x, y))
+        for a, x in enumerate(split.plus.basis)
+        for c, y in enumerate(split.minus.basis)
+    )
     items.append(
         CheckItem("T(x,y) = -pi+(nabla^K_x y) + pi-(nabla^K_y x) on B+ x B-", witness is None, witness)
     )

@@ -3,9 +3,10 @@
 Every coefficient in this package is a fractions.Fraction, so identities are
 certified with defect exactly zero, never merely below a tolerance.  Fractions
 normalize on construction (reduced, positive denominator), which makes
-equality structural.  Matrices are small (the catalog tops out at dimension
-six) and dense; plain Gaussian elimination over the rationals is exact and
-fast enough.
+equality structural.  Matrices are small (catalog models reach dimension
+eight, direct sums of them twelve) and stored dense; plain Gaussian
+elimination over the rationals is exact and fast enough at these sizes.
+Products skip zero entries, which most structure data consists of.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from .errors import (
     NotSymmetricError,
     SingularMatrixError,
 )
-
-Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -83,10 +82,6 @@ def vec_scale(c: Fraction, x):
     return tuple(c * a for a in x)
 
 
-def vec_neg(x):
-    return tuple(-a for a in x)
-
-
 def vec_is_zero(x) -> bool:
     return all(a == 0 for a in x)
 
@@ -145,7 +140,8 @@ class Matrix:
     def matvec(self, v) -> tuple[Fraction, ...]:
         if len(v) != self.n:
             raise DimensionMismatchError("vector length does not match matrix dimension")
-        return tuple(sum(row[j] * v[j] for j in range(self.n)) for row in self.rows)
+        nonzero = [(j, x) for j, x in enumerate(v) if x != 0]
+        return tuple(sum((row[j] * x for j, x in nonzero), ZERO) for row in self.rows)
 
     def transpose(self) -> "Matrix":
         return Matrix([[self.rows[j][i] for j in range(self.n)] for i in range(self.n)])
@@ -181,10 +177,16 @@ class Matrix:
     def __mul__(self, other):
         if isinstance(other, Matrix):
             self._check_dim(other)
-            cols = list(zip(*other.rows))
-            return Matrix(
-                [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-            )
+            out = []
+            for row in self.rows:
+                acc = [ZERO] * self.n
+                for a, other_row in zip(row, other.rows):
+                    if a != 0:
+                        for j, b in enumerate(other_row):
+                            if b != 0:
+                                acc[j] += a * b
+                out.append(acc)
+            return Matrix(out)
         c = rationalize(other)
         return Matrix([[c * a for a in r] for r in self.rows])
 
@@ -204,6 +206,18 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(format_rational(v) for v in row) for row in self.rows)
         return f"Matrix[{body}]"
+
+
+def linear_combination(coeffs, matrices: Sequence[Matrix]) -> Matrix:
+    """sum_a coeffs[a] * matrices[a]; terms with a zero coefficient are skipped."""
+    n = matrices[0].n
+    rows = [[ZERO] * n for _ in range(n)]
+    for c, m in zip(coeffs, matrices):
+        if c != 0:
+            for out, row in zip(rows, m.rows):
+                for j, v in enumerate(row):
+                    out[j] += c * v
+    return Matrix(rows)
 
 
 def determinant(m: Matrix) -> Fraction:
@@ -246,11 +260,6 @@ def invert(m: Matrix) -> Matrix:
                 f = a[r][col]
                 a[r] = [v - f * w for v, w in zip(a[r], a[col])]
     return Matrix([row[n:] for row in a])
-
-
-def solve(m: Matrix, rhs) -> tuple[Fraction, ...]:
-    """Solve m x = rhs for square non-singular m."""
-    return invert(m).matvec(vector(rhs))
 
 
 def rref(vectors: Sequence[Sequence]) -> tuple[list[tuple[Fraction, ...]], list[int]]:

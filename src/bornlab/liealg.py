@@ -15,6 +15,7 @@ d alpha_5 = alpha_1 ^ alpha_2.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatchError, JacobiViolationError
@@ -87,6 +88,10 @@ class LieAlgebra:
     def basis_bracket(self, i: int, j: int):
         """[e_{i+1}, e_{j+1}] as a coordinate vector (0-based arguments)."""
         return self._table[i][j]
+
+    def ad(self, i: int) -> Matrix:
+        """Matrix of ad_{e_{i+1}} (0-based argument): column j is [e_{i+1}, e_{j+1}]."""
+        return Matrix.from_columns(self._table[i])
 
     def bracket(self, x: Sequence, y: Sequence):
         """[x, y]^k = sum_{i,j} x^i y^j c^k_{ij}; bilinear and antisymmetric."""
@@ -256,6 +261,17 @@ class ThreeForm:
             total += c * det
         return total
 
+    def interior(self, x) -> Matrix:
+        """The 2-form w(x, ., .) as the matrix of w(x, e_j, e_k)."""
+        rows = [[ZERO] * self.n for _ in range(self.n)]
+        for (i, j, k), c in self.coefficients.items():
+            # cyclic permutations of (i, j, k) are even
+            for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+                value = c * x[a]
+                rows[b][d] += value
+                rows[d][b] -= value
+        return Matrix(rows)
+
     def is_zero(self) -> bool:
         return not self.coefficients
 
@@ -293,6 +309,7 @@ def ce_d1(L: LieAlgebra, a: OneForm) -> BilinearForm:
     return BilinearForm(Matrix(rows), ANTISYMMETRIC)
 
 
+@lru_cache(maxsize=None)
 def ce_d2(L: LieAlgebra, w) -> ThreeForm:
     """(d w)(e_i,e_j,e_k) = -w([e_i,e_j],e_k) + w([e_i,e_k],e_j) - w([e_j,e_k],e_i)."""
     m = _two_form_matrix(w)

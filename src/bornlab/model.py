@@ -136,6 +136,17 @@ def _parse_matrix(name: str, rows, n: int) -> Matrix:
         raise ModelSyntaxError(f"{name}: {exc}") from exc
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _section(doc: dict, key: str, kind: type):
+    value = doc.get(key, kind())
+    if not isinstance(value, kind):
+        raise ModelSyntaxError(f"'{key}' must be a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
 def parse_model(text: str) -> Model:
     """Parse and validate a model document.
 
@@ -157,15 +168,15 @@ def parse_model(text: str) -> Model:
     if not isinstance(name, str) or not name:
         raise ModelSyntaxError("missing or invalid 'name'")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise ModelSyntaxError("missing or invalid 'dim'")
 
     brackets = {}
-    for item in doc.get("brackets", []):
+    for item in _section(doc, "brackets", list):
         if not isinstance(item, dict) or set(item) != {"i", "j", "out"}:
             raise ModelSyntaxError("bracket entries need exactly the keys i, j, out")
         i, j = item["i"], item["j"]
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not _is_int(i) or not _is_int(j):
             raise ModelSyntaxError("bracket indices must be integers")
         try:
             out = {int(k): parse_rational(v) for k, v in item["out"].items()}
@@ -175,38 +186,39 @@ def parse_model(text: str) -> Model:
     algebra = LieAlgebra(dim, brackets)
 
     forms = {}
-    for fname, rows in sorted(doc.get("forms", {}).items()):
+    for fname, rows in sorted(_section(doc, "forms", dict).items()):
         m = _parse_matrix(f"forms.{fname}", rows, dim)
         if not m.is_antisymmetric():
             raise ModelSyntaxError(f"forms.{fname} is not antisymmetric")
         forms[fname] = BilinearForm(m, ANTISYMMETRIC)
     metrics = {}
-    for mname, rows in sorted(doc.get("metrics", {}).items()):
+    for mname, rows in sorted(_section(doc, "metrics", dict).items()):
         m = _parse_matrix(f"metrics.{mname}", rows, dim)
         if not m.is_symmetric():
             raise ModelSyntaxError(f"metrics.{mname} is not symmetric")
         metrics[mname] = BilinearForm(m, SYMMETRIC)
     endos = {}
-    for ename, rows in sorted(doc.get("endos", {}).items()):
+    for ename, rows in sorted(_section(doc, "endos", dict).items()):
         endos[ename] = Endomorphism(_parse_matrix(f"endos.{ename}", rows, dim))
     subspaces = {}
-    for sname, vectors in sorted(doc.get("subspaces", {}).items()):
+    for sname, vectors in sorted(_section(doc, "subspaces", dict).items()):
         if not isinstance(vectors, list) or not vectors:
             raise ModelSyntaxError(f"subspaces.{sname} must be a non-empty list of vectors")
-        parsed = []
         for v in vectors:
             if not isinstance(v, list) or len(v) != dim:
                 raise DimensionMismatchError(f"subspaces.{sname}: vector of wrong length")
-            parsed.append([parse_rational(x) for x in v])
-        subspaces[sname] = Subspace(dim, parsed)
+        try:
+            subspaces[sname] = Subspace(dim, [[parse_rational(x) for x in v] for v in vectors])
+        except ValueError as exc:
+            raise ModelSyntaxError(f"subspaces.{sname}: {exc}") from exc
 
     sections = {"forms": forms, "metrics": metrics, "endos": endos, "subspaces": subspaces}
     structures = []
-    for decl in doc.get("structures", []):
+    for decl in _section(doc, "structures", list):
         if not isinstance(decl, dict) or "type" not in decl:
             raise ModelSyntaxError("structure declarations need a 'type'")
         kind = decl["type"]
-        if kind not in _STRUCTURE_ROLES:
+        if not isinstance(kind, str) or kind not in _STRUCTURE_ROLES:
             raise ModelSyntaxError(f"unknown structure type {kind!r}")
         roles = dict(_STRUCTURE_ROLES[kind])
         refs = {}
@@ -215,6 +227,8 @@ def parse_model(text: str) -> Model:
                 continue
             if key not in roles:
                 raise ModelSyntaxError(f"{kind} structure has no role {key!r}")
+            if not isinstance(value, str):
+                raise ModelSyntaxError(f"{kind}.{key} must name a {roles[key]} entry")
             if value not in sections[roles[key]]:
                 raise UnknownNameError(f"{kind}.{key} references unknown {roles[key]} entry {value!r}")
             refs[key] = value
@@ -284,22 +298,13 @@ class Report:
 
 
 class _Materialized:
-    """Structures built once per run, with construction failures kept.
-
-    Derived objects that several checks need (identity reports, integrability
-    classifications, the connection triple of a splitting) are computed once
-    and cached per structure.
-    """
+    """Structures built once per run, with construction failures kept."""
 
     def __init__(self, model: Model):
         self.model = model
         self.borns = []  # (decl, BornStructure | BornlabError)
         self.kunneths = []  # (decl, AlmostKunneth | BornlabError)
         self.hypers = []  # (decl, Hypersymplectic | BornlabError)
-        self._integrability = {}
-        self._identities = {}
-        self._triples = {}
-        self._kunneth_of_born = {}
         L = model.algebra
         for decl in model.structures:
             try:
@@ -344,36 +349,6 @@ class _Materialized:
     def built_kunneths(self):
         return [(d, k) for d, k in self.kunneths if isinstance(k, AlmostKunneth)]
 
-    def integrability(self, born: BornStructure):
-        key = id(born)
-        if key not in self._integrability:
-            self._integrability[key] = integrability_report(born)
-        return self._integrability[key]
-
-    def identities(self, born: BornStructure):
-        key = id(born)
-        if key not in self._identities:
-            self._identities[key] = verify_born_identities(born)
-        return self._identities[key]
-
-    def kunneth_of(self, born: BornStructure) -> AlmostKunneth:
-        key = id(born)
-        if key not in self._kunneth_of_born:
-            self._kunneth_of_born[key] = born.underlying_kunneth()
-        return self._kunneth_of_born[key]
-
-    def connection_triple(self, k: AlmostKunneth):
-        """(levi_civita, kunneth, canonical) of a splitting, built once."""
-        key = id(k)
-        if key not in self._triples:
-            g = neutral_metric(k)
-            self._triples[key] = (
-                levi_civita(self.model.algebra, g),
-                kunneth_connection(k),
-                canonical_connection(self.model.algebra, g, almost_product(k)),
-            )
-        return self._triples[key]
-
 
 def _maybe(section, name):
     return section[name] if name else None
@@ -400,78 +375,80 @@ def _aggregate(check: str, outcomes) -> CheckResult:
     return CheckResult(check, "pass", None, 0)
 
 
+def _built_outcomes(pairs):
+    """Fail with the construction error's witness where a structure did not build."""
+    return [
+        ("fail", _error_witness(obj)) if isinstance(obj, BornlabError) else ("pass", None)
+        for decl, obj in pairs
+    ]
+
+
+def _first_failure(items):
+    """Outcome of the first failing CheckItem, or a pass when none fails."""
+    for item in items:
+        if not item.ok:
+            return ("fail", item.witness or Witness.at((), 0, item.name))
+    return ("pass", None)
+
+
+def _group_outcomes(mat: _Materialized, group: str):
+    """One outcome per built Born structure: its first failing identity in a group."""
+    return [
+        _first_failure(i for i in verify_born_identities(born).items if i.group == group)
+        for decl, born in mat.built_borns()
+    ]
+
+
+def _defect_outcome(defect):
+    return ("pass", None) if defect.is_zero() else ("fail", defect.first_witness())
+
+
+def _kunneth_obstruction(L, k: AlmostKunneth) -> Optional[Witness]:
+    """First obstruction to integrability of a splitting, or None.
+
+    Integrable means a closed form with both subspaces bracket-closed; this is
+    the notion the torsion criterion for the Kunneth connection refers to (it
+    can hold for a Born structure whose complex leg is not integrable).
+    """
+    d = ce_d2(L, k.omega)
+    if not d.is_zero():
+        idx, value = d.witnesses()[0]
+        return Witness.at(idx, value, "d omega")
+    for name, sub in (("plus", k.plus), ("minus", k.minus)):
+        result = is_subalgebra(L, sub)
+        if not result:
+            return Witness.at(result.witness, 0, f"{name} subspace is not a subalgebra")
+    return None
+
+
 def _check_born_axioms(mat: _Materialized):
-    outcomes = []
-    for decl, obj in mat.borns + mat.hypers:
-        if isinstance(obj, BornlabError):
-            outcomes.append(("fail", _error_witness(obj)))
-        else:
-            outcomes.append(("pass", None))
-    return outcomes
+    return _built_outcomes(mat.borns + mat.hypers)
 
 
 def _check_identity_table(mat: _Materialized):
-    outcomes = []
-    for decl, born in mat.built_borns():
-        report = mat.identities(born)
-        bad = [i for i in report.items if i.group == "algebra" and not i.ok]
-        if bad:
-            outcomes.append(("fail", bad[0].witness or Witness.at((), 0, bad[0].name)))
-        else:
-            outcomes.append(("pass", None))
-    return outcomes
+    return _group_outcomes(mat, "algebra")
 
 
 def _check_integrability(mat: _Materialized):
     outcomes = []
     for decl, born in mat.built_borns():
-        report = mat.integrability(born)
+        report = integrability_report(born)
         if report.integrable and report.ok:
             outcomes.append(("pass", None))
         else:
             outcomes.append(("fail", report.first_witness() or Witness.at((), 0, "inconsistent")))
     for decl, k in mat.built_kunneths():
-        d = ce_d2(k.algebra, k.omega)
-        if not d.is_zero():
-            idx, value = d.witnesses()[0]
-            outcomes.append(("fail", Witness.at(idx, value, "d omega")))
-            continue
-        bad = None
-        for name, sub in (("plus", k.plus), ("minus", k.minus)):
-            result = is_subalgebra(k.algebra, sub)
-            if not result:
-                bad = Witness.at(result.witness, 0, f"{name} subspace is not a subalgebra")
-                break
-        outcomes.append(("fail", bad) if bad else ("pass", None))
+        witness = _kunneth_obstruction(mat.model.algebra, k)
+        outcomes.append(("pass", None) if witness is None else ("fail", witness))
     return outcomes
 
 
 def _check_eigenspace_geometry(mat: _Materialized):
-    outcomes = []
-    for decl, born in mat.built_borns():
-        report = mat.identities(born)
-        bad = [i for i in report.items if i.group == "eigenspace" and not i.ok]
-        if bad:
-            outcomes.append(("fail", bad[0].witness or Witness.at((), 0, bad[0].name)))
-        else:
-            outcomes.append(("pass", None))
-    for decl, obj in mat.kunneths:
-        if isinstance(obj, BornlabError):
-            outcomes.append(("fail", _error_witness(obj)))
-        else:
-            outcomes.append(("pass", None))
-    return outcomes
+    return _group_outcomes(mat, "eigenspace") + _built_outcomes(mat.kunneths)
 
 
 def _check_signatures(mat: _Materialized):
-    outcomes = []
-    for decl, born in mat.built_borns():
-        report = mat.identities(born)
-        bad = [i for i in report.items if i.group == "signature" and not i.ok]
-        if bad:
-            outcomes.append(("fail", bad[0].witness or Witness.at((), 0, bad[0].name)))
-        else:
-            outcomes.append(("pass", None))
+    outcomes = _group_outcomes(mat, "signature")
     for decl, k in mat.built_kunneths():
         sig = signature_of_symmetric(neutral_metric(k).matrix)
         half = k.algebra.n // 2
@@ -482,44 +459,37 @@ def _check_signatures(mat: _Materialized):
     return outcomes
 
 
-def _connection_outcome(mat: _Materialized, k: AlmostKunneth, integrable: bool):
-    L = mat.model.algebra
+def _canonical_of(L, k: AlmostKunneth):
+    return canonical_connection(L, neutral_metric(k), almost_product(k))
+
+
+def _connection_outcome(L, k: AlmostKunneth):
     try:
-        lc, nk, nc = mat.connection_triple(k)
+        lc = levi_civita(L, neutral_metric(k))
+        nk = kunneth_connection(k)
+        nc = _canonical_of(L, k)
     except BornlabError as exc:
         return ("fail", _error_witness(exc))
-    torsion_free = torsion(L, nk).is_zero()
-    if torsion_free != integrable:
+    integrable = _kunneth_obstruction(L, k) is None
+    if torsion(L, nk).is_zero() != integrable:
         return ("fail", Witness.at((), 0, "torsion-free Kunneth connection iff integrable"))
-    if integrable and not (lc.gamma == nk.gamma == nc.gamma):
+    if integrable and not (lc == nk == nc):
         return ("fail", Witness.at((), 0, "integrable case: nabla^g = nabla^K = nabla^c"))
     return ("pass", None)
-
-
-def _kunneth_integrable(L, k: AlmostKunneth) -> bool:
-    """Closed form with both subspaces bracket-closed; this is the notion the
-    torsion criterion for the Kunneth connection refers to (it can hold for a
-    Born structure whose complex leg is not integrable)."""
-    return (
-        ce_d2(L, k.omega).is_zero()
-        and bool(is_subalgebra(L, k.plus))
-        and bool(is_subalgebra(L, k.minus))
-    )
 
 
 def _check_connections(mat: _Materialized):
     outcomes = []
     L = mat.model.algebra
     for decl, born in mat.built_borns():
-        k = mat.kunneth_of(born)
-        outcomes.append(_connection_outcome(mat, k, _kunneth_integrable(L, k)))
+        outcomes.append(_connection_outcome(L, born.underlying_kunneth()))
         if outcomes[-1][0] == "pass":
             try:
                 born_connection(born)
             except BornlabError as exc:
                 outcomes[-1] = ("fail", _error_witness(exc))
     for decl, k in mat.built_kunneths():
-        outcomes.append(_connection_outcome(mat, k, _kunneth_integrable(L, k)))
+        outcomes.append(_connection_outcome(L, k))
     return outcomes
 
 
@@ -527,42 +497,30 @@ def _check_generalized_torsion(mat: _Materialized):
     outcomes = []
     L = mat.model.algebra
     for decl, born in mat.built_borns():
-        if not mat.integrability(born).integrable:
+        if not integrability_report(born).integrable:
             continue  # measured but not asserted for non-integrable structures
         try:
             nb = born_connection(born)
-            nc = mat.connection_triple(mat.kunneth_of(born))[2]
+            nc = _canonical_of(L, born.underlying_kunneth())
         except BornlabError as exc:
             outcomes.append(("fail", _error_witness(exc)))
             continue
-        defect = generalized_torsion_defect(L, nb, nc, born.g)
-        outcomes.append(("pass", None) if defect.is_zero() else ("fail", defect.first_witness()))
+        outcomes.append(_defect_outcome(generalized_torsion_defect(L, nb, nc, born.g)))
     return outcomes
 
 
 def _check_omega_k(mat: _Materialized):
-    outcomes = []
-    for decl, born in mat.built_borns():
-        defect = omega_K_defect(mat.kunneth_of(born))
-        outcomes.append(("pass", None) if defect.is_zero() else ("fail", defect.first_witness()))
-    for decl, k in mat.built_kunneths():
-        defect = omega_K_defect(k)
-        outcomes.append(("pass", None) if defect.is_zero() else ("fail", defect.first_witness()))
-    return outcomes
+    return [
+        _defect_outcome(omega_K_defect(born.underlying_kunneth())) for decl, born in mat.built_borns()
+    ] + [_defect_outcome(omega_K_defect(k)) for decl, k in mat.built_kunneths()]
 
 
 def _check_torsion_formula(mat: _Materialized):
-    outcomes = []
-    for decl, born in mat.built_borns():
-        if not mat.integrability(born).integrable:
-            continue
-        report = born_torsion_formula_defect(born)
-        if report.ok:
-            outcomes.append(("pass", None))
-        else:
-            item = report.failures()[0]
-            outcomes.append(("fail", item.witness or Witness.at((), 0, item.name)))
-    return outcomes
+    return [
+        _first_failure(born_torsion_formula_defect(born).items)
+        for decl, born in mat.built_borns()
+        if integrability_report(born).integrable
+    ]
 
 
 _CHECK_FUNCTIONS = {

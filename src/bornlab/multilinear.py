@@ -84,10 +84,6 @@ class BilinearForm:
     def scaled(self, c) -> "BilinearForm":
         return BilinearForm(self.matrix * c, self.symmetry)
 
-    def plus(self, other: "BilinearForm") -> "BilinearForm":
-        sym = self.symmetry if self.symmetry == other.symmetry else NOSYM
-        return BilinearForm(self.matrix + other.matrix, sym)
-
     def negated(self) -> "BilinearForm":
         return BilinearForm(-self.matrix, self.symmetry)
 
@@ -145,9 +141,6 @@ class Endomorphism:
     def scaled(self, c) -> "Endomorphism":
         return Endomorphism(self.matrix * c)
 
-    def plus(self, other: "Endomorphism") -> "Endomorphism":
-        return Endomorphism(self.matrix + other.matrix)
-
     def inverse(self) -> "Endomorphism":
         return Endomorphism(invert(self.matrix))
 
@@ -156,9 +149,6 @@ class Endomorphism:
 
     def is_complex_structure(self) -> bool:
         return self.squared() == -Matrix.identity(self.n)
-
-    def maps_into(self, s: Subspace) -> bool:
-        return all(s.contains(self.matrix.column(j)) for j in range(self.n))
 
     def maps_subspace_into(self, source: Subspace, target: Subspace) -> bool:
         return all(target.contains(self.apply(v)) for v in source.basis)

@@ -136,6 +136,7 @@ def almost_product(k: AlmostKunneth) -> Endomorphism:
     return Endomorphism(p * d * invert(p))
 
 
+@lru_cache(maxsize=None)
 def neutral_metric(k: AlmostKunneth) -> BilinearForm:
     """g(x, y) = omega(I x, y); symmetric of neutral signature by construction."""
     i_op = almost_product(k)
@@ -172,6 +173,7 @@ class BornStructure:
     l_plus: Subspace
     l_minus: Subspace
 
+    @lru_cache(maxsize=None)
     def underlying_kunneth(self) -> AlmostKunneth:
         return build_almost_kunneth(self.algebra, self.omega, self.l_plus, self.l_minus)
 

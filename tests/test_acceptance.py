@@ -179,7 +179,7 @@ def test_criterion_06_connection_collapse(catalog_models):
             lc = levi_civita(L, neutral_metric(k))
             nk = kunneth_connection(k)
             nc = canonical_connection(L, neutral_metric(k), almost_product(k))
-            assert lc.gamma == nk.gamma == nc.gamma, name
+            assert lc == nk == nc, name
             checked += 1
     assert checked >= 9
     print(f"ACCEPTANCE 6: nabla^c = nabla^K = nabla^g on {checked} integrable splittings: PASS")
@@ -206,7 +206,7 @@ def test_criterion_07_born_connection_theorem(catalog_models):
         assert generalized_torsion_defect(member.algebra, nb, nc, member.g).is_zero()
         for form in (member.g, member.h, member.omega):
             assert nabla_form(member.algebra, nb, form).is_zero()
-        gammas.add(nb.gamma)
+        gammas.add(nb)
     assert len(gammas) == 1
     print("ACCEPTANCE 7: Born connection compatible with zero generalized torsion "
           "on h4, h9, h8 and all nil3_r family points; theta-independent: PASS")

@@ -30,12 +30,13 @@ from bornlab import (
     Endomorphism,
     BilinearForm,
 )
-from bornlab.connections import Connection, Trilinear
+from bornlab.connections import Connection
 from bornlab.errors import DegenerateFormError, NotIntegrableError
 from bornlab.exact import basis_vector, determinant, invert, projection_onto, vec_sub
 from bornlab.liealg import ce_d2
 from bornlab.model import _Materialized
 from bornlab.multilinear import symmetric_form, two_form
+from bornlab.structures import Witness
 
 
 _cache = {}
@@ -159,7 +160,7 @@ def test_kunneth_equals_levi_civita_when_integrable(catalog_models):
             integrable = ce_d2(L, k.omega).is_zero()
             if not integrable:
                 continue
-            assert kunneth_connection(k).gamma == levi_civita(L, neutral_metric(k)).gamma
+            assert kunneth_connection(k) == levi_civita(L, neutral_metric(k))
 
 
 def test_kunneth_preserves_subspaces_and_omega(fixture_kunneth, nil3):
@@ -192,7 +193,7 @@ def test_levi_civita_differs_from_kunneth_on_fixture(fixture_kunneth, nil3):
     g = neutral_metric(fixture_kunneth)
     lc = levi_civita(nil3, g)
     nk = kunneth_connection(fixture_kunneth)
-    assert lc.gamma != nk.gamma
+    assert lc != nk
     assert mixed_torsion_defect(nil3, lc, fixture_kunneth.plus, fixture_kunneth.minus) == []
     preserved = all(
         fixture_kunneth.plus.contains(lc.apply(basis_vector(4, i), v))
@@ -205,7 +206,7 @@ def test_levi_civita_differs_from_kunneth_on_fixture(fixture_kunneth, nil3):
 
 def test_zero_connection_mixed_torsion_empty():
     L = LieAlgebra.abelian(4)
-    zero = Connection(4, tuple(tuple((Fraction(0),) * 4 for _ in range(4)) for _ in range(4)))
+    zero = Connection((Matrix.zero(4),) * 4)
     f = Subspace(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
     g = Subspace(4, [[0, 0, 1, 0], [0, 0, 0, 1]])
     assert mixed_torsion_defect(L, zero, f, g) == []
@@ -223,13 +224,13 @@ def test_canonical_collapse_on_integrable(catalog_models):
             nc = canonical_connection(L, born.g, born.a_op)
             nk = kunneth_connection(born.underlying_kunneth())
             lc = levi_civita(L, born.g)
-            assert nc.gamma == nk.gamma == lc.gamma
+            assert nc == nk == lc
 
 
 def test_canonical_differs_from_kunneth_on_fixture(fixture_kunneth, nil3):
     nc = canonical_connection(nil3, neutral_metric(fixture_kunneth), almost_product(fixture_kunneth))
     nk = kunneth_connection(fixture_kunneth)
-    assert nc.gamma != nk.gamma
+    assert nc != nk
     # the defect is accounted for exactly by the omega_k relation
     assert omega_K_defect(fixture_kunneth).is_zero()
 
@@ -262,7 +263,7 @@ def test_born_connection_zero_on_abelian(catalog_models):
     born = borns_of(catalog_models["abelian_c2"])[0]
     nb = born_connection(born)
     assert nb.is_zero()
-    assert nb.gamma == kunneth_connection(born.underlying_kunneth()).gamma
+    assert nb == kunneth_connection(born.underlying_kunneth())
 
 
 def test_generalized_torsion_zero_for_born_connection(catalog_models):
@@ -294,9 +295,9 @@ def test_born_connection_theta_independent(nil3_family):
     gammas = set()
     for t in (0, 1, -1, Fraction(1, 2), 2, Fraction(3, 5)):
         born = s1_family(hs, jt, CirclePoint.from_t(t))
-        gammas.add(born_connection(born).gamma)
+        gammas.add(born_connection(born))
     born = s1_family(hs, jt, CirclePoint.theta_pi())
-    gammas.add(born_connection(born).gamma)
+    gammas.add(born_connection(born))
     assert len(gammas) == 1
 
 
@@ -311,7 +312,7 @@ def test_kunneth_vs_born_connection_on_h4(catalog_models):
     nk = kunneth_connection(born.underlying_kunneth())
     nc = canonical_connection(L, born.g, born.a_op)
     nb = born_connection(born)
-    assert nk.gamma == nc.gamma
+    assert nk == nc
     assert generalized_torsion_defect(L, nk, nc, born.g).is_zero()
     n = L.n
     basis = [basis_vector(n, i) for i in range(n)]
@@ -321,7 +322,7 @@ def test_kunneth_vs_born_connection_on_h4(catalog_models):
         for j in range(n)
     )
     assert not commutes
-    assert nb.gamma != nk.gamma
+    assert nb != nk
     assert not nabla_form(L, nk, born.h).is_zero()
     assert not torsion(L, nb).is_zero()
 
@@ -330,7 +331,7 @@ def test_kunneth_vs_born_connection_on_h4(catalog_models):
 
 
 def test_nabla_form_zero_connection(nil3):
-    zero = Connection(4, tuple(tuple((Fraction(0),) * 4 for _ in range(4)) for _ in range(4)))
+    zero = Connection((Matrix.zero(4),) * 4)
     g = symmetric_form(4, {(1, 4): -1, (2, 3): -1})
     assert nabla_form(nil3, zero, g).is_zero()
 
@@ -340,6 +341,51 @@ def test_nabla_form_levi_civita_does_not_preserve_h(nil3_family, nil3):
     born = s1_family(hs, jt, CirclePoint.from_t(Fraction(1, 2)))
     lc = levi_civita(nil3, hs.metric)
     assert not nabla_form(nil3, lc, born.h).is_zero()
+
+
+# --- pinned witnesses ----------------------------------------------------
+# A failing defect reports its lexicographically first nonzero (i, j, k).
+# These values pin that order, so a change in how connections or defects are
+# stored cannot silently reorder the witnesses a report prints.
+
+
+def test_nabla_form_witness_levi_civita_omega_on_fixture(fixture_kunneth, nil3):
+    lc = levi_civita(nil3, neutral_metric(fixture_kunneth))
+    assert nabla_form(nil3, lc, fixture_kunneth.omega).first_witness() == Witness.at((2, 1, 4), -1)
+
+
+def test_nabla_form_witness_kunneth_h_on_h4(catalog_models):
+    born = borns_of(catalog_models["h4"])[0]
+    nk = kunneth_connection(born.underlying_kunneth())
+    assert nabla_form(born.algebra, nk, born.h).first_witness() == Witness.at((1, 2, 2), 2)
+
+
+def test_torsion_witnesses_kunneth_on_fixture(fixture_kunneth, nil3):
+    assert torsion(nil3, kunneth_connection(fixture_kunneth)).witnesses() == [((1, 4, 1), -1)]
+
+
+def test_torsion_witnesses_born_connection(catalog_models, fixture_kunneth, nil3):
+    h4 = borns_of(catalog_models["h4"])[0]
+    assert torsion(h4.algebra, born_connection(h4)).witnesses() == [
+        ((1, 4, 6), 1),
+        ((2, 3, 6), Fraction(1, 2)),
+        ((2, 4, 3), 1),
+    ]
+    born = enhance_kunneth(fixture_kunneth)
+    assert not integrability_report(born).integrable
+    half = Fraction(-1, 2)
+    assert torsion(nil3, born_connection(born)).witnesses() == [
+        ((1, 2, 3), half),
+        ((1, 3, 2), half),
+        ((1, 4, 1), half),
+    ]
+
+
+def test_generalized_torsion_witness_kunneth_on_fixture(fixture_kunneth, nil3):
+    g = neutral_metric(fixture_kunneth)
+    nc = canonical_connection(nil3, g, almost_product(fixture_kunneth))
+    defect = generalized_torsion_defect(nil3, kunneth_connection(fixture_kunneth), nc, g)
+    assert defect.first_witness() == Witness.at((1, 2, 4), 1)
 
 
 # --- omega_k relation ----------------------------------------------------
@@ -369,7 +415,7 @@ def test_omega_k_unprojected_variant_is_not_an_identity(fixture_kunneth, nil3):
     for i in range(4):
         for j in range(4):
             for kk in range(4):
-                diff = vec_sub(nk.gamma[i][j], nc.gamma[i][j])
+                diff = vec_sub(nk.basis_value(i, j), nc.basis_value(i, j))
                 value = k.omega.evaluate(diff, basis[kk])
                 corr = dw.evaluate(basis[i], pf.matvec(basis[j]), pg.matvec(basis[kk]))
                 corr += dw.evaluate(basis[i], pg.matvec(basis[j]), pf.matvec(basis[kk]))

@@ -1,9 +1,14 @@
 """Model parsing, check orchestration, report rendering and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bornlab
 from bornlab import catalog, parse_model, render_model, render_report, run_checks
 from bornlab.cli import main
 from bornlab.errors import (
@@ -31,6 +36,26 @@ FIXTURE_KUNNETH_ONLY = """
   "structures": [{"type": "kunneth", "omega": "w", "plus": "F", "minus": "G"}]
 }
 """
+
+
+def _patched(path, value, base=FIXTURE_KUNNETH_ONLY):
+    """The base document with the entry at a key path replaced by value."""
+    doc = json.loads(base)
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return json.dumps(doc)
+
+
+MALFORMED_MODELS = {
+    "dim_bool": '{"name": "x", "dim": true}',
+    "forms_not_object": _patched(("forms",), []),
+    "reference_not_name": _patched(("structures", 0, "omega"), ["w"]),
+    "dependent_subspace": _patched(("subspaces", "F", 1), ["2", "0", "0", "0"]),
+    "non_rational_subspace_entry": _patched(("subspaces", "F", 0, 0), "one"),
+}
 
 
 # --- parsing -------------------------------------------------------------
@@ -231,6 +256,39 @@ def test_cli_check_parse_error_exit_2(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["check", str(path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", list(MALFORMED_MODELS.values()), ids=list(MALFORMED_MODELS))
+def test_cli_check_malformed_model_exit_2(tmp_path, capsys, text):
+    with pytest.raises((ModelSyntaxError, DimensionMismatchError)):
+        parse_model(text)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_check_report_independent_of_cache_state(tmp_path):
+    """A cold process prints the same report as one whose caches the whole
+    catalog has warmed."""
+    path = tmp_path / "fixture.json"
+    path.write_text(catalog.export_entry("nil3_r_nonintegrable_fixture"))
+    for name, _ in catalog.list_entries():
+        entry = catalog.get_entry(name)
+        if entry.model is not None:
+            run_checks(entry.model)
+    warm = render_report(run_checks(parse_model(path.read_text())))
+    env = dict(os.environ, PYTHONPATH=str(Path(bornlab.__file__).parents[1]))
+    cold = subprocess.run(
+        [sys.executable, "-m", "bornlab.cli", "check", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        check=False,
+    )
+    assert cold.returncode == 1, cold.stderr
+    assert cold.stdout == warm
 
 
 def test_cli_check_missing_file_exit_2(tmp_path, capsys):
