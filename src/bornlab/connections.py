@@ -26,7 +26,6 @@ returned silently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
@@ -35,11 +34,12 @@ from .errors import (
     DegenerateFormError,
     NotIntegrableError,
     NotInvolutionError,
+    SingularMatrixError,
 )
 from .exact import (
+    HALF,
     Matrix,
     Subspace,
-    determinant,
     invert,
     linear_combination,
     projection_onto,
@@ -57,9 +57,6 @@ from .structures import (
     integrability_report,
     neutral_metric,
 )
-
-
-HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -114,8 +111,20 @@ def torsion(L: LieAlgebra, c: Connection) -> OneTwoTensor:
     )
 
 
-def _torsion_at(L: LieAlgebra, c: Connection, x, y):
-    return vec_sub(vec_sub(c.apply(x, y), c.apply(y, x)), L.bracket(x, y))
+def _along(matrices, vectors) -> list:
+    """sum_i v_i matrices[i] for each vector v: nabla_v when the matrices are the Gamma_i."""
+    return [linear_combination(v, matrices) for v in vectors]
+
+
+def _torsion_among(L: LieAlgebra, c: Connection, vectors):
+    """T(x, y) for x, y among vectors, as a function of their positions.
+
+    T(x, y) = (nabla_x - ad_x) y - nabla_y x, with nabla_v and nabla_v - ad_v
+    built once per vector rather than once per pair.
+    """
+    nabla = _along(c.gammas, vectors)
+    shifted = _along([g - L.ad(i) for i, g in enumerate(c.gammas)], vectors)
+    return lambda a, b: vec_sub(shifted[a].matvec(vectors[b]), nabla[b].matvec(vectors[a]))
 
 
 def nabla_form(L: LieAlgebra, c: Connection, b: BilinearForm) -> Defect:
@@ -146,9 +155,10 @@ def levi_civita(L: LieAlgebra, g: BilinearForm) -> Connection:
     g-parallel.
     """
     n = L.n
-    if determinant(g.matrix) == 0:
-        raise DegenerateFormError("metric is degenerate")
-    half_g_inv = invert(g.matrix) * HALF
+    try:
+        half_g_inv = invert(g.matrix) * HALF
+    except SingularMatrixError:
+        raise DegenerateFormError("metric is degenerate") from None
     p = [g.matrix * L.ad(i) for i in range(n)]
     conn = Connection(
         tuple(
@@ -256,10 +266,12 @@ def mixed_torsion_defect(L: LieAlgebra, c: Connection, plus: Subspace, minus: Su
     Witness indices are (a, b, k): positions into the echelon bases and the
     first coordinate where the torsion vector is nonzero.
     """
+    p = plus.dim
+    t = _torsion_among(L, c, plus.basis + minus.basis)
     out = []
-    for a, x in enumerate(plus.basis):
-        for b_idx, y in enumerate(minus.basis):
-            witness = _first_witness([((a + 1, b_idx + 1), _torsion_at(L, c, x, y))])
+    for a in range(p):
+        for b_idx in range(minus.dim):
+            witness = _first_witness([((a + 1, b_idx + 1), t(a, p + b_idx))])
             if witness is not None:
                 out.append(witness)
     return out
@@ -332,26 +344,27 @@ def born_torsion_formula_defect(b: BornStructure) -> StructureReport:
     kunneth = kunneth_connection(b.underlying_kunneth())
     born = born_connection(b)
     split = involution_split(b.b_op)
+    basis = split.plus.basis + split.minus.basis
+    p = split.plus.dim
+    t = _torsion_among(L, born, basis)
     items = []
-    for name, sub in (("B+", split.plus), ("B-", split.minus)):
-        basis = sub.basis
+    for name, lo, hi in (("B+", 0, p), ("B-", p, len(basis))):
         witness = _first_witness(
-            ((a + 1, c + 1), _torsion_at(L, born, basis[a], basis[c]))
-            for a in range(len(basis))
-            for c in range(a + 1, len(basis))
+            ((a - lo + 1, c - lo + 1), t(a, c)) for a in range(lo, hi) for c in range(a + 1, hi)
         )
         items.append(CheckItem(f"T = 0 on {name} x {name}", witness is None, witness))
 
-    def formula_defect(x, y):
+    nabla_k = _along(kunneth.gammas, basis)
+
+    def formula_defect(a, c):
+        x, y = basis[a], basis[c]
         expected = vec_sub(
-            split.pi_minus.apply(kunneth.apply(y, x)), split.pi_plus.apply(kunneth.apply(x, y))
+            split.pi_minus.apply(nabla_k[c].matvec(x)), split.pi_plus.apply(nabla_k[a].matvec(y))
         )
-        return vec_sub(_torsion_at(L, born, x, y), expected)
+        return vec_sub(t(a, c), expected)
 
     witness = _first_witness(
-        ((a + 1, c + 1), formula_defect(x, y))
-        for a, x in enumerate(split.plus.basis)
-        for c, y in enumerate(split.minus.basis)
+        ((a + 1, c - p + 1), formula_defect(a, c)) for a in range(p) for c in range(p, len(basis))
     )
     items.append(
         CheckItem("T(x,y) = -pi+(nabla^K_x y) + pi-(nabla^K_y x) on B+ x B-", witness is None, witness)

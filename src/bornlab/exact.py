@@ -4,9 +4,20 @@ Every coefficient in this package is a fractions.Fraction, so identities are
 certified with defect exactly zero, never merely below a tolerance.  Fractions
 normalize on construction (reduced, positive denominator), which makes
 equality structural.  Matrices are small (catalog models reach dimension
-eight, direct sums of them twelve) and stored dense; plain Gaussian
-elimination over the rationals is exact and fast enough at these sizes.
-Products skip zero entries, which most structure data consists of.
+eight, direct sums of them twelve) and stored dense as rows of Fractions.
+
+The arithmetic itself runs on Python integers.  Each operand of a matrix
+product, a matrix-vector product or a linear combination is scaled, per
+call, to integer numerators over one common denominator (the lcm of its
+entries' denominators); the products are accumulated in int with zero
+factors skipped, and one reduced Fraction is built per nonzero output entry.
+A product thus costs O(n^2) Fraction constructions instead of O(n^3) Fraction
+operations, each with its own gcd.  Sums, differences and scalar multiples
+build each entry once from integer numerators.  Determinant, inverse and
+reduced row echelon form use fraction-free Gauss-Jordan elimination on the
+integer form (Bareiss 1968, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination"), whose divisions are all exact.
+The signature reduction works on Fractions directly.
 """
 
 from __future__ import annotations
@@ -14,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -24,6 +36,7 @@ from .errors import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+HALF = Fraction(1, 2)
 
 _RATIONAL_RE = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
 
@@ -108,6 +121,14 @@ class Matrix:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", data)
 
+    @classmethod
+    def _of(cls, rows: tuple) -> "Matrix":
+        """Wrap a kernel result, unchecked: a nonempty square tuple of row tuples of Fractions."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "n", len(rows))
+        object.__setattr__(m, "rows", rows)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
@@ -127,7 +148,7 @@ class Matrix:
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence]) -> "Matrix":
         n = len(cols)
-        return cls([[rationalize(cols[j][i]) for j in range(n)] for i in range(n)])
+        return cls([[cols[j][i] for j in range(n)] for i in range(n)])
 
     def entry(self, i: int, j: int) -> Fraction:
         """1-based access m(e_i, e_j)."""
@@ -140,11 +161,14 @@ class Matrix:
     def matvec(self, v) -> tuple[Fraction, ...]:
         if len(v) != self.n:
             raise DimensionMismatchError("vector length does not match matrix dimension")
-        nonzero = [(j, x) for j, x in enumerate(v) if x != 0]
-        return tuple(sum((row[j] * x for j, x in nonzero), ZERO) for row in self.rows)
+        xs, dv = to_integers(v)
+        nonzero = [(j, x) for j, x in enumerate(xs) if x]
+        d = _denominator(self.rows)
+        sums = [sum(row[j] * x for j, x in nonzero) for row in _integer_rows(self.rows, d)]
+        return from_integers(sums, d * dv)
 
     def transpose(self) -> "Matrix":
-        return Matrix([[self.rows[j][i] for j in range(self.n)] for i in range(self.n)])
+        return Matrix._of(tuple(zip(*self.rows)))
 
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.rows for v in row)
@@ -165,30 +189,31 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_dim(other)
-        return Matrix([[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+        return Matrix._of(tuple(tuple(map(_add, r, s)) for r, s in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_dim(other)
-        return Matrix([[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+        return Matrix._of(tuple(tuple(map(_sub, r, s)) for r, s in zip(self.rows, other.rows)))
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in r] for r in self.rows])
+        return Matrix._of(tuple(tuple(-a for a in r) for r in self.rows))
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             self._check_dim(other)
+            da, db = _denominator(self.rows), _denominator(other.rows)
+            b_rows = _numerators(other.rows, db)
             out = []
-            for row in self.rows:
-                acc = [ZERO] * self.n
-                for a, other_row in zip(row, other.rows):
-                    if a != 0:
-                        for j, b in enumerate(other_row):
-                            if b != 0:
-                                acc[j] += a * b
+            for row in _numerators(self.rows, da):
+                acc = [0] * self.n
+                for k, x in row:
+                    for j, y in b_rows[k]:
+                        acc[j] += x * y
                 out.append(acc)
-            return Matrix(out)
+            return _from_numerators(out, da * db)
         c = rationalize(other)
-        return Matrix([[c * a for a in r] for r in self.rows])
+        p, q = c._numerator, c._denominator
+        return Matrix._of(tuple(tuple(_scaled(a, p, q) for a in r) for r in self.rows))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -208,58 +233,136 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
+# The integer kernel.  A vector may hold ints as well as Fractions, so
+# to_integers reads the public numerator and denominator.  Entries of a
+# Matrix are always Fractions, so the helpers on rows read the slots directly:
+# the public properties cost a Python-level call each, several times the
+# product itself.
+
+
+def to_integers(values) -> tuple[list[int], int]:
+    """(numerators, d): the rationals values as integers over d, the lcm of their denominators."""
+    d = lcm(*{x.denominator for x in values})
+    return [x.numerator * (d // x.denominator) for x in values], d
+
+
+def from_integers(numerators, d: int) -> tuple[Fraction, ...]:
+    """The integers numerators / d as reduced Fractions; zeros are the ZERO constant."""
+    if d == 1:
+        return tuple(Fraction(v) if v else ZERO for v in numerators)
+    return tuple(Fraction(v, d) if v else ZERO for v in numerators)
+
+
+def _denominator(rows) -> int:
+    """lcm of the denominators of all entries."""
+    return lcm(*{x._denominator for row in rows for x in row})
+
+
+def _integer_rows(rows, d: int) -> list:
+    """The rows as integer numerators over d (a multiple of every denominator)."""
+    return [[x._numerator * (d // x._denominator) for x in row] for row in rows]
+
+
+def _numerators(rows, d: int) -> list:
+    """Each row as the (column, numerator over d) pairs of its nonzero entries."""
+    return [[(j, v) for j, v in enumerate(row) if v] for row in _integer_rows(rows, d)]
+
+
+def _from_numerators(rows, d: int) -> Matrix:
+    return Matrix._of(tuple(from_integers(row, d) for row in rows))
+
+
+def _scaled(a: Fraction, p: int, q: int) -> Fraction:
+    """a * p / q."""
+    return Fraction(a._numerator * p, a._denominator * q) if a._numerator else ZERO
+
+
+def _add(a: Fraction, b: Fraction) -> Fraction:
+    if not b._numerator:
+        return a
+    if not a._numerator:
+        return b
+    p, q, r, s = a._numerator, a._denominator, b._numerator, b._denominator
+    return Fraction(p * s + r * q, q * s) if q != s else Fraction(p + r, q)
+
+
+def _sub(a: Fraction, b: Fraction) -> Fraction:
+    if not b._numerator:
+        return a
+    p, q, r, s = a._numerator, a._denominator, b._numerator, b._denominator
+    return Fraction(p * s - r * q, q * s) if q != s else Fraction(p - r, q)
+
+
 def linear_combination(coeffs, matrices: Sequence[Matrix]) -> Matrix:
     """sum_a coeffs[a] * matrices[a]; terms with a zero coefficient are skipped."""
     n = matrices[0].n
-    rows = [[ZERO] * n for _ in range(n)]
-    for c, m in zip(coeffs, matrices):
-        if c != 0:
-            for out, row in zip(rows, m.rows):
-                for j, v in enumerate(row):
-                    out[j] += c * v
-    return Matrix(rows)
+    terms = [(c, m) for c, m in zip(coeffs, matrices) if c]
+    cs, dc = to_integers([c for c, _ in terms])
+    dm = lcm(*{_denominator(m.rows) for _, m in terms})
+    acc = [[0] * n for _ in range(n)]
+    for c, (_, m) in zip(cs, terms):
+        for out, row in zip(acc, _numerators(m.rows, dm)):
+            for j, v in row:
+                out[j] += c * v
+    return _from_numerators(acc, dc * dm)
+
+
+def _gauss_jordan(a: list, ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of integer rows, in place.
+
+    Pivots are taken in columns 0..ncols-1 at the lowest available row.  Each
+    step replaces every other row by (p * row - f * pivot row) / prev, with p
+    the new pivot, f the row's entry in the pivot column and prev the pivot
+    before; the division is always exact.  At the end every pivot row holds
+    the last pivot D in its pivot column and zeros in the other pivot
+    columns, so the reduced row echelon form is a / D, and for a square
+    nonsingular block the determinant is sign * D.  Returns (pivot columns,
+    D, sign of the row permutation).
+    """
+    pivots, prev, sign = [], 1, 1
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            a[rank], a[pivot] = a[pivot], a[rank]
+            sign = -sign
+        top = a[rank]
+        p = top[col]
+        for r, row in enumerate(a):
+            if r != rank:
+                f = row[col]
+                a[r] = [(p * v - f * w) // prev for v, w in zip(row, top)]
+        pivots.append(col)
+        prev = p
+        if len(pivots) == len(a):
+            break
+    return pivots, prev, sign
 
 
 def determinant(m: Matrix) -> Fraction:
-    """Exact determinant by Gaussian elimination with row swaps."""
-    n = m.n
-    a = [list(row) for row in m.rows]
-    det = ONE
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = ONE / a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            if f == 0:
-                continue
-            for c in range(col, n):
-                a[r][c] -= f * a[col][c]
-    return det
+    """Exact determinant by fraction-free elimination of the integer form."""
+    d = _denominator(m.rows)
+    pivots, last, sign = _gauss_jordan(_integer_rows(m.rows, d), m.n)
+    if len(pivots) < m.n:
+        return ZERO
+    return Fraction(sign * last, d ** m.n)
 
 
 def invert(m: Matrix) -> Matrix:
-    """Inverse by Gauss-Jordan elimination; raises SingularMatrixError."""
+    """Inverse by fraction-free Gauss-Jordan elimination; raises SingularMatrixError.
+
+    With m = M / d for an integer matrix M, reducing [M | Id] leaves
+    [D Id | D M^-1], so m^-1 = d (D M^-1) / D.
+    """
     n = m.n
-    a = [list(row) + list(Matrix.identity(n).rows[i]) for i, row in enumerate(m.rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-        inv = ONE / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return Matrix([row[n:] for row in a])
+    d = _denominator(m.rows)
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(_integer_rows(m.rows, d))]
+    pivots, last, _ = _gauss_jordan(a, n)
+    if len(pivots) < n:
+        raise SingularMatrixError("matrix is singular")
+    return _from_numerators([[d * v for v in row[n:]] for row in a], last)
 
 
 def rref(vectors: Sequence[Sequence]) -> tuple[list[tuple[Fraction, ...]], list[int]]:
@@ -268,30 +371,15 @@ def rref(vectors: Sequence[Sequence]) -> tuple[list[tuple[Fraction, ...]], list[
     Deterministic lowest-index pivoting; zero rows are dropped.  Returns the
     reduced rows and their pivot column indices (0-based).
     """
-    rows = [list(vector(v)) for v in vectors]
+    rows = [vector(v) for v in vectors]
     if not rows:
         return [], []
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise DimensionMismatchError("vectors of unequal length")
-    pivots = []
-    rank = 0
-    for col in range(width):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = ONE / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    return [tuple(r) for r in rows[:rank]], pivots
+    a = _integer_rows(rows, _denominator(rows))
+    pivots, last, _ = _gauss_jordan(a, width)
+    return [from_integers(row, last) for row in a[: len(pivots)]], pivots
 
 
 def rank_of(vectors: Sequence[Sequence]) -> int:

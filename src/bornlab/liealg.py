@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatchError, JacobiViolationError
@@ -25,10 +26,11 @@ from .exact import (
     ZERO,
     basis_vector,
     format_rational,
+    from_integers,
     rationalize,
+    to_integers,
     vec_add,
     vec_is_zero,
-    vec_scale,
     vector,
     zero_vector,
 )
@@ -94,21 +96,23 @@ class LieAlgebra:
         return Matrix.from_columns(self._table[i])
 
     def bracket(self, x: Sequence, y: Sequence):
-        """[x, y]^k = sum_{i,j} x^i y^j c^k_{ij}; bilinear and antisymmetric."""
+        """[x, y]^k = sum_{i<j} (x^i y^j - x^j y^i) c^k_{ij}; bilinear and antisymmetric.
+
+        Accumulated on integer numerators over the common denominator of x,
+        of y and of the structure constants.
+        """
         x, y = vector(x), vector(y)
         if len(x) != self.n or len(y) != self.n:
             raise DimensionMismatchError("bracket arguments must have the algebra dimension")
-        out = zero_vector(self.n)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0 or i == j:
-                    continue
-                v = self._table[i][j]
-                if not vec_is_zero(v):
-                    out = vec_add(out, vec_scale(xi * yj, v))
-        return out
+        (xs, dx), (ys, dy) = to_integers(x), to_integers(y)
+        dc = lcm(*{c.denominator for out in self.brackets.values() for c in out.values()})
+        acc = [0] * self.n
+        for (i, j), out in self.brackets.items():
+            w = xs[i - 1] * ys[j - 1] - xs[j - 1] * ys[i - 1]
+            if w:
+                for k, c in out.items():
+                    acc[k - 1] += w * c.numerator * (dc // c.denominator)
+        return from_integers(acc, dx * dy * dc)
 
     def is_abelian(self) -> bool:
         return not self.brackets
@@ -311,28 +315,26 @@ def ce_d1(L: LieAlgebra, a: OneForm) -> BilinearForm:
 
 @lru_cache(maxsize=None)
 def ce_d2(L: LieAlgebra, w) -> ThreeForm:
-    """(d w)(e_i,e_j,e_k) = -w([e_i,e_j],e_k) + w([e_i,e_k],e_j) - w([e_j,e_k],e_i)."""
+    """(d w)(e_i,e_j,e_k) = -w([e_i,e_j],e_k) + w([e_i,e_k],e_j) - w([e_j,e_k],e_i).
+
+    With M the matrix of w, Q_i = ad_i^T M has entry (j, k) = w([e_i,e_j], e_k),
+    so d w(e_i,e_j,e_k) = -Q_i[j][k] + Q_i[k][j] - Q_j[k][i]: n matrix products
+    instead of a dense form evaluation per basis triple.
+    """
     m = _two_form_matrix(w)
     n = L.n
     if m.n != n:
         raise DimensionMismatchError("two-form dimension does not match algebra")
-
-    def ev(u, v):
-        return sum(ui * sum(a * b for a, b in zip(row, v)) for ui, row in zip(u, m.rows))
-
-    coeffs = {}
-    for i in range(n):
-        ei = basis_vector(n, i)
-        for j in range(i + 1, n):
-            ej = basis_vector(n, j)
-            for k in range(j + 1, n):
-                ek = basis_vector(n, k)
-                coeffs[(i, j, k)] = (
-                    -ev(L.basis_bracket(i, j), ek)
-                    + ev(L.basis_bracket(i, k), ej)
-                    - ev(L.basis_bracket(j, k), ei)
-                )
-    return ThreeForm(n, coeffs)
+    q = [(L.ad(i).transpose() * m).rows for i in range(n)]
+    return ThreeForm(
+        n,
+        {
+            (i, j, k): -q[i][j][k] + q[i][k][j] - q[j][k][i]
+            for i in range(n)
+            for j in range(i + 1, n)
+            for k in range(j + 1, n)
+        },
+    )
 
 
 def is_closed(L: LieAlgebra, w) -> bool:

@@ -14,18 +14,19 @@ from .errors import (
     DegenerateFormError,
     DimensionMismatchError,
     NotInvolutionError,
+    SingularMatrixError,
     TrivialInvolutionError,
 )
 from .exact import (
+    HALF,
+    ZERO,
     Matrix,
     Subspace,
-    basis_vector,
     determinant,
     invert,
     kernel_basis,
-    vec_add,
+    linear_combination,
     vec_is_zero,
-    vec_sub,
     vector,
 )
 
@@ -76,7 +77,8 @@ class BilinearForm:
         return self.matrix.n
 
     def evaluate(self, x, y):
-        return sum(xi * sum(a * b for a, b in zip(row, y)) for xi, row in zip(x, self.matrix.rows))
+        """b(x, y) = x^T (M_b y)."""
+        return sum((a * b for a, b in zip(x, self.matrix.matvec(y)) if a), ZERO)
 
     def is_nondegenerate(self) -> bool:
         return determinant(self.matrix) != 0
@@ -231,10 +233,11 @@ def recursion_operator(a: BilinearForm, b: BilinearForm) -> Endomorphism:
     """
     if a.n != b.n:
         raise DimensionMismatchError("forms live on spaces of different dimension")
-    ma_t = a.matrix.transpose()
-    if determinant(ma_t) == 0:
-        raise DegenerateFormError("source form of a recursion operator is degenerate")
-    return Endomorphism(invert(ma_t) * b.matrix.transpose())
+    try:
+        ma_t_inv = invert(a.matrix.transpose())
+    except SingularMatrixError:
+        raise DegenerateFormError("source form of a recursion operator is degenerate") from None
+    return Endomorphism(ma_t_inv * b.matrix.transpose())
 
 
 def pullback(t: Endomorphism, b: BilinearForm) -> BilinearForm:
@@ -244,22 +247,28 @@ def pullback(t: Endomorphism, b: BilinearForm) -> BilinearForm:
 
 
 def nijenhuis(L: "LieAlgebra", t: Endomorphism) -> OneTwoTensor:
-    """Nijenhuis tensor [Tx,Ty] + T^2 [x,y] - T[Tx,y] - T[x,Ty] on basis pairs."""
+    """Nijenhuis tensor N(x, y) = [Tx,Ty] + T^2 [x,y] - T[Tx,y] - T[x,Ty] on basis pairs.
+
+    Along x = e_i it is the matrix
+
+        N_i = ad_{Te_i} T + T^2 ad_i - T ad_{Te_i} - T ad_i T
+            = [ad_{Te_i}, T] + T [T, ad_i],
+
+    with ad_{Te_i} = sum_k (Te_i)_k ad_k; column j of N_i is N(e_i, e_j).
+    """
     n = L.n
     if t.n != n:
         raise DimensionMismatchError("endomorphism dimension does not match algebra")
-    t2 = Endomorphism(t.squared())
-    images = [t.matrix.column(j) for j in range(n)]
+    m = t.matrix
+    ad = [L.ad(i) for i in range(n)]
 
-    def component(i, j):
-        ei, ej = basis_vector(n, i), basis_vector(n, j)
-        term = L.bracket(images[i], images[j])
-        term = vec_add(term, t2.apply(L.bracket(ei, ej)))
-        term = vec_sub(term, t.apply(L.bracket(images[i], ej)))
-        term = vec_sub(term, t.apply(L.bracket(ei, images[j])))
-        return term
+    def along(i):
+        ad_t = linear_combination(m.column(i), ad)
+        return ad_t * m - m * ad_t + m * (m * ad[i] - ad[i] * m)
 
-    return OneTwoTensor.from_function(n, component)
+    # N(e_i, e_j) is needed for i < j only
+    n_along = [along(i) for i in range(n - 1)]
+    return OneTwoTensor.from_function(n, lambda i, j: n_along[i].column(j))
 
 
 class InvolutionSplit:
@@ -295,9 +304,8 @@ def involution_split(t: Endomorphism) -> InvolutionSplit:
         raise TrivialInvolutionError("involution is +-identity; no proper splitting")
     plus = Subspace(n, kernel_basis(t.matrix - ident))
     minus = Subspace(n, kernel_basis(t.matrix + ident))
-    half = invert(Matrix.identity(n) * 2)
-    pi_plus = Endomorphism(half * (ident + t.matrix))
-    pi_minus = Endomorphism(half * (ident - t.matrix))
+    pi_plus = Endomorphism((ident + t.matrix) * HALF)
+    pi_minus = Endomorphism((ident - t.matrix) * HALF)
     if plus.dim + minus.dim != n:
         raise AxiomFailureError("eigenspace dimensions do not fill the space")
     return InvolutionSplit(plus, minus, pi_plus, pi_minus)

@@ -24,6 +24,7 @@ from .errors import (
     NotCompatibleError,
     NotComplementaryError,
     NotIsotropicError,
+    SingularMatrixError,
 )
 from .exact import (
     Matrix,
@@ -129,6 +130,7 @@ def build_almost_kunneth(L: LieAlgebra, omega: BilinearForm, plus: Subspace, min
     return AlmostKunneth(L, omega, plus, minus)
 
 
+@lru_cache(maxsize=None)
 def almost_product(k: AlmostKunneth) -> Endomorphism:
     """The involution that is +Id on the plus subspace and -Id on the minus one."""
     p = Matrix.from_columns(list(k.plus.basis) + list(k.minus.basis))
@@ -491,9 +493,10 @@ def enhance_kunneth(k: AlmostKunneth, jtilde: Optional[Endomorphism] = None) -> 
             raise NotCompatibleError((0,), 0, "jtilde image leaves the minus subspace")
         s_cols.append(coords[m:])
     s = Matrix.from_columns(s_cols)
-    if determinant(s) == 0:
-        raise NotCompatibleError((0,), 0, "jtilde is not an isomorphism onto the minus subspace")
-    s_inv = invert(s)
+    try:
+        s_inv = invert(s)
+    except SingularMatrixError:
+        raise NotCompatibleError((0,), 0, "jtilde is not an isomorphism onto the minus subspace") from None
     zero = Matrix.zero(m)
     block = [[zero.rows[i][j] for j in range(m)] + [-s_inv.rows[i][j] for j in range(m)] for i in range(m)]
     block += [[s.rows[i][j] for j in range(m)] + [zero.rows[i][j] for j in range(m)] for i in range(m)]

@@ -140,7 +140,7 @@ def test_levi_civita_certificates(catalog_models):
 
 
 def test_levi_civita_rejects_degenerate_metric(nil3):
-    with pytest.raises(DegenerateFormError):
+    with pytest.raises(DegenerateFormError, match="^metric is degenerate$"):
         levi_civita(nil3, BilinearForm.detect(Matrix.zero(4) + Matrix.zero(4)))
 
 

@@ -1,0 +1,184 @@
+"""The integer kernel against plain-Fraction references, and elimination against sympy.
+
+Products, sums, linear combinations and brackets run on integer numerators
+over a common denominator; each is checked here against the textbook
+Fraction formula on inputs with zeros, negatives and large or coprime
+denominators.  Determinant, inverse, rank and reduced row echelon form run
+on fraction-free elimination; they are checked against sympy where it is
+installed.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bornlab import LieAlgebra, Matrix, determinant, invert
+from bornlab.errors import SingularMatrixError
+from bornlab.exact import linear_combination, rank_of, rref
+
+ZERO = Fraction(0)
+
+# zero often, then small and huge numerators over small, coprime prime and huge denominators
+DENOMINATORS = st.one_of(
+    st.integers(1, 6),
+    st.sampled_from([7, 11, 13, 97, 997, 65537, 2**31 - 1, 2**61 - 1, 10**18 + 9]),
+    st.integers(1, 10**12),
+)
+NUMERATORS = st.one_of(st.integers(-5, 5), st.integers(-(10**15), 10**15))
+SCALARS = st.one_of(st.just(ZERO), st.builds(Fraction, NUMERATORS, DENOMINATORS))
+
+
+def rows_of(n):
+    return st.lists(st.lists(SCALARS, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def vector_of(n):
+    return st.lists(SCALARS, min_size=n, max_size=n)
+
+
+DIMS = st.integers(1, 5)
+SQUARES = DIMS.flatmap(rows_of)
+PAIRS = DIMS.flatmap(lambda n: st.tuples(rows_of(n), rows_of(n)))
+
+
+def ref_mul(a, b):
+    n = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), ZERO) for j in range(n)] for i in range(n)]
+
+
+def assert_matrix(result, expected):
+    assert result.rows == tuple(tuple(row) for row in expected)
+    assert all(type(x) is Fraction for row in result.rows for x in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(PAIRS)
+def test_matmul_matches_fraction_reference(pair):
+    a, b = pair
+    assert_matrix(Matrix(a) * Matrix(b), ref_mul(a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(PAIRS)
+def test_add_and_sub_match_fraction_reference(pair):
+    a, b = pair
+    assert_matrix(Matrix(a) + Matrix(b), [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)])
+    assert_matrix(Matrix(a) - Matrix(b), [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(SQUARES, SCALARS)
+def test_scalar_multiple_matches_fraction_reference(a, c):
+    expected = [[c * x for x in row] for row in a]
+    assert_matrix(Matrix(a) * c, expected)
+    assert_matrix(c * Matrix(a), expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(DIMS.flatmap(lambda n: st.tuples(rows_of(n), vector_of(n))))
+def test_matvec_matches_fraction_reference(case):
+    a, v = case
+    result = Matrix(a).matvec(v)
+    assert result == tuple(sum((x * y for x, y in zip(row, v)), ZERO) for row in a)
+    assert all(type(x) is Fraction for x in result)
+
+
+def test_matvec_accepts_integer_vectors():
+    assert Matrix([[Fraction(1, 2), 3], [0, Fraction(-2, 7)]]).matvec((2, 1)) == (4, Fraction(-2, 7))
+
+
+@settings(max_examples=100, deadline=None)
+@given(DIMS.flatmap(lambda n: st.integers(1, 4).flatmap(
+    lambda k: st.tuples(vector_of(k), st.lists(rows_of(n), min_size=k, max_size=k)))))
+def test_linear_combination_matches_fraction_reference(case):
+    coeffs, mats = case
+    n = len(mats[0])
+    expected = [
+        [sum((c * m[i][j] for c, m in zip(coeffs, mats)), ZERO) for j in range(n)] for i in range(n)
+    ]
+    assert_matrix(linear_combination(coeffs, [Matrix(m) for m in mats]), expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(DIMS.flatmap(lambda n: st.tuples(
+    st.dictionaries(
+        st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] < p[1]),
+        st.dictionaries(st.integers(1, n), SCALARS, max_size=n),
+        max_size=n * (n - 1) // 2,
+    ),
+    vector_of(n),
+    vector_of(n),
+)))
+def test_bracket_matches_structure_constant_reference(case):
+    brackets, x, y = case
+    n = len(x)
+    # the bracket is bilinear whether or not Jacobi holds
+    L = LieAlgebra(n, brackets, check=False)
+    expected = [ZERO] * n
+    for i in range(n):
+        for j in range(n):
+            for k, c in enumerate(L.basis_bracket(i, j)):
+                expected[k] += x[i] * y[j] * c
+    result = L.bracket(x, y)
+    assert result == tuple(expected)
+    assert all(type(v) is Fraction for v in result)
+
+
+# --- elimination against sympy -----------------------------------------------
+
+
+def random_rows(rng, rows, cols):
+    """Rational rows with zeros, large and coprime denominators; some rows dependent."""
+    out = []
+    for _ in range(rows):
+        if out and rng.random() < 0.2:
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 5))
+            out.append([c * x for x in rng.choice(out)])
+            continue
+        out.append([
+            Fraction(rng.randint(-(10**6), 10**6), rng.choice([1, 2, 3, 7, 97, 65537, 10**9 + 7]))
+            if rng.random() < 0.7 else ZERO
+            for _ in range(cols)
+        ])
+    return out
+
+
+def test_elimination_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2024)
+    for _ in range(120):
+        n = rng.randint(1, 7)
+        rows = random_rows(rng, n, n)
+        s = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
+        m = Matrix(rows)
+        det = s.det()
+        assert determinant(m) == Fraction(int(det.p), int(det.q))
+        if det == 0:
+            with pytest.raises(SingularMatrixError):
+                invert(m)
+        else:
+            inv = s.inv()
+            assert invert(m).rows == tuple(
+                tuple(Fraction(int(inv[i, j].p), int(inv[i, j].q)) for j in range(n)) for i in range(n)
+            )
+        assert rank_of(rows) == s.rank()
+
+
+def test_rref_matches_sympy_on_rectangular_inputs():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(7)
+    for _ in range(120):
+        height, width = rng.randint(1, 6), rng.randint(1, 7)
+        rows = random_rows(rng, height, width)
+        reduced, pivots = sympy.Matrix(
+            [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
+        ).rref()
+        expected = tuple(
+            tuple(Fraction(int(reduced[i, j].p), int(reduced[i, j].q)) for j in range(width))
+            for i in range(len(pivots))
+        )
+        ours, our_pivots = rref(rows)
+        assert tuple(ours) == expected
+        assert tuple(our_pivots) == tuple(pivots)

@@ -104,7 +104,7 @@ def test_recursion_inverse_reverses_arrow():
 def test_recursion_degenerate_source():
     singular = BilinearForm.detect(Matrix([[1, 1], [1, 1]]))
     target = BilinearForm.detect(Matrix.identity(2))
-    with pytest.raises(DegenerateFormError):
+    with pytest.raises(DegenerateFormError, match="^source form of a recursion operator is degenerate$"):
         recursion_operator(singular, target)
 
 

@@ -364,6 +364,15 @@ def test_enhance_rejects_jtilde_not_into_minus(h4_kunneth):
         enhance_kunneth(h4_kunneth, jtilde=Endomorphism.identity(6))
 
 
+def test_enhance_rejects_jtilde_that_is_not_an_isomorphism(h4_kunneth):
+    # the zero map sends plus into minus and passes the pairing test, but is singular
+    message = "^jtilde is not an isomorphism onto the minus subspace$"
+    with pytest.raises(NotCompatibleError, match=message) as info:
+        enhance_kunneth(h4_kunneth, jtilde=Endomorphism(Matrix.zero(6)))
+    assert (info.value.witness, info.value.value) == ((0,), 0)
+    assert info.value.__suppress_context__
+
+
 # --- hypersymplectic ----------------------------------------------------
 
 
