@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .errors import NotExportableError, UnknownEntryError
+from .errors import BornlabError, NotExportableError, UnknownEntryError
 from .exact import Subspace
 from .liealg import LieAlgebra, ce_d2
 from .model import Model, StructureDecl, render_model, run_checks
@@ -573,7 +573,7 @@ def verify_entry(entry: CatalogEntry):
                 member = family_member(entry, _parse_point(expectation.target))
                 ok = verify_born_identities(member).ok and integrability_report(member).integrable
                 actual = "pass" if ok else "fail"
-            except Exception:
+            except BornlabError:
                 actual = "fail"
         else:
             actual = "fail"

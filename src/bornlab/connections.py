@@ -40,6 +40,7 @@ from .exact import (
     HALF,
     Matrix,
     Subspace,
+    column_slices,
     invert,
     linear_combination,
     projection_onto,
@@ -98,17 +99,23 @@ class Defect:
 
     def first_witness(self) -> Optional[Witness]:
         """First nonzero (i, j, k), 1-based, in lexicographic order."""
-        return _first_witness(
-            ((i + 1, j + 1), row) for i, m in enumerate(self.matrices) for j, row in enumerate(m.rows)
-        )
+        for i, m in enumerate(self.matrices):
+            hit = m.first_nonzero()
+            if hit is not None:
+                j, k, value = hit
+                return Witness.at((i + 1, j, k), value)
+        return None
 
 
 def torsion(L: LieAlgebra, c: Connection) -> OneTwoTensor:
-    """T(e_i, e_j) = Gamma_i e_j - Gamma_j e_i - [e_i, e_j]."""
-    return OneTwoTensor.from_function(
-        L.n,
-        lambda i, j: vec_sub(vec_sub(c.basis_value(i, j), c.basis_value(j, i)), L.basis_bracket(i, j)),
-    )
+    """T(e_i, e_j) = Gamma_i e_j - Gamma_j e_i - [e_i, e_j].
+
+    Column j of T_i = Gamma_i - E_i - ad_i is T(e_i, e_j), with column j of
+    E_i equal to Gamma_j e_i.
+    """
+    e = column_slices(c.gammas)
+    t = [g - e_i - L.ad(i) for i, (g, e_i) in enumerate(zip(c.gammas, e))]
+    return OneTwoTensor.from_function(L.n, lambda i, j: t[i].column(j))
 
 
 def _along(matrices, vectors) -> list:
@@ -160,12 +167,8 @@ def levi_civita(L: LieAlgebra, g: BilinearForm) -> Connection:
     except SingularMatrixError:
         raise DegenerateFormError("metric is degenerate") from None
     p = [g.matrix * L.ad(i) for i in range(n)]
-    conn = Connection(
-        tuple(
-            half_g_inv * (p[i] - p[i].transpose() - Matrix.from_columns([p_j.rows[i] for p_j in p]))
-            for i in range(n)
-        )
-    )
+    r = column_slices([p_j.transpose() for p_j in p])
+    conn = Connection(tuple(half_g_inv * (p[i] - p[i].transpose() - r[i]) for i in range(n)))
     if not torsion(L, conn).is_zero():
         raise AxiomFailureError("Levi-Civita connection has torsion")
     if not nabla_form(L, conn, g).is_zero():
@@ -288,11 +291,8 @@ def generalized_torsion_defect(
     """
     m = g.matrix
     delta = [a - b for a, b in zip(c.gammas, cc.gammas)]
-    out = []
-    for i, delta_i in enumerate(delta):
-        e_i = Matrix.from_columns([delta_j.column(i) for delta_j in delta])
-        out.append((delta_i - e_i).transpose() * m + m * e_i)
-    return Defect(tuple(out))
+    e = column_slices(delta)
+    return Defect(tuple((delta_i - e_i).transpose() * m + m * e_i for delta_i, e_i in zip(delta, e)))
 
 
 def omega_K_defect(k: AlmostKunneth) -> Defect:

@@ -1,23 +1,27 @@
 """Exact rational scalars and dense linear algebra.
 
-Every coefficient in this package is a fractions.Fraction, so identities are
-certified with defect exactly zero, never merely below a tolerance.  Fractions
-normalize on construction (reduced, positive denominator), which makes
-equality structural.  Matrices are small (catalog models reach dimension
-eight, direct sums of them twelve) and stored dense as rows of Fractions.
+Every coefficient in this package is an exact rational, so identities are
+certified with defect exactly zero, never merely below a tolerance.
+Matrices are small (catalog models reach dimension eight, direct sums of
+them twelve) and stored dense.
 
-The arithmetic itself runs on Python integers.  Each operand of a matrix
-product, a matrix-vector product or a linear combination is scaled, per
-call, to integer numerators over one common denominator (the lcm of its
-entries' denominators); the products are accumulated in int with zero
-factors skipped, and one reduced Fraction is built per nonzero output entry.
-A product thus costs O(n^2) Fraction constructions instead of O(n^3) Fraction
-operations, each with its own gcd.  Sums, differences and scalar multiples
-build each entry once from integer numerators.  Determinant, inverse and
-reduced row echelon form use fraction-free Gauss-Jordan elimination on the
-integer form (Bareiss 1968, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination"), whose divisions are all exact.
-The signature reduction works on Fractions directly.
+A Matrix is integer numerators over one integer denominator, num / den,
+kept in canonical form: den > 0, gcd(den, every numerator) = 1, and the
+zero matrix over den = 1.  That makes equality and hashing structural, on
+ints.  Products, sums, differences, scalar multiples, transposes and linear
+combinations work on the numerators alone and bring each result to
+canonical form with one gcd over the whole matrix; products skip zero
+factors.  Determinant, inverse and reduced row echelon form use
+fraction-free Gauss-Jordan elimination on the numerators (Bareiss 1968,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination"), whose divisions are all exact.  A Subspace keeps its echelon
+basis as integer rows too, so membership tests never leave the integers.
+
+Fractions (fractions.Fraction, reduced, with ZERO for zero) appear only at
+the boundary: vectors are tuples of Fractions, and `Matrix.rows`, `entry`,
+`column`, `first_nonzero` and `matvec` return Fractions.  `rows` is built on
+each access, so code that loops over entries reads `num` and `den`.  The
+signature reduction still works on Fractions, through `rows`.
 """
 
 from __future__ import annotations
@@ -25,7 +29,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -104,29 +110,53 @@ def vec_is_zero(x) -> bool:
 
 
 class Matrix:
-    """Immutable square matrix of Fractions.
+    """Immutable square matrix of rationals, stored as integers over one denominator.
+
+    The matrix is num / den, with num a tuple of n rows of ints and den an
+    int, kept in canonical form: den > 0, gcd(den, every entry of num) = 1,
+    and the zero matrix over den = 1.  Equal matrices therefore have equal
+    (num, den), which equality and hashing compare directly.
 
     Semantic indexing follows the geometry conventions: entry(i, j) is
-    1-based, matching basis labels e_1..e_n.  Internal storage (`rows`) is a
-    0-based tuple of row tuples.
+    1-based, matching basis labels e_1..e_n.  `rows` is a 0-based tuple of
+    row tuples of Fractions, built on each access.
     """
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, rows: Sequence[Sequence]):
         data = tuple(tuple(rationalize(v) for v in row) for row in rows)
         n = len(data)
         if n == 0 or any(len(row) != n for row in data):
             raise DimensionMismatchError("matrix must be square with dimension >= 1")
+        # the lcm of reduced denominators leaves no common factor: canonical
+        d = lcm(*{x._denominator for row in data for x in row})
+        num = tuple(tuple(x._numerator * (d // x._denominator) for x in row) for row in data)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", data)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", d)
 
     @classmethod
-    def _of(cls, rows: tuple) -> "Matrix":
-        """Wrap a kernel result, unchecked: a nonempty square tuple of row tuples of Fractions."""
+    def over(cls, num: Sequence[Sequence[int]], den: int) -> "Matrix":
+        """The matrix num / den, for integer rows num and an int den != 0.
+
+        One gcd over all entries brings it to canonical form.
+        """
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(num))
+            if den < 0:
+                g = -g
+            if g != 1:
+                return cls._of(tuple(tuple(v // g for v in row) for row in num), den // g)
+        return cls._of(tuple(map(tuple, num)), den)
+
+    @classmethod
+    def _of(cls, num: tuple, den: int) -> "Matrix":
+        """Wrap a kernel result, unchecked: num / den already in canonical form."""
         m = object.__new__(cls)
-        object.__setattr__(m, "n", len(rows))
-        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "n", len(num))
+        object.__setattr__(m, "num", num)
+        object.__setattr__(m, "den", den)
         return m
 
     def __setattr__(self, name, value):
@@ -134,11 +164,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls._of(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
 
     @classmethod
     def zero(cls, n: int) -> "Matrix":
-        return cls([[ZERO] * n for _ in range(n)])
+        return cls._of(((0,) * n,) * n, 1)
 
     @classmethod
     def diagonal(cls, entries: Iterable) -> "Matrix":
@@ -150,70 +180,89 @@ class Matrix:
         n = len(cols)
         return cls([[cols[j][i] for j in range(n)] for i in range(n)])
 
+    def num_over(self, d: int):
+        """The numerators of this matrix over d, a multiple of den."""
+        if d == self.den:
+            return self.num
+        f = d // self.den
+        return [[v * f for v in row] for row in self.num]
+
+    @property
+    def rows(self) -> tuple:
+        """The entries as Fractions, 0-based row tuples."""
+        return tuple(from_integers(row, self.den) for row in self.num)
+
     def entry(self, i: int, j: int) -> Fraction:
         """1-based access m(e_i, e_j)."""
-        return self.rows[i - 1][j - 1]
+        return _fraction(self.num[i - 1][j - 1], self.den)
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         """0-based column extraction."""
-        return tuple(row[j] for row in self.rows)
+        return from_integers([row[j] for row in self.num], self.den)
 
     def matvec(self, v) -> tuple[Fraction, ...]:
         if len(v) != self.n:
             raise DimensionMismatchError("vector length does not match matrix dimension")
         xs, dv = to_integers(v)
         nonzero = [(j, x) for j, x in enumerate(xs) if x]
-        d = _denominator(self.rows)
-        sums = [sum(row[j] * x for j, x in nonzero) for row in _integer_rows(self.rows, d)]
-        return from_integers(sums, d * dv)
+        sums = [sum(row[j] * x for j, x in nonzero) for row in self.num]
+        return from_integers(sums, self.den * dv)
 
     def transpose(self) -> "Matrix":
-        return Matrix._of(tuple(zip(*self.rows)))
+        return Matrix._of(tuple(zip(*self.num)), self.den)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self.rows for v in row)
+        return not any(map(any, self.num))
 
     def is_symmetric(self) -> bool:
-        return all(self.rows[i][j] == self.rows[j][i] for i in range(self.n) for j in range(i + 1, self.n))
+        return self.num == tuple(zip(*self.num))
 
     def is_antisymmetric(self) -> bool:
-        return all(self.rows[i][j] == -self.rows[j][i] for i in range(self.n) for j in range(i, self.n))
+        return self.num == tuple(tuple(-v for v in col) for col in zip(*self.num))
 
     def first_nonzero(self):
         """First (i, j, value) in row-major order with nonzero value, 1-based; None if zero."""
-        for i in range(self.n):
-            for j in range(self.n):
-                if self.rows[i][j] != 0:
-                    return (i + 1, j + 1, self.rows[i][j])
+        for i, row in enumerate(self.num):
+            for j, v in enumerate(row):
+                if v:
+                    return (i + 1, j + 1, _fraction(v, self.den))
         return None
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_dim(other)
-        return Matrix._of(tuple(tuple(map(_add, r, s)) for r, s in zip(self.rows, other.rows)))
+        return _combined(self, other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_dim(other)
-        return Matrix._of(tuple(tuple(map(_sub, r, s)) for r, s in zip(self.rows, other.rows)))
+        return _combined(self, other, -1)
 
     def __neg__(self) -> "Matrix":
-        return Matrix._of(tuple(tuple(-a for a in r) for r in self.rows))
+        return Matrix._of(tuple(tuple(-v for v in row) for row in self.num), self.den)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             self._check_dim(other)
-            da, db = _denominator(self.rows), _denominator(other.rows)
-            b_rows = _numerators(other.rows, db)
+            n = self.n
+            cols = None
             out = []
-            for row in _numerators(self.rows, da):
-                acc = [0] * self.n
-                for k, x in row:
-                    for j, y in b_rows[k]:
-                        acc[j] += x * y
-                out.append(acc)
-            return _from_numerators(out, da * db)
+            # a row more than a third nonzero is faster as dot products with
+            # the columns of other; a sparser one as the combination of the
+            # rows of other that its nonzero entries select
+            for row in self.num:
+                if (n - row.count(0)) * 3 > n:
+                    if cols is None:
+                        cols = [col if any(col) else None for col in zip(*other.num)]
+                    out.append([sum(map(mul, row, col)) if col is not None else 0 for col in cols])
+                    continue
+                acc = None
+                for x, b in zip(row, other.num):
+                    if x:
+                        acc = [x * y for y in b] if acc is None else [a + x * y for a, y in zip(acc, b)]
+                out.append(acc or [0] * n)
+            return Matrix.over(out, self.den * other.den)
         c = rationalize(other)
-        p, q = c._numerator, c._denominator
-        return Matrix._of(tuple(tuple(_scaled(a, p, q) for a in r) for r in self.rows))
+        p = c._numerator
+        return Matrix.over([[v * p for v in row] for row in self.num], self.den * c._denominator)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -223,21 +272,38 @@ class Matrix:
             raise DimensionMismatchError("matrix dimensions differ")
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.rows == other.rows
+        return isinstance(other, Matrix) and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.num, self.den))
 
     def __repr__(self):
         body = "; ".join(" ".join(format_rational(v) for v in row) for row in self.rows)
         return f"Matrix[{body}]"
 
 
-# The integer kernel.  A vector may hold ints as well as Fractions, so
-# to_integers reads the public numerator and denominator.  Entries of a
-# Matrix are always Fractions, so the helpers on rows read the slots directly:
-# the public properties cost a Python-level call each, several times the
-# product itself.
+def _combined(a: Matrix, b: Matrix, sign: int) -> Matrix:
+    """a + sign * b."""
+    if a.den == b.den:
+        if sign > 0:
+            num = [tuple(map(add, r, s)) for r, s in zip(a.num, b.num)]
+        else:
+            num = [tuple(map(sub, r, s)) for r, s in zip(a.num, b.num)]
+        return Matrix.over(num, a.den)
+    d = lcm(a.den, b.den)
+    fa, fb = d // a.den, sign * (d // b.den)
+    return Matrix.over([[x * fa + y * fb for x, y in zip(r, s)] for r, s in zip(a.num, b.num)], d)
+
+
+# Fractions at the boundary.  A vector may hold ints as well as Fractions, so
+# to_integers reads the public numerator and denominator.
+
+
+def _fraction(v: int, d: int) -> Fraction:
+    """v / d as a reduced Fraction; zero is the ZERO constant."""
+    if not v:
+        return ZERO
+    return Fraction(v) if d == 1 else Fraction(v, d)
 
 
 def to_integers(values) -> tuple[list[int], int]:
@@ -253,58 +319,24 @@ def from_integers(numerators, d: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(v, d) if v else ZERO for v in numerators)
 
 
-def _denominator(rows) -> int:
-    """lcm of the denominators of all entries."""
-    return lcm(*{x._denominator for row in rows for x in row})
-
-
-def _integer_rows(rows, d: int) -> list:
-    """The rows as integer numerators over d (a multiple of every denominator)."""
-    return [[x._numerator * (d // x._denominator) for x in row] for row in rows]
-
-
-def _numerators(rows, d: int) -> list:
-    """Each row as the (column, numerator over d) pairs of its nonzero entries."""
-    return [[(j, v) for j, v in enumerate(row) if v] for row in _integer_rows(rows, d)]
-
-
-def _from_numerators(rows, d: int) -> Matrix:
-    return Matrix._of(tuple(from_integers(row, d) for row in rows))
-
-
-def _scaled(a: Fraction, p: int, q: int) -> Fraction:
-    """a * p / q."""
-    return Fraction(a._numerator * p, a._denominator * q) if a._numerator else ZERO
-
-
-def _add(a: Fraction, b: Fraction) -> Fraction:
-    if not b._numerator:
-        return a
-    if not a._numerator:
-        return b
-    p, q, r, s = a._numerator, a._denominator, b._numerator, b._denominator
-    return Fraction(p * s + r * q, q * s) if q != s else Fraction(p + r, q)
-
-
-def _sub(a: Fraction, b: Fraction) -> Fraction:
-    if not b._numerator:
-        return a
-    p, q, r, s = a._numerator, a._denominator, b._numerator, b._denominator
-    return Fraction(p * s - r * q, q * s) if q != s else Fraction(p - r, q)
-
-
 def linear_combination(coeffs, matrices: Sequence[Matrix]) -> Matrix:
     """sum_a coeffs[a] * matrices[a]; terms with a zero coefficient are skipped."""
     n = matrices[0].n
     terms = [(c, m) for c, m in zip(coeffs, matrices) if c]
     cs, dc = to_integers([c for c, _ in terms])
-    dm = lcm(*{_denominator(m.rows) for _, m in terms})
+    dm = lcm(*{m.den for _, m in terms})
     acc = [[0] * n for _ in range(n)]
     for c, (_, m) in zip(cs, terms):
-        for out, row in zip(acc, _numerators(m.rows, dm)):
-            for j, v in row:
-                out[j] += c * v
-    return _from_numerators(acc, dc * dm)
+        f = c * (dm // m.den)
+        acc = [[a + f * v for a, v in zip(out, row)] if any(row) else out for out, row in zip(acc, m.num)]
+    return Matrix.over(acc, dc * dm)
+
+
+def column_slices(matrices: Sequence[Matrix]) -> list[Matrix]:
+    """For n matrices M_0..M_{n-1} of size n, the n matrices S_i whose column j is column i of M_j."""
+    d = lcm(*{m.den for m in matrices})
+    columns = [list(zip(*m.num_over(d))) for m in matrices]  # columns[j][i]: column i of M_j
+    return [Matrix.over(list(zip(*(c[i] for c in columns))), d) for i in range(len(columns))]
 
 
 def _gauss_jordan(a: list, ncols: int) -> tuple[list[int], int, int]:
@@ -342,12 +374,11 @@ def _gauss_jordan(a: list, ncols: int) -> tuple[list[int], int, int]:
 
 
 def determinant(m: Matrix) -> Fraction:
-    """Exact determinant by fraction-free elimination of the integer form."""
-    d = _denominator(m.rows)
-    pivots, last, sign = _gauss_jordan(_integer_rows(m.rows, d), m.n)
+    """Exact determinant by fraction-free elimination of the numerators."""
+    pivots, last, sign = _gauss_jordan([list(row) for row in m.num], m.n)
     if len(pivots) < m.n:
         return ZERO
-    return Fraction(sign * last, d ** m.n)
+    return Fraction(sign * last, m.den ** m.n)
 
 
 def invert(m: Matrix) -> Matrix:
@@ -356,13 +387,27 @@ def invert(m: Matrix) -> Matrix:
     With m = M / d for an integer matrix M, reducing [M | Id] leaves
     [D Id | D M^-1], so m^-1 = d (D M^-1) / D.
     """
-    n = m.n
-    d = _denominator(m.rows)
-    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(_integer_rows(m.rows, d))]
+    n, d = m.n, m.den
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.num)]
     pivots, last, _ = _gauss_jordan(a, n)
     if len(pivots) < n:
         raise SingularMatrixError("matrix is singular")
-    return _from_numerators([[d * v for v in row[n:]] for row in a], last)
+    return Matrix.over([[d * v for v in row[n:]] for row in a], last)
+
+
+def _echelon(a: list, width: int) -> tuple[list[tuple], list[int]]:
+    """Reduced row echelon form of integer rows (each row may be scaled freely).
+
+    Returns the nonzero reduced rows as (numerators, denominator) pairs in
+    lowest terms, with a positive denominator equal to the numerator at the
+    row's pivot, and the pivot columns.
+    """
+    pivots, last, _ = _gauss_jordan(a, width)
+    out = []
+    for row in a[: len(pivots)]:
+        g = gcd(last, *row) if last > 0 else -gcd(last, *row)
+        out.append((tuple(v // g for v in row), last // g))
+    return out, pivots
 
 
 def rref(vectors: Sequence[Sequence]) -> tuple[list[tuple[Fraction, ...]], list[int]]:
@@ -377,9 +422,8 @@ def rref(vectors: Sequence[Sequence]) -> tuple[list[tuple[Fraction, ...]], list[
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise DimensionMismatchError("vectors of unequal length")
-    a = _integer_rows(rows, _denominator(rows))
-    pivots, last, _ = _gauss_jordan(a, width)
-    return [from_integers(row, last) for row in a[: len(pivots)]], pivots
+    reduced, pivots = _echelon([to_integers(r)[0] for r in rows], width)
+    return [from_integers(row, d) for row, d in reduced], pivots
 
 
 def rank_of(vectors: Sequence[Sequence]) -> int:
@@ -387,21 +431,26 @@ def rank_of(vectors: Sequence[Sequence]) -> int:
 
 
 def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
-    """Canonical basis of the kernel of m (RREF-normalized span)."""
-    reduced, pivots = rref(m.rows)
+    """Canonical basis of the kernel of m (RREF-normalized span).
+
+    With the numerators reduced to a / D, the kernel vector of a free column
+    fc, scaled by D, has D at fc and -a[r][fc] at the pivot column of row r.
+    """
     n = m.n
-    free = [c for c in range(n) if c not in pivots]
+    a = [list(row) for row in m.num]
+    pivots, last, _ = _gauss_jordan(a, n)
     basis = []
-    for fc in free:
-        v = [ZERO] * n
-        v[fc] = ONE
-        for row, pc in zip(reduced, pivots):
-            v[pc] = -row[fc]
-        basis.append(tuple(v))
+    for fc in range(n):
+        if fc not in pivots:
+            v = [0] * n
+            v[fc] = last
+            for row, pc in zip(a, pivots):
+                v[pc] = -row[fc]
+            basis.append(v)
     if not basis:
         return []
-    canon, _ = rref(basis)
-    return canon
+    reduced, _ = _echelon(basis, n)
+    return [from_integers(row, d) for row, d in reduced]
 
 
 @dataclass(frozen=True)
@@ -483,22 +532,25 @@ class Subspace:
 
     The constructor keeps the spanning vectors as given (for serialization)
     and canonicalizes the span to reduced row echelon form with deterministic
-    pivoting, so equality and membership tests are reproducible.
+    pivoting, so equality and membership tests are reproducible.  The echelon
+    rows are kept as integers, (pivot column, numerators, denominator) with
+    the numerator at the pivot equal to the denominator; `basis` holds the
+    same rows as Fractions.
     """
 
-    __slots__ = ("n", "given", "basis", "_pivots")
+    __slots__ = ("n", "given", "basis", "_echelon")
 
     def __init__(self, n: int, vectors_: Sequence[Sequence]):
         given = tuple(vector(v) for v in vectors_)
         if any(len(v) != n for v in given):
             raise DimensionMismatchError("subspace vector of wrong length")
-        basis, pivots = rref(given)
-        if len(basis) != len(given):
+        reduced, pivots = _echelon([to_integers(v)[0] for v in given], n)
+        if len(reduced) != len(given):
             raise ValueError("subspace basis vectors are linearly dependent")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "given", given)
-        object.__setattr__(self, "basis", tuple(basis))
-        object.__setattr__(self, "_pivots", tuple(pivots))
+        object.__setattr__(self, "basis", tuple(from_integers(row, d) for row, d in reduced))
+        object.__setattr__(self, "_echelon", tuple((pc, row, d) for pc, (row, d) in zip(pivots, reduced)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -507,36 +559,47 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def residual(self, v) -> tuple[Fraction, ...]:
-        """Reduce v against the echelon basis; zero iff v lies in the span."""
-        w = list(vector(v))
+    def _reduce(self, v) -> tuple[list[int], int]:
+        """v reduced against the echelon rows, as (numerators, denominator)."""
+        w = vector(v)
         if len(w) != self.n:
             raise DimensionMismatchError("vector length does not match subspace")
-        for row, pc in zip(self.basis, self._pivots):
-            if w[pc] != 0:
-                f = w[pc]
-                w = [a - f * b for a, b in zip(w, row)]
-        return tuple(w)
+        ws, dw = to_integers(w)
+        # w - (w[pc] / dw) (row / d), scaled by dw * d; row[pc] = d clears pc
+        for pc, row, d in self._echelon:
+            f = ws[pc]
+            if f:
+                if d == 1:
+                    ws = [x - f * y for x, y in zip(ws, row)]
+                else:
+                    ws = [x * d - f * y for x, y in zip(ws, row)]
+                    dw *= d
+        return ws, dw
+
+    def residual(self, v) -> tuple[Fraction, ...]:
+        """Reduce v against the echelon basis; zero iff v lies in the span."""
+        return from_integers(*self._reduce(v))
 
     def contains(self, v) -> bool:
-        return vec_is_zero(self.residual(v))
+        return not any(self._reduce(v)[0])
 
     def is_complementary(self, other: "Subspace") -> bool:
         if self.n != other.n:
             return False
         if self.dim + other.dim != self.n:
             return False
-        return rank_of(self.basis + other.basis) == self.n
+        rows = [list(row) for _, row, _ in self._echelon + other._echelon]
+        return len(_gauss_jordan(rows, self.n)[0]) == self.n
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.n == other.n
-            and self.basis == other.basis
+            and self._echelon == other._echelon
         )
 
     def __hash__(self):
-        return hash((self.n, self.basis))
+        return hash((self.n, self._echelon))
 
     def __repr__(self):
         vecs = ", ".join("(" + ", ".join(map(format_rational, v)) + ")" for v in self.basis)

@@ -45,7 +45,7 @@ class LieAlgebra:
     canonical and serializes deterministically.
     """
 
-    __slots__ = ("n", "brackets", "_table")
+    __slots__ = ("n", "brackets", "_table", "_ad", "_constants", "_hash")
 
     def __init__(self, n: int, brackets: Mapping = (), *, check: bool = True):
         if n < 1:
@@ -74,6 +74,16 @@ class LieAlgebra:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "brackets", {key: canon[key] for key in sorted(canon)})
         object.__setattr__(self, "_table", tuple(tuple(row) for row in table))
+        object.__setattr__(self, "_ad", tuple(Matrix.from_columns(row) for row in table))
+        # the structure constants as integers over their common denominator dc
+        dc = lcm(*{c.denominator for out in canon.values() for c in out.values()})
+        constants = tuple(
+            (i - 1, j - 1, tuple((k - 1, c.numerator * (dc // c.denominator)) for k, c in out.items()))
+            for (i, j), out in self.brackets.items()
+        )
+        object.__setattr__(self, "_constants", (dc, constants))
+        key = (n, tuple((k, tuple(v.items())) for k, v in self.brackets.items()))
+        object.__setattr__(self, "_hash", hash(key))
         if check:
             defect = jacobi_defect(self)
             for (i, j, k, l), value in sorted(defect.items()):
@@ -93,7 +103,7 @@ class LieAlgebra:
 
     def ad(self, i: int) -> Matrix:
         """Matrix of ad_{e_{i+1}} (0-based argument): column j is [e_{i+1}, e_{j+1}]."""
-        return Matrix.from_columns(self._table[i])
+        return self._ad[i]
 
     def bracket(self, x: Sequence, y: Sequence):
         """[x, y]^k = sum_{i<j} (x^i y^j - x^j y^i) c^k_{ij}; bilinear and antisymmetric.
@@ -105,13 +115,13 @@ class LieAlgebra:
         if len(x) != self.n or len(y) != self.n:
             raise DimensionMismatchError("bracket arguments must have the algebra dimension")
         (xs, dx), (ys, dy) = to_integers(x), to_integers(y)
-        dc = lcm(*{c.denominator for out in self.brackets.values() for c in out.values()})
+        dc, constants = self._constants
         acc = [0] * self.n
-        for (i, j), out in self.brackets.items():
-            w = xs[i - 1] * ys[j - 1] - xs[j - 1] * ys[i - 1]
+        for i, j, out in constants:
+            w = xs[i] * ys[j] - xs[j] * ys[i]
             if w:
-                for k, c in out.items():
-                    acc[k - 1] += w * c.numerator * (dc // c.denominator)
+                for k, c in out:
+                    acc[k] += w * c
         return from_integers(acc, dx * dy * dc)
 
     def is_abelian(self) -> bool:
@@ -121,7 +131,7 @@ class LieAlgebra:
         return isinstance(other, LieAlgebra) and self.n == other.n and self.brackets == other.brackets
 
     def __hash__(self):
-        return hash((self.n, tuple((k, tuple(v.items())) for k, v in self.brackets.items())))
+        return self._hash
 
     def __repr__(self):
         rels = ", ".join(
@@ -325,16 +335,16 @@ def ce_d2(L: LieAlgebra, w) -> ThreeForm:
     n = L.n
     if m.n != n:
         raise DimensionMismatchError("two-form dimension does not match algebra")
-    q = [(L.ad(i).transpose() * m).rows for i in range(n)]
-    return ThreeForm(
-        n,
-        {
-            (i, j, k): -q[i][j][k] + q[i][k][j] - q[j][k][i]
-            for i in range(n)
-            for j in range(i + 1, n)
-            for k in range(j + 1, n)
-        },
-    )
+    products = [L.ad(i).transpose() * m for i in range(n)]
+    d = lcm(*{p.den for p in products})
+    q = [p.num_over(d) for p in products]
+    values = {
+        (i, j, k): -q[i][j][k] + q[i][k][j] - q[j][k][i]
+        for i in range(n)
+        for j in range(i + 1, n)
+        for k in range(j + 1, n)
+    }
+    return ThreeForm(n, {key: Fraction(v, d) for key, v in values.items() if v})
 
 
 def is_closed(L: LieAlgebra, w) -> bool:
@@ -355,13 +365,14 @@ def wedge_two_one(w, a: OneForm) -> ThreeForm:
     """(w ^ a)(x,y,z) = w(x,y)a(z) - w(x,z)a(y) + w(y,z)a(x)."""
     m = _two_form_matrix(w)
     n = m.n
+    rows = m.rows
     coeffs = {}
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 coeffs[(i, j, k)] = (
-                    m.rows[i][j] * a.coefficients[k]
-                    - m.rows[i][k] * a.coefficients[j]
-                    + m.rows[j][k] * a.coefficients[i]
+                    rows[i][j] * a.coefficients[k]
+                    - rows[i][k] * a.coefficients[j]
+                    + rows[j][k] * a.coefficients[i]
                 )
     return ThreeForm(n, coeffs)

@@ -1,12 +1,14 @@
 """Bilinear forms, endomorphism fields, recursion operators and Nijenhuis tensors.
 
-Over a fixed basis everything is a matrix of Fractions: a bilinear form b is
+Over a fixed basis everything is an exact rational matrix: a bilinear form b is
 stored as the matrix b(e_i, e_j), an endomorphism T as the matrix whose j-th
 column is T(e_j).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -19,13 +21,13 @@ from .errors import (
 )
 from .exact import (
     HALF,
-    ZERO,
     Matrix,
     Subspace,
     determinant,
     invert,
     kernel_basis,
     linear_combination,
+    to_integers,
     vec_is_zero,
     vector,
 )
@@ -77,8 +79,11 @@ class BilinearForm:
         return self.matrix.n
 
     def evaluate(self, x, y):
-        """b(x, y) = x^T (M_b y)."""
-        return sum((a * b for a, b in zip(x, self.matrix.matvec(y)) if a), ZERO)
+        """b(x, y) = x^T M_b y, summed on integer numerators."""
+        m = self.matrix
+        (xs, dx), (ys, dy) = to_integers(x), to_integers(y)
+        total = sum(a * sum(map(mul, row, ys)) for a, row in zip(xs, m.num) if a)
+        return Fraction(total, dx * dy * m.den)
 
     def is_nondegenerate(self) -> bool:
         return determinant(self.matrix) != 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Optional
 
 from .errors import (
@@ -497,10 +498,11 @@ def enhance_kunneth(k: AlmostKunneth, jtilde: Optional[Endomorphism] = None) -> 
         s_inv = invert(s)
     except SingularMatrixError:
         raise NotCompatibleError((0,), 0, "jtilde is not an isomorphism onto the minus subspace") from None
-    zero = Matrix.zero(m)
-    block = [[zero.rows[i][j] for j in range(m)] + [-s_inv.rows[i][j] for j in range(m)] for i in range(m)]
-    block += [[s.rows[i][j] for j in range(m)] + [zero.rows[i][j] for j in range(m)] for i in range(m)]
-    j_op = Endomorphism(p * Matrix(block) * p_inv)
+    # the block matrix [[0, -S^-1], [S, 0]] over the common denominator d
+    d = lcm(s.den, s_inv.den)
+    block = [[0] * m + [-v for v in row] for row in s_inv.num_over(d)]
+    block += [list(row) + [0] * m for row in s.num_over(d)]
+    j_op = Endomorphism(p * Matrix.over(block, d) * p_inv)
 
     g = neutral_metric(k)
     h = BilinearForm(k.omega.matrix * j_op.matrix, SYMMETRIC)

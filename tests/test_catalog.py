@@ -3,7 +3,7 @@
 import pytest
 
 from bornlab import catalog, parse_model, render_model
-from bornlab.errors import NotExportableError, UnknownEntryError
+from bornlab.errors import DegenerateFormError, NotExportableError, UnknownEntryError
 from bornlab.liealg import ce_d2
 
 
@@ -42,6 +42,25 @@ def test_every_entry_passes_its_expectations(catalog_models):
             if not o.ok
         ]
         assert not bad, f"{name}: {bad}"
+
+
+def test_family_point_programming_error_propagates(monkeypatch):
+    def broken(entry, point):
+        raise TypeError("bug in the family builder")
+
+    monkeypatch.setattr(catalog, "family_member", broken)
+    with pytest.raises(TypeError, match="bug in the family builder"):
+        catalog.verify_entry(catalog.get_entry("nil3_r"))
+
+
+def test_family_point_bornlab_error_is_a_fail(monkeypatch):
+    def degenerate(entry, point):
+        raise DegenerateFormError("degenerate at this point")
+
+    monkeypatch.setattr(catalog, "family_member", degenerate)
+    outcomes = catalog.verify_entry(catalog.get_entry("nil3_r"))
+    family = [o for o in outcomes if o.expectation.kind == "family_point"]
+    assert family and all(o.actual == "fail" for o in family)
 
 
 @pytest.mark.parametrize("name", ["h4", "nil3_r", "h9_corrected", "abelian_c2"])

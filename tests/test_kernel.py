@@ -1,22 +1,25 @@
 """The integer kernel against plain-Fraction references, and elimination against sympy.
 
-Products, sums, linear combinations and brackets run on integer numerators
-over a common denominator; each is checked here against the textbook
-Fraction formula on inputs with zeros, negatives and large or coprime
-denominators.  Determinant, inverse, rank and reduced row echelon form run
-on fraction-free elimination; they are checked against sympy where it is
-installed.
+A Matrix is integer numerators over one denominator in canonical form; the
+form is checked after every kernel operation, and equality, hashing and the
+Fraction accessors are checked against plain Fraction rows.  Products, sums,
+linear combinations, brackets and subspace reduction run on integers; each
+is checked here against the textbook Fraction formula on inputs with zeros,
+negatives and large or coprime denominators.  Determinant, inverse, rank and
+reduced row echelon form run on fraction-free elimination; they are checked
+against sympy where it is installed.
 """
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bornlab import LieAlgebra, Matrix, determinant, invert
 from bornlab.errors import SingularMatrixError
-from bornlab.exact import linear_combination, rank_of, rref
+from bornlab.exact import Subspace, column_slices, linear_combination, rank_of, rref
 
 ZERO = Fraction(0)
 
@@ -102,6 +105,18 @@ def test_linear_combination_matches_fraction_reference(case):
 
 
 @settings(max_examples=100, deadline=None)
+@given(DIMS.flatmap(lambda n: st.lists(rows_of(n), min_size=n, max_size=n)))
+def test_column_slices_match_fraction_reference(mats):
+    n = len(mats)
+    slices = column_slices([Matrix(m) for m in mats])
+    assert len(slices) == n
+    for i, s in enumerate(slices):
+        # column j of S_i is column i of M_j
+        assert_matrix(s, [[mats[j][k][i] for j in range(n)] for k in range(n)])
+        assert_canonical(s)
+
+
+@settings(max_examples=100, deadline=None)
 @given(DIMS.flatmap(lambda n: st.tuples(
     st.dictionaries(
         st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] < p[1]),
@@ -124,6 +139,126 @@ def test_bracket_matches_structure_constant_reference(case):
     result = L.bracket(x, y)
     assert result == tuple(expected)
     assert all(type(v) is Fraction for v in result)
+
+
+# --- the canonical form and the Fraction boundary ------------------------------
+
+
+def assert_canonical(m):
+    """den > 0, no factor common to den and every numerator, zero over 1."""
+    assert type(m.den) is int and m.den > 0
+    assert type(m.num) is tuple and len(m.num) == m.n
+    assert all(type(row) is tuple and len(row) == m.n for row in m.num)
+    assert all(type(v) is int for row in m.num for v in row)
+    assert gcd(m.den, *(v for row in m.num for v in row)) == 1
+    if all(v == 0 for row in m.num for v in row):
+        assert m.den == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(PAIRS, SCALARS, st.lists(SCALARS, min_size=2, max_size=2))
+def test_every_kernel_result_is_canonical(pair, c, coeffs):
+    a, b = Matrix(pair[0]), Matrix(pair[1])
+    results = [a, b, a * b, a + b, a - b, a - a, -a, a * c, c * a, a.transpose(), a * 0,
+               linear_combination(coeffs, [a, b]), Matrix.identity(a.n), Matrix.zero(a.n)]
+    if determinant(a) != 0:
+        results.append(invert(a))
+    for m in results:
+        assert_canonical(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(PAIRS, SCALARS)
+def test_equality_and_hash_follow_the_fraction_rows(pair, c):
+    a, b = Matrix(pair[0]), Matrix(pair[1])
+    # the same values reached along different routes, and different values
+    candidates = [a, b, a + b - b, (a * b) * 1, a * Fraction(2) * Fraction(1, 2), b + a - a]
+    if c:
+        candidates.append(a * c * (1 / c))
+    for x in candidates:
+        for y in candidates:
+            assert (x == y) == (x.rows == y.rows)
+            if x == y:
+                assert hash(x) == hash(y)
+
+
+def ref_first_nonzero(rows):
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if v != 0:
+                return (i + 1, j + 1, v)
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(PAIRS)
+def test_fraction_accessors_match_fraction_reference(pair):
+    a, b = pair
+    n = len(a)
+    for m, expected in ((Matrix(a), a), (Matrix(a) * Matrix(b), ref_mul(a, b))):
+        assert_matrix(m, expected)
+        for i in range(n):
+            for j in range(n):
+                value = m.entry(i + 1, j + 1)
+                assert value == expected[i][j] and type(value) is Fraction
+        for j in range(n):
+            column = m.column(j)
+            assert column == tuple(row[j] for row in expected)
+            assert all(type(x) is Fraction for x in column)
+        assert m.first_nonzero() == ref_first_nonzero(expected)
+        hit = m.first_nonzero()
+        assert hit is None or type(hit[2]) is Fraction
+
+
+def ref_echelon(vectors):
+    """Reduced row echelon rows and pivots by Fraction Gauss-Jordan."""
+    rows = [list(v) for v in vectors]
+    pivots, r = [], 0
+    for col in range(len(rows[0]) if rows else 0):
+        p = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    return rows[:r], pivots
+
+
+def ref_residual(vectors, v):
+    w = list(v)
+    for row, pc in zip(*ref_echelon(vectors)):
+        if w[pc] != 0:
+            f = w[pc]
+            w = [x - f * y for x, y in zip(w, row)]
+    return tuple(w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(DIMS.flatmap(lambda n: st.integers(1, n).flatmap(lambda k: st.tuples(
+    st.lists(vector_of(n), min_size=k, max_size=k), vector_of(n), vector_of(k)))))
+def test_subspace_residual_and_contains_match_fraction_reduction(case):
+    vectors, v, coeffs = case
+    n = len(v)
+    assume(rank_of(vectors) == len(vectors))
+    s = Subspace(n, vectors)
+    basis, _ = ref_echelon(vectors)
+    assert s.basis == tuple(tuple(row) for row in basis)
+    residual = s.residual(v)
+    assert residual == ref_residual(vectors, v)
+    assert all(type(x) is Fraction for x in residual)
+    assert s.contains(v) == all(x == 0 for x in residual)
+    # a combination of the spanning vectors lies in the span
+    inside = [sum((c * u[j] for c, u in zip(coeffs, vectors)), ZERO) for j in range(n)]
+    assert s.contains(inside)
+    assert s.residual(inside) == (ZERO,) * n
+    # equal spans are equal subspaces with equal hashes, whatever the spanning set
+    again = Subspace(n, basis)
+    assert again == s and hash(again) == hash(s)
 
 
 # --- elimination against sympy -----------------------------------------------
