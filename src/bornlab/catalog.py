@@ -18,9 +18,15 @@ from typing import Optional
 from .errors import BornlabError, NotExportableError, UnknownEntryError
 from .exact import Subspace
 from .liealg import LieAlgebra, ce_d2
-from .model import Model, StructureDecl, render_model, run_checks
+from .model import Model, StructureDecl, _Materialized, render_model, run_checks
 from .multilinear import Endomorphism, symmetric_form, two_form
-from .structures import CirclePoint, integrability_report, s1_family, verify_born_identities
+from .structures import (
+    CirclePoint,
+    build_hypersymplectic,
+    integrability_report,
+    s1_family,
+    verify_born_identities,
+)
 
 F = Fraction
 
@@ -503,8 +509,6 @@ def get_entry(name: str) -> CatalogEntry:
         raise UnknownEntryError(f"unknown catalog entry {name!r}")
     entry = _BUILDERS[name]()
     if entry.model is not None:
-        from .model import _Materialized
-
         mat = _Materialized(entry.model)
         for decl, obj in mat.borns + mat.kunneths + mat.hypers:
             if isinstance(obj, Exception):
@@ -528,8 +532,6 @@ def family_member(entry: CatalogEntry, point: CirclePoint):
     jt = entry.model.endos.get("jtilde")
     if decl is None or jt is None:
         raise UnknownEntryError(f"{entry.name} does not carry a hypersymplectic structure with jtilde")
-    from .structures import build_hypersymplectic
-
     hs = build_hypersymplectic(
         entry.model.algebra,
         entry.model.forms[decl.ref("omega")],

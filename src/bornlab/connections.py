@@ -18,6 +18,14 @@ The canonical and Born connections are averages under conjugation:
 A trilinear defect d(e_i, e_j, e_k) is kept as n matrices, entry (j, k) of
 the i-th; its witness is the first nonzero (i, j, k) in lexicographic order.
 
+Statements about a splitting are read in its adapted frame P, whose columns
+x_a are the bases of the two subspaces.  For a bilinear map M stored as n
+matrices M_i (column j of M_i is M(e_i, e_j)), column c of (sum_i P_ia M_i) P
+is M(x_a, x_c): mixed torsion takes M = T, the torsion formula of the Born
+connection M_i = T_i + pi_+ Gamma^K_i - pi_- E_i (column j of E_i is
+Gamma^K_j e_i).  A connection preserves both subspaces exactly when the
+off-diagonal blocks of P^-1 Gamma_i P vanish.
+
 Every constructor re-verifies the defining properties of what it built and
 records them in the connection's certificate; a violation raises, it is never
 returned silently.
@@ -41,10 +49,10 @@ from .exact import (
     Matrix,
     Subspace,
     column_slices,
+    first_nonzero_entry,
     invert,
     linear_combination,
-    projection_onto,
-    vec_sub,
+    splitting,
 )
 from .liealg import LieAlgebra, ce_d2
 from .multilinear import BilinearForm, Endomorphism, OneTwoTensor, involution_split
@@ -79,15 +87,6 @@ class Connection:
         return all(m.is_zero() for m in self.gammas)
 
 
-def _first_witness(indexed_vectors) -> Optional[Witness]:
-    """First nonzero coordinate k over (index, vector) pairs, as index + (k,), 1-based."""
-    for index, v in indexed_vectors:
-        for k, value in enumerate(v):
-            if value != 0:
-                return Witness.at(index + (k + 1,), value)
-    return None
-
-
 @dataclass(frozen=True)
 class Defect:
     """Trilinear defect d(e_i, e_j, e_k): entry (j, k) of matrices[i]."""
@@ -107,31 +106,33 @@ class Defect:
         return None
 
 
-def torsion(L: LieAlgebra, c: Connection) -> OneTwoTensor:
-    """T(e_i, e_j) = Gamma_i e_j - Gamma_j e_i - [e_i, e_j].
-
-    Column j of T_i = Gamma_i - E_i - ad_i is T(e_i, e_j), with column j of
-    E_i equal to Gamma_j e_i.
-    """
+def _torsion_matrices(L: LieAlgebra, c: Connection) -> list:
+    """T_i = Gamma_i - E_i - ad_i, whose column j is T(e_i, e_j); column j of E_i is Gamma_j e_i."""
     e = column_slices(c.gammas)
-    t = [g - e_i - L.ad(i) for i, (g, e_i) in enumerate(zip(c.gammas, e))]
+    return [g - e_i - L.ad(i) for i, (g, e_i) in enumerate(zip(c.gammas, e))]
+
+
+def torsion(L: LieAlgebra, c: Connection) -> OneTwoTensor:
+    """T(e_i, e_j) = Gamma_i e_j - Gamma_j e_i - [e_i, e_j]."""
+    t = _torsion_matrices(L, c)
     return OneTwoTensor.from_function(L.n, lambda i, j: t[i].column(j))
 
 
-def _along(matrices, vectors) -> list:
-    """sum_i v_i matrices[i] for each vector v: nabla_v when the matrices are the Gamma_i."""
-    return [linear_combination(v, matrices) for v in vectors]
+def _frame_witnesses(matrices, frame: Matrix, rows: range, cols: range):
+    """Witnesses of a bilinear map M on pairs of frame vectors x_a, x_c.
 
-
-def _torsion_among(L: LieAlgebra, c: Connection, vectors):
-    """T(x, y) for x, y among vectors, as a function of their positions.
-
-    T(x, y) = (nabla_x - ad_x) y - nabla_y x, with nabla_v and nabla_v - ad_v
-    built once per vector rather than once per pair.
+    M(e_i, e_j) is column j of matrices[i], so column c of
+    (sum_i P_ia M_i) P is M(x_a, x_c), with x_a column a of the frame P.  For
+    each a in rows and then c in cols with M(x_a, x_c) != 0, yields the
+    witness (a, c, k), 1-based within rows, cols and the coordinates, at the
+    first nonzero coordinate k of M(x_a, x_c).
     """
-    nabla = _along(c.gammas, vectors)
-    shifted = _along([g - L.ad(i) for i, g in enumerate(c.gammas)], vectors)
-    return lambda a, b: vec_sub(shifted[a].matvec(vectors[b]), nabla[b].matvec(vectors[a]))
+    for a in rows:
+        values = linear_combination(frame.column(a), matrices) * frame
+        for c in cols:
+            hit = next(((k, v) for k, v in enumerate(values.column(c)) if v), None)
+            if hit is not None:
+                yield Witness.at((a - rows.start + 1, c - cols.start + 1, hit[0] + 1), hit[1])
 
 
 def nabla_form(L: LieAlgebra, c: Connection, b: BilinearForm) -> Defect:
@@ -195,7 +196,8 @@ def kunneth_connection(k: AlmostKunneth) -> Connection:
     ad = [L.ad(a) for a in range(n)]
     m_t_inv = invert(m.transpose())
     d = [-(m_t_inv * (m * ad_a).transpose()) for ad_a in ad]
-    pi_f, pi_g = projection_onto(k.plus, k.minus)
+    split = splitting(k.plus, k.minus)
+    pi_f, pi_g = split.pi_plus, split.pi_minus
     gammas = []
     for i in range(n):
         x_f, x_g = pi_f.column(i), pi_g.column(i)
@@ -203,8 +205,11 @@ def kunneth_connection(k: AlmostKunneth) -> Connection:
         on_g = linear_combination(x_g, d) + linear_combination(x_f, ad)
         gammas.append(pi_f * on_f * pi_f + pi_g * on_g * pi_g)
     conn = Connection(tuple(gammas))
-    for sub, name in ((k.plus, "plus"), (k.minus, "minus")):
-        if not all(sub.contains(g.matvec(v)) for g in conn.gammas for v in sub.basis):
+    # nabla preserves plus iff the (-,+) block of P^-1 Gamma_i P vanishes, and
+    # minus iff the (+,-) block does
+    in_frame = [split.in_frame(g) for g in gammas]
+    for name, rows, cols in (("plus", "-", "+"), ("minus", "+", "-")):
+        if any(first_nonzero_entry(split.block(g, rows, cols)) is not None for g in in_frame):
             raise AxiomFailureError(f"Kunneth connection does not preserve {name}")
     if not nabla_form(L, conn, k.omega).is_zero():
         raise AxiomFailureError("Kunneth connection does not preserve omega")
@@ -269,15 +274,9 @@ def mixed_torsion_defect(L: LieAlgebra, c: Connection, plus: Subspace, minus: Su
     Witness indices are (a, b, k): positions into the echelon bases and the
     first coordinate where the torsion vector is nonzero.
     """
+    split = splitting(plus, minus)
     p = plus.dim
-    t = _torsion_among(L, c, plus.basis + minus.basis)
-    out = []
-    for a in range(p):
-        for b_idx in range(minus.dim):
-            witness = _first_witness([((a + 1, b_idx + 1), t(a, p + b_idx))])
-            if witness is not None:
-                out.append(witness)
-    return out
+    return list(_frame_witnesses(_torsion_matrices(L, c), split.frame, range(p), range(p, L.n)))
 
 
 def generalized_torsion_defect(
@@ -317,14 +316,14 @@ def omega_K_defect(k: AlmostKunneth) -> Defect:
     """
     L, m = k.algebra, k.omega.matrix
     kunneth = kunneth_connection(k)
-    a_op = almost_product(k)
-    canonical = canonical_connection(L, neutral_metric(k), a_op)
+    split = splitting(k.plus, k.minus)
+    canonical = canonical_connection(L, neutral_metric(k), almost_product(k))
     d_omega = ce_d2(L, k.omega)
-    pi_f, pi_g = projection_onto(k.plus, k.minus)
+    pi_f, pi_g = split.pi_plus, split.pi_minus
     pi_f_t, pi_g_t = pi_f.transpose(), pi_g.transpose()
     out = []
     for i, (nk_i, nc_i) in enumerate(zip(kunneth.gammas, canonical.gammas)):
-        c_i = d_omega.interior(a_op.matrix.column(i))
+        c_i = d_omega.interior(split.involution.column(i))
         correction = (pi_g_t * c_i * pi_f - pi_f_t * c_i * pi_g) * HALF
         out.append((nk_i - nc_i).transpose() * m + correction)
     return Defect(tuple(out))
@@ -344,28 +343,19 @@ def born_torsion_formula_defect(b: BornStructure) -> StructureReport:
     kunneth = kunneth_connection(b.underlying_kunneth())
     born = born_connection(b)
     split = involution_split(b.b_op)
-    basis = split.plus.basis + split.minus.basis
     p = split.plus.dim
-    t = _torsion_among(L, born, basis)
+    t = _torsion_matrices(L, born)
     items = []
-    for name, lo, hi in (("B+", 0, p), ("B-", p, len(basis))):
-        witness = _first_witness(
-            ((a - lo + 1, c - lo + 1), t(a, c)) for a in range(lo, hi) for c in range(a + 1, hi)
-        )
+    for name, block in (("B+", range(p)), ("B-", range(p, L.n))):
+        # T is antisymmetric, so the first witness on the whole block has a < c
+        witness = next(_frame_witnesses(t, split.frame, block, block), None)
         items.append(CheckItem(f"T = 0 on {name} x {name}", witness is None, witness))
 
-    nabla_k = _along(kunneth.gammas, basis)
-
-    def formula_defect(a, c):
-        x, y = basis[a], basis[c]
-        expected = vec_sub(
-            split.pi_minus.apply(nabla_k[c].matvec(x)), split.pi_plus.apply(nabla_k[a].matvec(y))
-        )
-        return vec_sub(t(a, c), expected)
-
-    witness = _first_witness(
-        ((a + 1, c - p + 1), formula_defect(a, c)) for a in range(p) for c in range(p, len(basis))
-    )
+    # D(x, y) = T(x, y) + pi+(nabla^K_x y) - pi-(nabla^K_y x) along e_i is
+    # D_i = T_i + pi+ Gamma^K_i - pi- E_i, with column j of E_i equal to Gamma^K_j e_i
+    e = column_slices(kunneth.gammas)
+    d = [t_i + split.pi_plus * g_i - split.pi_minus * e_i for t_i, g_i, e_i in zip(t, kunneth.gammas, e)]
+    witness = next(_frame_witnesses(d, split.frame, range(p), range(p, L.n)), None)
     items.append(
         CheckItem("T(x,y) = -pi+(nabla^K_x y) + pi-(nabla^K_y x) on B+ x B-", witness is None, witness)
     )

@@ -17,6 +17,11 @@ fraction-free Gauss-Jordan elimination on the numerators (Bareiss 1968,
 elimination"), whose divisions are all exact.  A Subspace keeps its echelon
 basis as integer rows too, so membership tests never leave the integers.
 
+A Splitting of the space into two complementary subspaces holds the frame
+adapted to it, its inverse, the two projections and the involution; it is
+built once per pair of subspaces (cached by value), and the properties of a
+splitting are blocks of products in that frame.
+
 Fractions (fractions.Fraction, reduced, with ZERO for zero) appear only at
 the boundary: vectors are tuples of Fractions, and `Matrix.rows`, `entry`,
 `column`, `first_nonzero` and `matvec` return Fractions.  `rows` is built on
@@ -29,6 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 from operator import add, mul, sub
@@ -80,10 +86,6 @@ def vector(entries: Iterable) -> tuple[Fraction, ...]:
     return tuple(rationalize(v) for v in entries)
 
 
-def zero_vector(n: int) -> tuple[Fraction, ...]:
-    return (ZERO,) * n
-
-
 def basis_vector(n: int, i: int) -> tuple[Fraction, ...]:
     """Standard basis vector e_{i+1} (index 0-based)."""
     return tuple(ONE if j == i else ZERO for j in range(n))
@@ -95,10 +97,6 @@ def vec_add(x, y):
 
 def vec_sub(x, y):
     return tuple(a - b for a, b in zip(x, y))
-
-
-def vec_scale(c: Fraction, x):
-    return tuple(c * a for a in x)
 
 
 def vec_is_zero(x) -> bool:
@@ -222,11 +220,8 @@ class Matrix:
 
     def first_nonzero(self):
         """First (i, j, value) in row-major order with nonzero value, 1-based; None if zero."""
-        for i, row in enumerate(self.num):
-            for j, v in enumerate(row):
-                if v:
-                    return (i + 1, j + 1, _fraction(v, self.den))
-        return None
+        hit = first_nonzero_entry(self.num)
+        return None if hit is None else (hit[0], hit[1], _fraction(hit[2], self.den))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_dim(other)
@@ -280,6 +275,15 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(format_rational(v) for v in row) for row in self.rows)
         return f"Matrix[{body}]"
+
+
+def first_nonzero_entry(rows):
+    """First (i, j, value) with a nonzero value in rows of numbers, row-major, 1-based; None if all zero."""
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if v:
+                return (i + 1, j + 1, v)
+    return None
 
 
 def _combined(a: Matrix, b: Matrix, sign: int) -> Matrix:
@@ -606,12 +610,57 @@ class Subspace:
         return f"Subspace[{vecs}]"
 
 
-def projection_onto(plus: Subspace, minus: Subspace) -> tuple[Matrix, Matrix]:
-    """Projections (pi_plus, pi_minus) for a direct sum decomposition."""
+@dataclass(frozen=True)
+class Splitting:
+    """A splitting V = plus + minus and the frame adapted to it.
+
+    The frame P has the echelon bases of plus and then of minus as its
+    columns.  pi_plus = P diag(Id, 0) P^-1 and pi_minus = Id - pi_plus are the
+    projections, and involution = pi_plus - pi_minus = P diag(Id, -Id) P^-1.
+
+    Every property of the splitting is a block of one product in the frame:
+    a bilinear form M reads P^T M P, whose entry (a, c) is M on frame vectors
+    a and c, and an endomorphism T reads P^-1 T P, whose column c holds the
+    frame coordinates of T applied to frame vector c.  `block` takes the
+    (+, +), (+, -), (-, +) or (-, -) block of either.
+    """
+
+    plus: Subspace
+    minus: Subspace
+    frame: Matrix
+    frame_inv: Matrix
+    pi_plus: Matrix
+    pi_minus: Matrix
+    involution: Matrix
+
+    def pairing(self, m: Matrix) -> Matrix:
+        """P^T M P: the bilinear form with matrix m on pairs of frame vectors."""
+        return self.frame.transpose() * m * self.frame
+
+    def in_frame(self, t: Matrix) -> Matrix:
+        """P^-1 T P: the endomorphism with matrix t in frame coordinates."""
+        return self.frame_inv * t * self.frame
+
+    def block(self, m: Matrix, rows: str, cols: str) -> tuple:
+        """The block of m with rows and columns on the "+" or "-" side, as rows of Fractions."""
+        p = self.plus.dim
+        r, c = (slice(None, p) if side == "+" else slice(p, None) for side in (rows, cols))
+        return tuple(from_integers(row[c], m.den) for row in m.num[r])
+
+
+@lru_cache(maxsize=None)
+def splitting(plus: Subspace, minus: Subspace) -> Splitting:
+    """The splitting into two complementary subspaces, with its adapted frame."""
     if not plus.is_complementary(minus):
         raise DimensionMismatchError("subspaces are not complementary")
-    n = plus.n
-    p = Matrix.from_columns(list(plus.basis) + list(minus.basis))
-    d = Matrix.diagonal([ONE] * plus.dim + [ZERO] * minus.dim)
-    pi_plus = p * d * invert(p)
-    return pi_plus, Matrix.identity(n) - pi_plus
+    frame = Matrix.from_columns(plus.basis + minus.basis)
+    frame_inv = invert(frame)
+    pi_plus = frame * Matrix.diagonal([ONE] * plus.dim + [ZERO] * minus.dim) * frame_inv
+    pi_minus = Matrix.identity(plus.n) - pi_plus
+    return Splitting(plus, minus, frame, frame_inv, pi_plus, pi_minus, pi_plus - pi_minus)
+
+
+def projection_onto(plus: Subspace, minus: Subspace) -> tuple[Matrix, Matrix]:
+    """Projections (pi_plus, pi_minus) for a direct sum decomposition."""
+    s = splitting(plus, minus)
+    return s.pi_plus, s.pi_minus

@@ -27,12 +27,11 @@ from .exact import (
     basis_vector,
     format_rational,
     from_integers,
+    linear_combination,
     rationalize,
     to_integers,
-    vec_add,
     vec_is_zero,
     vector,
-    zero_vector,
 )
 from .multilinear import ANTISYMMETRIC, BilinearForm
 
@@ -45,7 +44,7 @@ class LieAlgebra:
     canonical and serializes deterministically.
     """
 
-    __slots__ = ("n", "brackets", "_table", "_ad", "_constants", "_hash")
+    __slots__ = ("n", "brackets", "_ad", "_constants", "_hash")
 
     def __init__(self, n: int, brackets: Mapping = (), *, check: bool = True):
         if n < 1:
@@ -64,17 +63,8 @@ class LieAlgebra:
                     row[k] = c
             if row:
                 canon[(i, j)] = dict(sorted(row.items()))
-        table = [[zero_vector(n) for _ in range(n)] for _ in range(n)]
-        for (i, j), row in canon.items():
-            v = [ZERO] * n
-            for k, c in row.items():
-                v[k - 1] = c
-            table[i - 1][j - 1] = tuple(v)
-            table[j - 1][i - 1] = tuple(-c for c in v)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "brackets", {key: canon[key] for key in sorted(canon)})
-        object.__setattr__(self, "_table", tuple(tuple(row) for row in table))
-        object.__setattr__(self, "_ad", tuple(Matrix.from_columns(row) for row in table))
         # the structure constants as integers over their common denominator dc
         dc = lcm(*{c.denominator for out in canon.values() for c in out.values()})
         constants = tuple(
@@ -82,6 +72,13 @@ class LieAlgebra:
             for (i, j), out in self.brackets.items()
         )
         object.__setattr__(self, "_constants", (dc, constants))
+        # entry (k, j) of ad_i is c^k_ij, the e_k coefficient of [e_i, e_j]
+        ad = [[[0] * n for _ in range(n)] for _ in range(n)]
+        for i, j, out in constants:
+            for k, c in out:
+                ad[i][k][j] = c
+                ad[j][k][i] = -c
+        object.__setattr__(self, "_ad", tuple(Matrix.over(m, dc) for m in ad))
         key = (n, tuple((k, tuple(v.items())) for k, v in self.brackets.items()))
         object.__setattr__(self, "_hash", hash(key))
         if check:
@@ -99,7 +96,7 @@ class LieAlgebra:
 
     def basis_bracket(self, i: int, j: int):
         """[e_{i+1}, e_{j+1}] as a coordinate vector (0-based arguments)."""
-        return self._table[i][j]
+        return self._ad[i].column(j)
 
     def ad(self, i: int) -> Matrix:
         """Matrix of ad_{e_{i+1}} (0-based argument): column j is [e_{i+1}, e_{j+1}]."""
@@ -145,24 +142,17 @@ def jacobi_defect(L: LieAlgebra) -> dict:
     """All Jacobi sums [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j].
 
     Keys are 1-based (i, j, k, l) for i < j < k; the algebra satisfies Jacobi
-    exactly when every value is zero.
+    exactly when every value is zero.  Column k of
+    D_ij = ad_{[e_i,e_j]} - [ad_i, ad_j] is the Jacobi sum at (i, j, k).
     """
     n = L.n
+    ad = [L.ad(i) for i in range(n)]
     out = {}
     for i in range(n):
-        ei = basis_vector(n, i)
         for j in range(i + 1, n):
-            ej = basis_vector(n, j)
+            d = linear_combination(ad[i].column(j), ad) - (ad[i] * ad[j] - ad[j] * ad[i])
             for k in range(j + 1, n):
-                ek = basis_vector(n, k)
-                total = vec_add(
-                    vec_add(
-                        L.bracket(L.basis_bracket(i, j), ek),
-                        L.bracket(L.basis_bracket(j, k), ei),
-                    ),
-                    L.bracket(L.basis_bracket(k, i), ej),
-                )
-                for l, value in enumerate(total):
+                for l, value in enumerate(d.column(k)):
                     out[(i + 1, j + 1, k + 1, l + 1)] = value
     return out
 

@@ -20,13 +20,14 @@ from .errors import (
     TrivialInvolutionError,
 )
 from .exact import (
-    HALF,
     Matrix,
+    Splitting,
     Subspace,
     determinant,
     invert,
     kernel_basis,
     linear_combination,
+    splitting,
     to_integers,
     vec_is_zero,
     vector,
@@ -157,9 +158,6 @@ class Endomorphism:
     def is_complex_structure(self) -> bool:
         return self.squared() == -Matrix.identity(self.n)
 
-    def maps_subspace_into(self, source: Subspace, target: Subspace) -> bool:
-        return all(target.contains(self.apply(v)) for v in source.basis)
-
     def __eq__(self, other):
         return isinstance(other, Endomorphism) and self.matrix == other.matrix
 
@@ -276,26 +274,8 @@ def nijenhuis(L: "LieAlgebra", t: Endomorphism) -> OneTwoTensor:
     return OneTwoTensor.from_function(n, lambda i, j: n_along[i].column(j))
 
 
-class InvolutionSplit:
-    """Eigen-decomposition of an involution: subspaces and projections."""
-
-    __slots__ = ("plus", "minus", "pi_plus", "pi_minus")
-
-    def __init__(self, plus, minus, pi_plus, pi_minus):
-        object.__setattr__(self, "plus", plus)
-        object.__setattr__(self, "minus", minus)
-        object.__setattr__(self, "pi_plus", pi_plus)
-        object.__setattr__(self, "pi_minus", pi_minus)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("InvolutionSplit is immutable")
-
-    def __iter__(self):
-        return iter((self.plus, self.minus, self.pi_plus, self.pi_minus))
-
-
-def involution_split(t: Endomorphism) -> InvolutionSplit:
-    """Split into (+1)/(-1) eigenspaces with projections (Id +- t)/2.
+def involution_split(t: Endomorphism) -> Splitting:
+    """The splitting into the (+1)/(-1) eigenspaces of t, whose involution is t.
 
     Requires t^2 = Id and t != +-Id; eigenspace bases come out in reduced
     echelon form with deterministic pivoting.
@@ -309,11 +289,9 @@ def involution_split(t: Endomorphism) -> InvolutionSplit:
         raise TrivialInvolutionError("involution is +-identity; no proper splitting")
     plus = Subspace(n, kernel_basis(t.matrix - ident))
     minus = Subspace(n, kernel_basis(t.matrix + ident))
-    pi_plus = Endomorphism((ident + t.matrix) * HALF)
-    pi_minus = Endomorphism((ident - t.matrix) * HALF)
     if plus.dim + minus.dim != n:
         raise AxiomFailureError("eigenspace dimensions do not fill the space")
-    return InvolutionSplit(plus, minus, pi_plus, pi_minus)
+    return splitting(plus, minus)
 
 
 def anticommutator_defect(s: Endomorphism, t: Endomorphism) -> Matrix:

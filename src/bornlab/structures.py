@@ -31,10 +31,12 @@ from .exact import (
     Matrix,
     Subspace,
     determinant,
+    first_nonzero_entry,
     format_rational,
     invert,
     rationalize,
     signature_of_symmetric,
+    splitting,
 )
 from .liealg import LieAlgebra, ce_d2, is_subalgebra
 from .multilinear import (
@@ -121,22 +123,19 @@ def build_almost_kunneth(L: LieAlgebra, omega: BilinearForm, plus: Subspace, min
         raise DegenerateFormError("the 2-form is degenerate")
     if not plus.is_complementary(minus):
         raise NotComplementaryError("subspaces do not decompose the space")
-    for name, sub in (("plus", plus), ("minus", minus)):
-        basis = sub.basis
-        for a in range(len(basis)):
-            for b in range(a + 1, len(basis)):
-                value = omega.evaluate(basis[a], basis[b])
-                if value != 0:
-                    raise NotIsotropicError(name, (a + 1, b + 1), value)
+    s = splitting(plus, minus)
+    pairing = s.pairing(omega.matrix)
+    for name, side in (("plus", "+"), ("minus", "-")):
+        # the block is antisymmetric, so its first nonzero entry has a < c
+        hit = first_nonzero_entry(s.block(pairing, side, side))
+        if hit is not None:
+            raise NotIsotropicError(name, hit[:2], hit[2])
     return AlmostKunneth(L, omega, plus, minus)
 
 
-@lru_cache(maxsize=None)
 def almost_product(k: AlmostKunneth) -> Endomorphism:
     """The involution that is +Id on the plus subspace and -Id on the minus one."""
-    p = Matrix.from_columns(list(k.plus.basis) + list(k.minus.basis))
-    d = Matrix.diagonal([1] * k.plus.dim + [-1] * k.minus.dim)
-    return Endomorphism(p * d * invert(p))
+    return Endomorphism(splitting(k.plus, k.minus).involution)
 
 
 @lru_cache(maxsize=None)
@@ -294,36 +293,30 @@ def verify_born_identities(b: BornStructure) -> StructureReport:
             )
         )
 
-    b_split = involution_split(b.b_op)
-    swaps = (
-        ("J maps L+ to L-", b.j_op, b.l_plus, b.l_minus),
-        ("J maps L- to L+", b.j_op, b.l_minus, b.l_plus),
-        ("J maps B+ to B-", b.j_op, b_split.plus, b_split.minus),
-        ("J maps B- to B+", b.j_op, b_split.minus, b_split.plus),
-        ("A maps B+ to B-", b.a_op, b_split.plus, b_split.minus),
-        ("A maps B- to B+", b.a_op, b_split.minus, b_split.plus),
-        ("B maps L+ to L-", b.b_op, b.l_plus, b.l_minus),
-        ("B maps L- to L+", b.b_op, b.l_minus, b.l_plus),
-    )
-    for name, op, source, target in swaps:
-        ok = op.maps_subspace_into(source, target)
-        items.append(CheckItem(name, ok, None, "eigenspace"))
+    frames = {"L": splitting(b.l_plus, b.l_minus), "B": involution_split(b.b_op)}
+    # T maps the + eigenspace into the - one iff the (+,+) block of P^-1 T P
+    # vanishes, and the - eigenspace into the + one iff the (-,-) block does
+    for op_name, frame_name in (("J", "L"), ("J", "B"), ("A", "B"), ("B", "L")):
+        s = frames[frame_name]
+        t = s.in_frame(ops[op_name].matrix)
+        for side, other in (("+", "-"), ("-", "+")):
+            ok = first_nonzero_entry(s.block(t, side, side)) is None
+            name = f"{op_name} maps {frame_name}{side} to {frame_name}{other}"
+            items.append(CheckItem(name, ok, None, "eigenspace"))
 
-    def pairing_items(name, form, left, right):
-        out = []
-        for a in range(len(left.basis)):
-            start = a + 1 if left is right else 0
-            for c in range(start, len(right.basis)):
-                value = form.evaluate(left.basis[a], right.basis[c])
-                if value != 0:
-                    out.append(Witness.at((a + 1, c + 1), value))
-        return CheckItem(name, not out, out[0] if out else None, "eigenspace")
-
-    items.append(pairing_items("L+ Lagrangian for omega", b.omega, b.l_plus, b.l_plus))
-    items.append(pairing_items("L- Lagrangian for omega", b.omega, b.l_minus, b.l_minus))
-    items.append(pairing_items("B-eigenspaces g-orthogonal", b.g, b_split.plus, b_split.minus))
-    items.append(pairing_items("A-eigenspaces h-orthogonal", b.h, b.l_plus, b.l_minus))
-    items.append(pairing_items("B-eigenspaces h-orthogonal", b.h, b_split.plus, b_split.minus))
+    # pairings of frame vectors: an antisymmetric (+,+) or (-,-) block has its
+    # first nonzero entry at a < c
+    for name, form_name, frame_name, rows, cols in (
+        ("L+ Lagrangian for omega", "omega", "L", "+", "+"),
+        ("L- Lagrangian for omega", "omega", "L", "-", "-"),
+        ("B-eigenspaces g-orthogonal", "g", "B", "+", "-"),
+        ("A-eigenspaces h-orthogonal", "h", "L", "+", "-"),
+        ("B-eigenspaces h-orthogonal", "h", "B", "+", "-"),
+    ):
+        s = frames[frame_name]
+        hit = first_nonzero_entry(s.block(s.pairing(forms[form_name].matrix), rows, cols))
+        witness = None if hit is None else Witness.at(hit[:2], hit[2])
+        items.append(CheckItem(name, hit is None, witness, "eigenspace"))
 
     sig_g = signature_of_symmetric(b.g.matrix)
     half = n // 2
@@ -428,30 +421,6 @@ def integrability_report(b: BornStructure) -> IntegrabilityReport:
 # enhancement of an almost Kunneth structure to a Born structure
 
 
-def omega_dual_frame(k: AlmostKunneth):
-    """Frames (f_i in plus, g_i in minus) with omega(f_i, g_j) = delta_ij.
-
-    Exact symplectic Gram-Schmidt: keep the echelon basis of the plus
-    subspace and absorb the inverse pairing matrix into the minus basis.
-    Deterministic by the lowest-index pivoting of the echelon bases.
-    """
-    f_basis = list(k.plus.basis)
-    g_raw = list(k.minus.basis)
-    m = len(f_basis)
-    pairing = Matrix(
-        [[k.omega.evaluate(f_basis[i], g_raw[j]) for j in range(m)] for i in range(m)]
-    )
-    inv = invert(pairing)
-    g_basis = []
-    for j in range(m):
-        col = inv.column(j)
-        vec = tuple(
-            sum(col[r] * g_raw[r][c] for r in range(m)) for c in range(k.algebra.n)
-        )
-        g_basis.append(vec)
-    return f_basis, g_basis
-
-
 def enhance_kunneth(k: AlmostKunneth, jtilde: Optional[Endomorphism] = None) -> BornStructure:
     """Complete an almost Kunneth structure to a Born structure.
 
@@ -461,48 +430,40 @@ def enhance_kunneth(k: AlmostKunneth, jtilde: Optional[Endomorphism] = None) -> 
     complex structure is assembled as J = Jt on plus and -Jt^(-1) on minus,
     and h(x, y) = omega(x, J y).
     """
-    n = k.algebra.n
-    f_basis = list(k.plus.basis)
+    split = splitting(k.plus, k.minus)
+    omega = k.omega.matrix
     if jtilde is None:
-        f_basis, g_images = omega_dual_frame(k)
+        # the omega-dual frame g'_c = sum_r (W^-1)_rc g_r, with W the (+,-)
+        # block of P^T Omega P, has omega(f_a, g'_c) = delta_ac and S = W^-1
+        s_inv = Matrix(split.block(split.pairing(omega), "+", "-"))
+        s = invert(s_inv)
     else:
-        if jtilde.n != n:
+        if jtilde.n != k.algebra.n:
             raise DimensionMismatchError("jtilde dimension mismatch")
-        g_images = [jtilde.apply(f) for f in f_basis]
-        for idx, image in enumerate(g_images):
-            if not k.minus.contains(image):
-                raise NotCompatibleError(
-                    (idx + 1,), 0, "jtilde does not map the plus subspace into the minus one"
-                )
-        for a in range(len(f_basis)):
-            for c in range(len(f_basis)):
-                value = k.omega.evaluate(g_images[a], f_basis[c]) + k.omega.evaluate(
-                    f_basis[a], g_images[c]
-                )
-                if value != 0:
-                    raise NotCompatibleError((a + 1, c + 1), value)
-
-    m = len(f_basis)
-    p = Matrix.from_columns(f_basis + list(k.minus.basis))
-    # express each jtilde image in the (f, minus-basis) coordinates; the
-    # first m coordinates must vanish, leaving the m x m block S
-    p_inv = invert(p)
-    s_cols = []
-    for image in g_images:
-        coords = p_inv.matvec(image)
-        if any(c != 0 for c in coords[:m]):
-            raise NotCompatibleError((0,), 0, "jtilde image leaves the minus subspace")
-        s_cols.append(coords[m:])
-    s = Matrix.from_columns(s_cols)
-    try:
-        s_inv = invert(s)
-    except SingularMatrixError:
-        raise NotCompatibleError((0,), 0, "jtilde is not an isomorphism onto the minus subspace") from None
-    # the block matrix [[0, -S^-1], [S, 0]] over the common denominator d
-    d = lcm(s.den, s_inv.den)
+        # column c of P^-1 Jt P holds the frame coordinates of Jt f_c: its
+        # plus part must vanish, and its minus part is column c of S
+        t = split.in_frame(jtilde.matrix)
+        hit = first_nonzero_entry(zip(*split.block(t, "+", "+")))
+        if hit is not None:
+            raise NotCompatibleError(
+                (hit[0],), 0, "jtilde does not map the plus subspace into the minus one"
+            )
+        # entry (a, c) of the (+,+) block is omega(Jt f_a, f_c) + omega(f_a, Jt f_c)
+        compatibility = jtilde.matrix.transpose() * omega + omega * jtilde.matrix
+        hit = first_nonzero_entry(split.block(split.pairing(compatibility), "+", "+"))
+        if hit is not None:
+            raise NotCompatibleError(hit[:2], hit[2])
+        s = Matrix(split.block(t, "-", "+"))
+        try:
+            s_inv = invert(s)
+        except SingularMatrixError:
+            message = "jtilde is not an isomorphism onto the minus subspace"
+            raise NotCompatibleError((0,), 0, message) from None
+    # J in the frame is [[0, -S^-1], [S, 0]], over the common denominator d
+    m, d = s.n, lcm(s.den, s_inv.den)
     block = [[0] * m + [-v for v in row] for row in s_inv.num_over(d)]
     block += [list(row) + [0] * m for row in s.num_over(d)]
-    j_op = Endomorphism(p * Matrix.over(block, d) * p_inv)
+    j_op = Endomorphism(split.frame * Matrix.over(block, d) * split.frame_inv)
 
     g = neutral_metric(k)
     h = BilinearForm(k.omega.matrix * j_op.matrix, SYMMETRIC)

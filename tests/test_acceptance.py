@@ -298,7 +298,7 @@ def test_criterion_11_born_torsion_formula(catalog_models):
             t = vec_sub(vec_sub(nb.apply(x, y), nb.apply(y, x)), L.bracket(x, y))
             lhs = tuple(
                 -p + m
-                for p, m in zip(split.pi_plus.apply(nk.apply(x, y)), split.pi_minus.apply(nk.apply(y, x)))
+                for p, m in zip(split.pi_plus.matvec(nk.apply(x, y)), split.pi_minus.matvec(nk.apply(y, x)))
             )
             assert t == lhs
     print("ACCEPTANCE 11: Born torsion matches -pi+(nabla^K_x y) + pi-(nabla^K_y x) "
@@ -332,9 +332,9 @@ def test_criterion_12_property_suites(catalog_models):
             for op in (born.a_op, born.b_op):
                 split = involution_split(op)
                 n = op.n
-                assert split.pi_plus.matrix + split.pi_minus.matrix == Matrix.identity(n)
-                assert split.pi_plus.matrix * split.pi_minus.matrix == Matrix.zero(n)
-                assert split.pi_plus.matrix - split.pi_minus.matrix == op.matrix
+                assert split.pi_plus + split.pi_minus == Matrix.identity(n)
+                assert split.pi_plus * split.pi_minus == Matrix.zero(n)
+                assert split.pi_plus - split.pi_minus == op.matrix
                 count += 1
             # two-out-of-three cross-check
             report = integrability_report(born)

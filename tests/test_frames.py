@@ -1,0 +1,424 @@
+"""Subspace checks, mixed torsion, the torsion formula and Jacobi against their pairwise definitions.
+
+These properties are blocks of one product in the frame adapted to a
+splitting, or values of a bilinear map on pairs of frame vectors.  The
+reference oracles below are the loops over pairs of basis vectors (and the
+Jacobi triple loop) they replaced.  Catalog structures pass every check, so
+they also run after seeded unimodular changes of basis, on seeded random
+connections, endomorphisms and subspaces, and on random algebras that
+violate Jacobi: there the witnesses are nonzero and their order is tested.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from bornlab import (
+    LieAlgebra,
+    Matrix,
+    Subspace,
+    almost_product,
+    born_torsion_formula_defect,
+    build_almost_kunneth,
+    build_born,
+    enhance_kunneth,
+    integrability_report,
+    invert,
+    involution_split,
+    jacobi_defect,
+    mixed_torsion_defect,
+    verify_born_identities,
+)
+from bornlab import connections
+from bornlab.connections import Connection
+from bornlab.errors import JacobiViolationError, NotCompatibleError, NotIsotropicError
+from bornlab.exact import (
+    basis_vector,
+    first_nonzero_entry,
+    kernel_basis,
+    projection_onto,
+    splitting,
+    vec_add,
+    vec_sub,
+)
+from bornlab.multilinear import ANTISYMMETRIC, SYMMETRIC, BilinearForm, Endomorphism
+from bornlab.structures import Witness
+from test_builders import moved_algebra, random_unimodular
+
+SEEDS = (1, 2, 3)
+
+
+# --- reference oracles: the pairwise definitions -----------------------------
+
+
+def reference_pairing(m, left, right, upper):
+    """First (a, c, m(x_a, y_c)) != 0 over pairs of basis vectors; c > a when upper."""
+    form = BilinearForm(m)
+    for a, x in enumerate(left.basis):
+        for c in range(a + 1 if upper else 0, right.dim):
+            value = form.evaluate(x, right.basis[c])
+            if value != 0:
+                return (a + 1, c + 1, value)
+    return None
+
+
+def reference_maps_into(t, source, target):
+    return all(target.contains(t.matvec(v)) for v in source.basis)
+
+
+def reference_torsion(L, c, x, y):
+    return vec_sub(vec_sub(c.apply(x, y), c.apply(y, x)), L.bracket(x, y))
+
+
+def reference_witnesses(indexed_vectors):
+    """(index + (k,), value) at the first nonzero coordinate k of each vector, in order."""
+    out = []
+    for index, v in indexed_vectors:
+        k = next((k for k, value in enumerate(v) if value != 0), None)
+        if k is not None:
+            out.append(Witness.at(index + (k + 1,), v[k]))
+    return out
+
+
+def reference_mixed_torsion(L, c, plus, minus):
+    return reference_witnesses(
+        ((a + 1, b + 1), reference_torsion(L, c, x, y))
+        for a, x in enumerate(plus.basis)
+        for b, y in enumerate(minus.basis)
+    )
+
+
+def reference_torsion_formula(b, nb, nk):
+    """First witness of T = 0 on B+ x B+, on B- x B-, and of the formula on B+ x B-."""
+    L, n = b.algebra, b.algebra.n
+    ident = Matrix.identity(n)
+    plus = Subspace(n, kernel_basis(b.b_op.matrix - ident))
+    minus = Subspace(n, kernel_basis(b.b_op.matrix + ident))
+    pi_plus, pi_minus = (ident + b.b_op.matrix) * Fraction(1, 2), (ident - b.b_op.matrix) * Fraction(1, 2)
+    out = []
+    for basis in (plus.basis, minus.basis):
+        pairs = (
+            ((a + 1, c + 1), reference_torsion(L, nb, basis[a], basis[c]))
+            for a in range(len(basis))
+            for c in range(a + 1, len(basis))
+        )
+        out.append(next(iter(reference_witnesses(pairs)), None))
+    pairs = []
+    for a, x in enumerate(plus.basis):
+        for c, y in enumerate(minus.basis):
+            expected = vec_sub(pi_minus.matvec(nk.apply(y, x)), pi_plus.matvec(nk.apply(x, y)))
+            pairs.append(((a + 1, c + 1), vec_sub(reference_torsion(L, nb, x, y), expected)))
+    out.append(next(iter(reference_witnesses(pairs)), None))
+    return out
+
+
+def reference_enhance_error(k, jtilde):
+    """(witness, value, message) of the NotCompatibleError the pairwise checks raise, or None."""
+    f = k.plus.basis
+    images = [jtilde.apply(x) for x in f]
+    for idx, image in enumerate(images):
+        if not k.minus.contains(image):
+            return (idx + 1,), 0, "jtilde does not map the plus subspace into the minus one"
+    for a in range(len(f)):
+        for c in range(len(f)):
+            value = k.omega.evaluate(images[a], f[c]) + k.omega.evaluate(f[a], images[c])
+            if value != 0:
+                return (a + 1, c + 1), value, ""
+    return None
+
+
+def reference_jacobi(L):
+    """The Jacobi sums triple by triple, from brackets of basis vectors."""
+    n = L.n
+    e = [basis_vector(n, i) for i in range(n)]
+    out = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                total = vec_add(
+                    vec_add(L.bracket(L.bracket(e[i], e[j]), e[k]), L.bracket(L.bracket(e[j], e[k]), e[i])),
+                    L.bracket(L.bracket(e[k], e[i]), e[j]),
+                )
+                for l, value in enumerate(total):
+                    out[(i + 1, j + 1, k + 1, l + 1)] = value
+    return out
+
+
+# --- inputs ------------------------------------------------------------------
+
+
+def moved_form(w, p, symmetry):
+    return BilinearForm(p.transpose() * w.matrix * p, symmetry)
+
+
+def moved_subspace(s, p_inv):
+    return Subspace(s.n, [p_inv.matvec(v) for v in s.basis])
+
+
+def born_cases(catalog_models, catalog_structures):
+    """Every catalog Born structure, then each in seeded unimodular bases."""
+    for name in catalog_models:
+        for b in catalog_structures[name]["borns"]:
+            yield name, b
+            for seed in SEEDS:
+                p = random_unimodular(b.algebra.n, random.Random(f"{name}-{seed}"))
+                moved = build_born(
+                    moved_algebra(b.algebra, p),
+                    moved_form(b.g, p, SYMMETRIC),
+                    moved_form(b.h, p, SYMMETRIC),
+                    moved_form(b.omega, p, ANTISYMMETRIC),
+                )
+                yield f"{name}~{seed}", moved
+
+
+def kunneth_cases(catalog_models, catalog_structures):
+    """Every catalog almost Kunneth structure (declared or underlying a Born one), moved as well."""
+    for name in catalog_models:
+        structures = catalog_structures[name]
+        for k in structures["kunneths"] + [b.underlying_kunneth() for b in structures["borns"]]:
+            yield name, k
+            for seed in SEEDS:
+                p = random_unimodular(k.algebra.n, random.Random(f"{name}-{seed}"))
+                p_inv = invert(p)
+                yield f"{name}~{seed}", build_almost_kunneth(
+                    moved_algebra(k.algebra, p),
+                    moved_form(k.omega, p, ANTISYMMETRIC),
+                    moved_subspace(k.plus, p_inv),
+                    moved_subspace(k.minus, p_inv),
+                )
+
+
+def random_matrix(n, rng, density=0.5):
+    return Matrix(
+        [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < density else 0 for _ in range(n)]
+         for _ in range(n)]
+    )
+
+
+def random_connection(n, rng):
+    return Connection(tuple(random_matrix(n, rng) for _ in range(n)))
+
+
+def random_splitting(n, rng):
+    while True:
+        vectors = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        cut = rng.randint(1, n - 1)
+        try:
+            plus, minus = Subspace(n, vectors[:cut]), Subspace(n, vectors[cut:])
+        except ValueError:
+            continue
+        if plus.is_complementary(minus):
+            return splitting(plus, minus)
+
+
+# --- block forms against the oracles -----------------------------------------
+
+
+def test_identity_items_match_pairwise_oracles(catalog_models, catalog_structures):
+    checked = 0
+    for name, b in born_cases(catalog_models, catalog_structures):
+        items = {item.name: item for item in verify_born_identities(b).items}
+        l_split, b_split = involution_split(b.a_op), involution_split(b.b_op)
+        for op_name, op in (("J", b.j_op), ("A", b.a_op), ("B", b.b_op)):
+            for label, s in (("L", l_split), ("B", b_split)):
+                for src, dst in (("+", "-"), ("-", "+")):
+                    key = f"{op_name} maps {label}{src} to {label}{dst}"
+                    if key in items:
+                        source, target = (s.plus, s.minus) if src == "+" else (s.minus, s.plus)
+                        assert items[key].ok == reference_maps_into(op.matrix, source, target), (name, key)
+                        checked += 1
+        for key, form, left, right in (
+            ("L+ Lagrangian for omega", b.omega, l_split.plus, l_split.plus),
+            ("L- Lagrangian for omega", b.omega, l_split.minus, l_split.minus),
+            ("B-eigenspaces g-orthogonal", b.g, b_split.plus, b_split.minus),
+            ("A-eigenspaces h-orthogonal", b.h, l_split.plus, l_split.minus),
+            ("B-eigenspaces h-orthogonal", b.h, b_split.plus, b_split.minus),
+        ):
+            hit = reference_pairing(form.matrix, left, right, left is right)
+            expected = None if hit is None else Witness.at(hit[:2], hit[2])
+            assert (items[key].ok, items[key].witness) == (hit is None, expected), (name, key)
+            checked += 1
+    assert checked > 400
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_frame_blocks_match_pairwise_oracles_on_random_data(seed):
+    """Pairings and exchanges on random splittings, forms and endomorphisms, where blocks are nonzero."""
+    rng = random.Random(seed)
+    witnesses = 0
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        s = random_splitting(n, rng)
+        m = random_matrix(n, rng, density=0.3)
+        anti = m - m.transpose()
+        pairing, anti_pairing = s.pairing(m), s.pairing(anti)
+        for rows, left in (("+", s.plus), ("-", s.minus)):
+            # antisymmetric diagonal blocks: the first entry has a < c
+            expected = reference_pairing(anti, left, left, upper=True)
+            assert first_nonzero_entry(s.block(anti_pairing, rows, rows)) == expected
+            for cols, right in (("+", s.plus), ("-", s.minus)):
+                expected = reference_pairing(m, left, right, upper=False)
+                assert first_nonzero_entry(s.block(pairing, rows, cols)) == expected
+                witnesses += expected is not None
+        # an endomorphism whose diagonal blocks in the frame are zero at random,
+        # so that exchanges both hold and fail
+        p = s.plus.dim
+        zero = {side: rng.random() < 0.5 for side in (True, False)}
+        frame_t = Matrix(
+            [
+                [0 if (i < p) == (j < p) and zero[i < p] else v for j, v in enumerate(row)]
+                for i, row in enumerate(random_matrix(n, rng).rows)
+            ]
+        )
+        t = s.frame * frame_t * s.frame_inv
+        in_frame = s.in_frame(t)
+        for side, source, target in (("+", s.plus, s.minus), ("-", s.minus, s.plus)):
+            maps = first_nonzero_entry(s.block(in_frame, side, side)) is None
+            assert maps == reference_maps_into(t, source, target)
+    assert witnesses > 50
+
+
+def test_isotropy_witnesses_match_pairwise_oracle(catalog_models, catalog_structures):
+    rng = random.Random(5)
+    raised = 0
+    for name, k in kunneth_cases(catalog_models, catalog_structures):
+        n = k.algebra.n
+        for _ in range(3):
+            s = random_splitting(n, rng)
+            expected = None
+            for which, sub in (("plus", s.plus), ("minus", s.minus)):
+                hit = reference_pairing(k.omega.matrix, sub, sub, upper=True)
+                if hit is not None:
+                    expected = (which, hit[:2], hit[2])
+                    break
+            if expected is None:
+                build_almost_kunneth(k.algebra, k.omega, s.plus, s.minus)
+                continue
+            with pytest.raises(NotIsotropicError) as info:
+                build_almost_kunneth(k.algebra, k.omega, s.plus, s.minus)
+            assert (info.value.which, info.value.witness, info.value.value) == expected, name
+            assert str(info.value) == str(NotIsotropicError(*expected))
+            raised += 1
+    assert raised > 100
+
+
+def test_enhance_kunneth_errors_match_pairwise_oracle(catalog_models, catalog_structures):
+    rng = random.Random(11)
+    outcomes = {"built": 0, "leaves minus": 0, "incompatible": 0}
+    for name, k in kunneth_cases(catalog_models, catalog_structures):
+        s = splitting(k.plus, k.minus)
+        n, m = k.algebra.n, k.plus.dim
+        for trial in range(5):
+            # J~ in the frame: a random S block, plus-coordinates only in the last trials
+            frame_j = [[0] * n for _ in range(n)]
+            for a in range(m):
+                for c in range(m):
+                    frame_j[m + a][c] = rng.randint(-2, 2)
+                    if trial >= 3 and rng.random() < 0.3:
+                        frame_j[a][c] = rng.randint(-1, 1)
+            jtilde = Endomorphism(s.frame * Matrix(frame_j) * s.frame_inv)
+            expected = reference_enhance_error(k, jtilde)
+            if expected is None:
+                try:
+                    enhance_kunneth(k, jtilde)
+                    outcomes["built"] += 1
+                except NotCompatibleError as exc:
+                    assert str(exc) == "jtilde is not an isomorphism onto the minus subspace"
+                continue
+            with pytest.raises(NotCompatibleError) as info:
+                enhance_kunneth(k, jtilde)
+            assert (info.value.witness, info.value.value) == expected[:2], name
+            assert str(info.value) == str(NotCompatibleError(*expected))
+            outcomes["leaves minus" if expected[2] else "incompatible"] += 1
+        # the omega-dual J is compatible, and enhancing with it rebuilds the same structure
+        born = enhance_kunneth(k)
+        assert reference_enhance_error(k, born.j_op) is None
+        assert enhance_kunneth(k, born.j_op) == born
+    assert min(outcomes.values()) > 10, outcomes
+
+
+def test_mixed_torsion_matches_pairwise_oracle(catalog_models, catalog_structures):
+    rng = random.Random(17)
+    witnesses = 0
+    for name, k in kunneth_cases(catalog_models, catalog_structures):
+        L, n = k.algebra, k.algebra.n
+        cases = [(connections.kunneth_connection(k), k.plus, k.minus)]
+        cases += [(random_connection(n, rng), k.plus, k.minus) for _ in range(2)]
+        s = random_splitting(n, rng)
+        cases.append((random_connection(n, rng), s.plus, s.minus))
+        for c, plus, minus in cases:
+            out = mixed_torsion_defect(L, c, plus, minus)
+            assert out == reference_mixed_torsion(L, c, plus, minus), name
+            witnesses += len(out)
+    assert witnesses > 500
+
+
+def test_torsion_formula_matches_pairwise_oracle(catalog_models, catalog_structures, monkeypatch):
+    """On the Born and Kunneth connections, then with random connections in their place."""
+    rng = random.Random(23)
+    failing = 0
+    for name, b in born_cases(catalog_models, catalog_structures):
+        if not integrability_report(b).integrable:
+            continue
+        nb = connections.born_connection(b)
+        nk = connections.kunneth_connection(b.underlying_kunneth())
+        pairs = [(nb, nk)] + [(random_connection(b.algebra.n, rng), random_connection(b.algebra.n, rng))]
+        for rb, rk in pairs:
+            monkeypatch.setattr(connections, "born_connection", lambda _b, rb=rb: rb)
+            monkeypatch.setattr(connections, "kunneth_connection", lambda _k, rk=rk: rk)
+            witnesses = [item.witness for item in born_torsion_formula_defect(b).items]
+            monkeypatch.undo()
+            assert witnesses == reference_torsion_formula(b, rb, rk), name
+            failing += sum(w is not None for w in witnesses)
+    assert failing > 50
+
+
+def test_projection_almost_product_and_involution_split_share_one_splitting(
+    catalog_models, catalog_structures
+):
+    for name, k in kunneth_cases(catalog_models, catalog_structures):
+        s = splitting(k.plus, k.minus)
+        assert involution_split(almost_product(k)) is s, name
+        assert projection_onto(k.plus, k.minus) == (s.pi_plus, s.pi_minus)
+        assert almost_product(k).matrix == s.involution == s.pi_plus - s.pi_minus
+        assert s.frame * s.frame_inv == Matrix.identity(k.algebra.n)
+        assert s.pi_plus * s.pi_minus == Matrix.zero(k.algebra.n)
+        for v in k.plus.basis:
+            assert s.pi_plus.matvec(v) == v
+        for v in k.minus.basis:
+            assert s.pi_minus.matvec(v) == v
+
+
+def random_brackets(n, rng):
+    return {
+        (i, j): {rng.randint(1, n): Fraction(rng.randint(-3, 3), rng.randint(1, 2))}
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+        if rng.random() < 0.35
+    }
+
+
+def test_jacobi_matches_triple_loop(catalog_models):
+    algebras = [entry.model.algebra for entry in catalog_models.values()]
+    rng = random.Random(29)
+    violating = 0
+    for _ in range(60):
+        n = rng.randint(3, 7)
+        brackets = random_brackets(n, rng)
+        L = LieAlgebra(n, brackets, check=False)
+        expected = reference_jacobi(L)
+        assert jacobi_defect(L) == expected
+        first = next(((key, v) for key, v in sorted(expected.items()) if v != 0), None)
+        if first is None:
+            LieAlgebra(n, brackets)
+            continue
+        violating += 1
+        with pytest.raises(JacobiViolationError) as info:
+            LieAlgebra(n, brackets)
+        assert (info.value.witness, info.value.value) == first
+        assert str(info.value) == str(JacobiViolationError(*first))
+    for L in algebras:
+        assert jacobi_defect(L) == reference_jacobi(L)
+        assert not any(jacobi_defect(L).values())
+    assert violating > 20

@@ -233,9 +233,9 @@ def test_involution_split_projection_algebra():
                 break
         t = Endomorphism(p * Matrix.diagonal(diag) * invert(p))
         split = involution_split(t)
-        assert split.pi_plus.matrix + split.pi_minus.matrix == Matrix.identity(n)
-        assert split.pi_plus.matrix * split.pi_minus.matrix == Matrix.zero(n)
-        assert split.pi_plus.matrix - split.pi_minus.matrix == t.matrix
+        assert split.pi_plus + split.pi_minus == Matrix.identity(n)
+        assert split.pi_plus * split.pi_minus == Matrix.zero(n)
+        assert split.pi_plus - split.pi_minus == t.matrix
         assert split.plus.dim + split.minus.dim == n
 
 
