@@ -9,15 +9,13 @@ from .exact import (
     Matrix,
     Signature,
     Subspace,
+    Trilinear,
     determinant,
     invert,
     signature_of_symmetric,
 )
 from .liealg import (
     LieAlgebra,
-    OneForm,
-    ThreeForm,
-    ce_d1,
     ce_d2,
     is_closed,
     is_subalgebra,
@@ -26,7 +24,6 @@ from .liealg import (
 from .multilinear import (
     BilinearForm,
     Endomorphism,
-    OneTwoTensor,
     anticommutator_defect,
     involution_split,
     nijenhuis,

@@ -15,8 +15,7 @@ The canonical and Born connections are averages under conjugation:
     Born              Gamma_i   = (Gamma^K_i + B Gamma^K_i B) / 2
                                 = (Gamma^K_i - J Gamma^K_i J) / 2
 
-A trilinear defect d(e_i, e_j, e_k) is kept as n matrices, entry (j, k) of
-the i-th; its witness is the first nonzero (i, j, k) in lexicographic order.
+Torsion and every trilinear defect are `exact.Trilinear` tensors.
 
 Statements about a splitting are read in its adapted frame P, whose columns
 x_a are the bases of the two subspaces.  For a bilinear map M stored as n
@@ -35,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
 
 from .errors import (
     AxiomFailureError,
@@ -48,6 +46,7 @@ from .exact import (
     HALF,
     Matrix,
     Subspace,
+    Trilinear,
     column_slices,
     first_nonzero_entry,
     invert,
@@ -55,7 +54,7 @@ from .exact import (
     splitting,
 )
 from .liealg import LieAlgebra, ce_d2
-from .multilinear import BilinearForm, Endomorphism, OneTwoTensor, involution_split
+from .multilinear import BilinearForm, Endomorphism, involution_split
 from .structures import (
     AlmostKunneth,
     BornStructure,
@@ -87,35 +86,15 @@ class Connection:
         return all(m.is_zero() for m in self.gammas)
 
 
-@dataclass(frozen=True)
-class Defect:
-    """Trilinear defect d(e_i, e_j, e_k): entry (j, k) of matrices[i]."""
-
-    matrices: tuple
-
-    def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.matrices)
-
-    def first_witness(self) -> Optional[Witness]:
-        """First nonzero (i, j, k), 1-based, in lexicographic order."""
-        for i, m in enumerate(self.matrices):
-            hit = m.first_nonzero()
-            if hit is not None:
-                j, k, value = hit
-                return Witness.at((i + 1, j, k), value)
-        return None
-
-
 def _torsion_matrices(L: LieAlgebra, c: Connection) -> list:
     """T_i = Gamma_i - E_i - ad_i, whose column j is T(e_i, e_j); column j of E_i is Gamma_j e_i."""
     e = column_slices(c.gammas)
     return [g - e_i - L.ad(i) for i, (g, e_i) in enumerate(zip(c.gammas, e))]
 
 
-def torsion(L: LieAlgebra, c: Connection) -> OneTwoTensor:
-    """T(e_i, e_j) = Gamma_i e_j - Gamma_j e_i - [e_i, e_j]."""
-    t = _torsion_matrices(L, c)
-    return OneTwoTensor.from_function(L.n, lambda i, j: t[i].column(j))
+def torsion(L: LieAlgebra, c: Connection) -> Trilinear:
+    """T(e_i, e_j) = Gamma_i e_j - Gamma_j e_i - [e_i, e_j]; slice i is T_i^T."""
+    return Trilinear(tuple(t_i.transpose() for t_i in _torsion_matrices(L, c)))
 
 
 def _frame_witnesses(matrices, frame: Matrix, rows: range, cols: range):
@@ -135,10 +114,10 @@ def _frame_witnesses(matrices, frame: Matrix, rows: range, cols: range):
                 yield Witness.at((a - rows.start + 1, c - cols.start + 1, hit[0] + 1), hit[1])
 
 
-def nabla_form(L: LieAlgebra, c: Connection, b: BilinearForm) -> Defect:
+def nabla_form(L: LieAlgebra, c: Connection, b: BilinearForm) -> Trilinear:
     """(nabla_{e_i} b)(e_j, e_k) = -(Gamma_i^T M_b + M_b Gamma_i)[j][k]; zero iff b is parallel."""
     m = b.matrix
-    return Defect(tuple(-(g.transpose() * m + m * g) for g in c.gammas))
+    return Trilinear(tuple(-(g.transpose() * m + m * g) for g in c.gammas))
 
 
 def _commutes(c: Connection, t: Endomorphism) -> bool:
@@ -281,20 +260,20 @@ def mixed_torsion_defect(L: LieAlgebra, c: Connection, plus: Subspace, minus: Su
 
 def generalized_torsion_defect(
     L: LieAlgebra, c: Connection, cc: Connection, g: BilinearForm
-) -> Defect:
+) -> Trilinear:
     """GT(x,y,z) = g(nabla_x y - nabla_y x, z) + g(nabla_z x, y), compared
     between c and the canonical connection cc on all basis triples.
 
     With Delta = c - cc and E_i the matrix whose column j is Delta_j e_i, the
-    i-th matrix of the defect is (Delta_i - E_i)^T M_g + M_g E_i.
+    i-th slice of the defect is (Delta_i - E_i)^T M_g + M_g E_i.
     """
     m = g.matrix
     delta = [a - b for a, b in zip(c.gammas, cc.gammas)]
     e = column_slices(delta)
-    return Defect(tuple((delta_i - e_i).transpose() * m + m * e_i for delta_i, e_i in zip(delta, e)))
+    return Trilinear(tuple((delta_i - e_i).transpose() * m + m * e_i for delta_i, e_i in zip(delta, e)))
 
 
-def omega_K_defect(k: AlmostKunneth) -> Defect:
+def omega_K_defect(k: AlmostKunneth) -> Trilinear:
     """Defect of the exact relation between Kunneth and canonical connections:
 
     omega(nabla^K_x y, z) - omega(nabla^c_x y, z)
@@ -311,7 +290,8 @@ def omega_K_defect(k: AlmostKunneth) -> Defect:
     already fails on a non-closed form over the Heisenberg algebra, which the
     test suite demonstrates).
 
-    With C_i the matrix of i_{A e_i} d omega, the i-th matrix of the defect is
+    With C_i = sum_a (A e_i)_a W_a the matrix of i_{A e_i} d omega (W_a the
+    slices of d omega), the i-th slice of the defect is
     (Gamma^K_i - Gamma^c_i)^T M_omega + (pi_G^T C_i pi_F - pi_F^T C_i pi_G) / 2.
     """
     L, m = k.algebra, k.omega.matrix
@@ -323,10 +303,10 @@ def omega_K_defect(k: AlmostKunneth) -> Defect:
     pi_f_t, pi_g_t = pi_f.transpose(), pi_g.transpose()
     out = []
     for i, (nk_i, nc_i) in enumerate(zip(kunneth.gammas, canonical.gammas)):
-        c_i = d_omega.interior(split.involution.column(i))
+        c_i = linear_combination(split.involution.column(i), d_omega.slices)
         correction = (pi_g_t * c_i * pi_f - pi_f_t * c_i * pi_g) * HALF
         out.append((nk_i - nc_i).transpose() * m + correction)
-    return Defect(tuple(out))
+    return Trilinear(tuple(out))
 
 
 def born_torsion_formula_defect(b: BornStructure) -> StructureReport:

@@ -22,6 +22,10 @@ adapted to it, its inverse, the two projections and the involution; it is
 built once per pair of subspaces (cached by value), and the properties of a
 splitting are blocks of products in that frame.
 
+A Trilinear tensor is n matrix slices, entry (j, k) of slice i being
+t(e_i, e_j, e_k); d omega, the Nijenhuis tensors, torsion and every defect
+are kept this way.
+
 Fractions (fractions.Fraction, reduced, with ZERO for zero) appear only at
 the boundary: vectors are tuples of Fractions, and `Matrix.rows`, `entry`,
 `column`, `first_nonzero` and `matvec` return Fractions.  `rows` is built on
@@ -341,6 +345,33 @@ def column_slices(matrices: Sequence[Matrix]) -> list[Matrix]:
     d = lcm(*{m.den for m in matrices})
     columns = [list(zip(*m.num_over(d))) for m in matrices]  # columns[j][i]: column i of M_j
     return [Matrix.over(list(zip(*(c[i] for c in columns))), d) for i in range(len(columns))]
+
+
+@dataclass(frozen=True)
+class Trilinear:
+    """A trilinear tensor t(e_i, e_j, e_k) on the fixed basis, kept as n matrices.
+
+    Entry (j, k) of slices[i] is t(e_i, e_j, e_k).  A vector-valued tensor
+    N(e_i, e_j) takes its output coordinate as k, so when column j of N_i is
+    N(e_i, e_j), slice i is N_i^T.  d omega, the Nijenhuis tensors, torsion
+    and every defect share this layout, so one row-major scan of the slices
+    finds the first nonzero (i, j, k) in lexicographic order.  For a tensor
+    antisymmetric in i and j (or alternating) that witness already has
+    i < j (or i < j < k).
+    """
+
+    slices: tuple
+
+    def is_zero(self) -> bool:
+        return all(m.is_zero() for m in self.slices)
+
+    def first_witness(self):
+        """First nonzero ((i, j, k) 1-based, value) in lexicographic order; None if zero."""
+        for i, m in enumerate(self.slices):
+            hit = m.first_nonzero()
+            if hit is not None:
+                return (i + 1, hit[0], hit[1]), hit[2]
+        return None
 
 
 def _gauss_jordan(a: list, ncols: int) -> tuple[list[int], int, int]:

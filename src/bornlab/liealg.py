@@ -23,8 +23,8 @@ from .errors import DimensionMismatchError, JacobiViolationError
 from .exact import (
     Matrix,
     Subspace,
-    ZERO,
-    basis_vector,
+    Trilinear,
+    column_slices,
     format_rational,
     from_integers,
     linear_combination,
@@ -33,7 +33,7 @@ from .exact import (
     vec_is_zero,
     vector,
 )
-from .multilinear import ANTISYMMETRIC, BilinearForm
+from .multilinear import BilinearForm
 
 
 class LieAlgebra:
@@ -190,106 +190,6 @@ def is_subalgebra(L: LieAlgebra, s: Subspace) -> SubalgebraResult:
     return SubalgebraResult(True)
 
 
-class OneForm:
-    """Covector in the dual basis alpha_i."""
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients):
-        object.__setattr__(self, "coefficients", vector(coefficients))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OneForm is immutable")
-
-    @classmethod
-    def dual(cls, n: int, i: int) -> "OneForm":
-        """alpha_i (1-based)."""
-        return cls(basis_vector(n, i - 1))
-
-    @property
-    def n(self) -> int:
-        return len(self.coefficients)
-
-    def evaluate(self, v):
-        return sum(a * b for a, b in zip(self.coefficients, v))
-
-    def __eq__(self, other):
-        return isinstance(other, OneForm) and self.coefficients == other.coefficients
-
-
-class ThreeForm:
-    """Alternating trilinear form; only coefficients with i < j < k are stored."""
-
-    __slots__ = ("n", "coefficients")
-
-    def __init__(self, n: int, coefficients: Mapping = ()):
-        canon = {}
-        for (i, j, k), value in dict(coefficients).items():
-            if not 0 <= i < j < k < n:
-                raise DimensionMismatchError("three-form indices must satisfy 0 <= i < j < k < n")
-            c = rationalize(value)
-            if c != 0:
-                canon[(i, j, k)] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coefficients", dict(sorted(canon.items())))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ThreeForm is immutable")
-
-    def component(self, i: int, j: int, k: int):
-        """Fully antisymmetric component, arbitrary 0-based indices."""
-        if len({i, j, k}) < 3:
-            return ZERO
-        order = sorted((i, j, k))
-        value = self.coefficients.get(tuple(order), ZERO)
-        if value == 0:
-            return ZERO
-        perm = (i, j, k)
-        sign = 1
-        seq = list(perm)
-        for a in range(3):
-            for b in range(a + 1, 3):
-                if seq[a] > seq[b]:
-                    seq[a], seq[b] = seq[b], seq[a]
-                    sign = -sign
-        return sign * value
-
-    def evaluate(self, x, y, z):
-        total = ZERO
-        for (i, j, k), c in self.coefficients.items():
-            det = (
-                x[i] * (y[j] * z[k] - y[k] * z[j])
-                - x[j] * (y[i] * z[k] - y[k] * z[i])
-                + x[k] * (y[i] * z[j] - y[j] * z[i])
-            )
-            total += c * det
-        return total
-
-    def interior(self, x) -> Matrix:
-        """The 2-form w(x, ., .) as the matrix of w(x, e_j, e_k)."""
-        rows = [[ZERO] * self.n for _ in range(self.n)]
-        for (i, j, k), c in self.coefficients.items():
-            # cyclic permutations of (i, j, k) are even
-            for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
-                value = c * x[a]
-                rows[b][d] += value
-                rows[d][b] -= value
-        return Matrix(rows)
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def witnesses(self):
-        """Sorted nonzero components as ((i, j, k) 1-based, value)."""
-        return [((i + 1, j + 1, k + 1), v) for (i, j, k), v in self.coefficients.items()]
-
-    def __eq__(self, other):
-        return isinstance(other, ThreeForm) and self.n == other.n and self.coefficients == other.coefficients
-
-    def __repr__(self):
-        return f"ThreeForm(n={self.n}, nonzero={len(self.coefficients)})"
-
-
 def _two_form_matrix(w) -> Matrix:
     m = w.matrix if isinstance(w, BilinearForm) else w
     if not isinstance(m, Matrix):
@@ -299,70 +199,24 @@ def _two_form_matrix(w) -> Matrix:
     return m
 
 
-def ce_d1(L: LieAlgebra, a: OneForm) -> BilinearForm:
-    """(d a)(e_i, e_j) = -a([e_i, e_j])."""
-    n = L.n
-    if a.n != n:
-        raise DimensionMismatchError("one-form dimension does not match algebra")
-    rows = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = -a.evaluate(L.basis_bracket(i, j))
-            rows[i][j] = value
-            rows[j][i] = -value
-    return BilinearForm(Matrix(rows), ANTISYMMETRIC)
-
-
 @lru_cache(maxsize=None)
-def ce_d2(L: LieAlgebra, w) -> ThreeForm:
+def ce_d2(L: LieAlgebra, w) -> Trilinear:
     """(d w)(e_i,e_j,e_k) = -w([e_i,e_j],e_k) + w([e_i,e_k],e_j) - w([e_j,e_k],e_i).
 
     With M the matrix of w, Q_i = ad_i^T M has entry (j, k) = w([e_i,e_j], e_k),
-    so d w(e_i,e_j,e_k) = -Q_i[j][k] + Q_i[k][j] - Q_j[k][i]: n matrix products
-    instead of a dense form evaluation per basis triple.
+    and R = column_slices(Q) has entry (k, j) of R_i = Q_j[k][i] = w([e_j,e_k], e_i),
+    so slice i of d w is
+
+        W_i = Q_i^T - Q_i - R_i^T.
     """
     m = _two_form_matrix(w)
     n = L.n
     if m.n != n:
         raise DimensionMismatchError("two-form dimension does not match algebra")
-    products = [L.ad(i).transpose() * m for i in range(n)]
-    d = lcm(*{p.den for p in products})
-    q = [p.num_over(d) for p in products]
-    values = {
-        (i, j, k): -q[i][j][k] + q[i][k][j] - q[j][k][i]
-        for i in range(n)
-        for j in range(i + 1, n)
-        for k in range(j + 1, n)
-    }
-    return ThreeForm(n, {key: Fraction(v, d) for key, v in values.items() if v})
+    q = [L.ad(i).transpose() * m for i in range(n)]
+    r = column_slices(q)
+    return Trilinear(tuple(q_i.transpose() - q_i - r_i.transpose() for q_i, r_i in zip(q, r)))
 
 
 def is_closed(L: LieAlgebra, w) -> bool:
     return ce_d2(L, w).is_zero()
-
-
-def wedge_one_one(a: OneForm, b: OneForm) -> BilinearForm:
-    """a ^ b as an antisymmetric bilinear form."""
-    n = a.n
-    rows = [
-        [a.coefficients[i] * b.coefficients[j] - a.coefficients[j] * b.coefficients[i] for j in range(n)]
-        for i in range(n)
-    ]
-    return BilinearForm(Matrix(rows), ANTISYMMETRIC)
-
-
-def wedge_two_one(w, a: OneForm) -> ThreeForm:
-    """(w ^ a)(x,y,z) = w(x,y)a(z) - w(x,z)a(y) + w(y,z)a(x)."""
-    m = _two_form_matrix(w)
-    n = m.n
-    rows = m.rows
-    coeffs = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                coeffs[(i, j, k)] = (
-                    rows[i][j] * a.coefficients[k]
-                    - rows[i][k] * a.coefficients[j]
-                    + rows[j][k] * a.coefficients[i]
-                )
-    return ThreeForm(n, coeffs)

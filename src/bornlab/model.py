@@ -400,7 +400,7 @@ def _group_outcomes(mat: _Materialized, group: str):
 
 
 def _defect_outcome(defect):
-    return ("pass", None) if defect.is_zero() else ("fail", defect.first_witness())
+    return ("pass", None) if defect.is_zero() else ("fail", Witness.at(*defect.first_witness()))
 
 
 def _kunneth_obstruction(L, k: AlmostKunneth) -> Optional[Witness]:
@@ -412,7 +412,7 @@ def _kunneth_obstruction(L, k: AlmostKunneth) -> Optional[Witness]:
     """
     d = ce_d2(L, k.omega)
     if not d.is_zero():
-        idx, value = d.witnesses()[0]
+        idx, value = d.first_witness()
         return Witness.at(idx, value, "d omega")
     for name, sub in (("plus", k.plus), ("minus", k.minus)):
         result = is_subalgebra(L, sub)

@@ -8,6 +8,7 @@ column is T(e_j).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 from typing import TYPE_CHECKING
 
@@ -23,13 +24,12 @@ from .exact import (
     Matrix,
     Splitting,
     Subspace,
-    determinant,
+    Trilinear,
     invert,
     kernel_basis,
     linear_combination,
     splitting,
     to_integers,
-    vec_is_zero,
     vector,
 )
 
@@ -86,12 +86,6 @@ class BilinearForm:
         total = sum(a * sum(map(mul, row, ys)) for a, row in zip(xs, m.num) if a)
         return Fraction(total, dx * dy * m.den)
 
-    def is_nondegenerate(self) -> bool:
-        return determinant(self.matrix) != 0
-
-    def scaled(self, c) -> "BilinearForm":
-        return BilinearForm(self.matrix * c, self.symmetry)
-
     def negated(self) -> "BilinearForm":
         return BilinearForm(-self.matrix, self.symmetry)
 
@@ -146,9 +140,6 @@ class Endomorphism:
     def negated(self) -> "Endomorphism":
         return Endomorphism(-self.matrix)
 
-    def scaled(self, c) -> "Endomorphism":
-        return Endomorphism(self.matrix * c)
-
     def inverse(self) -> "Endomorphism":
         return Endomorphism(invert(self.matrix))
 
@@ -166,66 +157,6 @@ class Endomorphism:
 
     def __repr__(self):
         return f"Endomorphism({self.matrix!r})"
-
-
-class OneTwoTensor:
-    """A (1,2)-tensor N^k_{ij}, antisymmetric in the lower pair (i, j).
-
-    Only i < j is stored; the full tensor extends by N(y, x) = -N(x, y).
-    """
-
-    __slots__ = ("n", "values")
-
-    def __init__(self, n: int, values):
-        # values: dict[(i, j) 0-based, i < j] -> image vector
-        object.__setattr__(self, "n", n)
-        object.__setattr__(
-            self,
-            "values",
-            {key: vector(v) for key, v in sorted(values.items()) if not vec_is_zero(v)},
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OneTwoTensor is immutable")
-
-    @classmethod
-    def from_function(cls, n: int, fn) -> "OneTwoTensor":
-        return cls(n, {(i, j): fn(i, j) for i in range(n) for j in range(i + 1, n)})
-
-    def pair(self, i: int, j: int):
-        """Value on (e_i, e_j), 0-based, extended antisymmetrically."""
-        if i == j:
-            return (0,) * self.n
-        if i < j:
-            return self.values.get((i, j), tuple([0] * self.n))
-        v = self.values.get((j, i), tuple([0] * self.n))
-        return tuple(-a for a in v)
-
-    def evaluate(self, x, y):
-        out = [0] * self.n
-        for (i, j), v in self.values.items():
-            c = x[i] * y[j] - x[j] * y[i]
-            if c != 0:
-                out = [o + c * a for o, a in zip(out, v)]
-        return vector(out)
-
-    def is_zero(self) -> bool:
-        return not self.values
-
-    def witnesses(self):
-        """Sorted nonzero components as ((i, j, k) 1-based, value)."""
-        out = []
-        for (i, j), v in sorted(self.values.items()):
-            for k, a in enumerate(v):
-                if a != 0:
-                    out.append(((i + 1, j + 1, k + 1), a))
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, OneTwoTensor) and self.n == other.n and self.values == other.values
-
-    def __repr__(self):
-        return f"OneTwoTensor(n={self.n}, nonzero={len(self.values)})"
 
 
 def recursion_operator(a: BilinearForm, b: BilinearForm) -> Endomorphism:
@@ -249,7 +180,7 @@ def pullback(t: Endomorphism, b: BilinearForm) -> BilinearForm:
     return BilinearForm.detect(m)
 
 
-def nijenhuis(L: "LieAlgebra", t: Endomorphism) -> OneTwoTensor:
+def nijenhuis(L: "LieAlgebra", t: Endomorphism) -> Trilinear:
     """Nijenhuis tensor N(x, y) = [Tx,Ty] + T^2 [x,y] - T[Tx,y] - T[x,Ty] on basis pairs.
 
     Along x = e_i it is the matrix
@@ -257,7 +188,8 @@ def nijenhuis(L: "LieAlgebra", t: Endomorphism) -> OneTwoTensor:
         N_i = ad_{Te_i} T + T^2 ad_i - T ad_{Te_i} - T ad_i T
             = [ad_{Te_i}, T] + T [T, ad_i],
 
-    with ad_{Te_i} = sum_k (Te_i)_k ad_k; column j of N_i is N(e_i, e_j).
+    with ad_{Te_i} = sum_k (Te_i)_k ad_k; column j of N_i is N(e_i, e_j), so
+    the tensor's slices are the N_i^T.
     """
     n = L.n
     if t.n != n:
@@ -269,16 +201,15 @@ def nijenhuis(L: "LieAlgebra", t: Endomorphism) -> OneTwoTensor:
         ad_t = linear_combination(m.column(i), ad)
         return ad_t * m - m * ad_t + m * (m * ad[i] - ad[i] * m)
 
-    # N(e_i, e_j) is needed for i < j only
-    n_along = [along(i) for i in range(n - 1)]
-    return OneTwoTensor.from_function(n, lambda i, j: n_along[i].column(j))
+    return Trilinear(tuple(along(i).transpose() for i in range(n)))
 
 
+@lru_cache(maxsize=None)
 def involution_split(t: Endomorphism) -> Splitting:
     """The splitting into the (+1)/(-1) eigenspaces of t, whose involution is t.
 
     Requires t^2 = Id and t != +-Id; eigenspace bases come out in reduced
-    echelon form with deterministic pivoting.
+    echelon form with deterministic pivoting.  Cached by the value of t.
     """
     n = t.n
     ident = Matrix.identity(n)

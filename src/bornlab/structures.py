@@ -379,7 +379,7 @@ def integrability_report(b: BornStructure) -> IntegrabilityReport:
     closed = d_omega.is_zero()
     d_witness = None
     if not closed:
-        (idx, value) = d_omega.witnesses()[0]
+        idx, value = d_omega.first_witness()
         d_witness = Witness.at(idx, value, "d omega")
 
     tensors = {
@@ -393,7 +393,7 @@ def integrability_report(b: BornStructure) -> IntegrabilityReport:
         if vanishing[name]:
             witnesses[name] = None
         else:
-            idx, value = t.witnesses()[0]
+            idx, value = t.first_witness()
             witnesses[name] = Witness.at(idx, value, f"N_{name}")
 
     count = sum(vanishing.values())
@@ -511,7 +511,7 @@ def build_hypersymplectic(
         _require_form(name, form, ANTISYMMETRIC)
         d = ce_d2(L, form)
         if not d.is_zero():
-            idx, value = d.witnesses()[0]
+            idx, value = d.first_witness()
             raise NotClosedError(name, idx, value)
 
     a_op = recursion_operator(omega, alpha)

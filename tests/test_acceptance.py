@@ -24,7 +24,6 @@ from bornlab import (
     born_torsion_formula_defect,
     build_almost_kunneth,
     canonical_connection,
-    ce_d1,
     ce_d2,
     generalized_torsion_defect,
     integrability_report,
@@ -44,9 +43,9 @@ from bornlab import (
     verify_born_identities,
 )
 from bornlab.exact import basis_vector, determinant, invert, vec_sub
-from bornlab.liealg import OneForm
 from bornlab.model import _Materialized
 from bornlab.multilinear import symmetric_form, two_form
+from oracles import OneForm, ce_d1
 
 FAMILY_POINTS = [CirclePoint.from_t(t) for t in (0, 1, -1, Fraction(1, 2), 2, Fraction(3, 5))]
 FAMILY_POINTS.append(CirclePoint.theta_pi())
@@ -140,7 +139,7 @@ def test_criterion_04_h9_corrected_pipeline(catalog_models):
     printed = entry.model.forms["omega_printed"]
     d = ce_d2(L, printed)
     assert not d.is_zero()
-    assert d.witnesses()[0] == ((1, 2, 4), 8)
+    assert d.first_witness() == ((1, 2, 4), 8)
     # and the stated differentials hold for the corrected brackets
     assert ce_d1(L, OneForm.dual(6, 5)) == two_form(6, {(1, 2): 1})
     assert ce_d1(L, OneForm.dual(6, 6)) == two_form(6, {(1, 4): 1, (2, 5): 1})

@@ -1,10 +1,14 @@
 """ce_d2 and nijenhuis against their per-component definitions.
 
-The builders compute n matrix identities (Q_i = ad_i^T M for d omega, N_i
-for the Nijenhuis tensor).  The reference oracles below are the per-triple
-and four-bracket formulas they replaced.  Both are compared on every catalog
+The builders compute n matrix identities (W_i = Q_i^T - Q_i - R_i^T with
+Q_i = ad_i^T M for d omega, N_i for the Nijenhuis tensor).  The reference
+oracles below are the per-triple and four-bracket formulas they replaced,
+filling the full slices pair by pair.  Both are compared on every catalog
 algebra with its forms and operators, and again after seeded unimodular
-changes of basis, which make every entry dense.
+changes of basis, which make every entry dense.  The first witness is
+compared with the first nonzero reference entry with i < j < k for d omega
+and with i < j for N, the entries that determine an alternating tensor and
+one antisymmetric in its first two arguments.
 """
 
 import random
@@ -12,34 +16,34 @@ from fractions import Fraction
 
 import pytest
 
-from bornlab import LieAlgebra, Matrix, ce_d2, invert, nijenhuis
+from bornlab import LieAlgebra, Matrix, Trilinear, ce_d2, invert, nijenhuis
 from bornlab.exact import basis_vector, vec_add, vec_sub
-from bornlab.liealg import ThreeForm
-from bornlab.multilinear import ANTISYMMETRIC, BilinearForm, Endomorphism, OneTwoTensor
+from bornlab.multilinear import ANTISYMMETRIC, BilinearForm, Endomorphism
+from oracles import contract, evaluate, nonzero_entries
 
 SEEDS = (1, 2, 3)
+
+
+def reference_tensor(n, row):
+    """The Trilinear whose slice i has row(i, j) as its row j, filled pair by pair."""
+    return Trilinear(tuple(Matrix([row(i, j) for j in range(n)]) for i in range(n)))
 
 
 def reference_ce_d2(L, m):
     """dw(e_i,e_j,e_k) = -w([e_i,e_j],e_k) + w([e_i,e_k],e_j) - w([e_j,e_k],e_i), triple by triple."""
     n = L.n
+    basis = [basis_vector(n, i) for i in range(n)]
+    rows = m.rows
+    # w_br[i][j][k] = w([e_i,e_j], e_k)
+    w_br = [
+        [[sum(c * rows[a][k] for a, c in enumerate(L.bracket(x, y))) for k in range(n)] for y in basis]
+        for x in basis
+    ]
 
-    def ev(u, v):
-        return sum(ui * sum(a * b for a, b in zip(row, v)) for ui, row in zip(u, m.rows))
+    def row(i, j):
+        return [-w_br[i][j][k] + w_br[i][k][j] - w_br[j][k][i] for k in range(n)]
 
-    coeffs = {}
-    for i in range(n):
-        ei = basis_vector(n, i)
-        for j in range(i + 1, n):
-            ej = basis_vector(n, j)
-            for k in range(j + 1, n):
-                ek = basis_vector(n, k)
-                coeffs[(i, j, k)] = (
-                    -ev(L.basis_bracket(i, j), ek)
-                    + ev(L.basis_bracket(i, k), ej)
-                    - ev(L.basis_bracket(j, k), ei)
-                )
-    return ThreeForm(n, coeffs)
+    return reference_tensor(n, row)
 
 
 def reference_nijenhuis(L, t):
@@ -56,7 +60,12 @@ def reference_nijenhuis(L, t):
         term = vec_sub(term, t.apply(L.bracket(ei, images[j])))
         return term
 
-    return OneTwoTensor.from_function(n, component)
+    return reference_tensor(n, component)
+
+
+def first_entry(t, lower):
+    """The first of nonzero_entries(t, lower), or None."""
+    return next(iter(nonzero_entries(t, lower)), None)
 
 
 def random_unimodular(n, rng):
@@ -106,7 +115,7 @@ def cases(catalog_models, catalog_structures):
 
 
 def test_ce_d2_matches_per_triple_oracle(catalog_models, catalog_structures):
-    checked = 0
+    checked = witnesses = 0
     for name, L, forms, _ in cases(catalog_models, catalog_structures):
         rng = random.Random(name)
         random_form = [[Fraction(0)] * L.n for _ in range(L.n)]
@@ -115,27 +124,38 @@ def test_ce_d2_matches_per_triple_oracle(catalog_models, catalog_structures):
                 random_form[i][j] = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
                 random_form[j][i] = -random_form[i][j]
         for w in forms + [BilinearForm(Matrix(random_form), ANTISYMMETRIC)]:
-            assert ce_d2(L, w) == reference_ce_d2(L, w.matrix), name
+            d, expected = ce_d2(L, w), reference_ce_d2(L, w.matrix)
+            assert d == expected, name
+            assert d.first_witness() == first_entry(expected, 2), name
             checked += 1
+            witnesses += d.first_witness() is not None
     assert checked > 40
+    assert witnesses > 25
 
 
 def test_nijenhuis_matches_four_bracket_oracle(catalog_models, catalog_structures):
-    checked = 0
+    checked = witnesses = 0
     for name, L, _, endos in cases(catalog_models, catalog_structures):
         rng = random.Random(name)
         random_endo = Endomorphism(
             Matrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(L.n)] for _ in range(L.n)])
         )
         for t in endos + [random_endo]:
-            assert nijenhuis(L, t) == reference_nijenhuis(L, t), name
+            n_t, expected = nijenhuis(L, t), reference_nijenhuis(L, t)
+            assert n_t == expected, name
+            assert n_t.first_witness() == first_entry(expected, 1), name
             checked += 1
+            witnesses += n_t.first_witness() is not None
     assert checked > 40
+    assert witnesses > 15
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_builders_are_covariant_under_change_of_basis(catalog_models, catalog_structures, seed):
-    """d omega and N_T in the basis P e_a are the originals evaluated on P e_a (N mapped back by P^-1)."""
+    """d omega and N_T in the basis P e_a are the originals evaluated on P e_a (N mapped back by P^-1).
+
+    The originals are evaluated through their slices, the moved tensors read entry by entry.
+    """
     for name, L, forms, endos in catalog_cases(catalog_models, catalog_structures):
         p = random_unimodular(L.n, random.Random(f"{name}-{seed}"))
         p_inv = invert(p)
@@ -144,11 +164,13 @@ def test_builders_are_covariant_under_change_of_basis(catalog_models, catalog_st
         for w in forms:
             d, d_moved = ce_d2(L, w), ce_d2(moved, BilinearForm(p.transpose() * w.matrix * p, ANTISYMMETRIC))
             for i in range(L.n):
+                along = contract(d, cols[i])
                 for j in range(i + 1, L.n):
                     for k in range(j + 1, L.n):
-                        assert d_moved.component(i, j, k) == d.evaluate(cols[i], cols[j], cols[k]), name
+                        assert d_moved.slices[i].entry(j + 1, k + 1) == evaluate(along, cols[j], cols[k]), name
         for t in endos:
             n_t, n_moved = nijenhuis(L, t), nijenhuis(moved, Endomorphism(p_inv * t.matrix * p))
             for i in range(L.n):
+                along = contract(n_t, cols[i])
                 for j in range(i + 1, L.n):
-                    assert n_moved.pair(i, j) == p_inv.matvec(n_t.evaluate(cols[i], cols[j])), name
+                    assert n_moved.slices[i].rows[j] == p_inv.matvec(evaluate(along, cols[j])), name

@@ -93,7 +93,7 @@ def test_h9_printed_omega_fails_closedness():
     entry = catalog.get_entry("h9_corrected")
     printed = entry.model.forms["omega_printed"]
     d = ce_d2(entry.model.algebra, printed)
-    assert d.witnesses()[0] == ((1, 2, 4), 8)
+    assert d.first_witness() == ((1, 2, 4), 8)
     assert ce_d2(entry.model.algebra, entry.model.forms["omega"]).is_zero()
 
 

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from bornlab import LieAlgebra, OneForm, ce_d1, ce_d2, is_closed, is_subalgebra, jacobi_defect
+from bornlab import LieAlgebra, ce_d2, is_closed, is_subalgebra, jacobi_defect
 from bornlab.errors import DimensionMismatchError, JacobiViolationError
 from bornlab.exact import Subspace, basis_vector
-from bornlab.liealg import wedge_one_one, wedge_two_one
 from bornlab.multilinear import two_form
+from oracles import OneForm, ce_d1, nonzero_entries, wedge_one_one, wedge_two_one
 
 
 def e(n, i):
@@ -131,7 +131,7 @@ def test_d2_abelian_zero():
 def test_d2_fixture_form_not_closed(nil3):
     w = two_form(4, {(1, 2): 1, (4, 3): 1})
     d = ce_d2(nil3, w)
-    assert d.witnesses() == [((1, 2, 4), Fraction(1))]
+    assert nonzero_entries(d, lower=2) == [((1, 2, 4), Fraction(1))]
     assert not is_closed(nil3, w)
 
 
@@ -155,12 +155,7 @@ def test_leibniz_rule(nil3, h4_algebra):
             lhs = ce_d2(L, wedge_one_one(a, b))
             rhs_plus = wedge_two_one(ce_d1(L, a), b)
             rhs_minus = wedge_two_one(ce_d1(L, b), a)
-            for i in range(L.n):
-                for j in range(i + 1, L.n):
-                    for k in range(j + 1, L.n):
-                        lv = lhs.component(i, j, k)
-                        rv = rhs_plus.component(i, j, k) - rhs_minus.component(i, j, k)
-                        assert lv == rv
+            assert lhs.slices == tuple(p - m for p, m in zip(rhs_plus.slices, rhs_minus.slices))
 
 
 # --- subalgebras --------------------------------------------------------

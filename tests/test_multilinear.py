@@ -19,7 +19,8 @@ from bornlab import (
     recursion_operator,
 )
 from bornlab.errors import DegenerateFormError, NotInvolutionError, TrivialInvolutionError
-from bornlab.exact import basis_vector, determinant
+from bornlab import multilinear
+from bornlab.exact import basis_vector, determinant, invert, kernel_basis
 from bornlab.multilinear import symmetric_form, two_form
 
 
@@ -166,7 +167,7 @@ def test_nijenhuis_h4_j_zero(h4_algebra):
 def test_nijenhuis_product_structure_detects_nonintegrability(nil3):
     p = Endomorphism(Matrix.diagonal([1, 1, -1, -1]))
     n = nijenhuis(nil3, p)
-    assert n.pair(0, 1) == (0, 0, 4, 0)  # N(e1, e2) = 4 e3
+    assert n.slices[0].rows[1] == (0, 0, 4, 0)  # N(e1, e2) = 4 e3
     assert not n.is_zero()
 
 
@@ -176,7 +177,7 @@ def test_nijenhuis_antisymmetric_in_lower_slots(nil3):
     n = nijenhuis(nil3, t)
     for i in range(4):
         for j in range(4):
-            assert n.pair(i, j) == tuple(-v for v in n.pair(j, i))
+            assert n.slices[i].rows[j] == tuple(-v for v in n.slices[j].rows[i])
 
 
 def test_nijenhuis_zero_iff_eigenspaces_subalgebras(nil3, h4_algebra):
@@ -246,6 +247,22 @@ def test_involution_split_errors():
         involution_split(Endomorphism.identity(3))
     with pytest.raises(TrivialInvolutionError):
         involution_split(Endomorphism(-Matrix.identity(3)))
+
+
+def test_involution_split_is_cached_by_value(monkeypatch):
+    eigenspace_solves = []
+    monkeypatch.setattr(multilinear, "kernel_basis", lambda m: eigenspace_solves.append(m) or kernel_basis(m))
+    p = Matrix([[1, 2, 0, 0, 1], [0, 1, 3, 0, 0], [0, 0, 1, -1, 0], [0, 0, 0, 1, 2], [0, 0, 0, 0, 1]])
+    involution = p * Matrix.diagonal([1, -1, 1, -1, -1]) * invert(p)
+    first = involution_split(Endomorphism(involution))
+    solved = len(eigenspace_solves)
+    # an equal involution built anew is answered from the cache
+    assert involution_split(Endomorphism(Matrix(involution.rows))) is first
+    assert len(eigenspace_solves) == solved
+    # errors are not cached: a non-involution raises on every call
+    for _ in range(2):
+        with pytest.raises(NotInvolutionError):
+            involution_split(Endomorphism(Matrix([[1, 1], [0, 1]])))
 
 
 # --- anticommutators ---------------------------------------------------------
