@@ -9,6 +9,10 @@ property is an identity between exact matrices:
     b parallel        nabla_{e_i} b = -(Gamma_i^T M_b + M_b Gamma_i) = 0
     commutes with T   [Gamma_i, T] = 0
 
+When M_b^T = eps M_b (eps = +1 for a symmetric form, -1 for an
+antisymmetric one), Gamma_i^T M_b = eps (M_b Gamma_i)^T, so b is parallel
+exactly when -(P_i + eps P_i^T) = 0, with one product P_i = M_b Gamma_i.
+
 The canonical and Born connections are averages under conjugation:
 
     canonical         Gamma^c_i = (Gamma^g_i + A Gamma^g_i A) / 2
@@ -22,7 +26,8 @@ x_a are the bases of the two subspaces.  For a bilinear map M stored as n
 matrices M_i (column j of M_i is M(e_i, e_j)), column c of (sum_i P_ia M_i) P
 is M(x_a, x_c): mixed torsion takes M = T, the torsion formula of the Born
 connection M_i = T_i + pi_+ Gamma^K_i - pi_- E_i (column j of E_i is
-Gamma^K_j e_i).  A connection preserves both subspaces exactly when the
+Gamma^K_j e_i), which equals T_i + pi_+ (Gamma^K_i + E_i) - E_i as
+pi_- = Id - pi_+.  A connection preserves both subspaces exactly when the
 off-diagonal blocks of P^-1 Gamma_i P vanish.
 
 Every constructor re-verifies the defining properties of what it built and
@@ -115,20 +120,26 @@ def _frame_witnesses(matrices, frame: Matrix, rows: range, cols: range):
 
 
 def nabla_form(L: LieAlgebra, c: Connection, b: BilinearForm) -> Trilinear:
-    """(nabla_{e_i} b)(e_j, e_k) = -(Gamma_i^T M_b + M_b Gamma_i)[j][k]; zero iff b is parallel."""
+    """(nabla_{e_i} b)(e_j, e_k) = -(Gamma_i^T M_b + M_b Gamma_i)[j][k]; zero iff b is parallel.
+
+    Gamma_i^T M_b comes from P_i = M_b Gamma_i (`BilinearForm.transpose_times`).
+    """
     m = b.matrix
-    return Trilinear(tuple(-(g.transpose() * m + m * g) for g in c.gammas))
+    p = [m * g for g in c.gammas]
+    return Trilinear(tuple(-(b.transpose_times(g, p_i) + p_i) for g, p_i in zip(c.gammas, p)))
 
 
 def _commutes(c: Connection, t: Endomorphism) -> bool:
-    """[Gamma_i, T] = 0 for every i."""
-    return all((g * t.matrix - t.matrix * g).is_zero() for g in c.gammas)
+    """Gamma_i T = T Gamma_i for every i."""
+    return all(g * t.matrix == t.matrix * g for g in c.gammas)
 
 
 def _conjugate_average(c: Connection, t: Endomorphism, sign: int) -> Connection:
     """(Gamma_i + sign * T Gamma_i T) / 2 for every i."""
     m = t.matrix
-    return Connection(tuple((g + m * g * m * sign) * HALF for g in c.gammas))
+    if sign > 0:
+        return Connection(tuple((g + m * g * m) * HALF for g in c.gammas))
+    return Connection(tuple((g - m * g * m) * HALF for g in c.gammas))
 
 
 @lru_cache(maxsize=None)
@@ -293,19 +304,18 @@ def omega_K_defect(k: AlmostKunneth) -> Trilinear:
     With C_i = sum_a (A e_i)_a W_a the matrix of i_{A e_i} d omega (W_a the
     slices of d omega), the i-th slice of the defect is
     (Gamma^K_i - Gamma^c_i)^T M_omega + (pi_G^T C_i pi_F - pi_F^T C_i pi_G) / 2.
+    As pi_G = Id - pi_F and C_i is antisymmetric (d omega is alternating),
+    the correction is (X_i + X_i^T) / 2 with X_i = C_i pi_F.
     """
     L, m = k.algebra, k.omega.matrix
     kunneth = kunneth_connection(k)
     split = splitting(k.plus, k.minus)
     canonical = canonical_connection(L, neutral_metric(k), almost_product(k))
     d_omega = ce_d2(L, k.omega)
-    pi_f, pi_g = split.pi_plus, split.pi_minus
-    pi_f_t, pi_g_t = pi_f.transpose(), pi_g.transpose()
     out = []
     for i, (nk_i, nc_i) in enumerate(zip(kunneth.gammas, canonical.gammas)):
-        c_i = linear_combination(split.involution.column(i), d_omega.slices)
-        correction = (pi_g_t * c_i * pi_f - pi_f_t * c_i * pi_g) * HALF
-        out.append((nk_i - nc_i).transpose() * m + correction)
+        x_i = linear_combination(split.involution.column(i), d_omega.slices) * split.pi_plus
+        out.append((nk_i - nc_i).transpose() * m + (x_i + x_i.transpose()) * HALF)
     return Trilinear(tuple(out))
 
 
@@ -332,9 +342,10 @@ def born_torsion_formula_defect(b: BornStructure) -> StructureReport:
         items.append(CheckItem(f"T = 0 on {name} x {name}", witness is None, witness))
 
     # D(x, y) = T(x, y) + pi+(nabla^K_x y) - pi-(nabla^K_y x) along e_i is
-    # D_i = T_i + pi+ Gamma^K_i - pi- E_i, with column j of E_i equal to Gamma^K_j e_i
+    # D_i = T_i + pi+ Gamma^K_i - pi- E_i = T_i + pi+ (Gamma^K_i + E_i) - E_i,
+    # with column j of E_i equal to Gamma^K_j e_i
     e = column_slices(kunneth.gammas)
-    d = [t_i + split.pi_plus * g_i - split.pi_minus * e_i for t_i, g_i, e_i in zip(t, kunneth.gammas, e)]
+    d = [t_i + split.pi_plus * (g_i + e_i) - e_i for t_i, g_i, e_i in zip(t, kunneth.gammas, e)]
     witness = next(_frame_witnesses(d, split.frame, range(p), range(p, L.n)), None)
     items.append(
         CheckItem("T(x,y) = -pi+(nabla^K_x y) + pi-(nabla^K_y x) on B+ x B-", witness is None, witness)

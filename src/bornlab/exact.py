@@ -14,8 +14,9 @@ canonical form with one gcd over the whole matrix; products skip zero
 factors.  Determinant, inverse and reduced row echelon form use
 fraction-free Gauss-Jordan elimination on the numerators (Bareiss 1968,
 "Sylvester's identity and multistep integer-preserving Gaussian
-elimination"), whose divisions are all exact.  A Subspace keeps its echelon
-basis as integer rows too, so membership tests never leave the integers.
+elimination"), and the signature its symmetric form; all their divisions
+are exact.  A Subspace keeps its echelon basis as integer rows too, so
+membership tests never leave the integers.
 
 A Splitting of the space into two complementary subspaces holds the frame
 adapted to it, its inverse, the two projections and the involution; it is
@@ -29,8 +30,7 @@ are kept this way.
 Fractions (fractions.Fraction, reduced, with ZERO for zero) appear only at
 the boundary: vectors are tuples of Fractions, and `Matrix.rows`, `entry`,
 `column`, `first_nonzero` and `matvec` return Fractions.  `rows` is built on
-each access, so code that loops over entries reads `num` and `den`.  The
-signature reduction still works on Fractions, through `rows`.
+each access, so code that loops over entries reads `num` and `den`.
 """
 
 from __future__ import annotations
@@ -504,58 +504,45 @@ class Signature:
 
 
 def signature_of_symmetric(m: Matrix) -> Signature:
-    """Sylvester inertia by exact symmetric congruence reduction.
+    """Sylvester inertia by fraction-free symmetric elimination (Bareiss 1968).
 
-    Pivots are taken at the lowest available diagonal index.  When every
-    remaining diagonal entry is zero but some off-diagonal entry m_ij is not,
-    the congruence e_i -> e_i + e_j turns 2*m_ij into a usable diagonal pivot
-    (hyperbolic repair).
+    Pivots are taken at the lowest available diagonal index of the trailing
+    block, which is swapped to its front.  When every remaining diagonal
+    entry is zero but some off-diagonal entry a_ij is not, the congruence
+    e_i -> e_i + e_j turns 2*a_ij into a usable diagonal pivot (hyperbolic
+    repair).  The integer block is prev times the Schur complement of the
+    eliminated pivots, prev the last pivot: the step with pivot p takes
+    a_rc to (p * a_rc - a_rk * a_kc) / prev, which divides exactly, and the
+    pivot of the congruence diagonal is p / prev.
     """
     if not m.is_symmetric():
         raise NotSymmetricError("signature requires a symmetric matrix")
-    n = m.n
-    a = [list(row) for row in m.rows]
-
-    def congruence_add(i, j, f):
-        # basis change e_i -> e_i + f e_j applied on both sides
-        for c in range(n):
-            a[i][c] += f * a[j][c]
-        for r in range(n):
-            a[r][i] += f * a[r][j]
-
-    def congruence_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        for r in range(n):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-
+    a = [list(row) for row in m.num]
     pos = neg = 0
-    for corner in range(n):
-        pivot = next((r for r in range(corner, n) if a[r][r] != 0), None)
+    prev = 1
+    while a:
+        pivot = next((r for r, row in enumerate(a) if row[r]), None)
         if pivot is None:
-            pair = next(
-                (
-                    (i, j)
-                    for i in range(corner, n)
-                    for j in range(i + 1, n)
-                    if a[i][j] != 0
-                ),
-                None,
-            )
+            pair = next(((i, j) for i, row in enumerate(a) for j in range(i + 1, len(a)) if row[j]), None)
             if pair is None:
                 break  # remaining block is identically zero
-            congruence_add(pair[0], pair[1], ONE)
-            pivot = pair[0]
-        if pivot != corner:
-            congruence_swap(pivot, corner)
-        d = a[corner][corner]
-        if d > 0:
+            i, j = pair
+            a[i] = list(map(add, a[i], a[j]))
+            for row in a:
+                row[i] += row[j]
+            pivot = i
+        a[0], a[pivot] = a[pivot], a[0]
+        for row in a:
+            row[0], row[pivot] = row[pivot], row[0]
+        top = a[0]
+        p = top[0]
+        if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        for r in range(corner + 1, n):
-            if a[r][corner] != 0:
-                congruence_add(r, corner, -a[r][corner] / d)
-    return Signature(pos, neg, n - pos - neg)
+        a = [[(p * v - row[0] * w) // prev for v, w in zip(row[1:], top[1:])] for row in a[1:]]
+        prev = p
+    return Signature(pos, neg, m.n - pos - neg)
 
 
 # ---------------------------------------------------------------------------

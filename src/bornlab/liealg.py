@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import add, mul, sub
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatchError, JacobiViolationError
@@ -27,7 +28,6 @@ from .exact import (
     column_slices,
     format_rational,
     from_integers,
-    linear_combination,
     rationalize,
     to_integers,
     vec_is_zero,
@@ -82,10 +82,9 @@ class LieAlgebra:
         key = (n, tuple((k, tuple(v.items())) for k, v in self.brackets.items()))
         object.__setattr__(self, "_hash", hash(key))
         if check:
-            defect = jacobi_defect(self)
-            for (i, j, k, l), value in sorted(defect.items()):
-                if value != 0:
-                    raise JacobiViolationError((i, j, k, l), value)
+            for index, value in _jacobi_sums(self):
+                if value:
+                    raise JacobiViolationError(index, Fraction(value, dc * dc))
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -138,23 +137,42 @@ class LieAlgebra:
         return f"LieAlgebra(dim={self.n}, {rels or 'abelian'})"
 
 
+def _jacobi_sums(L: LieAlgebra):
+    """The Jacobi sums as integers over dc^2, dc the denominator of the structure constants.
+
+    Yields ((i, j, k, l) 1-based, numerator) for i < j < k in lexicographic
+    order.  With A_ij = ad_{[e_i,e_j]} = sum_m c^m_ij ad_m, the sum
+    [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] at (i, j, k) is
+    column k of A_ij + column i of A_jk - column j of A_ik.
+    """
+    n = L.n
+    dc = L._constants[0]
+    ad = [list(zip(*m.num_over(dc))) for m in L._ad]  # ad[m][c]: column c of ad_m
+    # entries[c][r] is entry r of column c of every ad_m, so entry r of column
+    # c of A_ij is its dot product with column j of ad_i, the c^m_ij
+    entries = [list(zip(*(cols[c] for cols in ad))) for c in range(n)]
+    zero = [(0,) * n] * n
+    a = {}  # a[i, j][c]: column c of A_ij
+    for i in range(n):
+        for j in range(i + 1, n):
+            c = ad[i][j]
+            a[i, j] = [[sum(map(mul, c, e)) for e in column] for column in entries] if any(c) else zero
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                sums = map(sub, map(add, a[i, j][k], a[j, k][i]), a[i, k][j])
+                for l, value in enumerate(sums):
+                    yield (i + 1, j + 1, k + 1, l + 1), value
+
+
 def jacobi_defect(L: LieAlgebra) -> dict:
     """All Jacobi sums [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j].
 
     Keys are 1-based (i, j, k, l) for i < j < k; the algebra satisfies Jacobi
-    exactly when every value is zero.  Column k of
-    D_ij = ad_{[e_i,e_j]} - [ad_i, ad_j] is the Jacobi sum at (i, j, k).
+    exactly when every value is zero.
     """
-    n = L.n
-    ad = [L.ad(i) for i in range(n)]
-    out = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = linear_combination(ad[i].column(j), ad) - (ad[i] * ad[j] - ad[j] * ad[i])
-            for k in range(j + 1, n):
-                for l, value in enumerate(d.column(k)):
-                    out[(i + 1, j + 1, k + 1, l + 1)] = value
-    return out
+    dc = L._constants[0]
+    return {index: Fraction(value, dc * dc) for index, value in _jacobi_sums(L)}
 
 
 class SubalgebraResult:

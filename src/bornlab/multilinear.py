@@ -89,6 +89,14 @@ class BilinearForm:
     def negated(self) -> "BilinearForm":
         return BilinearForm(-self.matrix, self.symmetry)
 
+    def transpose_times(self, t: Matrix, mt: Matrix) -> Matrix:
+        """T^T M, given mt = M T: (M T)^T or -(M T)^T when M^T = M or -M, else a product."""
+        if self.symmetry == SYMMETRIC:
+            return mt.transpose()
+        if self.symmetry == ANTISYMMETRIC:
+            return -mt.transpose()
+        return t.transpose() * self.matrix
+
     def __eq__(self, other):
         return (
             isinstance(other, BilinearForm)
@@ -186,22 +194,17 @@ def nijenhuis(L: "LieAlgebra", t: Endomorphism) -> Trilinear:
     Along x = e_i it is the matrix
 
         N_i = ad_{Te_i} T + T^2 ad_i - T ad_{Te_i} - T ad_i T
-            = [ad_{Te_i}, T] + T [T, ad_i],
+            = sum_k T_ki V_k - T V_i,   V_k = [ad_k, T],
 
-    with ad_{Te_i} = sum_k (Te_i)_k ad_k; column j of N_i is N(e_i, e_j), so
-    the tensor's slices are the N_i^T.
+    since ad_{Te_i} = sum_k T_ki ad_k; column j of N_i is N(e_i, e_j), so the
+    tensor's slices are the N_i^T.
     """
     n = L.n
     if t.n != n:
         raise DimensionMismatchError("endomorphism dimension does not match algebra")
     m = t.matrix
-    ad = [L.ad(i) for i in range(n)]
-
-    def along(i):
-        ad_t = linear_combination(m.column(i), ad)
-        return ad_t * m - m * ad_t + m * (m * ad[i] - ad[i] * m)
-
-    return Trilinear(tuple(along(i).transpose() for i in range(n)))
+    v = [L.ad(k) * m - m * L.ad(k) for k in range(n)]
+    return Trilinear(tuple((linear_combination(m.column(i), v) - m * v[i]).transpose() for i in range(n)))
 
 
 @lru_cache(maxsize=None)

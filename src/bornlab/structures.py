@@ -271,11 +271,14 @@ def verify_born_identities(b: BornStructure) -> StructureReport:
         defect = anticommutator_defect(ops[x], ops[y])
         items.append(CheckItem(f"{x}{y} + {y}{x} = 0", defect.is_zero(), _matrix_witness(defect)))
 
+    # with X = M T, T^T M = eps X^T when M^T = eps M, and T^T M T = (T^T M) T
     for form_name, op_name, both_sign, mixed_sign in IDENTITY_TABLE:
-        m = forms[form_name].matrix
-        t = ops[op_name].matrix
+        form = forms[form_name]
+        m, t = form.matrix, ops[op_name].matrix
+        x = m * t
+        t_m = form.transpose_times(t, x)
         sign = "" if both_sign == 1 else "-"
-        defect = t.transpose() * m * t - m * both_sign
+        defect = t_m * t - m if both_sign == 1 else t_m * t + m
         items.append(
             CheckItem(
                 f"{form_name}({op_name}x,{op_name}y) = {sign}{form_name}(x,y)",
@@ -284,7 +287,7 @@ def verify_born_identities(b: BornStructure) -> StructureReport:
             )
         )
         sign = "" if mixed_sign == 1 else "-"
-        defect = t.transpose() * m - m * t * mixed_sign
+        defect = t_m - x if mixed_sign == 1 else t_m + x
         items.append(
             CheckItem(
                 f"{form_name}({op_name}x,y) = {sign}{form_name}(x,{op_name}y)",

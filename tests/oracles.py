@@ -1,12 +1,15 @@
-"""Test-only oracles: one-forms with their differential and wedge products, and
-readers of Trilinear tensors that do not go through the engine's scan.
+"""Test-only oracles: one-forms with their differential and wedge products,
+readers of Trilinear tensors that do not go through the engine's scan, and
+two computations of Sylvester inertia.
 
 The engine needs d on two-forms only.  The d^2 = 0 and Leibniz tests, and the
 acceptance criteria on stated differentials, check ce_d2 against the
 one-form differential and the wedge products defined here pair by pair.
+The engine's fraction-free inertia is checked against a congruence reduction
+on Fractions and against the signs of the characteristic polynomial.
 """
 
-from bornlab import BilinearForm, LieAlgebra, Matrix, Trilinear
+from bornlab import BilinearForm, LieAlgebra, Matrix, Signature, Trilinear
 from bornlab.exact import basis_vector, vector
 from bornlab.multilinear import ANTISYMMETRIC
 
@@ -87,3 +90,71 @@ def evaluate(rows, y, z=None):
     """
     out = [sum(yj * row[k] for yj, row in zip(y, rows) if yj) for k in range(len(rows))]
     return vector(out) if z is None else sum(a * b for a, b in zip(out, z))
+
+
+def congruence_signature(m: Matrix) -> Signature:
+    """Sylvester inertia by symmetric congruence reduction on Fractions.
+
+    Pivots are taken at the lowest available diagonal index.  When every
+    remaining diagonal entry is zero but some off-diagonal entry m_ij is not,
+    the congruence e_i -> e_i + e_j turns 2*m_ij into a usable diagonal pivot.
+    """
+    n = m.n
+    a = [list(row) for row in m.rows]
+
+    def congruence_add(i, j, f):
+        # basis change e_i -> e_i + f e_j applied on both sides
+        for c in range(n):
+            a[i][c] += f * a[j][c]
+        for r in range(n):
+            a[r][i] += f * a[r][j]
+
+    def congruence_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        for r in range(n):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+
+    pos = neg = 0
+    for corner in range(n):
+        pivot = next((r for r in range(corner, n) if a[r][r] != 0), None)
+        if pivot is None:
+            pair = next(((i, j) for i in range(corner, n) for j in range(i + 1, n) if a[i][j] != 0), None)
+            if pair is None:
+                break  # remaining block is identically zero
+            congruence_add(pair[0], pair[1], 1)
+            pivot = pair[0]
+        if pivot != corner:
+            congruence_swap(pivot, corner)
+        d = a[corner][corner]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for r in range(corner + 1, n):
+            if a[r][corner] != 0:
+                congruence_add(r, corner, -a[r][corner] / d)
+    return Signature(pos, neg, n - pos - neg)
+
+
+def _sign_changes(coefficients) -> int:
+    signs = [c > 0 for c in coefficients if c != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def descartes_signature(m: Matrix) -> Signature:
+    """Sylvester inertia from the characteristic polynomial chi, without elimination (needs sympy).
+
+    A real symmetric matrix has only real eigenvalues, so by Descartes' rule
+    of signs the positive ones, counted with multiplicity, are the sign
+    changes of the coefficients of chi(x), the negative ones those of
+    chi(-x), and the null ones the multiplicity of the root 0.
+    """
+    import sympy
+
+    x = sympy.Symbol("x")
+    rows = [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in m.rows]
+    coefficients = sympy.Matrix(rows).charpoly(x).all_coeffs()  # leading coefficient first
+    null = len(coefficients) - 1 - max(k for k, c in enumerate(coefficients) if c != 0)
+    degree = len(coefficients) - 1
+    mirrored = [c if (degree - k) % 2 == 0 else -c for k, c in enumerate(coefficients)]
+    return Signature(_sign_changes(coefficients), _sign_changes(mirrored), null)

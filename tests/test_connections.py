@@ -37,7 +37,7 @@ from bornlab.errors import DegenerateFormError, NotIntegrableError
 from bornlab.exact import basis_vector, determinant, invert, projection_onto, vec_sub
 from bornlab.liealg import ce_d2
 from bornlab.model import _Materialized
-from bornlab.multilinear import symmetric_form, two_form
+from bornlab.multilinear import ANTISYMMETRIC, NOSYM, SYMMETRIC, symmetric_form, two_form
 from oracles import contract, evaluate, nonzero_entries
 from test_builders import cases, first_entry, reference_ce_d2, reference_tensor
 from test_frames import kunneth_cases, random_connection, random_matrix
@@ -459,12 +459,17 @@ def test_defect_witnesses_match_pairwise_definitions(catalog_models, catalog_str
     for name, L, _, _ in cases(catalog_models, catalog_structures):
         c, cc = random_connection(L.n, rng), random_connection(L.n, rng)
         m = random_matrix(L.n, rng)
-        g = BilinearForm(m + m.transpose())
-        for t, expected, lower in (
-            (torsion(L, c), reference_torsion(L, c), 1),
-            (nabla_form(L, c, g), reference_nabla_form(c, g), 0),
-            (generalized_torsion_defect(L, c, cc, g), reference_generalized_torsion(c, cc, g), 0),
-        ):
+        # nabla_form takes one branch per declared symmetry
+        forms = (
+            BilinearForm(m + m.transpose(), SYMMETRIC),
+            BilinearForm(m - m.transpose(), ANTISYMMETRIC),
+            BilinearForm(m, NOSYM),
+        )
+        checks = [(torsion(L, c), reference_torsion(L, c), 1)]
+        checks += [(nabla_form(L, c, b), reference_nabla_form(c, b), 0) for b in forms]
+        g = forms[0]
+        checks.append((generalized_torsion_defect(L, c, cc, g), reference_generalized_torsion(c, cc, g), 0))
+        for t, expected, lower in checks:
             assert t == expected, name
             assert t.first_witness() == first_entry(expected, lower), name
             witnesses += t.first_witness() is not None
@@ -478,7 +483,7 @@ def test_defect_witnesses_match_pairwise_definitions(catalog_models, catalog_str
         assert t == expected, name
         assert t.first_witness() == first_entry(expected, 0), name
         witnesses += t.first_witness() is not None
-    assert witnesses > 150
+    assert witnesses > 250
 
 
 # --- omega_k relation ----------------------------------------------------

@@ -7,7 +7,9 @@ linear combinations, brackets and subspace reduction run on integers; each
 is checked here against the textbook Fraction formula on inputs with zeros,
 negatives and large or coprime denominators.  Determinant, inverse, rank and
 reduced row echelon form run on fraction-free elimination; they are checked
-against sympy where it is installed.
+against sympy where it is installed.  Sylvester inertia runs on symmetric
+fraction-free elimination; it is checked against a congruence reduction on
+Fractions and against the sign changes of the characteristic polynomial.
 """
 
 import random
@@ -15,11 +17,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from bornlab import LieAlgebra, Matrix, determinant, invert
+from bornlab import LieAlgebra, Matrix, determinant, invert, signature_of_symmetric
 from bornlab.errors import SingularMatrixError
 from bornlab.exact import Subspace, column_slices, linear_combination, rank_of, rref
+from oracles import congruence_signature, descartes_signature
 
 ZERO = Fraction(0)
 
@@ -317,3 +320,40 @@ def test_rref_matches_sympy_on_rectangular_inputs():
         ours, our_pivots = rref(rows)
         assert tuple(ours) == expected
         assert tuple(our_pivots) == tuple(pivots)
+
+
+# --- inertia against two oracles ---------------------------------------------
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric n x n for n in 1..10: general, with an all-zero diagonal, or singular of low rank."""
+    n = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(("general", "zero_diagonal", "low_rank")))
+    rows = [[ZERO] * n for _ in range(n)]
+    if kind == "low_rank":
+        # sum of r < n terms d v v^T
+        for _ in range(draw(st.integers(0, n - 1))):
+            d = draw(SCALARS.filter(bool))
+            v = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+            rows = [[x + d * v[i] * v[j] for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        return Matrix(rows)
+    for i in range(n):
+        for j in range(i if kind == "general" else i + 1, n):
+            rows[i][j] = rows[j][i] = draw(SCALARS)
+    return Matrix(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_matrices())
+# a negative pivot before a positive one, and before a negative one
+@example(Matrix.diagonal([-1, 1]))
+@example(Matrix.diagonal([1, -1, -1]))
+# the hyperbolic repair after a negative pivot
+@example(Matrix([[-1, 0, 0], [0, 0, 3], [0, 3, 0]]))
+@example(Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 0]]))
+def test_signature_matches_congruence_and_descartes(m):
+    pytest.importorskip("sympy")
+    sig = signature_of_symmetric(m)
+    assert sig == congruence_signature(m)
+    assert sig == descartes_signature(m)

@@ -7,6 +7,7 @@ import pytest
 
 from bornlab import (
     BilinearForm,
+    BornStructure,
     CirclePoint,
     Endomorphism,
     LieAlgebra,
@@ -31,9 +32,12 @@ from bornlab.errors import (
     NotComplementaryError,
     NotIsotropicError,
 )
-from bornlab.exact import basis_vector
+from bornlab.exact import basis_vector, invert
 from bornlab.model import _Materialized
-from bornlab.multilinear import symmetric_form, two_form
+from bornlab.multilinear import ANTISYMMETRIC, SYMMETRIC, symmetric_form, two_form
+from bornlab.structures import IDENTITY_TABLE, Witness
+from test_exact import random_invertible
+from test_frames import random_matrix, random_splitting
 
 
 _cache = {}
@@ -238,6 +242,57 @@ def test_identities_fail_on_corrupted_structure(catalog_models):
     assert not report.ok
     failed = report.failures()[0]
     assert failed.witness is not None
+
+
+def reference_identity_items(b):
+    """The eighteen identity-table rows from T^T M T - s M and T^T M - s' M T."""
+    forms = {"g": b.g.matrix, "h": b.h.matrix, "omega": b.omega.matrix}
+    ops = {"A": b.a_op.matrix, "B": b.b_op.matrix, "J": b.j_op.matrix}
+    items = []
+    for form_name, op_name, both_sign, mixed_sign in IDENTITY_TABLE:
+        m, t = forms[form_name], ops[op_name]
+        for defect, lhs, rhs, sign in (
+            (t.transpose() * m * t - m * both_sign, f"{op_name}x,{op_name}y", "x,y", both_sign),
+            (t.transpose() * m - m * t * mixed_sign, f"{op_name}x,y", f"x,{op_name}y", mixed_sign),
+        ):
+            hit = defect.first_nonzero()
+            witness = None if hit is None else Witness.at(hit[:2], hit[2])
+            name = f"{form_name}({lhs}) = {'' if sign == 1 else '-'}{form_name}({rhs})"
+            items.append((name, hit is None, witness))
+    return items
+
+
+def test_identity_table_matches_product_formulas(catalog_models):
+    """Born structures built directly from random forms of each declared
+    symmetry and random operators (B an involution, as the frames need) fail
+    most rows; every row must match the four-product formulas."""
+    rng = random.Random(53)
+    failures = 0
+    for n in (2, 3, 4, 5, 6):
+        for _ in range(3):
+            m, k = random_matrix(n, rng), random_matrix(n, rng)
+            p = random_invertible(rng, n)
+            signs = Matrix.diagonal([1] + [-1] + [rng.choice((1, -1)) for _ in range(n - 2)])
+            split = random_splitting(n, rng)
+            b = BornStructure(
+                LieAlgebra.abelian(n),
+                BilinearForm(m + m.transpose(), SYMMETRIC),
+                BilinearForm(k + k.transpose(), SYMMETRIC),
+                BilinearForm(m - m.transpose(), ANTISYMMETRIC),
+                Endomorphism(random_matrix(n, rng)),
+                Endomorphism(p * signs * invert(p)),
+                Endomorphism(random_matrix(n, rng)),
+                split.plus,
+                split.minus,
+            )
+            table = [(i.name, i.ok, i.witness) for i in verify_born_identities(b).items[4:22]]
+            assert table == reference_identity_items(b)
+            failures += sum(not ok for _, ok, _ in table)
+    for entry in catalog_models.values():
+        for born in borns_of(entry):
+            table = [(i.name, i.ok, i.witness) for i in verify_born_identities(born).items[4:22]]
+            assert table == reference_identity_items(born)
+    assert failures > 200
 
 
 def test_torus_2_2_signature(catalog_models):
