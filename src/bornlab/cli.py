@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from . import catalog
 from .errors import BornlabError
@@ -101,7 +102,13 @@ def _cmd_family(args) -> int:
     return 0 if ok else 1
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser tree, built on the first call and shared by every later one.
+
+    Parsing keeps no state on the parsers: each call returns a fresh
+    namespace, and the defaults are read from the parsers, never written.
+    """
     parser = argparse.ArgumentParser(
         prog="bornlab",
         description="Exact verification of Born, Kunneth and hypersymplectic structures on Lie algebras.",
@@ -131,8 +138,11 @@ def main(argv=None) -> int:
     group.add_argument("--t", help="rational circle parameter, e.g. 1/2")
     group.add_argument("--theta-pi", action="store_true", help="the point theta = pi")
     p_family.set_defaults(func=_cmd_family)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

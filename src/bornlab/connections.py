@@ -179,6 +179,10 @@ def kunneth_connection(k: AlmostKunneth) -> Connection:
         Gamma_i = pi_F (D_{pi_F e_i} + ad_{pi_G e_i}) pi_F
                 + pi_G (D_{pi_G e_i} + ad_{pi_F e_i}) pi_G.
 
+    As pi_F e_i + pi_G e_i = e_i, one combination W_i = sum_a (pi_F e_i)_a C_a
+    of C_a = D_a - ad_a gives both blocks: the first is W_i + ad_i and the
+    second D_i - W_i.
+
     All three defining properties are re-verified after construction.
     """
     L, m = k.algebra, k.omega.matrix
@@ -186,14 +190,13 @@ def kunneth_connection(k: AlmostKunneth) -> Connection:
     ad = [L.ad(a) for a in range(n)]
     m_t_inv = invert(m.transpose())
     d = [-(m_t_inv * (m * ad_a).transpose()) for ad_a in ad]
+    c = [d_a - ad_a for d_a, ad_a in zip(d, ad)]
     split = splitting(k.plus, k.minus)
     pi_f, pi_g = split.pi_plus, split.pi_minus
     gammas = []
     for i in range(n):
-        x_f, x_g = pi_f.column(i), pi_g.column(i)
-        on_f = linear_combination(x_f, d) + linear_combination(x_g, ad)
-        on_g = linear_combination(x_g, d) + linear_combination(x_f, ad)
-        gammas.append(pi_f * on_f * pi_f + pi_g * on_g * pi_g)
+        w = linear_combination(pi_f.column(i), c)
+        gammas.append(pi_f * (w + ad[i]) * pi_f + pi_g * (d[i] - w) * pi_g)
     conn = Connection(tuple(gammas))
     # nabla preserves plus iff the (-,+) block of P^-1 Gamma_i P vanishes, and
     # minus iff the (+,-) block does

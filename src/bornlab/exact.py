@@ -54,14 +54,22 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
+# the one literal grammar: "p/q" or "n", no whitespace, positive denominator
+_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
+
+
+def rational_parts(text: str) -> tuple[int, int]:
+    """The literal "p/q" or "n" as the integers (p, q), q > 0 and not reduced."""
+    match = _RATIONAL_RE.match(text) if isinstance(text, str) else None
+    if match is None:
+        raise ValueError(f"not a rational literal: {text!r}")
+    p, q = match.groups()
+    return int(p), 1 if q is None else int(q)
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "n" (no whitespace, positive denominator)."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
-        raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    return Fraction(*rational_parts(text))
 
 
 def format_rational(x: Fraction) -> str:
@@ -101,10 +109,6 @@ def vec_add(x, y):
 
 def vec_sub(x, y):
     return tuple(a - b for a, b in zip(x, y))
-
-
-def vec_is_zero(x) -> bool:
-    return all(a == 0 for a in x)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +590,10 @@ class Subspace:
         w = vector(v)
         if len(w) != self.n:
             raise DimensionMismatchError("vector length does not match subspace")
-        ws, dw = to_integers(w)
+        return self._reduce_integers(*to_integers(w))
+
+    def _reduce_integers(self, ws: list, dw: int) -> tuple[list[int], int]:
+        """The vector ws / dw (n integers, dw > 0) reduced against the echelon rows."""
         # w - (w[pc] / dw) (row / d), scaled by dw * d; row[pc] = d clears pc
         for pc, row, d in self._echelon:
             f = ws[pc]

@@ -30,7 +30,6 @@ from .exact import (
     from_integers,
     rationalize,
     to_integers,
-    vec_is_zero,
     vector,
 )
 from .multilinear import BilinearForm
@@ -111,14 +110,17 @@ class LieAlgebra:
         if len(x) != self.n or len(y) != self.n:
             raise DimensionMismatchError("bracket arguments must have the algebra dimension")
         (xs, dx), (ys, dy) = to_integers(x), to_integers(y)
-        dc, constants = self._constants
+        return from_integers(self._bracket_integers(xs, ys), dx * dy * self._constants[0])
+
+    def _bracket_integers(self, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+        """[xs, ys] for integer coordinate vectors, as integers over dc."""
         acc = [0] * self.n
-        for i, j, out in constants:
+        for i, j, out in self._constants[1]:
             w = xs[i] * ys[j] - xs[j] * ys[i]
             if w:
                 for k, c in out:
                     acc[k] += w * c
-        return from_integers(acc, dx * dy * dc)
+        return acc
 
     def is_abelian(self) -> bool:
         return not self.brackets
@@ -197,14 +199,19 @@ def is_subalgebra(L: LieAlgebra, s: Subspace) -> SubalgebraResult:
 
     On failure the witness is the 1-based pair of positions into the echelon
     basis of s together with the residual of the bracket outside the span.
+    The echelon rows row_a / d_a stay integers: the bracket of two of them is
+    an integer vector over d_a d_b dc, reduced against the same rows.
     """
-    basis = s.basis
-    for a in range(len(basis)):
-        for b in range(a + 1, len(basis)):
-            v = L.bracket(basis[a], basis[b])
-            residual = s.residual(v)
-            if not vec_is_zero(residual):
-                return SubalgebraResult(False, (a + 1, b + 1), residual)
+    if s.n != L.n:
+        raise DimensionMismatchError("subspace dimension does not match the algebra")
+    dc = L._constants[0]
+    rows = [(row, d) for _, row, d in s._echelon]
+    for a, (x, dx) in enumerate(rows):
+        for b in range(a + 1, len(rows)):
+            y, dy = rows[b]
+            residual, d = s._reduce_integers(L._bracket_integers(x, y), dx * dy * dc)
+            if any(residual):
+                return SubalgebraResult(False, (a + 1, b + 1), from_integers(residual, d))
     return SubalgebraResult(True)
 
 

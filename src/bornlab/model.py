@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .connections import (
@@ -34,7 +35,7 @@ from .errors import (
     ModelSyntaxError,
     UnknownNameError,
 )
-from .exact import Matrix, Subspace, format_rational, parse_rational
+from .exact import Matrix, Subspace, format_rational, parse_rational, rational_parts
 from .liealg import LieAlgebra, ce_d2, is_subalgebra
 from .multilinear import ANTISYMMETRIC, SYMMETRIC, BilinearForm, Endomorphism
 from .structures import (
@@ -131,9 +132,11 @@ def _parse_matrix(name: str, rows, n: int) -> Matrix:
     ):
         raise DimensionMismatchError(f"{name}: expected a {n}x{n} matrix of rational strings")
     try:
-        return Matrix([[parse_rational(v) for v in r] for r in rows])
+        parts = [[rational_parts(v) for v in r] for r in rows]
     except ValueError as exc:
         raise ModelSyntaxError(f"{name}: {exc}") from exc
+    d = lcm(*{q for r in parts for _, q in r})
+    return Matrix.over([[p * (d // q) for p, q in r] for r in parts], d)
 
 
 def _is_int(value) -> bool:

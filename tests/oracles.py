@@ -1,6 +1,8 @@
 """Test-only oracles: one-forms with their differential and wedge products,
-readers of Trilinear tensors that do not go through the engine's scan, and
-two computations of Sylvester inertia.
+readers of Trilinear tensors that do not go through the engine's scan, two
+computations of Sylvester inertia, the pairwise bracket-closure test on
+Fractions, the four-combination Kunneth connection and the rational-literal
+reader the integer one replaced.
 
 The engine needs d on two-forms only.  The d^2 = 0 and Leibniz tests, and the
 acceptance criteria on stated differentials, check ce_d2 against the
@@ -9,8 +11,12 @@ The engine's fraction-free inertia is checked against a congruence reduction
 on Fractions and against the signs of the characteristic polynomial.
 """
 
-from bornlab import BilinearForm, LieAlgebra, Matrix, Signature, Trilinear
-from bornlab.exact import basis_vector, vector
+import re
+from fractions import Fraction
+
+from bornlab import BilinearForm, LieAlgebra, Matrix, Signature, Subspace, Trilinear
+from bornlab.connections import Connection
+from bornlab.exact import basis_vector, invert, linear_combination, splitting, vector
 from bornlab.multilinear import ANTISYMMETRIC
 
 
@@ -158,3 +164,63 @@ def descartes_signature(m: Matrix) -> Signature:
     degree = len(coefficients) - 1
     mirrored = [c if (degree - k) % 2 == 0 else -c for k, c in enumerate(coefficients)]
     return Signature(_sign_changes(coefficients), _sign_changes(mirrored), null)
+
+
+def fraction_bracket(L: LieAlgebra, x, y) -> tuple:
+    """[x, y] summed over the bracket table on Fractions."""
+    out = [Fraction(0)] * L.n
+    for (i, j), row in L.brackets.items():
+        w = x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
+        for k, c in row.items():
+            out[k - 1] += w * c
+    return tuple(out)
+
+
+def fraction_residual(s: Subspace, v) -> tuple:
+    """v minus its parts along the reduced echelon basis of s, whose pivot entries are 1."""
+    w = list(v)
+    for b in s.basis:
+        f = w[next(c for c, x in enumerate(b) if x)]
+        if f:
+            w = [a - f * x for a, x in zip(w, b)]
+    return tuple(w)
+
+
+def pairwise_subalgebra(L: LieAlgebra, s: Subspace):
+    """(ok, witness, residual) of [s, s] in s, pair by pair of echelon basis vectors."""
+    basis = s.basis
+    for a in range(len(basis)):
+        for b in range(a + 1, len(basis)):
+            residual = fraction_residual(s, fraction_bracket(L, basis[a], basis[b]))
+            if any(residual):
+                return False, (a + 1, b + 1), residual
+    return True, None, None
+
+
+def four_combination_kunneth(k) -> Connection:
+    """Gamma_i = pi_F (D_{pi_F e_i} + ad_{pi_G e_i}) pi_F + pi_G (D_{pi_G e_i} + ad_{pi_F e_i}) pi_G,
+
+    with D_a solved from D_a^T M = -M ad_a and four combinations per slice.
+    """
+    L, m = k.algebra, k.omega.matrix
+    ad = [L.ad(a) for a in range(L.n)]
+    d = [-(invert(m.transpose()) * (m * ad_a).transpose()) for ad_a in ad]
+    split = splitting(k.plus, k.minus)
+    pi_f, pi_g = split.pi_plus, split.pi_minus
+    gammas = []
+    for i in range(L.n):
+        x_f, x_g = pi_f.column(i), pi_g.column(i)
+        on_f = linear_combination(x_f, d) + linear_combination(x_g, ad)
+        on_g = linear_combination(x_g, d) + linear_combination(x_f, ad)
+        gammas.append(pi_f * on_f * pi_f + pi_g * on_g * pi_g)
+    return Connection(tuple(gammas))
+
+
+_OLD_RATIONAL_RE = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
+
+
+def old_parse_rational(text) -> Fraction:
+    """The reader before integer parsing: the grammar without groups, then Fraction(text)."""
+    if not isinstance(text, str) or not _OLD_RATIONAL_RE.match(text):
+        raise ValueError(f"not a rational literal: {text!r}")
+    return Fraction(text)

@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bornlab import Matrix, Signature, Subspace, determinant, invert, signature_of_symmetric
 from bornlab.errors import NotSymmetricError, SingularMatrixError
-from bornlab.exact import format_rational, parse_rational
+from bornlab.exact import format_rational, parse_rational, rational_parts
+from oracles import old_parse_rational
 
 
 def cofactor_det(rows):
@@ -55,6 +57,70 @@ def test_rational_round_trip(text):
 def test_rational_rejects_non_canonical(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+# ASCII and other decimal digits, and the characters a near-miss literal uses
+LITERAL_CHARS = "0123456789" + "\u0663\uff11\U0001d7d9" + "-+/._ \t\neE"
+LITERALS = st.one_of(
+    st.text(st.sampled_from(LITERAL_CHARS), max_size=8),
+    st.from_regex(r"\A-?[0-9]{1,4}(/[0-9]{1,4})?\Z"),
+)
+
+
+def read_both(text):
+    """(old value or None, integer parts or None) for one candidate literal."""
+    try:
+        old = old_parse_rational(text)
+    except ValueError:
+        old = None
+    try:
+        parts = rational_parts(text)
+    except ValueError:
+        parts = None
+    return old, parts
+
+
+@settings(max_examples=400, deadline=None)
+@given(LITERALS)
+@example("007")
+@example("-007/010")
+@example("-0")
+@example("0/7")
+@example("1/0")
+@example("1/-2")
+@example("+1")
+@example("1.5")
+@example("1_0")
+@example(" 1")
+@example("1 ")
+@example("1\n")
+@example("1/2\n")
+@example("\u0663/\uff11\U0001d7d9")
+@example("\u0663/1\uff11")
+@example("")
+def test_integer_reader_accepts_exactly_the_old_literals(text):
+    old, parts = read_both(text)
+    assert (old is None) == (parts is None), text
+    if parts is not None:
+        p, q = parts
+        assert q > 0
+        assert Fraction(p, q) == old == parse_rational(text)
+
+
+@pytest.mark.parametrize(
+    "text, parts",
+    [("007", (7, 1)), ("-0", (0, 1)), ("0/7", (0, 7)), ("-4/6", (-4, 6)), ("1\n", (1, 1)),
+     ("\u0663", (3, 1)), ("\u0663/1\uff11", (3, 11))],
+)
+def test_integer_reader_values(text, parts):
+    assert rational_parts(text) == parts
+
+
+@pytest.mark.parametrize("value", [1, 1.5, True, None, ["1"], {"1": "1"}])
+def test_rational_readers_reject_non_strings(value):
+    for reader in (rational_parts, parse_rational):
+        with pytest.raises(ValueError, match="not a rational literal"):
+            reader(value)
 
 
 # --- inversion ----------------------------------------------------------

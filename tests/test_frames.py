@@ -7,6 +7,8 @@ Jacobi triple loop) they replaced.  Catalog structures pass every check, so
 they also run after seeded unimodular changes of basis, on seeded random
 connections, endomorphisms and subspaces, and on random algebras that
 violate Jacobi: there the witnesses are nonzero and their order is tested.
+The Kunneth connection is also compared with the four-combination formula
+its one-combination assembly replaced.
 """
 
 import random
@@ -44,6 +46,7 @@ from bornlab.exact import (
 )
 from bornlab.multilinear import ANTISYMMETRIC, SYMMETRIC, BilinearForm, Endomorphism
 from bornlab.structures import Witness
+from oracles import four_combination_kunneth
 from test_builders import moved_algebra, random_unimodular
 
 SEEDS = (1, 2, 3)
@@ -352,6 +355,14 @@ def test_mixed_torsion_matches_pairwise_oracle(catalog_models, catalog_structure
             assert out == reference_mixed_torsion(L, c, plus, minus), name
             witnesses += len(out)
     assert witnesses > 500
+
+
+def test_kunneth_connection_matches_four_combination_formula(catalog_models, catalog_structures):
+    cases = 0
+    for name, k in kunneth_cases(catalog_models, catalog_structures):
+        assert connections.kunneth_connection(k).gammas == four_combination_kunneth(k).gammas, name
+        cases += 1
+    assert cases >= 80
 
 
 def test_torsion_formula_matches_pairwise_oracle(catalog_models, catalog_structures, monkeypatch):

@@ -1,15 +1,18 @@
 """Lie algebras, Jacobi validation and the invariant differential."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from bornlab import LieAlgebra, ce_d2, is_closed, is_subalgebra, jacobi_defect
+from bornlab import LieAlgebra, Matrix, ce_d2, determinant, invert, is_closed, is_subalgebra, jacobi_defect
 from bornlab.errors import DimensionMismatchError, JacobiViolationError
 from bornlab.exact import Subspace, basis_vector
 from bornlab.multilinear import two_form
-from oracles import OneForm, ce_d1, nonzero_entries, wedge_one_one, wedge_two_one
+from conftest import rational_grid
+from oracles import OneForm, ce_d1, nonzero_entries, pairwise_subalgebra, wedge_one_one, wedge_two_one
+from test_builders import moved_algebra, random_unimodular
 
 
 def e(n, i):
@@ -200,3 +203,71 @@ def test_subalgebra_agrees_with_oracle(h4_algebra):
             for b in s.basis[idx + 1:]
         )
         assert bool(is_subalgebra(h4_algebra, s)) == expected
+
+
+def test_subalgebra_rejects_subspace_of_another_dimension(nil3, h4_algebra):
+    for L, n in ((nil3, 6), (h4_algebra, 4), (h4_algebra, 8)):
+        for k in (1, 2, 3):
+            with pytest.raises(DimensionMismatchError):
+                is_subalgebra(L, Subspace(n, [e(n, i) for i in range(1, k + 1)]))
+
+
+def random_semidirect(n, rng):
+    """R e_1 acting on the abelian ideal spanned by e_2..e_n through a random matrix."""
+    grid = rational_grid()
+    brackets = {(1, j): {k: rng.choice(grid) for k in range(2, n + 1)} for j in range(2, n + 1)}
+    return LieAlgebra(n, brackets)
+
+
+def random_two_step(n, rng):
+    """Brackets of e_3..e_n into the centre spanned by e_1, e_2, which leads every echelon basis."""
+    grid = rational_grid()
+    brackets = {(i, j): {1: rng.choice(grid), 2: rng.choice(grid)} for i in range(3, n + 1) for j in range(i + 1, n + 1)}
+    return LieAlgebra(n, brackets)
+
+
+def random_subspaces(n, rng):
+    """Per dimension 1..n-1: three spans of basis vectors and a span of rational vectors."""
+    grid = rational_grid()
+    for k in range(1, n):
+        for _ in range(3):
+            yield Subspace(n, [e(n, i) for i in sorted(rng.sample(range(1, n + 1), k))])
+        while True:
+            try:
+                yield Subspace(n, [[rng.choice(grid) for _ in range(n)] for _ in range(k)])
+                break
+            except ValueError:
+                continue
+
+
+def test_subalgebra_witness_and_residual_match_pairwise_oracle(catalog_models, catalog_structures):
+    """Catalog algebras, also in seeded unimodular bases, and random algebras, also in rational bases."""
+    rng = random.Random(37)
+    cases = []
+    for name, entry in catalog_models.items():
+        L = entry.model.algebra
+        declared = list(entry.model.subspaces.values())
+        declared += [s for b in catalog_structures[name]["borns"] for s in (b.l_plus, b.l_minus)]
+        cases.append((L, declared))
+        for seed in (1, 2):
+            p = random_unimodular(L.n, random.Random(f"{name}-{seed}"))
+            p_inv = invert(p)
+            cases.append((moved_algebra(L, p), [Subspace(L.n, [p_inv.matvec(v) for v in s.basis]) for s in declared]))
+    for n in (3, 4, 5, 6):
+        for make in (random_semidirect, random_two_step):
+            L = make(n, rng)
+            cases.append((L, []))
+            p = Matrix([[rng.choice(rational_grid()) for _ in range(n)] for _ in range(n)])
+            if determinant(p) != 0:
+                cases.append((moved_algebra(L, p), []))
+    outcomes = Counter()
+    for L, declared in cases:
+        for s in declared + list(random_subspaces(L.n, rng)):
+            result = is_subalgebra(L, s)
+            expected = pairwise_subalgebra(L, s)
+            assert (result.ok, result.witness, result.residual) == expected, (L, s)
+            outcomes[result.ok, result.witness] += 1
+    assert outcomes[True, None] > 300
+    failures = [w for ok, w in outcomes if not ok]
+    assert sum(outcomes[False, w] for w in failures) > 100
+    assert any(a > 1 for a, _ in failures)  # the pair order shows beyond the first basis vector

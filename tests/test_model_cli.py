@@ -93,6 +93,28 @@ def test_parse_rejects_bad_rational():
         parse_model(text)
 
 
+BAD_ENTRIES = [
+    ("1.5", "'1.5'"),
+    (" 1", "' 1'"),
+    ("1/0", "'1/0'"),
+    ("1/-2", "'1/-2'"),
+    ("+1", "'+1'"),
+    (1, "1"),
+    (1.5, "1.5"),
+    (True, "True"),
+    (None, "None"),
+    (["1"], "['1']"),
+]
+
+
+@pytest.mark.parametrize("value, shown", BAD_ENTRIES)
+@pytest.mark.parametrize("path", [("forms", "w", 0, 1), ("subspaces", "F", 1, 3)])
+def test_parse_bad_entry_message(path, value, shown):
+    with pytest.raises(ModelSyntaxError) as info:
+        parse_model(_patched(path, value))
+    assert str(info.value) == f"{path[0]}.{path[1]}: not a rational literal: {shown}"
+
+
 def test_parse_rejects_jacobi_violation():
     text = """
     {"name": "bad", "dim": 4,
@@ -348,3 +370,48 @@ def test_cli_family_rejects_entries_without_hypersymplectic(capsys):
 def test_cli_family_rejects_bad_parameter(capsys):
     assert main(["family", "nil3_r", "--t", "x"]) == 2
     capsys.readouterr()
+
+
+def _without_elapsed(argv, text):
+    """A JSON report without its timings; other output as printed."""
+    if "json" not in argv:
+        return text
+    doc = json.loads(text)
+    for row in doc["results"]:
+        del row["elapsed_ms"]
+    return doc
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    """A sequence of calls in one process prints what each prints first in a fresh interpreter."""
+    path = tmp_path / "fixture.json"
+    path.write_text(catalog.export_entry("nil3_r_nonintegrable_fixture"))
+    calls = [
+        ["check", str(path), "--format", "json"],
+        ["check", str(path)],
+        ["family", "nil3_r", "--t=1/2"],
+        ["family", "nil3_r", "--theta-pi"],
+        ["family", "nil3_r"],
+        ["catalog", "list"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(bornlab.__file__).parents[1]))
+    codes = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        codes.append(code)
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "bornlab.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+            check=False,
+        )
+        assert code == fresh.returncode, argv
+        assert _without_elapsed(argv, out) == _without_elapsed(argv, fresh.stdout), argv
+        assert err == fresh.stderr, argv
+    assert codes == [1, 1, 0, 0, 2, 0]
