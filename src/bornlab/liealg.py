@@ -194,8 +194,9 @@ class SubalgebraResult:
         return self.ok
 
 
+@lru_cache(maxsize=None)
 def is_subalgebra(L: LieAlgebra, s: Subspace) -> SubalgebraResult:
-    """True iff [s, s] is contained in s.
+    """True iff [s, s] is contained in s; cached by value.
 
     On failure the witness is the 1-based pair of positions into the echelon
     basis of s together with the residual of the bracket outside the span.

@@ -9,6 +9,12 @@ run_checks executes the fixed check list against every declared structure,
 collects exact witnesses for failures, and reports deterministically: result
 rows appear in a fixed order and witnesses are the lexicographically first
 offending index, independent of evaluation order.
+
+Each check is a map over the built structures.  The builders, and each
+check's outcome for one built structure, are memoized by value for the life
+of the process, so a structure checked again (by `catalog show` after
+`check`, or in another model) costs lookups; memory grows with the number of
+distinct structures checked.  Reports and their timings are not memoized.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lcm
 from typing import Mapping, Optional, Sequence
 
@@ -406,22 +413,87 @@ def _defect_outcome(defect):
     return ("pass", None) if defect.is_zero() else ("fail", Witness.at(*defect.first_witness()))
 
 
-def _kunneth_obstruction(L, k: AlmostKunneth) -> Optional[Witness]:
+def _born_integrability(born: BornStructure):
+    report = integrability_report(born)
+    if report.integrable and report.ok:
+        return ("pass", None)
+    return ("fail", report.first_witness() or Witness.at((), 0, "inconsistent"))
+
+
+@lru_cache(maxsize=None)
+def _kunneth_obstruction(k: AlmostKunneth) -> Optional[Witness]:
     """First obstruction to integrability of a splitting, or None.
 
     Integrable means a closed form with both subspaces bracket-closed; this is
     the notion the torsion criterion for the Kunneth connection refers to (it
-    can hold for a Born structure whose complex leg is not integrable).
+    can hold for a Born structure whose complex leg is not integrable).  A
+    subspace that is not a subalgebra is witnessed by (a, b, c): positions a
+    and b into its echelon basis, and the first nonzero coordinate c of their
+    bracket's residual outside the span, with that coordinate's value.
     """
+    L = k.algebra
     d = ce_d2(L, k.omega)
     if not d.is_zero():
         idx, value = d.first_witness()
         return Witness.at(idx, value, "d omega")
-    for name, sub in (("plus", k.plus), ("minus", k.minus)):
+    for sub in (k.plus, k.minus):
         result = is_subalgebra(L, sub)
         if not result:
-            return Witness.at(result.witness, 0, f"{name} subspace is not a subalgebra")
+            c, value = next((c, v) for c, v in enumerate(result.residual, 1) if v)
+            return Witness.at((*result.witness, c), value)
     return None
+
+
+def _canonical_of(k: AlmostKunneth):
+    return canonical_connection(k.algebra, neutral_metric(k), almost_product(k))
+
+
+@lru_cache(maxsize=None)
+def _connection_outcome(k: AlmostKunneth):
+    L = k.algebra
+    try:
+        lc = levi_civita(L, neutral_metric(k))
+        nk = kunneth_connection(k)
+        nc = _canonical_of(k)
+    except BornlabError as exc:
+        return ("fail", _error_witness(exc))
+    integrable = _kunneth_obstruction(k) is None
+    if torsion(L, nk).is_zero() != integrable:
+        return ("fail", Witness.at((), 0, "torsion-free Kunneth connection iff integrable"))
+    if integrable and not (lc == nk == nc):
+        return ("fail", Witness.at((), 0, "integrable case: nabla^g = nabla^K = nabla^c"))
+    return ("pass", None)
+
+
+@lru_cache(maxsize=None)
+def _born_connection_outcome(born: BornStructure):
+    outcome = _connection_outcome(born.underlying_kunneth())
+    if outcome[0] == "pass":
+        try:
+            born_connection(born)
+        except BornlabError as exc:
+            return ("fail", _error_witness(exc))
+    return outcome
+
+
+@lru_cache(maxsize=None)
+def _generalized_torsion_outcome(born: BornStructure):
+    try:
+        nb = born_connection(born)
+        nc = _canonical_of(born.underlying_kunneth())
+    except BornlabError as exc:
+        return ("fail", _error_witness(exc))
+    return _defect_outcome(generalized_torsion_defect(born.algebra, nb, nc, born.g))
+
+
+@lru_cache(maxsize=None)
+def _omega_k_outcome(k: AlmostKunneth):
+    return _defect_outcome(omega_K_defect(k))
+
+
+@lru_cache(maxsize=None)
+def _torsion_formula_outcome(born: BornStructure):
+    return _first_failure(born_torsion_formula_defect(born).items)
 
 
 def _check_born_axioms(mat: _Materialized):
@@ -433,17 +505,10 @@ def _check_identity_table(mat: _Materialized):
 
 
 def _check_integrability(mat: _Materialized):
-    outcomes = []
-    for decl, born in mat.built_borns():
-        report = integrability_report(born)
-        if report.integrable and report.ok:
-            outcomes.append(("pass", None))
-        else:
-            outcomes.append(("fail", report.first_witness() or Witness.at((), 0, "inconsistent")))
-    for decl, k in mat.built_kunneths():
-        witness = _kunneth_obstruction(mat.model.algebra, k)
-        outcomes.append(("pass", None) if witness is None else ("fail", witness))
-    return outcomes
+    obstructions = [_kunneth_obstruction(k) for _, k in mat.built_kunneths()]
+    return [_born_integrability(born) for _, born in mat.built_borns()] + [
+        ("pass", None) if w is None else ("fail", w) for w in obstructions
+    ]
 
 
 def _check_eigenspace_geometry(mat: _Materialized):
@@ -458,66 +523,31 @@ def _check_signatures(mat: _Materialized):
     return outcomes
 
 
-def _canonical_of(L, k: AlmostKunneth):
-    return canonical_connection(L, neutral_metric(k), almost_product(k))
-
-
-def _connection_outcome(L, k: AlmostKunneth):
-    try:
-        lc = levi_civita(L, neutral_metric(k))
-        nk = kunneth_connection(k)
-        nc = _canonical_of(L, k)
-    except BornlabError as exc:
-        return ("fail", _error_witness(exc))
-    integrable = _kunneth_obstruction(L, k) is None
-    if torsion(L, nk).is_zero() != integrable:
-        return ("fail", Witness.at((), 0, "torsion-free Kunneth connection iff integrable"))
-    if integrable and not (lc == nk == nc):
-        return ("fail", Witness.at((), 0, "integrable case: nabla^g = nabla^K = nabla^c"))
-    return ("pass", None)
-
-
 def _check_connections(mat: _Materialized):
-    outcomes = []
-    L = mat.model.algebra
-    for decl, born in mat.built_borns():
-        outcomes.append(_connection_outcome(L, born.underlying_kunneth()))
-        if outcomes[-1][0] == "pass":
-            try:
-                born_connection(born)
-            except BornlabError as exc:
-                outcomes[-1] = ("fail", _error_witness(exc))
-    for decl, k in mat.built_kunneths():
-        outcomes.append(_connection_outcome(L, k))
-    return outcomes
+    return [_born_connection_outcome(born) for _, born in mat.built_borns()] + [
+        _connection_outcome(k) for _, k in mat.built_kunneths()
+    ]
 
 
 def _check_generalized_torsion(mat: _Materialized):
-    outcomes = []
-    L = mat.model.algebra
-    for decl, born in mat.built_borns():
-        if not integrability_report(born).integrable:
-            continue  # measured but not asserted for non-integrable structures
-        try:
-            nb = born_connection(born)
-            nc = _canonical_of(L, born.underlying_kunneth())
-        except BornlabError as exc:
-            outcomes.append(("fail", _error_witness(exc)))
-            continue
-        outcomes.append(_defect_outcome(generalized_torsion_defect(L, nb, nc, born.g)))
-    return outcomes
+    # measured but not asserted for non-integrable structures
+    return [
+        _generalized_torsion_outcome(born)
+        for _, born in mat.built_borns()
+        if integrability_report(born).integrable
+    ]
 
 
 def _check_omega_k(mat: _Materialized):
-    return [
-        _defect_outcome(omega_K_defect(born.underlying_kunneth())) for decl, born in mat.built_borns()
-    ] + [_defect_outcome(omega_K_defect(k)) for decl, k in mat.built_kunneths()]
+    return [_omega_k_outcome(born.underlying_kunneth()) for _, born in mat.built_borns()] + [
+        _omega_k_outcome(k) for _, k in mat.built_kunneths()
+    ]
 
 
 def _check_torsion_formula(mat: _Materialized):
     return [
-        _first_failure(born_torsion_formula_defect(born).items)
-        for decl, born in mat.built_borns()
+        _torsion_formula_outcome(born)
+        for _, born in mat.built_borns()
         if integrability_report(born).integrable
     ]
 

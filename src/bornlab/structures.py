@@ -48,7 +48,6 @@ from .multilinear import (
     involution_split,
     nijenhuis,
     pullback,
-    recursion_operator,
 )
 
 
@@ -113,6 +112,7 @@ class AlmostKunneth:
     minus: Subspace
 
 
+@lru_cache(maxsize=None)
 def build_almost_kunneth(L: LieAlgebra, omega: BilinearForm, plus: Subspace, minus: Subspace) -> AlmostKunneth:
     n = L.n
     if omega.n != n or plus.n != n or minus.n != n:
@@ -175,18 +175,29 @@ class BornStructure:
     l_plus: Subspace
     l_minus: Subspace
 
-    @lru_cache(maxsize=None)
     def underlying_kunneth(self) -> AlmostKunneth:
         return build_almost_kunneth(self.algebra, self.omega, self.l_plus, self.l_minus)
 
 
-def _require_form(name: str, form: BilinearForm, symmetry: str):
+def _require_form(name: str, form: BilinearForm, symmetry: str, *, inverse: bool = False) -> Optional[Matrix]:
+    """Certify the declared symmetry and nondegeneracy of a form.
+
+    With inverse=True the inverse matrix is returned: computing it is the
+    nondegeneracy proof, so each form costs one elimination either way.
+    """
     if form.symmetry != symmetry:
         raise DegenerateFormError(f"{name} must be {symmetry}")
+    if inverse:
+        try:
+            return invert(form.matrix)
+        except SingularMatrixError:
+            raise DegenerateFormError(f"{name} is degenerate") from None
     if determinant(form.matrix) == 0:
         raise DegenerateFormError(f"{name} is degenerate")
+    return None
 
 
+@lru_cache(maxsize=None)
 def build_born(
     L: LieAlgebra,
     g: BilinearForm,
@@ -202,17 +213,21 @@ def build_born(
     The operators are computed, never accepted as input, so commutativity of
     the diagram is a verified fact.  Optional expected operators are checked
     against the derived ones entry for entry.
+
+    The recursion operator of (a, b) is (M_a^T)^-1 M_b^T, so with G^T = G,
+    H^T = H and W^T = -W: A = -G^-1 W, B = G^-1 H and J = W^-1 H; the two
+    inverses are also the nondegeneracy proofs of g and omega.
     """
     n = L.n
     if g.n != n or h.n != n or omega.n != n:
         raise DimensionMismatchError("Born data on mismatched dimensions")
-    _require_form("g", g, SYMMETRIC)
+    g_inv = _require_form("g", g, SYMMETRIC, inverse=True)
     _require_form("h", h, SYMMETRIC)
-    _require_form("omega", omega, ANTISYMMETRIC)
+    omega_inv = _require_form("omega", omega, ANTISYMMETRIC, inverse=True)
 
-    a_op = recursion_operator(g, omega)
-    b_op = recursion_operator(g, h)
-    j_op = recursion_operator(omega, h).negated()
+    a_op = Endomorphism(-(g_inv * omega.matrix))
+    b_op = Endomorphism(g_inv * h.matrix)
+    j_op = Endomorphism(omega_inv * h.matrix)
 
     ident = Matrix.identity(n)
     for name, defect in (
@@ -494,6 +509,7 @@ class Hypersymplectic:
     metric: BilinearForm
 
 
+@lru_cache(maxsize=None)
 def build_hypersymplectic(
     L: LieAlgebra,
     omega: BilinearForm,
@@ -505,21 +521,26 @@ def build_hypersymplectic(
     expect_j: Optional[Endomorphism] = None,
     expect_metric: Optional[BilinearForm] = None,
 ) -> Hypersymplectic:
-    """Validate a hypersymplectic triple and derive its operators and metric."""
+    """Validate a hypersymplectic triple and derive its operators and metric.
+
+    The recursion operator of (a, b) is (M_a^T)^-1 M_b^T, which for
+    antisymmetric forms is M_a^-1 M_b: the inverses of omega and alpha give
+    A, B and J and are also their nondegeneracy proofs.
+    """
     n = L.n
-    named = (("omega", omega), ("alpha", alpha), ("beta", beta))
-    for name, form in named:
+    inverses = {}
+    for name, form in (("omega", omega), ("alpha", alpha), ("beta", beta)):
         if form.n != n:
             raise DimensionMismatchError("hypersymplectic data on mismatched dimensions")
-        _require_form(name, form, ANTISYMMETRIC)
+        inverses[name] = _require_form(name, form, ANTISYMMETRIC, inverse=name != "beta")
         d = ce_d2(L, form)
         if not d.is_zero():
             idx, value = d.first_witness()
             raise NotClosedError(name, idx, value)
 
-    a_op = recursion_operator(omega, alpha)
-    b_op = recursion_operator(omega, beta)
-    j_op = recursion_operator(alpha, beta)
+    a_op = Endomorphism(inverses["omega"] * alpha.matrix)
+    b_op = Endomorphism(inverses["omega"] * beta.matrix)
+    j_op = Endomorphism(inverses["alpha"] * beta.matrix)
 
     ident = Matrix.identity(n)
     for name, defect in (

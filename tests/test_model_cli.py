@@ -2,14 +2,17 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import bornlab
-from bornlab import catalog, parse_model, render_model, render_report, run_checks
+from bornlab import catalog, invert, parse_model, render_model, render_report, run_checks
+from bornlab import model as model_module
 from bornlab.cli import main
 from bornlab.errors import (
     DimensionMismatchError,
@@ -17,6 +20,9 @@ from bornlab.errors import (
     ModelSyntaxError,
     UnknownNameError,
 )
+from bornlab.multilinear import ANTISYMMETRIC, SYMMETRIC, Endomorphism
+from test_builders import moved_algebra, random_unimodular
+from test_frames import moved_form, moved_subspace
 
 MINIMAL_NIL3 = """
 {
@@ -33,6 +39,19 @@ FIXTURE_KUNNETH_ONLY = """
   "brackets": [{"i": 1, "j": 2, "out": {"3": "1"}}],
   "forms": {"w": [["0","8","0","0"],["-8","0","0","0"],["0","0","0","-8"],["0","0","8","0"]]},
   "subspaces": {"F": [["1","0","0","0"],["0","0","0","1"]], "G": [["0","1","0","0"],["0","0","1","0"]]},
+  "structures": [{"type": "kunneth", "omega": "w", "plus": "F", "minus": "G"}]
+}
+"""
+
+
+# [e1,e2] = e3 leaves span(e1, e2) for a closed form: the plus subspace is not a subalgebra
+NOT_SUBALGEBRA = """
+{
+  "name": "not-subalgebra",
+  "dim": 4,
+  "brackets": [{"i": 1, "j": 2, "out": {"3": "1"}}],
+  "forms": {"w": [["0","0","0","1"],["0","0","1","0"],["0","-1","0","0"],["-1","0","0","0"]]},
+  "subspaces": {"F": [["1","0","0","0"],["0","1","0","0"]], "G": [["0","0","1","0"],["0","0","0","1"]]},
   "structures": [{"type": "kunneth", "omega": "w", "plus": "F", "minus": "G"}]
 }
 """
@@ -214,6 +233,83 @@ def test_model_checks_field_restricts_run():
     assert [r.check for r in report.results] == ["born_axioms", "signatures"]
 
 
+def test_repeated_check_is_memoized(monkeypatch):
+    """A structure checked again in the same process reuses its check outcomes."""
+    original, calls = model_module.omega_K_defect, []
+
+    def counting(k):
+        calls.append(k)
+        return original(k)
+
+    monkeypatch.setattr(model_module, "omega_K_defect", counting)
+    # the fixture form scaled by 7919/13, which no other test uses: a structure
+    # this process has not checked yet
+    rows = json.loads(FIXTURE_KUNNETH_ONLY)["forms"]["w"]
+    text = _patched(("forms", "w"), [[f"{int(v) * 7919}/13" for v in row] for row in rows])
+    first = run_checks(parse_model(text))
+    second = run_checks(parse_model(text))
+    assert len(calls) == 1
+    assert render_report(first) == render_report(second)
+
+
+def _moved_model(model, seed):
+    """The model in the seeded unimodular basis f_a = P e_a."""
+    p = random_unimodular(model.algebra.n, random.Random(f"{model.name}-cache-{seed}"))
+    p_inv = invert(p)
+    return replace(
+        model,
+        name=f"{model.name}~{seed}",
+        algebra=moved_algebra(model.algebra, p),
+        forms={k: moved_form(f, p, ANTISYMMETRIC) for k, f in model.forms.items()},
+        metrics={k: moved_form(f, p, SYMMETRIC) for k, f in model.metrics.items()},
+        endos={k: Endomorphism(p_inv * e.matrix * p) for k, e in model.endos.items()},
+        subspaces={k: moved_subspace(s, p_inv) for k, s in model.subspaces.items()},
+    )
+
+
+_REPORTS = """
+import json, sys
+from bornlab import parse_model, render_report, run_checks
+reports = [run_checks(parse_model(open(path).read())) for path in sys.argv[1:]]
+print(json.dumps([[render_report(r), render_report(r, "json")] for r in reports]))
+"""
+
+
+def _stable(text_report, json_report):
+    doc = json.loads(json_report)
+    for row in doc["results"]:
+        del row["elapsed_ms"]
+    return text_report, doc
+
+
+def test_reports_do_not_depend_on_cache_state(tmp_path):
+    """Every catalog model and a seeded-basis copy of each, checked forwards,
+    backwards and both again in this process, report what a fresh process
+    reports checking them once in reverse order (so that no model sees the
+    same cache state in both)."""
+    models = [catalog.get_entry(name).model for name, _ in catalog.list_entries()]
+    models = [m for m in models if m is not None]
+    models += [_moved_model(m, 1) for m in models]
+    paths = []
+    for i, m in enumerate(models):
+        paths.append(tmp_path / f"{i:02d}.json")
+        paths[-1].write_text(render_model(m))
+    env = dict(os.environ, PYTHONPATH=str(Path(bornlab.__file__).parents[1]))
+    fresh = subprocess.run(
+        [sys.executable, "-c", _REPORTS, *map(str, paths[::-1])],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+        check=True,
+    )
+    expected = {path: _stable(*pair) for path, pair in zip(paths[::-1], json.loads(fresh.stdout))}
+    for order in (paths, paths[::-1], paths, paths[::-1]):
+        for path in order:
+            report = run_checks(parse_model(path.read_text()))
+            assert _stable(render_report(report), render_report(report, "json")) == expected[path], path
+
+
 # --- rendering -----------------------------------------------------------
 
 
@@ -311,6 +407,15 @@ def test_check_report_independent_of_cache_state(tmp_path):
     )
     assert cold.returncode == 1, cold.stderr
     assert cold.stdout == warm
+
+
+def test_cli_check_non_subalgebra_witness_is_the_residual(tmp_path, capsys):
+    """The witness is (a, b, c): the echelon pair and the first nonzero coordinate of its bracket's residual."""
+    path = tmp_path / "not_subalgebra.json"
+    path.write_text(NOT_SUBALGEBRA)
+    assert main(["check", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "  integrability        FAIL  witness (1,2,3) = 1\n" in out
 
 
 def test_cli_check_missing_file_exit_2(tmp_path, capsys):

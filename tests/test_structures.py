@@ -26,6 +26,7 @@ from bornlab import (
 )
 from bornlab.errors import (
     AxiomFailureError,
+    DegenerateFormError,
     HypothesisFailureError,
     NotClosedError,
     NotCompatibleError,
@@ -34,7 +35,7 @@ from bornlab.errors import (
 )
 from bornlab.exact import basis_vector, invert
 from bornlab.model import _Materialized
-from bornlab.multilinear import ANTISYMMETRIC, SYMMETRIC, symmetric_form, two_form
+from bornlab.multilinear import ANTISYMMETRIC, SYMMETRIC, recursion_operator, symmetric_form, two_form
 from bornlab.structures import IDENTITY_TABLE, Witness
 from test_exact import random_invertible
 from test_frames import random_matrix, random_splitting
@@ -216,6 +217,41 @@ def test_build_born_axiom_failure_j_squared():
     with pytest.raises(AxiomFailureError) as info:
         build_born(L, g, g, omega)
     assert "J^2" in info.value.which
+
+
+def test_build_born_operators_are_the_recursion_operators(catalog_models):
+    for entry in catalog_models.values():
+        for born in borns_of(entry):
+            assert born.a_op == recursion_operator(born.g, born.omega)
+            assert born.b_op == recursion_operator(born.g, born.h)
+            assert born.j_op == recursion_operator(born.omega, born.h).negated()
+
+
+def _first_degenerate(build, forms, singular, name):
+    """The builder accepts forms, rejects `name` as degenerate when it alone is
+    singular, and still rejects `name` first when the later forms are singular too."""
+    build(*forms.values())
+    names = list(forms)
+    for bad in ({name}, set(names[names.index(name):])):
+        args = [singular[f] if f in bad else forms[f] for f in names]
+        with pytest.raises(DegenerateFormError) as info:
+            build(*args)
+        assert str(info.value) == f"{name} is degenerate"
+
+
+@pytest.mark.parametrize("name", ["g", "h", "omega"])
+def test_build_born_rejects_each_degenerate_form_in_order(name):
+    forms = {
+        "g": symmetric_form(2, {(1, 2): 1}),
+        "h": symmetric_form(2, {(1, 1): 1, (2, 2): 1}),
+        "omega": two_form(2, {(1, 2): 1}),
+    }
+    singular = {
+        "g": symmetric_form(2, {(1, 1): 1}),
+        "h": symmetric_form(2, {(2, 2): 1}),
+        "omega": BilinearForm(Matrix.zero(2), ANTISYMMETRIC),
+    }
+    _first_degenerate(lambda *f: build_born(LieAlgebra.abelian(2), *f), forms, singular, name)
 
 
 # --- identity table -----------------------------------------------------
@@ -438,6 +474,22 @@ def test_hypersymplectic_nil3_tables(nil3_hypersymplectic):
     assert hs.j_op == Endomorphism.from_images([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
     assert hs.metric == symmetric_form(4, {(1, 4): -1, (2, 3): -1})
     assert signature_of_symmetric(hs.metric.matrix).as_tuple() == (2, 2, 0)
+
+
+def test_hypersymplectic_operators_are_the_recursion_operators(nil3_hypersymplectic):
+    hs = nil3_hypersymplectic
+    assert hs.a_op == recursion_operator(hs.omega, hs.alpha)
+    assert hs.b_op == recursion_operator(hs.omega, hs.beta)
+    assert hs.j_op == recursion_operator(hs.alpha, hs.beta)
+
+
+@pytest.mark.parametrize("name", ["omega", "alpha", "beta"])
+def test_hypersymplectic_rejects_each_degenerate_form_in_order(nil3, nil3_hypersymplectic, name):
+    hs = nil3_hypersymplectic
+    forms = {"omega": hs.omega, "alpha": hs.alpha, "beta": hs.beta}
+    # closed and degenerate: e^12 is closed on nil3
+    singular = dict.fromkeys(forms, two_form(4, {(1, 2): 1}))
+    _first_degenerate(lambda *f: build_hypersymplectic(nil3, *f), forms, singular, name)
 
 
 def test_hypersymplectic_degenerate_leg_fails(nil3):
