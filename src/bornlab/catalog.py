@@ -10,13 +10,11 @@ uncorrected data failing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from .errors import BornlabError, NotExportableError, UnknownEntryError
-from .exact import Subspace
+from .exact import Subspace, Value
 from .liealg import LieAlgebra, ce_d2
 from .model import Model, StructureDecl, _Materialized, render_model, run_checks
 from .multilinear import Endomorphism, symmetric_form, two_form
@@ -31,8 +29,7 @@ from .structures import (
 F = Fraction
 
 
-@dataclass(frozen=True)
-class Expectation:
+class Expectation(Value):
     """A named check with its expected outcome, re-run on demand.
 
     kind "check": target is a run_checks name, expected its status.
@@ -41,18 +38,23 @@ class Expectation:
     kind "closedness": target is a form name; expected "pass" iff d(form)=0.
     """
 
-    kind: str
-    target: str
-    expected: str
+    __slots__ = ("kind", "target", "expected")
+
+    def __init__(self, kind: str, target: str, expected: str):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "expected", expected)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    summary: str
-    model: Optional[Model]
-    expectations: tuple
-    provenance: str
+class CatalogEntry(Value):
+    __slots__ = ("name", "summary", "model", "expectations", "provenance")
+
+    def __init__(self, name: str, summary: str, model: Model | None, expectations: tuple, provenance: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "summary", summary)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "expectations", expectations)
+        object.__setattr__(self, "provenance", provenance)
 
 
 def _all_pass(*overrides) -> tuple:
@@ -549,10 +551,12 @@ def _parse_point(target: str) -> CirclePoint:
     raise UnknownEntryError(f"bad family point {target!r}")
 
 
-@dataclass(frozen=True)
-class ExpectationOutcome:
-    expectation: Expectation
-    actual: str
+class ExpectationOutcome(Value):
+    __slots__ = ("expectation", "actual")
+
+    def __init__(self, expectation: Expectation, actual: str):
+        object.__setattr__(self, "expectation", expectation)
+        object.__setattr__(self, "actual", actual)
 
     @property
     def ok(self) -> bool:

@@ -37,7 +37,6 @@ returned silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import (
@@ -52,6 +51,7 @@ from .exact import (
     Matrix,
     Subspace,
     Trilinear,
+    Value,
     column_slices,
     first_nonzero_entry,
     invert,
@@ -72,12 +72,15 @@ from .structures import (
 )
 
 
-@dataclass(frozen=True)
-class Connection:
-    """Left-invariant connection as the matrices Gamma_i = nabla_{e_i}."""
+class Connection(Value):
+    """Left-invariant connection as the matrices Gamma_i = nabla_{e_i}; equality ignores the certificate."""
 
-    gammas: tuple  # gammas[i] is a Matrix whose column j is nabla_{e_i} e_j
-    certified: tuple = field(default=(), compare=False)
+    __slots__ = ("gammas", "certified")
+    _uncompared = ("certified",)
+
+    def __init__(self, gammas: tuple, certified: tuple = ()):
+        object.__setattr__(self, "gammas", gammas)  # gammas[i] is a Matrix whose column j is nabla_{e_i} e_j
+        object.__setattr__(self, "certified", certified)
 
     def apply(self, x, y):
         """nabla_x y = (sum_i x_i Gamma_i) y."""

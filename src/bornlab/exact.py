@@ -36,13 +36,12 @@ each access, so code that loops over entries reads `num` and `den`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
-from operator import add, mul, sub
-from typing import Iterable, Sequence
+from operator import add, attrgetter, mul, sub
 
 from .errors import (
     DimensionMismatchError,
@@ -88,6 +87,53 @@ def rationalize(value) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# immutable value classes
+
+
+class Value:
+    """Base of the immutable value classes: slotted fields, equality and hash by value.
+
+    A subclass names its fields in __slots__ and sets each once, when it is
+    built, with object.__setattr__; afterwards assignment and deletion raise
+    AttributeError.  Two instances are equal when they are of the same
+    class and their fields are equal, the fields named in _uncompared
+    excepted.  The hash of the compared fields is computed on first use and
+    kept, so a value used again as a cache key is not hashed again; a value
+    holding a dict is unhashable.  repr lists every field.
+    """
+
+    __slots__ = ("_hash",)
+    _uncompared = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = attrgetter(*(f for f in cls.__slots__ if f not in cls._uncompared))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._key(self))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+# ---------------------------------------------------------------------------
 # vectors: immutable tuples of Fractions, 0-based internally
 
 
@@ -115,13 +161,14 @@ def vec_sub(x, y):
 # matrices
 
 
-class Matrix:
+class Matrix(Value):
     """Immutable square matrix of rationals, stored as integers over one denominator.
 
     The matrix is num / den, with num a tuple of n rows of ints and den an
     int, kept in canonical form: den > 0, gcd(den, every entry of num) = 1,
     and the zero matrix over den = 1.  Equal matrices therefore have equal
-    (num, den), which equality and hashing compare directly.
+    (num, den), which equality and hashing compare directly; the hash is
+    computed once.
 
     Semantic indexing follows the geometry conventions: entry(i, j) is
     1-based, matching basis labels e_1..e_n.  `rows` is a 0-based tuple of
@@ -164,9 +211,6 @@ class Matrix:
         object.__setattr__(m, "num", num)
         object.__setattr__(m, "den", den)
         return m
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -277,8 +321,7 @@ class Matrix:
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.den == other.den and self.num == other.num
 
-    def __hash__(self):
-        return hash((self.num, self.den))
+    __hash__ = Value.__hash__
 
     def __repr__(self):
         body = "; ".join(" ".join(format_rational(v) for v in row) for row in self.rows)
@@ -351,8 +394,7 @@ def column_slices(matrices: Sequence[Matrix]) -> list[Matrix]:
     return [Matrix.over(list(zip(*(c[i] for c in columns))), d) for i in range(len(columns))]
 
 
-@dataclass(frozen=True)
-class Trilinear:
+class Trilinear(Value):
     """A trilinear tensor t(e_i, e_j, e_k) on the fixed basis, kept as n matrices.
 
     Entry (j, k) of slices[i] is t(e_i, e_j, e_k).  A vector-valued tensor
@@ -364,7 +406,10 @@ class Trilinear:
     i < j (or i < j < k).
     """
 
-    slices: tuple
+    __slots__ = ("slices",)
+
+    def __init__(self, slices: tuple):
+        object.__setattr__(self, "slices", slices)
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.slices)
@@ -492,13 +537,15 @@ def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
     return [from_integers(row, d) for row, d in reduced]
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Value):
     """Sylvester inertia (positive, negative, null) of a symmetric form."""
 
-    positive: int
-    negative: int
-    null: int
+    __slots__ = ("positive", "negative", "null")
+
+    def __init__(self, positive: int, negative: int, null: int):
+        object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "negative", negative)
+        object.__setattr__(self, "null", null)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.positive, self.negative, self.null)
@@ -553,7 +600,7 @@ def signature_of_symmetric(m: Matrix) -> Signature:
 # subspaces
 
 
-class Subspace:
+class Subspace(Value):
     """Span of rational vectors inside a fixed R^n.
 
     The constructor keeps the spanning vectors as given (for serialization)
@@ -565,6 +612,7 @@ class Subspace:
     """
 
     __slots__ = ("n", "given", "basis", "_echelon")
+    _uncompared = ("given", "basis")
 
     def __init__(self, n: int, vectors_: Sequence[Sequence]):
         given = tuple(vector(v) for v in vectors_)
@@ -577,9 +625,6 @@ class Subspace:
         object.__setattr__(self, "given", given)
         object.__setattr__(self, "basis", tuple(from_integers(row, d) for row, d in reduced))
         object.__setattr__(self, "_echelon", tuple((pc, row, d) for pc, (row, d) in zip(pivots, reduced)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
 
     @property
     def dim(self) -> int:
@@ -620,23 +665,12 @@ class Subspace:
         rows = [list(row) for _, row, _ in self._echelon + other._echelon]
         return len(_gauss_jordan(rows, self.n)[0]) == self.n
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.n == other.n
-            and self._echelon == other._echelon
-        )
-
-    def __hash__(self):
-        return hash((self.n, self._echelon))
-
     def __repr__(self):
         vecs = ", ".join("(" + ", ".join(map(format_rational, v)) + ")" for v in self.basis)
         return f"Subspace[{vecs}]"
 
 
-@dataclass(frozen=True)
-class Splitting:
+class Splitting(Value):
     """A splitting V = plus + minus and the frame adapted to it.
 
     The frame P has the echelon bases of plus and then of minus as its
@@ -650,13 +684,16 @@ class Splitting:
     (+, +), (+, -), (-, +) or (-, -) block of either.
     """
 
-    plus: Subspace
-    minus: Subspace
-    frame: Matrix
-    frame_inv: Matrix
-    pi_plus: Matrix
-    pi_minus: Matrix
-    involution: Matrix
+    __slots__ = ("plus", "minus", "frame", "frame_inv", "pi_plus", "pi_minus", "involution")
+
+    def __init__(self, plus, minus, frame, frame_inv, pi_plus, pi_minus, involution):
+        object.__setattr__(self, "plus", plus)
+        object.__setattr__(self, "minus", minus)
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "frame_inv", frame_inv)
+        object.__setattr__(self, "pi_plus", pi_plus)
+        object.__setattr__(self, "pi_minus", pi_minus)
+        object.__setattr__(self, "involution", involution)
 
     def pairing(self, m: Matrix) -> Matrix:
         """P^T M P: the bilinear form with matrix m on pairs of frame vectors."""

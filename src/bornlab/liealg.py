@@ -14,17 +14,18 @@ d alpha_5 = alpha_1 ^ alpha_2.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import add, mul, sub
-from typing import Mapping, Sequence
 
 from .errors import DimensionMismatchError, JacobiViolationError
 from .exact import (
     Matrix,
     Subspace,
     Trilinear,
+    Value,
     column_slices,
     format_rational,
     from_integers,
@@ -177,7 +178,7 @@ def jacobi_defect(L: LieAlgebra) -> dict:
     return {index: Fraction(value, dc * dc) for index, value in _jacobi_sums(L)}
 
 
-class SubalgebraResult:
+class SubalgebraResult(Value):
     """Outcome of a bracket-closure test, with a witness on failure."""
 
     __slots__ = ("ok", "witness", "residual")
@@ -186,9 +187,6 @@ class SubalgebraResult:
         object.__setattr__(self, "ok", ok)
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "residual", residual)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SubalgebraResult is immutable")
 
     def __bool__(self):
         return self.ok

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import lru_cache
 from math import lcm
-from typing import Mapping, Optional, Sequence
 
 from .connections import (
     born_connection,
@@ -42,7 +41,7 @@ from .errors import (
     ModelSyntaxError,
     UnknownNameError,
 )
-from .exact import Matrix, Subspace, format_rational, parse_rational, rational_parts
+from .exact import Matrix, Subspace, Value, format_rational, parse_rational, rational_parts
 from .liealg import LieAlgebra, ce_d2, is_subalgebra
 from .multilinear import ANTISYMMETRIC, SYMMETRIC, BilinearForm, Endomorphism
 from .structures import (
@@ -97,16 +96,18 @@ _REQUIRED_ROLES = {
 }
 
 
-@dataclass(frozen=True)
-class StructureDecl:
-    kind: str
-    refs: tuple  # sorted (role, name) pairs
+class StructureDecl(Value):
+    __slots__ = ("kind", "refs")
+
+    def __init__(self, kind: str, refs: tuple):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "refs", refs)  # sorted (role, name) pairs
 
     @classmethod
     def of(cls, kind: str, **refs) -> "StructureDecl":
         return cls(kind, tuple(sorted(refs.items())))
 
-    def ref(self, role: str) -> Optional[str]:
+    def ref(self, role: str) -> str | None:
         for key, name in self.refs:
             if key == role:
                 return name
@@ -117,16 +118,20 @@ class StructureDecl:
         return f"{self.kind}({named})"
 
 
-@dataclass(frozen=True)
-class Model:
-    name: str
-    algebra: LieAlgebra
-    forms: Mapping[str, BilinearForm]
-    metrics: Mapping[str, BilinearForm]
-    endos: Mapping[str, Endomorphism]
-    subspaces: Mapping[str, Subspace]
-    structures: tuple
-    checks: Optional[tuple] = None
+class Model(Value):
+    """A parsed model: forms, metrics, endos and subspaces are dicts by name, so it is unhashable."""
+
+    __slots__ = ("name", "algebra", "forms", "metrics", "endos", "subspaces", "structures", "checks")
+
+    def __init__(self, name, algebra, forms, metrics, endos, subspaces, structures, checks=None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "forms", forms)
+        object.__setattr__(self, "metrics", metrics)
+        object.__setattr__(self, "endos", endos)
+        object.__setattr__(self, "subspaces", subspaces)
+        object.__setattr__(self, "structures", structures)
+        object.__setattr__(self, "checks", checks)
 
 
 # ---------------------------------------------------------------------------
@@ -289,18 +294,22 @@ def render_model(model: Model) -> str:
 # check execution
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check: str
-    status: str  # pass | fail | skipped
-    witness: Optional[Witness]
-    elapsed_ms: int
+class CheckResult(Value):
+    __slots__ = ("check", "status", "witness", "elapsed_ms")
+
+    def __init__(self, check: str, status: str, witness: Witness | None, elapsed_ms: int):
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "status", status)  # pass | fail | skipped
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "elapsed_ms", elapsed_ms)
 
 
-@dataclass(frozen=True)
-class Report:
-    model: str
-    results: tuple
+class Report(Value):
+    __slots__ = ("model", "results")
+
+    def __init__(self, model: str, results: tuple):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "results", results)
 
     @property
     def overall(self) -> str:
@@ -421,7 +430,7 @@ def _born_integrability(born: BornStructure):
 
 
 @lru_cache(maxsize=None)
-def _kunneth_obstruction(k: AlmostKunneth) -> Optional[Witness]:
+def _kunneth_obstruction(k: AlmostKunneth) -> Witness | None:
     """First obstruction to integrability of a splitting, or None.
 
     Integrable means a closed form with both subspaces bracket-closed; this is
@@ -565,7 +574,7 @@ _CHECK_FUNCTIONS = {
 }
 
 
-def run_checks(model: Model, only: Optional[Sequence[str]] = None) -> Report:
+def run_checks(model: Model, only: Sequence[str] | None = None) -> Report:
     """Execute the requested checks (default: all applicable) against a model."""
     selected = tuple(only) if only is not None else (model.checks or CHECK_ORDER)
     for name in selected:
@@ -587,7 +596,7 @@ def run_checks(model: Model, only: Optional[Sequence[str]] = None) -> Report:
 # rendering
 
 
-def _witness_json(w: Optional[Witness]):
+def _witness_json(w: Witness | None):
     if w is None:
         return None
     out = {"index": list(w.index), "value": w.value}

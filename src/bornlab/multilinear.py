@@ -10,7 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import TYPE_CHECKING
 
 from .errors import (
     AxiomFailureError,
@@ -25,6 +24,7 @@ from .exact import (
     Splitting,
     Subspace,
     Trilinear,
+    Value,
     invert,
     kernel_basis,
     linear_combination,
@@ -33,6 +33,7 @@ from .exact import (
     vector,
 )
 
+TYPE_CHECKING = False  # true for static checkers only; importing typing at run time is not needed
 if TYPE_CHECKING:  # pragma: no cover
     from .liealg import LieAlgebra
 
@@ -41,7 +42,7 @@ ANTISYMMETRIC = "antisymmetric"
 NOSYM = "none"
 
 
-class BilinearForm:
+class BilinearForm(Value):
     """Coordinate matrix of a bilinear form with a declared symmetry type."""
 
     __slots__ = ("matrix", "symmetry")
@@ -55,9 +56,6 @@ class BilinearForm:
             raise ValueError(f"unknown symmetry type {symmetry!r}")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "symmetry", symmetry)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BilinearForm is immutable")
 
     @classmethod
     def symmetric(cls, matrix: Matrix) -> "BilinearForm":
@@ -97,30 +95,17 @@ class BilinearForm:
             return -mt.transpose()
         return t.transpose() * self.matrix
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, BilinearForm)
-            and self.matrix == other.matrix
-            and self.symmetry == other.symmetry
-        )
-
-    def __hash__(self):
-        return hash((self.matrix, self.symmetry))
-
     def __repr__(self):
         return f"BilinearForm({self.symmetry}, {self.matrix!r})"
 
 
-class Endomorphism:
+class Endomorphism(Value):
     """Endomorphism of the fixed basis; column j is the image of e_j."""
 
     __slots__ = ("matrix",)
 
     def __init__(self, matrix: Matrix):
         object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Endomorphism is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "Endomorphism":
@@ -156,12 +141,6 @@ class Endomorphism:
 
     def is_complex_structure(self) -> bool:
         return self.squared() == -Matrix.identity(self.n)
-
-    def __eq__(self, other):
-        return isinstance(other, Endomorphism) and self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
 
     def __repr__(self):
         return f"Endomorphism({self.matrix!r})"

@@ -10,11 +10,9 @@ ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Optional
 
 from .errors import (
     AxiomFailureError,
@@ -30,6 +28,7 @@ from .errors import (
 from .exact import (
     Matrix,
     Subspace,
+    Value,
     determinant,
     first_nonzero_entry,
     format_rational,
@@ -51,30 +50,36 @@ from .multilinear import (
 )
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Value):
     """Exact counterexample: a 1-based index tuple and the offending value."""
 
-    index: tuple
-    value: str
-    note: str = ""
+    __slots__ = ("index", "value", "note")
+
+    def __init__(self, index: tuple, value: str, note: str = ""):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "note", note)
 
     @classmethod
     def at(cls, index, value, note=""):
         return cls(tuple(index), format_rational(rationalize(value)), note)
 
 
-@dataclass(frozen=True)
-class CheckItem:
-    name: str
-    ok: bool
-    witness: Optional[Witness] = None
-    group: str = "algebra"  # algebra | eigenspace | signature
+class CheckItem(Value):
+    __slots__ = ("name", "ok", "witness", "group")
+
+    def __init__(self, name: str, ok: bool, witness: Witness | None = None, group: str = "algebra"):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "group", group)  # algebra | eigenspace | signature
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    items: tuple
+class StructureReport(Value):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple):
+        object.__setattr__(self, "items", items)
 
     @property
     def ok(self) -> bool:
@@ -83,14 +88,14 @@ class StructureReport:
     def failures(self):
         return [item for item in self.items if not item.ok]
 
-    def first_witness(self) -> Optional[Witness]:
+    def first_witness(self) -> Witness | None:
         for item in self.items:
             if not item.ok:
                 return item.witness
         return None
 
 
-def _matrix_witness(m: Matrix, note="") -> Optional[Witness]:
+def _matrix_witness(m: Matrix, note="") -> Witness | None:
     hit = m.first_nonzero()
     if hit is None:
         return None
@@ -102,14 +107,16 @@ def _matrix_witness(m: Matrix, note="") -> Optional[Witness]:
 # almost Kunneth structures
 
 
-@dataclass(frozen=True)
-class AlmostKunneth:
+class AlmostKunneth(Value):
     """Non-degenerate 2-form with two complementary isotropic subspaces."""
 
-    algebra: LieAlgebra
-    omega: BilinearForm
-    plus: Subspace
-    minus: Subspace
+    __slots__ = ("algebra", "omega", "plus", "minus")
+
+    def __init__(self, algebra: LieAlgebra, omega: BilinearForm, plus: Subspace, minus: Subspace):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "plus", plus)
+        object.__setattr__(self, "minus", minus)
 
 
 @lru_cache(maxsize=None)
@@ -155,8 +162,7 @@ def neutral_metric(k: AlmostKunneth) -> BilinearForm:
 # Born structures
 
 
-@dataclass(frozen=True)
-class BornStructure:
+class BornStructure(Value):
     """Two metrics and a 2-form whose recursion operators square correctly.
 
     a_op, b_op, j_op are derived from the defining relations
@@ -165,21 +171,24 @@ class BornStructure:
     (+1)/(-1) eigenspaces of A.
     """
 
-    algebra: LieAlgebra
-    g: BilinearForm
-    h: BilinearForm
-    omega: BilinearForm
-    a_op: Endomorphism
-    b_op: Endomorphism
-    j_op: Endomorphism
-    l_plus: Subspace
-    l_minus: Subspace
+    __slots__ = ("algebra", "g", "h", "omega", "a_op", "b_op", "j_op", "l_plus", "l_minus")
+
+    def __init__(self, algebra, g, h, omega, a_op, b_op, j_op, l_plus, l_minus):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "a_op", a_op)
+        object.__setattr__(self, "b_op", b_op)
+        object.__setattr__(self, "j_op", j_op)
+        object.__setattr__(self, "l_plus", l_plus)
+        object.__setattr__(self, "l_minus", l_minus)
 
     def underlying_kunneth(self) -> AlmostKunneth:
         return build_almost_kunneth(self.algebra, self.omega, self.l_plus, self.l_minus)
 
 
-def _require_form(name: str, form: BilinearForm, symmetry: str, *, inverse: bool = False) -> Optional[Matrix]:
+def _require_form(name: str, form: BilinearForm, symmetry: str, *, inverse: bool = False) -> Matrix | None:
     """Certify the declared symmetry and nondegeneracy of a form.
 
     With inverse=True the inverse matrix is returned: computing it is the
@@ -204,9 +213,9 @@ def build_born(
     h: BilinearForm,
     omega: BilinearForm,
     *,
-    expect_a: Optional[Endomorphism] = None,
-    expect_b: Optional[Endomorphism] = None,
-    expect_j: Optional[Endomorphism] = None,
+    expect_a: Endomorphism | None = None,
+    expect_b: Endomorphism | None = None,
+    expect_j: Endomorphism | None = None,
 ) -> BornStructure:
     """Derive A, B, J from (g, h, omega) and certify the Born axioms.
 
@@ -359,8 +368,7 @@ def verify_born_identities(b: BornStructure) -> StructureReport:
     return StructureReport(tuple(items))
 
 
-@dataclass(frozen=True)
-class IntegrabilityReport:
+class IntegrabilityReport(Value):
     """Closedness of omega plus the three Nijenhuis tensors, classified.
 
     A Born structure is integrable when omega is closed and at least two of
@@ -368,21 +376,30 @@ class IntegrabilityReport:
     implication on each run).
     """
 
-    closed: bool
-    d_omega_witness: Optional[Witness]
-    vanishing: dict
-    nijenhuis_witnesses: dict
-    plus_subalgebra: bool
-    minus_subalgebra: bool
-    integrable: bool
-    two_implies_three: bool
-    nijenhuis_matches_subalgebras: bool
+    __slots__ = (
+        "closed", "d_omega_witness", "vanishing", "nijenhuis_witnesses", "plus_subalgebra",
+        "minus_subalgebra", "integrable", "two_implies_three", "nijenhuis_matches_subalgebras",
+    )
+
+    def __init__(
+        self, closed, d_omega_witness, vanishing, nijenhuis_witnesses, plus_subalgebra,
+        minus_subalgebra, integrable, two_implies_three, nijenhuis_matches_subalgebras,
+    ):
+        object.__setattr__(self, "closed", closed)
+        object.__setattr__(self, "d_omega_witness", d_omega_witness)
+        object.__setattr__(self, "vanishing", vanishing)
+        object.__setattr__(self, "nijenhuis_witnesses", nijenhuis_witnesses)
+        object.__setattr__(self, "plus_subalgebra", plus_subalgebra)
+        object.__setattr__(self, "minus_subalgebra", minus_subalgebra)
+        object.__setattr__(self, "integrable", integrable)
+        object.__setattr__(self, "two_implies_three", two_implies_three)
+        object.__setattr__(self, "nijenhuis_matches_subalgebras", nijenhuis_matches_subalgebras)
 
     @property
     def ok(self) -> bool:
         return self.two_implies_three and self.nijenhuis_matches_subalgebras
 
-    def first_witness(self) -> Optional[Witness]:
+    def first_witness(self) -> Witness | None:
         if not self.closed:
             return self.d_omega_witness
         for name in ("A", "B", "J"):
@@ -439,7 +456,7 @@ def integrability_report(b: BornStructure) -> IntegrabilityReport:
 # enhancement of an almost Kunneth structure to a Born structure
 
 
-def enhance_kunneth(k: AlmostKunneth, jtilde: Optional[Endomorphism] = None) -> BornStructure:
+def enhance_kunneth(k: AlmostKunneth, jtilde: Endomorphism | None = None) -> BornStructure:
     """Complete an almost Kunneth structure to a Born structure.
 
     jtilde, when given, must restrict to an isomorphism plus -> minus with
@@ -492,21 +509,23 @@ def enhance_kunneth(k: AlmostKunneth, jtilde: Optional[Endomorphism] = None) -> 
 # hypersymplectic structures and the circle family
 
 
-@dataclass(frozen=True)
-class Hypersymplectic:
+class Hypersymplectic(Value):
     """Three symplectic forms whose recursion operators satisfy A^2=B^2=-J^2=Id.
 
     The derived metric is g(x, y) = alpha(x, B y).
     """
 
-    algebra: LieAlgebra
-    omega: BilinearForm
-    alpha: BilinearForm
-    beta: BilinearForm
-    a_op: Endomorphism
-    b_op: Endomorphism
-    j_op: Endomorphism
-    metric: BilinearForm
+    __slots__ = ("algebra", "omega", "alpha", "beta", "a_op", "b_op", "j_op", "metric")
+
+    def __init__(self, algebra, omega, alpha, beta, a_op, b_op, j_op, metric):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "a_op", a_op)
+        object.__setattr__(self, "b_op", b_op)
+        object.__setattr__(self, "j_op", j_op)
+        object.__setattr__(self, "metric", metric)
 
 
 @lru_cache(maxsize=None)
@@ -516,10 +535,10 @@ def build_hypersymplectic(
     alpha: BilinearForm,
     beta: BilinearForm,
     *,
-    expect_a: Optional[Endomorphism] = None,
-    expect_b: Optional[Endomorphism] = None,
-    expect_j: Optional[Endomorphism] = None,
-    expect_metric: Optional[BilinearForm] = None,
+    expect_a: Endomorphism | None = None,
+    expect_b: Endomorphism | None = None,
+    expect_j: Endomorphism | None = None,
+    expect_metric: BilinearForm | None = None,
 ) -> Hypersymplectic:
     """Validate a hypersymplectic triple and derive its operators and metric.
 
@@ -571,15 +590,17 @@ def build_hypersymplectic(
     return Hypersymplectic(L, omega, alpha, beta, a_op, b_op, j_op, metric)
 
 
-class CirclePoint:
+class CirclePoint(Value):
     """Exact rational point on the unit circle.
 
     A rational parameter t maps to (cos, sin) = ((1-t^2)/(1+t^2), 2t/(1+t^2));
     theta = pi (the point t -> infinity) is the distinguished case (-1, 0).
-    cos^2 + sin^2 = 1 holds exactly by construction.
+    cos^2 + sin^2 = 1 holds exactly by construction.  Points are equal, and
+    hash alike, by (cos, sin), whichever t named them.
     """
 
     __slots__ = ("t", "cos", "sin")
+    _uncompared = ("t",)
 
     def __init__(self, t, cos, sin):
         if cos * cos + sin * sin != 1:
@@ -587,9 +608,6 @@ class CirclePoint:
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "cos", cos)
         object.__setattr__(self, "sin", sin)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CirclePoint is immutable")
 
     @classmethod
     def from_t(cls, t) -> "CirclePoint":
@@ -611,13 +629,11 @@ class CirclePoint:
     def label(self) -> str:
         return "theta=pi" if self.t is None else f"t={format_rational(self.t)}"
 
-    def __eq__(self, other):
-        return isinstance(other, CirclePoint) and (self.cos, self.sin) == (other.cos, other.sin)
-
     def __repr__(self):
         return f"CirclePoint({self.label()}, cos={self.cos}, sin={self.sin})"
 
 
+@lru_cache(maxsize=None)
 def s1_family(hs: Hypersymplectic, jtilde: Endomorphism, p: CirclePoint) -> BornStructure:
     """Born structure at one point of the circle family of a hypersymplectic triple.
 
@@ -626,6 +642,8 @@ def s1_family(hs: Hypersymplectic, jtilde: Endomorphism, p: CirclePoint) -> Born
     is the diagram g -> beta_t (via I_t), g -> h_t (via Bt = jtilde I_t),
     beta_t -> h_t (via -jtilde), with
     beta_t = -sin * alpha + cos * beta and I_t = cos * A + sin * B.
+    Members are memoized by value like the builders; a failed hypothesis
+    raises again on every call.
     """
     n = hs.algebra.n
     ident = Matrix.identity(n)

@@ -5,7 +5,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -256,14 +255,15 @@ def _moved_model(model, seed):
     """The model in the seeded unimodular basis f_a = P e_a."""
     p = random_unimodular(model.algebra.n, random.Random(f"{model.name}-cache-{seed}"))
     p_inv = invert(p)
-    return replace(
-        model,
+    return model_module.Model(
         name=f"{model.name}~{seed}",
         algebra=moved_algebra(model.algebra, p),
         forms={k: moved_form(f, p, ANTISYMMETRIC) for k, f in model.forms.items()},
         metrics={k: moved_form(f, p, SYMMETRIC) for k, f in model.metrics.items()},
         endos={k: Endomorphism(p_inv * e.matrix * p) for k, e in model.endos.items()},
         subspaces={k: moved_subspace(s, p_inv) for k, s in model.subspaces.items()},
+        structures=model.structures,
+        checks=model.checks,
     )
 
 

@@ -22,6 +22,7 @@ from bornlab import (
     neutral_metric,
     s1_family,
     signature_of_symmetric,
+    structures,
     verify_born_identities,
 )
 from bornlab.errors import (
@@ -35,7 +36,7 @@ from bornlab.errors import (
 )
 from bornlab.exact import basis_vector, invert
 from bornlab.model import _Materialized
-from bornlab.multilinear import ANTISYMMETRIC, SYMMETRIC, recursion_operator, symmetric_form, two_form
+from bornlab.multilinear import ANTISYMMETRIC, SYMMETRIC, pullback, recursion_operator, symmetric_form, two_form
 from bornlab.structures import IDENTITY_TABLE, Witness
 from test_exact import random_invertible
 from test_frames import random_matrix, random_splitting
@@ -561,7 +562,25 @@ def test_family_antipode_negates_product_structure(nil3_hypersymplectic, nil3_jt
 
 
 def test_family_hypothesis_failure(nil3_hypersymplectic):
-    # an almost complex structure commuting (not anti-commuting) with A
+    # an almost complex structure commuting (not anti-commuting) with A; a
+    # failure is not memoized, so every call raises
     bad = Endomorphism.from_images([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
-    with pytest.raises(HypothesisFailureError):
-        s1_family(nil3_hypersymplectic, bad, CirclePoint.from_t(0))
+    for _ in range(2):
+        with pytest.raises(HypothesisFailureError):
+            s1_family(nil3_hypersymplectic, bad, CirclePoint.from_t(0))
+
+
+def test_circle_points_hash_by_value():
+    p, q = CirclePoint.from_t(0), CirclePoint.theta_pi().antipode()
+    assert p is not q and p == q and hash(p) == hash(q)
+    assert CirclePoint.theta_pi() == CirclePoint.from_t(0).antipode()
+    assert len({CirclePoint.from_t(Fraction(1, 2)), CirclePoint.from_t(Fraction(2, 4)), CirclePoint.from_t(2)}) == 2
+
+
+def test_family_member_is_memoized(nil3_hypersymplectic, nil3_jtilde, monkeypatch):
+    first = s1_family(nil3_hypersymplectic, nil3_jtilde, CirclePoint.from_t(Fraction(2, 7)))
+    # a repeat call neither re-checks the jtilde hypotheses nor rebuilds the member
+    checked = []
+    monkeypatch.setattr(structures, "pullback", lambda *args: checked.append(args) or pullback(*args))
+    assert s1_family(nil3_hypersymplectic, nil3_jtilde, CirclePoint.from_t(Fraction(2, 7))) is first
+    assert checked == []
