@@ -16,7 +16,7 @@ from functools import lru_cache
 from .errors import BornlabError, NotExportableError, UnknownEntryError
 from .exact import Subspace, Value
 from .liealg import LieAlgebra, ce_d2
-from .model import Model, StructureDecl, _Materialized, render_model, run_checks
+from .model import Model, StructureDecl, materialize, render_model, run_checks
 from .multilinear import Endomorphism, symmetric_form, two_form
 from .structures import (
     CirclePoint,
@@ -511,8 +511,7 @@ def get_entry(name: str) -> CatalogEntry:
         raise UnknownEntryError(f"unknown catalog entry {name!r}")
     entry = _BUILDERS[name]()
     if entry.model is not None:
-        mat = _Materialized(entry.model)
-        for decl, obj in mat.borns + mat.kunneths + mat.hypers:
+        for _, obj in materialize(entry.model):
             if isinstance(obj, Exception):
                 raise obj
     return entry

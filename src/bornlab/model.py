@@ -10,11 +10,19 @@ collects exact witnesses for failures, and reports deterministically: result
 rows appear in a fixed order and witnesses are the lexicographically first
 offending index, independent of evaluation order.
 
-Each check is a map over the built structures.  The builders, and each
-check's outcome for one built structure, are memoized by value for the life
-of the process, so a structure checked again (by `catalog show` after
-`check`, or in another model) costs lookups; memory grows with the number of
-distinct structures checked.  Reports and their timings are not memoized.
+One table, _CHECKS, says which check applies to which structure kind and how
+it is decided there.  materialize builds every declared structure, keeping
+construction errors, and orders them born, kunneth, hypersymplectic, each in
+declaration order; a check's row is the first failing outcome in that order.
+A structure that did not build fails only its kind's construction check
+(_CONSTRUCTION) and is left out of every other.
+
+The builders are memoized by value, and so is each check's outcome on one
+built structure, in one memo keyed by (check, kind, structure); a Born row
+that rests on its underlying Kunneth structure reads that outcome through
+the same memo.  A structure checked again (by `catalog show` after `check`,
+or in another model) costs lookups; memory grows with the number of distinct
+structures checked.  Reports and their timings are not memoized.
 """
 
 from __future__ import annotations
@@ -89,6 +97,7 @@ _STRUCTURE_ROLES = {
         ("metric", "metrics"),
     ),
 }
+_KINDS = ("born", "kunneth", "hypersymplectic")  # the order checks combine outcomes in
 _REQUIRED_ROLES = {
     "kunneth": ("omega", "plus", "minus"),
     "born": ("g", "h", "omega"),
@@ -297,7 +306,7 @@ def render_model(model: Model) -> str:
 class CheckResult(Value):
     __slots__ = ("check", "status", "witness", "elapsed_ms")
 
-    def __init__(self, check: str, status: str, witness: Witness | None, elapsed_ms: int):
+    def __init__(self, check: str, status: str, witness: Witness | None, elapsed_ms: float):
         object.__setattr__(self, "check", check)
         object.__setattr__(self, "status", status)  # pass | fail | skipped
         object.__setattr__(self, "witness", witness)
@@ -316,57 +325,51 @@ class Report(Value):
         return "fail" if any(r.status == "fail" for r in self.results) else "pass"
 
 
-class _Materialized:
-    """Structures built once per run, with construction failures kept."""
+def materialize(model: Model) -> list:
+    """(decl, structure or its BornlabError) per declared structure.
 
-    def __init__(self, model: Model):
-        self.model = model
-        self.borns = []  # (decl, BornStructure | BornlabError)
-        self.kunneths = []  # (decl, AlmostKunneth | BornlabError)
-        self.hypers = []  # (decl, Hypersymplectic | BornlabError)
-        L = model.algebra
-        for decl in model.structures:
-            try:
-                if decl.kind == "born":
-                    obj = build_born(
-                        L,
-                        model.metrics[decl.ref("g")],
-                        model.metrics[decl.ref("h")],
-                        model.forms[decl.ref("omega")],
-                        expect_a=_maybe(model.endos, decl.ref("A")),
-                        expect_b=_maybe(model.endos, decl.ref("B")),
-                        expect_j=_maybe(model.endos, decl.ref("J")),
-                    )
-                    self.borns.append((decl, obj))
-                elif decl.kind == "kunneth":
-                    obj = build_almost_kunneth(
-                        L,
-                        model.forms[decl.ref("omega")],
-                        model.subspaces[decl.ref("plus")],
-                        model.subspaces[decl.ref("minus")],
-                    )
-                    self.kunneths.append((decl, obj))
-                else:
-                    obj = build_hypersymplectic(
-                        L,
-                        model.forms[decl.ref("omega")],
-                        model.forms[decl.ref("alpha")],
-                        model.forms[decl.ref("beta")],
-                        expect_a=_maybe(model.endos, decl.ref("A")),
-                        expect_b=_maybe(model.endos, decl.ref("B")),
-                        expect_j=_maybe(model.endos, decl.ref("J")),
-                        expect_metric=_maybe(model.metrics, decl.ref("metric")),
-                    )
-                    self.hypers.append((decl, obj))
-            except BornlabError as exc:
-                bucket = {"born": self.borns, "kunneth": self.kunneths, "hypersymplectic": self.hypers}
-                bucket[decl.kind].append((decl, exc))
-
-    def built_borns(self):
-        return [(d, b) for d, b in self.borns if isinstance(b, BornStructure)]
-
-    def built_kunneths(self):
-        return [(d, k) for d, k in self.kunneths if isinstance(k, AlmostKunneth)]
+    Structures are built in declaration order and returned born first, then
+    kunneth, then hypersymplectic, each kind in declaration order: the order
+    in which every check combines outcomes, so a row's witness is that of the
+    first failing structure in it.
+    """
+    L = model.algebra
+    built = []
+    for decl in model.structures:
+        kind = decl.kind
+        try:
+            if kind == "born":
+                obj = build_born(
+                    L,
+                    model.metrics[decl.ref("g")],
+                    model.metrics[decl.ref("h")],
+                    model.forms[decl.ref("omega")],
+                    expect_a=_maybe(model.endos, decl.ref("A")),
+                    expect_b=_maybe(model.endos, decl.ref("B")),
+                    expect_j=_maybe(model.endos, decl.ref("J")),
+                )
+            elif kind == "kunneth":
+                obj = build_almost_kunneth(
+                    L,
+                    model.forms[decl.ref("omega")],
+                    model.subspaces[decl.ref("plus")],
+                    model.subspaces[decl.ref("minus")],
+                )
+            else:
+                obj = build_hypersymplectic(
+                    L,
+                    model.forms[decl.ref("omega")],
+                    model.forms[decl.ref("alpha")],
+                    model.forms[decl.ref("beta")],
+                    expect_a=_maybe(model.endos, decl.ref("A")),
+                    expect_b=_maybe(model.endos, decl.ref("B")),
+                    expect_j=_maybe(model.endos, decl.ref("J")),
+                    expect_metric=_maybe(model.metrics, decl.ref("metric")),
+                )
+        except BornlabError as exc:
+            obj = exc
+        built.append((decl, obj))
+    return sorted(built, key=lambda pair: _KINDS.index(pair[0].kind))
 
 
 def _maybe(section, name):
@@ -384,54 +387,38 @@ def _error_witness(exc: BornlabError) -> Witness:
     return Witness.at(tuple(index), value if value is not None else 0, str(exc))
 
 
-def _aggregate(check: str, outcomes) -> CheckResult:
-    """Combine per-structure outcomes ("pass"/"fail"/witness) into one row."""
-    if not outcomes:
-        return CheckResult(check, "skipped", None, 0)
-    for status, witness in outcomes:
-        if status == "fail":
-            return CheckResult(check, "fail", witness, 0)
-    return CheckResult(check, "pass", None, 0)
+# the outcome of one check on one structure: _PASS or ("fail", witness)
+_PASS = ("pass", None)
 
 
-def _built_outcomes(pairs):
-    """Fail with the construction error's witness where a structure did not build."""
-    return [
-        ("fail", _error_witness(obj)) if isinstance(obj, BornlabError) else ("pass", None)
-        for decl, obj in pairs
-    ]
+def _built(structure):
+    """Construction is the check: a structure that built passes it."""
+    return _PASS
 
 
 def _first_failure(items):
     """Outcome of the first failing CheckItem, or a pass when none fails."""
-    for item in items:
-        if not item.ok:
-            return ("fail", item.witness or Witness.at((), 0, item.name))
-    return ("pass", None)
+    return next((("fail", item.witness) for item in items if not item.ok), _PASS)
 
 
-def _group_outcomes(mat: _Materialized, group: str):
-    """One outcome per built Born structure: its first failing identity in a group."""
-    return [
-        _first_failure(i for i in verify_born_identities(born).items if i.group == group)
-        for decl, born in mat.built_borns()
-    ]
+def _identity_group(group: str):
+    """Row of a check made of one group of the Born identities."""
+    return lambda born: _first_failure(i for i in verify_born_identities(born).items if i.group == group)
 
 
 def _defect_outcome(defect):
-    return ("pass", None) if defect.is_zero() else ("fail", Witness.at(*defect.first_witness()))
+    return _PASS if defect.is_zero() else ("fail", Witness.at(*defect.first_witness()))
 
 
 def _born_integrability(born: BornStructure):
     report = integrability_report(born)
     if report.integrable and report.ok:
-        return ("pass", None)
+        return _PASS
     return ("fail", report.first_witness() or Witness.at((), 0, "inconsistent"))
 
 
-@lru_cache(maxsize=None)
-def _kunneth_obstruction(k: AlmostKunneth) -> Witness | None:
-    """First obstruction to integrability of a splitting, or None.
+def _kunneth_integrability(k: AlmostKunneth):
+    """Fails a splitting at its first obstruction to integrability.
 
     Integrable means a closed form with both subspaces bracket-closed; this is
     the notion the torsion criterion for the Kunneth connection refers to (it
@@ -444,21 +431,25 @@ def _kunneth_obstruction(k: AlmostKunneth) -> Witness | None:
     d = ce_d2(L, k.omega)
     if not d.is_zero():
         idx, value = d.first_witness()
-        return Witness.at(idx, value, "d omega")
+        return ("fail", Witness.at(idx, value, "d omega"))
     for sub in (k.plus, k.minus):
         result = is_subalgebra(L, sub)
         if not result:
             c, value = next((c, v) for c, v in enumerate(result.residual, 1) if v)
-            return Witness.at((*result.witness, c), value)
-    return None
+            return ("fail", Witness.at((*result.witness, c), value))
+    return _PASS
+
+
+def _neutral_signature(k: AlmostKunneth):
+    neutral_metric(k)  # certifies the neutral signature; raises otherwise
+    return _PASS
 
 
 def _canonical_of(k: AlmostKunneth):
     return canonical_connection(k.algebra, neutral_metric(k), almost_product(k))
 
 
-@lru_cache(maxsize=None)
-def _connection_outcome(k: AlmostKunneth):
+def _kunneth_connections(k: AlmostKunneth):
     L = k.algebra
     try:
         lc = levi_civita(L, neutral_metric(k))
@@ -466,18 +457,17 @@ def _connection_outcome(k: AlmostKunneth):
         nc = _canonical_of(k)
     except BornlabError as exc:
         return ("fail", _error_witness(exc))
-    integrable = _kunneth_obstruction(k) is None
+    integrable = _outcome("integrability", "kunneth", k) == _PASS
     if torsion(L, nk).is_zero() != integrable:
         return ("fail", Witness.at((), 0, "torsion-free Kunneth connection iff integrable"))
     if integrable and not (lc == nk == nc):
         return ("fail", Witness.at((), 0, "integrable case: nabla^g = nabla^K = nabla^c"))
-    return ("pass", None)
+    return _PASS
 
 
-@lru_cache(maxsize=None)
-def _born_connection_outcome(born: BornStructure):
-    outcome = _connection_outcome(born.underlying_kunneth())
-    if outcome[0] == "pass":
+def _born_connections(born: BornStructure):
+    outcome = _outcome("connections", "kunneth", born.underlying_kunneth())
+    if outcome == _PASS:
         try:
             born_connection(born)
         except BornlabError as exc:
@@ -485,8 +475,7 @@ def _born_connection_outcome(born: BornStructure):
     return outcome
 
 
-@lru_cache(maxsize=None)
-def _generalized_torsion_outcome(born: BornStructure):
+def _generalized_torsion(born: BornStructure):
     try:
         nb = born_connection(born)
         nc = _canonical_of(born.underlying_kunneth())
@@ -495,83 +484,44 @@ def _generalized_torsion_outcome(born: BornStructure):
     return _defect_outcome(generalized_torsion_defect(born.algebra, nb, nc, born.g))
 
 
-@lru_cache(maxsize=None)
-def _omega_k_outcome(k: AlmostKunneth):
-    return _defect_outcome(omega_K_defect(k))
+def _if_integrable(row):
+    """The row on an integrable Born structure; the check does not apply to others."""
+    return lambda born: row(born) if integrability_report(born).integrable else None
 
 
-@lru_cache(maxsize=None)
-def _torsion_formula_outcome(born: BornStructure):
-    return _first_failure(born_torsion_formula_defect(born).items)
-
-
-def _check_born_axioms(mat: _Materialized):
-    return _built_outcomes(mat.borns + mat.hypers)
-
-
-def _check_identity_table(mat: _Materialized):
-    return _group_outcomes(mat, "algebra")
-
-
-def _check_integrability(mat: _Materialized):
-    obstructions = [_kunneth_obstruction(k) for _, k in mat.built_kunneths()]
-    return [_born_integrability(born) for _, born in mat.built_borns()] + [
-        ("pass", None) if w is None else ("fail", w) for w in obstructions
-    ]
-
-
-def _check_eigenspace_geometry(mat: _Materialized):
-    return _group_outcomes(mat, "eigenspace") + _built_outcomes(mat.kunneths)
-
-
-def _check_signatures(mat: _Materialized):
-    outcomes = _group_outcomes(mat, "signature")
-    for decl, k in mat.built_kunneths():
-        neutral_metric(k)  # certifies the neutral signature; raises otherwise
-        outcomes.append(("pass", None))
-    return outcomes
-
-
-def _check_connections(mat: _Materialized):
-    return [_born_connection_outcome(born) for _, born in mat.built_borns()] + [
-        _connection_outcome(k) for _, k in mat.built_kunneths()
-    ]
-
-
-def _check_generalized_torsion(mat: _Materialized):
-    # measured but not asserted for non-integrable structures
-    return [
-        _generalized_torsion_outcome(born)
-        for _, born in mat.built_borns()
-        if integrability_report(born).integrable
-    ]
-
-
-def _check_omega_k(mat: _Materialized):
-    return [_omega_k_outcome(born.underlying_kunneth()) for _, born in mat.built_borns()] + [
-        _omega_k_outcome(k) for _, k in mat.built_kunneths()
-    ]
-
-
-def _check_torsion_formula(mat: _Materialized):
-    return [
-        _torsion_formula_outcome(born)
-        for _, born in mat.built_borns()
-        if integrability_report(born).integrable
-    ]
-
-
-_CHECK_FUNCTIONS = {
-    "born_axioms": _check_born_axioms,
-    "identity_table": _check_identity_table,
-    "integrability": _check_integrability,
-    "eigenspace_geometry": _check_eigenspace_geometry,
-    "signatures": _check_signatures,
-    "connections": _check_connections,
-    "generalized_torsion": _check_generalized_torsion,
-    "omega_k": _check_omega_k,
-    "torsion_formula": _check_torsion_formula,
+# check -> {structure kind: structure -> outcome, or None where the check does not apply}
+_CHECKS = {
+    "born_axioms": {"born": _built, "hypersymplectic": _built},
+    "identity_table": {"born": _identity_group("algebra")},
+    "integrability": {"born": _born_integrability, "kunneth": _kunneth_integrability},
+    "eigenspace_geometry": {"born": _identity_group("eigenspace"), "kunneth": _built},
+    "signatures": {"born": _identity_group("signature"), "kunneth": _neutral_signature},
+    "connections": {"born": _born_connections, "kunneth": _kunneth_connections},
+    "generalized_torsion": {"born": _if_integrable(_generalized_torsion)},
+    "omega_k": {
+        "born": lambda b: _outcome("omega_k", "kunneth", b.underlying_kunneth()),
+        "kunneth": lambda k: _defect_outcome(omega_K_defect(k)),
+    },
+    "torsion_formula": {
+        "born": _if_integrable(lambda b: _first_failure(born_torsion_formula_defect(b).items)),
+    },
 }
+# the one check a structure that did not build fails, per kind
+_CONSTRUCTION = {"born": "born_axioms", "hypersymplectic": "born_axioms", "kunneth": "eigenspace_geometry"}
+
+
+@lru_cache(maxsize=None)
+def _outcome(check: str, kind: str, structure):
+    """One check's outcome for one built structure, memoized by value."""
+    row = _CHECKS[check].get(kind)
+    return row(structure) if row else None
+
+
+def _row(check: str, kind: str, obj):
+    """Outcome of a check on a structure or on its construction error; None where it does not apply."""
+    if isinstance(obj, BornlabError):
+        return ("fail", _error_witness(obj)) if _CONSTRUCTION[kind] == check else None
+    return _outcome(check, kind, obj)
 
 
 def run_checks(model: Model, only: Sequence[str] | None = None) -> Report:
@@ -580,15 +530,17 @@ def run_checks(model: Model, only: Sequence[str] | None = None) -> Report:
     for name in selected:
         if name not in CHECK_ORDER:
             raise UnknownNameError(f"unknown check {name!r}")
-    mat = _Materialized(model)
+    built = materialize(model)
     results = []
     for check in CHECK_ORDER:
         if check not in selected:
             continue
         start = time.perf_counter()
-        outcome = _aggregate(check, _CHECK_FUNCTIONS[check](mat))
-        elapsed = int((time.perf_counter() - start) * 1000)
-        results.append(CheckResult(check, outcome.status, outcome.witness, elapsed))
+        # every applicable structure is evaluated, so no error depends on an earlier failure
+        outcomes = [o for o in (_row(check, decl.kind, obj) for decl, obj in built) if o is not None]
+        status, witness = next((o for o in outcomes if o[0] == "fail"), _PASS if outcomes else ("skipped", None))
+        elapsed = round((time.perf_counter() - start) * 1000, 3)
+        results.append(CheckResult(check, status, witness, elapsed))
     return Report(model.name, tuple(results))
 
 

@@ -322,14 +322,16 @@ def verify_born_identities(b: BornStructure) -> StructureReport:
 
     frames = {"L": splitting(b.l_plus, b.l_minus), "B": involution_split(b.b_op)}
     # T maps the + eigenspace into the - one iff the (+,+) block of P^-1 T P
-    # vanishes, and the - eigenspace into the + one iff the (-,-) block does
+    # vanishes, and the - eigenspace into the + one iff the (-,-) block does;
+    # a failure is witnessed by the block's first nonzero entry
     for op_name, frame_name in (("J", "L"), ("J", "B"), ("A", "B"), ("B", "L")):
         s = frames[frame_name]
         t = s.in_frame(ops[op_name].matrix)
         for side, other in (("+", "-"), ("-", "+")):
-            ok = first_nonzero_entry(s.block(t, side, side)) is None
+            hit = first_nonzero_entry(s.block(t, side, side))
+            witness = None if hit is None else Witness.at(hit[:2], hit[2])
             name = f"{op_name} maps {frame_name}{side} to {frame_name}{other}"
-            items.append(CheckItem(name, ok, None, "eigenspace"))
+            items.append(CheckItem(name, hit is None, witness, "eigenspace"))
 
     # pairings of frame vectors: an antisymmetric (+,+) or (-,-) block has its
     # first nonzero entry at a < c

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from bornlab import LieAlgebra, catalog
+from bornlab.errors import BornlabError
+from bornlab.model import materialize
 
 
 @pytest.fixture(scope="session")
@@ -33,19 +35,18 @@ def catalog_models():
     return out
 
 
+def structures_of(entry, kind):
+    """The structures of one kind that an entry declares and that build, in declaration order."""
+    return [obj for decl, obj in materialize(entry.model) if decl.kind == kind and not isinstance(obj, BornlabError)]
+
+
 @pytest.fixture(scope="session")
 def catalog_structures(catalog_models):
-    """Materialized (borns, kunneths) per entry, built once for the session."""
-    from bornlab.model import _Materialized
-
-    out = {}
-    for name, entry in catalog_models.items():
-        mat = _Materialized(entry.model)
-        out[name] = {
-            "borns": [b for _, b in mat.built_borns()],
-            "kunneths": [k for _, k in mat.built_kunneths()],
-        }
-    return out
+    """Built (borns, kunneths) per entry."""
+    return {
+        name: {"borns": structures_of(entry, "born"), "kunneths": structures_of(entry, "kunneth")}
+        for name, entry in catalog_models.items()
+    }
 
 
 def rational_grid():

@@ -43,32 +43,12 @@ from bornlab import (
     verify_born_identities,
 )
 from bornlab.exact import basis_vector, determinant, invert, vec_sub
-from bornlab.model import _Materialized
 from bornlab.multilinear import symmetric_form, two_form
+from conftest import structures_of
 from oracles import OneForm, ce_d1
 
 FAMILY_POINTS = [CirclePoint.from_t(t) for t in (0, 1, -1, Fraction(1, 2), 2, Fraction(3, 5))]
 FAMILY_POINTS.append(CirclePoint.theta_pi())
-
-_cache = {}
-
-
-def materialized(entry):
-    if entry.name not in _cache:
-        _cache[entry.name] = _Materialized(entry.model)
-    return _cache[entry.name]
-
-
-def borns_of(entry):
-    return [b for _, b in materialized(entry).built_borns()]
-
-
-def kunneths_of(entry):
-    return [k for _, k in materialized(entry).built_kunneths()]
-
-
-def hyper_of(entry):
-    return [h for _, h in materialized(entry).hypers][0]
 
 
 def entry_is_integrable(entry, L, k):
@@ -83,7 +63,7 @@ def test_criterion_01_nil3_recursion_operators(catalog_models):
     """Computed A, B, J on nil3_r reproduce the source tables entry for entry,
     with one certified correction: the printed Je4 = -e3 is impossible
     (J^2 = -Id fails on span{e3,e4}), the defining relation forces Je4 = e3."""
-    hs = hyper_of(catalog_models["nil3_r"])
+    hs = structures_of(catalog_models["nil3_r"], "hypersymplectic")[0]
     a_table = Endomorphism.from_images([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]])
     b_table = Endomorphism(Matrix.diagonal([1, -1, 1, -1]))
     j_table = Endomorphism.from_images([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
@@ -100,7 +80,7 @@ def test_criterion_01_nil3_recursion_operators(catalog_models):
 
 
 def test_criterion_02_hypersymplectic_metric(catalog_models):
-    hs = hyper_of(catalog_models["nil3_r"])
+    hs = structures_of(catalog_models["nil3_r"], "hypersymplectic")[0]
     expected = symmetric_form(4, {(1, 4): -1, (2, 3): -1})
     assert hs.metric == expected
     assert signature_of_symmetric(hs.metric.matrix).as_tuple() == (2, 2, 0)
@@ -112,7 +92,7 @@ def test_criterion_03_h4_full_pipeline(catalog_models):
     L = entry.model.algebra
     omega = entry.model.forms["omega"]
     assert ce_d2(L, omega).is_zero()
-    k = kunneths_of(entry)[0]
+    k = structures_of(entry, "kunneth")[0]
     for sub in (k.plus, k.minus):
         assert sub.dim == 3
         for i, x in enumerate(sub.basis):
@@ -122,7 +102,7 @@ def test_criterion_03_h4_full_pipeline(catalog_models):
     j = entry.model.endos["J"]
     assert nijenhuis(L, j).is_zero()
     assert pullback(j, omega) == omega
-    born = borns_of(entry)[0]
+    born = structures_of(entry, "born")[0]
     report = verify_born_identities(born)
     assert report.ok and len(report.items) == 37
     assert integrability_report(born).integrable
@@ -143,7 +123,7 @@ def test_criterion_04_h9_corrected_pipeline(catalog_models):
     # and the stated differentials hold for the corrected brackets
     assert ce_d1(L, OneForm.dual(6, 5)) == two_form(6, {(1, 2): 1})
     assert ce_d1(L, OneForm.dual(6, 6)) == two_form(6, {(1, 4): 1, (2, 5): 1})
-    born = borns_of(entry)[0]
+    born = structures_of(entry, "born")[0]
     assert verify_born_identities(born).ok
     assert integrability_report(born).integrable
     assert pullback(entry.model.endos["J"], omega) == omega
@@ -153,7 +133,7 @@ def test_criterion_04_h9_corrected_pipeline(catalog_models):
 
 def test_criterion_05_s1_family(catalog_models):
     entry = catalog_models["nil3_r"]
-    hs = hyper_of(entry)
+    hs = structures_of(entry, "hypersymplectic")[0]
     jt = entry.model.endos["jtilde"]
     # hypothesis checks, exact: built into s1_family, re-done explicitly here
     assert jt.is_complex_structure()
@@ -172,7 +152,7 @@ def test_criterion_06_connection_collapse(catalog_models):
     checked = 0
     for name, entry in catalog_models.items():
         L = entry.model.algebra
-        for k in kunneths_of(entry):
+        for k in structures_of(entry, "kunneth"):
             if not entry_is_integrable(entry, L, k):
                 continue
             lc = levi_civita(L, neutral_metric(k))
@@ -186,7 +166,7 @@ def test_criterion_06_connection_collapse(catalog_models):
 
 def test_criterion_07_born_connection_theorem(catalog_models):
     for name in ("h4", "h9_corrected", "h8"):
-        born = borns_of(catalog_models[name])[0]
+        born = structures_of(catalog_models[name], "born")[0]
         L = born.algebra
         nb = born_connection(born)
         nc = canonical_connection(L, born.g, born.a_op)
@@ -195,7 +175,7 @@ def test_criterion_07_born_connection_theorem(catalog_models):
             assert nabla_form(L, nb, form).is_zero(), name
         assert "b_average_equals_j_average" in nb.certified
     entry = catalog_models["nil3_r"]
-    hs = hyper_of(entry)
+    hs = structures_of(entry, "hypersymplectic")[0]
     jt = entry.model.endos["jtilde"]
     gammas = set()
     for p in FAMILY_POINTS:
@@ -214,11 +194,11 @@ def test_criterion_07_born_connection_theorem(catalog_models):
 def test_criterion_08_torsion_iff_integrability(catalog_models):
     for name, entry in catalog_models.items():
         L = entry.model.algebra
-        for k in kunneths_of(entry):
+        for k in structures_of(entry, "kunneth"):
             integrable = entry_is_integrable(entry, L, k)
             assert torsion(L, kunneth_connection(k)).is_zero() == integrable, name
     fixture = catalog_models["nil3_r_nonintegrable_fixture"]
-    k = kunneths_of(fixture)[0]
+    k = structures_of(fixture, "kunneth")[0]
     L = fixture.model.algebra
     nk = kunneth_connection(k)
     assert not torsion(L, nk).is_zero()
@@ -229,9 +209,9 @@ def test_criterion_08_torsion_iff_integrability(catalog_models):
 
 def test_criterion_09_omega_k_identity(catalog_models):
     for entry in catalog_models.values():
-        for k in kunneths_of(entry):
+        for k in structures_of(entry, "kunneth"):
             assert omega_K_defect(k).is_zero()
-        for born in borns_of(entry):
+        for born in structures_of(entry, "born"):
             assert omega_K_defect(born.underlying_kunneth()).is_zero()
     rng = random.Random(20260808)
     algebras = [
@@ -272,19 +252,19 @@ def test_criterion_09_omega_k_identity(catalog_models):
 
 def test_criterion_10_signature_laws(catalog_models):
     for name, entry in catalog_models.items():
-        for born in borns_of(entry):
+        for born in structures_of(entry, "born"):
             n = born.algebra.n
             assert signature_of_symmetric(born.g.matrix).as_tuple() == (n // 2, n // 2, 0), name
             sig_h = signature_of_symmetric(born.h.matrix)
             assert sig_h.null == 0 and sig_h.positive % 2 == 0 and sig_h.negative % 2 == 0, name
-    torus = borns_of(catalog_models["torus_2_2"])[0]
+    torus = structures_of(catalog_models["torus_2_2"], "born")[0]
     assert signature_of_symmetric(torus.h.matrix).as_tuple() == (2, 2, 0)
     print("ACCEPTANCE 10: signature(g) neutral and signature(h) = (2p,2q,0) on every "
           "Born entry; torus_2_2 h has signature (2,2,0): PASS")
 
 
 def test_criterion_11_born_torsion_formula(catalog_models):
-    born = borns_of(catalog_models["h4"])[0]
+    born = structures_of(catalog_models["h4"], "born")[0]
     report = born_torsion_formula_defect(born)
     assert report.ok, [i.name for i in report.failures()]
     # independent recomputation of the mixed-pair formula
@@ -327,7 +307,7 @@ def test_criterion_12_property_suites(catalog_models):
     # involution split algebra on the catalog's product structures
     count = 0
     for entry in catalog_models.values():
-        for born in borns_of(entry):
+        for born in structures_of(entry, "born"):
             for op in (born.a_op, born.b_op):
                 split = involution_split(op)
                 n = op.n

@@ -36,28 +36,11 @@ from bornlab.connections import Connection
 from bornlab.errors import DegenerateFormError, NotIntegrableError
 from bornlab.exact import basis_vector, determinant, invert, projection_onto, vec_sub
 from bornlab.liealg import ce_d2
-from bornlab.model import _Materialized
 from bornlab.multilinear import ANTISYMMETRIC, NOSYM, SYMMETRIC, symmetric_form, two_form
+from conftest import structures_of
 from oracles import contract, evaluate, nonzero_entries
 from test_builders import cases, first_entry, reference_ce_d2, reference_tensor
 from test_frames import kunneth_cases, random_connection, random_matrix
-
-
-_cache = {}
-
-
-def _materialize(entry):
-    if entry.name not in _cache:
-        _cache[entry.name] = _Materialized(entry.model)
-    return _cache[entry.name]
-
-
-def borns_of(entry):
-    return [b for _, b in _materialize(entry).built_borns()]
-
-
-def kunneths_of(entry):
-    return [k for _, k in _materialize(entry).built_kunneths()]
 
 
 def solve_gauss(rows, rhs):
@@ -136,7 +119,7 @@ def test_levi_civita_matches_koszul_oracle(nil3, h4_algebra):
 
 def test_levi_civita_certificates(catalog_models):
     for entry in catalog_models.values():
-        for born in borns_of(entry):
+        for born in structures_of(entry, "born"):
             lc = levi_civita(born.algebra, born.g)
             assert torsion(born.algebra, lc).is_zero()
             assert nabla_form(born.algebra, lc, born.g).is_zero()
@@ -159,7 +142,7 @@ def test_kunneth_connection_abelian_zero():
 
 def test_kunneth_equals_levi_civita_when_integrable(catalog_models):
     for entry in catalog_models.values():
-        for k in kunneths_of(entry):
+        for k in structures_of(entry, "kunneth"):
             L = entry.model.algebra
             integrable = ce_d2(L, k.omega).is_zero()
             if not integrable:
@@ -184,7 +167,7 @@ def test_kunneth_torsion_nonzero_on_fixture(fixture_kunneth, nil3):
 def test_mixed_torsion_empty_for_kunneth_everywhere(catalog_models, fixture_kunneth, nil3):
     for entry in catalog_models.values():
         L = entry.model.algebra
-        for k in kunneths_of(entry):
+        for k in structures_of(entry, "kunneth"):
             assert mixed_torsion_defect(L, kunneth_connection(k), k.plus, k.minus) == []
     nk = kunneth_connection(fixture_kunneth)
     assert mixed_torsion_defect(nil3, nk, fixture_kunneth.plus, fixture_kunneth.minus) == []
@@ -221,7 +204,7 @@ def test_zero_connection_mixed_torsion_empty():
 
 def test_canonical_collapse_on_integrable(catalog_models):
     for entry in catalog_models.values():
-        for born in borns_of(entry):
+        for born in structures_of(entry, "born"):
             if not integrability_report(born).integrable:
                 continue
             L = born.algebra
@@ -255,7 +238,7 @@ def test_canonical_commutes_with_involution(fixture_kunneth, nil3):
 
 def test_born_connection_parallel_everything(catalog_models):
     for name in ("h4", "h9_corrected", "h8", "torus_2_2"):
-        born = borns_of(catalog_models[name])[0]
+        born = structures_of(catalog_models[name], "born")[0]
         nb = born_connection(born)
         L = born.algebra
         for form in (born.g, born.h, born.omega):
@@ -264,7 +247,7 @@ def test_born_connection_parallel_everything(catalog_models):
 
 
 def test_born_connection_zero_on_abelian(catalog_models):
-    born = borns_of(catalog_models["abelian_c2"])[0]
+    born = structures_of(catalog_models["abelian_c2"], "born")[0]
     nb = born_connection(born)
     assert nb.is_zero()
     assert nb == kunneth_connection(born.underlying_kunneth())
@@ -272,7 +255,7 @@ def test_born_connection_zero_on_abelian(catalog_models):
 
 def test_generalized_torsion_zero_for_born_connection(catalog_models):
     for name in ("h4", "h9_corrected", "h8"):
-        born = borns_of(catalog_models[name])[0]
+        born = structures_of(catalog_models[name], "born")[0]
         L = born.algebra
         nb = born_connection(born)
         nc = canonical_connection(L, born.g, born.a_op)
@@ -280,7 +263,7 @@ def test_generalized_torsion_zero_for_born_connection(catalog_models):
 
 
 def test_generalized_torsion_self_is_zero(catalog_models):
-    born = borns_of(catalog_models["h4"])[0]
+    born = structures_of(catalog_models["h4"], "born")[0]
     nc = canonical_connection(born.algebra, born.g, born.a_op)
     assert generalized_torsion_defect(born.algebra, nc, nc, born.g).is_zero()
 
@@ -311,7 +294,7 @@ def test_kunneth_vs_born_connection_on_h4(catalog_models):
     torsion (trivially in the integrable case, where nabla^K = nabla^c).
     There is no clash with uniqueness: nabla^K fails to be h-parallel, so it
     is not a competitor among fully compatible connections."""
-    born = borns_of(catalog_models["h4"])[0]
+    born = structures_of(catalog_models["h4"], "born")[0]
     L = born.algebra
     nk = kunneth_connection(born.underlying_kunneth())
     nc = canonical_connection(L, born.g, born.a_op)
@@ -359,7 +342,7 @@ def test_nabla_form_witness_levi_civita_omega_on_fixture(fixture_kunneth, nil3):
 
 
 def test_nabla_form_witness_kunneth_h_on_h4(catalog_models):
-    born = borns_of(catalog_models["h4"])[0]
+    born = structures_of(catalog_models["h4"], "born")[0]
     nk = kunneth_connection(born.underlying_kunneth())
     assert nabla_form(born.algebra, nk, born.h).first_witness() == ((1, 2, 2), 2)
 
@@ -369,7 +352,7 @@ def test_torsion_witnesses_kunneth_on_fixture(fixture_kunneth, nil3):
 
 
 def test_torsion_witnesses_born_connection(catalog_models, fixture_kunneth, nil3):
-    h4 = borns_of(catalog_models["h4"])[0]
+    h4 = structures_of(catalog_models["h4"], "born")[0]
     assert nonzero_entries(torsion(h4.algebra, born_connection(h4)), lower=1) == [
         ((1, 4, 6), 1),
         ((2, 3, 6), Fraction(1, 2)),
@@ -492,9 +475,9 @@ def test_defect_witnesses_match_pairwise_definitions(catalog_models, catalog_str
 def test_omega_k_zero_on_catalog_and_fixture(catalog_models, fixture_kunneth):
     assert omega_K_defect(fixture_kunneth).is_zero()
     for entry in catalog_models.values():
-        for k in kunneths_of(entry):
+        for k in structures_of(entry, "kunneth"):
             assert omega_K_defect(k).is_zero()
-        for born in borns_of(entry):
+        for born in structures_of(entry, "born"):
             assert omega_K_defect(born.underlying_kunneth()).is_zero()
 
 
@@ -562,7 +545,7 @@ def test_torsion_iff_integrability(catalog_models, fixture_kunneth, nil3):
 
     for entry in catalog_models.values():
         L = entry.model.algebra
-        for k in kunneths_of(entry):
+        for k in structures_of(entry, "kunneth"):
             integrable = (
                 ce_d2(L, k.omega).is_zero()
                 and bool(is_subalgebra(L, k.plus))
@@ -576,12 +559,12 @@ def test_torsion_iff_integrability(catalog_models, fixture_kunneth, nil3):
 
 
 def test_born_torsion_formula_h4(catalog_models):
-    report = born_torsion_formula_defect(borns_of(catalog_models["h4"])[0])
+    report = born_torsion_formula_defect(structures_of(catalog_models["h4"], "born")[0])
     assert report.ok, [i.name for i in report.failures()]
 
 
 def test_born_torsion_formula_abelian(catalog_models):
-    report = born_torsion_formula_defect(borns_of(catalog_models["abelian_c1"])[0])
+    report = born_torsion_formula_defect(structures_of(catalog_models["abelian_c1"], "born")[0])
     assert report.ok
 
 

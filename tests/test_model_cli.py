@@ -310,6 +310,70 @@ def test_reports_do_not_depend_on_cache_state(tmp_path):
             assert _stable(render_report(report), render_report(report, "json")) == expected[path], path
 
 
+def _declaring(name, structures, **sections):
+    """A catalog entry's model file with its structures replaced and named entries added."""
+    doc = json.loads(catalog.export_entry(name))
+    for key, entries in sections.items():
+        doc[key].update(entries)
+    doc["structures"] = structures
+    return json.dumps(doc)
+
+
+NONINTEGRABLE = "nil3_r_nonintegrable_fixture"
+FIXTURE_BORN = {"type": "born", "g": "g", "h": "h", "omega": "omega_tilde", "A": "A", "B": "B", "J": "J"}
+FIXTURE_KUNNETH = {"type": "kunneth", "omega": "omega_tilde", "plus": "F", "minus": "G"}
+# span(e1, e2) and span(e3, e4): not Lagrangian for omega_tilde, and span(e1, e2) is no subalgebra
+SPLIT_12_34 = {"P": [["1", "0", "0", "0"], ["0", "1", "0", "0"]], "Q": [["0", "0", "1", "0"], ["0", "0", "0", "1"]]}
+CLOSED_W = {"w": [["0", "0", "0", "1"], ["0", "0", "1", "0"], ["0", "-1", "0", "0"], ["-1", "0", "0", "0"]]}
+NOT_SUBALGEBRA_KUNNETH = dict(FIXTURE_KUNNETH, omega="w", plus="P", minus="Q")
+# which structures each check combines, and in which order: a structure that
+# does not build fails only born_axioms (born, hypersymplectic) or
+# eigenspace_geometry (kunneth); a row shows the witness of its first failing
+# Born structure, then Kunneth, whatever the declaration order
+POLICY_CASES = {
+    "born_not_built": (
+        _declaring(NONINTEGRABLE, [dict(FIXTURE_BORN, J="A"), FIXTURE_KUNNETH]),
+        ("FAIL  witness (1,1) = -1  [axiom failure: J matches expected table]", "SKIPPED",
+         "FAIL  witness (1,2,4) = 1  [d omega]", "PASS", "PASS", "PASS", "SKIPPED", "PASS", "SKIPPED"),
+    ),
+    "kunneth_not_built": (
+        _declaring(NONINTEGRABLE, [FIXTURE_BORN, dict(FIXTURE_KUNNETH, plus="P", minus="Q")], subspaces=SPLIT_12_34),
+        ("PASS", "PASS", "FAIL  witness (1,2,4) = 1  [d omega]",
+         "FAIL  witness (1,2) = 1  [plus is not isotropic: omega(1, 2) = 1]",
+         "PASS", "PASS", "SKIPPED", "PASS", "SKIPPED"),
+    ),
+    "hypersymplectic_not_built": (
+        _declaring("nil3_r", [
+            {"type": "hypersymplectic", "omega": "omega", "alpha": "alpha", "beta": "beta", "metric": "h_t0"},
+            {"type": "kunneth", "omega": "beta_t0", "plus": "F0", "minus": "G0"},
+        ]),
+        ("FAIL  witness (1,4) = -2  [axiom failure: metric matches expected table]", "SKIPPED",
+         "PASS", "PASS", "PASS", "PASS", "SKIPPED", "PASS", "SKIPPED"),
+    ),
+    # the Kunneth structure of the next case fails integrability with its own witness
+    "kunneth_alone": (
+        _declaring(NONINTEGRABLE, [NOT_SUBALGEBRA_KUNNETH], forms=CLOSED_W, subspaces=SPLIT_12_34),
+        ("SKIPPED", "SKIPPED", "FAIL  witness (1,2,3) = 1", "PASS", "PASS", "PASS", "SKIPPED", "PASS", "SKIPPED"),
+    ),
+    "kunneth_declared_before_born": (
+        _declaring(NONINTEGRABLE, [NOT_SUBALGEBRA_KUNNETH, FIXTURE_BORN], forms=CLOSED_W, subspaces=SPLIT_12_34),
+        ("PASS", "PASS", "FAIL  witness (1,2,4) = 1  [d omega]",
+         "PASS", "PASS", "PASS", "SKIPPED", "PASS", "SKIPPED"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POLICY_CASES))
+def test_check_rows_follow_structure_policy(case):
+    text, rows = POLICY_CASES[case]
+    model = parse_model(text)
+    checks = model_module.CHECK_ORDER
+    width = max(map(len, checks))
+    expected = [f"model: {model.name}"] + [f"  {c.ljust(width)}  {r}" for c, r in zip(checks, rows)]
+    expected.append(f"overall: {'FAIL' if any(r.startswith('FAIL') for r in rows) else 'PASS'}")
+    assert render_report(run_checks(model)) == "\n".join(expected) + "\n"
+
+
 # --- rendering -----------------------------------------------------------
 
 
@@ -343,6 +407,12 @@ def test_json_report_round_trips_and_is_stable():
         a.pop("elapsed_ms")
         b.pop("elapsed_ms")
     assert doc == second
+
+
+def test_json_elapsed_ms_is_a_non_negative_float():
+    doc = json.loads(render_report(run_checks(parse_model(catalog.export_entry("h4"))), "json"))
+    for r in doc["results"]:
+        assert isinstance(r["elapsed_ms"], float) and r["elapsed_ms"] >= 0
 
 
 # --- CLI -----------------------------------------------------------------

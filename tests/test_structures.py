@@ -35,28 +35,11 @@ from bornlab.errors import (
     NotIsotropicError,
 )
 from bornlab.exact import basis_vector, invert
-from bornlab.model import _Materialized
 from bornlab.multilinear import ANTISYMMETRIC, SYMMETRIC, pullback, recursion_operator, symmetric_form, two_form
 from bornlab.structures import IDENTITY_TABLE, Witness
+from conftest import structures_of
 from test_exact import random_invertible
 from test_frames import random_matrix, random_splitting
-
-
-_cache = {}
-
-
-def _materialize(entry):
-    if entry.name not in _cache:
-        _cache[entry.name] = _Materialized(entry.model)
-    return _cache[entry.name]
-
-
-def borns_of(entry):
-    return [b for _, b in _materialize(entry).built_borns()]
-
-
-def kunneths_of(entry):
-    return [k for _, k in _materialize(entry).built_kunneths()]
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +131,7 @@ def test_neutral_metric_r2():
 
 def test_neutral_metric_is_neutral_catalog_wide(catalog_models):
     for entry in catalog_models.values():
-        for k in kunneths_of(entry):
+        for k in structures_of(entry, "kunneth"):
             sig = signature_of_symmetric(neutral_metric(k).matrix)
             half = k.algebra.n // 2
             assert sig.as_tuple() == (half, half, 0)
@@ -156,7 +139,7 @@ def test_neutral_metric_is_neutral_catalog_wide(catalog_models):
 
 def test_neutral_metric_null_on_subspaces(catalog_models):
     for entry in catalog_models.values():
-        for k in kunneths_of(entry):
+        for k in structures_of(entry, "kunneth"):
             g = neutral_metric(k)
             for sub, sign in ((k.plus, 1), (k.minus, -1)):
                 for x in sub.basis:
@@ -186,7 +169,7 @@ def test_build_born_standard_c1():
 
 def test_build_born_sign_flip_invariant(catalog_models):
     for name in ("h4", "h9_corrected", "torus_2_2"):
-        for born in borns_of(catalog_models[name]):
+        for born in structures_of(catalog_models[name], "born"):
             flipped = build_born(born.algebra, born.g.negated(), born.h, born.omega)
             assert flipped.a_op == born.a_op.negated()
             assert flipped.b_op == born.b_op.negated()
@@ -222,7 +205,7 @@ def test_build_born_axiom_failure_j_squared():
 
 def test_build_born_operators_are_the_recursion_operators(catalog_models):
     for entry in catalog_models.values():
-        for born in borns_of(entry):
+        for born in structures_of(entry, "born"):
             assert born.a_op == recursion_operator(born.g, born.omega)
             assert born.b_op == recursion_operator(born.g, born.h)
             assert born.j_op == recursion_operator(born.omega, born.h).negated()
@@ -260,14 +243,14 @@ def test_build_born_rejects_each_degenerate_form_in_order(name):
 
 def test_identities_pass_on_all_catalog_borns(catalog_models):
     for entry in catalog_models.values():
-        for born in borns_of(entry):
+        for born in structures_of(entry, "born"):
             report = verify_born_identities(born)
             assert report.ok, [i.name for i in report.failures()]
             assert len(report.items) == 37
 
 
 def test_identities_fail_on_corrupted_structure(catalog_models):
-    born = borns_of(catalog_models["h4"])[0]
+    born = structures_of(catalog_models["h4"], "born")[0]
     rows = [list(r) for r in born.h.matrix.rows]
     rows[0][0] = -rows[0][0]  # flip h(e1, e1) = -2 to 2
     h_bad = BilinearForm(Matrix(rows), "symmetric")
@@ -326,14 +309,63 @@ def test_identity_table_matches_product_formulas(catalog_models):
             assert table == reference_identity_items(b)
             failures += sum(not ok for _, ok, _ in table)
     for entry in catalog_models.values():
-        for born in borns_of(entry):
+        for born in structures_of(entry, "born"):
             table = [(i.name, i.ok, i.witness) for i in verify_born_identities(born).items[4:22]]
             assert table == reference_identity_items(born)
     assert failures > 200
 
 
+def test_eigenspace_exchange_failures_carry_the_block_entry():
+    """A Born structure built directly with random A and J breaks the
+    eigenspace exchanges; each failing row's witness (a, c) = value is the
+    first nonzero a-th coordinate, along its own eigenspace, of the operator
+    applied to the eigenspace's c-th basis vector."""
+    rng = random.Random(59)
+    failures = 0
+    for n in (2, 4, 6):
+        for _ in range(3):
+            m, k = random_matrix(n, rng), random_matrix(n, rng)
+            p = random_invertible(rng, n)
+            signs = [1, -1] + [rng.choice((1, -1)) for _ in range(n - 2)]
+            split = random_splitting(n, rng)
+            b = BornStructure(
+                LieAlgebra.abelian(n),
+                BilinearForm(m + m.transpose(), SYMMETRIC),
+                BilinearForm(k + k.transpose(), SYMMETRIC),
+                BilinearForm(m - m.transpose(), ANTISYMMETRIC),
+                Endomorphism(random_matrix(n, rng)),
+                Endomorphism(p * Matrix.diagonal(signs) * invert(p)),
+                Endomorphism(random_matrix(n, rng)),
+                split.plus,
+                split.minus,
+            )
+            columns = p.transpose().rows
+            eigenspaces = {
+                "L": (split.plus.basis, split.minus.basis),
+                "B": tuple(Subspace(n, [c for c, s in zip(columns, signs) if s == sign]).basis for sign in (1, -1)),
+            }
+            ops = {"A": b.a_op.matrix, "B": b.b_op.matrix, "J": b.j_op.matrix}
+            for item in verify_born_identities(b).items:
+                if " maps " not in item.name:
+                    continue
+                op_name, _, source, _, _ = item.name.split()  # "J maps L+ to L-"
+                plus, minus = eigenspaces[source[0]]
+                coordinates = invert(Matrix([list(v) for v in plus + minus]).transpose())
+                own, offset = (plus, 0) if source[1] == "+" else (minus, len(plus))
+                images = [coordinates.matvec(ops[op_name].matvec(v)) for v in own]
+                hit = next(
+                    ((a + 1, c + 1, image[offset + a]) for a in range(len(own))
+                     for c, image in enumerate(images) if image[offset + a] != 0),
+                    None,
+                )
+                assert item.ok == (hit is None), item.name
+                assert item.witness == (None if hit is None else Witness.at(hit[:2], hit[2])), item.name
+                failures += hit is not None
+    assert failures > 50
+
+
 def test_torus_2_2_signature(catalog_models):
-    born = borns_of(catalog_models["torus_2_2"])[0]
+    born = structures_of(catalog_models["torus_2_2"], "born")[0]
     assert signature_of_symmetric(born.h.matrix).as_tuple() == (2, 2, 0)
 
 
@@ -341,7 +373,7 @@ def test_torus_2_2_signature(catalog_models):
 
 
 def test_integrability_h4(catalog_models):
-    report = integrability_report(borns_of(catalog_models["h4"])[0])
+    report = integrability_report(structures_of(catalog_models["h4"], "born")[0])
     assert report.closed and report.integrable
     assert all(report.vanishing.values())
     assert report.two_implies_three and report.nijenhuis_matches_subalgebras
@@ -349,7 +381,7 @@ def test_integrability_h4(catalog_models):
 
 def test_integrability_abelian(catalog_models):
     for name in ("abelian_c1", "abelian_c2", "abelian_c3", "abelian_c4"):
-        assert integrability_report(borns_of(catalog_models[name])[0]).integrable
+        assert integrability_report(structures_of(catalog_models[name], "born")[0]).integrable
 
 
 def test_integrability_fixture_fails_on_closedness(nil3):
@@ -370,7 +402,7 @@ def test_integrability_fixture_fails_on_closedness(nil3):
 
 def test_two_nijenhuis_imply_third_across_catalog(catalog_models):
     for entry in catalog_models.values():
-        for born in borns_of(entry):
+        for born in structures_of(entry, "born"):
             report = integrability_report(born)
             count = sum(report.vanishing.values())
             assert count != 2
@@ -426,7 +458,7 @@ def test_enhance_h9_with_printed_j(h9_algebra):
 
 def test_enhance_round_trip_recovers_splitting(catalog_models):
     for entry in catalog_models.values():
-        for k in kunneths_of(entry):
+        for k in structures_of(entry, "kunneth"):
             born = enhance_kunneth(k)
             assert born.l_plus == k.plus
             assert born.l_minus == k.minus

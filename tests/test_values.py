@@ -13,7 +13,7 @@ from bornlab.catalog import CatalogEntry, Expectation, ExpectationOutcome
 from bornlab.connections import Connection
 from bornlab.exact import Matrix, Signature, Splitting, Subspace, Trilinear
 from bornlab.liealg import SubalgebraResult
-from bornlab.model import CheckResult, Model, Report, StructureDecl, _Materialized
+from bornlab.model import CheckResult, Model, Report, StructureDecl
 from bornlab.multilinear import BilinearForm, Endomorphism
 from bornlab.structures import (
     AlmostKunneth,
@@ -25,6 +25,7 @@ from bornlab.structures import (
     Witness,
     integrability_report,
 )
+from conftest import structures_of
 
 SRC = Path(bornlab.__file__).resolve().parents[1]
 
@@ -123,7 +124,7 @@ def test_values_holding_dicts_are_unhashable():
     assert copy == model
     with pytest.raises(TypeError):
         hash(model)
-    (_, born), *_ = _Materialized(model).built_borns()
+    born, *_ = structures_of(entry, "born")
     report = integrability_report(born)
     assert report == IntegrabilityReport(*(getattr(report, f) for f in FIELDS[IntegrabilityReport].split()))
     with pytest.raises(TypeError):
