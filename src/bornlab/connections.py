@@ -32,7 +32,8 @@ off-diagonal blocks of P^-1 Gamma_i P vanish.
 
 Every constructor re-verifies the defining properties of what it built and
 records them in the connection's certificate; a violation raises, it is never
-returned silently.
+returned silently.  The error carries the violated tensor (torsion, nabla b)
+or the Gamma difference of the two Born averages as its defect.
 """
 
 from __future__ import annotations
@@ -93,6 +94,10 @@ class Connection(Value):
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.gammas)
 
+    def __sub__(self, other: "Connection") -> Trilinear:
+        """The Gamma difference: slice i is Gamma_i - Gamma'_i, so witness (i, j, k) is entry (j, k) of it."""
+        return Trilinear(tuple(a - b for a, b in zip(self.gammas, other.gammas)))
+
 
 def _torsion_matrices(L: LieAlgebra, c: Connection) -> list:
     """T_i = Gamma_i - E_i - ad_i, whose column j is T(e_i, e_j); column j of E_i is Gamma_j e_i."""
@@ -132,6 +137,12 @@ def nabla_form(L: LieAlgebra, c: Connection, b: BilinearForm) -> Trilinear:
     return Trilinear(tuple(-(b.transpose_times(g, p_i) + p_i) for g, p_i in zip(c.gammas, p)))
 
 
+def _require_zero(which: str, defect: Trilinear):
+    """A violated defining property raises with its defect, which locates the failure."""
+    if not defect.is_zero():
+        raise AxiomFailureError(which, defect)
+
+
 def _commutes(c: Connection, t: Endomorphism) -> bool:
     """Gamma_i T = T Gamma_i for every i."""
     return all(g * t.matrix == t.matrix * g for g in c.gammas)
@@ -163,10 +174,8 @@ def levi_civita(L: LieAlgebra, g: BilinearForm) -> Connection:
     p = [g.matrix * L.ad(i) for i in range(n)]
     r = column_slices([p_j.transpose() for p_j in p])
     conn = Connection(tuple(half_g_inv * (p[i] - p[i].transpose() - r[i]) for i in range(n)))
-    if not torsion(L, conn).is_zero():
-        raise AxiomFailureError("Levi-Civita connection has torsion")
-    if not nabla_form(L, conn, g).is_zero():
-        raise AxiomFailureError("Levi-Civita connection does not preserve g")
+    _require_zero("Levi-Civita connection has torsion", torsion(L, conn))
+    _require_zero("Levi-Civita connection does not preserve g", nabla_form(L, conn, g))
     return Connection(conn.gammas, ("torsion_free", "parallel:g"))
 
 
@@ -207,8 +216,7 @@ def kunneth_connection(k: AlmostKunneth) -> Connection:
     for name, rows, cols in (("plus", "-", "+"), ("minus", "+", "-")):
         if any(first_nonzero_entry(split.block(g, rows, cols)) is not None for g in in_frame):
             raise AxiomFailureError(f"Kunneth connection does not preserve {name}")
-    if not nabla_form(L, conn, k.omega).is_zero():
-        raise AxiomFailureError("Kunneth connection does not preserve omega")
+    _require_zero("Kunneth connection does not preserve omega", nabla_form(L, conn, k.omega))
     if mixed_torsion_defect(L, conn, k.plus, k.minus):
         raise AxiomFailureError("Kunneth connection has mixed torsion")
     return Connection(conn.gammas, ("preserves_subspaces", "parallel:omega", "mixed_torsion_zero"))
@@ -227,11 +235,9 @@ def canonical_connection(L: LieAlgebra, g: BilinearForm, a_op: Endomorphism) -> 
     conn = _conjugate_average(levi_civita(L, g), a_op, 1)
     if not _commutes(conn, a_op):
         raise AxiomFailureError("canonical connection does not commute with A")
-    if not nabla_form(L, conn, g).is_zero():
-        raise AxiomFailureError("canonical connection does not preserve g")
+    _require_zero("canonical connection does not preserve g", nabla_form(L, conn, g))
     omega = BilinearForm.detect(a_op.matrix.transpose() * g.matrix)
-    if not nabla_form(L, conn, omega).is_zero():
-        raise AxiomFailureError("canonical connection does not preserve omega")
+    _require_zero("canonical connection does not preserve omega", nabla_form(L, conn, omega))
     return Connection(conn.gammas, ("commutes:A", "parallel:g", "parallel:omega"))
 
 
@@ -250,14 +256,14 @@ def born_connection(b: BornStructure) -> Connection:
     L = b.algebra
     kunneth = kunneth_connection(b.underlying_kunneth())
     conn = _conjugate_average(kunneth, b.b_op, 1)
-    if conn != _conjugate_average(kunneth, b.j_op, -1):
-        raise AxiomFailureError("B-average and J-average of the Kunneth connection differ")
+    j_average = _conjugate_average(kunneth, b.j_op, -1)
+    if conn != j_average:
+        raise AxiomFailureError("B-average and J-average of the Kunneth connection differ", conn - j_average)
     for name, op in (("A", b.a_op), ("B", b.b_op), ("J", b.j_op)):
         if not _commutes(conn, op):
             raise AxiomFailureError(f"Born-compatible connection does not commute with {name}")
     for name, form in (("g", b.g), ("h", b.h), ("omega", b.omega)):
-        if not nabla_form(L, conn, form).is_zero():
-            raise AxiomFailureError(f"Born-compatible connection does not preserve {name}")
+        _require_zero(f"Born-compatible connection does not preserve {name}", nabla_form(L, conn, form))
     return Connection(
         conn.gammas,
         ("b_average_equals_j_average", "commutes:A,B,J", "parallel:g,h,omega"),
@@ -285,7 +291,7 @@ def generalized_torsion_defect(
     i-th slice of the defect is (Delta_i - E_i)^T M_g + M_g E_i.
     """
     m = g.matrix
-    delta = [a - b for a, b in zip(c.gammas, cc.gammas)]
+    delta = (c - cc).slices
     e = column_slices(delta)
     return Trilinear(tuple((delta_i - e_i).transpose() * m + m * e_i for delta_i, e_i in zip(delta, e)))
 
@@ -345,7 +351,7 @@ def born_torsion_formula_defect(b: BornStructure) -> StructureReport:
     for name, block in (("B+", range(p)), ("B-", range(p, L.n))):
         # T is antisymmetric, so the first witness on the whole block has a < c
         witness = next(_frame_witnesses(t, split.frame, block, block), None)
-        items.append(CheckItem(f"T = 0 on {name} x {name}", witness is None, witness))
+        items.append(CheckItem(f"T = 0 on {name} x {name}", witness))
 
     # D(x, y) = T(x, y) + pi+(nabla^K_x y) - pi-(nabla^K_y x) along e_i is
     # D_i = T_i + pi+ Gamma^K_i - pi- E_i = T_i + pi+ (Gamma^K_i + E_i) - E_i,
@@ -353,7 +359,5 @@ def born_torsion_formula_defect(b: BornStructure) -> StructureReport:
     e = column_slices(kunneth.gammas)
     d = [t_i + split.pi_plus * (g_i + e_i) - e_i for t_i, g_i, e_i in zip(t, kunneth.gammas, e)]
     witness = next(_frame_witnesses(d, split.frame, range(p), range(p, L.n)), None)
-    items.append(
-        CheckItem("T(x,y) = -pi+(nabla^K_x y) + pi-(nabla^K_y x) on B+ x B-", witness is None, witness)
-    )
+    items.append(CheckItem("T(x,y) = -pi+(nabla^K_x y) + pi-(nabla^K_y x) on B+ x B-", witness))
     return StructureReport(tuple(items))

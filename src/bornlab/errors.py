@@ -64,7 +64,8 @@ class NotComplementaryError(BornlabError):
 class AxiomFailureError(BornlabError):
     """A defining identity of a structure fails exactly.
 
-    which: short name of the violated identity, defect: exact defect matrix.
+    which: short name of the violated identity, defect: exact defect, a
+    Matrix or a Trilinear whose first nonzero entry is the witness.
     """
 
     def __init__(self, which, defect=None):

@@ -29,7 +29,7 @@ are kept this way.
 
 Fractions (fractions.Fraction, reduced, with ZERO for zero) appear only at
 the boundary: vectors are tuples of Fractions, and `Matrix.rows`, `entry`,
-`column`, `first_nonzero` and `matvec` return Fractions.  `rows` is built on
+`column`, `first_witness` and `matvec` return Fractions.  `rows` is built on
 each access, so code that loops over entries reads `num` and `den`.
 """
 
@@ -270,10 +270,10 @@ class Matrix(Value):
     def is_antisymmetric(self) -> bool:
         return self.num == tuple(tuple(-v for v in col) for col in zip(*self.num))
 
-    def first_nonzero(self):
-        """First (i, j, value) in row-major order with nonzero value, 1-based; None if zero."""
+    def first_witness(self):
+        """First nonzero ((i, j) 1-based, value) in row-major order; None if zero."""
         hit = first_nonzero_entry(self.num)
-        return None if hit is None else (hit[0], hit[1], _fraction(hit[2], self.den))
+        return None if hit is None else (hit[:2], _fraction(hit[2], self.den))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_dim(other)
@@ -331,9 +331,9 @@ class Matrix(Value):
 def first_nonzero_entry(rows):
     """First (i, j, value) with a nonzero value in rows of numbers, row-major, 1-based; None if all zero."""
     for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v:
-                return (i + 1, j + 1, v)
+        if any(row):
+            j = next(j for j, v in enumerate(row) if v)
+            return (i + 1, j + 1, row[j])
     return None
 
 
@@ -417,9 +417,9 @@ class Trilinear(Value):
     def first_witness(self):
         """First nonzero ((i, j, k) 1-based, value) in lexicographic order; None if zero."""
         for i, m in enumerate(self.slices):
-            hit = m.first_nonzero()
+            hit = m.first_witness()
             if hit is not None:
-                return (i + 1, hit[0], hit[1]), hit[2]
+                return (i + 1, *hit[0]), hit[1]
         return None
 
 

@@ -50,7 +50,7 @@ from .errors import (
     UnknownNameError,
 )
 from .exact import Matrix, Subspace, Value, format_rational, parse_rational, rational_parts
-from .liealg import LieAlgebra, ce_d2, is_subalgebra
+from .liealg import LieAlgebra, ce_d2
 from .multilinear import ANTISYMMETRIC, SYMMETRIC, BilinearForm, Endomorphism
 from .structures import (
     AlmostKunneth,
@@ -62,7 +62,9 @@ from .structures import (
     build_hypersymplectic,
     integrability_report,
     neutral_metric,
+    subalgebra_witness,
     verify_born_identities,
+    witness_of,
 )
 
 CHECK_ORDER = (
@@ -377,44 +379,28 @@ def _maybe(section, name):
 
 
 def _error_witness(exc: BornlabError) -> Witness:
-    index = getattr(exc, "witness", None) or ()
+    """The error's defect at its first nonzero entry, else its own index and value, else () = 0."""
     defect = getattr(exc, "defect", None)
-    value = getattr(exc, "value", None)
-    if value is None and defect is not None and hasattr(defect, "first_nonzero"):
-        hit = defect.first_nonzero()
-        if hit is not None:
-            index, value = (hit[0], hit[1]), hit[2]
-    return Witness.at(tuple(index), value if value is not None else 0, str(exc))
+    hit = None if defect is None else defect.first_witness()
+    index, value = hit or (getattr(exc, "witness", None) or (), getattr(exc, "value", None) or 0)
+    return Witness.at(tuple(index), value, str(exc))
 
 
-# the outcome of one check on one structure: _PASS or ("fail", witness)
-_PASS = ("pass", None)
+# a row is a structure -> outcome function: None when the check passes, its
+# Witness when it fails, and _SKIP where the check does not apply
+_SKIP = object()
 
 
 def _built(structure):
     """Construction is the check: a structure that built passes it."""
-    return _PASS
-
-
-def _first_failure(items):
-    """Outcome of the first failing CheckItem, or a pass when none fails."""
-    return next((("fail", item.witness) for item in items if not item.ok), _PASS)
+    return None
 
 
 def _identity_group(group: str):
     """Row of a check made of one group of the Born identities."""
-    return lambda born: _first_failure(i for i in verify_born_identities(born).items if i.group == group)
-
-
-def _defect_outcome(defect):
-    return _PASS if defect.is_zero() else ("fail", Witness.at(*defect.first_witness()))
-
-
-def _born_integrability(born: BornStructure):
-    report = integrability_report(born)
-    if report.integrable and report.ok:
-        return _PASS
-    return ("fail", report.first_witness() or Witness.at((), 0, "inconsistent"))
+    return lambda born: next(
+        (i.witness for i in verify_born_identities(born).items if i.group == group and not i.ok), None
+    )
 
 
 def _kunneth_integrability(k: AlmostKunneth):
@@ -422,27 +408,19 @@ def _kunneth_integrability(k: AlmostKunneth):
 
     Integrable means a closed form with both subspaces bracket-closed; this is
     the notion the torsion criterion for the Kunneth connection refers to (it
-    can hold for a Born structure whose complex leg is not integrable).  A
-    subspace that is not a subalgebra is witnessed by (a, b, c): positions a
-    and b into its echelon basis, and the first nonzero coordinate c of their
-    bracket's residual outside the span, with that coordinate's value.
+    can hold for a Born structure whose complex leg is not integrable).
     """
     L = k.algebra
-    d = ce_d2(L, k.omega)
-    if not d.is_zero():
-        idx, value = d.first_witness()
-        return ("fail", Witness.at(idx, value, "d omega"))
-    for sub in (k.plus, k.minus):
-        result = is_subalgebra(L, sub)
-        if not result:
-            c, value = next((c, v) for c, v in enumerate(result.residual, 1) if v)
-            return ("fail", Witness.at((*result.witness, c), value))
-    return _PASS
+    return (
+        witness_of(ce_d2(L, k.omega), "d omega")
+        or subalgebra_witness(L, k.plus)
+        or subalgebra_witness(L, k.minus)
+    )
 
 
 def _neutral_signature(k: AlmostKunneth):
     neutral_metric(k)  # certifies the neutral signature; raises otherwise
-    return _PASS
+    return None
 
 
 def _canonical_of(k: AlmostKunneth):
@@ -450,29 +428,40 @@ def _canonical_of(k: AlmostKunneth):
 
 
 def _kunneth_connections(k: AlmostKunneth):
+    """Torsion-free iff integrable, and then nabla^g = nabla^K = nabla^c.
+
+    The first claim fails with the torsion witness of nabla^K, or with the
+    integrability witness when nabla^K is torsion-free; the second with the
+    first Gamma entry (i, j, k) where nabla^K - nabla^g or else nabla^c - nabla^K
+    is nonzero.
+    """
     L = k.algebra
     try:
         lc = levi_civita(L, neutral_metric(k))
         nk = kunneth_connection(k)
         nc = _canonical_of(k)
     except BornlabError as exc:
-        return ("fail", _error_witness(exc))
-    integrable = _outcome("integrability", "kunneth", k) == _PASS
-    if torsion(L, nk).is_zero() != integrable:
-        return ("fail", Witness.at((), 0, "torsion-free Kunneth connection iff integrable"))
-    if integrable and not (lc == nk == nc):
-        return ("fail", Witness.at((), 0, "integrable case: nabla^g = nabla^K = nabla^c"))
-    return _PASS
+        return _error_witness(exc)
+    note = "torsion-free Kunneth connection iff integrable"
+    torsion_witness = witness_of(torsion(L, nk), note)
+    obstruction = _outcome("integrability", "kunneth", k)
+    if obstruction is not None:
+        return None if torsion_witness is not None else Witness(obstruction.index, obstruction.value, note)
+    if torsion_witness is not None or lc == nk == nc:
+        return torsion_witness
+    note = "integrable case: nabla^g = nabla^K = nabla^c"
+    differences = [w for w in (witness_of(nk - lc, note), witness_of(nc - nk, note)) if w is not None]
+    return min(differences, key=lambda w: w.index)
 
 
 def _born_connections(born: BornStructure):
-    outcome = _outcome("connections", "kunneth", born.underlying_kunneth())
-    if outcome == _PASS:
+    witness = _outcome("connections", "kunneth", born.underlying_kunneth())
+    if witness is None:
         try:
             born_connection(born)
         except BornlabError as exc:
-            return ("fail", _error_witness(exc))
-    return outcome
+            return _error_witness(exc)
+    return witness
 
 
 def _generalized_torsion(born: BornStructure):
@@ -480,30 +469,33 @@ def _generalized_torsion(born: BornStructure):
         nb = born_connection(born)
         nc = _canonical_of(born.underlying_kunneth())
     except BornlabError as exc:
-        return ("fail", _error_witness(exc))
-    return _defect_outcome(generalized_torsion_defect(born.algebra, nb, nc, born.g))
+        return _error_witness(exc)
+    return witness_of(generalized_torsion_defect(born.algebra, nb, nc, born.g))
 
 
 def _if_integrable(row):
     """The row on an integrable Born structure; the check does not apply to others."""
-    return lambda born: row(born) if integrability_report(born).integrable else None
+    return lambda born: row(born) if integrability_report(born).integrable else _SKIP
 
 
-# check -> {structure kind: structure -> outcome, or None where the check does not apply}
+# check -> {structure kind: row}; the check does not apply to a kind it does not name
 _CHECKS = {
     "born_axioms": {"born": _built, "hypersymplectic": _built},
     "identity_table": {"born": _identity_group("algebra")},
-    "integrability": {"born": _born_integrability, "kunneth": _kunneth_integrability},
+    "integrability": {
+        "born": lambda b: integrability_report(b).first_witness(),
+        "kunneth": _kunneth_integrability,
+    },
     "eigenspace_geometry": {"born": _identity_group("eigenspace"), "kunneth": _built},
     "signatures": {"born": _identity_group("signature"), "kunneth": _neutral_signature},
     "connections": {"born": _born_connections, "kunneth": _kunneth_connections},
     "generalized_torsion": {"born": _if_integrable(_generalized_torsion)},
     "omega_k": {
         "born": lambda b: _outcome("omega_k", "kunneth", b.underlying_kunneth()),
-        "kunneth": lambda k: _defect_outcome(omega_K_defect(k)),
+        "kunneth": lambda k: witness_of(omega_K_defect(k)),
     },
     "torsion_formula": {
-        "born": _if_integrable(lambda b: _first_failure(born_torsion_formula_defect(b).items)),
+        "born": _if_integrable(lambda b: born_torsion_formula_defect(b).first_witness()),
     },
 }
 # the one check a structure that did not build fails, per kind
@@ -514,13 +506,13 @@ _CONSTRUCTION = {"born": "born_axioms", "hypersymplectic": "born_axioms", "kunne
 def _outcome(check: str, kind: str, structure):
     """One check's outcome for one built structure, memoized by value."""
     row = _CHECKS[check].get(kind)
-    return row(structure) if row else None
+    return row(structure) if row else _SKIP
 
 
 def _row(check: str, kind: str, obj):
-    """Outcome of a check on a structure or on its construction error; None where it does not apply."""
+    """Outcome of a check on a structure or on its construction error."""
     if isinstance(obj, BornlabError):
-        return ("fail", _error_witness(obj)) if _CONSTRUCTION[kind] == check else None
+        return _error_witness(obj) if _CONSTRUCTION[kind] == check else _SKIP
     return _outcome(check, kind, obj)
 
 
@@ -537,8 +529,9 @@ def run_checks(model: Model, only: Sequence[str] | None = None) -> Report:
             continue
         start = time.perf_counter()
         # every applicable structure is evaluated, so no error depends on an earlier failure
-        outcomes = [o for o in (_row(check, decl.kind, obj) for decl, obj in built) if o is not None]
-        status, witness = next((o for o in outcomes if o[0] == "fail"), _PASS if outcomes else ("skipped", None))
+        outcomes = [o for o in (_row(check, decl.kind, obj) for decl, obj in built) if o is not _SKIP]
+        witness = next((o for o in outcomes if o is not None), None)
+        status = "skipped" if not outcomes else "pass" if witness is None else "fail"
         elapsed = round((time.perf_counter() - start) * 1000, 3)
         results.append(CheckResult(check, status, witness, elapsed))
     return Report(model.name, tuple(results))

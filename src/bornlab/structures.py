@@ -66,13 +66,18 @@ class Witness(Value):
 
 
 class CheckItem(Value):
-    __slots__ = ("name", "ok", "witness", "group")
+    """One certified identity: it holds exactly when it carries no witness."""
 
-    def __init__(self, name: str, ok: bool, witness: Witness | None = None, group: str = "algebra"):
+    __slots__ = ("name", "witness", "group")
+
+    def __init__(self, name: str, witness: Witness | None = None, group: str = "algebra"):
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "ok", ok)
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "group", group)  # algebra | eigenspace | signature
+
+    @property
+    def ok(self) -> bool:
+        return self.witness is None
 
 
 class StructureReport(Value):
@@ -89,18 +94,32 @@ class StructureReport(Value):
         return [item for item in self.items if not item.ok]
 
     def first_witness(self) -> Witness | None:
-        for item in self.items:
-            if not item.ok:
-                return item.witness
-        return None
+        return next((item.witness for item in self.items if not item.ok), None)
 
 
-def _matrix_witness(m: Matrix, note="") -> Witness | None:
-    hit = m.first_nonzero()
-    if hit is None:
+def witness_of(defect, note="") -> Witness | None:
+    """The first nonzero entry of a Matrix or Trilinear defect; None when it vanishes."""
+    hit = defect.first_witness()
+    return None if hit is None else Witness.at(*hit, note)
+
+
+def _block_witness(s, m: Matrix, rows: str, cols: str) -> Witness | None:
+    """The first nonzero entry of a block of m in the frame of the splitting s."""
+    hit = first_nonzero_entry(s.block(m, rows, cols))
+    return None if hit is None else Witness.at(hit[:2], hit[2])
+
+
+def subalgebra_witness(L: LieAlgebra, sub: Subspace) -> Witness | None:
+    """None when sub is a subalgebra, else (a, b, c) = residual.
+
+    a and b are positions into the echelon basis of sub, and c is the first
+    nonzero coordinate of their bracket's residual outside the span.
+    """
+    result = is_subalgebra(L, sub)
+    if result:
         return None
-    i, j, value = hit
-    return Witness.at((i, j), value, note)
+    c, value = next((c, v) for c, v in enumerate(result.residual, 1) if v)
+    return Witness.at((*result.witness, c), value)
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +309,10 @@ def verify_born_identities(b: BornStructure) -> StructureReport:
     ops = {"A": b.a_op, "B": b.b_op, "J": b.j_op}
 
     defect = b.a_op.matrix * b.b_op.matrix * b.j_op.matrix - ident
-    items.append(CheckItem("ABJ = Id", defect.is_zero(), _matrix_witness(defect)))
+    items.append(CheckItem("ABJ = Id", witness_of(defect)))
     for x, y in (("A", "B"), ("A", "J"), ("B", "J")):
         defect = anticommutator_defect(ops[x], ops[y])
-        items.append(CheckItem(f"{x}{y} + {y}{x} = 0", defect.is_zero(), _matrix_witness(defect)))
+        items.append(CheckItem(f"{x}{y} + {y}{x} = 0", witness_of(defect)))
 
     # with X = M T, T^T M = eps X^T when M^T = eps M, and T^T M T = (T^T M) T
     for form_name, op_name, both_sign, mixed_sign in IDENTITY_TABLE:
@@ -303,22 +322,12 @@ def verify_born_identities(b: BornStructure) -> StructureReport:
         t_m = form.transpose_times(t, x)
         sign = "" if both_sign == 1 else "-"
         defect = t_m * t - m if both_sign == 1 else t_m * t + m
-        items.append(
-            CheckItem(
-                f"{form_name}({op_name}x,{op_name}y) = {sign}{form_name}(x,y)",
-                defect.is_zero(),
-                _matrix_witness(defect),
-            )
-        )
+        name = f"{form_name}({op_name}x,{op_name}y) = {sign}{form_name}(x,y)"
+        items.append(CheckItem(name, witness_of(defect)))
         sign = "" if mixed_sign == 1 else "-"
         defect = t_m - x if mixed_sign == 1 else t_m + x
-        items.append(
-            CheckItem(
-                f"{form_name}({op_name}x,y) = {sign}{form_name}(x,{op_name}y)",
-                defect.is_zero(),
-                _matrix_witness(defect),
-            )
-        )
+        name = f"{form_name}({op_name}x,y) = {sign}{form_name}(x,{op_name}y)"
+        items.append(CheckItem(name, witness_of(defect)))
 
     frames = {"L": splitting(b.l_plus, b.l_minus), "B": involution_split(b.b_op)}
     # T maps the + eigenspace into the - one iff the (+,+) block of P^-1 T P
@@ -328,10 +337,8 @@ def verify_born_identities(b: BornStructure) -> StructureReport:
         s = frames[frame_name]
         t = s.in_frame(ops[op_name].matrix)
         for side, other in (("+", "-"), ("-", "+")):
-            hit = first_nonzero_entry(s.block(t, side, side))
-            witness = None if hit is None else Witness.at(hit[:2], hit[2])
             name = f"{op_name} maps {frame_name}{side} to {frame_name}{other}"
-            items.append(CheckItem(name, hit is None, witness, "eigenspace"))
+            items.append(CheckItem(name, _block_witness(s, t, side, side), "eigenspace"))
 
     # pairings of frame vectors: an antisymmetric (+,+) or (-,-) block has its
     # first nonzero entry at a < c
@@ -343,114 +350,76 @@ def verify_born_identities(b: BornStructure) -> StructureReport:
         ("B-eigenspaces h-orthogonal", "h", "B", "+", "-"),
     ):
         s = frames[frame_name]
-        hit = first_nonzero_entry(s.block(s.pairing(forms[form_name].matrix), rows, cols))
-        witness = None if hit is None else Witness.at(hit[:2], hit[2])
-        items.append(CheckItem(name, hit is None, witness, "eigenspace"))
+        pairing = s.pairing(forms[form_name].matrix)
+        items.append(CheckItem(name, _block_witness(s, pairing, rows, cols), "eigenspace"))
 
     sig_g = signature_of_symmetric(b.g.matrix)
-    half = n // 2
-    items.append(
-        CheckItem(
-            "signature(g) neutral",
-            sig_g.as_tuple() == (half, half, 0),
-            None if sig_g.as_tuple() == (half, half, 0) else Witness.at(sig_g.as_tuple(), 0),
-            "signature",
-        )
-    )
     sig_h = signature_of_symmetric(b.h.matrix)
+    half = n // 2
     h_ok = sig_h.null == 0 and sig_h.positive % 2 == 0 and sig_h.negative % 2 == 0
-    items.append(
-        CheckItem(
-            "signature(h) = (2p,2q)",
-            h_ok,
-            None if h_ok else Witness.at(sig_h.as_tuple(), 0),
-            "signature",
-        )
-    )
+    for name, sig, ok in (
+        ("signature(g) neutral", sig_g, sig_g.as_tuple() == (half, half, 0)),
+        ("signature(h) = (2p,2q)", sig_h, h_ok),
+    ):
+        items.append(CheckItem(name, None if ok else Witness.at(sig.as_tuple(), 0), "signature"))
     return StructureReport(tuple(items))
 
 
 class IntegrabilityReport(Value):
     """Closedness of omega plus the three Nijenhuis tensors, classified.
 
-    A Born structure is integrable when omega is closed and at least two of
-    N_A, N_B, N_J vanish (then all three do; the cross-check re-verifies the
-    implication on each run).
+    Each leg is its witness, None where it holds: d omega, N_A, N_B and N_J
+    by operator name, and L+ and L- not being subalgebras.  A Born structure
+    is integrable when omega is closed and at least two of N_A, N_B, N_J
+    vanish (then all three do); ok re-verifies that implication and that
+    N_A vanishes exactly when L+ and L- are subalgebras.
     """
 
-    __slots__ = (
-        "closed", "d_omega_witness", "vanishing", "nijenhuis_witnesses", "plus_subalgebra",
-        "minus_subalgebra", "integrable", "two_implies_three", "nijenhuis_matches_subalgebras",
-    )
+    __slots__ = ("d_omega_witness", "nijenhuis_witnesses", "subalgebra_witnesses")
 
-    def __init__(
-        self, closed, d_omega_witness, vanishing, nijenhuis_witnesses, plus_subalgebra,
-        minus_subalgebra, integrable, two_implies_three, nijenhuis_matches_subalgebras,
-    ):
-        object.__setattr__(self, "closed", closed)
+    def __init__(self, d_omega_witness, nijenhuis_witnesses, subalgebra_witnesses):
         object.__setattr__(self, "d_omega_witness", d_omega_witness)
-        object.__setattr__(self, "vanishing", vanishing)
-        object.__setattr__(self, "nijenhuis_witnesses", nijenhuis_witnesses)
-        object.__setattr__(self, "plus_subalgebra", plus_subalgebra)
-        object.__setattr__(self, "minus_subalgebra", minus_subalgebra)
-        object.__setattr__(self, "integrable", integrable)
-        object.__setattr__(self, "two_implies_three", two_implies_three)
-        object.__setattr__(self, "nijenhuis_matches_subalgebras", nijenhuis_matches_subalgebras)
+        object.__setattr__(self, "nijenhuis_witnesses", nijenhuis_witnesses)  # {"A", "B", "J": witness}
+        object.__setattr__(self, "subalgebra_witnesses", subalgebra_witnesses)  # (L+, L-)
+
+    @property
+    def closed(self) -> bool:
+        return self.d_omega_witness is None
+
+    @property
+    def vanishing(self) -> dict:
+        return {name: w is None for name, w in self.nijenhuis_witnesses.items()}
+
+    @property
+    def integrable(self) -> bool:
+        return self.closed and sum(self.vanishing.values()) >= 2
+
+    @property
+    def two_implies_three(self) -> bool:
+        return sum(self.vanishing.values()) != 2
+
+    @property
+    def nijenhuis_matches_subalgebras(self) -> bool:
+        return self.vanishing["A"] == (self.subalgebra_witnesses == (None, None))
 
     @property
     def ok(self) -> bool:
         return self.two_implies_three and self.nijenhuis_matches_subalgebras
 
     def first_witness(self) -> Witness | None:
-        if not self.closed:
-            return self.d_omega_witness
-        for name in ("A", "B", "J"):
-            if not self.vanishing[name]:
-                return self.nijenhuis_witnesses[name]
-        return None
+        """The first failing leg in the order d omega, N_A, N_B, N_J, L+, L-."""
+        legs = (self.d_omega_witness, *self.nijenhuis_witnesses.values(), *self.subalgebra_witnesses)
+        return next((w for w in legs if w is not None), None)
 
 
 @lru_cache(maxsize=None)
 def integrability_report(b: BornStructure) -> IntegrabilityReport:
-    d_omega = ce_d2(b.algebra, b.omega)
-    closed = d_omega.is_zero()
-    d_witness = None
-    if not closed:
-        idx, value = d_omega.first_witness()
-        d_witness = Witness.at(idx, value, "d omega")
-
-    tensors = {
-        "A": nijenhuis(b.algebra, b.a_op),
-        "B": nijenhuis(b.algebra, b.b_op),
-        "J": nijenhuis(b.algebra, b.j_op),
-    }
-    vanishing = {name: t.is_zero() for name, t in tensors.items()}
-    witnesses = {}
-    for name, t in tensors.items():
-        if vanishing[name]:
-            witnesses[name] = None
-        else:
-            idx, value = t.first_witness()
-            witnesses[name] = Witness.at(idx, value, f"N_{name}")
-
-    count = sum(vanishing.values())
-    integrable = closed and count >= 2
-    two_implies_three = count != 2
-
-    plus_sub = bool(is_subalgebra(b.algebra, b.l_plus))
-    minus_sub = bool(is_subalgebra(b.algebra, b.l_minus))
-    matches = vanishing["A"] == (plus_sub and minus_sub)
-
+    L = b.algebra
+    ops = {"A": b.a_op, "B": b.b_op, "J": b.j_op}
     return IntegrabilityReport(
-        closed=closed,
-        d_omega_witness=d_witness,
-        vanishing=vanishing,
-        nijenhuis_witnesses=witnesses,
-        plus_subalgebra=plus_sub,
-        minus_subalgebra=minus_sub,
-        integrable=integrable,
-        two_implies_three=two_implies_three,
-        nijenhuis_matches_subalgebras=matches,
+        witness_of(ce_d2(L, b.omega), "d omega"),
+        {name: witness_of(nijenhuis(L, op), f"N_{name}") for name, op in ops.items()},
+        (subalgebra_witness(L, b.l_plus), subalgebra_witness(L, b.l_minus)),
     )
 
 

@@ -28,15 +28,18 @@ from bornlab import (
     s1_family,
     torsion,
     CirclePoint,
+    Trilinear,
     Endomorphism,
     BilinearForm,
 )
 from bornlab import connections
 from bornlab.connections import Connection
-from bornlab.errors import DegenerateFormError, NotIntegrableError
+from bornlab.errors import AxiomFailureError, DegenerateFormError, NotIntegrableError
 from bornlab.exact import basis_vector, determinant, invert, projection_onto, vec_sub
 from bornlab.liealg import ce_d2
+from bornlab.model import _error_witness
 from bornlab.multilinear import ANTISYMMETRIC, NOSYM, SYMMETRIC, symmetric_form, two_form
+from bornlab.structures import Witness
 from conftest import structures_of
 from oracles import contract, evaluate, nonzero_entries
 from test_builders import cases, first_entry, reference_ce_d2, reference_tensor
@@ -591,3 +594,46 @@ def test_born_torsion_formula_requires_integrability(fixture_kunneth):
     born = enhance_kunneth(fixture_kunneth)
     with pytest.raises(NotIntegrableError):
         born_torsion_formula_defect(born)
+
+
+def test_connection_errors_carry_their_defect(monkeypatch, catalog_models):
+    """A constructor whose re-verification fails raises with the defect, and
+    the report witness is that defect's first nonzero entry: the Gamma
+    difference of the two averages, or the nabla b tensor."""
+    born = structures_of(catalog_models["h4"], "born")[0]
+    k = born.underlying_kunneth()
+    true_average = connections._conjugate_average
+
+    def skewed(c, t, sign):
+        """The J-average moved by 1/2 at entry (1, 3) of Gamma_2."""
+        average = true_average(c, t, sign)
+        if sign > 0:
+            return average
+        gammas = list(average.gammas)
+        unit = Matrix([[Fraction(1, 2) if (r, s) == (0, 2) else 0 for s in range(6)] for r in range(6)])
+        gammas[1] = gammas[1] + unit
+        return Connection(tuple(gammas))
+
+    def cached_builders_cleared():
+        for builder in (connections.born_connection, connections.canonical_connection):
+            builder.cache_clear()
+
+    cached_builders_cleared()
+    try:
+        monkeypatch.setattr(connections, "_conjugate_average", skewed)
+        with pytest.raises(AxiomFailureError) as info:
+            connections.born_connection(born)
+        assert info.value.defect.first_witness() == ((2, 1, 3), Fraction(-1, 2))
+        assert _error_witness(info.value) == Witness((2, 1, 3), "-1/2", str(info.value))
+
+        levi_civita(k.algebra, neutral_metric(k))  # built unpatched; canonical_connection reads it from the cache
+        bent = Trilinear(tuple(Matrix.zero(6) if i != 3 else Matrix.identity(6) * 7 for i in range(6)))
+        monkeypatch.setattr(connections, "nabla_form", lambda L, c, b: bent)
+        monkeypatch.setattr(connections, "_conjugate_average", true_average)
+        with pytest.raises(AxiomFailureError) as info:
+            connections.canonical_connection(k.algebra, neutral_metric(k), almost_product(k))
+        assert info.value.which == "canonical connection does not preserve g"
+        assert _error_witness(info.value) == Witness((4, 1, 1), "7", str(info.value))
+    finally:
+        monkeypatch.undo()
+        cached_builders_cleared()

@@ -185,11 +185,11 @@ def test_equality_and_hash_follow_the_fraction_rows(pair, c):
                 assert hash(x) == hash(y)
 
 
-def ref_first_nonzero(rows):
+def ref_first_witness(rows):
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
             if v != 0:
-                return (i + 1, j + 1, v)
+                return (i + 1, j + 1), v
     return None
 
 
@@ -208,9 +208,9 @@ def test_fraction_accessors_match_fraction_reference(pair):
             column = m.column(j)
             assert column == tuple(row[j] for row in expected)
             assert all(type(x) is Fraction for x in column)
-        assert m.first_nonzero() == ref_first_nonzero(expected)
-        hit = m.first_nonzero()
-        assert hit is None or type(hit[2]) is Fraction
+        assert m.first_witness() == ref_first_witness(expected)
+        hit = m.first_witness()
+        assert hit is None or type(hit[1]) is Fraction
 
 
 def ref_echelon(vectors):

@@ -10,8 +10,21 @@ from pathlib import Path
 import pytest
 
 import bornlab
-from bornlab import catalog, invert, parse_model, render_model, render_report, run_checks
+from bornlab import (
+    Matrix,
+    Subspace,
+    build_almost_kunneth,
+    catalog,
+    invert,
+    levi_civita,
+    neutral_metric,
+    parse_model,
+    render_model,
+    render_report,
+    run_checks,
+)
 from bornlab import model as model_module
+from bornlab.connections import Connection
 from bornlab.cli import main
 from bornlab.errors import (
     DimensionMismatchError,
@@ -19,7 +32,8 @@ from bornlab.errors import (
     ModelSyntaxError,
     UnknownNameError,
 )
-from bornlab.multilinear import ANTISYMMETRIC, SYMMETRIC, Endomorphism
+from bornlab.multilinear import ANTISYMMETRIC, SYMMETRIC, Endomorphism, two_form
+from bornlab.structures import Witness
 from test_builders import moved_algebra, random_unimodular
 from test_frames import moved_form, moved_subspace
 
@@ -372,6 +386,59 @@ def test_check_rows_follow_structure_policy(case):
     expected = [f"model: {model.name}"] + [f"  {c.ljust(width)}  {r}" for c, r in zip(checks, rows)]
     expected.append(f"overall: {'FAIL' if any(r.startswith('FAIL') for r in rows) else 'PASS'}")
     assert render_report(run_checks(model)) == "\n".join(expected) + "\n"
+
+
+def bumped(c, i, j, k, value):
+    """The connection c with value added to entry (j, k) of Gamma_i, 1-based."""
+    n = len(c.gammas)
+    unit = Matrix([[value if (r, s) == (j - 1, k - 1) else 0 for s in range(n)] for r in range(n)])
+    return Connection(tuple(g + unit if m == i - 1 else g for m, g in enumerate(c.gammas)))
+
+
+@pytest.fixture
+def cold_outcomes():
+    """An empty outcome memo, emptied again afterwards: rows computed under a patched builder must not leak."""
+    model_module._outcome.cache_clear()
+    yield
+    model_module._outcome.cache_clear()
+
+
+def test_kunneth_connection_rows_carry_real_witnesses(monkeypatch, cold_outcomes, nil3):
+    """Each failing branch of the Kunneth connections row, forced by a patched builder, shows its witness."""
+    e = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+    # closed e14 + e23 with abelian span(e1, e3) and span(e2, e4): integrable
+    integrable = build_almost_kunneth(
+        nil3, two_form(4, {(1, 4): 1, (2, 3): 1}), Subspace(4, [e[0], e[2]]), Subspace(4, [e[1], e[3]])
+    )
+    # e12 + e43 is not closed, d omega(1,2,4) = 1
+    fixture = build_almost_kunneth(
+        nil3, two_form(4, {(1, 2): 1, (4, 3): 1}), Subspace(4, [e[0], e[3]]), Subspace(4, [e[1], e[2]])
+    )
+
+    def row(k):
+        model_module._outcome.cache_clear()
+        return model_module._outcome("connections", "kunneth", k)
+
+    assert row(integrable) is None and row(fixture) is None
+    iff = "torsion-free Kunneth connection iff integrable"
+    equal = "integrable case: nabla^g = nabla^K = nabla^c"
+
+    # not integrable, yet a torsion-free nabla^K: the integrability witness
+    monkeypatch.setattr(model_module, "kunneth_connection", lambda k: levi_civita(k.algebra, neutral_metric(k)))
+    assert row(fixture) == Witness((1, 2, 4), "1", iff)
+    # integrable, but nabla^K = 0 has torsion T(e1, e2) = -[e1, e2] = -e3
+    monkeypatch.setattr(model_module, "kunneth_connection", lambda k: Connection((Matrix.zero(4),) * 4))
+    assert row(integrable) == Witness((1, 2, 3), "-1", iff)
+    monkeypatch.undo()
+
+    # integrable and torsion-free, but nabla^g moved off nabla^K at Gamma_2 entry (1, 3)
+    true_lc = model_module.levi_civita
+    monkeypatch.setattr(model_module, "levi_civita", lambda L, g: bumped(true_lc(L, g), 2, 1, 3, 1))
+    assert row(integrable) == Witness((2, 1, 3), "-1", equal)
+    # and nabla^c moved off nabla^K at Gamma_1 entry (3, 2), which comes first
+    true_canonical = model_module._canonical_of
+    monkeypatch.setattr(model_module, "_canonical_of", lambda k: bumped(true_canonical(k), 1, 3, 2, 5))
+    assert row(integrable) == Witness((1, 3, 2), "5", equal)
 
 
 # --- rendering -----------------------------------------------------------

@@ -34,12 +34,23 @@ from bornlab.errors import (
     NotComplementaryError,
     NotIsotropicError,
 )
-from bornlab.exact import basis_vector, invert
-from bornlab.multilinear import ANTISYMMETRIC, SYMMETRIC, pullback, recursion_operator, symmetric_form, two_form
+from bornlab.exact import basis_vector, determinant, invert
+from bornlab.liealg import ce_d2, is_subalgebra
+from bornlab.multilinear import (
+    ANTISYMMETRIC,
+    SYMMETRIC,
+    nijenhuis,
+    pullback,
+    recursion_operator,
+    symmetric_form,
+    two_form,
+)
 from bornlab.structures import IDENTITY_TABLE, Witness
 from conftest import structures_of
+from test_builders import random_unimodular
 from test_exact import random_invertible
-from test_frames import random_matrix, random_splitting
+from test_frames import kunneth_cases, random_matrix, random_splitting
+from test_liealg import random_semidirect, random_two_step
 
 
 @pytest.fixture(scope="module")
@@ -275,8 +286,8 @@ def reference_identity_items(b):
             (t.transpose() * m * t - m * both_sign, f"{op_name}x,{op_name}y", "x,y", both_sign),
             (t.transpose() * m - m * t * mixed_sign, f"{op_name}x,y", f"x,{op_name}y", mixed_sign),
         ):
-            hit = defect.first_nonzero()
-            witness = None if hit is None else Witness.at(hit[:2], hit[2])
+            hit = defect.first_witness()
+            witness = None if hit is None else Witness.at(*hit)
             name = f"{form_name}({lhs}) = {'' if sign == 1 else '-'}{form_name}({rhs})"
             items.append((name, hit is None, witness))
     return items
@@ -407,6 +418,63 @@ def test_two_nijenhuis_imply_third_across_catalog(catalog_models):
             count = sum(report.vanishing.values())
             assert count != 2
             assert report.nijenhuis_matches_subalgebras
+
+
+def random_kunneth(rng):
+    """Random Kunneth data on a random solvable algebra: plus and minus are the
+    first and last n/2 columns of an invertible frame P, and omega reads
+    [[0, S], [-S^T, 0]] on that frame for a random invertible S.  On half of
+    the semidirect algebras plus lies in the abelian ideal spanned by
+    e_2..e_n, so it is a subalgebra while minus need not be."""
+    n = rng.choice((4, 6))
+    build = rng.choice((random_semidirect, random_two_step))
+    L = build(n, rng)
+    m = n // 2
+    in_ideal = build is random_semidirect and rng.random() < 0.5
+    while True:
+        p = random_unimodular(n, rng)
+        if in_ideal:
+            p = Matrix([[int(c == m) for c in range(n)]] + [list(r) for r in p.rows[1:]])
+        if determinant(p) != 0:
+            break
+    while True:
+        s = Matrix([[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)])
+        if determinant(s) != 0:
+            break
+    frame_omega = [[0] * m + list(r) for r in s.rows] + [[-v for v in r] + [0] * m for r in s.transpose().rows]
+    p_inv = invert(p)
+    omega = BilinearForm(p_inv.transpose() * Matrix(frame_omega) * p_inv, ANTISYMMETRIC)
+    plus = Subspace(n, [p.column(a) for a in range(m)])
+    minus = Subspace(n, [p.column(a) for a in range(m, n)])
+    return build_almost_kunneth(L, omega, plus, minus)
+
+
+def test_integrability_legs_match_direct_computation(catalog_models, catalog_structures):
+    """The derived verdicts of an integrability report equal those computed
+    from the tensors and the subalgebra test, on Born structures enhanced from
+    the catalog's Kunneth structures (moved to seeded bases) and from random
+    Kunneth data; the report carries no witness exactly when the structure is
+    integrable and the cross-checks hold."""
+    rng = random.Random(61)
+    kunneths = [k for _, k in kunneth_cases(catalog_models, catalog_structures)]
+    kunneths += [random_kunneth(rng) for _ in range(40)]
+    integrable = 0
+    for k in kunneths:
+        born = enhance_kunneth(k)
+        L = born.algebra
+        report = integrability_report(born)
+        closed = ce_d2(L, born.omega).is_zero()
+        ops = {"A": born.a_op, "B": born.b_op, "J": born.j_op}
+        vanishing = {name: nijenhuis(L, op).is_zero() for name, op in ops.items()}
+        subalgebras = bool(is_subalgebra(L, born.l_plus)) and bool(is_subalgebra(L, born.l_minus))
+        count = sum(vanishing.values())
+        assert (report.closed, report.vanishing) == (closed, vanishing)
+        assert report.integrable == (closed and count >= 2)
+        assert report.two_implies_three == (count != 2)
+        assert report.nijenhuis_matches_subalgebras == (vanishing["A"] == subalgebras)
+        assert (report.first_witness() is None) == (report.integrable and report.ok)
+        integrable += report.integrable
+    assert 20 <= integrable <= len(kunneths) - 30, (integrable, len(kunneths))
 
 
 # --- enhancement --------------------------------------------------------

@@ -43,14 +43,11 @@ FIELDS = {
     CheckResult: "check status witness elapsed_ms",
     Report: "model results",
     Witness: "index value note",
-    CheckItem: "name ok witness group",
+    CheckItem: "name witness group",
     StructureReport: "items",
     AlmostKunneth: "algebra omega plus minus",
     BornStructure: "algebra g h omega a_op b_op j_op l_plus l_minus",
-    IntegrabilityReport: (
-        "closed d_omega_witness vanishing nijenhuis_witnesses plus_subalgebra minus_subalgebra"
-        " integrable two_implies_three nijenhuis_matches_subalgebras"
-    ),
+    IntegrabilityReport: "d_omega_witness nijenhuis_witnesses subalgebra_witnesses",
     Hypersymplectic: "algebra omega alpha beta a_op b_op j_op metric",
     SubalgebraResult: "ok witness residual",
 }
