@@ -141,8 +141,24 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_t(argv: list[str]) -> list[str]:
+    """argv with `--t` and a following negative value written as one `--t=VALUE`.
+
+    argparse takes a token that starts with "-" for an option flag unless it
+    reads as a negative number in its own sense, which "-3" does and "-3/7"
+    does not, so `--t -3/7` would leave --t without its value.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] == "--t" and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] = "--t=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_attach_negative_t(sys.argv[1:] if argv is None else list(argv)))
     return args.func(args)
 
 

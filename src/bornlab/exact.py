@@ -10,13 +10,17 @@ kept in canonical form: den > 0, gcd(den, every numerator) = 1, and the
 zero matrix over den = 1.  That makes equality and hashing structural, on
 ints.  Products, sums, differences, scalar multiples, transposes and linear
 combinations work on the numerators alone and bring each result to
-canonical form with one gcd over the whole matrix; products skip zero
-factors.  Determinant, inverse and reduced row echelon form use
-fraction-free Gauss-Jordan elimination on the numerators (Bareiss 1968,
-"Sylvester's identity and multistep integer-preserving Gaussian
-elimination"), and the signature its symmetric form; all their divisions
-are exact.  A Subspace keeps its echelon basis as integer rows too, so
-membership tests never leave the integers.
+canonical form with one gcd over the whole matrix.  A zero operand costs
+nothing: a product with a zero factor or a zero scalar is the zero matrix
+at once (after the dimension check); a sum or difference with a zero
+operand is the other operand, or its negative; a linear combination skips
+zero matrices as it skips zero coefficients; and bringing a result to
+canonical form does not divide its zero rows.  Determinant, inverse and
+reduced row echelon form use fraction-free Gauss-Jordan elimination on the
+numerators (Bareiss 1968, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination"), and the signature its symmetric
+form; all their divisions are exact.  A Subspace keeps its echelon basis
+as integer rows too, so membership tests never leave the integers.
 
 A Splitting of the space into two complementary subspaces holds the frame
 adapted to it, its inverse, the two projections and the involution; it is
@@ -193,14 +197,16 @@ class Matrix(Value):
     def over(cls, num: Sequence[Sequence[int]], den: int) -> "Matrix":
         """The matrix num / den, for integer rows num and an int den != 0.
 
-        One gcd over all entries brings it to canonical form.
+        One gcd over all entries brings it to canonical form; a row of zeros
+        is not divided.
         """
         if den != 1:
             g = gcd(den, *chain.from_iterable(num))
             if den < 0:
                 g = -g
             if g != 1:
-                return cls._of(tuple(tuple(v // g for v in row) for row in num), den // g)
+                num = tuple(tuple(v // g for v in row) if any(row) else tuple(row) for row in num)
+                return cls._of(num, den // g)
         return cls._of(tuple(map(tuple, num)), den)
 
     @classmethod
@@ -290,6 +296,8 @@ class Matrix(Value):
         if isinstance(other, Matrix):
             self._check_dim(other)
             n = self.n
+            if self.is_zero() or other.is_zero():
+                return Matrix.zero(n)
             cols = None
             out = []
             # a row more than a third nonzero is faster as dot products with
@@ -308,6 +316,8 @@ class Matrix(Value):
                 out.append(acc or [0] * n)
             return Matrix.over(out, self.den * other.den)
         c = rationalize(other)
+        if not c:
+            return Matrix.zero(self.n)
         p = c._numerator
         return Matrix.over([[v * p for v in row] for row in self.num], self.den * c._denominator)
 
@@ -339,6 +349,10 @@ def first_nonzero_entry(rows):
 
 def _combined(a: Matrix, b: Matrix, sign: int) -> Matrix:
     """a + sign * b."""
+    if b.is_zero():
+        return a
+    if a.is_zero():
+        return b if sign > 0 else -b
     if a.den == b.den:
         if sign > 0:
             num = [tuple(map(add, r, s)) for r, s in zip(a.num, b.num)]
@@ -375,9 +389,9 @@ def from_integers(numerators, d: int) -> tuple[Fraction, ...]:
 
 
 def linear_combination(coeffs, matrices: Sequence[Matrix]) -> Matrix:
-    """sum_a coeffs[a] * matrices[a]; terms with a zero coefficient are skipped."""
+    """sum_a coeffs[a] * matrices[a]; terms with a zero coefficient or a zero matrix are skipped."""
     n = matrices[0].n
-    terms = [(c, m) for c, m in zip(coeffs, matrices) if c]
+    terms = [(c, m) for c, m in zip(coeffs, matrices) if c and not m.is_zero()]
     cs, dc = to_integers([c for c, _ in terms])
     dm = lcm(*{m.den for _, m in terms})
     acc = [[0] * n for _ in range(n)]

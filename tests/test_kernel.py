@@ -15,12 +15,13 @@ Fractions and against the sign changes of the characteristic polynomial.
 import random
 from fractions import Fraction
 from math import gcd
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from bornlab import LieAlgebra, Matrix, determinant, invert, signature_of_symmetric
-from bornlab.errors import SingularMatrixError
+from bornlab.errors import DimensionMismatchError, SingularMatrixError
 from bornlab.exact import Subspace, column_slices, linear_combination, rank_of, rref
 from oracles import congruence_signature, descartes_signature
 
@@ -52,6 +53,11 @@ PAIRS = DIMS.flatmap(lambda n: st.tuples(rows_of(n), rows_of(n)))
 def ref_mul(a, b):
     n = len(a)
     return [[sum((a[i][k] * b[k][j] for k in range(n)), ZERO) for j in range(n)] for i in range(n)]
+
+
+def ref_combination(coeffs, mats):
+    n = len(mats[0])
+    return [[sum((c * m[i][j] for c, m in zip(coeffs, mats)), ZERO) for j in range(n)] for i in range(n)]
 
 
 def assert_matrix(result, expected):
@@ -100,11 +106,7 @@ def test_matvec_accepts_integer_vectors():
     lambda k: st.tuples(vector_of(k), st.lists(rows_of(n), min_size=k, max_size=k)))))
 def test_linear_combination_matches_fraction_reference(case):
     coeffs, mats = case
-    n = len(mats[0])
-    expected = [
-        [sum((c * m[i][j] for c, m in zip(coeffs, mats)), ZERO) for j in range(n)] for i in range(n)
-    ]
-    assert_matrix(linear_combination(coeffs, [Matrix(m) for m in mats]), expected)
+    assert_matrix(linear_combination(coeffs, [Matrix(m) for m in mats]), ref_combination(coeffs, mats))
 
 
 @settings(max_examples=100, deadline=None)
@@ -183,6 +185,61 @@ def test_equality_and_hash_follow_the_fraction_rows(pair, c):
             assert (x == y) == (x.rows == y.rows)
             if x == y:
                 assert hash(x) == hash(y)
+
+
+# --- zero operands --------------------------------------------------------------
+
+
+def zero_rows(n):
+    return [[ZERO] * n for _ in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(SQUARES, SCALARS)
+@example([[Fraction(1, 2), Fraction(-2, 3)], [ZERO, Fraction(5, 7)]], Fraction(3, 4))
+@example([[Fraction(-1, 6)]], ZERO)
+def test_zero_operands_match_fraction_reference(a, c):
+    """An all-zero operand gives the Fraction result, in canonical form, whatever the other's den."""
+    n = len(a)
+    z = zero_rows(n)
+    A, Z = Matrix(a), Matrix(z)
+    coeffs = [c, 2, Fraction(1, 3)]
+    cases = [
+        (A * Z, ref_mul(a, z)),
+        (Z * A, ref_mul(z, a)),
+        (Z * Z, z),
+        (A + Z, a),
+        (Z + A, a),
+        (A - Z, a),
+        (Z - A, [[-x for x in row] for row in a]),
+        (A - A, z),
+        (A * 0, z),
+        (0 * A, z),
+        (A * ZERO, z),
+        (Z * c, z),
+        (linear_combination(coeffs, [A, Z, A]), ref_combination(coeffs, [a, z, a])),
+        (linear_combination([Fraction(-1, 2), c], [Z, Z]), z),
+        (linear_combination([ZERO, c], [A, Z]), z),
+    ]
+    for result, expected in cases:
+        assert_matrix(result, expected)
+        assert_canonical(result)
+
+
+def test_canonical_form_keeps_zero_rows():
+    m = Matrix.over([[0, 0, 0], [2, -4, 6], [0, 0, 0]], -6)
+    assert (m.num, m.den) == (((0, 0, 0), (-1, 2, -3), (0, 0, 0)), 3)
+    assert_canonical(m)
+
+
+@pytest.mark.parametrize("op", [mul, add, sub], ids=["mul", "add", "sub"])
+def test_zero_operand_of_another_dimension_is_a_mismatch(op):
+    a = Matrix([[Fraction(1, 2), 3], [0, Fraction(-1, 5)]])
+    for x, y in [(a, Matrix.zero(3)), (a, Matrix.zero(1)), (Matrix.zero(2), Matrix.zero(3))]:
+        with pytest.raises(DimensionMismatchError):
+            op(x, y)
+        with pytest.raises(DimensionMismatchError):
+            op(y, x)
 
 
 def ref_first_witness(rows):

@@ -614,6 +614,28 @@ def test_cli_family_rejects_bad_parameter(capsys):
     capsys.readouterr()
 
 
+def test_cli_family_takes_a_negative_rational_after_a_space(capsys):
+    """`--t -3/7` is the parameter -3/7, as `--t=-3/7` is, not an unknown flag."""
+    outputs = []
+    for argv in (["--t", "-3/7"], ["--t=-3/7"]):
+        assert main(["family", "nil3_r", *argv]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith("family member of nil3_r at t=-3/7 (cos = 20/29, sin = -21/29)")
+
+
+@pytest.mark.parametrize("value", ["x", "-x", "-3/0", "--3/7", "-3 /7"])
+def test_cli_family_rejects_a_non_rational_parameter(value, capsys):
+    try:
+        code = main(["family", "nil3_r", "--t", value])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error:" in err
+
+
 def _without_elapsed(argv, text):
     """A JSON report without its timings; other output as printed."""
     if "json" not in argv:
@@ -632,6 +654,7 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
         ["check", str(path), "--format", "json"],
         ["check", str(path)],
         ["family", "nil3_r", "--t=1/2"],
+        ["family", "nil3_r", "--t", "-3/7"],
         ["family", "nil3_r", "--theta-pi"],
         ["family", "nil3_r"],
         ["catalog", "list"],
@@ -656,4 +679,4 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
         assert code == fresh.returncode, argv
         assert _without_elapsed(argv, out) == _without_elapsed(argv, fresh.stdout), argv
         assert err == fresh.stderr, argv
-    assert codes == [1, 1, 0, 0, 2, 0]
+    assert codes == [1, 1, 0, 0, 0, 2, 0]
