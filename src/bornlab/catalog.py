@@ -16,15 +16,9 @@ from functools import lru_cache
 from .errors import BornlabError, NotExportableError, UnknownEntryError
 from .exact import Subspace, Value
 from .liealg import LieAlgebra, ce_d2
-from .model import Model, StructureDecl, materialize, render_model, run_checks
+from .model import CHECK_ORDER, Model, StructureDecl, materialize, render_model, run_checks
 from .multilinear import Endomorphism, symmetric_form, two_form
-from .structures import (
-    CirclePoint,
-    build_hypersymplectic,
-    integrability_report,
-    s1_family,
-    verify_born_identities,
-)
+from .structures import CirclePoint, integrability_report, s1_family, verify_born_identities
 
 F = Fraction
 
@@ -58,17 +52,7 @@ class CatalogEntry(Value):
 
 
 def _all_pass(*overrides) -> tuple:
-    status = {
-        "born_axioms": "pass",
-        "identity_table": "pass",
-        "integrability": "pass",
-        "eigenspace_geometry": "pass",
-        "signatures": "pass",
-        "connections": "pass",
-        "generalized_torsion": "pass",
-        "omega_k": "pass",
-        "torsion_formula": "pass",
-    }
+    status = dict.fromkeys(CHECK_ORDER, "pass")
     status.update(dict(overrides))
     return tuple(Expectation("check", k, v) for k, v in status.items())
 
@@ -526,19 +510,19 @@ def export_entry(name: str) -> str:
 
 
 def family_member(entry: CatalogEntry, point: CirclePoint):
-    """Born structure of the circle family at the given exact point."""
+    """Born structure of the circle family at the given exact point.
+
+    The family is that of the entry's hypersymplectic structure as materialize
+    builds it; a structure that does not build raises its BornlabError.
+    """
     if entry.model is None:
         raise UnknownEntryError(f"{entry.name} has no model data")
-    decl = next((d for d in entry.model.structures if d.kind == "hypersymplectic"), None)
+    hs = next((obj for decl, obj in materialize(entry.model) if decl.kind == "hypersymplectic"), None)
     jt = entry.model.endos.get("jtilde")
-    if decl is None or jt is None:
+    if hs is None or jt is None:
         raise UnknownEntryError(f"{entry.name} does not carry a hypersymplectic structure with jtilde")
-    hs = build_hypersymplectic(
-        entry.model.algebra,
-        entry.model.forms[decl.ref("omega")],
-        entry.model.forms[decl.ref("alpha")],
-        entry.model.forms[decl.ref("beta")],
-    )
+    if isinstance(hs, BornlabError):
+        raise hs
     return s1_family(hs, jt, point)
 
 
@@ -546,7 +530,10 @@ def _parse_point(target: str) -> CirclePoint:
     if target == "theta=pi":
         return CirclePoint.theta_pi()
     if target.startswith("t="):
-        return CirclePoint.from_t(Fraction(target[2:]))
+        try:
+            return CirclePoint.from_t(target[2:])
+        except ValueError:
+            pass
     raise UnknownEntryError(f"bad family point {target!r}")
 
 

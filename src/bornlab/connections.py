@@ -30,9 +30,8 @@ Gamma^K_j e_i), which equals T_i + pi_+ (Gamma^K_i + E_i) - E_i as
 pi_- = Id - pi_+.  A connection preserves both subspaces exactly when the
 off-diagonal blocks of P^-1 Gamma_i P vanish.
 
-Every constructor re-verifies the defining properties of what it built and
-records them in the connection's certificate; a violation raises, it is never
-returned silently.  The error carries the violated tensor (torsion, nabla b)
+Every constructor re-verifies the defining properties of what it built; a
+violation raises, it is never returned silently.  The error carries the violated tensor (torsion, nabla b)
 or the Gamma difference of the two Born averages as its defect.
 """
 
@@ -74,14 +73,12 @@ from .structures import (
 
 
 class Connection(Value):
-    """Left-invariant connection as the matrices Gamma_i = nabla_{e_i}; equality ignores the certificate."""
+    """Left-invariant connection as the matrices Gamma_i = nabla_{e_i}."""
 
-    __slots__ = ("gammas", "certified")
-    _uncompared = ("certified",)
+    __slots__ = ("gammas",)
 
-    def __init__(self, gammas: tuple, certified: tuple = ()):
+    def __init__(self, gammas: tuple):
         object.__setattr__(self, "gammas", gammas)  # gammas[i] is a Matrix whose column j is nabla_{e_i} e_j
-        object.__setattr__(self, "certified", certified)
 
     def apply(self, x, y):
         """nabla_x y = (sum_i x_i Gamma_i) y."""
@@ -176,7 +173,7 @@ def levi_civita(L: LieAlgebra, g: BilinearForm) -> Connection:
     conn = Connection(tuple(half_g_inv * (p[i] - p[i].transpose() - r[i]) for i in range(n)))
     _require_zero("Levi-Civita connection has torsion", torsion(L, conn))
     _require_zero("Levi-Civita connection does not preserve g", nabla_form(L, conn, g))
-    return Connection(conn.gammas, ("torsion_free", "parallel:g"))
+    return conn
 
 
 @lru_cache(maxsize=None)
@@ -219,7 +216,7 @@ def kunneth_connection(k: AlmostKunneth) -> Connection:
     _require_zero("Kunneth connection does not preserve omega", nabla_form(L, conn, k.omega))
     if mixed_torsion_defect(L, conn, k.plus, k.minus):
         raise AxiomFailureError("Kunneth connection has mixed torsion")
-    return Connection(conn.gammas, ("preserves_subspaces", "parallel:omega", "mixed_torsion_zero"))
+    return conn
 
 
 @lru_cache(maxsize=None)
@@ -238,7 +235,7 @@ def canonical_connection(L: LieAlgebra, g: BilinearForm, a_op: Endomorphism) -> 
     _require_zero("canonical connection does not preserve g", nabla_form(L, conn, g))
     omega = BilinearForm.detect(a_op.matrix.transpose() * g.matrix)
     _require_zero("canonical connection does not preserve omega", nabla_form(L, conn, omega))
-    return Connection(conn.gammas, ("commutes:A", "parallel:g", "parallel:omega"))
+    return conn
 
 
 @lru_cache(maxsize=None)
@@ -264,10 +261,7 @@ def born_connection(b: BornStructure) -> Connection:
             raise AxiomFailureError(f"Born-compatible connection does not commute with {name}")
     for name, form in (("g", b.g), ("h", b.h), ("omega", b.omega)):
         _require_zero(f"Born-compatible connection does not preserve {name}", nabla_form(L, conn, form))
-    return Connection(
-        conn.gammas,
-        ("b_average_equals_j_average", "commutes:A,B,J", "parallel:g,h,omega"),
-    )
+    return conn
 
 
 def mixed_torsion_defect(L: LieAlgebra, c: Connection, plus: Subspace, minus: Subspace):

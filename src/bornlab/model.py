@@ -10,12 +10,16 @@ collects exact witnesses for failures, and reports deterministically: result
 rows appear in a fixed order and witnesses are the lexicographically first
 offending index, independent of evaluation order.
 
-One table, _CHECKS, says which check applies to which structure kind and how
-it is decided there.  materialize builds every declared structure, keeping
-construction errors, and orders them born, kunneth, hypersymplectic, each in
-declaration order; a check's row is the first failing outcome in that order.
-A structure that did not build fails only its kind's construction check
-(_CONSTRUCTION) and is left out of every other.
+One table, _KINDS, declares each structure kind: its builder, its required
+and optional roles with the model section each names, and by its order the
+order in which checks combine outcomes; parsing, labels and materialize all
+read it.  A second table, _CHECKS, says which check applies to which kind and
+how it is decided there.  materialize builds every declared structure,
+keeping construction errors, and orders them born, kunneth, hypersymplectic,
+each in declaration order; a check's row is the first failing outcome in that
+order.  A structure that did not build fails only its kind's construction
+check, the one whose row for that kind is _built, and is left out of every
+other.
 
 The builders are memoized by value, and so is each check's outcome on one
 built structure, in one memo keyed by (check, kind, structure); a Born row
@@ -52,14 +56,12 @@ from .errors import (
 from .exact import Matrix, Subspace, Value, format_rational, parse_rational, rational_parts
 from .liealg import LieAlgebra, ce_d2
 from .multilinear import ANTISYMMETRIC, SYMMETRIC, BilinearForm, Endomorphism
+from . import structures
 from .structures import (
     AlmostKunneth,
     BornStructure,
     Witness,
     almost_product,
-    build_almost_kunneth,
-    build_born,
-    build_hypersymplectic,
     integrability_report,
     neutral_metric,
     subalgebra_witness,
@@ -79,31 +81,27 @@ CHECK_ORDER = (
     "torsion_formula",
 )
 
-_STRUCTURE_ROLES = {
-    "kunneth": (("omega", "forms"), ("plus", "subspaces"), ("minus", "subspaces")),
+# kind -> (builder in structures, required roles, optional roles), each role
+# with the model section it names; the builder takes the required tables in
+# order and each optional role X as expect_x.  The builder is looked up by name
+# at call time, so a rebinding of the public function (perfbench's tracing)
+# sees the call.  The kinds are listed in the order checks combine outcomes in.
+_KINDS = {
     "born": (
-        ("g", "metrics"),
-        ("h", "metrics"),
-        ("omega", "forms"),
-        ("A", "endos"),
-        ("B", "endos"),
-        ("J", "endos"),
+        "build_born",
+        (("g", "metrics"), ("h", "metrics"), ("omega", "forms")),
+        (("A", "endos"), ("B", "endos"), ("J", "endos")),
+    ),
+    "kunneth": (
+        "build_almost_kunneth",
+        (("omega", "forms"), ("plus", "subspaces"), ("minus", "subspaces")),
+        (),
     ),
     "hypersymplectic": (
-        ("omega", "forms"),
-        ("alpha", "forms"),
-        ("beta", "forms"),
-        ("A", "endos"),
-        ("B", "endos"),
-        ("J", "endos"),
-        ("metric", "metrics"),
+        "build_hypersymplectic",
+        (("omega", "forms"), ("alpha", "forms"), ("beta", "forms")),
+        (("A", "endos"), ("B", "endos"), ("J", "endos"), ("metric", "metrics")),
     ),
-}
-_KINDS = ("born", "kunneth", "hypersymplectic")  # the order checks combine outcomes in
-_REQUIRED_ROLES = {
-    "kunneth": ("omega", "plus", "minus"),
-    "born": ("g", "h", "omega"),
-    "hypersymplectic": ("omega", "alpha", "beta"),
 }
 
 
@@ -125,7 +123,7 @@ class StructureDecl(Value):
         return None
 
     def label(self) -> str:
-        named = ",".join(str(self.ref(role)) for role in _REQUIRED_ROLES[self.kind])
+        named = ",".join(str(self.ref(role)) for role, _ in _KINDS[self.kind][1])
         return f"{self.kind}({named})"
 
 
@@ -239,14 +237,15 @@ def parse_model(text: str) -> Model:
             raise ModelSyntaxError(f"subspaces.{sname}: {exc}") from exc
 
     sections = {"forms": forms, "metrics": metrics, "endos": endos, "subspaces": subspaces}
-    structures = []
+    decls = []
     for decl in _section(doc, "structures", list):
         if not isinstance(decl, dict) or "type" not in decl:
             raise ModelSyntaxError("structure declarations need a 'type'")
         kind = decl["type"]
-        if not isinstance(kind, str) or kind not in _STRUCTURE_ROLES:
+        if not isinstance(kind, str) or kind not in _KINDS:
             raise ModelSyntaxError(f"unknown structure type {kind!r}")
-        roles = dict(_STRUCTURE_ROLES[kind])
+        _, required, optional = _KINDS[kind]
+        roles = dict(required + optional)
         refs = {}
         for key, value in decl.items():
             if key == "type":
@@ -258,10 +257,10 @@ def parse_model(text: str) -> Model:
             if value not in sections[roles[key]]:
                 raise UnknownNameError(f"{kind}.{key} references unknown {roles[key]} entry {value!r}")
             refs[key] = value
-        missing = [r for r in _REQUIRED_ROLES[kind] if r not in refs]
+        missing = [r for r, _ in required if r not in refs]
         if missing:
             raise ModelSyntaxError(f"{kind} structure is missing roles {missing}")
-        structures.append(StructureDecl.of(kind, **refs))
+        decls.append(StructureDecl.of(kind, **refs))
 
     checks = doc.get("checks")
     if checks is not None:
@@ -272,7 +271,7 @@ def parse_model(text: str) -> Model:
                 raise UnknownNameError(f"unknown check {c!r}")
         checks = tuple(checks)
 
-    return Model(name, algebra, forms, metrics, endos, subspaces, tuple(structures), checks)
+    return Model(name, algebra, forms, metrics, endos, subspaces, tuple(decls), checks)
 
 
 def _matrix_json(m: Matrix):
@@ -330,52 +329,28 @@ class Report(Value):
 def materialize(model: Model) -> list:
     """(decl, structure or its BornlabError) per declared structure.
 
-    Structures are built in declaration order and returned born first, then
-    kunneth, then hypersymplectic, each kind in declaration order: the order
-    in which every check combines outcomes, so a row's witness is that of the
-    first failing structure in it.
+    Structures are built in declaration order, each by its kind's row of
+    _KINDS, and returned in the order of _KINDS, each kind in declaration
+    order: the order in which every check combines outcomes, so a row's
+    witness is that of the first failing structure in it.
     """
-    L = model.algebra
     built = []
     for decl in model.structures:
-        kind = decl.kind
+        builder, required, optional = _KINDS[decl.kind]
         try:
-            if kind == "born":
-                obj = build_born(
-                    L,
-                    model.metrics[decl.ref("g")],
-                    model.metrics[decl.ref("h")],
-                    model.forms[decl.ref("omega")],
-                    expect_a=_maybe(model.endos, decl.ref("A")),
-                    expect_b=_maybe(model.endos, decl.ref("B")),
-                    expect_j=_maybe(model.endos, decl.ref("J")),
-                )
-            elif kind == "kunneth":
-                obj = build_almost_kunneth(
-                    L,
-                    model.forms[decl.ref("omega")],
-                    model.subspaces[decl.ref("plus")],
-                    model.subspaces[decl.ref("minus")],
-                )
-            else:
-                obj = build_hypersymplectic(
-                    L,
-                    model.forms[decl.ref("omega")],
-                    model.forms[decl.ref("alpha")],
-                    model.forms[decl.ref("beta")],
-                    expect_a=_maybe(model.endos, decl.ref("A")),
-                    expect_b=_maybe(model.endos, decl.ref("B")),
-                    expect_j=_maybe(model.endos, decl.ref("J")),
-                    expect_metric=_maybe(model.metrics, decl.ref("metric")),
-                )
+            obj = getattr(structures, builder)(
+                model.algebra,
+                *(getattr(model, section)[decl.ref(role)] for role, section in required),
+                **{
+                    f"expect_{role.lower()}": getattr(model, section).get(decl.ref(role))
+                    for role, section in optional
+                },
+            )
         except BornlabError as exc:
             obj = exc
         built.append((decl, obj))
-    return sorted(built, key=lambda pair: _KINDS.index(pair[0].kind))
-
-
-def _maybe(section, name):
-    return section[name] if name else None
+    order = list(_KINDS)
+    return sorted(built, key=lambda pair: order.index(pair[0].kind))
 
 
 def _error_witness(exc: BornlabError) -> Witness:
@@ -392,7 +367,7 @@ _SKIP = object()
 
 
 def _built(structure):
-    """Construction is the check: a structure that built passes it."""
+    """Construction is the check: a structure that built passes it, one that did not fails it."""
     return None
 
 
@@ -498,8 +473,6 @@ _CHECKS = {
         "born": _if_integrable(lambda b: born_torsion_formula_defect(b).first_witness()),
     },
 }
-# the one check a structure that did not build fails, per kind
-_CONSTRUCTION = {"born": "born_axioms", "hypersymplectic": "born_axioms", "kunneth": "eigenspace_geometry"}
 
 
 @lru_cache(maxsize=None)
@@ -512,7 +485,7 @@ def _outcome(check: str, kind: str, structure):
 def _row(check: str, kind: str, obj):
     """Outcome of a check on a structure or on its construction error."""
     if isinstance(obj, BornlabError):
-        return _error_witness(obj) if _CONSTRUCTION[kind] == check else _SKIP
+        return _error_witness(obj) if _CHECKS[check].get(kind) is _built else _SKIP
     return _outcome(check, kind, obj)
 
 

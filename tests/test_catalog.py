@@ -2,9 +2,22 @@
 
 import pytest
 
-from bornlab import catalog, parse_model, render_model
-from bornlab.errors import DegenerateFormError, NotExportableError, UnknownEntryError
+from bornlab import CirclePoint, catalog, parse_model, render_model
+from bornlab.cli import main
+from bornlab.errors import DegenerateFormError, NotClosedError, NotExportableError, UnknownEntryError
 from bornlab.liealg import ce_d2
+from bornlab.model import Model
+from bornlab.multilinear import two_form
+
+
+def _nil3_r_with(forms=None, expectations=None):
+    """The nil3_r entry with some of its forms or its expectations replaced."""
+    entry = catalog.get_entry("nil3_r")
+    m = entry.model
+    model = Model(m.name, m.algebra, {**m.forms, **(forms or {})}, m.metrics, m.endos, m.subspaces, m.structures)
+    if expectations is None:
+        expectations = entry.expectations
+    return catalog.CatalogEntry(entry.name, entry.summary, model, expectations, entry.provenance)
 
 
 def test_list_contains_expected_entries():
@@ -61,6 +74,25 @@ def test_family_point_bornlab_error_is_a_fail(monkeypatch):
     outcomes = catalog.verify_entry(catalog.get_entry("nil3_r"))
     family = [o for o in outcomes if o.expectation.kind == "family_point"]
     assert family and all(o.actual == "fail" for o in family)
+
+
+def test_family_point_that_is_no_rational_literal_is_a_fail():
+    """One grammar for every rational: a family point is "t=" and a "p/q" literal, or "theta=pi"."""
+    targets = ("t=0.5", "t=1/0", "t=abc", "t= 1/2", "t=1e3", "t=1/2", "theta=pi")
+    entry = _nil3_r_with(expectations=tuple(catalog.Expectation("family_point", t, "pass") for t in targets))
+    actual = {o.expectation.target: o.actual for o in catalog.verify_entry(entry)}
+    assert actual == dict.fromkeys(targets[:-2], "fail") | {"t=1/2": "pass", "theta=pi": "pass"}
+
+
+def test_family_member_raises_the_error_of_a_structure_that_does_not_build(monkeypatch, capsys):
+    # a12 + a43 is nondegenerate but not closed on [e1,e2] = e3
+    broken = _nil3_r_with(forms={"beta": two_form(4, {(1, 2): 1, (4, 3): 1})})
+    with pytest.raises(NotClosedError, match=r"^dbeta\(1, 2, 4\) = "):
+        catalog.family_member(broken, CirclePoint.from_t(0))
+    monkeypatch.setattr(catalog, "get_entry", lambda name: broken)
+    assert main(["family", "nil3_r", "--t", "1/2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: dbeta") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("name", ["h4", "nil3_r", "h9_corrected", "abelian_c2"])

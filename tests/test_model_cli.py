@@ -27,6 +27,7 @@ from bornlab import model as model_module
 from bornlab.connections import Connection
 from bornlab.cli import main
 from bornlab.errors import (
+    BornlabError,
     DimensionMismatchError,
     JacobiViolationError,
     ModelSyntaxError,
@@ -386,6 +387,65 @@ def test_check_rows_follow_structure_policy(case):
     expected = [f"model: {model.name}"] + [f"  {c.ljust(width)}  {r}" for c, r in zip(checks, rows)]
     expected.append(f"overall: {'FAIL' if any(r.startswith('FAIL') for r in rows) else 'PASS'}")
     assert render_report(run_checks(model)) == "\n".join(expected) + "\n"
+
+
+# a declaration of each kind that builds, with the catalog entry whose tables it names
+DECLARED = {
+    "born": (NONINTEGRABLE, FIXTURE_BORN),
+    "kunneth": (NONINTEGRABLE, FIXTURE_KUNNETH),
+    "hypersymplectic": ("nil3_r", {
+        "type": "hypersymplectic", "omega": "omega", "alpha": "alpha", "beta": "beta",
+        "A": "A", "B": "B", "J": "J", "metric": "gH",
+    }),
+}
+REQUIRED_ROLES = [
+    ("born", "g"), ("born", "h"), ("born", "omega"),
+    ("kunneth", "omega"), ("kunneth", "plus"), ("kunneth", "minus"),
+    ("hypersymplectic", "omega"), ("hypersymplectic", "alpha"), ("hypersymplectic", "beta"),
+]
+# each optional role with a table of its section that differs from the one the builder derives
+WRONG_TABLES = [
+    ("born", "A", "J"), ("born", "B", "J"), ("born", "J", "A"),
+    ("hypersymplectic", "A", "B"), ("hypersymplectic", "B", "A"), ("hypersymplectic", "J", "jtilde"),
+    ("hypersymplectic", "metric", "h_t0"),
+]
+
+
+@pytest.mark.parametrize("kind, label", [
+    ("born", "born(g,h,omega_tilde)"),
+    ("kunneth", "kunneth(omega_tilde,F,G)"),
+    ("hypersymplectic", "hypersymplectic(omega,alpha,beta)"),
+])
+def test_declaration_of_each_kind_builds_and_is_labelled_by_its_required_roles(kind, label):
+    name, decl = DECLARED[kind]
+    ((parsed, built),) = model_module.materialize(parse_model(_declaring(name, [decl])))
+    assert parsed.label() == label
+    assert not isinstance(built, BornlabError)
+
+
+@pytest.mark.parametrize("kind, role", REQUIRED_ROLES)
+def test_missing_required_role_is_a_syntax_error(kind, role):
+    name, decl = DECLARED[kind]
+    text = _declaring(name, [{key: ref for key, ref in decl.items() if key != role}])
+    with pytest.raises(ModelSyntaxError, match=rf"^{kind} structure is missing roles \['{role}'\]$"):
+        parse_model(text)
+
+
+@pytest.mark.parametrize("kind, role, wrong", WRONG_TABLES)
+def test_optional_role_is_checked_against_its_own_table(kind, role, wrong):
+    name, decl = DECLARED[kind]
+    report = run_checks(parse_model(_declaring(name, [dict(decl, **{role: wrong})])), only=["born_axioms"])
+    row = render_report(report).splitlines()[1]
+    assert "born_axioms  FAIL  witness" in row
+    assert row.endswith(f"  [axiom failure: {role} matches expected table]")
+
+
+def test_optional_role_naming_the_empty_string_is_checked():
+    """A table may be called ""; the role that names it is declared like any other."""
+    j_rows = json.loads(catalog.export_entry(NONINTEGRABLE))["endos"]["J"]
+    text = _declaring(NONINTEGRABLE, [dict(FIXTURE_BORN, A="")], endos={"": j_rows})
+    row = render_report(run_checks(parse_model(text), only=["born_axioms"])).splitlines()[1]
+    assert row.endswith("  [axiom failure: A matches expected table]")
 
 
 def bumped(c, i, j, k, value):

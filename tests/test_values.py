@@ -34,7 +34,7 @@ FIELDS = {
     Expectation: "kind target expected",
     CatalogEntry: "name summary model expectations provenance",
     ExpectationOutcome: "expectation actual",
-    Connection: "gammas certified",
+    Connection: "gammas",
     Trilinear: "slices",
     Signature: "positive negative null",
     Splitting: "plus minus frame frame_inv pi_plus pi_minus involution",
@@ -55,10 +55,8 @@ DEFAULTS = {
     Witness: {"note": ""},
     CheckItem: {"witness": None, "group": "algebra"},
     Model: {"checks": None},
-    Connection: {"certified": ()},
     SubalgebraResult: {"witness": None, "residual": None},
 }
-UNCOMPARED = {"certified"}
 
 
 def test_import_loads_no_dataclasses_inspect_or_typing():
@@ -73,11 +71,7 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
 @pytest.mark.parametrize("cls", list(FIELDS), ids=lambda cls: cls.__name__)
 def test_value_class_behaves_as_its_frozen_dataclass(cls):
     names = FIELDS[cls].split()
-    reference = dataclasses.make_dataclass(
-        cls.__name__,
-        [(f, object, dataclasses.field(compare=f not in UNCOMPARED)) for f in names],
-        frozen=True,
-    )
+    reference = dataclasses.make_dataclass(cls.__name__, [(f, object) for f in names], frozen=True)
     values = [f"{f}-value" for f in names]
     obj = cls(*values)
     ref = reference(*values)
@@ -86,12 +80,9 @@ def test_value_class_behaves_as_its_frozen_dataclass(cls):
 
     twin = cls(**dict(zip(names, values)))
     assert twin is not obj and twin == obj and hash(twin) == hash(obj) == hash(obj)
-    for k, name in enumerate(names):
+    for k in range(len(names)):
         changed = cls(*values[:k], "other", *values[k + 1 :])
-        ignored = name in UNCOMPARED
-        assert (changed == obj) is ignored and (changed != obj) is not ignored
-        if ignored:
-            assert hash(changed) == hash(obj)
+        assert changed != obj and not changed == obj
 
     for name in names:
         with pytest.raises(AttributeError):
@@ -105,13 +96,6 @@ def test_value_class_behaves_as_its_frozen_dataclass(cls):
     defaults = DEFAULTS.get(cls, {})
     short = cls(*values[: len(names) - len(defaults)])
     assert {f: getattr(short, f) for f in defaults} == defaults
-
-
-def test_connection_certificate_is_ignored_by_equality():
-    gammas = (Matrix.identity(2), Matrix.zero(2))
-    bare, certified = Connection(gammas), Connection(gammas, ("torsion-free",))
-    assert bare == certified and hash(bare) == hash(certified)
-    assert bare.certified == () and certified.certified == ("torsion-free",)
 
 
 def test_values_holding_dicts_are_unhashable():
