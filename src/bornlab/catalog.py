@@ -509,12 +509,8 @@ def export_entry(name: str) -> str:
     return render_model(entry.model)
 
 
-def family_member(entry: CatalogEntry, point: CirclePoint):
-    """Born structure of the circle family at the given exact point.
-
-    The family is that of the entry's hypersymplectic structure as materialize
-    builds it; a structure that does not build raises its BornlabError.
-    """
+def _family(entry: CatalogEntry):
+    """(hypersymplectic structure as materialize builds it, jtilde); raises the structure's BornlabError."""
     if entry.model is None:
         raise UnknownEntryError(f"{entry.name} has no model data")
     hs = next((obj for decl, obj in materialize(entry.model) if decl.kind == "hypersymplectic"), None)
@@ -523,7 +519,12 @@ def family_member(entry: CatalogEntry, point: CirclePoint):
         raise UnknownEntryError(f"{entry.name} does not carry a hypersymplectic structure with jtilde")
     if isinstance(hs, BornlabError):
         raise hs
-    return s1_family(hs, jt, point)
+    return hs, jt
+
+
+def family_member(entry: CatalogEntry, point: CirclePoint):
+    """Born structure of the circle family at the given exact point."""
+    return s1_family(*_family(entry), point)
 
 
 def _parse_point(target: str) -> CirclePoint:
@@ -550,19 +551,25 @@ class ExpectationOutcome(Value):
 
 
 def verify_entry(entry: CatalogEntry):
-    """Run every expectation of an entry and report actual vs expected."""
+    """Run every expectation of an entry and report actual vs expected; the family is looked up once."""
     outcomes = []
     report = run_checks(entry.model) if entry.model is not None else None
     statuses = {r.check: r.status for r in report.results} if report else {}
+    try:
+        family = _family(entry) if any(e.kind == "family_point" for e in entry.expectations) else None
+    except BornlabError:
+        family = None  # every family point fails
     for expectation in entry.expectations:
         if expectation.kind == "check":
             actual = statuses.get(expectation.target, "skipped")
         elif expectation.kind == "closedness":
             form = entry.model.forms[expectation.target]
             actual = "pass" if ce_d2(entry.model.algebra, form).is_zero() else "fail"
+        elif expectation.kind == "family_point" and family is None:
+            actual = "fail"
         elif expectation.kind == "family_point":
             try:
-                member = family_member(entry, _parse_point(expectation.target))
+                member = s1_family(*family, _parse_point(expectation.target))
                 ok = verify_born_identities(member).ok and integrability_report(member).integrable
                 actual = "pass" if ok else "fail"
             except BornlabError:

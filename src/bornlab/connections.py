@@ -31,8 +31,10 @@ pi_- = Id - pi_+.  A connection preserves both subspaces exactly when the
 off-diagonal blocks of P^-1 Gamma_i P vanish.
 
 Every constructor re-verifies the defining properties of what it built; a
-violation raises, it is never returned silently.  The error carries the violated tensor (torsion, nabla b)
-or the Gamma difference of the two Born averages as its defect.
+violation raises, it is never returned silently.  The error's hit, computed
+only then, is the first nonzero entry of what should vanish: torsion, nabla b,
+a commutator Gamma_i T - T Gamma_i, a block of P^-1 Gamma_i P, mixed torsion
+or the Gamma difference of the two Born averages.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from .exact import (
     Trilinear,
     Value,
     column_slices,
-    first_nonzero_entry,
     invert,
     linear_combination,
     splitting,
@@ -65,10 +66,11 @@ from .structures import (
     BornStructure,
     CheckItem,
     StructureReport,
-    Witness,
     almost_product,
     integrability_report,
     neutral_metric,
+    require_zero,
+    witness_at,
 )
 
 
@@ -107,23 +109,6 @@ def torsion(L: LieAlgebra, c: Connection) -> Trilinear:
     return Trilinear(tuple(t_i.transpose() for t_i in _torsion_matrices(L, c)))
 
 
-def _frame_witnesses(matrices, frame: Matrix, rows: range, cols: range):
-    """Witnesses of a bilinear map M on pairs of frame vectors x_a, x_c.
-
-    M(e_i, e_j) is column j of matrices[i], so column c of
-    (sum_i P_ia M_i) P is M(x_a, x_c), with x_a column a of the frame P.  For
-    each a in rows and then c in cols with M(x_a, x_c) != 0, yields the
-    witness (a, c, k), 1-based within rows, cols and the coordinates, at the
-    first nonzero coordinate k of M(x_a, x_c).
-    """
-    for a in rows:
-        values = linear_combination(frame.column(a), matrices) * frame
-        for c in cols:
-            hit = next(((k, v) for k, v in enumerate(values.column(c)) if v), None)
-            if hit is not None:
-                yield Witness.at((a - rows.start + 1, c - cols.start + 1, hit[0] + 1), hit[1])
-
-
 def nabla_form(L: LieAlgebra, c: Connection, b: BilinearForm) -> Trilinear:
     """(nabla_{e_i} b)(e_j, e_k) = -(Gamma_i^T M_b + M_b Gamma_i)[j][k]; zero iff b is parallel.
 
@@ -134,15 +119,18 @@ def nabla_form(L: LieAlgebra, c: Connection, b: BilinearForm) -> Trilinear:
     return Trilinear(tuple(-(b.transpose_times(g, p_i) + p_i) for g, p_i in zip(c.gammas, p)))
 
 
-def _require_zero(which: str, defect: Trilinear):
-    """A violated defining property raises with its defect, which locates the failure."""
-    if not defect.is_zero():
-        raise AxiomFailureError(which, defect)
+def _require_no_hit(which: str, hit):
+    """A violated defining property raises at its hit, the (index, value) that locates it."""
+    if hit is not None:
+        raise AxiomFailureError(which, hit)
 
 
-def _commutes(c: Connection, t: Endomorphism) -> bool:
-    """Gamma_i T = T Gamma_i for every i."""
-    return all(g * t.matrix == t.matrix * g for g in c.gammas)
+def _commutator_witness(c: Connection, t: Endomorphism):
+    """First nonzero ((i, j, k), value) of Gamma_i T - T Gamma_i; None when c commutes with T."""
+    m = t.matrix
+    if all(g * m == m * g for g in c.gammas):
+        return None
+    return Trilinear(tuple(g * m - m * g for g in c.gammas)).first_witness()
 
 
 def _conjugate_average(c: Connection, t: Endomorphism, sign: int) -> Connection:
@@ -171,8 +159,8 @@ def levi_civita(L: LieAlgebra, g: BilinearForm) -> Connection:
     p = [g.matrix * L.ad(i) for i in range(n)]
     r = column_slices([p_j.transpose() for p_j in p])
     conn = Connection(tuple(half_g_inv * (p[i] - p[i].transpose() - r[i]) for i in range(n)))
-    _require_zero("Levi-Civita connection has torsion", torsion(L, conn))
-    _require_zero("Levi-Civita connection does not preserve g", nabla_form(L, conn, g))
+    require_zero("Levi-Civita connection has torsion", torsion(L, conn))
+    require_zero("Levi-Civita connection does not preserve g", nabla_form(L, conn, g))
     return conn
 
 
@@ -208,14 +196,15 @@ def kunneth_connection(k: AlmostKunneth) -> Connection:
         gammas.append(pi_f * (w + ad[i]) * pi_f + pi_g * (d[i] - w) * pi_g)
     conn = Connection(tuple(gammas))
     # nabla preserves plus iff the (-,+) block of P^-1 Gamma_i P vanishes, and
-    # minus iff the (+,-) block does
+    # minus iff the (+,-) block does; a failure is (i, a, c) in that block
     in_frame = [split.in_frame(g) for g in gammas]
     for name, rows, cols in (("plus", "-", "+"), ("minus", "+", "-")):
-        if any(first_nonzero_entry(split.block(g, rows, cols)) is not None for g in in_frame):
-            raise AxiomFailureError(f"Kunneth connection does not preserve {name}")
-    _require_zero("Kunneth connection does not preserve omega", nabla_form(L, conn, k.omega))
-    if mixed_torsion_defect(L, conn, k.plus, k.minus):
-        raise AxiomFailureError("Kunneth connection has mixed torsion")
+        for i, g in enumerate(in_frame, 1):
+            hit = split.block_witness(g, rows, cols)
+            if hit is not None:
+                raise AxiomFailureError(f"Kunneth connection does not preserve {name}", ((i, *hit[0]), hit[1]))
+    require_zero("Kunneth connection does not preserve omega", nabla_form(L, conn, k.omega))
+    _require_no_hit("Kunneth connection has mixed torsion", mixed_torsion_defect(L, conn, k.plus, k.minus))
     return conn
 
 
@@ -228,13 +217,12 @@ def canonical_connection(L: LieAlgebra, g: BilinearForm, a_op: Endomorphism) -> 
     Re-verified: commutes with A, parallel for g and for omega(x,y) = g(Ax,y).
     """
     if not a_op.is_involution():
-        raise NotInvolutionError(a_op.squared() - Matrix.identity(a_op.n))
+        raise NotInvolutionError((a_op.squared() - Matrix.identity(a_op.n)).first_witness())
     conn = _conjugate_average(levi_civita(L, g), a_op, 1)
-    if not _commutes(conn, a_op):
-        raise AxiomFailureError("canonical connection does not commute with A")
-    _require_zero("canonical connection does not preserve g", nabla_form(L, conn, g))
+    _require_no_hit("canonical connection does not commute with A", _commutator_witness(conn, a_op))
+    require_zero("canonical connection does not preserve g", nabla_form(L, conn, g))
     omega = BilinearForm.detect(a_op.matrix.transpose() * g.matrix)
-    _require_zero("canonical connection does not preserve omega", nabla_form(L, conn, omega))
+    require_zero("canonical connection does not preserve omega", nabla_form(L, conn, omega))
     return conn
 
 
@@ -255,24 +243,23 @@ def born_connection(b: BornStructure) -> Connection:
     conn = _conjugate_average(kunneth, b.b_op, 1)
     j_average = _conjugate_average(kunneth, b.j_op, -1)
     if conn != j_average:
-        raise AxiomFailureError("B-average and J-average of the Kunneth connection differ", conn - j_average)
+        raise AxiomFailureError(
+            "B-average and J-average of the Kunneth connection differ", (conn - j_average).first_witness()
+        )
     for name, op in (("A", b.a_op), ("B", b.b_op), ("J", b.j_op)):
-        if not _commutes(conn, op):
-            raise AxiomFailureError(f"Born-compatible connection does not commute with {name}")
+        _require_no_hit(f"Born-compatible connection does not commute with {name}", _commutator_witness(conn, op))
     for name, form in (("g", b.g), ("h", b.h), ("omega", b.omega)):
-        _require_zero(f"Born-compatible connection does not preserve {name}", nabla_form(L, conn, form))
+        require_zero(f"Born-compatible connection does not preserve {name}", nabla_form(L, conn, form))
     return conn
 
 
 def mixed_torsion_defect(L: LieAlgebra, c: Connection, plus: Subspace, minus: Subspace):
-    """Nonzero values of T(x, y) for x in the plus basis, y in the minus basis.
+    """First ((a, b, k), value) in lexicographic order with T(x_a, y_b) nonzero at coordinate k.
 
-    Witness indices are (a, b, k): positions into the echelon bases and the
-    first coordinate where the torsion vector is nonzero.
+    x_a and y_b run over the echelon bases of plus and minus; None when the
+    mixed torsion vanishes.
     """
-    split = splitting(plus, minus)
-    p = plus.dim
-    return list(_frame_witnesses(_torsion_matrices(L, c), split.frame, range(p), range(p, L.n)))
+    return splitting(plus, minus).map_witness(_torsion_matrices(L, c), "+", "-")
 
 
 def generalized_torsion_defect(
@@ -339,19 +326,17 @@ def born_torsion_formula_defect(b: BornStructure) -> StructureReport:
     kunneth = kunneth_connection(b.underlying_kunneth())
     born = born_connection(b)
     split = involution_split(b.b_op)
-    p = split.plus.dim
     t = _torsion_matrices(L, born)
     items = []
-    for name, block in (("B+", range(p)), ("B-", range(p, L.n))):
+    for side in ("+", "-"):
         # T is antisymmetric, so the first witness on the whole block has a < c
-        witness = next(_frame_witnesses(t, split.frame, block, block), None)
-        items.append(CheckItem(f"T = 0 on {name} x {name}", witness))
+        items.append(CheckItem(f"T = 0 on B{side} x B{side}", witness_at(split.map_witness(t, side, side))))
 
     # D(x, y) = T(x, y) + pi+(nabla^K_x y) - pi-(nabla^K_y x) along e_i is
     # D_i = T_i + pi+ Gamma^K_i - pi- E_i = T_i + pi+ (Gamma^K_i + E_i) - E_i,
     # with column j of E_i equal to Gamma^K_j e_i
     e = column_slices(kunneth.gammas)
     d = [t_i + split.pi_plus * (g_i + e_i) - e_i for t_i, g_i, e_i in zip(t, kunneth.gammas, e)]
-    witness = next(_frame_witnesses(d, split.frame, range(p), range(p, L.n)), None)
+    witness = witness_at(split.map_witness(d, "+", "-"))
     items.append(CheckItem("T(x,y) = -pi+(nabla^K_x y) + pi-(nabla^K_y x) on B+ x B-", witness))
     return StructureReport(tuple(items))

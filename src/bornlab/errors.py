@@ -1,14 +1,21 @@
 """Exception hierarchy for bornlab.
 
-Every failure that a caller may want to catch carries enough data to
-reconstruct an exact witness (indices are 1-based, values are Fractions).
+An error that locates its failure carries it as `hit`: the pair
+(index, value) that `Matrix.first_witness` returns, with index a tuple of
+1-based positions and value the nonzero Fraction found there.  An error
+with no location (a degenerate form, subspaces that do not decompose the
+space, a syntax error) has hit None.
 """
 
 from __future__ import annotations
 
 
 class BornlabError(Exception):
-    """Base class for all bornlab errors."""
+    """Base class for all bornlab errors; hit is the failure's (index, value), or None."""
+
+    def __init__(self, *args, hit=None):
+        super().__init__(*args)
+        self.hit = hit
 
 
 class DimensionMismatchError(BornlabError):
@@ -28,21 +35,15 @@ class DegenerateFormError(BornlabError):
 
 
 class JacobiViolationError(BornlabError):
-    """Structure constants fail the Jacobi identity.
+    """Structure constants fail the Jacobi identity: hit is ((i, j, k, l), the nonzero Jacobi sum)."""
 
-    witness: (i, j, k, l) 1-based indices, value: the nonzero Jacobi sum.
-    """
-
-    def __init__(self, witness, value):
-        self.witness = witness
-        self.value = value
-        super().__init__(f"Jacobi identity fails at (i,j,k,l)={witness}: defect {value}")
+    def __init__(self, hit):
+        super().__init__("Jacobi identity fails at (i,j,k,l)={}: defect {}".format(*hit), hit=hit)
 
 
 class NotInvolutionError(BornlabError):
-    def __init__(self, defect):
-        self.defect = defect
-        super().__init__("endomorphism does not square to the identity")
+    def __init__(self, hit):
+        super().__init__("endomorphism does not square to the identity", hit=hit)
 
 
 class TrivialInvolutionError(BornlabError):
@@ -50,11 +51,9 @@ class TrivialInvolutionError(BornlabError):
 
 
 class NotIsotropicError(BornlabError):
-    def __init__(self, which, witness, value):
+    def __init__(self, which, hit):
         self.which = which
-        self.witness = witness
-        self.value = value
-        super().__init__(f"{which} is not isotropic: omega{witness} = {value}")
+        super().__init__("{} is not isotropic: omega{} = {}".format(which, *hit), hit=hit)
 
 
 class NotComplementaryError(BornlabError):
@@ -62,38 +61,28 @@ class NotComplementaryError(BornlabError):
 
 
 class AxiomFailureError(BornlabError):
-    """A defining identity of a structure fails exactly.
+    """A defining identity of a structure, named by which, fails exactly at hit."""
 
-    which: short name of the violated identity, defect: exact defect, a
-    Matrix or a Trilinear whose first nonzero entry is the witness.
-    """
-
-    def __init__(self, which, defect=None):
+    def __init__(self, which, hit=None):
         self.which = which
-        self.defect = defect
-        super().__init__(f"axiom failure: {which}")
+        super().__init__(f"axiom failure: {which}", hit=hit)
 
 
 class NotClosedError(BornlabError):
-    def __init__(self, form_name, witness, value):
+    def __init__(self, form_name, hit):
         self.form_name = form_name
-        self.witness = witness
-        self.value = value
-        super().__init__(f"d{form_name}{witness} = {value} != 0")
+        super().__init__("d{}{} = {} != 0".format(form_name, *hit), hit=hit)
 
 
 class HypothesisFailureError(BornlabError):
-    def __init__(self, which, defect=None):
+    def __init__(self, which, hit=None):
         self.which = which
-        self.defect = defect
-        super().__init__(f"hypothesis failure: {which}")
+        super().__init__(f"hypothesis failure: {which}", hit=hit)
 
 
 class NotCompatibleError(BornlabError):
-    def __init__(self, witness, value, message=""):
-        self.witness = witness
-        self.value = value
-        super().__init__(message or f"incompatible isomorphism, witness {witness}: {value}")
+    def __init__(self, hit, message=""):
+        super().__init__(message or "incompatible isomorphism, witness {}: {}".format(*hit), hit=hit)
 
 
 class NotIntegrableError(BornlabError):

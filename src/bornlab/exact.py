@@ -58,12 +58,12 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 # the one literal grammar: "p/q" or "n", no whitespace, positive denominator
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?")
 
 
 def rational_parts(text: str) -> tuple[int, int]:
     """The literal "p/q" or "n" as the integers (p, q), q > 0 and not reduced."""
-    match = _RATIONAL_RE.match(text) if isinstance(text, str) else None
+    match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
     if match is None:
         raise ValueError(f"not a rational literal: {text!r}")
     p, q = match.groups()
@@ -278,8 +278,7 @@ class Matrix(Value):
 
     def first_witness(self):
         """First nonzero ((i, j) 1-based, value) in row-major order; None if zero."""
-        hit = first_nonzero_entry(self.num)
-        return None if hit is None else (hit[:2], _fraction(hit[2], self.den))
+        return _first_witness(self.num, self.den)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_dim(other)
@@ -338,12 +337,12 @@ class Matrix(Value):
         return f"Matrix[{body}]"
 
 
-def first_nonzero_entry(rows):
-    """First (i, j, value) with a nonzero value in rows of numbers, row-major, 1-based; None if all zero."""
+def _first_witness(rows, den: int):
+    """First nonzero ((i, j) 1-based, value / den) in rows of integers, row-major; None if all zero."""
     for i, row in enumerate(rows):
         if any(row):
             j = next(j for j, v in enumerate(row) if v)
-            return (i + 1, j + 1, row[j])
+            return (i + 1, j + 1), _fraction(row[j], den)
     return None
 
 
@@ -694,8 +693,10 @@ class Splitting(Value):
     Every property of the splitting is a block of one product in the frame:
     a bilinear form M reads P^T M P, whose entry (a, c) is M on frame vectors
     a and c, and an endomorphism T reads P^-1 T P, whose column c holds the
-    frame coordinates of T applied to frame vector c.  `block` takes the
-    (+, +), (+, -), (-, +) or (-, -) block of either.
+    frame coordinates of T applied to frame vector c.  `block_witness` finds
+    the first nonzero entry of the (+, +), (+, -), (-, +) or (-, -) block of
+    either, and `map_witness` that of a vector-valued bilinear map on pairs
+    of frame vectors.
     """
 
     __slots__ = ("plus", "minus", "frame", "frame_inv", "pi_plus", "pi_minus", "involution")
@@ -717,11 +718,33 @@ class Splitting(Value):
         """P^-1 T P: the endomorphism with matrix t in frame coordinates."""
         return self.frame_inv * t * self.frame
 
-    def block(self, m: Matrix, rows: str, cols: str) -> tuple:
-        """The block of m with rows and columns on the "+" or "-" side, as rows of Fractions."""
+    def _sides(self, rows: str, cols: str):
         p = self.plus.dim
-        r, c = (slice(None, p) if side == "+" else slice(p, None) for side in (rows, cols))
-        return tuple(from_integers(row[c], m.den) for row in m.num[r])
+        return (slice(None, p) if side == "+" else slice(p, None) for side in (rows, cols))
+
+    def block(self, m: Matrix, rows: str, cols: str) -> Matrix:
+        """The block of m with rows and columns on the "+" or "-" side; the two sides have one dimension."""
+        r, c = self._sides(rows, cols)
+        return Matrix.over([row[c] for row in m.num[r]], m.den)
+
+    def block_witness(self, m: Matrix, rows: str, cols: str):
+        """First nonzero ((a, c) 1-based within the block, value) of a block of m, row-major; None if zero."""
+        r, c = self._sides(rows, cols)
+        return _first_witness([row[c] for row in m.num[r]], m.den)
+
+    def map_witness(self, matrices: Sequence[Matrix], rows: str, cols: str):
+        """First ((a, c, k), value) in lexicographic order with M(x_a, x_c) nonzero at coordinate k.
+
+        M(e_i, e_j) is column j of matrices[i], so column c of (sum_i P_ia M_i) P
+        is M(x_a, x_c); a and c are 1-based within the rows and cols sides.
+        """
+        r, c = self._sides(rows, cols)
+        for a, x in enumerate(range(self.frame.n)[r], 1):
+            values = linear_combination(self.frame.column(x), matrices) * self.frame
+            hit = _first_witness(tuple(zip(*values.num))[c], values.den)
+            if hit is not None:
+                return (a, *hit[0]), hit[1]
+        return None
 
 
 @lru_cache(maxsize=None)

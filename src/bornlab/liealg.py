@@ -84,7 +84,7 @@ class LieAlgebra:
         if check:
             for index, value in _jacobi_sums(self):
                 if value:
-                    raise JacobiViolationError(index, Fraction(value, dc * dc))
+                    raise JacobiViolationError((index, Fraction(value, dc * dc)))
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")

@@ -202,8 +202,12 @@ def parse_model(text: str) -> Model:
         i, j = item["i"], item["j"]
         if not _is_int(i) or not _is_int(j):
             raise ModelSyntaxError("bracket indices must be integers")
+        if (i, j) in brackets:
+            raise ModelSyntaxError(f"bracket ({i},{j}) is given twice")
         try:
             out = {int(k): parse_rational(v) for k, v in item["out"].items()}
+            if [str(k) for k in out] != list(item["out"]):
+                raise ValueError(f"indices must be plain integers, each given once: {list(item['out'])}")
         except (TypeError, ValueError, AttributeError) as exc:
             raise ModelSyntaxError(f"bracket output of ({i},{j}): {exc}") from exc
         brackets[(i, j)] = out
@@ -354,11 +358,8 @@ def materialize(model: Model) -> list:
 
 
 def _error_witness(exc: BornlabError) -> Witness:
-    """The error's defect at its first nonzero entry, else its own index and value, else () = 0."""
-    defect = getattr(exc, "defect", None)
-    hit = None if defect is None else defect.first_witness()
-    index, value = hit or (getattr(exc, "witness", None) or (), getattr(exc, "value", None) or 0)
-    return Witness.at(tuple(index), value, str(exc))
+    """The error's hit, or () = 0 for an error with no location."""
+    return Witness.at(*(exc.hit or ((), 0)), str(exc))
 
 
 # a row is a structure -> outcome function: None when the check passes, its

@@ -197,7 +197,7 @@ def involution_split(t: Endomorphism) -> Splitting:
     ident = Matrix.identity(n)
     defect = t.squared() - ident
     if not defect.is_zero():
-        raise NotInvolutionError(defect)
+        raise NotInvolutionError(defect.first_witness())
     if t.matrix == ident or t.matrix == -ident:
         raise TrivialInvolutionError("involution is +-identity; no proper splitting")
     plus = Subspace(n, kernel_basis(t.matrix - ident))

@@ -30,7 +30,6 @@ from .exact import (
     Subspace,
     Value,
     determinant,
-    first_nonzero_entry,
     format_rational,
     invert,
     rationalize,
@@ -97,16 +96,20 @@ class StructureReport(Value):
         return next((item.witness for item in self.items if not item.ok), None)
 
 
-def witness_of(defect, note="") -> Witness | None:
-    """The first nonzero entry of a Matrix or Trilinear defect; None when it vanishes."""
-    hit = defect.first_witness()
+def witness_at(hit, note="") -> Witness | None:
+    """The Witness of a kernel hit (index, value); None for no hit."""
     return None if hit is None else Witness.at(*hit, note)
 
 
-def _block_witness(s, m: Matrix, rows: str, cols: str) -> Witness | None:
-    """The first nonzero entry of a block of m in the frame of the splitting s."""
-    hit = first_nonzero_entry(s.block(m, rows, cols))
-    return None if hit is None else Witness.at(hit[:2], hit[2])
+def witness_of(defect, note="") -> Witness | None:
+    """The first nonzero entry of a Matrix or Trilinear defect; None when it vanishes."""
+    return witness_at(defect.first_witness(), note)
+
+
+def require_zero(which: str, defect, error=AxiomFailureError):
+    """A Matrix or Trilinear defect that does not vanish raises error at its first nonzero entry."""
+    if not defect.is_zero():
+        raise error(which, defect.first_witness())
 
 
 def subalgebra_witness(L: LieAlgebra, sub: Subspace) -> Witness | None:
@@ -153,9 +156,9 @@ def build_almost_kunneth(L: LieAlgebra, omega: BilinearForm, plus: Subspace, min
     pairing = s.pairing(omega.matrix)
     for name, side in (("plus", "+"), ("minus", "-")):
         # the block is antisymmetric, so its first nonzero entry has a < c
-        hit = first_nonzero_entry(s.block(pairing, side, side))
+        hit = s.block_witness(pairing, side, side)
         if hit is not None:
-            raise NotIsotropicError(name, hit[:2], hit[2])
+            raise NotIsotropicError(name, hit)
     return AlmostKunneth(L, omega, plus, minus)
 
 
@@ -173,7 +176,7 @@ def neutral_metric(k: AlmostKunneth) -> BilinearForm:
     sig = signature_of_symmetric(m)
     half = k.algebra.n // 2
     if sig.as_tuple() != (half, half, 0):
-        raise AxiomFailureError(f"neutral metric has signature {sig}", m)
+        raise AxiomFailureError(f"neutral metric has signature {sig}", m.first_witness())
     return g
 
 
@@ -264,8 +267,7 @@ def build_born(
         ("J^2 = -Id", j_op.squared() + ident),
         ("AB = -J", a_op.matrix * b_op.matrix + j_op.matrix),
     ):
-        if not defect.is_zero():
-            raise AxiomFailureError(name, defect)
+        require_zero(name, defect)
 
     for name, expected, derived in (
         ("A matches expected table", expect_a, a_op),
@@ -273,7 +275,7 @@ def build_born(
         ("J matches expected table", expect_j, j_op),
     ):
         if expected is not None and expected != derived:
-            raise AxiomFailureError(name, derived.matrix - expected.matrix)
+            raise AxiomFailureError(name, (derived.matrix - expected.matrix).first_witness())
 
     split = involution_split(a_op)
     return BornStructure(L, g, h, omega, a_op, b_op, j_op, split.plus, split.minus)
@@ -338,7 +340,7 @@ def verify_born_identities(b: BornStructure) -> StructureReport:
         t = s.in_frame(ops[op_name].matrix)
         for side, other in (("+", "-"), ("-", "+")):
             name = f"{op_name} maps {frame_name}{side} to {frame_name}{other}"
-            items.append(CheckItem(name, _block_witness(s, t, side, side), "eigenspace"))
+            items.append(CheckItem(name, witness_at(s.block_witness(t, side, side)), "eigenspace"))
 
     # pairings of frame vectors: an antisymmetric (+,+) or (-,-) block has its
     # first nonzero entry at a < c
@@ -351,7 +353,7 @@ def verify_born_identities(b: BornStructure) -> StructureReport:
     ):
         s = frames[frame_name]
         pairing = s.pairing(forms[form_name].matrix)
-        items.append(CheckItem(name, _block_witness(s, pairing, rows, cols), "eigenspace"))
+        items.append(CheckItem(name, witness_at(s.block_witness(pairing, rows, cols)), "eigenspace"))
 
     sig_g = signature_of_symmetric(b.g.matrix)
     sig_h = signature_of_symmetric(b.h.matrix)
@@ -441,30 +443,28 @@ def enhance_kunneth(k: AlmostKunneth, jtilde: Endomorphism | None = None) -> Bor
     if jtilde is None:
         # the omega-dual frame g'_c = sum_r (W^-1)_rc g_r, with W the (+,-)
         # block of P^T Omega P, has omega(f_a, g'_c) = delta_ac and S = W^-1
-        s_inv = Matrix(split.block(split.pairing(omega), "+", "-"))
+        s_inv = split.block(split.pairing(omega), "+", "-")
         s = invert(s_inv)
     else:
         if jtilde.n != k.algebra.n:
             raise DimensionMismatchError("jtilde dimension mismatch")
         # column c of P^-1 Jt P holds the frame coordinates of Jt f_c: its
-        # plus part must vanish, and its minus part is column c of S
+        # plus part must vanish, and its minus part is column c of S; a
+        # failure is (c, a), the first f_c whose image has plus coordinate a
         t = split.in_frame(jtilde.matrix)
-        hit = first_nonzero_entry(zip(*split.block(t, "+", "+")))
+        hit = split.block_witness(t.transpose(), "+", "+")
         if hit is not None:
-            raise NotCompatibleError(
-                (hit[0],), 0, "jtilde does not map the plus subspace into the minus one"
-            )
+            raise NotCompatibleError(hit, "jtilde does not map the plus subspace into the minus one")
         # entry (a, c) of the (+,+) block is omega(Jt f_a, f_c) + omega(f_a, Jt f_c)
         compatibility = jtilde.matrix.transpose() * omega + omega * jtilde.matrix
-        hit = first_nonzero_entry(split.block(split.pairing(compatibility), "+", "+"))
+        hit = split.block_witness(split.pairing(compatibility), "+", "+")
         if hit is not None:
-            raise NotCompatibleError(hit[:2], hit[2])
-        s = Matrix(split.block(t, "-", "+"))
+            raise NotCompatibleError(hit)
+        s = split.block(t, "-", "+")
         try:
             s_inv = invert(s)
         except SingularMatrixError:
-            message = "jtilde is not an isomorphism onto the minus subspace"
-            raise NotCompatibleError((0,), 0, message) from None
+            raise NotCompatibleError(None, "jtilde is not an isomorphism onto the minus subspace") from None
     # J in the frame is [[0, -S^-1], [S, 0]], over the common denominator d
     m, d = s.n, lcm(s.den, s_inv.den)
     block = [[0] * m + [-v for v in row] for row in s_inv.num_over(d)]
@@ -523,10 +523,7 @@ def build_hypersymplectic(
         if form.n != n:
             raise DimensionMismatchError("hypersymplectic data on mismatched dimensions")
         inverses[name] = _require_form(name, form, ANTISYMMETRIC, inverse=name != "beta")
-        d = ce_d2(L, form)
-        if not d.is_zero():
-            idx, value = d.first_witness()
-            raise NotClosedError(name, idx, value)
+        require_zero(name, ce_d2(L, form), NotClosedError)
 
     a_op = Endomorphism(inverses["omega"] * alpha.matrix)
     b_op = Endomorphism(inverses["omega"] * beta.matrix)
@@ -539,12 +536,13 @@ def build_hypersymplectic(
         ("J^2 = -Id", j_op.squared() + ident),
         ("AJ = B", a_op.matrix * j_op.matrix - b_op.matrix),
     ):
-        if not defect.is_zero():
-            raise AxiomFailureError(name, defect)
+        require_zero(name, defect)
 
     metric_matrix = alpha.matrix * b_op.matrix
     if not metric_matrix.is_symmetric():
-        raise AxiomFailureError("hypersymplectic metric alpha(x, By) is not symmetric", metric_matrix)
+        raise AxiomFailureError(
+            "hypersymplectic metric alpha(x, By) is not symmetric", metric_matrix.first_witness()
+        )
     metric = BilinearForm(metric_matrix, SYMMETRIC)
 
     for name, expected, derived in (
@@ -556,7 +554,7 @@ def build_hypersymplectic(
         if expected is not None:
             expected_matrix = expected.matrix
             if expected_matrix != derived:
-                raise AxiomFailureError(name, derived - expected_matrix)
+                raise AxiomFailureError(name, (derived - expected_matrix).first_witness())
 
     return Hypersymplectic(L, omega, alpha, beta, a_op, b_op, j_op, metric)
 
@@ -616,18 +614,13 @@ def s1_family(hs: Hypersymplectic, jtilde: Endomorphism, p: CirclePoint) -> Born
     Members are memoized by value like the builders; a failed hypothesis
     raises again on every call.
     """
-    n = hs.algebra.n
-    ident = Matrix.identity(n)
-    defect = jtilde.squared() + ident
-    if not defect.is_zero():
-        raise HypothesisFailureError("jtilde^2 = -Id", defect)
-    for name, op in (("A", hs.a_op), ("B", hs.b_op)):
-        defect = anticommutator_defect(jtilde, op)
-        if not defect.is_zero():
-            raise HypothesisFailureError(f"jtilde anti-commutes with {name}", defect)
-    defect = pullback(jtilde, hs.metric).matrix + hs.metric.matrix
-    if not defect.is_zero():
-        raise HypothesisFailureError("jtilde^* g = -g", defect)
+    for which, defect in (
+        ("jtilde^2 = -Id", jtilde.squared() + Matrix.identity(hs.algebra.n)),
+        ("jtilde anti-commutes with A", anticommutator_defect(jtilde, hs.a_op)),
+        ("jtilde anti-commutes with B", anticommutator_defect(jtilde, hs.b_op)),
+        ("jtilde^* g = -g", pullback(jtilde, hs.metric).matrix + hs.metric.matrix),
+    ):
+        require_zero(which, defect, HypothesisFailureError)
 
     beta_t = BilinearForm(
         hs.alpha.matrix * (-p.sin) + hs.beta.matrix * p.cos, ANTISYMMETRIC
@@ -646,7 +639,5 @@ def s1_family(hs: Hypersymplectic, jtilde: Endomorphism, p: CirclePoint) -> Born
         expect_j=jtilde,
     )
     # third leg of the diagram: h_t(x, y) = beta_t(-jtilde x, y)
-    defect = jtilde.matrix.transpose() * beta_t.matrix + h_t.matrix
-    if not defect.is_zero():
-        raise AxiomFailureError("beta_t -> h_t leg of the family diagram", defect)
+    require_zero("beta_t -> h_t leg of the family diagram", jtilde.matrix.transpose() * beta_t.matrix + h_t.matrix)
     return born

@@ -3,6 +3,7 @@
 import pytest
 
 from bornlab import CirclePoint, catalog, parse_model, render_model
+from bornlab import model as model_module
 from bornlab.cli import main
 from bornlab.errors import DegenerateFormError, NotClosedError, NotExportableError, UnknownEntryError
 from bornlab.liealg import ce_d2
@@ -58,22 +59,45 @@ def test_every_entry_passes_its_expectations(catalog_models):
 
 
 def test_family_point_programming_error_propagates(monkeypatch):
-    def broken(entry, point):
+    def broken(hs, jtilde, point):
         raise TypeError("bug in the family builder")
 
-    monkeypatch.setattr(catalog, "family_member", broken)
+    monkeypatch.setattr(catalog, "s1_family", broken)
     with pytest.raises(TypeError, match="bug in the family builder"):
         catalog.verify_entry(catalog.get_entry("nil3_r"))
 
 
 def test_family_point_bornlab_error_is_a_fail(monkeypatch):
-    def degenerate(entry, point):
+    def degenerate(hs, jtilde, point):
         raise DegenerateFormError("degenerate at this point")
 
-    monkeypatch.setattr(catalog, "family_member", degenerate)
+    monkeypatch.setattr(catalog, "s1_family", degenerate)
     outcomes = catalog.verify_entry(catalog.get_entry("nil3_r"))
     family = [o for o in outcomes if o.expectation.kind == "family_point"]
     assert family and all(o.actual == "fail" for o in family)
+
+
+def test_verify_entry_looks_the_family_up_once(monkeypatch):
+    """One materialize for the checks and one for the circle family, not one per family point."""
+    calls = []
+    true_materialize = model_module.materialize
+
+    def counting(m):
+        calls.append(m.name)
+        return true_materialize(m)
+
+    for module in (model_module, catalog):
+        monkeypatch.setattr(module, "materialize", counting)
+    outcomes = catalog.verify_entry(catalog.get_entry("nil3_r"))
+    assert sum(o.expectation.kind == "family_point" for o in outcomes) == 7
+    assert all(o.ok for o in outcomes)
+    assert len(calls) <= 2
+
+
+def test_verify_entry_fails_each_family_point_of_a_structure_that_does_not_build():
+    broken = _nil3_r_with(forms={"beta": two_form(4, {(1, 2): 1, (4, 3): 1})})
+    family = [o.actual for o in catalog.verify_entry(broken) if o.expectation.kind == "family_point"]
+    assert family == ["fail"] * 7
 
 
 def test_family_point_that_is_no_rational_literal_is_a_fail():

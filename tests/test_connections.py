@@ -35,15 +35,22 @@ from bornlab import (
 from bornlab import connections
 from bornlab.connections import Connection
 from bornlab.errors import AxiomFailureError, DegenerateFormError, NotIntegrableError
-from bornlab.exact import basis_vector, determinant, invert, projection_onto, vec_sub
+from bornlab.exact import Splitting, basis_vector, determinant, invert, projection_onto, splitting, vec_add, vec_sub
 from bornlab.liealg import ce_d2
 from bornlab.model import _error_witness
 from bornlab.multilinear import ANTISYMMETRIC, NOSYM, SYMMETRIC, symmetric_form, two_form
 from bornlab.structures import Witness
 from conftest import structures_of
+import oracles
 from oracles import contract, evaluate, nonzero_entries
 from test_builders import cases, first_entry, reference_ce_d2, reference_tensor
-from test_frames import kunneth_cases, random_connection, random_matrix
+from test_frames import (
+    kunneth_cases,
+    random_connection,
+    random_matrix,
+    reference_coordinates,
+    reference_mixed_torsion,
+)
 
 
 def solve_gauss(rows, rhs):
@@ -170,9 +177,9 @@ def test_mixed_torsion_empty_for_kunneth_everywhere(catalog_models, fixture_kunn
     for entry in catalog_models.values():
         L = entry.model.algebra
         for k in structures_of(entry, "kunneth"):
-            assert mixed_torsion_defect(L, kunneth_connection(k), k.plus, k.minus) == []
+            assert mixed_torsion_defect(L, kunneth_connection(k), k.plus, k.minus) is None
     nk = kunneth_connection(fixture_kunneth)
-    assert mixed_torsion_defect(nil3, nk, fixture_kunneth.plus, fixture_kunneth.minus) == []
+    assert mixed_torsion_defect(nil3, nk, fixture_kunneth.plus, fixture_kunneth.minus) is None
 
 
 def test_levi_civita_differs_from_kunneth_on_fixture(fixture_kunneth, nil3):
@@ -183,7 +190,7 @@ def test_levi_civita_differs_from_kunneth_on_fixture(fixture_kunneth, nil3):
     lc = levi_civita(nil3, g)
     nk = kunneth_connection(fixture_kunneth)
     assert lc != nk
-    assert mixed_torsion_defect(nil3, lc, fixture_kunneth.plus, fixture_kunneth.minus) == []
+    assert mixed_torsion_defect(nil3, lc, fixture_kunneth.plus, fixture_kunneth.minus) is None
     preserved = all(
         fixture_kunneth.plus.contains(lc.apply(basis_vector(4, i), v))
         for i in range(4)
@@ -198,7 +205,7 @@ def test_zero_connection_mixed_torsion_empty():
     zero = Connection((Matrix.zero(4),) * 4)
     f = Subspace(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
     g = Subspace(4, [[0, 0, 1, 0], [0, 0, 0, 1]])
-    assert mixed_torsion_defect(L, zero, f, g) == []
+    assert mixed_torsion_defect(L, zero, f, g) is None
 
 
 # --- canonical connection ------------------------------------------------
@@ -623,7 +630,7 @@ def test_connection_errors_carry_their_defect(monkeypatch, catalog_models):
         monkeypatch.setattr(connections, "_conjugate_average", skewed)
         with pytest.raises(AxiomFailureError) as info:
             connections.born_connection(born)
-        assert info.value.defect.first_witness() == ((2, 1, 3), Fraction(-1, 2))
+        assert info.value.hit == ((2, 1, 3), Fraction(-1, 2))
         assert _error_witness(info.value) == Witness((2, 1, 3), "-1/2", str(info.value))
 
         levi_civita(k.algebra, neutral_metric(k))  # built unpatched; canonical_connection reads it from the cache
@@ -637,3 +644,135 @@ def test_connection_errors_carry_their_defect(monkeypatch, catalog_models):
     finally:
         monkeypatch.undo()
         cached_builders_cleared()
+
+
+# --- failed re-verifications locate the failure --------------------------
+
+
+def reference_frame_block_hit(gammas, split, rows, cols):
+    """First nonzero ((i, a, c), value) of a block of the Gamma_i in the frame, from frame coordinates.
+
+    Entry (a, c) is coordinate a of Gamma_i x_c, with x_c the c-th vector of
+    the cols side, solved pairwise against both bases.
+    """
+    bases = {"+": split.plus.basis, "-": split.minus.basis}
+    offset = 0 if rows == "+" else split.plus.dim
+    for i, g in enumerate(gammas):
+        coords = [reference_coordinates(bases["+"] + bases["-"], g.matvec(x)) for x in bases[cols]]
+        for a in range(len(bases[rows])):
+            for c, u in enumerate(coords):
+                if u[offset + a] != 0:
+                    return (i + 1, a + 1, c + 1), u[offset + a]
+    return None
+
+
+def reference_commutator_hit(gammas, t):
+    """First nonzero ((i, j, k), value) of Gamma_i T - T Gamma_i, entry by entry."""
+    n = t.n
+    for i, g in enumerate(gammas):
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                value = sum(
+                    g.entry(j, l) * t.entry(l, k) - t.entry(j, l) * g.entry(l, k) for l in range(1, n + 1)
+                )
+                if value != 0:
+                    return (i + 1, j, k), value
+    return None
+
+
+def cleared_connection_caches():
+    for builder in (connections.kunneth_connection, connections.canonical_connection, connections.born_connection):
+        builder.cache_clear()
+
+
+@pytest.fixture
+def h4_born(catalog_models):
+    cleared_connection_caches()
+    yield structures_of(catalog_models["h4"], "born")[0]
+    cleared_connection_caches()
+
+
+def test_kunneth_preservation_failure_carries_its_block_witness(monkeypatch, h4_born):
+    """Gamma assembled with the projections onto plus along another complement leaves minus."""
+    k = h4_born.underlying_kunneth()
+    true = splitting(k.plus, k.minus)
+    g = list(k.minus.basis)
+    g[1] = vec_add(g[1], k.plus.basis[1])
+    other = Subspace(k.algebra.n, g)
+    skew = splitting(k.plus, other)
+    bent = Splitting(true.plus, true.minus, true.frame, true.frame_inv, skew.pi_plus, skew.pi_minus, true.involution)
+    for module in (connections, oracles):
+        monkeypatch.setattr(module, "splitting", lambda plus, minus: bent)
+    gammas = oracles.four_combination_kunneth(k).gammas  # the same assembly, with the bent projections
+    assert reference_frame_block_hit(gammas, true, "-", "+") is None  # plus is still preserved
+    expected = reference_frame_block_hit(gammas, true, "+", "-")
+    assert expected is not None
+    with pytest.raises(AxiomFailureError) as info:
+        connections.kunneth_connection(k)
+    assert info.value.which == "Kunneth connection does not preserve minus"
+    assert info.value.hit == expected
+    assert _error_witness(info.value) == Witness.at(*expected, str(info.value))
+
+
+def test_kunneth_mixed_torsion_failure_carries_its_witness(monkeypatch, h4_born):
+    """Adding c Id to each combination W_i adds c (pi_F - pi_G) to Gamma_i: both subspaces stay preserved."""
+    k = h4_born.underlying_kunneth()
+    c = Fraction(1, 3)
+    involution = splitting(k.plus, k.minus).involution
+    gammas = [g + involution * c for g in oracles.four_combination_kunneth(k).gammas]
+    expected = next(iter(reference_mixed_torsion(k.algebra, Connection(tuple(gammas)), k.plus, k.minus)))
+    true_combination = connections.linear_combination
+    monkeypatch.setattr(
+        connections, "linear_combination", lambda xs, ms: true_combination(xs, ms) + Matrix.identity(len(ms)) * c
+    )
+    monkeypatch.setattr(connections, "nabla_form", lambda L, conn, b: Trilinear(()))  # omega passes
+    with pytest.raises(AxiomFailureError) as info:
+        connections.kunneth_connection(k)
+    assert info.value.which == "Kunneth connection has mixed torsion"
+    assert Witness.at(*info.value.hit) == expected
+    assert _error_witness(info.value).index == expected.index
+
+
+def unit_at(n, r, s, value):
+    return Matrix([[value if (a, b) == (r, s) else 0 for b in range(n)] for a in range(n)])
+
+
+def skewed_averages(monkeypatch, at, unit):
+    """Both conjugation averages moved by unit at Gamma_at; returns the true average."""
+    true_average = connections._conjugate_average
+
+    def skewed(c, t, sign):
+        gammas = list(true_average(c, t, sign).gammas)
+        gammas[at] = gammas[at] + unit
+        return Connection(tuple(gammas))
+
+    monkeypatch.setattr(connections, "_conjugate_average", skewed)
+    return skewed
+
+
+def test_canonical_commutation_failure_carries_its_commutator_witness(monkeypatch, h4_born):
+    k = h4_born.underlying_kunneth()
+    g, a_op = neutral_metric(k), almost_product(k)
+    lc = levi_civita(k.algebra, g)  # built unpatched
+    skewed = skewed_averages(monkeypatch, 2, unit_at(6, 0, 2, Fraction(2, 5)))
+    expected = reference_commutator_hit(skewed(lc, a_op, 1).gammas, a_op.matrix)
+    assert expected is not None
+    with pytest.raises(AxiomFailureError) as info:
+        connections.canonical_connection(k.algebra, g, a_op)
+    assert info.value.which == "canonical connection does not commute with A"
+    assert info.value.hit == expected
+    assert _error_witness(info.value) == Witness.at(*expected, str(info.value))
+
+
+def test_born_commutation_failure_carries_its_commutator_witness(monkeypatch, h4_born):
+    """The B- and J-averages are moved alike, so they agree and commutation is what fails."""
+    nk = kunneth_connection(h4_born.underlying_kunneth())  # built unpatched
+    skewed = skewed_averages(monkeypatch, 1, unit_at(6, 3, 0, Fraction(-3)))
+    conn = skewed(nk, h4_born.b_op, 1)
+    ops = (("A", h4_born.a_op), ("B", h4_born.b_op), ("J", h4_born.j_op))
+    name, expected = next((name, hit) for name, op in ops if (hit := reference_commutator_hit(conn.gammas, op.matrix)))
+    with pytest.raises(AxiomFailureError) as info:
+        connections.born_connection(h4_born)
+    assert info.value.which == f"Born-compatible connection does not commute with {name}"
+    assert info.value.hit == expected
+    assert _error_witness(info.value) == Witness.at(*expected, str(info.value))

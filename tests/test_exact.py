@@ -53,7 +53,7 @@ def test_rational_round_trip(text):
     assert format_rational(parse_rational(text)) == text
 
 
-@pytest.mark.parametrize("bad", ["3/-4", "3.5", " 1", "1 ", "1/0", "", "a/b", "+1"])
+@pytest.mark.parametrize("bad", ["3/-4", "3.5", " 1", "1 ", "1/0", "", "a/b", "+1", "1/2\n"])
 def test_rational_rejects_non_canonical(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
@@ -99,7 +99,10 @@ def read_both(text):
 @example("\u0663/1\uff11")
 @example("")
 def test_integer_reader_accepts_exactly_the_old_literals(text):
+    """The old grammar ended in `$`, which let one trailing newline through; the literal is the whole text now."""
     old, parts = read_both(text)
+    if text.endswith("\n"):
+        old = None
     assert (old is None) == (parts is None), text
     if parts is not None:
         p, q = parts
@@ -109,7 +112,7 @@ def test_integer_reader_accepts_exactly_the_old_literals(text):
 
 @pytest.mark.parametrize(
     "text, parts",
-    [("007", (7, 1)), ("-0", (0, 1)), ("0/7", (0, 7)), ("-4/6", (-4, 6)), ("1\n", (1, 1)),
+    [("007", (7, 1)), ("-0", (0, 1)), ("0/7", (0, 7)), ("-4/6", (-4, 6)), ("10/15", (10, 15)),
      ("\u0663", (3, 1)), ("\u0663/1\uff11", (3, 11))],
 )
 def test_integer_reader_values(text, parts):

@@ -37,15 +37,15 @@ from bornlab.connections import Connection
 from bornlab.errors import JacobiViolationError, NotCompatibleError, NotIsotropicError
 from bornlab.exact import (
     basis_vector,
-    first_nonzero_entry,
     kernel_basis,
     projection_onto,
+    rref,
     splitting,
     vec_add,
     vec_sub,
 )
 from bornlab.multilinear import ANTISYMMETRIC, SYMMETRIC, BilinearForm, Endomorphism
-from bornlab.structures import Witness
+from bornlab.structures import Witness, witness_at
 from oracles import four_combination_kunneth
 from test_builders import moved_algebra, random_unimodular
 
@@ -56,13 +56,13 @@ SEEDS = (1, 2, 3)
 
 
 def reference_pairing(m, left, right, upper):
-    """First (a, c, m(x_a, y_c)) != 0 over pairs of basis vectors; c > a when upper."""
+    """First ((a, c), m(x_a, y_c)) != 0 over pairs of basis vectors; c > a when upper."""
     form = BilinearForm(m)
     for a, x in enumerate(left.basis):
         for c in range(a + 1 if upper else 0, right.dim):
             value = form.evaluate(x, right.basis[c])
             if value != 0:
-                return (a + 1, c + 1, value)
+                return (a + 1, c + 1), value
     return None
 
 
@@ -116,18 +116,31 @@ def reference_torsion_formula(b, nb, nk):
     return out
 
 
+def reference_coordinates(vectors, v):
+    """The coefficients of v in the basis vectors, from the reduced augmented system."""
+    m = len(vectors)
+    rows, _ = rref([[x[i] for x in vectors] + [v[i]] for i in range(len(v))])
+    return [row[m] for row in rows]
+
+
 def reference_enhance_error(k, jtilde):
-    """(witness, value, message) of the NotCompatibleError the pairwise checks raise, or None."""
+    """(hit, message) of the NotCompatibleError the pairwise checks raise, or None.
+
+    An image leaving minus is witnessed by (c, a): the first plus basis vector
+    f_c whose image has a nonzero f_a coefficient, with that coefficient.
+    """
     f = k.plus.basis
     images = [jtilde.apply(x) for x in f]
     for idx, image in enumerate(images):
         if not k.minus.contains(image):
-            return (idx + 1,), 0, "jtilde does not map the plus subspace into the minus one"
+            u = reference_coordinates(f + k.minus.basis, image)[: len(f)]
+            a = next(a for a, value in enumerate(u) if value != 0)
+            return ((idx + 1, a + 1), u[a]), "jtilde does not map the plus subspace into the minus one"
     for a in range(len(f)):
         for c in range(len(f)):
             value = k.omega.evaluate(images[a], f[c]) + k.omega.evaluate(f[a], images[c])
             if value != 0:
-                return (a + 1, c + 1), value, ""
+                return ((a + 1, c + 1), value), ""
     return None
 
 
@@ -239,8 +252,7 @@ def test_identity_items_match_pairwise_oracles(catalog_models, catalog_structure
             ("B-eigenspaces h-orthogonal", b.h, b_split.plus, b_split.minus),
         ):
             hit = reference_pairing(form.matrix, left, right, left is right)
-            expected = None if hit is None else Witness.at(hit[:2], hit[2])
-            assert (items[key].ok, items[key].witness) == (hit is None, expected), (name, key)
+            assert (items[key].ok, items[key].witness) == (hit is None, witness_at(hit)), (name, key)
             checked += 1
     assert checked > 400
 
@@ -259,10 +271,10 @@ def test_frame_blocks_match_pairwise_oracles_on_random_data(seed):
         for rows, left in (("+", s.plus), ("-", s.minus)):
             # antisymmetric diagonal blocks: the first entry has a < c
             expected = reference_pairing(anti, left, left, upper=True)
-            assert first_nonzero_entry(s.block(anti_pairing, rows, rows)) == expected
+            assert s.block_witness(anti_pairing, rows, rows) == expected
             for cols, right in (("+", s.plus), ("-", s.minus)):
                 expected = reference_pairing(m, left, right, upper=False)
-                assert first_nonzero_entry(s.block(pairing, rows, cols)) == expected
+                assert s.block_witness(pairing, rows, cols) == expected
                 witnesses += expected is not None
         # an endomorphism whose diagonal blocks in the frame are zero at random,
         # so that exchanges both hold and fail
@@ -277,7 +289,7 @@ def test_frame_blocks_match_pairwise_oracles_on_random_data(seed):
         t = s.frame * frame_t * s.frame_inv
         in_frame = s.in_frame(t)
         for side, source, target in (("+", s.plus, s.minus), ("-", s.minus, s.plus)):
-            maps = first_nonzero_entry(s.block(in_frame, side, side)) is None
+            maps = s.block_witness(in_frame, side, side) is None
             assert maps == reference_maps_into(t, source, target)
     assert witnesses > 50
 
@@ -293,14 +305,14 @@ def test_isotropy_witnesses_match_pairwise_oracle(catalog_models, catalog_struct
             for which, sub in (("plus", s.plus), ("minus", s.minus)):
                 hit = reference_pairing(k.omega.matrix, sub, sub, upper=True)
                 if hit is not None:
-                    expected = (which, hit[:2], hit[2])
+                    expected = (which, hit)
                     break
             if expected is None:
                 build_almost_kunneth(k.algebra, k.omega, s.plus, s.minus)
                 continue
             with pytest.raises(NotIsotropicError) as info:
                 build_almost_kunneth(k.algebra, k.omega, s.plus, s.minus)
-            assert (info.value.which, info.value.witness, info.value.value) == expected, name
+            assert (info.value.which, info.value.hit) == expected, name
             assert str(info.value) == str(NotIsotropicError(*expected))
             raised += 1
     assert raised > 100
@@ -328,12 +340,13 @@ def test_enhance_kunneth_errors_match_pairwise_oracle(catalog_models, catalog_st
                     outcomes["built"] += 1
                 except NotCompatibleError as exc:
                     assert str(exc) == "jtilde is not an isomorphism onto the minus subspace"
+                    assert exc.hit is None
                 continue
             with pytest.raises(NotCompatibleError) as info:
                 enhance_kunneth(k, jtilde)
-            assert (info.value.witness, info.value.value) == expected[:2], name
+            assert info.value.hit == expected[0], name
             assert str(info.value) == str(NotCompatibleError(*expected))
-            outcomes["leaves minus" if expected[2] else "incompatible"] += 1
+            outcomes["leaves minus" if expected[1] else "incompatible"] += 1
         # the omega-dual J is compatible, and enhancing with it rebuilds the same structure
         born = enhance_kunneth(k)
         assert reference_enhance_error(k, born.j_op) is None
@@ -342,6 +355,7 @@ def test_enhance_kunneth_errors_match_pairwise_oracle(catalog_models, catalog_st
 
 
 def test_mixed_torsion_matches_pairwise_oracle(catalog_models, catalog_structures):
+    """The first witness of mixed torsion, read by map_witness on the (+,-) pairs of the frame."""
     rng = random.Random(17)
     witnesses = 0
     for name, k in kunneth_cases(catalog_models, catalog_structures):
@@ -351,10 +365,11 @@ def test_mixed_torsion_matches_pairwise_oracle(catalog_models, catalog_structure
         s = random_splitting(n, rng)
         cases.append((random_connection(n, rng), s.plus, s.minus))
         for c, plus, minus in cases:
-            out = mixed_torsion_defect(L, c, plus, minus)
-            assert out == reference_mixed_torsion(L, c, plus, minus), name
-            witnesses += len(out)
-    assert witnesses > 500
+            hit = splitting(plus, minus).map_witness(connections._torsion_matrices(L, c), "+", "-")
+            assert witness_at(hit) == next(iter(reference_mixed_torsion(L, c, plus, minus)), None), name
+            assert mixed_torsion_defect(L, c, plus, minus) == hit
+            witnesses += hit is not None
+    assert witnesses > 200
 
 
 def test_kunneth_connection_matches_four_combination_formula(catalog_models, catalog_structures):
@@ -427,8 +442,8 @@ def test_jacobi_matches_triple_loop(catalog_models):
         violating += 1
         with pytest.raises(JacobiViolationError) as info:
             LieAlgebra(n, brackets)
-        assert (info.value.witness, info.value.value) == first
-        assert str(info.value) == str(JacobiViolationError(*first))
+        assert info.value.hit == first
+        assert str(info.value) == str(JacobiViolationError(first))
     for L in algebras:
         assert jacobi_defect(L) == reference_jacobi(L)
         assert not any(jacobi_defect(L).values())

@@ -91,7 +91,7 @@ def test_jacobi_violation_rejected_at_construction():
     bad = {(1, 2): {3: 1}, (3, 4): {1: 1}}
     with pytest.raises(JacobiViolationError) as info:
         LieAlgebra(4, bad)
-    assert info.value.value != 0
+    assert info.value.hit[1] != 0
 
 
 def test_jacobi_defect_nonzero_unchecked():

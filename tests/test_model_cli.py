@@ -88,6 +88,7 @@ MALFORMED_MODELS = {
     "reference_not_name": _patched(("structures", 0, "omega"), ["w"]),
     "dependent_subspace": _patched(("subspaces", "F", 1), ["2", "0", "0", "0"]),
     "non_rational_subspace_entry": _patched(("subspaces", "F", 0, 0), "one"),
+    "trailing_newline": json.dumps({"name": "x", "dim": 1, "forms": {"w": [["0\n"]]}}),
 }
 
 
@@ -137,6 +138,7 @@ BAD_ENTRIES = [
     (True, "True"),
     (None, "None"),
     (["1"], "['1']"),
+    ("1\n", "'1\\n'"),
 ]
 
 
@@ -148,6 +150,34 @@ def test_parse_bad_entry_message(path, value, shown):
     assert str(info.value) == f"{path[0]}.{path[1]}: not a rational literal: {shown}"
 
 
+def _brackets(*entries):
+    return json.dumps({"name": "b", "dim": 3, "brackets": [{"i": 1, "j": 2, "out": out} for out in entries]})
+
+
+PLAIN = "bracket output of (1,2): indices must be plain integers, each given once:"
+BRACKET_TABLES = {
+    "repeated_pair": (_brackets({"3": "1"}, {"3": "1"}), "bracket (1,2) is given twice"),
+    "erased_by_empty_output": (_brackets({"3": "1"}, {}), "bracket (1,2) is given twice"),
+    "leading_zero": (_brackets({"03": "1"}), f"{PLAIN} ['03']"),
+    "plus_sign": (_brackets({"+3": "1"}), f"{PLAIN} ['+3']"),
+    "space": (_brackets({" 3": "1"}), f"{PLAIN} [' 3']"),
+    "alias_of_a_key": (_brackets({"3": "1", "03": "2"}), f"{PLAIN} ['3', '03']"),
+}
+
+
+@pytest.mark.parametrize("text, message", list(BRACKET_TABLES.values()), ids=list(BRACKET_TABLES))
+def test_bracket_table_rejects_repeats_and_aliases(tmp_path, capsys, text, message):
+    """Each pair is given once, and each output key is one plain 1-based index."""
+    with pytest.raises(ModelSyntaxError) as info:
+        parse_model(text)
+    assert str(info.value) == message
+    path = tmp_path / "b.json"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+
+
 def test_parse_rejects_jacobi_violation():
     text = """
     {"name": "bad", "dim": 4,
@@ -155,7 +185,7 @@ def test_parse_rejects_jacobi_violation():
     """
     with pytest.raises(JacobiViolationError) as info:
         parse_model(text)
-    assert len(info.value.witness) == 4
+    assert len(info.value.hit[0]) == 4
 
 
 def test_parse_rejects_unknown_reference():
@@ -580,7 +610,8 @@ def test_cli_check_malformed_model_exit_2(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
     assert main(["check", str(path)]) == 2
-    assert "error" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_check_report_independent_of_cache_state(tmp_path):
@@ -684,7 +715,7 @@ def test_cli_family_takes_a_negative_rational_after_a_space(capsys):
     assert outputs[0].startswith("family member of nil3_r at t=-3/7 (cos = 20/29, sin = -21/29)")
 
 
-@pytest.mark.parametrize("value", ["x", "-x", "-3/0", "--3/7", "-3 /7"])
+@pytest.mark.parametrize("value", ["x", "-x", "-3/0", "--3/7", "-3 /7", "1/2\n"])
 def test_cli_family_rejects_a_non_rational_parameter(value, capsys):
     try:
         code = main(["family", "nil3_r", "--t", value])
@@ -693,7 +724,7 @@ def test_cli_family_rejects_a_non_rational_parameter(value, capsys):
     assert code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "error:" in err
+    assert sum("error:" in line for line in err.splitlines()) == 1
 
 
 def _without_elapsed(argv, text):

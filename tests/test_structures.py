@@ -95,7 +95,7 @@ def test_build_almost_kunneth_isotropy_witness(h4_algebra):
     minus = Subspace(6, [basis_vector(6, i) for i in (1, 3, 5)])
     with pytest.raises(NotIsotropicError) as info:
         build_almost_kunneth(h4_algebra, omega, bad_plus, minus)
-    assert info.value.value == 1  # omega(e1, e3) = 1
+    assert info.value.hit == ((1, 2), 1)  # omega(x_1, x_2) = omega(e1, e3) = 1
 
 
 def test_build_almost_kunneth_not_complementary(nil3):
@@ -548,7 +548,7 @@ def test_enhance_rejects_incompatible_jtilde(h4_kunneth):
     )
     with pytest.raises(NotCompatibleError) as info:
         enhance_kunneth(h4_kunneth, jtilde=bad)
-    assert info.value.witness is not None
+    assert info.value.hit is not None
 
 
 def test_enhance_rejects_jtilde_not_into_minus(h4_kunneth):
@@ -561,7 +561,7 @@ def test_enhance_rejects_jtilde_that_is_not_an_isomorphism(h4_kunneth):
     message = "^jtilde is not an isomorphism onto the minus subspace$"
     with pytest.raises(NotCompatibleError, match=message) as info:
         enhance_kunneth(h4_kunneth, jtilde=Endomorphism(Matrix.zero(6)))
-    assert (info.value.witness, info.value.value) == ((0,), 0)
+    assert info.value.hit is None
     assert info.value.__suppress_context__
 
 
@@ -608,7 +608,7 @@ def test_hypersymplectic_rejects_non_closed_form(nil3):
     with pytest.raises(NotClosedError) as info:
         build_hypersymplectic(nil3, omega, alpha, beta)
     assert info.value.form_name == "beta"
-    assert info.value.witness == (1, 2, 4)
+    assert info.value.hit[0] == (1, 2, 4)
 
 
 # --- circle family ------------------------------------------------------
