@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BornlabError, NotExportableError, UnknownEntryError
+from .errors import BornlabError, UnknownEntryError
 from .exact import Subspace, Value
 from .liealg import LieAlgebra, ce_d2
 from .model import CHECK_ORDER, Model, StructureDecl, materialize, render_model, run_checks
@@ -43,7 +43,7 @@ class Expectation(Value):
 class CatalogEntry(Value):
     __slots__ = ("name", "summary", "model", "expectations", "provenance")
 
-    def __init__(self, name: str, summary: str, model: Model | None, expectations: tuple, provenance: str):
+    def __init__(self, name: str, summary: str, model: Model, expectations: tuple, provenance: str):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "summary", summary)
         object.__setattr__(self, "model", model)
@@ -454,20 +454,6 @@ def _nil3_r_fixture() -> CatalogEntry:
     )
 
 
-def _h15_note() -> CatalogEntry:
-    return CatalogEntry(
-        name="h15_note",
-        summary="documentation stub: no integrable Born structure exists on h15",
-        model=None,
-        expectations=(),
-        provenance=(
-            "The dim-6 algebra usually labelled h15 admits no complex product "
-            "structure, hence no integrable Born structure; recorded here as a "
-            "non-entry with no data and no checks."
-        ),
-    )
-
-
 _BUILDERS = {
     "abelian_c1": lambda: _abelian_cn(1),
     "abelian_c2": lambda: _abelian_cn(2),
@@ -479,7 +465,6 @@ _BUILDERS = {
     "h8": _h8,
     "h9_corrected": _h9_corrected,
     "nil3_r_nonintegrable_fixture": _nil3_r_fixture,
-    "h15_note": _h15_note,
 }
 
 
@@ -494,25 +479,19 @@ def get_entry(name: str) -> CatalogEntry:
     if name not in _BUILDERS:
         raise UnknownEntryError(f"unknown catalog entry {name!r}")
     entry = _BUILDERS[name]()
-    if entry.model is not None:
-        for _, obj in materialize(entry.model):
-            if isinstance(obj, Exception):
-                raise obj
+    for _, obj in materialize(entry.model):
+        if isinstance(obj, Exception):
+            raise obj
     return entry
 
 
 def export_entry(name: str) -> str:
     """Model file text for an entry; parses back to an equal model."""
-    entry = get_entry(name)
-    if entry.model is None:
-        raise NotExportableError(f"{name} is a documentation stub with no model data")
-    return render_model(entry.model)
+    return render_model(get_entry(name).model)
 
 
 def _family(entry: CatalogEntry):
     """(hypersymplectic structure as materialize builds it, jtilde); raises the structure's BornlabError."""
-    if entry.model is None:
-        raise UnknownEntryError(f"{entry.name} has no model data")
     hs = next((obj for decl, obj in materialize(entry.model) if decl.kind == "hypersymplectic"), None)
     jt = entry.model.endos.get("jtilde")
     if hs is None or jt is None:
@@ -553,8 +532,7 @@ class ExpectationOutcome(Value):
 def verify_entry(entry: CatalogEntry):
     """Run every expectation of an entry and report actual vs expected; the family is looked up once."""
     outcomes = []
-    report = run_checks(entry.model) if entry.model is not None else None
-    statuses = {r.check: r.status for r in report.results} if report else {}
+    statuses = {r.check: r.status for r in run_checks(entry.model).results}
     try:
         family = _family(entry) if any(e.kind == "family_point" for e in entry.expectations) else None
     except BornlabError:

@@ -23,7 +23,7 @@ def _cmd_check(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    only = args.checks.split(",") if args.checks else None
+    only = None if args.checks is None else args.checks.split(",") if args.checks else ()
     try:
         model = parse_model(text)
         report = run_checks(model, only=only)
@@ -49,29 +49,21 @@ def _cmd_catalog_show(args) -> int:
         return 2
     print(f"name: {entry.name}")
     print(f"summary: {entry.summary}")
-    if entry.model is not None:
-        print(f"dim: {entry.model.algebra.n}")
-        print("structures: " + "; ".join(d.label() for d in entry.model.structures))
-        tensors = (
-            sorted(entry.model.forms)
-            + sorted(entry.model.metrics)
-            + sorted(entry.model.endos)
-            + sorted(entry.model.subspaces)
-        )
-        print("tensors: " + ", ".join(tensors))
+    model = entry.model
+    print(f"dim: {model.algebra.n}")
+    print("structures: " + "; ".join(d.label() for d in model.structures))
+    tensors = sorted(model.forms) + sorted(model.metrics) + sorted(model.endos) + sorted(model.subspaces)
+    print("tensors: " + ", ".join(tensors))
     print("provenance: " + entry.provenance)
     outcomes = catalog.verify_entry(entry)
-    failed = False
-    if outcomes:
-        print("expectations:")
-        for o in outcomes:
-            mark = "ok" if o.ok else "MISMATCH"
-            print(
-                f"  {o.expectation.kind}:{o.expectation.target}"
-                f"  expected={o.expectation.expected} actual={o.actual}  {mark}"
-            )
-            failed = failed or not o.ok
-    return 1 if failed else 0
+    print("expectations:")
+    for o in outcomes:
+        mark = "ok" if o.ok else "MISMATCH"
+        print(
+            f"  {o.expectation.kind}:{o.expectation.target}"
+            f"  expected={o.expectation.expected} actual={o.actual}  {mark}"
+        )
+    return 0 if all(o.ok for o in outcomes) else 1
 
 
 def _cmd_catalog_export(args) -> int:

@@ -93,10 +93,6 @@ class UnknownEntryError(BornlabError):
     pass
 
 
-class NotExportableError(BornlabError):
-    """Catalog entry is a documentation stub without model data."""
-
-
 class UnknownNameError(BornlabError):
     pass
 

@@ -81,6 +81,11 @@ CHECK_ORDER = (
     "torsion_formula",
 )
 
+# The largest dim a model may declare.  LieAlgebra builds an n^3 table of
+# structure constants and checks n^4 Jacobi sums, so an unbounded dim would
+# exhaust memory or time before an error could be reported.
+MAX_DIM = 32
+
 # kind -> (builder in structures, required roles, optional roles), each role
 # with the model section it names; the builder takes the required tables in
 # order and each optional role X as expect_x.  The builder is looked up by name
@@ -194,6 +199,8 @@ def parse_model(text: str) -> Model:
     dim = doc.get("dim")
     if not _is_int(dim) or dim < 1:
         raise ModelSyntaxError("missing or invalid 'dim'")
+    if dim > MAX_DIM:
+        raise ModelSyntaxError(f"'dim' {dim} is above the bound {MAX_DIM}")
 
     brackets = {}
     for item in _section(doc, "brackets", list):
@@ -491,8 +498,12 @@ def _row(check: str, kind: str, obj):
 
 
 def run_checks(model: Model, only: Sequence[str] | None = None) -> Report:
-    """Execute the requested checks (default: all applicable) against a model."""
-    selected = tuple(only) if only is not None else (model.checks or CHECK_ORDER)
+    """Execute the checks in only, else the model's checks, else all of them; the selection must not be empty."""
+    if only is None:
+        only = CHECK_ORDER if model.checks is None else model.checks
+    selected = tuple(only)
+    if not selected:
+        raise ModelSyntaxError("no checks selected")
     for name in selected:
         if name not in CHECK_ORDER:
             raise UnknownNameError(f"unknown check {name!r}")

@@ -5,7 +5,7 @@ import pytest
 from bornlab import CirclePoint, catalog, parse_model, render_model
 from bornlab import model as model_module
 from bornlab.cli import main
-from bornlab.errors import DegenerateFormError, NotClosedError, NotExportableError, UnknownEntryError
+from bornlab.errors import DegenerateFormError, NotClosedError, UnknownEntryError
 from bornlab.liealg import ce_d2
 from bornlab.model import Model
 from bornlab.multilinear import two_form
@@ -27,7 +27,6 @@ def test_list_contains_expected_entries():
     for required in ("nil3_r", "h4", "h8", "h9_corrected"):
         assert required in names
     assert "nil3_r_nonintegrable_fixture" in names
-    assert "h15_note" in names
 
 
 def test_list_order_is_deterministic():
@@ -128,21 +127,15 @@ def test_export_round_trip(name):
     assert render_model(model) == text  # byte-identical re-render
 
 
-def test_export_note_entry_fails():
-    with pytest.raises(NotExportableError):
-        catalog.export_entry("h15_note")
-
-
 def test_export_unknown_entry():
     with pytest.raises(UnknownEntryError):
         catalog.export_entry("bogus")
 
 
-def test_h15_note_is_a_stub():
-    entry = catalog.get_entry("h15_note")
-    assert entry.model is None
-    assert entry.expectations == ()
-    assert "no" in entry.summary
+def test_every_entry_has_a_model_and_expectations():
+    for name, _ in catalog.list_entries():
+        entry = catalog.get_entry(name)
+        assert entry.model is not None and entry.expectations, name
 
 
 def test_h9_printed_omega_fails_closedness():

@@ -215,6 +215,25 @@ def test_parse_rejects_unknown_check_name():
         parse_model(text)
 
 
+def test_parse_rejects_dim_above_the_bound_before_building_the_algebra(tmp_path, capsys, monkeypatch):
+    """A dim above MAX_DIM is a syntax error; the n^3 table of a LieAlgebra is never allocated."""
+    bound = model_module.MAX_DIM
+    assert parse_model(json.dumps({"name": "x", "dim": bound})).algebra.n == bound
+
+    def no_algebra(*args):
+        raise AssertionError("LieAlgebra built for an out-of-bound dim")
+
+    monkeypatch.setattr(model_module, "LieAlgebra", no_algebra)
+    text, message = json.dumps({"name": "x", "dim": bound + 1}), f"'dim' {bound + 1} is above the bound {bound}"
+    with pytest.raises(ModelSyntaxError) as info:
+        parse_model(text)
+    assert str(info.value) == message
+    path = tmp_path / "wide.json"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 # --- checks --------------------------------------------------------------
 
 
@@ -275,6 +294,23 @@ def test_model_checks_field_restricts_run():
     doc["checks"] = ["born_axioms", "signatures"]
     report = run_checks(parse_model(json.dumps(doc)))
     assert [r.check for r in report.results] == ["born_axioms", "signatures"]
+
+
+def test_empty_check_selection_is_an_error(tmp_path, capsys):
+    """An empty selection is rejected alike from the library, a model's "checks" and --checks."""
+    model = parse_model(catalog.export_entry("abelian_c1"))
+    with pytest.raises(ModelSyntaxError, match="^no checks selected$"):
+        run_checks(model, only=())
+    doc = json.loads(catalog.export_entry("abelian_c1"))
+    doc["checks"] = []
+    with pytest.raises(ModelSyntaxError, match="^no checks selected$"):
+        run_checks(parse_model(json.dumps(doc)))
+    unselected, full = tmp_path / "unselected.json", tmp_path / "full.json"
+    unselected.write_text(json.dumps(doc))
+    full.write_text(catalog.export_entry("abelian_c1"))
+    for argv in (["check", str(unselected)], ["check", str(full), "--checks", ""]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: no checks selected\n")
 
 
 def test_repeated_check_is_memoized(monkeypatch):
@@ -662,7 +698,7 @@ def test_cli_check_subset(tmp_path, capsys):
 def test_cli_catalog_list(capsys):
     assert main(["catalog", "list"]) == 0
     out = capsys.readouterr().out
-    assert "nil3_r" in out and "h15_note" in out
+    assert "nil3_r" in out and "h9_corrected" in out
 
 
 def test_cli_catalog_show(capsys):
@@ -682,8 +718,8 @@ def test_cli_catalog_export_round_trip(capsys):
     assert parse_model(out) == catalog.get_entry("nil3_r").model
 
 
-def test_cli_catalog_export_stub_fails(capsys):
-    assert main(["catalog", "export", "h15_note"]) == 2
+def test_cli_catalog_export_unknown_fails(capsys):
+    assert main(["catalog", "export", "bogus"]) == 2
     capsys.readouterr()
 
 
