@@ -548,7 +548,7 @@ def verify_entry(entry: CatalogEntry):
         elif expectation.kind == "family_point":
             try:
                 member = s1_family(*family, _parse_point(expectation.target))
-                ok = verify_born_identities(member).ok and integrability_report(member).integrable
+                ok = verify_born_identities(member).ok and integrability_report(member) is None
                 actual = "pass" if ok else "fail"
             except BornlabError:
                 actual = "fail"

@@ -322,8 +322,7 @@ def born_torsion_formula_defect(b: BornStructure) -> StructureReport:
     eigenspace of B, and T(x, y) = -pi_+(nabla^K_x y) + pi_-(nabla^K_y x)
     when Bx = x, By = -y.
     """
-    report = integrability_report(b)
-    if not report.integrable:
+    if integrability_report(b) is not None:
         raise NotIntegrableError("the torsion formula is asserted only for integrable structures")
     L = b.algebra
     kunneth = kunneth_connection(b.underlying_kunneth())

@@ -390,8 +390,10 @@ def _kunneth_integrability(k: AlmostKunneth):
     """Fails a splitting at its first obstruction to integrability.
 
     Integrable means a closed form with both subspaces bracket-closed; this is
-    the notion the torsion criterion for the Kunneth connection refers to (it
-    can hold for a Born structure whose complex leg is not integrable).
+    the notion the torsion criterion for the Kunneth connection refers to.  A
+    Born structure is integrable exactly when its underlying Kunneth structure
+    is and N_B = 0 (proved at structures.integrability_report), so this can
+    hold where the Born structure's N_B, and with it N_J, does not vanish.
     """
     L = k.algebra
     return (
@@ -458,7 +460,7 @@ def _generalized_torsion(born: BornStructure):
 
 def _if_integrable(row):
     """The row on an integrable Born structure; the check does not apply to others."""
-    return lambda born: row(born) if integrability_report(born).integrable else _SKIP
+    return lambda born: row(born) if integrability_report(born) is None else _SKIP
 
 
 # check -> {structure kind: row}; the check does not apply to a kind it does not name
@@ -466,7 +468,7 @@ _CHECKS = {
     "born_axioms": {"born": _built, "hypersymplectic": _built},
     "identity_table": {"born": _identity_group("algebra")},
     "integrability": {
-        "born": lambda b: integrability_report(b).first_witness(),
+        "born": integrability_report,
         "kunneth": _kunneth_integrability,
     },
     "eigenspace_geometry": {"born": _identity_group("eigenspace"), "kunneth": _built},
@@ -498,7 +500,11 @@ def _row(check: str, kind: str, obj):
 
 
 def run_checks(model: Model, only: Sequence[str] | None = None) -> Report:
-    """Execute the checks in only, else the model's checks, else all of them; the selection must not be empty."""
+    """Execute the checks in only, else the model's checks, else all of them.
+
+    Neither the selection nor the model's structures may be empty: a report of
+    nothing but skipped rows would read as a pass.
+    """
     if only is None:
         only = CHECK_ORDER if model.checks is None else model.checks
     selected = tuple(only)
@@ -507,6 +513,8 @@ def run_checks(model: Model, only: Sequence[str] | None = None) -> Report:
     for name in selected:
         if name not in CHECK_ORDER:
             raise UnknownNameError(f"unknown check {name!r}")
+    if not model.structures:
+        raise ModelSyntaxError("model declares no structures")
     built = materialize(model)
     results = []
     for check in CHECK_ORDER:

@@ -6,6 +6,11 @@ witness is raised.  Derived operators are always recomputed from the defining
 recursion relations; expected operator tables (e.g. transcribed from a
 reference) can be passed in and are then cross-checked against the derived
 ones.
+
+A Born structure sits inside the Kunneth geometry of (omega, L+, L-), and is
+integrable exactly when that Kunneth structure is (d omega = 0, L+ and L-
+subalgebras) and N_B = 0; integrability_report returns the first obstruction
+as a Witness, building at most one Nijenhuis tensor.
 """
 
 from __future__ import annotations
@@ -110,6 +115,13 @@ def require_zero(which: str, defect, error=AxiomFailureError):
     """A Matrix or Trilinear defect that does not vanish raises error at its first nonzero entry."""
     if not defect.is_zero():
         raise error(which, defect.first_witness())
+
+
+def _require_tables(*tables):
+    """Each (name, expected table or None, derived matrix) must match entry for entry where a table is given."""
+    for name, expected, derived in tables:
+        if expected is not None and expected.matrix != derived:
+            raise AxiomFailureError(f"{name} matches expected table", (derived - expected.matrix).first_witness())
 
 
 def subalgebra_witness(L: LieAlgebra, sub: Subspace) -> Witness | None:
@@ -269,13 +281,7 @@ def build_born(
     ):
         require_zero(name, defect)
 
-    for name, expected, derived in (
-        ("A matches expected table", expect_a, a_op),
-        ("B matches expected table", expect_b, b_op),
-        ("J matches expected table", expect_j, j_op),
-    ):
-        if expected is not None and expected != derived:
-            raise AxiomFailureError(name, (derived.matrix - expected.matrix).first_witness())
+    _require_tables(("A", expect_a, a_op.matrix), ("B", expect_b, b_op.matrix), ("J", expect_j, j_op.matrix))
 
     split = involution_split(a_op)
     return BornStructure(L, g, h, omega, a_op, b_op, j_op, split.plus, split.minus)
@@ -367,62 +373,43 @@ def verify_born_identities(b: BornStructure) -> StructureReport:
     return StructureReport(tuple(items))
 
 
-class IntegrabilityReport(Value):
-    """Closedness of omega plus the three Nijenhuis tensors, classified.
-
-    Each leg is its witness, None where it holds: d omega, N_A, N_B and N_J
-    by operator name, and L+ and L- not being subalgebras.  A Born structure
-    is integrable when omega is closed and at least two of N_A, N_B, N_J
-    vanish (then all three do); ok re-verifies that implication and that
-    N_A vanishes exactly when L+ and L- are subalgebras.
-    """
-
-    __slots__ = ("d_omega_witness", "nijenhuis_witnesses", "subalgebra_witnesses")
-
-    def __init__(self, d_omega_witness, nijenhuis_witnesses, subalgebra_witnesses):
-        object.__setattr__(self, "d_omega_witness", d_omega_witness)
-        object.__setattr__(self, "nijenhuis_witnesses", nijenhuis_witnesses)  # {"A", "B", "J": witness}
-        object.__setattr__(self, "subalgebra_witnesses", subalgebra_witnesses)  # (L+, L-)
-
-    @property
-    def closed(self) -> bool:
-        return self.d_omega_witness is None
-
-    @property
-    def vanishing(self) -> dict:
-        return {name: w is None for name, w in self.nijenhuis_witnesses.items()}
-
-    @property
-    def integrable(self) -> bool:
-        return self.closed and sum(self.vanishing.values()) >= 2
-
-    @property
-    def two_implies_three(self) -> bool:
-        return sum(self.vanishing.values()) != 2
-
-    @property
-    def nijenhuis_matches_subalgebras(self) -> bool:
-        return self.vanishing["A"] == (self.subalgebra_witnesses == (None, None))
-
-    @property
-    def ok(self) -> bool:
-        return self.two_implies_three and self.nijenhuis_matches_subalgebras
-
-    def first_witness(self) -> Witness | None:
-        """The first failing leg in the order d omega, N_A, N_B, N_J, L+, L-."""
-        legs = (self.d_omega_witness, *self.nijenhuis_witnesses.values(), *self.subalgebra_witnesses)
-        return next((w for w in legs if w is not None), None)
-
-
 @lru_cache(maxsize=None)
-def integrability_report(b: BornStructure) -> IntegrabilityReport:
+def integrability_report(b: BornStructure) -> Witness | None:
+    """The first obstruction to integrability of a Born structure; None when it is integrable.
+
+    Integrable means d omega = 0 and N_A = N_B = N_J = 0.  The witness is the
+    first failing leg in the order d omega, N_A, N_B, N_J, L+, L- (L+ and L-
+    as subalgebras), yet at most one Nijenhuis tensor is built, and never
+    N_J, by two facts:
+
+    (i) For an involution T with eigenspaces V+ and V- and projections
+    pi_+ and pi_-, N_T(x, y) = [Tx,Ty] + T^2 [x,y] - T[Tx,y] - T[x,Ty] is
+    4 pi_-[x, y] on V+ x V+, 4 pi_+[x, y] on V- x V- and 0 on V+ x V-.  So
+    N_A = 0 exactly when L+ and L- are subalgebras, and a closed structure
+    whose L+ or L- is not one fails first at N_A.
+
+    (ii) For x, y in L+ put P = [x,y], Q = [Bx,By] and R = [x,By] + [Bx,y].
+    B maps L+ onto L- (AB = -BA), so the B-eigenvectors are x + Bx and
+    x - Bx, and by (i) N_B = 0 exactly when [x+Bx, y+By] = P + Q + R is
+    fixed by B and [x-Bx, y-By] = P + Q - R is negated by it, that is
+    R = B(P+Q).  J = BA is B on L+ and -B on L-, so the (1,0)-vectors of
+    J are x - iBx; the argument of (i) for J, whose N_J vanishes on
+    (1,0) x (0,1) pairs, gives N_J = 0 exactly when [x-iBx, y-iBy] =
+    P - Q - iR is a (1,0)-vector, that is R = J(P-Q) = BA(P-Q).  By (i),
+    N_A = 0 exactly when P lies in L+ and Q in L-, that is A(P-Q) = P+Q
+    (which says the L- part of P is minus the L+ part of Q, so both vanish).
+    Any two of the three equations give the third, B being invertible, so
+    with N_A = 0 the tensors N_B and N_J vanish together.
+
+    Hence a closed structure with L+ and L- subalgebras has N_A = 0, and is
+    integrable exactly when N_B = 0: the Born structure is integrable
+    exactly when its underlying Kunneth structure is and N_B = 0.
+    """
     L = b.algebra
-    ops = {"A": b.a_op, "B": b.b_op, "J": b.j_op}
-    return IntegrabilityReport(
-        witness_of(ce_d2(L, b.omega), "d omega"),
-        {name: witness_of(nijenhuis(L, op), f"N_{name}") for name, op in ops.items()},
-        (subalgebra_witness(L, b.l_plus), subalgebra_witness(L, b.l_minus)),
-    )
+    w = witness_of(ce_d2(L, b.omega), "d omega")
+    if w is None and (subalgebra_witness(L, b.l_plus) or subalgebra_witness(L, b.l_minus)):
+        w = witness_of(nijenhuis(L, b.a_op), "N_A")  # nonzero by (i)
+    return w or witness_of(nijenhuis(L, b.b_op), "N_B")
 
 
 # ---------------------------------------------------------------------------
@@ -545,16 +532,12 @@ def build_hypersymplectic(
         )
     metric = BilinearForm(metric_matrix, SYMMETRIC)
 
-    for name, expected, derived in (
-        ("A matches expected table", expect_a, a_op.matrix),
-        ("B matches expected table", expect_b, b_op.matrix),
-        ("J matches expected table", expect_j, j_op.matrix),
-        ("metric matches expected table", expect_metric, metric_matrix),
-    ):
-        if expected is not None:
-            expected_matrix = expected.matrix
-            if expected_matrix != derived:
-                raise AxiomFailureError(name, (derived - expected_matrix).first_witness())
+    _require_tables(
+        ("A", expect_a, a_op.matrix),
+        ("B", expect_b, b_op.matrix),
+        ("J", expect_j, j_op.matrix),
+        ("metric", expect_metric, metric_matrix),
+    )
 
     return Hypersymplectic(L, omega, alpha, beta, a_op, b_op, j_op, metric)
 

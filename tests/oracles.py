@@ -1,8 +1,9 @@
 """Test-only oracles: one-forms with their differential and wedge products,
 readers of Trilinear tensors that do not go through the engine's scan, two
 computations of Sylvester inertia, the pairwise bracket-closure test on
-Fractions, the four-combination Kunneth connection and the rational-literal
-reader the integer one replaced.
+Fractions, the four-combination Kunneth connection, every leg of Born
+integrability computed on its own, and the rational-literal reader the
+integer one replaced.
 
 The engine needs d on two-forms only.  The d^2 = 0 and Leibniz tests, and the
 acceptance criteria on stated differentials, check ce_d2 against the
@@ -17,7 +18,9 @@ from fractions import Fraction
 from bornlab import BilinearForm, LieAlgebra, Matrix, Signature, Subspace, Trilinear
 from bornlab.connections import Connection
 from bornlab.exact import basis_vector, invert, linear_combination, splitting, vector
-from bornlab.multilinear import ANTISYMMETRIC
+from bornlab.liealg import ce_d2
+from bornlab.multilinear import ANTISYMMETRIC, nijenhuis
+from bornlab.structures import subalgebra_witness, witness_of
 
 
 class OneForm:
@@ -214,6 +217,26 @@ def four_combination_kunneth(k) -> Connection:
         on_g = linear_combination(x_g, d) + linear_combination(x_f, ad)
         gammas.append(pi_f * on_f * pi_f + pi_g * on_g * pi_g)
     return Connection(tuple(gammas))
+
+
+def integrability_legs(b) -> tuple:
+    """d omega, N_A, N_B, N_J, then L+ and L- as subalgebras, each its witness or None where it holds.
+
+    All six are computed; the first failing one, in this order, is the
+    witness integrability_report must return.
+    """
+    L = b.algebra
+    return (
+        witness_of(ce_d2(L, b.omega), "d omega"),
+        *(witness_of(nijenhuis(L, op), f"N_{name}") for name, op in (("A", b.a_op), ("B", b.b_op), ("J", b.j_op))),
+        subalgebra_witness(L, b.l_plus),
+        subalgebra_witness(L, b.l_minus),
+    )
+
+
+def integrable(b) -> bool:
+    """Closed omega and all three Nijenhuis tensors zero (so L+ and L- are subalgebras)."""
+    return not any(integrability_legs(b))
 
 
 _OLD_RATIONAL_RE = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")

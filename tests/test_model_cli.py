@@ -313,6 +313,30 @@ def test_empty_check_selection_is_an_error(tmp_path, capsys):
         assert capsys.readouterr() == ("", "error: no checks selected\n")
 
 
+def test_model_without_structures_is_an_error(tmp_path, capsys):
+    """A model declaring no structures is rejected rather than reported as all SKIPPED and PASS,
+    whether its "structures" list is empty or absent, and whatever checks are selected."""
+    doc = json.loads(catalog.export_entry("nil3_r"))
+    doc["structures"] = []
+    empty = parse_model(json.dumps(doc))
+    del doc["structures"]
+    absent = parse_model(json.dumps(doc))
+    for model in (empty, absent):
+        for only in (None, ["integrability"], list(model_module.CHECK_ORDER)):
+            with pytest.raises(ModelSyntaxError, match="^model declares no structures$"):
+                run_checks(model, only=only)
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(doc))
+    for extra in ([], ["--format", "json"], ["--checks", "signatures"]):
+        assert main(["check", str(path), *extra]) == 2
+        assert capsys.readouterr() == ("", "error: model declares no structures\n")
+    # the selection is validated first, so its own errors keep their messages
+    with pytest.raises(ModelSyntaxError, match="^no checks selected$"):
+        run_checks(absent, only=())
+    with pytest.raises(UnknownNameError):
+        run_checks(absent, only=["nope"])
+
+
 def test_repeated_check_is_memoized(monkeypatch):
     """A structure checked again in the same process reuses its check outcomes."""
     original, calls = model_module.omega_K_defect, []

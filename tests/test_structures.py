@@ -35,7 +35,7 @@ from bornlab.errors import (
     NotIsotropicError,
 )
 from bornlab.exact import basis_vector, determinant, invert
-from bornlab.liealg import ce_d2, is_subalgebra
+from bornlab.liealg import ce_d2
 from bornlab.multilinear import (
     ANTISYMMETRIC,
     SYMMETRIC,
@@ -47,6 +47,8 @@ from bornlab.multilinear import (
 )
 from bornlab.structures import IDENTITY_TABLE, Witness
 from conftest import structures_of
+from oracles import integrability_legs, integrable
+from phase_spaces import ALGEBRAS, phase_space, phase_space_borns, sheared
 from test_builders import random_unimodular
 from test_exact import random_invertible
 from test_frames import kunneth_cases, random_matrix, random_splitting
@@ -384,15 +386,15 @@ def test_torus_2_2_signature(catalog_models):
 
 
 def test_integrability_h4(catalog_models):
-    report = integrability_report(structures_of(catalog_models["h4"], "born")[0])
-    assert report.closed and report.integrable
-    assert all(report.vanishing.values())
-    assert report.two_implies_three and report.nijenhuis_matches_subalgebras
+    born = structures_of(catalog_models["h4"], "born")[0]
+    assert integrability_report(born) is None
+    assert integrability_legs(born) == (None,) * 6
 
 
 def test_integrability_abelian(catalog_models):
     for name in ("abelian_c1", "abelian_c2", "abelian_c3", "abelian_c4"):
-        assert integrability_report(structures_of(catalog_models[name], "born")[0]).integrable
+        born = structures_of(catalog_models[name], "born")[0]
+        assert integrability_report(born) is None and integrable(born)
 
 
 def test_integrability_fixture_fails_on_closedness(nil3):
@@ -403,21 +405,19 @@ def test_integrability_fixture_fails_on_closedness(nil3):
         Subspace(4, [[0, 1, 0, 0], [0, 0, 1, 0]]),
     )
     born = enhance_kunneth(k)
-    report = integrability_report(born)
-    assert not report.integrable
-    assert not report.closed
-    assert report.first_witness().index == (1, 2, 4)
+    witness = integrability_report(born)
+    assert witness.index == (1, 2, 4) and witness.note == "d omega"
+    assert not ce_d2(nil3, born.omega).is_zero()
     # the obstruction is closedness alone: all three operators are integrable
-    assert all(report.vanishing.values())
+    assert all(nijenhuis(nil3, op).is_zero() for op in (born.a_op, born.b_op, born.j_op))
 
 
 def test_two_nijenhuis_imply_third_across_catalog(catalog_models):
     for entry in catalog_models.values():
         for born in structures_of(entry, "born"):
-            report = integrability_report(born)
-            count = sum(report.vanishing.values())
-            assert count != 2
-            assert report.nijenhuis_matches_subalgebras
+            _, n_a, n_b, n_j, l_plus, l_minus = integrability_legs(born)
+            assert [n_a, n_b, n_j].count(None) != 2
+            assert (n_a is None) == (l_plus is None and l_minus is None)
 
 
 def random_kunneth(rng):
@@ -450,31 +450,63 @@ def random_kunneth(rng):
 
 
 def test_integrability_legs_match_direct_computation(catalog_models, catalog_structures):
-    """The derived verdicts of an integrability report equal those computed
-    from the tensors and the subalgebra test, on Born structures enhanced from
-    the catalog's Kunneth structures (moved to seeded bases) and from random
-    Kunneth data; the report carries no witness exactly when the structure is
-    integrable and the cross-checks hold."""
+    """The report is the first failing leg in the order d omega, N_A, N_B,
+    N_J, L+, L-, with every leg computed on its own; N_A vanishes exactly when
+    L+ and L- are subalgebras, and any two vanishing Nijenhuis tensors imply
+    the third.  On the catalog's Born structures, on Born structures enhanced
+    from the catalog's Kunneth structures (also moved to seeded bases) and
+    from random Kunneth data, and on the phase spaces, which fail at N_B,
+    and their sheared forms, which fail at N_A.
+    """
     rng = random.Random(61)
+    borns = [b for s in catalog_structures.values() for b in s["borns"]]
     kunneths = [k for _, k in kunneth_cases(catalog_models, catalog_structures)]
     kunneths += [random_kunneth(rng) for _ in range(40)]
-    integrable = 0
-    for k in kunneths:
-        born = enhance_kunneth(k)
-        L = born.algebra
-        report = integrability_report(born)
-        closed = ce_d2(L, born.omega).is_zero()
-        ops = {"A": born.a_op, "B": born.b_op, "J": born.j_op}
-        vanishing = {name: nijenhuis(L, op).is_zero() for name, op in ops.items()}
-        subalgebras = bool(is_subalgebra(L, born.l_plus)) and bool(is_subalgebra(L, born.l_minus))
-        count = sum(vanishing.values())
-        assert (report.closed, report.vanishing) == (closed, vanishing)
-        assert report.integrable == (closed and count >= 2)
-        assert report.two_implies_three == (count != 2)
-        assert report.nijenhuis_matches_subalgebras == (vanishing["A"] == subalgebras)
-        assert (report.first_witness() is None) == (report.integrable and report.ok)
-        integrable += report.integrable
-    assert 20 <= integrable <= len(kunneths) - 30, (integrable, len(kunneths))
+    borns += [enhance_kunneth(k) for k in kunneths]
+    phase_spaces = [b for _, _, b in phase_space_borns()]
+    shears = [enhance_kunneth(sheared(phase_space(*a), random.Random(seed))) for a in ALGEBRAS for seed in (1, 2)]
+    borns += phase_spaces + shears
+    notes = []
+    for born in borns:
+        legs = integrability_legs(born)
+        _, n_a, n_b, n_j, l_plus, l_minus = legs
+        witness = integrability_report(born)
+        assert witness == next((w for w in legs if w is not None), None)
+        assert (n_a is None) == (l_plus is None and l_minus is None)
+        assert [n_a, n_b, n_j].count(None) != 2
+        notes.append(None if witness is None else witness.note)
+    assert 40 <= notes.count(None) <= len(borns) - 40, notes
+    assert "d omega" in notes
+    assert notes[-len(phase_spaces + shears):] == ["N_B"] * len(phase_spaces) + ["N_A"] * len(shears)
+
+
+def test_integrability_builds_at_most_one_nijenhuis_tensor(catalog_models, nil3, monkeypatch):
+    """An integrable structure builds N_B alone, a non-closed one no tensor,
+    and a closed one whose L+ is not a subalgebra N_A alone."""
+    integrable_born = structures_of(catalog_models["h4"], "born")[0]
+    not_closed = enhance_kunneth(build_almost_kunneth(
+        nil3,
+        two_form(4, {(1, 2): 1, (4, 3): 1}),
+        Subspace(4, [[1, 0, 0, 0], [0, 0, 0, 1]]),
+        Subspace(4, [[0, 1, 0, 0], [0, 0, 1, 0]]),
+    ))
+    # [e1, e2] = e3 leaves span(e1, e2) while omega = e^14 + e^23 is closed
+    not_subalgebra = enhance_kunneth(build_almost_kunneth(
+        nil3,
+        two_form(4, {(1, 4): 1, (2, 3): 1}),
+        Subspace(4, [[1, 0, 0, 0], [0, 1, 0, 0]]),
+        Subspace(4, [[0, 0, 1, 0], [0, 0, 0, 1]]),
+    ))
+    built = []
+    original = structures.nijenhuis
+    monkeypatch.setattr(structures, "nijenhuis", lambda L, op: built.append(op) or original(L, op))
+    structures.integrability_report.cache_clear()
+    notes = []
+    for born in (integrable_born, not_closed, not_subalgebra):
+        built.clear()
+        witness = integrability_report(born)
+        notes.append((witness and witness.note, [op == born.a_op for op in built]))
+    assert notes == [(None, [False]), ("d omega", []), ("N_A", [True])]
 
 
 # --- enhancement --------------------------------------------------------
@@ -521,7 +553,7 @@ def test_enhance_h9_with_printed_j(h9_algebra):
     )
     born = enhance_kunneth(k, jtilde=j)
     assert born.j_op == j  # the full J is recovered from its restriction to g+
-    assert integrability_report(born).integrable
+    assert integrability_report(born) is None and integrable(born)
 
 
 def test_enhance_round_trip_recovers_splitting(catalog_models):
@@ -641,7 +673,7 @@ def test_family_points_all_valid(nil3_hypersymplectic, nil3_jtilde):
     for p in points:
         born = s1_family(nil3_hypersymplectic, nil3_jtilde, p)
         assert verify_born_identities(born).ok
-        assert integrability_report(born).integrable
+        assert integrability_report(born) is None and integrable(born)
 
 
 def test_family_quarter_turn_selects_b_leg(nil3_hypersymplectic, nil3_jtilde):

@@ -20,12 +20,9 @@ from bornlab.structures import (
     BornStructure,
     CheckItem,
     Hypersymplectic,
-    IntegrabilityReport,
     StructureReport,
     Witness,
-    integrability_report,
 )
-from conftest import structures_of
 
 SRC = Path(bornlab.__file__).resolve().parents[1]
 
@@ -47,7 +44,6 @@ FIELDS = {
     StructureReport: "items",
     AlmostKunneth: "algebra omega plus minus",
     BornStructure: "algebra g h omega a_op b_op j_op l_plus l_minus",
-    IntegrabilityReport: "d_omega_witness nijenhuis_witnesses subalgebra_witnesses",
     Hypersymplectic: "algebra omega alpha beta a_op b_op j_op metric",
     SubalgebraResult: "ok witness residual",
 }
@@ -105,11 +101,6 @@ def test_values_holding_dicts_are_unhashable():
     assert copy == model
     with pytest.raises(TypeError):
         hash(model)
-    born, *_ = structures_of(entry, "born")
-    report = integrability_report(born)
-    assert report == IntegrabilityReport(*(getattr(report, f) for f in FIELDS[IntegrabilityReport].split()))
-    with pytest.raises(TypeError):
-        hash(report)
 
 
 def test_kernel_values_are_immutable_and_compared_by_value():
