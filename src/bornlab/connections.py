@@ -175,7 +175,7 @@ def kunneth_connection(k: AlmostKunneth) -> Connection:
     L, m = k.algebra, k.omega.matrix
     n = L.n
     ad = [L.ad(a) for a in range(n)]
-    m_t_inv = invert(m.transpose())
+    m_t_inv = invert(m).transpose()
     d = [-(m_t_inv * (m * ad_a).transpose()) for ad_a in ad]
     c = [d_a - ad_a for d_a, ad_a in zip(d, ad)]
     split = splitting(k.plus, k.minus)

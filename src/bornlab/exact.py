@@ -2,8 +2,8 @@
 
 Every coefficient in this package is an exact rational, so identities are
 certified with defect exactly zero, never merely below a tolerance.
-Matrices are small (catalog models reach dimension eight, direct sums of
-them twelve) and stored dense.
+Matrices are small (a model declares at most `model.MAX_DIM` = 32
+dimensions) and stored dense.
 
 A Matrix is integer numerators over one integer denominator, num / den,
 kept in canonical form: den > 0, gcd(den, every numerator) = 1, and the
@@ -19,8 +19,10 @@ canonical form does not divide its zero rows.  Determinant, inverse and
 reduced row echelon form use fraction-free Gauss-Jordan elimination on the
 numerators (Bareiss 1968, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination"), and the signature its symmetric
-form; all their divisions are exact.  A Subspace keeps its echelon basis
-as integer rows too, so membership tests never leave the integers.
+form; all their divisions are exact.  `invert` is memoized by value, so
+every fact read off one inverse shares one elimination.  A Subspace keeps
+its echelon basis as integer rows too, so membership tests never leave the
+integers.
 
 A Splitting of the space into two complementary subspaces holds the frame
 adapted to it, its inverse, the two projections and the involution; it is
@@ -49,6 +51,7 @@ from operator import add, attrgetter, mul, sub
 
 from .errors import (
     DimensionMismatchError,
+    NotComplementaryError,
     NotSymmetricError,
     SingularMatrixError,
 )
@@ -478,11 +481,13 @@ def determinant(m: Matrix) -> Fraction:
     return Fraction(sign * last, m.den ** m.n)
 
 
+@lru_cache(maxsize=None)
 def invert(m: Matrix) -> Matrix:
     """Inverse by fraction-free Gauss-Jordan elimination; raises SingularMatrixError.
 
     With m = M / d for an integer matrix M, reducing [M | Id] leaves
-    [D Id | D M^-1], so m^-1 = d (D M^-1) / D.
+    [D Id | D M^-1], so m^-1 = d (D M^-1) / D.  Memoized by value; an
+    exception is not cached, so a singular matrix raises on every call.
     """
     n, d = m.n, m.den
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.num)]
@@ -670,14 +675,6 @@ class Subspace(Value):
     def contains(self, v) -> bool:
         return not any(self._reduce(v)[0])
 
-    def is_complementary(self, other: "Subspace") -> bool:
-        if self.n != other.n:
-            return False
-        if self.dim + other.dim != self.n:
-            return False
-        rows = [list(row) for _, row, _ in self._echelon + other._echelon]
-        return len(_gauss_jordan(rows, self.n)[0]) == self.n
-
     def __repr__(self):
         vecs = ", ".join("(" + ", ".join(map(format_rational, v)) + ")" for v in self.basis)
         return f"Subspace[{vecs}]"
@@ -749,11 +746,19 @@ class Splitting(Value):
 
 @lru_cache(maxsize=None)
 def splitting(plus: Subspace, minus: Subspace) -> Splitting:
-    """The splitting into two complementary subspaces, with its adapted frame."""
-    if not plus.is_complementary(minus):
-        raise DimensionMismatchError("subspaces are not complementary")
+    """The splitting into two complementary subspaces, with its adapted frame.
+
+    The frame inverse is the complementarity proof: NotComplementaryError when
+    the dimensions do not sum to n or the frame is singular.
+    """
+    message = "subspaces do not decompose the space"
+    if plus.n != minus.n or plus.dim + minus.dim != plus.n:
+        raise NotComplementaryError(message)
     frame = Matrix.from_columns(plus.basis + minus.basis)
-    frame_inv = invert(frame)
+    try:
+        frame_inv = invert(frame)
+    except SingularMatrixError:
+        raise NotComplementaryError(message) from None
     pi_plus = frame * Matrix.diagonal([ONE] * plus.dim + [ZERO] * minus.dim) * frame_inv
     pi_minus = Matrix.identity(plus.n) - pi_plus
     return Splitting(plus, minus, frame, frame_inv, pi_plus, pi_minus, pi_plus - pi_minus)

@@ -26,7 +26,6 @@ from .errors import (
     HypothesisFailureError,
     NotClosedError,
     NotCompatibleError,
-    NotComplementaryError,
     NotIsotropicError,
     SingularMatrixError,
 )
@@ -34,7 +33,6 @@ from .exact import (
     Matrix,
     Subspace,
     Value,
-    determinant,
     format_rational,
     invert,
     rationalize,
@@ -51,6 +49,7 @@ from .multilinear import (
     involution_split,
     nijenhuis,
     pullback,
+    recursion_operator,
 )
 
 
@@ -158,12 +157,7 @@ def build_almost_kunneth(L: LieAlgebra, omega: BilinearForm, plus: Subspace, min
     n = L.n
     if omega.n != n or plus.n != n or minus.n != n:
         raise DimensionMismatchError("almost Kunneth data on mismatched dimensions")
-    if omega.symmetry != ANTISYMMETRIC:
-        raise DegenerateFormError("the 2-form must be antisymmetric")
-    if determinant(omega.matrix) == 0:
-        raise DegenerateFormError("the 2-form is degenerate")
-    if not plus.is_complementary(minus):
-        raise NotComplementaryError("subspaces do not decompose the space")
+    _require_form("the 2-form", omega, ANTISYMMETRIC)
     s = splitting(plus, minus)
     pairing = s.pairing(omega.matrix)
     for name, side in (("plus", "+"), ("minus", "-")):
@@ -222,22 +216,18 @@ class BornStructure(Value):
         return build_almost_kunneth(self.algebra, self.omega, self.l_plus, self.l_minus)
 
 
-def _require_form(name: str, form: BilinearForm, symmetry: str, *, inverse: bool = False) -> Matrix | None:
+def _require_form(name: str, form: BilinearForm, symmetry: str):
     """Certify the declared symmetry and nondegeneracy of a form.
 
-    With inverse=True the inverse matrix is returned: computing it is the
-    nondegeneracy proof, so each form costs one elimination either way.
+    The proof is the memoized inverse of its matrix, which the recursion
+    operators and the connections read again.
     """
     if form.symmetry != symmetry:
         raise DegenerateFormError(f"{name} must be {symmetry}")
-    if inverse:
-        try:
-            return invert(form.matrix)
-        except SingularMatrixError:
-            raise DegenerateFormError(f"{name} is degenerate") from None
-    if determinant(form.matrix) == 0:
-        raise DegenerateFormError(f"{name} is degenerate")
-    return None
+    try:
+        invert(form.matrix)
+    except SingularMatrixError:
+        raise DegenerateFormError(f"{name} is degenerate") from None
 
 
 @lru_cache(maxsize=None)
@@ -257,20 +247,19 @@ def build_born(
     the diagram is a verified fact.  Optional expected operators are checked
     against the derived ones entry for entry.
 
-    The recursion operator of (a, b) is (M_a^T)^-1 M_b^T, so with G^T = G,
-    H^T = H and W^T = -W: A = -G^-1 W, B = G^-1 H and J = W^-1 H; the two
-    inverses are also the nondegeneracy proofs of g and omega.
+    A = rec(g, omega), B = rec(g, h) and J = -rec(omega, h) read the
+    memoized inverses of g and omega that certified their nondegeneracy.
     """
     n = L.n
     if g.n != n or h.n != n or omega.n != n:
         raise DimensionMismatchError("Born data on mismatched dimensions")
-    g_inv = _require_form("g", g, SYMMETRIC, inverse=True)
+    _require_form("g", g, SYMMETRIC)
     _require_form("h", h, SYMMETRIC)
-    omega_inv = _require_form("omega", omega, ANTISYMMETRIC, inverse=True)
+    _require_form("omega", omega, ANTISYMMETRIC)
 
-    a_op = Endomorphism(-(g_inv * omega.matrix))
-    b_op = Endomorphism(g_inv * h.matrix)
-    j_op = Endomorphism(omega_inv * h.matrix)
+    a_op = recursion_operator(g, omega)
+    b_op = recursion_operator(g, h)
+    j_op = recursion_operator(omega, h).negated()
 
     ident = Matrix.identity(n)
     for name, defect in (
@@ -500,21 +489,20 @@ def build_hypersymplectic(
 ) -> Hypersymplectic:
     """Validate a hypersymplectic triple and derive its operators and metric.
 
-    The recursion operator of (a, b) is (M_a^T)^-1 M_b^T, which for
-    antisymmetric forms is M_a^-1 M_b: the inverses of omega and alpha give
-    A, B and J and are also their nondegeneracy proofs.
+    A = rec(omega, alpha), B = rec(omega, beta) and J = rec(alpha, beta)
+    read the memoized inverses of omega and alpha that certified their
+    nondegeneracy.
     """
     n = L.n
-    inverses = {}
     for name, form in (("omega", omega), ("alpha", alpha), ("beta", beta)):
         if form.n != n:
             raise DimensionMismatchError("hypersymplectic data on mismatched dimensions")
-        inverses[name] = _require_form(name, form, ANTISYMMETRIC, inverse=name != "beta")
+        _require_form(name, form, ANTISYMMETRIC)
         require_zero(name, ce_d2(L, form), NotClosedError)
 
-    a_op = Endomorphism(inverses["omega"] * alpha.matrix)
-    b_op = Endomorphism(inverses["omega"] * beta.matrix)
-    j_op = Endomorphism(inverses["alpha"] * beta.matrix)
+    a_op = recursion_operator(omega, alpha)
+    b_op = recursion_operator(omega, beta)
+    j_op = recursion_operator(alpha, beta)
 
     ident = Matrix.identity(n)
     for name, defect in (
@@ -596,6 +584,11 @@ def s1_family(hs: Hypersymplectic, jtilde: Endomorphism, p: CirclePoint) -> Born
     beta_t = -sin * alpha + cos * beta and I_t = cos * A + sin * B.
     Members are memoized by value like the builders; a failed hypothesis
     raises again on every call.
+
+    The third leg needs no check of its own.  build_born derives
+    J = -rec(beta_t, h_t), so beta_t(-J x, y) = h_t(x, y) by construction,
+    and certifies J = jtilde entry for entry (expect_j); hence
+    h_t(x, y) = beta_t(-jtilde x, y).
     """
     for which, defect in (
         ("jtilde^2 = -Id", jtilde.squared() + Matrix.identity(hs.algebra.n)),
@@ -612,7 +605,7 @@ def s1_family(hs: Hypersymplectic, jtilde: Endomorphism, p: CirclePoint) -> Born
     bt = jtilde.compose(i_t)
     h_t = BilinearForm(bt.matrix.transpose() * hs.metric.matrix, SYMMETRIC)
 
-    born = build_born(
+    return build_born(
         hs.algebra,
         hs.metric,
         h_t,
@@ -621,6 +614,3 @@ def s1_family(hs: Hypersymplectic, jtilde: Endomorphism, p: CirclePoint) -> Born
         expect_b=bt,
         expect_j=jtilde,
     )
-    # third leg of the diagram: h_t(x, y) = beta_t(-jtilde x, y)
-    require_zero("beta_t -> h_t leg of the family diagram", jtilde.matrix.transpose() * beta_t.matrix + h_t.matrix)
-    return born

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bornlab import Matrix, Signature, Subspace, determinant, invert, signature_of_symmetric
-from bornlab.errors import NotSymmetricError, SingularMatrixError
-from bornlab.exact import format_rational, parse_rational, rational_parts
+from bornlab.errors import NotComplementaryError, NotSymmetricError, SingularMatrixError
+from bornlab.exact import format_rational, parse_rational, rational_parts, splitting
 from oracles import old_parse_rational
 
 
@@ -264,7 +264,14 @@ def test_subspace_equality_is_span_equality():
 
 
 def test_subspace_complementarity():
+    """splitting is the complementarity test: it raises on dimensions that do
+    not fill the space and on intersecting subspaces of complementary dimensions."""
     f = Subspace(4, [[1, 1, 0, 0], [0, 0, 1, -1]])
     g = Subspace(4, [[1, -1, 0, 0], [0, 0, 1, 1]])
-    assert f.is_complementary(g)
-    assert not f.is_complementary(f)
+    s = splitting(f, g)
+    assert s.pi_plus + s.pi_minus == Matrix.identity(4)
+    line = Subspace(4, [[1, 0, 0, 0]])
+    wide = Subspace(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])  # contains the line
+    for plus, minus in ((f, line), (line, f), (f, wide), (f, f), (line, wide)):
+        with pytest.raises(NotComplementaryError, match="^subspaces do not decompose the space$"):
+            splitting(plus, minus)

@@ -34,7 +34,7 @@ from bornlab import (
 )
 from bornlab import connections
 from bornlab.connections import Connection
-from bornlab.errors import JacobiViolationError, NotCompatibleError, NotIsotropicError
+from bornlab.errors import JacobiViolationError, NotCompatibleError, NotComplementaryError, NotIsotropicError
 from bornlab.exact import (
     basis_vector,
     kernel_basis,
@@ -221,11 +221,9 @@ def random_splitting(n, rng):
         vectors = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
         cut = rng.randint(1, n - 1)
         try:
-            plus, minus = Subspace(n, vectors[:cut]), Subspace(n, vectors[cut:])
-        except ValueError:
+            return splitting(Subspace(n, vectors[:cut]), Subspace(n, vectors[cut:]))
+        except (ValueError, NotComplementaryError):
             continue
-        if plus.is_complementary(minus):
-            return splitting(plus, minus)
 
 
 # --- block forms against the oracles -----------------------------------------

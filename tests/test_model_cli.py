@@ -23,6 +23,7 @@ from bornlab import (
     render_report,
     run_checks,
 )
+from bornlab import exact
 from bornlab import model as model_module
 from bornlab.connections import Connection
 from bornlab.cli import main
@@ -370,6 +371,27 @@ def _moved_model(model, seed):
         structures=model.structures,
         checks=model.checks,
     )
+
+
+def test_run_checks_eliminates_each_form_once(monkeypatch):
+    """On a model no cache has seen, run_checks eliminates the matrices of g,
+    h and omega once each: the nondegeneracy proofs, the recursion operators
+    and the connections all read one memoized inverse."""
+    model = _moved_model(catalog.get_entry("h4").model, "eliminations")
+    n = model.algebra.n
+    born = next(decl for decl in model.structures if decl.kind == "born")
+    tables = {"g": model.metrics, "h": model.metrics, "omega": model.forms}
+    original, eliminated = exact._gauss_jordan, []
+
+    def counting(rows, ncols):
+        eliminated.append(tuple(tuple(row[:n]) for row in rows))
+        return original(rows, ncols)
+
+    monkeypatch.setattr(exact, "_gauss_jordan", counting)
+    assert run_checks(model).overall == "pass"
+    for role, table in tables.items():
+        m = table[born.ref(role)].matrix
+        assert sum(block in (m.num, m.transpose().num) for block in eliminated) == 1, role
 
 
 _REPORTS = """

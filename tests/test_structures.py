@@ -25,6 +25,7 @@ from bornlab import (
     structures,
     verify_born_identities,
 )
+from bornlab.catalog import family_member
 from bornlab.errors import (
     AxiomFailureError,
     DegenerateFormError,
@@ -41,17 +42,24 @@ from bornlab.multilinear import (
     SYMMETRIC,
     nijenhuis,
     pullback,
-    recursion_operator,
     symmetric_form,
     two_form,
 )
 from bornlab.structures import IDENTITY_TABLE, Witness
 from conftest import structures_of
-from oracles import integrability_legs, integrable
+from oracles import evaluate, integrability_legs, integrable
 from phase_spaces import ALGEBRAS, phase_space, phase_space_borns, sheared
-from test_builders import random_unimodular
+from test_builders import moved_algebra, random_unimodular
 from test_exact import random_invertible
-from test_frames import kunneth_cases, random_matrix, random_splitting
+from test_frames import (
+    SEEDS,
+    born_cases,
+    kunneth_cases,
+    moved_form,
+    moved_subspace,
+    random_matrix,
+    random_splitting,
+)
 from test_liealg import random_semidirect, random_two_step
 
 
@@ -216,12 +224,31 @@ def test_build_born_axiom_failure_j_squared():
     assert "J^2" in info.value.which
 
 
-def test_build_born_operators_are_the_recursion_operators(catalog_models):
-    for entry in catalog_models.values():
-        for born in structures_of(entry, "born"):
-            assert born.a_op == recursion_operator(born.g, born.omega)
-            assert born.b_op == recursion_operator(born.g, born.h)
-            assert born.j_op == recursion_operator(born.omega, born.h).negated()
+# the circle family's points that the nil3_r catalog entry expects to pass, theta = pi among them
+FAMILY_POINTS = tuple(CirclePoint.from_t(t) for t in (0, 1, -1, Fraction(1, 2), 2, Fraction(3, 5))) + (
+    CirclePoint.theta_pi(),
+)
+
+
+def assert_recursion_relation(a, t, b):
+    """a(T e_i, e_j) = b(e_i, e_j) on every basis pair, each side evaluated on its own."""
+    n, rows = a.n, a.matrix.rows
+    for i in range(n):
+        image = t.apply(basis_vector(n, i))
+        for j in range(n):
+            assert evaluate(rows, image, basis_vector(n, j)) == b.matrix.entry(i + 1, j + 1), (i + 1, j + 1)
+
+
+def test_build_born_operators_are_the_recursion_operators(catalog_models, catalog_structures):
+    """g(Ax, y) = omega(x, y), g(Bx, y) = h(x, y) and omega(-Jx, y) = h(x, y)
+    pair by pair, on the catalog's Born structures, in seeded bases, and at
+    the circle family's catalog points."""
+    borns = [b for _, b in born_cases(catalog_models, catalog_structures)]
+    borns += [family_member(catalog_models["nil3_r"], p) for p in FAMILY_POINTS]
+    for born in borns:
+        assert_recursion_relation(born.g, born.a_op, born.omega)
+        assert_recursion_relation(born.g, born.b_op, born.h)
+        assert_recursion_relation(born.omega, born.j_op.negated(), born.h)
 
 
 def _first_degenerate(build, forms, singular, name):
@@ -420,12 +447,37 @@ def test_two_nijenhuis_imply_third_across_catalog(catalog_models):
             assert (n_a is None) == (l_plus is None and l_minus is None)
 
 
+# (k, strict) of the phase spaces random_kunneth draws: aff(1), of dim 2, and
+# those of strictly upper triangular 3x3 and upper triangular 2x2 matrices, of dim 6
+DRAWN_PHASE_SPACES = ((1, False), (3, True), (2, False))
+
+
 def random_kunneth(rng):
-    """Random Kunneth data on a random solvable algebra: plus and minus are the
+    """Random Kunneth data, with a closed form on half of the draws.
+
+    A closed draw is a phase space of `phase_spaces`, sheared on half of
+    them, in a seeded unimodular basis.  Its omega-dual enhancement is
+    integrable on aff(1), where every form is closed and every line a
+    subalgebra, and otherwise fails at N_B, or at N_A once sheared.
+
+    Any other draw sits on a random solvable algebra: plus and minus are the
     first and last n/2 columns of an invertible frame P, and omega reads
-    [[0, S], [-S^T, 0]] on that frame for a random invertible S.  On half of
-    the semidirect algebras plus lies in the abelian ideal spanned by
-    e_2..e_n, so it is a subalgebra while minus need not be."""
+    [[0, S], [-S^T, 0]] on that frame for a random invertible S, so as a
+    rule d omega != 0.  On half of the semidirect algebras plus lies in the
+    abelian ideal spanned by e_2..e_n, so it is a subalgebra while minus
+    need not be."""
+    if rng.random() < 0.5:
+        k = phase_space(*rng.choice(DRAWN_PHASE_SPACES))
+        if rng.random() < 0.5:
+            k = sheared(k, rng)
+        p = random_unimodular(k.algebra.n, rng)
+        p_inv = invert(p)
+        return build_almost_kunneth(
+            moved_algebra(k.algebra, p),
+            moved_form(k.omega, p, ANTISYMMETRIC),
+            moved_subspace(k.plus, p_inv),
+            moved_subspace(k.minus, p_inv),
+        )
     n = rng.choice((4, 6))
     build = rng.choice((random_semidirect, random_two_step))
     L = build(n, rng)
@@ -455,14 +507,14 @@ def test_integrability_legs_match_direct_computation(catalog_models, catalog_str
     L+ and L- are subalgebras, and any two vanishing Nijenhuis tensors imply
     the third.  On the catalog's Born structures, on Born structures enhanced
     from the catalog's Kunneth structures (also moved to seeded bases) and
-    from random Kunneth data, and on the phase spaces, which fail at N_B,
-    and their sheared forms, which fail at N_A.
+    from random Kunneth data, whose draws reach every leg, and on the phase
+    spaces, which fail at N_B, and their sheared forms, which fail at N_A.
     """
     rng = random.Random(61)
     borns = [b for s in catalog_structures.values() for b in s["borns"]]
-    kunneths = [k for _, k in kunneth_cases(catalog_models, catalog_structures)]
-    kunneths += [random_kunneth(rng) for _ in range(40)]
-    borns += [enhance_kunneth(k) for k in kunneths]
+    borns += [enhance_kunneth(k) for _, k in kunneth_cases(catalog_models, catalog_structures)]
+    drawn = [enhance_kunneth(random_kunneth(rng)) for _ in range(40)]
+    borns += drawn
     phase_spaces = [b for _, _, b in phase_space_borns()]
     shears = [enhance_kunneth(sheared(phase_space(*a), random.Random(seed))) for a in ALGEBRAS for seed in (1, 2)]
     borns += phase_spaces + shears
@@ -476,7 +528,8 @@ def test_integrability_legs_match_direct_computation(catalog_models, catalog_str
         assert [n_a, n_b, n_j].count(None) != 2
         notes.append(None if witness is None else witness.note)
     assert 40 <= notes.count(None) <= len(borns) - 40, notes
-    assert "d omega" in notes
+    drawn_notes = {w and w.note for w in map(integrability_report, drawn)}
+    assert drawn_notes == {"d omega", "N_A", "N_B", None}, drawn_notes
     assert notes[-len(phase_spaces + shears):] == ["N_B"] * len(phase_spaces) + ["N_A"] * len(shears)
 
 
@@ -609,11 +662,23 @@ def test_hypersymplectic_nil3_tables(nil3_hypersymplectic):
     assert signature_of_symmetric(hs.metric.matrix).as_tuple() == (2, 2, 0)
 
 
-def test_hypersymplectic_operators_are_the_recursion_operators(nil3_hypersymplectic):
-    hs = nil3_hypersymplectic
-    assert hs.a_op == recursion_operator(hs.omega, hs.alpha)
-    assert hs.b_op == recursion_operator(hs.omega, hs.beta)
-    assert hs.j_op == recursion_operator(hs.alpha, hs.beta)
+def test_hypersymplectic_operators_are_the_recursion_operators(catalog_models):
+    """omega(Ax, y) = alpha(x, y), omega(Bx, y) = beta(x, y) and
+    alpha(Jx, y) = beta(x, y) pair by pair, on the catalog's hypersymplectic
+    structures and in seeded bases."""
+    triples = []
+    for name, entry in catalog_models.items():
+        for hs in structures_of(entry, "hypersymplectic"):
+            triples.append(hs)
+            for seed in SEEDS:
+                p = random_unimodular(hs.algebra.n, random.Random(f"{name}-{seed}"))
+                forms = (moved_form(f, p, ANTISYMMETRIC) for f in (hs.omega, hs.alpha, hs.beta))
+                triples.append(build_hypersymplectic(moved_algebra(hs.algebra, p), *forms))
+    assert len(triples) >= 4
+    for hs in triples:
+        assert_recursion_relation(hs.omega, hs.a_op, hs.alpha)
+        assert_recursion_relation(hs.omega, hs.b_op, hs.beta)
+        assert_recursion_relation(hs.alpha, hs.j_op, hs.beta)
 
 
 @pytest.mark.parametrize("name", ["omega", "alpha", "beta"])
@@ -674,6 +739,16 @@ def test_family_points_all_valid(nil3_hypersymplectic, nil3_jtilde):
         born = s1_family(nil3_hypersymplectic, nil3_jtilde, p)
         assert verify_born_identities(born).ok
         assert integrability_report(born) is None and integrable(born)
+
+
+def test_family_third_leg_is_the_recursion_relation(catalog_models):
+    """h_t(x, y) = beta_t(-jtilde x, y) pair by pair at the circle family's
+    catalog points: s1_family proves this leg rather than re-checking it."""
+    entry = catalog_models["nil3_r"]
+    jtilde = entry.model.endos["jtilde"]
+    for p in FAMILY_POINTS:
+        born = family_member(entry, p)
+        assert_recursion_relation(born.omega, jtilde.negated(), born.h)
 
 
 def test_family_quarter_turn_selects_b_leg(nil3_hypersymplectic, nil3_jtilde):
