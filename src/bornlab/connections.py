@@ -30,29 +30,22 @@ matrices M_i (column j of M_i is M(e_i, e_j)), column c of (sum_i P_ia M_i) P
 is M(x_a, x_c): mixed torsion takes M = T, the torsion formula of the Born
 connection M_i = T_i + pi_+ Gamma^K_i - pi_- E_i (column j of E_i is
 Gamma^K_j e_i), which equals T_i + pi_+ (Gamma^K_i + E_i) - E_i as
-pi_- = Id - pi_+.  A connection preserves both subspaces exactly when the
-off-diagonal blocks of P^-1 Gamma_i P vanish.
+pi_- = Id - pi_+.
 
-Every constructor certifies the defining properties of what it built; a
-violation raises, it is never returned silently.  The error's hit, computed
-only then, is the first nonzero entry of what should vanish: torsion, nabla b,
-a block of P^-1 Gamma_i P or mixed torsion.
+Every constructor certifies the defining properties of what it built that
+its construction does not already guarantee, and proves the rest in its
+docstring; a violation raises, it is never returned silently.  The error's
+hit, computed only then, is the first nonzero entry of what should vanish:
+torsion, nabla b or mixed torsion.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import (
-    AxiomFailureError,
-    DegenerateFormError,
-    NotIntegrableError,
-    NotInvolutionError,
-    SingularMatrixError,
-)
+from .errors import AxiomFailureError, DegenerateFormError, NotIntegrableError, SingularMatrixError
 from .exact import (
     HALF,
-    Matrix,
     Subspace,
     Trilinear,
     Value,
@@ -66,13 +59,10 @@ from .multilinear import BilinearForm, Endomorphism, involution_split
 from .structures import (
     AlmostKunneth,
     BornStructure,
-    CheckItem,
-    StructureReport,
     almost_product,
     integrability_report,
     neutral_metric,
     require_zero,
-    witness_at,
 )
 
 
@@ -83,17 +73,6 @@ class Connection(Value):
 
     def __init__(self, gammas: tuple):
         object.__setattr__(self, "gammas", gammas)  # gammas[i] is a Matrix whose column j is nabla_{e_i} e_j
-
-    def apply(self, x, y):
-        """nabla_x y = (sum_i x_i Gamma_i) y."""
-        return linear_combination(x, self.gammas).matvec(y)
-
-    def basis_value(self, i: int, j: int):
-        """nabla_{e_{i+1}} e_{j+1} (0-based arguments)."""
-        return self.gammas[i].column(j)
-
-    def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.gammas)
 
     def __sub__(self, other: "Connection") -> Trilinear:
         """The Gamma difference: slice i is Gamma_i - Gamma'_i, so witness (i, j, k) is entry (j, k) of it."""
@@ -111,7 +90,7 @@ def torsion(L: LieAlgebra, c: Connection) -> Trilinear:
     return Trilinear(tuple(t_i.transpose() for t_i in _torsion_matrices(L, c)))
 
 
-def nabla_form(L: LieAlgebra, c: Connection, b: BilinearForm) -> Trilinear:
+def nabla_form(c: Connection, b: BilinearForm) -> Trilinear:
     """(nabla_{e_i} b)(e_j, e_k) = -(Gamma_i^T M_b + M_b Gamma_i)[j][k]; zero iff b is parallel.
 
     Gamma_i^T M_b comes from P_i = M_b Gamma_i (`BilinearForm.transpose_times`).
@@ -150,7 +129,7 @@ def levi_civita(L: LieAlgebra, g: BilinearForm) -> Connection:
     r = column_slices([p_j.transpose() for p_j in p])
     conn = Connection(tuple(half_g_inv * (p[i] - p[i].transpose() - r[i]) for i in range(n)))
     require_zero("Levi-Civita connection has torsion", torsion(L, conn))
-    require_zero("Levi-Civita connection does not preserve g", nabla_form(L, conn, g))
+    require_zero("Levi-Civita connection does not preserve g", nabla_form(conn, g))
     return conn
 
 
@@ -170,7 +149,12 @@ def kunneth_connection(k: AlmostKunneth) -> Connection:
     of C_a = D_a - ad_a gives both blocks: the first is W_i + ad_i and the
     second D_i - W_i.
 
-    All three defining properties are re-verified after construction.
+    Preservation of both subspaces holds by the shape of Gamma_i and is not
+    checked.  pi_F projects onto F along G and pi_G onto G along F, so
+    pi_G x = 0 for x in F and pi_F y = 0 for y in G (pi_F pi_G = pi_G pi_F
+    = 0).  Hence Gamma_i x = pi_F (W_i + ad_i) x lies in F, and
+    Gamma_i y = pi_G (D_i - W_i) y lies in G.  nabla omega = 0 and vanishing
+    mixed torsion are certified after construction.
     """
     L, m = k.algebra, k.omega.matrix
     n = L.n
@@ -185,15 +169,7 @@ def kunneth_connection(k: AlmostKunneth) -> Connection:
         w = linear_combination(pi_f.column(i), c)
         gammas.append(pi_f * (w + ad[i]) * pi_f + pi_g * (d[i] - w) * pi_g)
     conn = Connection(tuple(gammas))
-    # nabla preserves plus iff the (-,+) block of P^-1 Gamma_i P vanishes, and
-    # minus iff the (+,-) block does; a failure is (i, a, c) in that block
-    in_frame = [split.in_frame(g) for g in gammas]
-    for name, rows, cols in (("plus", "-", "+"), ("minus", "+", "-")):
-        for i, g in enumerate(in_frame, 1):
-            hit = split.block_witness(g, rows, cols)
-            if hit is not None:
-                raise AxiomFailureError(f"Kunneth connection does not preserve {name}", ((i, *hit[0]), hit[1]))
-    require_zero("Kunneth connection does not preserve omega", nabla_form(L, conn, k.omega))
+    require_zero("Kunneth connection does not preserve omega", nabla_form(conn, k.omega))
     hit = mixed_torsion_defect(L, conn, k.plus, k.minus)
     if hit is not None:
         raise AxiomFailureError("Kunneth connection has mixed torsion", hit)
@@ -201,25 +177,29 @@ def kunneth_connection(k: AlmostKunneth) -> Connection:
 
 
 @lru_cache(maxsize=None)
-def canonical_connection(L: LieAlgebra, g: BilinearForm, a_op: Endomorphism) -> Connection:
-    """Average of the Levi-Civita connection under conjugation with A:
+def canonical_connection(k: AlmostKunneth) -> Connection:
+    """Average of the Levi-Civita connection of g = `neutral_metric(k)` under
+    conjugation with A = `almost_product(k)`:
 
     Gamma^c_i = (Gamma^g_i + A Gamma^g_i A) / 2,
 
-    certified parallel for g and for omega(x,y) = g(Ax,y) once A^2 = Id is
-    checked.  It commutes with A, which is proved, not recomputed:
-    - (Gamma + A Gamma A) / 2 commutes with A whenever A^2 = Id;
-    - independently, nabla omega = (nabla g)(A., .) + g((nabla A)., .) and g
-      is nondegenerate (`levi_civita` inverts it), so nabla g = nabla omega = 0
-      gives nabla A = 0, that is Gamma_i A = A Gamma_i.  So a connection
-      with Gamma_i A != A Gamma_i for some i fails one of the two checks.
+    certified parallel for g and for omega = k.omega.  What holds by
+    construction is proved, not recomputed:
+    - A = pi_+ - pi_- with pi_+ + pi_- = Id, pi_+^2 = pi_+ and
+      pi_+ pi_- = pi_- pi_+ = 0, so A^2 = pi_+ + pi_- = Id exactly.
+    - g is A^T M_omega, so A^T M_g = (A^2)^T M_omega = M_omega: omega(x, y)
+      = g(Ax, y), with no form to re-derive.
+    - It commutes with A: (Gamma + A Gamma A) / 2 commutes with A whenever
+      A^2 = Id.  Independently, nabla omega = (nabla g)(A., .) +
+      g((nabla A)., .) and g is nondegenerate (`levi_civita` inverts it), so
+      nabla g = nabla omega = 0 gives nabla A = 0, that is
+      Gamma_i A = A Gamma_i.  So a connection with Gamma_i A != A Gamma_i
+      for some i fails one of the two checks.
     """
-    if not a_op.is_involution():
-        raise NotInvolutionError((a_op.squared() - Matrix.identity(a_op.n)).first_witness())
-    conn = _conjugate_average(levi_civita(L, g), a_op)
-    require_zero("canonical connection does not preserve g", nabla_form(L, conn, g))
-    omega = BilinearForm.detect(a_op.matrix.transpose() * g.matrix)
-    require_zero("canonical connection does not preserve omega", nabla_form(L, conn, omega))
+    g = neutral_metric(k)
+    conn = _conjugate_average(levi_civita(k.algebra, g), almost_product(k))
+    require_zero("canonical connection does not preserve g", nabla_form(conn, g))
+    require_zero("canonical connection does not preserve omega", nabla_form(conn, k.omega))
     return conn
 
 
@@ -239,8 +219,8 @@ def born_connection(b: BornStructure) -> Connection:
       B^2 = Id, which `build_born` certifies.
     - It equals the J-average (Gamma^K_i - J Gamma^K_i J) / 2.  Gamma^K
       commutes with A because it preserves L+ and L-, the eigenspaces of A
-      (`kunneth_connection` certifies it).  A^2 = B^2 = Id, AB = -J and
-      J^2 = -Id give ABAB = -Id, so BA = -AB, and then
+      (by its shape, proved at `kunneth_connection`).  A^2 = B^2 = Id,
+      AB = -J and J^2 = -Id give ABAB = -Id, so BA = -AB, and then
       J Gamma^K J = AB Gamma^K AB = A(BA) Gamma^K B = -B Gamma^K B.
     - Independently, with g(Ax,y) = omega(x,y), g(Bx,y) = h(x,y),
       omega(-Jx,y) = h(x,y) and g, omega nondegenerate, nabla g = nabla omega
@@ -249,10 +229,9 @@ def born_connection(b: BornStructure) -> Connection:
       Gamma_i T = T Gamma_i.  So a connection with Gamma_i T != T Gamma_i
       for some i and T among A, B, J fails one of the three checks.
     """
-    L = b.algebra
     conn = _conjugate_average(kunneth_connection(b.underlying_kunneth()), b.b_op)
     for name, form in (("g", b.g), ("h", b.h), ("omega", b.omega)):
-        require_zero(f"Born-compatible connection does not preserve {name}", nabla_form(L, conn, form))
+        require_zero(f"Born-compatible connection does not preserve {name}", nabla_form(conn, form))
     return conn
 
 
@@ -265,9 +244,7 @@ def mixed_torsion_defect(L: LieAlgebra, c: Connection, plus: Subspace, minus: Su
     return splitting(plus, minus).map_witness(_torsion_matrices(L, c), "+", "-")
 
 
-def generalized_torsion_defect(
-    L: LieAlgebra, c: Connection, cc: Connection, g: BilinearForm
-) -> Trilinear:
+def generalized_torsion_defect(c: Connection, cc: Connection, g: BilinearForm) -> Trilinear:
     """GT(x,y,z) = g(nabla_x y - nabla_y x, z) + g(nabla_z x, y), compared
     between c and the canonical connection cc on all basis triples.
 
@@ -303,11 +280,11 @@ def omega_K_defect(k: AlmostKunneth) -> Trilinear:
     As pi_G = Id - pi_F and C_i is antisymmetric (d omega is alternating),
     the correction is (X_i + X_i^T) / 2 with X_i = C_i pi_F.
     """
-    L, m = k.algebra, k.omega.matrix
+    m = k.omega.matrix
     kunneth = kunneth_connection(k)
     split = splitting(k.plus, k.minus)
-    canonical = canonical_connection(L, neutral_metric(k), almost_product(k))
-    d_omega = ce_d2(L, k.omega)
+    canonical = canonical_connection(k)
+    d_omega = ce_d2(k.algebra, k.omega)
     out = []
     for i, (nk_i, nc_i) in enumerate(zip(kunneth.gammas, canonical.gammas)):
         x_i = linear_combination(split.involution.column(i), d_omega.slices) * split.pi_plus
@@ -315,12 +292,15 @@ def omega_K_defect(k: AlmostKunneth) -> Trilinear:
     return Trilinear(tuple(out))
 
 
-def born_torsion_formula_defect(b: BornStructure) -> StructureReport:
+def born_torsion_formula_defect(b: BornStructure):
     """Torsion of the Born connection on a basis adapted to the B-eigenspaces.
 
     For an integrable structure: T(x, y) = 0 when x, y lie in the same
     eigenspace of B, and T(x, y) = -pi_+(nabla^K_x y) + pi_-(nabla^K_y x)
-    when Bx = x, By = -y.
+    when Bx = x, By = -y.  Returns the first ((a, c, k), value) where this
+    fails, reading B+ x B+, then B- x B-, then B+ x B- (a and c are 1-based
+    positions in the echelon bases of the two eigenspaces, k the coordinate),
+    like `mixed_torsion_defect`; None when it holds.
     """
     if integrability_report(b) is not None:
         raise NotIntegrableError("the torsion formula is asserted only for integrable structures")
@@ -329,16 +309,13 @@ def born_torsion_formula_defect(b: BornStructure) -> StructureReport:
     born = born_connection(b)
     split = involution_split(b.b_op)
     t = _torsion_matrices(L, born)
-    items = []
-    for side in ("+", "-"):
-        # T is antisymmetric, so the first witness on the whole block has a < c
-        items.append(CheckItem(f"T = 0 on B{side} x B{side}", witness_at(split.map_witness(t, side, side))))
-
+    # T is antisymmetric, so the first witness on a whole diagonal block has a < c
+    hit = split.map_witness(t, "+", "+") or split.map_witness(t, "-", "-")
+    if hit is not None:
+        return hit
     # D(x, y) = T(x, y) + pi+(nabla^K_x y) - pi-(nabla^K_y x) along e_i is
     # D_i = T_i + pi+ Gamma^K_i - pi- E_i = T_i + pi+ (Gamma^K_i + E_i) - E_i,
     # with column j of E_i equal to Gamma^K_j e_i
     e = column_slices(kunneth.gammas)
     d = [t_i + split.pi_plus * (g_i + e_i) - e_i for t_i, g_i, e_i in zip(t, kunneth.gammas, e)]
-    witness = witness_at(split.map_witness(d, "+", "-"))
-    items.append(CheckItem("T(x,y) = -pi+(nabla^K_x y) + pi-(nabla^K_y x) on B+ x B-", witness))
-    return StructureReport(tuple(items))
+    return split.map_witness(d, "+", "-")

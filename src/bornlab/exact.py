@@ -21,8 +21,8 @@ numerators (Bareiss 1968, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination"), and the signature its symmetric
 form; all their divisions are exact.  `invert` is memoized by value, so
 every fact read off one inverse shares one elimination.  A Subspace keeps
-its echelon basis as integer rows too, so membership tests never leave the
-integers.
+its echelon basis as integer rows too, so the subalgebra test
+(`liealg.is_subalgebra`) never leaves the integers.
 
 A Splitting of the space into two complementary subspaces holds the frame
 adapted to it, its inverse, the two projections and the involution; it is
@@ -149,19 +149,6 @@ Vector = tuple[Fraction, ...]
 
 def vector(entries: Iterable) -> tuple[Fraction, ...]:
     return tuple(rationalize(v) for v in entries)
-
-
-def basis_vector(n: int, i: int) -> tuple[Fraction, ...]:
-    """Standard basis vector e_{i+1} (index 0-based)."""
-    return tuple(ONE if j == i else ZERO for j in range(n))
-
-
-def vec_add(x, y):
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def vec_sub(x, y):
-    return tuple(a - b for a, b in zip(x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -528,10 +515,6 @@ def rref(vectors: Sequence[Sequence]) -> tuple[list[tuple[Fraction, ...]], list[
     return [from_integers(row, d) for row, d in reduced], pivots
 
 
-def rank_of(vectors: Sequence[Sequence]) -> int:
-    return len(rref(vectors)[0])
-
-
 def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
     """Canonical basis of the kernel of m (RREF-normalized span).
 
@@ -623,7 +606,7 @@ class Subspace(Value):
 
     The constructor keeps the spanning vectors as given (for serialization)
     and canonicalizes the span to reduced row echelon form with deterministic
-    pivoting, so equality and membership tests are reproducible.  The echelon
+    pivoting, so equality and reduction are reproducible.  The echelon
     rows are kept as integers, (pivot column, numerators, denominator) with
     the numerator at the pivot equal to the denominator; `basis` holds the
     same rows as Fractions.
@@ -648,13 +631,6 @@ class Subspace(Value):
     def dim(self) -> int:
         return len(self.basis)
 
-    def _reduce(self, v) -> tuple[list[int], int]:
-        """v reduced against the echelon rows, as (numerators, denominator)."""
-        w = vector(v)
-        if len(w) != self.n:
-            raise DimensionMismatchError("vector length does not match subspace")
-        return self._reduce_integers(*to_integers(w))
-
     def _reduce_integers(self, ws: list, dw: int) -> tuple[list[int], int]:
         """The vector ws / dw (n integers, dw > 0) reduced against the echelon rows."""
         # w - (w[pc] / dw) (row / d), scaled by dw * d; row[pc] = d clears pc
@@ -667,13 +643,6 @@ class Subspace(Value):
                     ws = [x * d - f * y for x, y in zip(ws, row)]
                     dw *= d
         return ws, dw
-
-    def residual(self, v) -> tuple[Fraction, ...]:
-        """Reduce v against the echelon basis; zero iff v lies in the span."""
-        return from_integers(*self._reduce(v))
-
-    def contains(self, v) -> bool:
-        return not any(self._reduce(v)[0])
 
     def __repr__(self):
         vecs = ", ".join("(" + ", ".join(map(format_rational, v)) + ")" for v in self.basis)

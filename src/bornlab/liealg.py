@@ -93,10 +93,6 @@ class LieAlgebra:
     def abelian(cls, n: int) -> "LieAlgebra":
         return cls(n, {})
 
-    def basis_bracket(self, i: int, j: int):
-        """[e_{i+1}, e_{j+1}] as a coordinate vector (0-based arguments)."""
-        return self._ad[i].column(j)
-
     def ad(self, i: int) -> Matrix:
         """Matrix of ad_{e_{i+1}} (0-based argument): column j is [e_{i+1}, e_{j+1}]."""
         return self._ad[i]
@@ -122,9 +118,6 @@ class LieAlgebra:
                 for k, c in out:
                     acc[k] += w * c
         return acc
-
-    def is_abelian(self) -> bool:
-        return not self.brackets
 
     def __eq__(self, other):
         return isinstance(other, LieAlgebra) and self.n == other.n and self.brackets == other.brackets

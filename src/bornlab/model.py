@@ -61,11 +61,11 @@ from .structures import (
     AlmostKunneth,
     BornStructure,
     Witness,
-    almost_product,
     integrability_report,
     neutral_metric,
     subalgebra_witness,
     verify_born_identities,
+    witness_at,
     witness_of,
 )
 
@@ -408,10 +408,6 @@ def _neutral_signature(k: AlmostKunneth):
     return None
 
 
-def _canonical_of(k: AlmostKunneth):
-    return canonical_connection(k.algebra, neutral_metric(k), almost_product(k))
-
-
 def _kunneth_connections(k: AlmostKunneth):
     """Torsion-free iff integrable, and then nabla^g = nabla^K = nabla^c.
 
@@ -424,7 +420,7 @@ def _kunneth_connections(k: AlmostKunneth):
     try:
         lc = levi_civita(L, neutral_metric(k))
         nk = kunneth_connection(k)
-        nc = _canonical_of(k)
+        nc = canonical_connection(k)
     except BornlabError as exc:
         return _error_witness(exc)
     note = "torsion-free Kunneth connection iff integrable"
@@ -452,10 +448,10 @@ def _born_connections(born: BornStructure):
 def _generalized_torsion(born: BornStructure):
     try:
         nb = born_connection(born)
-        nc = _canonical_of(born.underlying_kunneth())
+        nc = canonical_connection(born.underlying_kunneth())
     except BornlabError as exc:
         return _error_witness(exc)
-    return witness_of(generalized_torsion_defect(born.algebra, nb, nc, born.g))
+    return witness_of(generalized_torsion_defect(nb, nc, born.g))
 
 
 def _if_integrable(row):
@@ -480,7 +476,7 @@ _CHECKS = {
         "kunneth": lambda k: witness_of(omega_K_defect(k)),
     },
     "torsion_formula": {
-        "born": _if_integrable(lambda b: born_torsion_formula_defect(b).first_witness()),
+        "born": _if_integrable(lambda b: witness_at(born_torsion_formula_defect(b))),
     },
 }
 

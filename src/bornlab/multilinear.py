@@ -7,9 +7,7 @@ column is T(e_j).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 
 from .errors import (
     DegenerateFormError,
@@ -28,7 +26,6 @@ from .exact import (
     kernel_basis,
     linear_combination,
     splitting,
-    to_integers,
     vector,
 )
 
@@ -57,14 +54,6 @@ class BilinearForm(Value):
         object.__setattr__(self, "symmetry", symmetry)
 
     @classmethod
-    def symmetric(cls, matrix: Matrix) -> "BilinearForm":
-        return cls(matrix, SYMMETRIC)
-
-    @classmethod
-    def antisymmetric(cls, matrix: Matrix) -> "BilinearForm":
-        return cls(matrix, ANTISYMMETRIC)
-
-    @classmethod
     def detect(cls, matrix: Matrix) -> "BilinearForm":
         if matrix.is_symmetric():
             return cls(matrix, SYMMETRIC)
@@ -75,13 +64,6 @@ class BilinearForm(Value):
     @property
     def n(self) -> int:
         return self.matrix.n
-
-    def evaluate(self, x, y):
-        """b(x, y) = x^T M_b y, summed on integer numerators."""
-        m = self.matrix
-        (xs, dx), (ys, dy) = to_integers(x), to_integers(y)
-        total = sum(a * sum(map(mul, row, ys)) for a, row in zip(xs, m.num) if a)
-        return Fraction(total, dx * dy * m.den)
 
     def negated(self) -> "BilinearForm":
         return BilinearForm(-self.matrix, self.symmetry)
@@ -119,9 +101,6 @@ class Endomorphism(Value):
     def n(self) -> int:
         return self.matrix.n
 
-    def apply(self, v):
-        return self.matrix.matvec(v)
-
     def compose(self, other: "Endomorphism") -> "Endomorphism":
         """self after other (matrix product self * other)."""
         return Endomorphism(self.matrix * other.matrix)
@@ -131,15 +110,6 @@ class Endomorphism(Value):
 
     def negated(self) -> "Endomorphism":
         return Endomorphism(-self.matrix)
-
-    def inverse(self) -> "Endomorphism":
-        return Endomorphism(invert(self.matrix))
-
-    def is_involution(self) -> bool:
-        return self.squared() == Matrix.identity(self.n)
-
-    def is_complex_structure(self) -> bool:
-        return self.squared() == -Matrix.identity(self.n)
 
     def __repr__(self):
         return f"Endomorphism({self.matrix!r})"

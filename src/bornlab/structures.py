@@ -93,12 +93,6 @@ class StructureReport(Value):
     def ok(self) -> bool:
         return all(item.ok for item in self.items)
 
-    def failures(self):
-        return [item for item in self.items if not item.ok]
-
-    def first_witness(self) -> Witness | None:
-        return next((item.witness for item in self.items if not item.ok), None)
-
 
 def witness_at(hit, note="") -> Witness | None:
     """The Witness of a kernel hit (index, value); None for no hit."""
@@ -492,6 +486,14 @@ def build_hypersymplectic(
     A = rec(omega, alpha), B = rec(omega, beta) and J = rec(alpha, beta)
     read the memoized inverses of omega and alpha that certified their
     nondegeneracy.
+
+    The metric g(x, y) = alpha(x, By) is symmetric by construction, so it
+    is not checked.  As alpha and beta are antisymmetric, A and B are
+    omega-symmetric: omega(x, Ay) = -omega(Ay, x) = -alpha(y, x) =
+    alpha(x, y) = omega(Ax, y), and likewise for B.  A^2 = B^2 = Id,
+    J^2 = -Id and AJ = B, certified below, give J = AB and ABAB = -Id, so
+    BA = -AB.  Hence alpha(x, By) = omega(Ax, By) = omega(BAx, y) =
+    -omega(ABx, y) = -alpha(Bx, y) = alpha(y, Bx).
     """
     n = L.n
     for name, form in (("omega", omega), ("alpha", alpha), ("beta", beta)):
@@ -514,10 +516,6 @@ def build_hypersymplectic(
         require_zero(name, defect)
 
     metric_matrix = alpha.matrix * b_op.matrix
-    if not metric_matrix.is_symmetric():
-        raise AxiomFailureError(
-            "hypersymplectic metric alpha(x, By) is not symmetric", metric_matrix.first_witness()
-        )
     metric = BilinearForm(metric_matrix, SYMMETRIC)
 
     _require_tables(
@@ -558,13 +556,6 @@ class CirclePoint(Value):
     @classmethod
     def theta_pi(cls) -> "CirclePoint":
         return cls(None, Fraction(-1), Fraction(0))
-
-    def antipode(self) -> "CirclePoint":
-        if self.t is None:
-            return CirclePoint.from_t(0)
-        if self.t == 0:
-            return CirclePoint.theta_pi()
-        return CirclePoint.from_t(-1 / self.t)
 
     def label(self) -> str:
         return "theta=pi" if self.t is None else f"t={format_rational(self.t)}"

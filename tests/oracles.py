@@ -1,9 +1,10 @@
-"""Test-only oracles: one-forms with their differential and wedge products,
-readers of Trilinear tensors that do not go through the engine's scan, two
-computations of Sylvester inertia, the pairwise bracket-closure test on
-Fractions, the four-combination Kunneth connection, every leg of Born
-integrability computed on its own, and the rational-literal reader the
-integer one replaced.
+"""Test-only oracles: vectors on Fractions, nabla_x y of a connection and the
+antipode of a circle point, one-forms with their differential and wedge
+products, readers of Trilinear tensors that do not go through the engine's
+scan, two computations of Sylvester inertia, the Levi-Civita connection
+solved by sympy, the pairwise bracket-closure test on Fractions, the
+four-combination Kunneth connection, every leg of Born integrability computed
+on its own, and the rational-literal reader the integer one replaced.
 
 The engine needs d on two-forms only.  The d^2 = 0 and Leibniz tests, and the
 acceptance criteria on stated differentials, check ce_d2 against the
@@ -15,12 +16,43 @@ on Fractions and against the signs of the characteristic polynomial.
 import re
 from fractions import Fraction
 
-from bornlab import BilinearForm, LieAlgebra, Matrix, Signature, Subspace, Trilinear
+from bornlab import BilinearForm, CirclePoint, LieAlgebra, Matrix, Signature, Subspace, Trilinear
 from bornlab.connections import Connection
-from bornlab.exact import basis_vector, invert, linear_combination, splitting, vector
+from bornlab.exact import invert, linear_combination, splitting, vector
 from bornlab.liealg import ce_d2
 from bornlab.multilinear import ANTISYMMETRIC, nijenhuis
 from bornlab.structures import subalgebra_witness, witness_of
+
+
+def basis_vector(n: int, i: int) -> tuple:
+    """Standard basis vector e_{i+1} (index 0-based)."""
+    return tuple(Fraction(int(j == i)) for j in range(n))
+
+
+def vec_add(x, y) -> tuple:
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def vec_sub(x, y) -> tuple:
+    return tuple(a - b for a, b in zip(x, y))
+
+
+def nabla(c: Connection, x, y) -> tuple:
+    """nabla_x y = sum_i x_i Gamma_i y, slice by slice."""
+    out = [Fraction(0)] * len(y)
+    for xi, g in zip(x, c.gammas):
+        if xi:
+            out = [o + xi * v for o, v in zip(out, g.matvec(y))]
+    return tuple(out)
+
+
+def antipode(p: CirclePoint) -> CirclePoint:
+    """The point at theta + pi: t -> -1/t, with t = 0 and theta = pi exchanged."""
+    if p.t is None:
+        return CirclePoint.from_t(0)
+    if p.t == 0:
+        return CirclePoint.theta_pi()
+    return CirclePoint.from_t(-1 / p.t)
 
 
 class OneForm:
@@ -177,6 +209,36 @@ def fraction_bracket(L: LieAlgebra, x, y) -> tuple:
         for k, c in row.items():
             out[k - 1] += w * c
     return tuple(out)
+
+
+def sympy_levi_civita(L: LieAlgebra, g: BilinearForm):
+    """The torsion-free g-parallel connection, solved in all n^3 entries of Gamma at once (needs sympy).
+
+    The unknown G[i][k][j] is coordinate k of nabla_{e_i} e_j.  Torsion-free:
+    G[i][k][j] - G[j][k][i] = c^k_ij for i < j.  g-parallel:
+    sum_k G[i][k][j] g_kl + G[i][k][l] g_jk = 0 for j <= l.  Returns the
+    matrices Gamma_i, or None when the solution is not unique.
+    """
+    import sympy
+
+    n = L.n
+    rational = lambda v: sympy.Rational(v.numerator, v.denominator)
+    gm = [[rational(v) for v in row] for row in g.matrix.rows]
+    unknown = [[[sympy.Symbol(f"G_{i}_{k}_{j}") for j in range(n)] for k in range(n)] for i in range(n)]
+    equations = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            bracket = fraction_bracket(L, basis_vector(n, i), basis_vector(n, j))
+            equations += [unknown[i][k][j] - unknown[j][k][i] - rational(bracket[k]) for k in range(n)]
+        for j in range(n):
+            for l in range(j, n):
+                equations.append(sum(unknown[i][k][j] * gm[k][l] + unknown[i][k][l] * gm[j][k] for k in range(n)))
+    flat = [s for slice_ in unknown for row in slice_ for s in row]
+    (solution,) = sympy.linsolve(equations, flat)
+    if any(v.free_symbols for v in solution):
+        return None
+    values = iter(Fraction(int(v.p), int(v.q)) for v in solution)
+    return tuple(Matrix([[next(values) for _ in range(n)] for _ in range(n)]) for _ in range(n))
 
 
 def fraction_residual(s: Subspace, v) -> tuple:

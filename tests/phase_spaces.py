@@ -19,9 +19,10 @@ but the graph is as a rule not a subalgebra, and Born structures fail at N_A.
 import random
 
 from bornlab import Endomorphism, LieAlgebra, Subspace, build_almost_kunneth, enhance_kunneth
-from bornlab.exact import Matrix, basis_vector, determinant
+from bornlab.exact import Matrix, determinant
 from bornlab.model import Model, StructureDecl, render_model
 from bornlab.multilinear import two_form
+from oracles import basis_vector
 
 # (k, strict) of the algebras used: dims 6, 12 (strictly upper) and 6, 12 (upper)
 ALGEBRAS = ((3, True), (4, True), (2, False), (3, False))

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from bornlab import (
     BilinearForm,
-    almost_product,
     anticommutator_defect,
     nabla_form,
     CirclePoint,
@@ -42,10 +41,10 @@ from bornlab import (
     torsion,
     verify_born_identities,
 )
-from bornlab.exact import basis_vector, determinant, invert, vec_sub
+from bornlab.exact import determinant, invert
 from bornlab.multilinear import symmetric_form, two_form
 from conftest import structures_of
-from oracles import OneForm, ce_d1, integrability_legs, integrable
+from oracles import OneForm, basis_vector, ce_d1, evaluate, integrability_legs, integrable, nabla, vec_sub
 
 FAMILY_POINTS = [CirclePoint.from_t(t) for t in (0, 1, -1, Fraction(1, 2), 2, Fraction(3, 5))]
 FAMILY_POINTS.append(CirclePoint.theta_pi())
@@ -72,9 +71,9 @@ def test_criterion_01_nil3_recursion_operators(catalog_models):
     assert (hs.j_op.matrix - j_table.matrix).is_zero()
     # the uncorrected table is demonstrably inconsistent
     j_printed = Endomorphism.from_images([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]])
-    assert not j_printed.is_complex_structure()
+    assert j_printed.squared() != -Matrix.identity(4)
     e4, e2 = basis_vector(4, 3), basis_vector(4, 1)
-    assert hs.alpha.evaluate(j_printed.apply(e4), e2) != hs.beta.evaluate(e4, e2)
+    assert evaluate(hs.alpha.matrix.rows, j_printed.matrix.matvec(e4), e2) != evaluate(hs.beta.matrix.rows, e4, e2)
     print("\nACCEPTANCE 1: nil3_r recursion operators reproduced exactly "
           "(J e4 corrected to +e3; printed value fails J^2=-Id): PASS")
 
@@ -97,7 +96,7 @@ def test_criterion_03_h4_full_pipeline(catalog_models):
         assert sub.dim == 3
         for i, x in enumerate(sub.basis):
             for y in sub.basis[i + 1:]:
-                assert omega.evaluate(x, y) == 0
+                assert evaluate(omega.matrix.rows, x, y) == 0
         assert is_subalgebra(L, sub)
     j = entry.model.endos["J"]
     assert nijenhuis(L, j).is_zero()
@@ -136,7 +135,7 @@ def test_criterion_05_s1_family(catalog_models):
     hs = structures_of(entry, "hypersymplectic")[0]
     jt = entry.model.endos["jtilde"]
     # hypothesis checks, exact: built into s1_family, re-done explicitly here
-    assert jt.is_complex_structure()
+    assert jt.squared() == -Matrix.identity(4)
     assert anticommutator_defect(jt, hs.a_op).is_zero()
     assert anticommutator_defect(jt, hs.b_op).is_zero()
     assert pullback(jt, hs.metric) == hs.metric.negated()
@@ -157,7 +156,7 @@ def test_criterion_06_connection_collapse(catalog_models):
                 continue
             lc = levi_civita(L, neutral_metric(k))
             nk = kunneth_connection(k)
-            nc = canonical_connection(L, neutral_metric(k), almost_product(k))
+            nc = canonical_connection(k)
             assert lc == nk == nc, name
             checked += 1
     assert checked >= 9
@@ -167,12 +166,11 @@ def test_criterion_06_connection_collapse(catalog_models):
 def test_criterion_07_born_connection_theorem(catalog_models):
     for name in ("h4", "h9_corrected", "h8"):
         born = structures_of(catalog_models[name], "born")[0]
-        L = born.algebra
         nb = born_connection(born)
-        nc = canonical_connection(L, born.g, born.a_op)
-        assert generalized_torsion_defect(L, nb, nc, born.g).is_zero(), name
+        nc = canonical_connection(born.underlying_kunneth())
+        assert generalized_torsion_defect(nb, nc, born.g).is_zero(), name
         for form in (born.g, born.h, born.omega):
-            assert nabla_form(L, nb, form).is_zero(), name
+            assert nabla_form(nb, form).is_zero(), name
         nk, j = kunneth_connection(born.underlying_kunneth()), born.j_op.matrix
         assert nb.gammas == tuple((g - j * g * j) * Fraction(1, 2) for g in nk.gammas), name
     entry = catalog_models["nil3_r"]
@@ -182,10 +180,10 @@ def test_criterion_07_born_connection_theorem(catalog_models):
     for p in FAMILY_POINTS:
         member = s1_family(hs, jt, p)
         nb = born_connection(member)
-        nc = canonical_connection(member.algebra, member.g, member.a_op)
-        assert generalized_torsion_defect(member.algebra, nb, nc, member.g).is_zero()
+        nc = canonical_connection(member.underlying_kunneth())
+        assert generalized_torsion_defect(nb, nc, member.g).is_zero()
         for form in (member.g, member.h, member.omega):
-            assert nabla_form(member.algebra, nb, form).is_zero()
+            assert nabla_form(nb, form).is_zero()
         gammas.add(nb)
     assert len(gammas) == 1
     print("ACCEPTANCE 7: Born connection compatible with zero generalized torsion "
@@ -266,8 +264,7 @@ def test_criterion_10_signature_laws(catalog_models):
 
 def test_criterion_11_born_torsion_formula(catalog_models):
     born = structures_of(catalog_models["h4"], "born")[0]
-    report = born_torsion_formula_defect(born)
-    assert report.ok, [i.name for i in report.failures()]
+    assert born_torsion_formula_defect(born) is None
     # independent recomputation of the mixed-pair formula
     L = born.algebra
     nk = kunneth_connection(born.underlying_kunneth())
@@ -275,10 +272,10 @@ def test_criterion_11_born_torsion_formula(catalog_models):
     split = involution_split(born.b_op)
     for x in split.plus.basis:
         for y in split.minus.basis:
-            t = vec_sub(vec_sub(nb.apply(x, y), nb.apply(y, x)), L.bracket(x, y))
+            t = vec_sub(vec_sub(nabla(nb, x, y), nabla(nb, y, x)), L.bracket(x, y))
             lhs = tuple(
                 -p + m
-                for p, m in zip(split.pi_plus.matvec(nk.apply(x, y)), split.pi_minus.matvec(nk.apply(y, x)))
+                for p, m in zip(split.pi_plus.matvec(nabla(nk, x, y)), split.pi_minus.matvec(nabla(nk, y, x)))
             )
             assert t == lhs
     print("ACCEPTANCE 11: Born torsion matches -pi+(nabla^K_x y) + pi-(nabla^K_y x) "

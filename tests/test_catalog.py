@@ -37,7 +37,7 @@ def test_get_entry_materializes():
     entry = catalog.get_entry("abelian_c1")
     assert entry.model.algebra.n == 2
     torus = catalog.get_entry("torus_2_2")
-    assert torus.model.algebra.n == 4 and torus.model.algebra.is_abelian()
+    assert torus.model.algebra.n == 4 and not torus.model.algebra.brackets
 
 
 def test_get_entry_unknown():

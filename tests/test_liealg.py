@@ -8,10 +8,10 @@ import pytest
 
 from bornlab import LieAlgebra, Matrix, ce_d2, determinant, invert, is_closed, is_subalgebra, jacobi_defect
 from bornlab.errors import DimensionMismatchError, JacobiViolationError
-from bornlab.exact import Subspace, basis_vector
+from bornlab.exact import Subspace
 from bornlab.multilinear import two_form
 from conftest import rational_grid
-from oracles import OneForm, ce_d1, nonzero_entries, pairwise_subalgebra, wedge_one_one, wedge_two_one
+from oracles import OneForm, basis_vector, ce_d1, nonzero_entries, pairwise_subalgebra, wedge_one_one, wedge_two_one
 from test_builders import moved_algebra, random_unimodular
 
 

@@ -608,8 +608,8 @@ def test_kunneth_connection_rows_carry_real_witnesses(monkeypatch, cold_outcomes
     monkeypatch.setattr(model_module, "levi_civita", lambda L, g: bumped(true_lc(L, g), 2, 1, 3, 1))
     assert row(integrable) == Witness((2, 1, 3), "-1", equal)
     # and nabla^c moved off nabla^K at Gamma_1 entry (3, 2), which comes first
-    true_canonical = model_module._canonical_of
-    monkeypatch.setattr(model_module, "_canonical_of", lambda k: bumped(true_canonical(k), 1, 3, 2, 5))
+    true_canonical = model_module.canonical_connection
+    monkeypatch.setattr(model_module, "canonical_connection", lambda k: bumped(true_canonical(k), 1, 3, 2, 5))
     assert row(integrable) == Witness((1, 3, 2), "5", equal)
 
 

@@ -109,7 +109,7 @@ def test_kernel_values_are_immutable_and_compared_by_value():
     s, t = Subspace(2, [[1, 1]]), Subspace(2, [[2, 2]])
     assert s.given != t.given and s == t and hash(s) == hash(t)
     sym = m + m.transpose()
-    assert BilinearForm.symmetric(sym) == BilinearForm(sym, "symmetric") != BilinearForm(sym)
+    assert BilinearForm.detect(sym) == BilinearForm(sym, "symmetric") != BilinearForm(sym)
     assert Endomorphism(m) == Endomorphism(Matrix([[1, 2], [3, 4]])) != Endomorphism(-m)
     for obj in (m, s, BilinearForm(m), Endomorphism(m)):
         with pytest.raises(AttributeError):
