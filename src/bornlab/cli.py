@@ -11,7 +11,7 @@ import sys
 from functools import lru_cache
 
 from . import catalog
-from .errors import BornlabError
+from .errors import BornlabError, format_rational
 from .model import CHECK_ORDER, parse_model, render_report, run_checks
 from .structures import CirclePoint, integrability_report, verify_born_identities
 
@@ -86,7 +86,7 @@ def _cmd_family(args) -> int:
     identities = verify_born_identities(member)
     integrable = integrability_report(member) is None
     print(f"family member of {args.name} at {point.label()}"
-          f" (cos = {point.cos}, sin = {point.sin})")
+          f" (cos = {format_rational(point.cos)}, sin = {format_rational(point.sin)})")
     print(f"  born identities: {'PASS' if identities.ok else 'FAIL'}"
           f" ({len(identities.items)} checks)")
     print(f"  integrable: {'PASS' if integrable else 'FAIL'}")

@@ -5,9 +5,33 @@ An error that locates its failure carries it as `hit`: the pair
 1-based positions and value the nonzero Fraction found there.  An error
 with no location (a degenerate form, subspaces that do not decompose the
 space, a syntax error) has hit None.
+
+Every rational that bornlab prints, in a message or a report, goes through
+`format_rational`, which prints integers of any size exactly.
 """
 
 from __future__ import annotations
+
+from decimal import Decimal
+from fractions import Fraction
+
+
+def format_rational(x) -> str:
+    """The rational x as "p/q", or "n" when it is an integer, exactly.
+
+    str(int) refuses integers longer than the interpreter's digit limit
+    (sys.get_int_max_str_digits); str(Decimal(int)) is exact and has no
+    such limit.
+    """
+    x = Fraction(x)
+    text = str(Decimal(x.numerator))
+    return text if x.denominator == 1 else f"{text}/{Decimal(x.denominator)}"
+
+
+def _located(hit):
+    """A hit's (index, value) with the value as text."""
+    index, value = hit
+    return index, format_rational(value)
 
 
 class BornlabError(Exception):
@@ -38,7 +62,7 @@ class JacobiViolationError(BornlabError):
     """Structure constants fail the Jacobi identity: hit is ((i, j, k, l), the nonzero Jacobi sum)."""
 
     def __init__(self, hit):
-        super().__init__("Jacobi identity fails at (i,j,k,l)={}: defect {}".format(*hit), hit=hit)
+        super().__init__("Jacobi identity fails at (i,j,k,l)={}: defect {}".format(*_located(hit)), hit=hit)
 
 
 class NotInvolutionError(BornlabError):
@@ -53,7 +77,7 @@ class TrivialInvolutionError(BornlabError):
 class NotIsotropicError(BornlabError):
     def __init__(self, which, hit):
         self.which = which
-        super().__init__("{} is not isotropic: omega{} = {}".format(which, *hit), hit=hit)
+        super().__init__("{} is not isotropic: omega{} = {}".format(which, *_located(hit)), hit=hit)
 
 
 class NotComplementaryError(BornlabError):
@@ -71,7 +95,7 @@ class AxiomFailureError(BornlabError):
 class NotClosedError(BornlabError):
     def __init__(self, form_name, hit):
         self.form_name = form_name
-        super().__init__("d{}{} = {} != 0".format(form_name, *hit), hit=hit)
+        super().__init__("d{}{} = {} != 0".format(form_name, *_located(hit)), hit=hit)
 
 
 class HypothesisFailureError(BornlabError):
@@ -82,7 +106,7 @@ class HypothesisFailureError(BornlabError):
 
 class NotCompatibleError(BornlabError):
     def __init__(self, hit, message=""):
-        super().__init__(message or "incompatible isomorphism, witness {}: {}".format(*hit), hit=hit)
+        super().__init__(message or "incompatible isomorphism, witness {}: {}".format(*_located(hit)), hit=hit)
 
 
 class NotIntegrableError(BornlabError):

@@ -54,14 +54,16 @@ from .errors import (
     NotComplementaryError,
     NotSymmetricError,
     SingularMatrixError,
+    format_rational,
 )
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
-# the one literal grammar: "p/q" or "n", no whitespace, positive denominator
-_RATIONAL_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?")
+# the one literal grammar: "p/q" or "n" in ASCII digits, no whitespace,
+# positive denominator
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?", re.ASCII)
 
 
 def rational_parts(text: str) -> tuple[int, int]:
@@ -76,10 +78,6 @@ def rational_parts(text: str) -> tuple[int, int]:
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "n" (no whitespace, positive denominator)."""
     return Fraction(*rational_parts(text))
-
-
-def format_rational(x: Fraction) -> str:
-    return str(Fraction(x))
 
 
 def rationalize(value) -> Fraction:

@@ -285,6 +285,58 @@ IDENTITY_TABLE = (
 )
 
 
+_ANTICOMMUTING = (("A", "B"), ("A", "J"), ("B", "J"))
+
+# (operator, frame): the operator exchanges the frame's two eigenspaces, for
+# the frames L = (L+, L-) and B = (the +1 and -1 eigenspaces of B)
+_EXCHANGES = (("J", "L"), ("J", "B"), ("A", "B"), ("B", "L"))
+
+# (name, form, frame, rows, cols): the form vanishes on pairs of vectors from
+# the rows and cols eigenspaces of the frame
+_PAIRINGS = (
+    ("L+ Lagrangian for omega", "omega", "L", "+", "+"),
+    ("L- Lagrangian for omega", "omega", "L", "-", "-"),
+    ("B-eigenspaces g-orthogonal", "g", "B", "+", "-"),
+    ("A-eigenspaces h-orthogonal", "h", "L", "+", "-"),
+    ("B-eigenspaces h-orthogonal", "h", "B", "+", "-"),
+)
+
+
+def _signed(sign: int) -> str:
+    return "" if sign == 1 else "-"
+
+
+# (name, group) of every item of the identity table, in report order; both
+# ways of deciding the table read it
+_ITEMS = (
+    (("ABJ = Id", "algebra"),)
+    + tuple((f"{x}{y} + {y}{x} = 0", "algebra") for x, y in _ANTICOMMUTING)
+    + tuple(
+        (name, "algebra")
+        for f, t, both_sign, mixed_sign in IDENTITY_TABLE
+        for name in (
+            f"{f}({t}x,{t}y) = {_signed(both_sign)}{f}(x,y)",
+            f"{f}({t}x,y) = {_signed(mixed_sign)}{f}(x,{t}y)",
+        )
+    )
+    + tuple(
+        (f"{t} maps {frame}{side} to {frame}{other}", "eigenspace")
+        for t, frame in _EXCHANGES
+        for side, other in (("+", "-"), ("-", "+"))
+    )
+    + tuple((name, "eigenspace") for name, *_ in _PAIRINGS)
+    + (("signature(g) neutral", "signature"), ("signature(h) = (2p,2q)", "signature"))
+)
+
+_PASSING = StructureReport(tuple(CheckItem(name, None, group) for name, group in _ITEMS))
+
+# A, B and J in the para-quaternionic frame, by column block: column block c
+# (0 for the f_a, 1 for the J f_a) is sign times the identity in row block r,
+# given as (r, sign); A = diag(Id, -Id), B = [[0, Id], [Id, 0]] and
+# J = [[0, -Id], [Id, 0]]
+_IN_FRAME = {"A": ((0, 1), (1, -1)), "B": ((1, 1), (0, 1)), "J": ((1, 1), (0, -1))}
+
+
 @lru_cache(maxsize=None)
 def verify_born_identities(b: BornStructure) -> StructureReport:
     """Certify every algebraic identity of a Born structure, exactly.
@@ -292,18 +344,124 @@ def verify_born_identities(b: BornStructure) -> StructureReport:
     Covers ABJ = Id, pairwise anti-commutation, the eighteen transformation
     identities of (g, h, omega) under (A, B, J), eigenspace exchange,
     Lagrangian and orthogonality properties, and the two signature laws.
+
+    The table is decided in the para-quaternionic frame P = [F | JF], whose
+    columns are the integer echelon rows f_1..f_m of L+ (scaled alike) and
+    their images J f_a, with n = 2m and dim L+ = dim L- = m.  Two
+    certificates are required:
+
+    (i) every column of JF lies in L-;
+    (ii) A P = P A^, B P = P B^ and J P = P J^, where A^ = diag(Id, -Id),
+         B^ swaps e_a and e_(m+a), and J^ sends e_a to e_(m+a) and e_(m+a)
+         to -e_a; each P T^ is a signed permutation of the columns of P.
+
+    Together they make P invertible.  By (ii), A f_a = f_a and
+    A J f_a = -J f_a, so F lies in ker(A - Id) and JF in ker(A + Id), which
+    meet only in 0 (x = Ax = -x).  The f_a are independent, being echelon
+    rows; by (ii) again J (J f_a) = -f_a, so a relation among the J f_a
+    maps under J to one among the f_a, and the J f_a are independent too.
+    So the 2m = n columns of P are a basis, and (i) with dim L- = m makes
+    L+ and L- its two coordinate halves.  Then T = P T^ P^-1 for T = A, B,
+    J, and every identity among A, B, J holds exactly when it holds among
+    A^, B^, J^: B^ J^ = A^ and A^^2 = Id give ABJ = Id, and A^, B^, J^
+    anti-commute pairwise.  An operator that anti-commutes with an
+    involution exchanges its two eigenspaces, so J and B exchange L+ and L-,
+    and J and A exchange B+ and B-, the eigenspaces of B, which P maps from
+    span(e_a + e_(m+a)) and span(e_a - e_(m+a)).
+
+    A form M reads M^ = P^T M P = [[W, X], [Y, Z]] in m x m blocks, and
+    T^T M T = s M, T^T M = s' M T hold exactly when T^^T M^ T^ = s M^ and
+    T^^T M^ = s' M^ T^.  The left sides are blocks of M^ up to sign:
+    T^^T M^ T^ is [[W, -X], [-Y, Z]] for A, [[Z, Y], [X, W]] for B and
+    [[Z, -Y], [-X, W]] for J; T^^T M^ and M^ T^ permute and sign the block
+    rows and the block columns of M^ alike.  L+ and L- are Lagrangian when
+    the W and Z blocks of omega^ vanish, they are h-orthogonal when the X
+    block of h^ does, and B+ and B- are orthogonal for M when
+    M^(e_a + e_(m+a), e_c - e_(m+c)) = W - X + Y - Z vanishes.  The
+    signatures are those of g and h.
+
+    When the dimensions differ, a certificate fails or some identity does
+    not hold, the table is computed in the user's basis instead, which
+    alone gives witnesses: a defect matrix per algebraic identity and a
+    block in the echelon frames of (L+, L-) and of the B-eigenspaces per
+    eigenspace identity.
     """
-    items = []
+    return _PASSING if _holds_in_frame(b) else _report_in_basis(b)
+
+
+def _holds_in_frame(b: BornStructure) -> bool:
+    """Whether every identity of the table holds, decided in the para-quaternionic frame."""
+    n, m = b.algebra.n, b.l_plus.dim
+    if n != 2 * m or b.l_minus.dim != m:
+        return False
+    f = [row for _, row, _ in b.l_plus._echelon]
+    jf = b.j_op.matrix * Matrix.over([[v[i] for v in f] + [0] * m for i in range(n)], 1)
+    # JF = N / c, so c f_a and the column N_a = J (c f_a) are integer columns of P
+    c, images = jf.den, list(zip(*jf.num))[:m]
+    if any(any(b.l_minus._reduce_integers(list(v), 1)[0]) for v in images):
+        return False  # (i)
+    halves = ([tuple(c * x for x in v) for v in f], images)
+    negated = tuple([tuple(-x for x in v) for v in half] for half in halves)
+    p = Matrix.over(list(zip(*(halves[0] + halves[1]))), 1)
+    ops = {"A": b.a_op, "B": b.b_op, "J": b.j_op}
+    for name, blocks in _IN_FRAME.items():
+        columns = [v for r, sign in blocks for v in (halves if sign > 0 else negated)[r]]
+        if ops[name].matrix * p != Matrix.over(list(zip(*columns)), 1):
+            return False  # (ii)
+
+    def in_frame(form):
+        # [sign][r][s]: sign times the (r, s) block of the numerators of P^T M P
+        num = (form.transpose_times(p, form.matrix * p) * p).num
+        plus = [[tuple(row[:m] for row in rows), tuple(row[m:] for row in rows)] for rows in (num[:m], num[m:])]
+        minus = [[tuple(tuple(-x for x in row) for row in blk) for blk in pair] for pair in plus]
+        return {1: plus, -1: minus}
+
+    forms = {"g": in_frame(b.g), "h": in_frame(b.h), "omega": in_frame(b.omega)}
+    for form_name, op_name, both_sign, mixed_sign in IDENTITY_TABLE:
+        blk, t = forms[form_name], _IN_FRAME[op_name]
+        for i, (ri, si) in enumerate(t):
+            for j, (rj, sj) in enumerate(t):
+                # block (i, j) of T^^T M^ T^ and s M^, and of T^^T M^ and s' M^ T^
+                if blk[si * sj][ri][rj] != blk[both_sign][i][j]:
+                    return False
+                if blk[si][ri][j] != blk[mixed_sign * sj][i][rj]:
+                    return False
+    for _, form_name, frame, rows, cols in _PAIRINGS:
+        blk = forms[form_name]
+        if frame == "L":
+            terms = [blk[1][rows == "-"][cols == "-"]]
+        else:
+            # M^(e_a + sigma e_(m+a), e_c + tau e_(m+c)) = W + tau X + sigma Y + sigma tau Z
+            sigma, tau = (1 if side == "+" else -1 for side in (rows, cols))
+            terms = [blk[1][0][0], blk[tau][0][1], blk[sigma][1][0], blk[sigma * tau][1][1]]
+        if any(any(map(sum, zip(*row_terms))) for row_terms in zip(*terms)):
+            return False
+    return _signature_witnesses(b) == (None, None)
+
+
+def _signature_witnesses(b: BornStructure) -> tuple:
+    """The witnesses of the signature laws: g neutral, and h of signature (2p, 2q)."""
+    sig_g = signature_of_symmetric(b.g.matrix)
+    sig_h = signature_of_symmetric(b.h.matrix)
+    half = b.algebra.n // 2
+    h_ok = sig_h.null == 0 and sig_h.positive % 2 == 0 and sig_h.negative % 2 == 0
+    return tuple(
+        None if ok else Witness.at(sig.as_tuple(), 0)
+        for sig, ok in ((sig_g, sig_g.as_tuple() == (half, half, 0)), (sig_h, h_ok))
+    )
+
+
+def _report_in_basis(b: BornStructure) -> StructureReport:
+    """The identity table computed in the user's basis, with a witness for every failing item."""
+    witnesses = []
     n = b.algebra.n
-    ident = Matrix.identity(n)
     forms = {"g": b.g, "h": b.h, "omega": b.omega}
     ops = {"A": b.a_op, "B": b.b_op, "J": b.j_op}
 
-    defect = b.a_op.matrix * b.b_op.matrix * b.j_op.matrix - ident
-    items.append(CheckItem("ABJ = Id", witness_of(defect)))
-    for x, y in (("A", "B"), ("A", "J"), ("B", "J")):
-        defect = anticommutator_defect(ops[x], ops[y])
-        items.append(CheckItem(f"{x}{y} + {y}{x} = 0", witness_of(defect)))
+    defect = b.a_op.matrix * b.b_op.matrix * b.j_op.matrix - Matrix.identity(n)
+    witnesses.append(witness_of(defect))
+    for x, y in _ANTICOMMUTING:
+        witnesses.append(witness_of(anticommutator_defect(ops[x], ops[y])))
 
     # with X = M T, T^T M = eps X^T when M^T = eps M, and T^T M T = (T^T M) T
     for form_name, op_name, both_sign, mixed_sign in IDENTITY_TABLE:
@@ -311,49 +469,30 @@ def verify_born_identities(b: BornStructure) -> StructureReport:
         m, t = form.matrix, ops[op_name].matrix
         x = m * t
         t_m = form.transpose_times(t, x)
-        sign = "" if both_sign == 1 else "-"
-        defect = t_m * t - m if both_sign == 1 else t_m * t + m
-        name = f"{form_name}({op_name}x,{op_name}y) = {sign}{form_name}(x,y)"
-        items.append(CheckItem(name, witness_of(defect)))
-        sign = "" if mixed_sign == 1 else "-"
-        defect = t_m - x if mixed_sign == 1 else t_m + x
-        name = f"{form_name}({op_name}x,y) = {sign}{form_name}(x,{op_name}y)"
-        items.append(CheckItem(name, witness_of(defect)))
+        witnesses.append(witness_of(t_m * t - m if both_sign == 1 else t_m * t + m))
+        witnesses.append(witness_of(t_m - x if mixed_sign == 1 else t_m + x))
 
     frames = {"L": splitting(b.l_plus, b.l_minus), "B": involution_split(b.b_op)}
     # T maps the + eigenspace into the - one iff the (+,+) block of P^-1 T P
     # vanishes, and the - eigenspace into the + one iff the (-,-) block does;
     # a failure is witnessed by the block's first nonzero entry
-    for op_name, frame_name in (("J", "L"), ("J", "B"), ("A", "B"), ("B", "L")):
+    for op_name, frame_name in _EXCHANGES:
         s = frames[frame_name]
         t = s.in_frame(ops[op_name].matrix)
-        for side, other in (("+", "-"), ("-", "+")):
-            name = f"{op_name} maps {frame_name}{side} to {frame_name}{other}"
-            items.append(CheckItem(name, witness_at(s.block_witness(t, side, side)), "eigenspace"))
+        for side in ("+", "-"):
+            witnesses.append(witness_at(s.block_witness(t, side, side)))
 
     # pairings of frame vectors: an antisymmetric (+,+) or (-,-) block has its
     # first nonzero entry at a < c
-    for name, form_name, frame_name, rows, cols in (
-        ("L+ Lagrangian for omega", "omega", "L", "+", "+"),
-        ("L- Lagrangian for omega", "omega", "L", "-", "-"),
-        ("B-eigenspaces g-orthogonal", "g", "B", "+", "-"),
-        ("A-eigenspaces h-orthogonal", "h", "L", "+", "-"),
-        ("B-eigenspaces h-orthogonal", "h", "B", "+", "-"),
-    ):
+    for _, form_name, frame_name, rows, cols in _PAIRINGS:
         s = frames[frame_name]
         pairing = s.pairing(forms[form_name].matrix)
-        items.append(CheckItem(name, witness_at(s.block_witness(pairing, rows, cols)), "eigenspace"))
+        witnesses.append(witness_at(s.block_witness(pairing, rows, cols)))
 
-    sig_g = signature_of_symmetric(b.g.matrix)
-    sig_h = signature_of_symmetric(b.h.matrix)
-    half = n // 2
-    h_ok = sig_h.null == 0 and sig_h.positive % 2 == 0 and sig_h.negative % 2 == 0
-    for name, sig, ok in (
-        ("signature(g) neutral", sig_g, sig_g.as_tuple() == (half, half, 0)),
-        ("signature(h) = (2p,2q)", sig_h, h_ok),
-    ):
-        items.append(CheckItem(name, None if ok else Witness.at(sig.as_tuple(), 0), "signature"))
-    return StructureReport(tuple(items))
+    witnesses += _signature_witnesses(b)
+    return StructureReport(
+        tuple(CheckItem(name, w, group) for (name, group), w in zip(_ITEMS, witnesses, strict=True))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -561,7 +700,7 @@ class CirclePoint(Value):
         return "theta=pi" if self.t is None else f"t={format_rational(self.t)}"
 
     def __repr__(self):
-        return f"CirclePoint({self.label()}, cos={self.cos}, sin={self.sin})"
+        return f"CirclePoint({self.label()}, cos={format_rational(self.cos)}, sin={format_rational(self.sin)})"
 
 
 @lru_cache(maxsize=None)

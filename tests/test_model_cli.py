@@ -1,5 +1,6 @@
 """Model parsing, check orchestration, report rendering and the CLI."""
 
+import decimal
 import json
 import os
 import random
@@ -11,6 +12,7 @@ import pytest
 
 import bornlab
 from bornlab import (
+    CirclePoint,
     Matrix,
     Subspace,
     build_almost_kunneth,
@@ -853,3 +855,81 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
         assert _without_elapsed(argv, out) == _without_elapsed(argv, fresh.stdout), argv
         assert err == fresh.stderr, argv
     assert codes == [1, 1, 0, 0, 0, 2, 0]
+
+
+# --- values beyond the interpreter's int-to-str digit limit ---------------
+
+# each literal is under the digit limit (4300 digits), but products of two are over it
+HUGE, HUGE_JACOBI, HUGE_T = "7" * 3000, "7" * 2500, "7" * 2200
+
+
+def _digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def _square_text(literal):
+    """-(literal)^2 as decimal text, by decimal arithmetic alone."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 3 * len(literal)
+        return str(-(decimal.Decimal(literal) ** 2))
+
+
+def _huge_witness_model():
+    """[e1,e2] = c e1 and omega = c e^13 + e^24 with c = HUGE, F = <e1,e2>,
+    G = <e3,e4>: d omega(e1,e2,e3) = -c^2 has 6001 digits."""
+    omega = [["0"] * 4 for _ in range(4)]
+    omega[0][2], omega[2][0], omega[1][3], omega[3][1] = HUGE, "-" + HUGE, "1", "-1"
+    return json.dumps({
+        "name": "huge", "dim": 4,
+        "brackets": [{"i": 1, "j": 2, "out": {"1": HUGE}}],
+        "forms": {"omega": omega},
+        "subspaces": {"F": [["1", "0", "0", "0"], ["0", "1", "0", "0"]], "G": [["0", "0", "1", "0"], ["0", "0", "0", "1"]]},
+        "structures": [{"type": "kunneth", "omega": "omega", "plus": "F", "minus": "G"}],
+    })
+
+
+def test_values_beyond_the_digit_limit_are_printed_exactly(tmp_path, capsys):
+    """A witness, an error message and the family header print integers of
+    any size in full, and the interpreter's digit limit is left as it was."""
+    limit = _digit_limit()
+    path = tmp_path / "huge.json"
+    path.write_text(_huge_witness_model())
+    row = f"  integrability        FAIL  witness (1,2,3) = {_square_text(HUGE)}  [d omega]"
+    assert main(["check", str(path)]) == 1
+    assert row in capsys.readouterr().out.splitlines() and len(row) == 6059
+    assert main(["check", str(path), "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert next(r for r in doc["results"] if r["check"] == "integrability")["witness"]["value"] == _square_text(HUGE)
+
+    path = tmp_path / "jacobi.json"
+    path.write_text(json.dumps({
+        "name": "jacobi", "dim": 3,
+        "brackets": [{"i": 1, "j": 2, "out": {"3": HUGE_JACOBI}}, {"i": 2, "j": 3, "out": {"2": HUGE_JACOBI}}],
+    }))
+    assert main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: Jacobi identity fails at (i,j,k,l)=(1, 2, 3, 3): defect {_square_text(HUGE_JACOBI)}\n"
+
+    assert main(["family", "nil3_r", f"--t={HUGE_T}"]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    point = CirclePoint.from_t(HUGE_T)
+    label, _, values = header.partition(" (")
+    assert label == f"family member of nil3_r at t={HUGE_T}"
+    for text, value in zip(values.rstrip(")").split(", "), (point.cos, point.sin)):
+        name, _, literal = text.partition(" = ")
+        p, q = literal.split("/")
+        assert (decimal.Decimal(p), decimal.Decimal(q)) == (value.numerator, value.denominator), name
+    assert _digit_limit() == limit
+
+
+def test_non_ascii_digits_are_not_literals(tmp_path, capsys):
+    """A literal's digits are ASCII: an Arabic-Indic one is an error, exit 2, in a model and as --t."""
+    doc = json.loads(FIXTURE_KUNNETH_ONLY)
+    doc["brackets"][0]["out"]["3"] = "١"
+    path = tmp_path / "arabic.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["check", str(path)], ["family", "nil3_r", "--t=١"]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1

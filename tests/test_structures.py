@@ -404,6 +404,90 @@ def test_eigenspace_exchange_failures_carry_the_block_entry():
     assert failures > 50
 
 
+def _items(report):
+    return [(i.name, i.ok, i.witness, i.group) for i in report.items]
+
+
+def built_borns(catalog_models, catalog_structures):
+    """Born structures that build_born certified: the catalog's, each also in
+    seeded bases, nil3_r's circle family at seeded t and at theta = pi, the
+    phase spaces plain and sheared, and enhancements of random Kunneth data."""
+    rng = random.Random(67)
+    borns = [b for _, b in born_cases(catalog_models, catalog_structures)]
+    points = [CirclePoint.from_t(Fraction(rng.randint(-40, 40), rng.randint(1, 40))) for _ in range(12)]
+    borns += [family_member(catalog_models["nil3_r"], p) for p in points + [CirclePoint.theta_pi()]]
+    borns += [b for _, _, b in phase_space_borns()]
+    borns += [enhance_kunneth(sheared(phase_space(*a), random.Random(seed))) for a in ALGEBRAS for seed in (1, 2)]
+    borns += [enhance_kunneth(random_kunneth(rng)) for _ in range(12)]
+    return borns
+
+
+def test_built_structures_decide_the_identity_table_in_the_frame(catalog_models, catalog_structures, monkeypatch):
+    """Every built Born structure passes the certificates of the
+    para-quaternionic frame, and its table equals the user-basis one item
+    for item; the user-basis computation refuses to run meanwhile."""
+    borns = built_borns(catalog_models, catalog_structures)
+    expected = [_items(structures._report_in_basis(b)) for b in borns]
+
+    def refuse(b):
+        raise AssertionError("the identity table left the para-quaternionic frame")
+
+    monkeypatch.setattr(structures, "_report_in_basis", refuse)
+    structures.verify_born_identities.cache_clear()
+    for b, items in zip(borns, expected):
+        assert _items(verify_born_identities(b)) == items
+    assert len(expected) >= 70 and all(ok for items in expected for _, ok, _, _ in items)
+
+
+def forged_borns(catalog_structures):
+    """Built Born structures with one of g, h, omega replaced by a random
+    form of its symmetry, and h4's with L- replaced by span(f_a + J f_a)."""
+    rng = random.Random(71)
+    out = []
+    for s in catalog_structures.values():
+        for b in s["borns"]:
+            for name in ("g", "h", "omega"):
+                m = random_matrix(b.algebra.n, rng, density=0.8)
+                symmetric = name != "omega"
+                form = BilinearForm(m + m.transpose(), SYMMETRIC) if symmetric else BilinearForm(
+                    m - m.transpose(), ANTISYMMETRIC
+                )
+                fields = {"g": b.g, "h": b.h, "omega": b.omega, name: form}
+                out.append(BornStructure(
+                    b.algebra, fields["g"], fields["h"], fields["omega"],
+                    b.a_op, b.b_op, b.j_op, b.l_plus, b.l_minus,
+                ))
+    b = catalog_structures["h4"]["borns"][0]
+    tilted = Subspace(b.algebra.n, [tuple(map(sum, zip(f, b.j_op.matrix.matvec(f)))) for f in b.l_plus.basis])
+    out.append(BornStructure(b.algebra, b.g, b.h, b.omega, b.a_op, b.b_op, b.j_op, b.l_plus, tilted))
+    return out
+
+
+def test_forged_structures_fall_back_to_the_user_basis(catalog_structures, monkeypatch):
+    """A structure whose identities fail takes the user-basis path, which
+    gives its witnesses; its transformation rows match the product formulas.
+    With L- tilted off the -1 eigenspace of A, the frame certificates on A, B
+    and J alone still hold: the L- certificate is what rejects it."""
+    forged = forged_borns(catalog_structures)
+    original = structures._report_in_basis
+    ran = []
+    monkeypatch.setattr(structures, "_report_in_basis", lambda b: ran.append(b) or original(b))
+    structures.verify_born_identities.cache_clear()
+    fallbacks = 0
+    for b in forged:
+        ran.clear()
+        report = verify_born_identities(b)
+        assert _items(report) == _items(original(b))
+        assert [(i.name, i.ok, i.witness) for i in report.items[4:22]] == reference_identity_items(b)
+        assert ran == ([] if report.ok else [b])
+        fallbacks += not report.ok
+    assert fallbacks >= len(forged) - 3
+    failing = [i.name for i in verify_born_identities(forged[-1]).items if not i.ok]
+    assert failing == [
+        "J maps L+ to L-", "J maps L- to L+", "B maps L+ to L-", "B maps L- to L+", "A-eigenspaces h-orthogonal",
+    ]
+
+
 def test_torus_2_2_signature(catalog_models):
     born = structures_of(catalog_models["torus_2_2"], "born")[0]
     assert signature_of_symmetric(born.h.matrix).as_tuple() == (2, 2, 0)
