@@ -1,0 +1,124 @@
+"""Dimension sweep of `bornlab check`: where the time goes as n grows.
+
+Cases: h4^(+k) for k = 1..4 (dims 6, 12, 18, 24), each in the seeded
+unimodular basis random_unimodular(n, Random(k)) of perfbench/models.py,
+whose `direct_sum`, `change_basis` and `random_unimodular` build the model
+documents.  Each run is a fresh interpreter, so every cache starts cold, and
+records the CPU time of `parse_model` and of `run_checks`, and each check's
+`elapsed_ms` from the JSON report.  Per dim the median of RUNS runs is kept,
+and per metric the least-squares slope of log(time) against log(dim) over
+dims 12 to 24.  The statuses are recorded too, so a sweep of broken code
+reads as such.  Report only: nothing is gated on it.
+
+    python3 scripts/bench_sweep.py [--out BENCH_sweep.json]
+"""
+
+import argparse
+import json
+import math
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from bornlab import catalog  # noqa: E402
+from models import CHECKS, Case, change_basis, direct_sum, random_unimodular  # noqa: E402
+
+RUNS = 3  # cold runs per dim; the median is kept
+
+# one cold run: the model text on stdin, one JSON line of timings on stdout
+CHILD = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+from bornlab.model import parse_model, render_report, run_checks
+text = sys.stdin.read()
+t0 = time.process_time()
+model = parse_model(text)
+t1 = time.process_time()
+report = run_checks(model)
+t2 = time.process_time()
+rows = json.loads(render_report(report, "json"))["results"]
+print(json.dumps({"parse_s": t1 - t0, "run_checks_s": t2 - t1,
+                  "checks_ms": {r["check"]: r["elapsed_ms"] for r in rows},
+                  "statuses": {r["check"]: r["status"] for r in rows}}))
+"""
+
+
+def sweep_cases():
+    """(k, model text) of h4^(+k) in the basis random_unimodular(6k, Random(k)), k = 1..4."""
+    h4 = Case(json.loads(catalog.export_entry("h4")), {c: "pass" for c in CHECKS})
+    total = h4
+    for k in range(1, 5):
+        if k > 1:
+            total = direct_sum(total, h4, name=f"h4x{k}")
+        p, p_inv = random_unimodular(total.dim, random.Random(k))
+        yield k, json.dumps(change_basis(total, p, p_inv, f"h4x{k}_seeded").doc)
+
+
+def cold_run(text: str) -> dict:
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, str(ROOT / "src")], input=text, capture_output=True, text=True, check=True
+    )
+    return json.loads(done.stdout)
+
+
+def cpu_model() -> str:
+    """The CPU model name where the platform reports one."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            return next((line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")), "unknown")
+    except OSError:
+        return platform.processor() or "unknown"
+
+
+def slope(points) -> float:
+    """Least-squares slope of log(value) against log(dim)."""
+    xs, ys = [math.log(d) for d, _ in points], [math.log(max(v, 1e-9)) for _, v in points]
+    mx, my = statistics.fmean(xs), statistics.fmean(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--out", default=str(ROOT / "BENCH_sweep.json"))
+    args = parser.parse_args(argv)
+    dims = {}
+    for k, text in sweep_cases():
+        runs = [cold_run(text) for _ in range(RUNS)]
+        statuses = {json.dumps(r["statuses"], sort_keys=True) for r in runs}
+        assert len(statuses) == 1, f"h4x{k}: statuses differ between runs"
+        dim = 6 * k
+        dims[dim] = {
+            "model": f"h4x{k}_seeded",
+            "parse_s": statistics.median(r["parse_s"] for r in runs),
+            "run_checks_s": statistics.median(r["run_checks_s"] for r in runs),
+            "checks_ms": {c: statistics.median(r["checks_ms"][c] for r in runs) for c in runs[0]["checks_ms"]},
+            "statuses": runs[0]["statuses"],
+        }
+        print(f"dim {dim}: parse {dims[dim]['parse_s']:.3f} s, run_checks {dims[dim]['run_checks_s']:.3f} s",
+              file=sys.stderr)
+    fitted = [d for d in sorted(dims) if 12 <= d <= 24]
+    metrics = {"parse_s": lambda row: row["parse_s"], "run_checks_s": lambda row: row["run_checks_s"]}
+    metrics.update({f"checks_ms.{c}": (lambda row, c=c: row["checks_ms"][c]) for c in dims[6]["checks_ms"]})
+    doc = {
+        "what": "cold-cache CPU time of parse_model and run_checks, and each check's elapsed_ms, "
+                "on h4^(+k) in seeded unimodular bases; medians of the runs",
+        "host": {"python": platform.python_version(), "machine": platform.machine(),
+                 "processor": cpu_model(), "cpus": os.cpu_count()},
+        "runs_per_dim": RUNS,
+        "dims": {str(d): dims[d] for d in sorted(dims)},
+        "loglog_slope_12_to_24": {name: round(slope([(d, read(dims[d])) for d in fitted]), 2)
+                                  for name, read in metrics.items()},
+    }
+    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

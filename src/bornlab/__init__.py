@@ -55,7 +55,6 @@ from .connections import (
     generalized_torsion_defect,
     kunneth_connection,
     levi_civita,
-    mixed_torsion_defect,
     nabla_form,
     omega_K_defect,
     torsion,

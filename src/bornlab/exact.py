@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Sequence
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -65,14 +66,33 @@ HALF = Fraction(1, 2)
 # positive denominator
 _RATIONAL_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?", re.ASCII)
 
+# the most digits an integer in a literal may have, so that input bounds the
+# work of exact arithmetic on it
+MAX_LITERAL_DIGITS = 10000
+
+
+def read_integer(digits: str) -> int:
+    """The ASCII integer text "-?[0-9]+" as an int, read through Decimal.
+
+    Decimal is exact at any length, so the text reads the same under any
+    int-from-text limit of the interpreter (sys.get_int_max_str_digits), as
+    `format_rational` prints the same.  More than MAX_LITERAL_DIGITS digits
+    raise ValueError.
+    """
+    count = len(digits.removeprefix("-"))
+    if count > MAX_LITERAL_DIGITS:
+        raise ValueError(f"an integer of {count} digits is above the bound of {MAX_LITERAL_DIGITS} digits")
+    return int(Decimal(digits))
+
 
 def rational_parts(text: str) -> tuple[int, int]:
-    """The literal "p/q" or "n" as the integers (p, q), q > 0 and not reduced."""
+    """The literal "p/q" or "n" as the integers (p, q), q > 0 and not reduced,
+    each read by `read_integer`."""
     match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
     if match is None:
         raise ValueError(f"not a rational literal: {text!r}")
     p, q = match.groups()
-    return int(p), 1 if q is None else int(q)
+    return read_integer(p), 1 if q is None else read_integer(q)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -545,9 +565,6 @@ class Signature(Value):
         object.__setattr__(self, "positive", positive)
         object.__setattr__(self, "negative", negative)
         object.__setattr__(self, "null", null)
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.positive, self.negative, self.null)
 
     def __str__(self):
         return f"({self.positive},{self.negative},{self.null})"

@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import lcm
 from operator import add, mul, sub
 
-from .errors import DimensionMismatchError, JacobiViolationError
+from .errors import DimensionMismatchError, JacobiViolationError, format_rational
 from .exact import (
     Matrix,
     Subspace,
@@ -57,7 +57,7 @@ class LieAlgebra:
             for k, coeff in out.items():
                 k = int(k)
                 if not 1 <= k <= n:
-                    raise DimensionMismatchError(f"bracket output index {k} out of range")
+                    raise DimensionMismatchError(f"bracket output index {format_rational(k)} out of range")
                 c = rationalize(coeff)
                 if c != 0:
                     row[k] = c

@@ -4,24 +4,33 @@ products, readers of Trilinear tensors that do not go through the engine's
 scan, two computations of Sylvester inertia, the Levi-Civita connection
 solved by sympy, the pairwise bracket-closure test on Fractions, the
 four-combination Kunneth connection, every leg of Born integrability computed
-on its own, and the rational-literal reader the integer one replaced.
+on its own, the rational-literal reader the integer one replaced, the mixed
+torsion of a connection on a splitting, and the whole Born identity table
+computed from matrix products on raw data.
 
 The engine needs d on two-forms only.  The d^2 = 0 and Leibniz tests, and the
 acceptance criteria on stated differentials, check ce_d2 against the
 one-form differential and the wedge products defined here pair by pair.
 The engine's fraction-free inertia is checked against a congruence reduction
 on Fractions and against the signs of the characteristic polynomial.
+
+The engine proves its Born identity table and its connections' defining
+properties from what the builders certify, and computes none of them;
+`reference_identity_table` and the pairwise nabla-form, torsion and mixed
+torsion oracles compute them, on built structures, where they must hold,
+and on forged data, where they must fail with witnesses.
 """
 
 import re
 from fractions import Fraction
+from typing import NamedTuple
 
-from bornlab import BilinearForm, CirclePoint, LieAlgebra, Matrix, Signature, Subspace, Trilinear
+from bornlab import BilinearForm, CirclePoint, LieAlgebra, Matrix, Signature, Subspace, Trilinear, torsion
 from bornlab.connections import Connection
 from bornlab.exact import invert, linear_combination, splitting, vector
 from bornlab.liealg import ce_d2
 from bornlab.multilinear import ANTISYMMETRIC, nijenhuis
-from bornlab.structures import subalgebra_witness, witness_of
+from bornlab.structures import IDENTITY_TABLE, Witness, subalgebra_witness, witness_at, witness_of
 
 
 def basis_vector(n: int, i: int) -> tuple:
@@ -309,3 +318,152 @@ def old_parse_rational(text) -> Fraction:
     if not isinstance(text, str) or not _OLD_RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
     return Fraction(text)
+
+
+def mixed_torsion_defect(L: LieAlgebra, c: Connection, plus: Subspace, minus: Subspace):
+    """First ((a, b, k), value) in lexicographic order with T(x_a, y_b) nonzero at coordinate k.
+
+    x_a and y_b run over the echelon bases of plus and minus; None when the
+    mixed torsion vanishes.  Read by `Splitting.map_witness` on the matrices
+    T_i, whose column j is T(e_i, e_j).
+    """
+    t = [s.transpose() for s in torsion(L, c).slices]
+    return splitting(plus, minus).map_witness(t, "+", "-")
+
+
+# --- the Born identity table, from matrix products on raw data --------------
+
+
+class BornData(NamedTuple):
+    """The matrices of g, h, omega, A, B, J and the subspaces L+, L-, with no certificate."""
+
+    g: Matrix
+    h: Matrix
+    omega: Matrix
+    a: Matrix
+    b: Matrix
+    j: Matrix
+    l_plus: Subspace
+    l_minus: Subspace
+
+
+def born_data(b) -> BornData:
+    """The raw data of a built Born structure."""
+    return BornData(
+        b.g.matrix, b.h.matrix, b.omega.matrix, b.a_op.matrix, b.b_op.matrix, b.j_op.matrix, b.l_plus, b.l_minus
+    )
+
+
+def gauss_jordan(rows, width: int) -> tuple[list, list]:
+    """Rows reduced on Fractions in their first width columns, and the pivot columns."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def fraction_kernel(rows) -> list:
+    """A basis of {x : M x = 0} for the matrix M with these rows, by `gauss_jordan`.
+
+    The basis vector of free column f has a 1 at f and 0 at the other free columns.
+    """
+    width = len(rows[0])
+    rows, pivots = gauss_jordan(rows, width)
+    free = [c for c in range(width) if c not in pivots]
+    return [
+        tuple(-rows[pivots.index(c)][f] if c in pivots else Fraction(int(c == f)) for c in range(width)) for f in free
+    ]
+
+
+def reference_coordinates(vectors, v) -> list:
+    """The coefficients of v in the independent vectors, from the reduced augmented system."""
+    m = len(vectors)
+    rows, _ = gauss_jordan([[x[i] for x in vectors] + [v[i]] for i in range(len(v))], m)
+    return [row[m] for row in rows[:m]]
+
+
+def reference_pairing(m: Matrix, left: Subspace, right: Subspace, upper: bool):
+    """First ((a, c), m(x_a, y_c)) != 0 over pairs of basis vectors; c > a when upper."""
+    rows = m.rows
+    for a, x in enumerate(left.basis):
+        for c in range(a + 1 if upper else 0, right.dim):
+            value = evaluate(rows, x, right.basis[c])
+            if value != 0:
+                return (a + 1, c + 1), value
+    return None
+
+
+def _exchange_witness(t: Matrix, own, other):
+    """First ((a, c), value), a outer: coordinate a, along the own eigenspace, of T applied to its c-th vector.
+
+    None when T maps own into other; the bases of own and other together are
+    a basis of the space.
+    """
+    coords = [reference_coordinates(own + other, t.matvec(v)) for v in own]
+    hits = (((a + 1, c + 1), coords[c][a]) for a in range(len(own)) for c in range(len(own)))
+    return next((hit for hit in hits if hit[1]), None)
+
+
+def reference_identity_table(d: BornData) -> list:
+    """(name, group, witness or None) for the 37 items of the Born identity table, in report order.
+
+    Algebraic items are products: ABJ - Id, the anticommutators, and
+    T^T M T - s M and T^T M - s' M T for each row of IDENTITY_TABLE, each
+    witnessed by its first nonzero entry.  The frames are L = (L+, L-) and
+    B = the kernels of B - Id and B + Id, in reduced echelon bases; an
+    exchange item is witnessed by `_exchange_witness`, a pairing item by
+    `reference_pairing`.  The signature items compare the congruence
+    signatures with (n/2, n/2, 0) and (2p, 2q, 0), witnessed by the
+    signature with value 0.
+    """
+    n = d.g.n
+    ops = {"A": d.a, "B": d.b, "J": d.j}
+    forms = {"g": d.g, "h": d.h, "omega": d.omega}
+    ident = Matrix.identity(n)
+    items = [("ABJ = Id", "algebra", witness_of(d.a * d.b * d.j - ident))]
+    for x, y in (("A", "B"), ("A", "J"), ("B", "J")):
+        items.append((f"{x}{y} + {y}{x} = 0", "algebra", witness_of(ops[x] * ops[y] + ops[y] * ops[x])))
+    for form_name, op_name, both_sign, mixed_sign in IDENTITY_TABLE:
+        m, t = forms[form_name], ops[op_name]
+        for defect, lhs, rhs, sign in (
+            (t.transpose() * m * t - m * both_sign, f"{op_name}x,{op_name}y", "x,y", both_sign),
+            (t.transpose() * m - m * t * mixed_sign, f"{op_name}x,y", f"x,{op_name}y", mixed_sign),
+        ):
+            name = f"{form_name}({lhs}) = {'' if sign == 1 else '-'}{form_name}({rhs})"
+            items.append((name, "algebra", witness_of(defect)))
+    frames = {
+        "L": (d.l_plus, d.l_minus),
+        "B": tuple(Subspace(n, fraction_kernel((d.b - ident * sign).rows)) for sign in (1, -1)),
+    }
+    for op_name, frame in (("J", "L"), ("J", "B"), ("A", "B"), ("B", "L")):
+        plus, minus = frames[frame]
+        for side, other, own, rest in (("+", "-", plus, minus), ("-", "+", minus, plus)):
+            hit = _exchange_witness(ops[op_name], own.basis, rest.basis)
+            items.append((f"{op_name} maps {frame}{side} to {frame}{other}", "eigenspace", witness_at(hit)))
+    for name, form_name, frame, rows, cols in (
+        ("L+ Lagrangian for omega", "omega", "L", 0, 0),
+        ("L- Lagrangian for omega", "omega", "L", 1, 1),
+        ("B-eigenspaces g-orthogonal", "g", "B", 0, 1),
+        ("A-eigenspaces h-orthogonal", "h", "L", 0, 1),
+        ("B-eigenspaces h-orthogonal", "h", "B", 0, 1),
+    ):
+        hit = reference_pairing(forms[form_name], frames[frame][rows], frames[frame][cols], upper=False)
+        items.append((name, "eigenspace", witness_at(hit)))
+    sig_g, sig_h = congruence_signature(d.g), congruence_signature(d.h)
+    for name, sig, ok in (
+        ("signature(g) neutral", sig_g, sig_g == Signature(n // 2, n // 2, 0)),
+        ("signature(h) = (2p,2q)", sig_h, sig_h.null == 0 and sig_h.positive % 2 == 0 and sig_h.negative % 2 == 0),
+    ):
+        items.append((name, "signature", None if ok else Witness.at((sig.positive, sig.negative, sig.null), 0)))
+    return items

@@ -30,13 +30,13 @@ from bornlab import (
     is_subalgebra,
     kunneth_connection,
     levi_civita,
-    mixed_torsion_defect,
     neutral_metric,
     nijenhuis,
     omega_K_defect,
     pullback,
     recursion_operator,
     s1_family,
+    Signature,
     signature_of_symmetric,
     torsion,
     verify_born_identities,
@@ -44,7 +44,17 @@ from bornlab import (
 from bornlab.exact import determinant, invert
 from bornlab.multilinear import symmetric_form, two_form
 from conftest import structures_of
-from oracles import OneForm, basis_vector, ce_d1, evaluate, integrability_legs, integrable, nabla, vec_sub
+from oracles import (
+    OneForm,
+    basis_vector,
+    ce_d1,
+    evaluate,
+    integrability_legs,
+    integrable,
+    mixed_torsion_defect,
+    nabla,
+    vec_sub,
+)
 
 FAMILY_POINTS = [CirclePoint.from_t(t) for t in (0, 1, -1, Fraction(1, 2), 2, Fraction(3, 5))]
 FAMILY_POINTS.append(CirclePoint.theta_pi())
@@ -82,7 +92,7 @@ def test_criterion_02_hypersymplectic_metric(catalog_models):
     hs = structures_of(catalog_models["nil3_r"], "hypersymplectic")[0]
     expected = symmetric_form(4, {(1, 4): -1, (2, 3): -1})
     assert hs.metric == expected
-    assert signature_of_symmetric(hs.metric.matrix).as_tuple() == (2, 2, 0)
+    assert signature_of_symmetric(hs.metric.matrix) == Signature(2, 2, 0)
     print("ACCEPTANCE 2: hypersymplectic metric -(a1*a4+a4*a1+a2*a3+a3*a2), signature (2,2,0): PASS")
 
 
@@ -253,11 +263,11 @@ def test_criterion_10_signature_laws(catalog_models):
     for name, entry in catalog_models.items():
         for born in structures_of(entry, "born"):
             n = born.algebra.n
-            assert signature_of_symmetric(born.g.matrix).as_tuple() == (n // 2, n // 2, 0), name
+            assert signature_of_symmetric(born.g.matrix) == Signature(n // 2, n // 2, 0), name
             sig_h = signature_of_symmetric(born.h.matrix)
             assert sig_h.null == 0 and sig_h.positive % 2 == 0 and sig_h.negative % 2 == 0, name
     torus = structures_of(catalog_models["torus_2_2"], "born")[0]
-    assert signature_of_symmetric(torus.h.matrix).as_tuple() == (2, 2, 0)
+    assert signature_of_symmetric(torus.h.matrix) == Signature(2, 2, 0)
     print("ACCEPTANCE 10: signature(g) neutral and signature(h) = (2p,2q,0) on every "
           "Born entry; torus_2_2 h has signature (2,2,0): PASS")
 

@@ -21,55 +21,44 @@ from bornlab import (
     integrability_report,
     kunneth_connection,
     levi_civita,
-    mixed_torsion_defect,
     nabla_form,
     neutral_metric,
     omega_K_defect,
     s1_family,
     torsion,
     CirclePoint,
-    Trilinear,
     Endomorphism,
     BilinearForm,
 )
-from bornlab import connections
+from bornlab import connections, model
 from bornlab.connections import Connection
-from bornlab.errors import AxiomFailureError, DegenerateFormError, NotIntegrableError
+from bornlab.errors import DegenerateFormError, NotIntegrableError
 from bornlab.exact import determinant, invert, projection_onto, splitting
 from bornlab.liealg import ce_d2
-from bornlab.model import _error_witness
 from bornlab.multilinear import ANTISYMMETRIC, NOSYM, SYMMETRIC, symmetric_form, two_form
 from bornlab.structures import Witness
 from conftest import structures_of
 import oracles
-from oracles import basis_vector, contract, evaluate, fraction_residual, nonzero_entries, vec_sub
+from oracles import (
+    basis_vector,
+    contract,
+    evaluate,
+    fraction_residual,
+    mixed_torsion_defect,
+    nonzero_entries,
+    reference_coordinates,
+    vec_sub,
+)
 from test_builders import cases, first_entry, reference_ce_d2, reference_tensor
 from test_frames import (
     born_cases,
     kunneth_cases,
     random_connection,
     random_matrix,
-    reference_coordinates,
     reference_mixed_torsion,
 )
 from phase_spaces import phase_space, sheared
-from test_structures import DRAWN_PHASE_SPACES, random_kunneth
-
-
-def solve_gauss(rows, rhs):
-    """Independent dense solver for the Koszul oracle."""
-    n = len(rows)
-    a = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        scale = a[col][col]
-        a[col] = [v / scale for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return tuple(a[i][n] for i in range(n))
+from test_structures import DRAWN_PHASE_SPACES, built_borns, random_kunneth
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +116,7 @@ def test_levi_civita_matches_koszul_oracle(nil3, h4_algebra):
                         + evaluate(rows, L.bracket(basis[k], basis[i]), basis[j])
                     )
                     rhs.append(value / 2)
-                expected = solve_gauss([list(r) for r in rows], rhs)
+                expected = tuple(reference_coordinates([g.matrix.column(k) for k in range(n)], rhs))
                 assert lc.gammas[i].column(j) == expected
 
 
@@ -415,14 +404,17 @@ def basis_values(c):
 
 
 def reference_nabla_form(c, b):
-    """(nabla_{e_i} b)(e_j, e_k) = -b(nabla_{e_i} e_j, e_k) - b(e_j, nabla_{e_i} e_k)."""
-    n, rows, values = b.n, b.matrix.rows, basis_values(c)
-    gamma_rows = [g.rows for g in c.gammas]
+    """(nabla_{e_i} b)(e_j, e_k) = -b(nabla_{e_i} e_j, e_k) - b(e_j, nabla_{e_i} e_k), entry by entry.
+
+    The sums run on the integer numerators: with Gamma_i = gn / gd and
+    M_b = mn / md, b(nabla_{e_i} e_j, e_k) = sum_a gn[a][j] mn[a][k] / (gd md)
+    and b(e_j, nabla_{e_i} e_k) = sum_a mn[j][a] gn[a][k] / (gd md).
+    """
+    n, mn, md = b.n, b.matrix.num, b.matrix.den
 
     def row(i, j):
-        first = evaluate(rows, values[i][j])  # b(nabla_{e_i} e_j, .)
-        second = evaluate(gamma_rows[i], rows[j])  # b(e_j, nabla_{e_i} .)
-        return [-x - y for x, y in zip(first, second)]
+        gn, gd = c.gammas[i].num, c.gammas[i].den
+        return [Fraction(-sum(gn[a][j] * mn[a][k] + mn[j][a] * gn[a][k] for a in range(n)), gd * md) for k in range(n)]
 
     return reference_tensor(n, row)
 
@@ -619,26 +611,20 @@ def test_born_torsion_formula_requires_integrability(fixture_kunneth):
 
 
 def test_connection_errors_carry_their_defect(monkeypatch, catalog_models):
-    """A constructor whose certification fails raises with the defect, and
-    the report witness is that defect's first nonzero entry: the nabla b
-    tensor."""
-    born = structures_of(catalog_models["h4"], "born")[0]
-    k = born.underlying_kunneth()
-    connections.canonical_connection.cache_clear()
-    try:
-        levi_civita(k.algebra, neutral_metric(k))  # built unpatched; canonical_connection reads it from the cache
-        bent = Trilinear(tuple(Matrix.zero(6) if i != 3 else Matrix.identity(6) * 7 for i in range(6)))
-        monkeypatch.setattr(connections, "nabla_form", lambda c, b: bent)
-        with pytest.raises(AxiomFailureError) as info:
-            connections.canonical_connection(k)
-        assert info.value.which == "canonical connection does not preserve g"
-        assert _error_witness(info.value) == Witness((4, 1, 1), "7", str(info.value))
-    finally:
-        monkeypatch.undo()
-        connections.canonical_connection.cache_clear()
+    """A connections row that fails reports its defect: on integrable h4, a
+    canonical connection bent by 7 Id at Gamma_4 differs from the Kunneth
+    one, and the row's witness is the first nonzero entry of nabla^c - nabla^K."""
+    k = structures_of(catalog_models["h4"], "born")[0].underlying_kunneth()
+    nk, nc = kunneth_connection(k), canonical_connection(k)
+    assert model._kunneth_connections(k) is None
+    bent = Connection(tuple(g + Matrix.identity(6) * 7 if i == 3 else g for i, g in enumerate(nc.gammas)))
+    monkeypatch.setattr(model, "canonical_connection", lambda _k: bent)
+    note = "integrable case: nabla^g = nabla^K = nabla^c"
+    assert first_entry(bent - nk, 0) == ((4, 1, 1), 7)
+    assert model._kunneth_connections(k) == Witness((4, 1, 1), "7", note)
 
 
-# --- failed re-verifications locate the failure --------------------------
+# --- frame and commutator oracles -----------------------------------------
 
 
 def reference_frame_block_hit(gammas, split, rows, cols):
@@ -671,85 +657,64 @@ def reference_commutator_hit(gammas, t):
     return None
 
 
-def cleared_connection_caches():
-    for builder in (connections.kunneth_connection, connections.canonical_connection, connections.born_connection):
-        builder.cache_clear()
+# --- failures the constructions rule out carry their witnesses -----------
 
 
-@pytest.fixture
-def h4_born(catalog_models):
-    cleared_connection_caches()
-    yield structures_of(catalog_models["h4"], "born")[0]
-    cleared_connection_caches()
-
-
-def test_kunneth_mixed_torsion_failure_carries_its_witness(monkeypatch, h4_born):
-    """Adding c Id to each combination W_i adds c (pi_F - pi_G) to Gamma_i: both subspaces stay preserved."""
-    k = h4_born.underlying_kunneth()
+def test_kunneth_mixed_torsion_failure_carries_its_witness(catalog_models):
+    """Adding c (pi_F - pi_G) to each Gamma_i of the Kunneth connection keeps
+    both subspaces preserved but gives mixed torsion, whose first witness is
+    the pairwise oracle's."""
+    k = structures_of(catalog_models["h4"], "born")[0].underlying_kunneth()
     c = Fraction(1, 3)
     involution = splitting(k.plus, k.minus).involution
-    gammas = [g + involution * c for g in oracles.four_combination_kunneth(k).gammas]
-    expected = next(iter(reference_mixed_torsion(k.algebra, Connection(tuple(gammas)), k.plus, k.minus)))
-    true_combination = connections.linear_combination
-    monkeypatch.setattr(
-        connections, "linear_combination", lambda xs, ms: true_combination(xs, ms) + Matrix.identity(len(ms)) * c
-    )
-    monkeypatch.setattr(connections, "nabla_form", lambda conn, b: Trilinear(()))  # omega passes
-    with pytest.raises(AxiomFailureError) as info:
-        connections.kunneth_connection(k)
-    assert info.value.which == "Kunneth connection has mixed torsion"
-    assert Witness.at(*info.value.hit) == expected
-    assert _error_witness(info.value).index == expected.index
+    conn = Connection(tuple(g + involution * c for g in kunneth_connection(k).gammas))
+    for s in (k.plus, k.minus):
+        assert not any(any(fraction_residual(s, g.matvec(v))) for g in conn.gammas for v in s.basis)
+    expected = next(iter(reference_mixed_torsion(k.algebra, conn, k.plus, k.minus)))
+    assert Witness.at(*mixed_torsion_defect(k.algebra, conn, k.plus, k.minus)) == expected
 
 
 def unit_at(n, r, s, value):
     return Matrix([[value if (a, b) == (r, s) else 0 for b in range(n)] for a in range(n)])
 
 
-def skewed_averages(monkeypatch, at, unit):
-    """The conjugation average moved by unit at Gamma_at; returns the skewed average."""
-    true_average = connections._conjugate_average
-
-    def skewed(c, t):
-        gammas = list(true_average(c, t).gammas)
-        gammas[at] = gammas[at] + unit
-        return Connection(tuple(gammas))
-
-    monkeypatch.setattr(connections, "_conjugate_average", skewed)
-    return skewed
+def skewed_average(c, t, at, unit):
+    """The conjugation average of c by t, moved by unit at Gamma_at."""
+    gammas = list(connections._conjugate_average(c, t).gammas)
+    gammas[at] = gammas[at] + unit
+    return Connection(tuple(gammas))
 
 
-def test_canonical_commutation_failure_carries_its_commutator_witness(monkeypatch, h4_born):
-    """An average that does not commute with A is not g-parallel (nabla g = nabla omega = 0
-    would give nabla A = 0), so it raises at the first nonzero entry of nabla g."""
-    k = h4_born.underlying_kunneth()
+def test_canonical_commutation_failure_carries_its_commutator_witness(catalog_models):
+    """The proof that the canonical connection is g-parallel rests on the
+    A-average: moved off it, an average that does not commute with A is not
+    g-parallel (nabla g = nabla omega = 0 would give nabla A = 0), and
+    nabla_form locates the failure at the first nonzero entry of nabla g."""
+    k = structures_of(catalog_models["h4"], "born")[0].underlying_kunneth()
     g, a_op = neutral_metric(k), almost_product(k)
-    lc = levi_civita(k.algebra, g)  # built unpatched
-    conn = skewed_averages(monkeypatch, 2, unit_at(6, 0, 2, Fraction(2, 5)))(lc, a_op)
+    lc = levi_civita(k.algebra, g)
+    assert skewed_average(lc, a_op, 2, Matrix.zero(6)) == canonical_connection(k)
+    conn = skewed_average(lc, a_op, 2, unit_at(6, 0, 2, Fraction(2, 5)))
     assert reference_commutator_hit(conn.gammas, a_op.matrix) is not None
     expected = first_entry(reference_nabla_form(conn, g), 0)
     assert expected == ((3, 3, 3), Fraction(-4, 5))
-    with pytest.raises(AxiomFailureError) as info:
-        connections.canonical_connection(k)
-    assert info.value.which == "canonical connection does not preserve g"
-    assert info.value.hit == expected
-    assert _error_witness(info.value) == Witness.at(*expected, str(info.value))
+    assert nabla_form(conn, g).first_witness() == expected
 
 
-def test_born_commutation_failure_carries_its_commutator_witness(monkeypatch, h4_born):
-    """An average that does not commute with A, B and J fails to keep one of g, h, omega
-    parallel, and raises at the first nonzero entry of the first such nabla b."""
-    nk = kunneth_connection(h4_born.underlying_kunneth())  # built unpatched
-    conn = skewed_averages(monkeypatch, 1, unit_at(6, 3, 0, Fraction(-3)))(nk, h4_born.b_op)
-    assert all(reference_commutator_hit(conn.gammas, op.matrix) for op in (h4_born.a_op, h4_born.b_op, h4_born.j_op))
-    forms = (("g", h4_born.g), ("h", h4_born.h), ("omega", h4_born.omega))
-    name, expected = next((name, hit) for name, b in forms if (hit := first_entry(reference_nabla_form(conn, b), 0)))
-    assert (name, expected) == ("g", ((2, 1, 5), -3))
-    with pytest.raises(AxiomFailureError) as info:
-        connections.born_connection(h4_born)
-    assert info.value.which == f"Born-compatible connection does not preserve {name}"
-    assert info.value.hit == expected
-    assert _error_witness(info.value) == Witness.at(*expected, str(info.value))
+def test_born_commutation_failure_carries_its_commutator_witness(catalog_models):
+    """The proof that the Born connection is g-, h- and omega-parallel rests
+    on the B-average: moved off it, an average that does not commute with A,
+    B and J fails to keep one of g, h, omega parallel, and nabla_form locates
+    the failure at the first nonzero entry of the first such nabla b."""
+    born = structures_of(catalog_models["h4"], "born")[0]
+    nk = kunneth_connection(born.underlying_kunneth())
+    assert skewed_average(nk, born.b_op, 1, Matrix.zero(6)) == born_connection(born)
+    conn = skewed_average(nk, born.b_op, 1, unit_at(6, 3, 0, Fraction(-3)))
+    assert all(reference_commutator_hit(conn.gammas, op.matrix) for op in (born.a_op, born.b_op, born.j_op))
+    forms = (("g", born.g), ("h", born.h), ("omega", born.omega))
+    expected = next((name, hit) for name, b in forms if (hit := first_entry(reference_nabla_form(conn, b), 0)))
+    assert expected == ("g", ((2, 1, 5), -3))
+    assert next((name, hit) for name, b in forms if (hit := nabla_form(conn, b).first_witness())) == expected
 
 
 # --- what the constructions prove instead of recomputing ----------------
@@ -798,6 +763,30 @@ def test_canonical_connection_is_the_a_average_of_levi_civita(kunneth_structures
     for name, k in kunneth_structures:
         lc = levi_civita(k.algebra, neutral_metric(k)).gammas
         assert canonical_connection(k).gammas == reference_conjugate_average(lc, almost_product(k).matrix, 1), name
+
+
+def test_constructions_prove_the_nine_connection_certifications(kunneth_structures, catalog_models, catalog_structures):
+    """No connection constructor re-certifies what it built; each property its
+    docstring proves is computed here by the pairwise oracles.  On every
+    Kunneth structure: Levi-Civita of the neutral metric is torsion-free and
+    g-parallel, the Kunneth connection is omega-parallel with no mixed
+    torsion, and the canonical connection is g- and omega-parallel.  On every
+    built Born structure the B-average is g-, h- and omega-parallel."""
+    borns = built_borns(catalog_models, catalog_structures)
+    named = kunneth_structures + [(f"born-{r}", b.underlying_kunneth()) for r, b in enumerate(borns)]
+    kunneths = {k: name for name, k in reversed(named)}  # each distinct structure once, under its first name
+    for k, name in kunneths.items():
+        L, g = k.algebra, neutral_metric(k)
+        lc, nk, nc = levi_civita(L, g), kunneth_connection(k), canonical_connection(k)
+        assert first_entry(reference_torsion(L, lc), 1) is None, name
+        assert reference_mixed_torsion(L, nk, k.plus, k.minus) == [], name
+        for c, b in ((lc, g), (nk, k.omega), (nc, g), (nc, k.omega)):
+            assert first_entry(reference_nabla_form(c, b), 0) is None, name
+    for b in borns:
+        nb = born_connection(b)
+        for form in (b.g, b.h, b.omega):
+            assert first_entry(reference_nabla_form(nb, form), 0) is None
+    assert len(kunneths) > 90 and len(borns) >= 70
 
 
 def reference_conjugate_average(gammas, t, sign):

@@ -8,7 +8,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from bornlab import Matrix, Signature, Subspace, determinant, invert, signature_of_symmetric
 from bornlab.errors import NotComplementaryError, NotSymmetricError, SingularMatrixError
-from bornlab.exact import format_rational, from_integers, parse_rational, rational_parts, splitting, to_integers
+from bornlab.exact import (
+    MAX_LITERAL_DIGITS,
+    format_rational,
+    from_integers,
+    parse_rational,
+    rational_parts,
+    splitting,
+    to_integers,
+)
 from oracles import old_parse_rational
 
 
@@ -122,6 +130,18 @@ def test_integer_reader_values(text, parts):
     assert rational_parts(text) == parts
 
 
+def test_literal_integers_are_bounded_in_digits():
+    """Each integer of a literal has at most MAX_LITERAL_DIGITS digits, sign not
+    counted; one more digit, in the numerator or the denominator, is a ValueError."""
+    most = "9" * MAX_LITERAL_DIGITS
+    assert MAX_LITERAL_DIGITS == 10000
+    assert rational_parts(most) == (10**MAX_LITERAL_DIGITS - 1, 1)
+    assert rational_parts(f"-{most}/{most}") == (1 - 10**MAX_LITERAL_DIGITS, 10**MAX_LITERAL_DIGITS - 1)
+    for text in ("9" + most, f"-9{most}", f"1/9{most}", f"9{most}/1"):
+        with pytest.raises(ValueError, match="an integer of 10001 digits is above the bound of 10000 digits"):
+            parse_rational(text)
+
+
 @pytest.mark.parametrize("value", [1, 1.5, True, None, ["1"], {"1": "1"}])
 def test_rational_readers_reject_non_strings(value):
     for reader in (rational_parts, parse_rational):
@@ -208,7 +228,7 @@ def test_signature_hypersymplectic_metric():
     for i, j in ((1, 4), (2, 3)):
         rows[i - 1][j - 1] = -1
         rows[j - 1][i - 1] = -1
-    assert signature_of_symmetric(Matrix(rows)).as_tuple() == (2, 2, 0)
+    assert signature_of_symmetric(Matrix(rows)) == Signature(2, 2, 0)
 
 
 def test_signature_requires_symmetry():

@@ -10,6 +10,7 @@ import io
 import json
 import random
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from bornlab import catalog
 from bornlab.cli import main
@@ -19,6 +20,9 @@ SOURCES = ("abelian_c1", "abelian_c2", "torus_2_2", "nil3_r", "nil3_r_nonintegra
 VALUES = ("0", "1", "-1", "2", "1/2", "-3/2")
 LITERALS = ("1/0", "x", "", "1.5", 1, None, [], {})
 # mutation kinds, weighted toward changes that still parse, so most runs reach the checks
+# the corpus whose text runs tests/golden_fuzz.json records (tests/record_golden_fuzz.py)
+GOLDEN_SEED, GOLDEN_COUNT = 2024, 300
+GOLDEN = Path(__file__).resolve().parent / "golden_fuzz.json"
 KINDS = ("entry",) * 6 + ("scale",) * 3 + ("drop optional role",) * 3 + (
     "asymmetric entry", "bracket", "subspace", "re-point role", "literal", "structure", "drop row",
 )
@@ -125,13 +129,17 @@ def assert_one_of_two_ends(code, out, err, fmt):
 
 
 def test_mutated_models_end_in_a_report_or_a_typed_error(tmp_path):
+    """Each run ends in one of the two ways, and each text run is the recorded one, byte for byte."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["runs"]
     codes = []
-    for k, text in enumerate(mutated_models(seed=2024, count=300)):
+    for k, text in enumerate(mutated_models(seed=GOLDEN_SEED, count=GOLDEN_COUNT)):
         path = tmp_path / f"m{k}.json"
         path.write_text(text)
         for fmt in ("text", "json"):
             code, out, err = run_cli(["check", str(path), "--format", fmt])
             assert_one_of_two_ends(code, out, err, fmt)
+            if fmt == "text":
+                assert [code, out, err] == golden[k], k
             codes.append(code)
     # the corpus reaches all three ends
     assert {0, 1, 2} <= set(codes)

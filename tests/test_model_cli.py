@@ -26,6 +26,7 @@ from bornlab import (
     run_checks,
 )
 from bornlab import exact
+from bornlab.exact import MAX_LITERAL_DIGITS
 from bornlab import model as model_module
 from bornlab.connections import Connection
 from bornlab.cli import main
@@ -874,14 +875,14 @@ def _square_text(literal):
         return str(-(decimal.Decimal(literal) ** 2))
 
 
-def _huge_witness_model():
-    """[e1,e2] = c e1 and omega = c e^13 + e^24 with c = HUGE, F = <e1,e2>,
-    G = <e3,e4>: d omega(e1,e2,e3) = -c^2 has 6001 digits."""
+def _huge_witness_model(c=HUGE):
+    """[e1,e2] = c e1 and omega = c e^13 + e^24, F = <e1,e2>, G = <e3,e4>:
+    d omega(e1,e2,e3) = -c^2, of 6001 digits for c = HUGE."""
     omega = [["0"] * 4 for _ in range(4)]
-    omega[0][2], omega[2][0], omega[1][3], omega[3][1] = HUGE, "-" + HUGE, "1", "-1"
+    omega[0][2], omega[2][0], omega[1][3], omega[3][1] = c, "-" + c, "1", "-1"
     return json.dumps({
         "name": "huge", "dim": 4,
-        "brackets": [{"i": 1, "j": 2, "out": {"1": HUGE}}],
+        "brackets": [{"i": 1, "j": 2, "out": {"1": c}}],
         "forms": {"omega": omega},
         "subspaces": {"F": [["1", "0", "0", "0"], ["0", "1", "0", "0"]], "G": [["0", "0", "1", "0"], ["0", "0", "0", "1"]]},
         "structures": [{"type": "kunneth", "omega": "omega", "plus": "F", "minus": "G"}],
@@ -921,6 +922,62 @@ def test_values_beyond_the_digit_limit_are_printed_exactly(tmp_path, capsys):
         p, q = literal.split("/")
         assert (decimal.Decimal(p), decimal.Decimal(q)) == (value.numerator, value.denominator), name
     assert _digit_limit() == limit
+
+
+# a literal over both the default digit limit and the least one an interpreter accepts
+OVER_LIMIT, LEAST_LIMIT = "7" * 4400, 640
+
+
+@pytest.mark.skipif(_digit_limit() is None, reason="the interpreter has no int-from-text digit limit")
+def test_literals_read_alike_under_any_digit_limit(tmp_path, capsys):
+    """A 4400-digit literal in a form, in a bracket output and as `family --t=`
+    gives the same runs under a 640-digit limit as under none, and the limit
+    is restored afterwards."""
+    limit = _digit_limit()
+    path = tmp_path / "over.json"
+    path.write_text(_huge_witness_model(OVER_LIMIT))
+    runs = {}
+    try:
+        for digits in (LEAST_LIMIT, 0):
+            sys.set_int_max_str_digits(digits)
+            for argv in (["check", str(path)], ["family", "nil3_r", f"--t={OVER_LIMIT}"]):
+                runs.setdefault(digits, []).append((main(argv), *capsys.readouterr()))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert runs[LEAST_LIMIT] == runs[0]
+    (check_code, check_out, check_err), (family_code, family_out, family_err) = runs[0]
+    assert (check_code, check_err, family_code, family_err) == (1, "", 0, "")
+    row = f"  integrability        FAIL  witness (1,2,3) = {_square_text(OVER_LIMIT)}  [d omega]"
+    assert row in check_out.splitlines()
+    assert family_out.startswith(f"family member of nil3_r at t={OVER_LIMIT} (cos = ")
+
+
+def test_literals_over_the_digit_bound_are_syntax_errors(tmp_path, capsys):
+    """An integer of more than MAX_LITERAL_DIGITS digits in a form, a bracket
+    output, a bracket-output key, a subspace vector or `family --t=` is an
+    input error: exit 2 with one `error:` line of our own, under any
+    int-from-text digit limit of the interpreter."""
+    over = "7" * (MAX_LITERAL_DIGITS + 1)
+    bound = f"an integer of {MAX_LITERAL_DIGITS + 1} digits is above the bound of {MAX_LITERAL_DIGITS} digits"
+    doc = json.loads(_huge_witness_model("1"))
+    docs = []
+    for edit in (
+        lambda d: d["forms"]["omega"][0].__setitem__(2, over),
+        lambda d: d["brackets"][0]["out"].__setitem__("1", over),
+        lambda d: d["brackets"][0].__setitem__("out", {over: "1"}),
+        lambda d: d["subspaces"]["F"][0].__setitem__(0, over),
+    ):
+        edited = json.loads(json.dumps(doc))
+        edit(edited)
+        docs.append(edited)
+    for k, edited in enumerate(docs):
+        path = tmp_path / f"over{k}.json"
+        path.write_text(json.dumps(edited))
+        assert main(["check", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.endswith(bound + "\n") and len(err.splitlines()) == 1
+    assert main(["family", "nil3_r", f"--t={over}"]) == 2
+    assert capsys.readouterr() == ("", f"error: {bound}\n")
 
 
 def test_non_ascii_digits_are_not_literals(tmp_path, capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bornlab import (
+    AlmostKunneth,
     BilinearForm,
     BornStructure,
     CirclePoint,
@@ -21,6 +22,7 @@ from bornlab import (
     integrability_report,
     neutral_metric,
     s1_family,
+    Signature,
     signature_of_symmetric,
     structures,
     verify_born_identities,
@@ -35,19 +37,27 @@ from bornlab.errors import (
     NotComplementaryError,
     NotIsotropicError,
 )
-from bornlab.exact import determinant, invert
+from bornlab.exact import determinant, invert, splitting
 from bornlab.liealg import ce_d2
 from bornlab.multilinear import (
     ANTISYMMETRIC,
-    SYMMETRIC,
     nijenhuis,
     pullback,
     symmetric_form,
     two_form,
 )
-from bornlab.structures import IDENTITY_TABLE, Witness
+from bornlab.structures import witness_at
 from conftest import structures_of
-from oracles import antipode, basis_vector, evaluate, integrability_legs, integrable
+from oracles import (
+    BornData,
+    antipode,
+    basis_vector,
+    born_data,
+    evaluate,
+    integrability_legs,
+    integrable,
+    reference_identity_table,
+)
 from phase_spaces import ALGEBRAS, phase_space, phase_space_borns, sheared
 from test_builders import moved_algebra, random_unimodular
 from test_exact import random_invertible
@@ -147,7 +157,7 @@ def test_neutral_metric_r2():
     k = build_almost_kunneth(L, two_form(2, {(1, 2): 1}), Subspace(2, [[1, 0]]), Subspace(2, [[0, 1]]))
     g = neutral_metric(k)
     assert g == symmetric_form(2, {(1, 2): 1})
-    assert signature_of_symmetric(g.matrix).as_tuple() == (1, 1, 0)
+    assert signature_of_symmetric(g.matrix) == Signature(1, 1, 0)
 
 
 def test_neutral_metric_is_neutral_catalog_wide(catalog_models):
@@ -155,7 +165,7 @@ def test_neutral_metric_is_neutral_catalog_wide(catalog_models):
         for k in structures_of(entry, "kunneth"):
             sig = signature_of_symmetric(neutral_metric(k).matrix)
             half = k.algebra.n // 2
-            assert sig.as_tuple() == (half, half, 0)
+            assert sig == Signature(half, half, 0)
 
 
 def test_neutral_metric_null_on_subspaces(catalog_models):
@@ -294,118 +304,8 @@ def test_identities_fail_on_corrupted_structure(catalog_models):
     rows = [list(r) for r in born.h.matrix.rows]
     rows[0][0] = -rows[0][0]  # flip h(e1, e1) = -2 to 2
     h_bad = BilinearForm(Matrix(rows), "symmetric")
-    try:
-        bad = build_born(born.algebra, born.g, h_bad, born.omega)
-    except AxiomFailureError:
-        return  # already rejected at the axioms, with a defect witness
-    report = verify_born_identities(bad)
-    assert not report.ok
-    failed = next(i for i in report.items if not i.ok)
-    assert failed.witness is not None
-
-
-def reference_identity_items(b):
-    """The eighteen identity-table rows from T^T M T - s M and T^T M - s' M T."""
-    forms = {"g": b.g.matrix, "h": b.h.matrix, "omega": b.omega.matrix}
-    ops = {"A": b.a_op.matrix, "B": b.b_op.matrix, "J": b.j_op.matrix}
-    items = []
-    for form_name, op_name, both_sign, mixed_sign in IDENTITY_TABLE:
-        m, t = forms[form_name], ops[op_name]
-        for defect, lhs, rhs, sign in (
-            (t.transpose() * m * t - m * both_sign, f"{op_name}x,{op_name}y", "x,y", both_sign),
-            (t.transpose() * m - m * t * mixed_sign, f"{op_name}x,y", f"x,{op_name}y", mixed_sign),
-        ):
-            hit = defect.first_witness()
-            witness = None if hit is None else Witness.at(*hit)
-            name = f"{form_name}({lhs}) = {'' if sign == 1 else '-'}{form_name}({rhs})"
-            items.append((name, hit is None, witness))
-    return items
-
-
-def test_identity_table_matches_product_formulas(catalog_models):
-    """Born structures built directly from random forms of each declared
-    symmetry and random operators (B an involution, as the frames need) fail
-    most rows; every row must match the four-product formulas."""
-    rng = random.Random(53)
-    failures = 0
-    for n in (2, 3, 4, 5, 6):
-        for _ in range(3):
-            m, k = random_matrix(n, rng), random_matrix(n, rng)
-            p = random_invertible(rng, n)
-            signs = Matrix.diagonal([1] + [-1] + [rng.choice((1, -1)) for _ in range(n - 2)])
-            split = random_splitting(n, rng)
-            b = BornStructure(
-                LieAlgebra.abelian(n),
-                BilinearForm(m + m.transpose(), SYMMETRIC),
-                BilinearForm(k + k.transpose(), SYMMETRIC),
-                BilinearForm(m - m.transpose(), ANTISYMMETRIC),
-                Endomorphism(random_matrix(n, rng)),
-                Endomorphism(p * signs * invert(p)),
-                Endomorphism(random_matrix(n, rng)),
-                split.plus,
-                split.minus,
-            )
-            table = [(i.name, i.ok, i.witness) for i in verify_born_identities(b).items[4:22]]
-            assert table == reference_identity_items(b)
-            failures += sum(not ok for _, ok, _ in table)
-    for entry in catalog_models.values():
-        for born in structures_of(entry, "born"):
-            table = [(i.name, i.ok, i.witness) for i in verify_born_identities(born).items[4:22]]
-            assert table == reference_identity_items(born)
-    assert failures > 200
-
-
-def test_eigenspace_exchange_failures_carry_the_block_entry():
-    """A Born structure built directly with random A and J breaks the
-    eigenspace exchanges; each failing row's witness (a, c) = value is the
-    first nonzero a-th coordinate, along its own eigenspace, of the operator
-    applied to the eigenspace's c-th basis vector."""
-    rng = random.Random(59)
-    failures = 0
-    for n in (2, 4, 6):
-        for _ in range(3):
-            m, k = random_matrix(n, rng), random_matrix(n, rng)
-            p = random_invertible(rng, n)
-            signs = [1, -1] + [rng.choice((1, -1)) for _ in range(n - 2)]
-            split = random_splitting(n, rng)
-            b = BornStructure(
-                LieAlgebra.abelian(n),
-                BilinearForm(m + m.transpose(), SYMMETRIC),
-                BilinearForm(k + k.transpose(), SYMMETRIC),
-                BilinearForm(m - m.transpose(), ANTISYMMETRIC),
-                Endomorphism(random_matrix(n, rng)),
-                Endomorphism(p * Matrix.diagonal(signs) * invert(p)),
-                Endomorphism(random_matrix(n, rng)),
-                split.plus,
-                split.minus,
-            )
-            columns = p.transpose().rows
-            eigenspaces = {
-                "L": (split.plus.basis, split.minus.basis),
-                "B": tuple(Subspace(n, [c for c, s in zip(columns, signs) if s == sign]).basis for sign in (1, -1)),
-            }
-            ops = {"A": b.a_op.matrix, "B": b.b_op.matrix, "J": b.j_op.matrix}
-            for item in verify_born_identities(b).items:
-                if " maps " not in item.name:
-                    continue
-                op_name, _, source, _, _ = item.name.split()  # "J maps L+ to L-"
-                plus, minus = eigenspaces[source[0]]
-                coordinates = invert(Matrix([list(v) for v in plus + minus]).transpose())
-                own, offset = (plus, 0) if source[1] == "+" else (minus, len(plus))
-                images = [coordinates.matvec(ops[op_name].matvec(v)) for v in own]
-                hit = next(
-                    ((a + 1, c + 1, image[offset + a]) for a in range(len(own))
-                     for c, image in enumerate(images) if image[offset + a] != 0),
-                    None,
-                )
-                assert item.ok == (hit is None), item.name
-                assert item.witness == (None if hit is None else Witness.at(hit[:2], hit[2])), item.name
-                failures += hit is not None
-    assert failures > 50
-
-
-def _items(report):
-    return [(i.name, i.ok, i.witness, i.group) for i in report.items]
+    with pytest.raises(AxiomFailureError):
+        build_born(born.algebra, born.g, h_bad, born.omega)
 
 
 def built_borns(catalog_models, catalog_structures):
@@ -422,75 +322,128 @@ def built_borns(catalog_models, catalog_structures):
     return borns
 
 
-def test_built_structures_decide_the_identity_table_in_the_frame(catalog_models, catalog_structures, monkeypatch):
-    """Every built Born structure passes the certificates of the
-    para-quaternionic frame, and its table equals the user-basis one item
-    for item; the user-basis computation refuses to run meanwhile."""
+def test_identity_table_matches_product_formulas(catalog_models, catalog_structures):
+    """verify_born_identities proves the 37 items from build_born's
+    certificates; on every built structure the table computed from matrix
+    products on the raw data passes item for item, in the same order and
+    groups."""
     borns = built_borns(catalog_models, catalog_structures)
-    expected = [_items(structures._report_in_basis(b)) for b in borns]
+    for b in borns:
+        expected = [(item.name, item.group, item.witness) for item in verify_born_identities(b).items]
+        assert reference_identity_table(born_data(b)) == expected
+        assert all(witness is None for _, _, witness in expected)
+    assert len(borns) >= 70 and len(expected) == 37
 
-    def refuse(b):
-        raise AssertionError("the identity table left the para-quaternionic frame")
 
-    monkeypatch.setattr(structures, "_report_in_basis", refuse)
-    structures.verify_born_identities.cache_clear()
-    for b, items in zip(borns, expected):
-        assert _items(verify_born_identities(b)) == items
-    assert len(expected) >= 70 and all(ok for items in expected for _, ok, _, _ in items)
+def test_built_structures_decide_the_identity_table_in_the_frame(catalog_models, catalog_structures):
+    """Every built Born structure is para-quaternionic: in the frame of the
+    echelon basis f_a of L+ followed by the B f_a, A = diag(Id, -Id), B swaps
+    the halves and J = BA, and the raw data moved into that frame passes the
+    reference table item for item as verify_born_identities reports."""
+    borns = built_borns(catalog_models, catalog_structures)
+    for b in borns:
+        n, m = b.algebra.n, b.algebra.n // 2
+        frame = list(b.l_plus.basis) + [b.b_op.matrix.matvec(f) for f in b.l_plus.basis]
+        p = Matrix([list(row) for row in zip(*frame)])
+        p_inv = invert(p)
+        a, bb, j = (p_inv * t.matrix * p for t in (b.a_op, b.b_op, b.j_op))
+        assert a == Matrix.diagonal([1] * m + [-1] * m)
+        assert bb == Matrix([[1 if abs(r - c) == m else 0 for c in range(n)] for r in range(n)])
+        assert j == bb * a
+        moved = BornData(
+            *(moved_form(w, p, w.symmetry).matrix for w in (b.g, b.h, b.omega)),
+            a, bb, j, moved_subspace(b.l_plus, p_inv), moved_subspace(b.l_minus, p_inv),
+        )
+        expected = [(item.name, item.group, item.witness) for item in verify_born_identities(b).items]
+        assert reference_identity_table(moved) == expected
+    assert len(borns) >= 70
 
 
 def forged_borns(catalog_structures):
-    """Built Born structures with one of g, h, omega replaced by a random
-    form of its symmetry, and h4's with L- replaced by span(f_a + J f_a)."""
+    """Raw data of built Born structures with one of g, h, omega replaced by
+    a random form of its symmetry, and h4's with L- replaced by
+    span(f_a + J f_a); no builder returns any of them."""
     rng = random.Random(71)
     out = []
     for s in catalog_structures.values():
         for b in s["borns"]:
             for name in ("g", "h", "omega"):
                 m = random_matrix(b.algebra.n, rng, density=0.8)
-                symmetric = name != "omega"
-                form = BilinearForm(m + m.transpose(), SYMMETRIC) if symmetric else BilinearForm(
-                    m - m.transpose(), ANTISYMMETRIC
-                )
-                fields = {"g": b.g, "h": b.h, "omega": b.omega, name: form}
-                out.append(BornStructure(
-                    b.algebra, fields["g"], fields["h"], fields["omega"],
-                    b.a_op, b.b_op, b.j_op, b.l_plus, b.l_minus,
-                ))
+                form = m - m.transpose() if name == "omega" else m + m.transpose()
+                out.append(born_data(b)._replace(**{name: form}))
     b = catalog_structures["h4"]["borns"][0]
     tilted = Subspace(b.algebra.n, [tuple(map(sum, zip(f, b.j_op.matrix.matvec(f)))) for f in b.l_plus.basis])
-    out.append(BornStructure(b.algebra, b.g, b.h, b.omega, b.a_op, b.b_op, b.j_op, b.l_plus, tilted))
+    out.append(born_data(b)._replace(l_minus=tilted))
     return out
 
 
-def test_forged_structures_fall_back_to_the_user_basis(catalog_structures, monkeypatch):
-    """A structure whose identities fail takes the user-basis path, which
-    gives its witnesses; its transformation rows match the product formulas.
-    With L- tilted off the -1 eigenspace of A, the frame certificates on A, B
-    and J alone still hold: the L- certificate is what rejects it."""
+def test_forged_tuples_fail_the_reference_table_with_witnesses(catalog_structures):
+    """On forged data the product table fails, and every failing item carries
+    a witness; with L- tilted off the -1 eigenspace of A, exactly the items
+    that read L- fail."""
     forged = forged_borns(catalog_structures)
-    original = structures._report_in_basis
-    ran = []
-    monkeypatch.setattr(structures, "_report_in_basis", lambda b: ran.append(b) or original(b))
-    structures.verify_born_identities.cache_clear()
-    fallbacks = 0
-    for b in forged:
-        ran.clear()
-        report = verify_born_identities(b)
-        assert _items(report) == _items(original(b))
-        assert [(i.name, i.ok, i.witness) for i in report.items[4:22]] == reference_identity_items(b)
-        assert ran == ([] if report.ok else [b])
-        fallbacks += not report.ok
-    assert fallbacks >= len(forged) - 3
-    failing = [i.name for i in verify_born_identities(forged[-1]).items if not i.ok]
+    tables = [reference_identity_table(d) for d in forged]
+    assert sum(any(w is not None for _, _, w in table) for table in tables) >= len(forged) - 3
+    for table in tables:
+        for name, _, witness in table:
+            assert witness is None or witness.value != "0" or name.startswith("signature"), name
+    failing = [name for name, _, witness in tables[-1] if witness is not None]
     assert failing == [
         "J maps L+ to L-", "J maps L- to L+", "B maps L+ to L-", "B maps L- to L+", "A-eigenspaces h-orthogonal",
     ]
 
 
+def test_eigenspace_exchange_failures_carry_the_block_entry():
+    """Raw data with random A and J breaks the eigenspace exchanges of the
+    reference table; each failing item's witness (a, c) = value is the entry
+    of the operator's diagonal block in the frame of the two eigenspaces,
+    as the engine's `Splitting.block_witness` reads it."""
+    rng = random.Random(59)
+    failures = 0
+    for n in (2, 4, 6):
+        for _ in range(3):
+            m, k = random_matrix(n, rng), random_matrix(n, rng)
+            p = random_invertible(rng, n)
+            signs = [1, -1] + [rng.choice((1, -1)) for _ in range(n - 2)]
+            split = random_splitting(n, rng)
+            d = BornData(
+                m + m.transpose(), k + k.transpose(), m - m.transpose(), random_matrix(n, rng),
+                p * Matrix.diagonal(signs) * invert(p), random_matrix(n, rng), split.plus, split.minus,
+            )
+            columns = p.transpose().rows
+            frames = {
+                "L": split,
+                "B": splitting(*(Subspace(n, [c for c, s in zip(columns, signs) if s == sign]) for sign in (1, -1))),
+            }
+            ops = {"A": d.a, "B": d.b, "J": d.j}
+            for name, _, witness in reference_identity_table(d):
+                if " maps " not in name:
+                    continue
+                op_name, _, source, _, _ = name.split()  # "J maps L+ to L-"
+                frame = frames[source[0]]
+                side = source[1]
+                assert witness == witness_at(frame.block_witness(frame.in_frame(ops[op_name]), side, side)), name
+                failures += witness is not None
+    assert failures > 50
+
+
+def test_structures_exist_only_as_their_builders_made_them(catalog_structures):
+    """BornStructure and AlmostKunneth cannot be built around their builders,
+    so no uncertified data reaches the proofs of the identity table and the
+    connections."""
+    b = catalog_structures["h4"]["borns"][0]
+    with pytest.raises(TypeError, match="build_born"):
+        BornStructure(b.algebra, b.g, b.h, b.omega, b.a_op, b.b_op, b.j_op, b.l_plus, b.l_minus)
+    k = b.underlying_kunneth()
+    with pytest.raises(TypeError, match="build_almost_kunneth"):
+        AlmostKunneth(k.algebra, k.omega, k.plus, k.minus)
+    with pytest.raises(TypeError, match="build_almost_kunneth"):
+        AlmostKunneth(k.algebra, k.omega, k.plus, k.minus, key=object())
+
+
 def test_torus_2_2_signature(catalog_models):
     born = structures_of(catalog_models["torus_2_2"], "born")[0]
-    assert signature_of_symmetric(born.h.matrix).as_tuple() == (2, 2, 0)
+    assert signature_of_symmetric(born.h.matrix) == Signature(2, 2, 0)
 
 
 # --- integrability ------------------------------------------------------
@@ -666,7 +619,7 @@ def test_enhance_default_frame_on_standard_kunneth():
 
 def test_enhance_default_frame_h4_positive_definite(h4_kunneth):
     born = enhance_kunneth(h4_kunneth)
-    assert signature_of_symmetric(born.h.matrix).as_tuple() == (6, 0, 0)
+    assert signature_of_symmetric(born.h.matrix) == Signature(6, 0, 0)
     assert verify_born_identities(born).ok
 
 
@@ -743,7 +696,7 @@ def test_hypersymplectic_nil3_tables(nil3_hypersymplectic):
     assert hs.b_op.matrix == Matrix.diagonal([1, -1, 1, -1])
     assert hs.j_op == Endomorphism.from_images([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
     assert hs.metric == symmetric_form(4, {(1, 4): -1, (2, 3): -1})
-    assert signature_of_symmetric(hs.metric.matrix).as_tuple() == (2, 2, 0)
+    assert signature_of_symmetric(hs.metric.matrix) == Signature(2, 2, 0)
 
 
 def hypersymplectic_cases(catalog_models):
