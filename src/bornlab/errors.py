@@ -28,6 +28,11 @@ def format_rational(x) -> str:
     return text if x.denominator == 1 else f"{text}/{Decimal(x.denominator)}"
 
 
+def shown(value) -> str:
+    """repr(value) for a message, with an int printed by `format_rational`, exactly."""
+    return format_rational(value) if type(value) is int else repr(value)
+
+
 def _located(hit):
     """A hit's (index, value) with the value as text."""
     index, value = hit

@@ -48,7 +48,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
-from operator import add, attrgetter, mul, sub
+from operator import add, attrgetter, mul, neg, sub
 
 from .errors import (
     DimensionMismatchError,
@@ -56,6 +56,7 @@ from .errors import (
     NotSymmetricError,
     SingularMatrixError,
     format_rational,
+    shown,
 )
 
 ZERO = Fraction(0)
@@ -90,7 +91,7 @@ def rational_parts(text: str) -> tuple[int, int]:
     each read by `read_integer`."""
     match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
     if match is None:
-        raise ValueError(f"not a rational literal: {text!r}")
+        raise ValueError(f"not a rational literal: {shown(text)}")
     p, q = match.groups()
     return read_integer(p), 1 if q is None else read_integer(q)
 
@@ -194,12 +195,15 @@ class Matrix(Value):
         n = len(data)
         if n == 0 or any(len(row) != n for row in data):
             raise DimensionMismatchError("matrix must be square with dimension >= 1")
-        # the lcm of reduced denominators leaves no common factor: canonical
-        d = lcm(*{x._denominator for row in data for x in row})
-        num = tuple(tuple(x._numerator * (d // x._denominator) for x in row) for row in data)
+        num, d = _over_lcm(data)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", d)
+
+    @classmethod
+    def of_fractions(cls, rows: Sequence[Sequence[Fraction]]) -> "Matrix":
+        """The matrix of n rows of n Fractions, unchecked."""
+        return cls._of(*_over_lcm(rows))
 
     @classmethod
     def over(cls, num: Sequence[Sequence[int]], den: int) -> "Matrix":
@@ -282,7 +286,7 @@ class Matrix(Value):
         return self.num == tuple(zip(*self.num))
 
     def is_antisymmetric(self) -> bool:
-        return self.num == tuple(tuple(-v for v in col) for col in zip(*self.num))
+        return self.num == tuple(tuple(map(neg, col)) for col in zip(*self.num))
 
     def first_witness(self):
         """First nonzero ((i, j) 1-based, value) in row-major order; None if zero."""
@@ -373,6 +377,18 @@ def _combined(a: Matrix, b: Matrix, sign: int) -> Matrix:
 
 # Fractions at the boundary.  A vector may hold ints as well as Fractions, so
 # to_integers reads the public numerator and denominator.
+
+
+def _over_lcm(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple, int]:
+    """Rows of Fractions as (numerators, d) over the lcm d of their denominators.
+
+    The lcm of reduced denominators leaves no common factor, so the pair is
+    canonical without a gcd pass; over d = 1 the numerators are the entries.
+    """
+    d = lcm(*{x._denominator for row in rows for x in row})
+    if d == 1:
+        return tuple(tuple(x._numerator for x in row) for row in rows), 1
+    return tuple(tuple(x._numerator * (d // x._denominator) for x in row) for row in rows), d
 
 
 def _fraction(v: int, d: int) -> Fraction:

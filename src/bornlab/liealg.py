@@ -17,10 +17,11 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import lcm
-from operator import add, mul, sub
+from operator import mul
 
-from .errors import DimensionMismatchError, JacobiViolationError, format_rational
+from .errors import DimensionMismatchError, JacobiViolationError
 from .exact import (
     Matrix,
     Subspace,
@@ -52,7 +53,9 @@ class LieAlgebra:
         canon: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (i, j), out in dict(brackets).items():
             if not (1 <= i < j <= n):
-                raise DimensionMismatchError(f"bracket pair ({i},{j}) out of range for dim {n}")
+                raise DimensionMismatchError(
+                    f"bracket pair ({format_rational(i)},{format_rational(j)}) out of range for dim {n}"
+                )
             row = {}
             for k, coeff in out.items():
                 k = int(k)
@@ -82,9 +85,10 @@ class LieAlgebra:
         key = (n, tuple((k, tuple(v.items())) for k, v in self.brackets.items()))
         object.__setattr__(self, "_hash", hash(key))
         if check:
-            for index, value in _jacobi_sums(self):
-                if value:
-                    raise JacobiViolationError((index, Fraction(value, dc * dc)))
+            for triple, sums in _jacobi_sums(self):
+                if any(sums):
+                    l, value = next((l, v) for l, v in enumerate(sums, 1) if v)
+                    raise JacobiViolationError(((*triple, l), Fraction(value, dc * dc)))
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -136,29 +140,28 @@ class LieAlgebra:
 def _jacobi_sums(L: LieAlgebra):
     """The Jacobi sums as integers over dc^2, dc the denominator of the structure constants.
 
-    Yields ((i, j, k, l) 1-based, numerator) for i < j < k in lexicographic
-    order.  With A_ij = ad_{[e_i,e_j]} = sum_m c^m_ij ad_m, the sum
-    [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] at (i, j, k) is
-    column k of A_ij + column i of A_jk - column j of A_ik.
+    Yields ((i, j, k) 1-based, the list of the n numerators l = 1..n) for
+    i < j < k in lexicographic order.  With [e_p, e_q] = sum_m c^m_pq e_m,
+    the sum [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] at (i, j, k)
+    is the combination of the columns [e_m, e_x] of ad_m with coefficients
+    c^m_ij (x = k), c^m_jk (x = i) and c^m_ki (x = j): only the nonzero
+    constants of three pairs enter, so a triple of abelian pairs costs no
+    arithmetic, and each sum is n dot products.
     """
     n = L.n
-    dc = L._constants[0]
-    ad = [list(zip(*m.num_over(dc))) for m in L._ad]  # ad[m][c]: column c of ad_m
-    # entries[c][r] is entry r of column c of every ad_m, so entry r of column
-    # c of A_ij is its dot product with column j of ad_i, the c^m_ij
-    entries = [list(zip(*(cols[c] for cols in ad))) for c in range(n)]
-    zero = [(0,) * n] * n
-    a = {}  # a[i, j][c]: column c of A_ij
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = ad[i][j]
-            a[i, j] = [[sum(map(mul, c, e)) for e in column] for column in entries] if any(c) else zero
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                sums = map(sub, map(add, a[i, j][k], a[j, k][i]), a[i, k][j])
-                for l, value in enumerate(sums):
-                    yield (i + 1, j + 1, k + 1, l + 1), value
+    dc, constants = L._constants
+    ad = [list(zip(*m.num_over(dc))) for m in L._ad]  # ad[m][x]: column x of ad_m
+    out = {}  # (p, q) 0-based -> the nonzero (m, c^m_pq), in both orders
+    for i, j, row in constants:
+        out[i, j] = row
+        out[j, i] = tuple((m, -c) for m, c in row)
+    for i, j, k in combinations(range(n), 3):
+        terms = [(c, ad[m][x]) for p, q, x in ((i, j, k), (j, k, i), (k, i, j)) for m, c in out.get((p, q), ())]
+        if terms:
+            coefficients, columns = zip(*terms)
+            yield (i + 1, j + 1, k + 1), [sum(map(mul, coefficients, entries)) for entries in zip(*columns)]
+        else:
+            yield (i + 1, j + 1, k + 1), [0] * n
 
 
 def jacobi_defect(L: LieAlgebra) -> dict:
@@ -168,7 +171,9 @@ def jacobi_defect(L: LieAlgebra) -> dict:
     exactly when every value is zero.
     """
     dc = L._constants[0]
-    return {index: Fraction(value, dc * dc) for index, value in _jacobi_sums(L)}
+    return {
+        (*triple, l): Fraction(value, dc * dc) for triple, sums in _jacobi_sums(L) for l, value in enumerate(sums, 1)
+    }
 
 
 class SubalgebraResult(Value):

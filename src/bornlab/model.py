@@ -34,8 +34,8 @@ from __future__ import annotations
 import json
 import time
 from collections.abc import Sequence
+from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .connections import (
     born_connection,
@@ -52,8 +52,9 @@ from .errors import (
     DimensionMismatchError,
     ModelSyntaxError,
     UnknownNameError,
+    shown,
 )
-from .exact import Matrix, Subspace, Value, format_rational, parse_rational, rational_parts, read_integer
+from .exact import Matrix, Subspace, Value, format_rational, parse_rational, read_integer
 from .liealg import LieAlgebra, ce_d2
 from .multilinear import ANTISYMMETRIC, SYMMETRIC, BilinearForm, Endomorphism
 from . import structures
@@ -151,23 +152,47 @@ class Model(Value):
 # parsing and rendering
 
 
-def _parse_matrix(name: str, rows, n: int) -> Matrix:
+def _literal_reader():
+    """`parse_rational` for one document, reading each distinct literal once.
+
+    The memo lives as long as the reader, one `parse_model` call.  A literal
+    that fails is not stored, and a list or an object is no key and no
+    literal, so every bad entry raises as `parse_rational` alone would.
+    """
+    memo = {}
+
+    def read(text) -> Fraction:
+        try:
+            return memo[text]
+        except (KeyError, TypeError):
+            value = parse_rational(text)
+        memo[text] = value
+        return value
+
+    return read
+
+
+def _parse_matrix(name: str, rows, n: int, read) -> Matrix:
     if not isinstance(rows, list) or len(rows) != n or any(
         not isinstance(r, list) or len(r) != n for r in rows
     ):
         raise DimensionMismatchError(f"{name}: expected a {n}x{n} matrix of rational strings")
     try:
-        parts = [[rational_parts(v) for v in r] for r in rows]
+        values = [[read(v) for v in r] for r in rows]
     except ValueError as exc:
         raise ModelSyntaxError(f"{name}: {exc}") from exc
-    d = lcm(*{q for r in parts for _, q in r})
-    return Matrix.over([[p * (d // q) for p, q in r] for r in parts], d)
+    return Matrix.of_fractions(values)
 
 
 def _index(key: str) -> int:
     """A bracket-output key as int(key); a plain ASCII integer is read like
     the integers of a rational literal (`exact.read_integer`)."""
     return read_integer(key) if key.isascii() and key.removeprefix("-").isdigit() else int(key)
+
+
+def _pair(i: int, j: int) -> str:
+    """A bracket pair as "(i,j)", each index printed exactly at any size."""
+    return f"({format_rational(i)},{format_rational(j)})"
 
 
 def _is_int(value) -> bool:
@@ -189,9 +214,13 @@ def parse_model(text: str) -> Model:
     and UnknownNameError for dangling references.
     """
     try:
-        doc = json.loads(text)
+        # JSON integers are read as literal integers are: exact under any
+        # int-from-text digit limit, and bounded in digits
+        doc = json.loads(text, parse_int=read_integer)
     except json.JSONDecodeError as exc:
         raise ModelSyntaxError(exc.msg, line=exc.lineno) from exc
+    except ValueError as exc:
+        raise ModelSyntaxError(str(exc)) from exc
     if not isinstance(doc, dict):
         raise ModelSyntaxError("model document must be a JSON object")
     allowed = {"name", "dim", "brackets", "forms", "metrics", "endos", "subspaces", "structures", "checks"}
@@ -205,7 +234,8 @@ def parse_model(text: str) -> Model:
     if not _is_int(dim) or dim < 1:
         raise ModelSyntaxError("missing or invalid 'dim'")
     if dim > MAX_DIM:
-        raise ModelSyntaxError(f"'dim' {dim} is above the bound {MAX_DIM}")
+        raise ModelSyntaxError(f"'dim' {format_rational(dim)} is above the bound {MAX_DIM}")
+    read = _literal_reader()
 
     brackets = {}
     for item in _section(doc, "brackets", list):
@@ -215,31 +245,31 @@ def parse_model(text: str) -> Model:
         if not _is_int(i) or not _is_int(j):
             raise ModelSyntaxError("bracket indices must be integers")
         if (i, j) in brackets:
-            raise ModelSyntaxError(f"bracket ({i},{j}) is given twice")
+            raise ModelSyntaxError(f"bracket {_pair(i, j)} is given twice")
         try:
-            out = {_index(k): parse_rational(v) for k, v in item["out"].items()}
+            out = {_index(k): read(v) for k, v in item["out"].items()}
             if [format_rational(k) for k in out] != list(item["out"]):
                 raise ValueError(f"indices must be plain integers, each given once: {list(item['out'])}")
         except (TypeError, ValueError, AttributeError) as exc:
-            raise ModelSyntaxError(f"bracket output of ({i},{j}): {exc}") from exc
+            raise ModelSyntaxError(f"bracket output of {_pair(i, j)}: {exc}") from exc
         brackets[(i, j)] = out
     algebra = LieAlgebra(dim, brackets)
 
     forms = {}
     for fname, rows in sorted(_section(doc, "forms", dict).items()):
-        m = _parse_matrix(f"forms.{fname}", rows, dim)
+        m = _parse_matrix(f"forms.{fname}", rows, dim, read)
         if not m.is_antisymmetric():
             raise ModelSyntaxError(f"forms.{fname} is not antisymmetric")
         forms[fname] = BilinearForm(m, ANTISYMMETRIC)
     metrics = {}
     for mname, rows in sorted(_section(doc, "metrics", dict).items()):
-        m = _parse_matrix(f"metrics.{mname}", rows, dim)
+        m = _parse_matrix(f"metrics.{mname}", rows, dim, read)
         if not m.is_symmetric():
             raise ModelSyntaxError(f"metrics.{mname} is not symmetric")
         metrics[mname] = BilinearForm(m, SYMMETRIC)
     endos = {}
     for ename, rows in sorted(_section(doc, "endos", dict).items()):
-        endos[ename] = Endomorphism(_parse_matrix(f"endos.{ename}", rows, dim))
+        endos[ename] = Endomorphism(_parse_matrix(f"endos.{ename}", rows, dim, read))
     subspaces = {}
     for sname, vectors in sorted(_section(doc, "subspaces", dict).items()):
         if not isinstance(vectors, list) or not vectors:
@@ -248,7 +278,7 @@ def parse_model(text: str) -> Model:
             if not isinstance(v, list) or len(v) != dim:
                 raise DimensionMismatchError(f"subspaces.{sname}: vector of wrong length")
         try:
-            subspaces[sname] = Subspace(dim, [[parse_rational(x) for x in v] for v in vectors])
+            subspaces[sname] = Subspace(dim, [[read(x) for x in v] for v in vectors])
         except ValueError as exc:
             raise ModelSyntaxError(f"subspaces.{sname}: {exc}") from exc
 
@@ -259,7 +289,7 @@ def parse_model(text: str) -> Model:
             raise ModelSyntaxError("structure declarations need a 'type'")
         kind = decl["type"]
         if not isinstance(kind, str) or kind not in _KINDS:
-            raise ModelSyntaxError(f"unknown structure type {kind!r}")
+            raise ModelSyntaxError(f"unknown structure type {shown(kind)}")
         _, required, optional = _KINDS[kind]
         roles = dict(required + optional)
         refs = {}
@@ -284,7 +314,7 @@ def parse_model(text: str) -> Model:
             raise ModelSyntaxError("'checks' must be a list of check names")
         for c in checks:
             if c not in CHECK_ORDER:
-                raise UnknownNameError(f"unknown check {c!r}")
+                raise UnknownNameError(f"unknown check {shown(c)}")
         checks = tuple(checks)
 
     return Model(name, algebra, forms, metrics, endos, subspaces, tuple(decls), checks)

@@ -1,7 +1,7 @@
 """Test-only oracles: vectors on Fractions, nabla_x y of a connection and the
 antipode of a circle point, one-forms with their differential and wedge
-products, readers of Trilinear tensors that do not go through the engine's
-scan, two computations of Sylvester inertia, the Levi-Civita connection
+products, the Jacobi sums bracket by bracket, readers of Trilinear tensors
+that do not go through the engine's scan, two computations of Sylvester inertia, the Levi-Civita connection
 solved by sympy, the pairwise bracket-closure test on Fractions, the
 four-combination Kunneth connection, every leg of Born integrability computed
 on its own, the rational-literal reader the integer one replaced, the mixed
@@ -218,6 +218,24 @@ def fraction_bracket(L: LieAlgebra, x, y) -> tuple:
         for k, c in row.items():
             out[k - 1] += w * c
     return tuple(out)
+
+
+def reference_jacobi(L: LieAlgebra) -> dict:
+    """Every Jacobi sum [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] for
+    i < j < k, as {(i, j, k, l) 1-based: value} in lexicographic order, each
+    bracket taken pairwise by `LieAlgebra.bracket` on basis vectors."""
+    n = L.n
+    e = [basis_vector(n, i) for i in range(n)]
+    sums = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                total = [Fraction(0)] * n
+                for first, second, third in ((i, j, k), (j, k, i), (k, i, j)):
+                    total = vec_add(total, L.bracket(L.bracket(e[first], e[second]), e[third]))
+                for l, value in enumerate(total):
+                    sums[i + 1, j + 1, k + 1, l + 1] = value
+    return sums
 
 
 def sympy_levi_civita(L: LieAlgebra, g: BilinearForm):

@@ -74,8 +74,9 @@ def random_unimodular(n, rng):
     return lower * upper
 
 
-def moved_algebra(L, p):
-    """The algebra in the basis f_a = P e_a: [f_a, f_b] = P^-1 [P e_a, P e_b]."""
+def moved_algebra(L, p, check=True):
+    """The algebra in the basis f_a = P e_a: [f_a, f_b] = P^-1 [P e_a, P e_b];
+    with check=False the brackets need not satisfy Jacobi."""
     n, p_inv = L.n, invert(p)
     cols = [p.column(a) for a in range(n)]
     brackets = {}
@@ -83,7 +84,7 @@ def moved_algebra(L, p):
         for b in range(a + 1, n):
             out = p_inv.matvec(L.bracket(cols[a], cols[b]))
             brackets[(a + 1, b + 1)] = {k + 1: c for k, c in enumerate(out) if c}
-    return LieAlgebra(n, brackets)
+    return LieAlgebra(n, brackets, check=check)
 
 
 def catalog_cases(catalog_models, catalog_structures):

@@ -11,7 +11,16 @@ from bornlab.errors import DimensionMismatchError, JacobiViolationError
 from bornlab.exact import Subspace
 from bornlab.multilinear import two_form
 from conftest import rational_grid
-from oracles import OneForm, basis_vector, ce_d1, nonzero_entries, pairwise_subalgebra, wedge_one_one, wedge_two_one
+from oracles import (
+    OneForm,
+    basis_vector,
+    ce_d1,
+    nonzero_entries,
+    pairwise_subalgebra,
+    reference_jacobi,
+    wedge_one_one,
+    wedge_two_one,
+)
 from test_builders import moved_algebra, random_unimodular
 
 
@@ -74,16 +83,7 @@ def test_jacobi_abelian_zero():
 
 
 def test_jacobi_h4_zero_against_expansion_oracle(h4_algebra):
-    n = h4_algebra.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                total = [Fraction(0)] * n
-                for first, second, third in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = h4_algebra.bracket(e(n, first + 1), e(n, second + 1))
-                    outer = h4_algebra.bracket(inner, e(n, third + 1))
-                    total = [a + b for a, b in zip(total, outer)]
-                assert all(v == 0 for v in total)
+    assert not any(reference_jacobi(h4_algebra).values())
 
 
 def test_jacobi_violation_rejected_at_construction():
@@ -98,6 +98,50 @@ def test_jacobi_defect_nonzero_unchecked():
     L = LieAlgebra(4, {(1, 2): {3: 1}, (3, 4): {1: 1}}, check=False)
     defect = jacobi_defect(L)
     assert any(v != 0 for v in defect.values())
+
+
+def random_brackets(n, rng):
+    """Seeded rational brackets on a few pairs: most such tables violate Jacobi."""
+    grid = rational_grid()
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return {
+        pair: {k: rng.choice(grid) for k in rng.sample(range(1, n + 1), rng.randint(1, 2))}
+        for pair in rng.sample(pairs, rng.randint(2, min(len(pairs), 2 * n)))
+    }
+
+
+def test_jacobi_violation_and_defect_match_pairwise_oracle(catalog_models):
+    """Seeded bracket tables of dims 3-8, each also in a seeded unimodular
+    basis: construction raises at the oracle's lexicographically first nonzero
+    Jacobi sum, and jacobi_defect of the unchecked algebra is the oracle, entry
+    for entry and in the same order; on the catalog algebras both vanish."""
+    rng = random.Random(23)
+    cases = []
+    for n in range(3, 9):
+        for _ in range(3):
+            L = LieAlgebra(n, random_brackets(n, rng), check=False)
+            cases += [L, moved_algebra(L, random_unimodular(n, rng), check=False)]
+    first = []  # the index of each raised hit
+    for L in cases:
+        reference = reference_jacobi(L)
+        defect = jacobi_defect(L)
+        assert list(defect.items()) == list(reference.items()), L
+        hits = [(index, value) for index, value in reference.items() if value]
+        if not hits:
+            LieAlgebra(L.n, L.brackets)
+            continue
+        with pytest.raises(JacobiViolationError) as info:
+            LieAlgebra(L.n, L.brackets)
+        assert info.value.hit == hits[0], L
+        first.append(hits[0][0])
+    # most tables violate, and some hits lie beyond the first triple or the first output index
+    assert len(first) >= 30
+    assert any(index[:3] != (1, 2, 3) for index in first) and any(index[3] > 1 for index in first)
+    for entry in catalog_models.values():
+        L = entry.model.algebra
+        reference = reference_jacobi(L)
+        assert list(jacobi_defect(L).items()) == list(reference.items())
+        assert not any(reference.values())
 
 
 # --- differential -------------------------------------------------------

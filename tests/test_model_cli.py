@@ -182,6 +182,108 @@ def test_bracket_table_rejects_repeats_and_aliases(tmp_path, capsys, text, messa
     assert (out, err) == ("", f"error: {message}\n")
 
 
+def _literals(doc) -> list:
+    """Every literal of a model document, in the order parse_model reads them."""
+    found = [v for item in doc.get("brackets", []) for v in item["out"].values()]
+    for section in ("forms", "metrics", "endos", "subspaces"):
+        found += [v for _, rows in sorted(doc.get(section, {}).items()) for row in rows for v in row]
+    return found
+
+
+def test_each_distinct_literal_is_read_once_per_document(catalog_models, monkeypatch):
+    """parse_model reads each distinct literal of a document once, and its
+    memo ends with the call: a second parse reads them all again."""
+    reads = []
+
+    def counted(text):
+        reads.append(text)
+        return exact.parse_rational(text)
+
+    monkeypatch.setattr(model_module, "parse_rational", counted)
+    for name in catalog_models:
+        text = catalog.export_entry(name)
+        literals = _literals(json.loads(text))
+        for _ in range(2):
+            reads.clear()
+            assert parse_model(text) == catalog_models[name].model
+            assert reads == list(dict.fromkeys(literals)), name
+        assert len(literals) > len(reads) or name == "abelian_c1"
+
+
+# the memo's error paths: a model with a form, a metric, an endo, two
+# subspaces and a bracket whose literals repeat, and for each place a later
+# entry and an earlier one that the edits replace
+MEMO_BASE = {
+    "name": "memo", "dim": 2,
+    "brackets": [{"i": 1, "j": 2, "out": {"1": "1/2", "2": "1/2"}}],
+    "forms": {"w": [["0", "1/2"], ["-1/2", "0"]]},
+    "metrics": {"g": [["1/2", "0"], ["0", "1/2"]]},
+    "endos": {"A": [["1/2", "0"], ["0", "-1/2"]]},
+    "subspaces": {"F": [["1/2", "0"]], "G": [["0", "1/2"]]},
+    "structures": [{"type": "kunneth", "omega": "w", "plus": "F", "minus": "G"}],
+}
+MEMO_PLACES = {
+    "form": (("forms", "w", 0, 1), ("forms", "w", 1, 0)),
+    "metric": (("metrics", "g", 0, 0), ("metrics", "g", 1, 1)),
+    "endo": (("endos", "A", 0, 0), ("endos", "A", 1, 1)),
+    "subspace": (("subspaces", "F", 0, 0), ("subspaces", "G", 0, 1)),
+    "bracket": (("brackets", 0, "out", "1"), ("brackets", 0, "out", "2")),
+}
+# (earlier entry, later entry); None leaves the entry as it is
+MEMO_EDITS = {
+    "list": (None, ["1/2"]),
+    "object": (None, {"p": "1/2"}),
+    "bad_twice": ("1.5", "1.5"),
+    "good_then_bad": ("1/2", "x"),
+}
+# exit code and stderr of `check`, recorded before literals were memoized
+MEMO_ERRORS = {
+    ("form", "list"): (2, "error: forms.w: not a rational literal: ['1/2']\n"),
+    ("form", "object"): (2, "error: forms.w: not a rational literal: {'p': '1/2'}\n"),
+    ("form", "bad_twice"): (2, "error: forms.w: not a rational literal: '1.5'\n"),
+    ("form", "good_then_bad"): (2, "error: forms.w: not a rational literal: 'x'\n"),
+    ("metric", "list"): (2, "error: metrics.g: not a rational literal: ['1/2']\n"),
+    ("metric", "object"): (2, "error: metrics.g: not a rational literal: {'p': '1/2'}\n"),
+    ("metric", "bad_twice"): (2, "error: metrics.g: not a rational literal: '1.5'\n"),
+    ("metric", "good_then_bad"): (2, "error: metrics.g: not a rational literal: 'x'\n"),
+    ("endo", "list"): (2, "error: endos.A: not a rational literal: ['1/2']\n"),
+    ("endo", "object"): (2, "error: endos.A: not a rational literal: {'p': '1/2'}\n"),
+    ("endo", "bad_twice"): (2, "error: endos.A: not a rational literal: '1.5'\n"),
+    ("endo", "good_then_bad"): (2, "error: endos.A: not a rational literal: 'x'\n"),
+    ("subspace", "list"): (2, "error: subspaces.G: not a rational literal: ['1/2']\n"),
+    ("subspace", "object"): (2, "error: subspaces.G: not a rational literal: {'p': '1/2'}\n"),
+    ("subspace", "bad_twice"): (2, "error: subspaces.F: not a rational literal: '1.5'\n"),
+    ("subspace", "good_then_bad"): (2, "error: subspaces.G: not a rational literal: 'x'\n"),
+    ("bracket", "list"): (2, "error: bracket output of (1,2): not a rational literal: ['1/2']\n"),
+    ("bracket", "object"): (2, "error: bracket output of (1,2): not a rational literal: {'p': '1/2'}\n"),
+    ("bracket", "bad_twice"): (2, "error: bracket output of (1,2): not a rational literal: '1.5'\n"),
+    ("bracket", "good_then_bad"): (2, "error: bracket output of (1,2): not a rational literal: 'x'\n"),
+}
+
+
+def test_memoized_literals_fail_as_unmemoized_ones(tmp_path, capsys):
+    """A list or object entry, a bad literal given twice and a bad literal
+    after a repeated good one, in each place a literal is read: the exit code
+    and message are those recorded before literals were memoized, and the
+    unedited model passes."""
+    path = tmp_path / "memo.json"
+    path.write_text(json.dumps(MEMO_BASE))
+    assert main(["check", str(path)]) == 0
+    capsys.readouterr()
+    for (place, edit), expected in MEMO_ERRORS.items():
+        doc = json.loads(json.dumps(MEMO_BASE))
+        for (*head, last), value in zip(MEMO_PLACES[place], MEMO_EDITS[edit]):
+            if value is not None:
+                target = doc
+                for key in head:
+                    target = target[key]
+                target[last] = value
+        path.write_text(json.dumps(doc))
+        code = main(["check", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (expected[0], "", expected[1]), (place, edit)
+
+
 def test_parse_rejects_jacobi_violation():
     text = """
     {"name": "bad", "dim": 4,
@@ -978,6 +1080,61 @@ def test_literals_over_the_digit_bound_are_syntax_errors(tmp_path, capsys):
         assert out == "" and err.startswith("error: ") and err.endswith(bound + "\n") and len(err.splitlines()) == 1
     assert main(["family", "nil3_r", f"--t={over}"]) == 2
     assert capsys.readouterr() == ("", f"error: {bound}\n")
+
+
+FIVE_THOUSAND = "7" * 5000
+# a model with a JSON integer over the default digit limit -> its error line;
+# the integer is read exactly and printed in full under any digit limit
+JSON_INTEGERS = {
+    "dim": (f'{{"name": "x", "dim": {FIVE_THOUSAND}}}', f"'dim' {FIVE_THOUSAND} is above the bound 32"),
+    "bracket_j": (
+        f'{{"name": "x", "dim": 3, "brackets": [{{"i": 1, "j": {FIVE_THOUSAND}, "out": {{"3": "1"}}}}]}}',
+        f"bracket pair (1,{FIVE_THOUSAND}) out of range for dim 3",
+    ),
+    "dim_over_the_bound": (
+        f'{{"name": "x", "dim": {"1" * (MAX_LITERAL_DIGITS + 1)}}}',
+        f"an integer of {MAX_LITERAL_DIGITS + 1} digits is above the bound of {MAX_LITERAL_DIGITS} digits",
+    ),
+    "bracket_twice": (
+        f'{{"name": "x", "dim": 3, "brackets": [{{"i": {FIVE_THOUSAND}, "j": 2, "out": {{}}}},'
+        f' {{"i": {FIVE_THOUSAND}, "j": 2, "out": {{}}}}]}}',
+        f"bracket ({FIVE_THOUSAND},2) is given twice",
+    ),
+    "bracket_output": (
+        f'{{"name": "x", "dim": 3, "brackets": [{{"i": {FIVE_THOUSAND}, "j": 2, "out": {{"x": "1"}}}}]}}',
+        f"bracket output of ({FIVE_THOUSAND},2): invalid literal for int() with base 10: 'x'",
+    ),
+    "form_entry": (
+        f'{{"name": "x", "dim": 1, "forms": {{"w": [[{FIVE_THOUSAND}]]}}}}',
+        f"forms.w: not a rational literal: {FIVE_THOUSAND}",
+    ),
+    "structure_type": (
+        f'{{"name": "x", "dim": 3, "structures": [{{"type": {FIVE_THOUSAND}}}]}}',
+        f"unknown structure type {FIVE_THOUSAND}",
+    ),
+    "check_name": (f'{{"name": "x", "dim": 3, "checks": [{FIVE_THOUSAND}]}}', f"unknown check {FIVE_THOUSAND}"),
+}
+
+
+@pytest.mark.skipif(_digit_limit() is None, reason="the interpreter has no int-from-text digit limit")
+@pytest.mark.parametrize("text, message", list(JSON_INTEGERS.values()), ids=list(JSON_INTEGERS))
+def test_json_integers_past_the_digit_limit_are_syntax_errors(tmp_path, capsys, text, message):
+    """A JSON integer over the interpreter's digit limit (a 5000-digit dim or
+    bracket index, or an integer where a name or a literal belongs) exits 2
+    with one `error:` line printing it in full, the same under a 640-digit
+    limit as under none; one of more than MAX_LITERAL_DIGITS digits is
+    refused as a literal's integer is."""
+    limit = _digit_limit()
+    path = tmp_path / "integer.json"
+    path.write_text(text)
+    runs = []
+    try:
+        for digits in (LEAST_LIMIT, 0):
+            sys.set_int_max_str_digits(digits)
+            runs.append((main(["check", str(path)]), *capsys.readouterr()))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert runs == [(2, "", f"error: {message}\n")] * 2
 
 
 def test_non_ascii_digits_are_not_literals(tmp_path, capsys):
