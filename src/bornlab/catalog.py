@@ -34,21 +34,9 @@ class Expectation(Value):
 
     __slots__ = ("kind", "target", "expected")
 
-    def __init__(self, kind: str, target: str, expected: str):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "expected", expected)
-
 
 class CatalogEntry(Value):
     __slots__ = ("name", "summary", "model", "expectations", "provenance")
-
-    def __init__(self, name: str, summary: str, model: Model, expectations: tuple, provenance: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "summary", summary)
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "expectations", expectations)
-        object.__setattr__(self, "provenance", provenance)
 
 
 def _all_pass(*overrides) -> tuple:
@@ -519,10 +507,6 @@ def _parse_point(target: str) -> CirclePoint:
 
 class ExpectationOutcome(Value):
     __slots__ = ("expectation", "actual")
-
-    def __init__(self, expectation: Expectation, actual: str):
-        object.__setattr__(self, "expectation", expectation)
-        object.__setattr__(self, "actual", actual)
 
     @property
     def ok(self) -> bool:

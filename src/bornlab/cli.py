@@ -87,7 +87,7 @@ def _cmd_family(args) -> int:
     integrable = integrability_report(member) is None
     print(f"family member of {args.name} at {point.label()}"
           f" (cos = {format_rational(point.cos)}, sin = {format_rational(point.sin)})")
-    print(f"  born identities: PASS ({len(identities.items)} checks)")
+    print(f"  born identities: PASS ({len(identities)} checks)")
     print(f"  integrable: {'PASS' if integrable else 'FAIL'}")
     return 0 if integrable else 1
 

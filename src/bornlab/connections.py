@@ -65,10 +65,7 @@ from .structures import (
 class Connection(Value):
     """Left-invariant connection as the matrices Gamma_i = nabla_{e_i}."""
 
-    __slots__ = ("gammas",)
-
-    def __init__(self, gammas: tuple):
-        object.__setattr__(self, "gammas", gammas)  # gammas[i] is a Matrix whose column j is nabla_{e_i} e_j
+    __slots__ = ("gammas",)  # gammas[i] is a Matrix whose column j is nabla_{e_i} e_j
 
     def __sub__(self, other: "Connection") -> Trilinear:
         """The Gamma difference: slice i is Gamma_i - Gamma'_i, so witness (i, j, k) is entry (j, k) of it."""

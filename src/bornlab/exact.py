@@ -48,7 +48,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
-from operator import add, attrgetter, mul, neg, sub
+from operator import add, mul, neg, sub
 
 from .errors import (
     DimensionMismatchError,
@@ -117,23 +117,57 @@ def rationalize(value) -> Fraction:
 
 
 class Value:
-    """Base of the immutable value classes: slotted fields, equality and hash by value.
+    """Base of the immutable value classes: a value is its fields and its key.
 
-    A subclass names its fields in __slots__ and sets each once, when it is
-    built, with object.__setattr__; afterwards assignment and deletion raise
-    AttributeError.  Two instances are equal when they are of the same
-    class and their fields are equal, the fields named in _uncompared
-    excepted.  The hash of the compared fields is computed on first use and
-    kept, so a value used again as a cache key is not hashed again; a value
-    holding a dict is unhashable.  repr lists every field.
+    A subclass names its fields in __slots__, in constructor order, and may
+    give defaults in _defaults.  The one constructor takes the fields by
+    position or by name, as a frozen dataclass does, sets each once and
+    keeps the compared ones, all but those named in _uncompared, as one
+    tuple: _key.  A subclass that validates or derives its fields ends its
+    own __init__ in super().__init__.  Afterwards assignment and deletion
+    raise AttributeError.  Two instances are equal when they are of the same
+    class and their keys are equal; the hash of the key is computed on first
+    use and kept, so a value used again as a cache key is not hashed again,
+    and a value whose key holds a dict is unhashable.  repr lists every
+    field.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_key", "_hash")
     _uncompared = ()
+    _defaults = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._key = attrgetter(*(f for f in cls.__slots__ if f not in cls._uncompared))
+        # positions of the compared fields; None when every field is compared
+        compared = tuple(i for i, f in enumerate(cls.__slots__) if f not in cls._uncompared)
+        cls._compared = None if len(compared) == len(cls.__slots__) else compared
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        compared = self._compared
+        object.__setattr__(self, "_key", args if compared is None else tuple(args[i] for i in compared))
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The fields in slot order, from arguments by position or by name and from _defaults."""
+        fields, name = cls.__slots__, cls.__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} positional arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for field, value in kwargs.items():
+            if field not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {field!r}")
+            if field in values:
+                raise TypeError(f"{name}() got multiple values for argument {field!r}")
+            values[field] = value
+        missing = [f for f in fields if f not in values and f not in cls._defaults]
+        if missing:
+            raise TypeError(f"{name}() missing required arguments: {', '.join(map(repr, missing))}")
+        return tuple(values[f] if f in values else cls._defaults[f] for f in fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -143,14 +177,14 @@ class Value:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._key(self) == self._key(other)
+            return self._key == other._key
         return NotImplemented
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:
-            h = hash(self._key(self))
+            h = hash(self._key)
             object.__setattr__(self, "_hash", h)
             return h
 
@@ -344,6 +378,11 @@ class Matrix(Value):
 
     __hash__ = Value.__hash__
 
+    @property
+    def _key(self):
+        """(num, den), which the hash reads; no matrix keeps it, so `_of` stays three stores."""
+        return self.num, self.den
+
     def __repr__(self):
         body = "; ".join(" ".join(format_rational(v) for v in row) for row in self.rows)
         return f"Matrix[{body}]"
@@ -444,9 +483,6 @@ class Trilinear(Value):
     """
 
     __slots__ = ("slices",)
-
-    def __init__(self, slices: tuple):
-        object.__setattr__(self, "slices", slices)
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.slices)
@@ -577,11 +613,6 @@ class Signature(Value):
 
     __slots__ = ("positive", "negative", "null")
 
-    def __init__(self, positive: int, negative: int, null: int):
-        object.__setattr__(self, "positive", positive)
-        object.__setattr__(self, "negative", negative)
-        object.__setattr__(self, "null", null)
-
     def __str__(self):
         return f"({self.positive},{self.negative},{self.null})"
 
@@ -639,12 +670,12 @@ class Subspace(Value):
     and canonicalizes the span to reduced row echelon form with deterministic
     pivoting, so equality and reduction are reproducible.  The echelon
     rows are kept as integers, (pivot column, numerators, denominator) with
-    the numerator at the pivot equal to the denominator; `basis` holds the
-    same rows as Fractions.
+    the numerator at the pivot equal to the denominator; `basis` builds the
+    same rows as Fractions on each access.
     """
 
-    __slots__ = ("n", "given", "basis", "_echelon")
-    _uncompared = ("given", "basis")
+    __slots__ = ("n", "given", "_echelon")
+    _uncompared = ("given",)
 
     def __init__(self, n: int, vectors_: Sequence[Sequence]):
         given = tuple(vector(v) for v in vectors_)
@@ -653,14 +684,16 @@ class Subspace(Value):
         reduced, pivots = _echelon([to_integers(v)[0] for v in given], n)
         if len(reduced) != len(given):
             raise ValueError("subspace basis vectors are linearly dependent")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "given", given)
-        object.__setattr__(self, "basis", tuple(from_integers(row, d) for row, d in reduced))
-        object.__setattr__(self, "_echelon", tuple((pc, row, d) for pc, (row, d) in zip(pivots, reduced)))
+        super().__init__(n, given, tuple((pc, row, d) for pc, (row, d) in zip(pivots, reduced)))
+
+    @property
+    def basis(self) -> tuple:
+        """The echelon rows as Fractions."""
+        return tuple(from_integers(row, d) for _, row, d in self._echelon)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._echelon)
 
     def _reduce_integers(self, ws: list, dw: int) -> tuple[list[int], int]:
         """The vector ws / dw (n integers, dw > 0) reduced against the echelon rows."""
@@ -697,15 +730,6 @@ class Splitting(Value):
     """
 
     __slots__ = ("plus", "minus", "frame", "frame_inv", "pi_plus", "pi_minus", "involution")
-
-    def __init__(self, plus, minus, frame, frame_inv, pi_plus, pi_minus, involution):
-        object.__setattr__(self, "plus", plus)
-        object.__setattr__(self, "minus", minus)
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "frame_inv", frame_inv)
-        object.__setattr__(self, "pi_plus", pi_plus)
-        object.__setattr__(self, "pi_minus", pi_minus)
-        object.__setattr__(self, "involution", involution)
 
     def pairing(self, m: Matrix) -> Matrix:
         """P^T M P: the bilinear form with matrix m on pairs of frame vectors."""

@@ -37,15 +37,17 @@ from .exact import (
 from .multilinear import BilinearForm
 
 
-class LieAlgebra:
+class LieAlgebra(Value):
     """Finite-dimensional Lie algebra over the rationals.
 
     brackets maps 1-based pairs (i, j) with i < j to {k: coefficient of e_k
     in [e_i, e_j]}.  Zero coefficients are dropped, so the stored table is
-    canonical and serializes deterministically.
+    canonical and serializes deterministically.  Algebras are equal by
+    (n, brackets); as brackets is a dict, the hash is computed once here.
     """
 
-    __slots__ = ("n", "brackets", "_ad", "_constants", "_hash")
+    __slots__ = ("n", "brackets", "_ad", "_constants")
+    _uncompared = ("_ad", "_constants")
 
     def __init__(self, n: int, brackets: Mapping = (), *, check: bool = True):
         if n < 1:
@@ -66,32 +68,26 @@ class LieAlgebra:
                     row[k] = c
             if row:
                 canon[(i, j)] = dict(sorted(row.items()))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "brackets", {key: canon[key] for key in sorted(canon)})
+        canon = {key: canon[key] for key in sorted(canon)}
         # the structure constants as integers over their common denominator dc
         dc = lcm(*{c.denominator for out in canon.values() for c in out.values()})
         constants = tuple(
             (i - 1, j - 1, tuple((k - 1, c.numerator * (dc // c.denominator)) for k, c in out.items()))
-            for (i, j), out in self.brackets.items()
+            for (i, j), out in canon.items()
         )
-        object.__setattr__(self, "_constants", (dc, constants))
         # entry (k, j) of ad_i is c^k_ij, the e_k coefficient of [e_i, e_j]
         ad = [[[0] * n for _ in range(n)] for _ in range(n)]
         for i, j, out in constants:
             for k, c in out:
                 ad[i][k][j] = c
                 ad[j][k][i] = -c
-        object.__setattr__(self, "_ad", tuple(Matrix.over(m, dc) for m in ad))
-        key = (n, tuple((k, tuple(v.items())) for k, v in self.brackets.items()))
-        object.__setattr__(self, "_hash", hash(key))
+        super().__init__(n, canon, tuple(Matrix.over(m, dc) for m in ad), (dc, constants))
+        object.__setattr__(self, "_hash", hash((n, tuple((k, tuple(v.items())) for k, v in canon.items()))))
         if check:
             for triple, sums in _jacobi_sums(self):
                 if any(sums):
                     l, value = next((l, v) for l, v in enumerate(sums, 1) if v)
                     raise JacobiViolationError(((*triple, l), Fraction(value, dc * dc)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LieAlgebra is immutable")
 
     @classmethod
     def abelian(cls, n: int) -> "LieAlgebra":
@@ -122,12 +118,6 @@ class LieAlgebra:
                 for k, c in out:
                     acc[k] += w * c
         return acc
-
-    def __eq__(self, other):
-        return isinstance(other, LieAlgebra) and self.n == other.n and self.brackets == other.brackets
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         rels = ", ".join(
@@ -180,11 +170,7 @@ class SubalgebraResult(Value):
     """Outcome of a bracket-closure test, with a witness on failure."""
 
     __slots__ = ("ok", "witness", "residual")
-
-    def __init__(self, ok, witness=None, residual=None):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "residual", residual)
+    _defaults = {"witness": None, "residual": None}
 
     def __bool__(self):
         return self.ok

@@ -32,6 +32,7 @@ structures checked.  Reports and their timings are not memoized.
 from __future__ import annotations
 
 import json
+import re
 import time
 from collections.abc import Sequence
 from fractions import Fraction
@@ -111,11 +112,7 @@ _KINDS = {
 
 
 class StructureDecl(Value):
-    __slots__ = ("kind", "refs")
-
-    def __init__(self, kind: str, refs: tuple):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "refs", refs)  # sorted (role, name) pairs
+    __slots__ = ("kind", "refs")  # refs: sorted (role, name) pairs
 
     @classmethod
     def of(cls, kind: str, **refs) -> "StructureDecl":
@@ -136,16 +133,7 @@ class Model(Value):
     """A parsed model: forms, metrics, endos and subspaces are dicts by name, so it is unhashable."""
 
     __slots__ = ("name", "algebra", "forms", "metrics", "endos", "subspaces", "structures", "checks")
-
-    def __init__(self, name, algebra, forms, metrics, endos, subspaces, structures, checks=None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "forms", forms)
-        object.__setattr__(self, "metrics", metrics)
-        object.__setattr__(self, "endos", endos)
-        object.__setattr__(self, "subspaces", subspaces)
-        object.__setattr__(self, "structures", structures)
-        object.__setattr__(self, "checks", checks)
+    _defaults = {"checks": None}
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +172,8 @@ def _parse_matrix(name: str, rows, n: int, read) -> Matrix:
     return Matrix.of_fractions(values)
 
 
-def _index(key: str) -> int:
-    """A bracket-output key as int(key); a plain ASCII integer is read like
-    the integers of a rational literal (`exact.read_integer`)."""
-    return read_integer(key) if key.isascii() and key.removeprefix("-").isdigit() else int(key)
+# a bracket-output key: a plain ASCII integer, so distinct keys are distinct indices
+_INDEX_RE = re.compile(r"0|-?[1-9][0-9]*", re.ASCII)
 
 
 def _pair(i: int, j: int) -> str:
@@ -247,9 +233,10 @@ def parse_model(text: str) -> Model:
         if (i, j) in brackets:
             raise ModelSyntaxError(f"bracket {_pair(i, j)} is given twice")
         try:
-            out = {_index(k): read(v) for k, v in item["out"].items()}
-            if [format_rational(k) for k in out] != list(item["out"]):
-                raise ValueError(f"indices must be plain integers, each given once: {list(item['out'])}")
+            out = {k: read(v) for k, v in item["out"].items()}
+            if not all(map(_INDEX_RE.fullmatch, out)):
+                raise ValueError(f"indices must be plain integers, each given once: {list(out)}")
+            out = {read_integer(k): c for k, c in out.items()}
         except (TypeError, ValueError, AttributeError) as exc:
             raise ModelSyntaxError(f"bracket output of {_pair(i, j)}: {exc}") from exc
         brackets[(i, j)] = out
@@ -351,21 +338,11 @@ def render_model(model: Model) -> str:
 
 
 class CheckResult(Value):
-    __slots__ = ("check", "status", "witness", "elapsed_ms")
-
-    def __init__(self, check: str, status: str, witness: Witness | None, elapsed_ms: float):
-        object.__setattr__(self, "check", check)
-        object.__setattr__(self, "status", status)  # pass | fail | skipped
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "elapsed_ms", elapsed_ms)
+    __slots__ = ("check", "status", "witness", "elapsed_ms")  # status: pass | fail | skipped
 
 
 class Report(Value):
     __slots__ = ("model", "results")
-
-    def __init__(self, model: str, results: tuple):
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "results", results)
 
     @property
     def overall(self) -> str:

@@ -50,8 +50,7 @@ class BilinearForm(Value):
             raise ValueError("matrix is not antisymmetric")
         if symmetry not in (SYMMETRIC, ANTISYMMETRIC, NOSYM):
             raise ValueError(f"unknown symmetry type {symmetry!r}")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "symmetry", symmetry)
+        super().__init__(matrix, symmetry)
 
     @classmethod
     def detect(cls, matrix: Matrix) -> "BilinearForm":
@@ -84,9 +83,6 @@ class Endomorphism(Value):
     """Endomorphism of the fixed basis; column j is the image of e_j."""
 
     __slots__ = ("matrix",)
-
-    def __init__(self, matrix: Matrix):
-        object.__setattr__(self, "matrix", matrix)
 
     @classmethod
     def identity(cls, n: int) -> "Endomorphism":

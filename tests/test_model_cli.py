@@ -1102,7 +1102,7 @@ JSON_INTEGERS = {
     ),
     "bracket_output": (
         f'{{"name": "x", "dim": 3, "brackets": [{{"i": {FIVE_THOUSAND}, "j": 2, "out": {{"x": "1"}}}}]}}',
-        f"bracket output of ({FIVE_THOUSAND},2): invalid literal for int() with base 10: 'x'",
+        f"bracket output of ({FIVE_THOUSAND},2): indices must be plain integers, each given once: ['x']",
     ),
     "form_entry": (
         f'{{"name": "x", "dim": 1, "forms": {{"w": [[{FIVE_THOUSAND}]]}}}}',

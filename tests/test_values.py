@@ -1,5 +1,6 @@
 """Value classes: frozen-dataclass behaviour on slotted classes, and a lean import of the CLI."""
 
+import ast
 import dataclasses
 import subprocess
 import sys
@@ -12,19 +13,11 @@ import bornlab
 from bornlab import catalog
 from bornlab.catalog import CatalogEntry, Expectation, ExpectationOutcome
 from bornlab.connections import Connection
-from bornlab.exact import Matrix, Signature, Splitting, Subspace, Trilinear
-from bornlab.liealg import SubalgebraResult
+from bornlab.exact import Matrix, Signature, Splitting, Subspace, Trilinear, Value
+from bornlab.liealg import LieAlgebra, SubalgebraResult
 from bornlab.model import CheckResult, Model, Report, StructureDecl
 from bornlab.multilinear import BilinearForm, Endomorphism
-from bornlab.structures import (
-    _CERTIFIED,
-    AlmostKunneth,
-    BornStructure,
-    CheckItem,
-    Hypersymplectic,
-    StructureReport,
-    Witness,
-)
+from bornlab.structures import _CERTIFIED, AlmostKunneth, BornStructure, Hypersymplectic, Witness
 
 SRC = Path(bornlab.__file__).resolve().parents[1]
 
@@ -42,8 +35,6 @@ FIELDS = {
     CheckResult: "check status witness elapsed_ms",
     Report: "model results",
     Witness: "index value note",
-    CheckItem: "name witness group",
-    StructureReport: "items",
     AlmostKunneth: "algebra omega plus minus",
     BornStructure: "algebra g h omega a_op b_op j_op l_plus l_minus",
     Hypersymplectic: "algebra omega alpha beta a_op b_op j_op metric",
@@ -53,7 +44,6 @@ FIELDS = {
 CERTIFIED = (AlmostKunneth, BornStructure)
 DEFAULTS = {
     Witness: {"note": ""},
-    CheckItem: {"witness": None, "group": "algebra"},
     Model: {"checks": None},
     SubalgebraResult: {"witness": None, "residual": None},
 }
@@ -121,3 +111,76 @@ def test_kernel_values_are_immutable_and_compared_by_value():
             obj.n = 3
         with pytest.raises(AttributeError):
             del obj.n
+
+
+# the classes built by Value's one constructor, with no __init__ of their own
+GENERIC = [cls for cls in FIELDS if "__init__" not in vars(cls)]
+
+
+@pytest.mark.parametrize("cls", GENERIC, ids=lambda cls: cls.__name__)
+def test_generic_constructor_rejects_what_a_frozen_dataclass_rejects(cls):
+    names = FIELDS[cls].split()
+    defaults = DEFAULTS.get(cls, {})
+    fields = [(f, object, dataclasses.field(default=defaults[f])) if f in defaults else (f, object) for f in names]
+    reference = dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
+    values = [f"{f}-value" for f in names]
+    required = len(names) - len(defaults)
+    calls = (
+        (values + ["extra"], {}),  # too many positional arguments
+        (values, {names[0]: "again"}),  # a field given twice
+        (values[: required - 1], {}),  # a missing field
+        (values, {"unknown": "value"}),  # an unknown keyword
+    )
+    for args, kwargs in calls:
+        with pytest.raises(TypeError):
+            reference(*args, **kwargs)
+        with pytest.raises(TypeError, match=f"^{cls.__name__}\\(\\) "):
+            cls(*args, **kwargs)
+
+
+def test_lie_algebra_is_a_value_compared_by_n_and_brackets():
+    a = LieAlgebra(3, {(1, 2): {3: 1}})
+    same = LieAlgebra(3, {(1, 2): {3: "2/2", 1: 0}})
+    assert same is not a and same == a and hash(same) == hash(a) and same.brackets == {(1, 2): {3: 1}}
+    assert a != LieAlgebra(3, {(1, 2): {3: 2}}) and a != LieAlgebra.abelian(3) and a != LieAlgebra(4, a.brackets)
+    assert a.__eq__(a.brackets) is NotImplemented
+    # _ad and _constants are derived and not compared; brackets is a dict, so
+    # the key is unhashable and the algebra keeps the hash it computed
+    bare = object.__new__(LieAlgebra)
+    Value.__init__(bare, 3, a.brackets, (), (1, ()))
+    assert bare == a
+    with pytest.raises(TypeError):
+        hash(bare)
+    for name in LieAlgebra.__slots__ + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert repr(a) == "LieAlgebra(dim=3, [e1,e2]=1*e3)"
+
+
+def stores_only(init: ast.FunctionDef) -> bool:
+    """Whether a constructor only stores its parameters, by object.__setattr__ or super().__init__."""
+    params = {a.arg for a in init.args.args + init.args.kwonlyargs} - {"self"}
+    body = init.body[1:] if ast.get_docstring(init) else init.body
+
+    def stores(stmt) -> bool:
+        if not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)):
+            return False
+        func, args = ast.unparse(stmt.value.func), stmt.value.args
+        stored = {"object.__setattr__": args[2:], "super().__init__": args}.get(func)
+        return stored is not None and all(isinstance(a, ast.Name) and a.id in params for a in stored)
+
+    return all(map(stores, body))
+
+
+def test_no_value_class_writes_out_the_constructor_it_inherits():
+    store_only = [
+        f"{path.name}:{node.name}"
+        for path in sorted((SRC / "bornlab").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        for init in node.body
+        if isinstance(init, ast.FunctionDef) and init.name == "__init__" and stores_only(init)
+    ]
+    assert store_only == []
