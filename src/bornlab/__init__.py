@@ -23,7 +23,6 @@ from .liealg import (
 )
 from .multilinear import (
     BilinearForm,
-    Endomorphism,
     anticommutator_defect,
     involution_split,
     nijenhuis,

@@ -14,10 +14,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BornlabError, UnknownEntryError
-from .exact import Subspace, Value
+from .exact import Matrix, Subspace, Value
 from .liealg import LieAlgebra, ce_d2
 from .model import CHECK_ORDER, Model, StructureDecl, materialize, render_model, run_checks
-from .multilinear import Endomorphism, symmetric_form, two_form
+from .multilinear import symmetric_form, two_form
 from .structures import CirclePoint, integrability_report, s1_family
 
 F = Fraction
@@ -49,10 +49,6 @@ def _basis_subspace(n, indices):
     return Subspace(n, [[1 if c == i - 1 else 0 for c in range(n)] for i in indices])
 
 
-def _endo(images) -> Endomorphism:
-    return Endomorphism.from_images(images)
-
-
 # ---------------------------------------------------------------------------
 # entry constructors
 
@@ -78,7 +74,11 @@ def _abelian_cn(n: int) -> CatalogEntry:
         algebra=LieAlgebra.abelian(dim),
         forms={"omega": omega},
         metrics={"g": g, "h": h},
-        endos={"A": _endo(a_images), "B": _endo(b_images), "J": _endo(j_images)},
+        endos={
+            "A": Matrix.from_columns(a_images),
+            "B": Matrix.from_columns(b_images),
+            "J": Matrix.from_columns(j_images),
+        },
         subspaces={
             "F": _basis_subspace(dim, range(1, n + 1)),
             "G": _basis_subspace(dim, range(n + 1, dim + 1)),
@@ -106,9 +106,9 @@ def _torus_2_2() -> CatalogEntry:
     omega = two_form(4, {(1, 2): 1, (3, 4): 1})
     g = symmetric_form(4, {(1, 2): 1, (3, 4): 1})
     h = symmetric_form(4, {(1, 1): 1, (2, 2): 1, (3, 3): -1, (4, 4): -1})
-    a = _endo([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
-    j = _endo([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
-    b = _endo([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]])
+    a = Matrix.from_columns([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
+    j = Matrix.from_columns([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    b = Matrix.from_columns([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]])
     model = Model(
         name="torus_2_2",
         algebra=LieAlgebra.abelian(4),
@@ -138,15 +138,15 @@ def _nil3_r() -> CatalogEntry:
     alpha = two_form(4, {(1, 4): 1, (2, 3): -1})
     beta = two_form(4, {(1, 3): -1, (2, 4): -1})
     g_h = symmetric_form(4, {(1, 4): -1, (2, 3): -1})
-    a = _endo([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]])
-    b = _endo([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
+    a = Matrix.from_columns([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]])
+    b = Matrix.from_columns([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
     # corrected: the source table's Je4 = -e3 fails J^2 = -Id and the
     # defining relation alpha(J., .) = beta; the consistent value is Je4 = e3
-    j = _endo([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
-    jt = _endo([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    j = Matrix.from_columns([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    jt = Matrix.from_columns([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
     h_t0 = symmetric_form(4, {(1, 4): 1, (2, 3): -1})
     i_t0 = a
-    bt_t0 = _endo([[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
+    bt_t0 = Matrix.from_columns([[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
     f0 = Subspace(4, [[1, 1, 0, 0], [0, 0, 1, -1]])
     g0 = Subspace(4, [[1, -1, 0, 0], [0, 0, 1, 1]])
     model = Model(
@@ -194,7 +194,7 @@ def _h4() -> CatalogEntry:
     omega = two_form(6, {(1, 3): 1, (2, 6): 1, (4, 5): 1})
     g = symmetric_form(6, {(1, 3): 1, (2, 6): 1, (4, 5): -1})
     h = symmetric_form(6, {(1, 1): -2, (3, 3): F(-1, 2), (2, 5): 1, (4, 6): -1})
-    a = Endomorphism.from_images(
+    a = Matrix.from_columns(
         [
             [1, 0, 0, 0, 0, 0],
             [0, 1, 0, 0, 0, 0],
@@ -204,7 +204,7 @@ def _h4() -> CatalogEntry:
             [0, 0, 0, 0, 0, -1],
         ]
     )
-    j = Endomorphism.from_images(
+    j = Matrix.from_columns(
         [
             [0, 0, -2, 0, 0, 0],
             [0, 0, 0, -1, 0, 0],
@@ -214,7 +214,7 @@ def _h4() -> CatalogEntry:
             [0, 0, 0, 0, -1, 0],
         ]
     )
-    b = Endomorphism.from_images(
+    b = Matrix.from_columns(
         [
             [0, 0, -2, 0, 0, 0],
             [0, 0, 0, -1, 0, 0],
@@ -259,7 +259,7 @@ def _h8() -> CatalogEntry:
     omega = two_form(6, {(1, 3): -1, (2, 4): -1, (5, 6): 1})
     g = symmetric_form(6, {(1, 4): -1, (2, 3): -1, (5, 6): 1})
     h = symmetric_form(6, {(1, 4): 1, (2, 3): -1, (5, 5): 1, (6, 6): 1})
-    a = Endomorphism.from_images(
+    a = Matrix.from_columns(
         [
             [0, 1, 0, 0, 0, 0],
             [1, 0, 0, 0, 0, 0],
@@ -269,7 +269,7 @@ def _h8() -> CatalogEntry:
             [0, 0, 0, 0, 0, -1],
         ]
     )
-    b = Endomorphism.from_images(
+    b = Matrix.from_columns(
         [
             [-1, 0, 0, 0, 0, 0],
             [0, 1, 0, 0, 0, 0],
@@ -279,7 +279,7 @@ def _h8() -> CatalogEntry:
             [0, 0, 0, 0, 1, 0],
         ]
     )
-    j = Endomorphism.from_images(
+    j = Matrix.from_columns(
         [
             [0, 1, 0, 0, 0, 0],
             [-1, 0, 0, 0, 0, 0],
@@ -327,7 +327,7 @@ def _h9_corrected() -> CatalogEntry:
     omega_printed = two_form(6, {(1, 3): 1, (2, 6): 4, (4, 5): -4})
     g = symmetric_form(6, {(1, 3): 1, (2, 6): -4, (4, 5): -4})
     h = symmetric_form(6, {(1, 6): 4, (2, 3): -1, (4, 4): -4, (5, 5): -4})
-    a = Endomorphism.from_images(
+    a = Matrix.from_columns(
         [
             [1, 0, 0, 0, 0, 0],
             [0, -1, 0, 0, 0, 0],
@@ -337,7 +337,7 @@ def _h9_corrected() -> CatalogEntry:
             [0, 0, 0, 0, 0, 1],
         ]
     )
-    j = Endomorphism.from_images(
+    j = Matrix.from_columns(
         [
             [0, -1, 0, 0, 0, 0],
             [1, 0, 0, 0, 0, 0],
@@ -347,7 +347,7 @@ def _h9_corrected() -> CatalogEntry:
             [0, 0, 4, 0, 0, 0],
         ]
     )
-    b = Endomorphism.from_images(
+    b = Matrix.from_columns(
         [
             [0, -1, 0, 0, 0, 0],
             [-1, 0, 0, 0, 0, 0],
@@ -407,9 +407,9 @@ def _nil3_r_fixture() -> CatalogEntry:
     omega = two_form(4, {(1, 2): 1, (4, 3): 1})
     g = symmetric_form(4, {(1, 2): 1, (3, 4): 1})
     h = symmetric_form(4, {(1, 1): 1, (2, 2): 1, (3, 3): 1, (4, 4): 1})
-    a = _endo([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]])
-    j = _endo([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
-    b = _endo([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    a = Matrix.from_columns([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]])
+    j = Matrix.from_columns([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    b = Matrix.from_columns([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
     model = Model(
         name="nil3_r_nonintegrable_fixture",
         algebra=L,

@@ -20,7 +20,7 @@ def _cmd_check(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     only = None if args.checks is None else args.checks.split(",") if args.checks else ()

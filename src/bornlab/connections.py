@@ -44,6 +44,7 @@ from functools import lru_cache
 from .errors import DegenerateFormError, NotIntegrableError, SingularMatrixError
 from .exact import (
     HALF,
+    Matrix,
     Trilinear,
     Value,
     column_slices,
@@ -52,7 +53,7 @@ from .exact import (
     splitting,
 )
 from .liealg import LieAlgebra, ce_d2
-from .multilinear import BilinearForm, Endomorphism, involution_split
+from .multilinear import BilinearForm, involution_split
 from .structures import (
     AlmostKunneth,
     BornStructure,
@@ -93,14 +94,13 @@ def nabla_form(c: Connection, b: BilinearForm) -> Trilinear:
     return Trilinear(tuple(-(b.transpose_times(g, p_i) + p_i) for g, p_i in zip(c.gammas, p)))
 
 
-def _conjugate_average(c: Connection, t: Endomorphism) -> Connection:
+def _conjugate_average(c: Connection, t: Matrix) -> Connection:
     """(Gamma_i + T Gamma_i T) / 2 for every i.
 
     When T^2 = Id it commutes with T: T (Gamma + T Gamma T) = T Gamma + Gamma T
     = (Gamma + T Gamma T) T.
     """
-    m = t.matrix
-    return Connection(tuple((g + m * g * m) * HALF for g in c.gammas))
+    return Connection(tuple((g + t * g * t) * HALF for g in c.gammas))
 
 
 @lru_cache(maxsize=None)

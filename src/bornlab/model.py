@@ -57,7 +57,7 @@ from .errors import (
 )
 from .exact import Matrix, Subspace, Value, format_rational, parse_rational, read_integer
 from .liealg import LieAlgebra, ce_d2
-from .multilinear import ANTISYMMETRIC, SYMMETRIC, BilinearForm, Endomorphism
+from .multilinear import ANTISYMMETRIC, SYMMETRIC, BilinearForm
 from . import structures
 from .structures import (
     AlmostKunneth,
@@ -185,6 +185,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _object(pairs) -> dict:
+    """A JSON object whose keys are distinct; a repeated key is an error, not a silent overwrite."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} is given twice")
+        obj[key] = value
+    return obj
+
+
 def _section(doc: dict, key: str, kind: type):
     value = doc.get(key, kind())
     if not isinstance(value, kind):
@@ -202,11 +212,13 @@ def parse_model(text: str) -> Model:
     try:
         # JSON integers are read as literal integers are: exact under any
         # int-from-text digit limit, and bounded in digits
-        doc = json.loads(text, parse_int=read_integer)
+        doc = json.loads(text, parse_int=read_integer, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ModelSyntaxError(exc.msg, line=exc.lineno) from exc
     except ValueError as exc:
         raise ModelSyntaxError(str(exc)) from exc
+    except RecursionError:
+        raise ModelSyntaxError("the document nests too deeply") from None
     if not isinstance(doc, dict):
         raise ModelSyntaxError("model document must be a JSON object")
     allowed = {"name", "dim", "brackets", "forms", "metrics", "endos", "subspaces", "structures", "checks"}
@@ -256,7 +268,7 @@ def parse_model(text: str) -> Model:
         metrics[mname] = BilinearForm(m, SYMMETRIC)
     endos = {}
     for ename, rows in sorted(_section(doc, "endos", dict).items()):
-        endos[ename] = Endomorphism(_parse_matrix(f"endos.{ename}", rows, dim, read))
+        endos[ename] = _parse_matrix(f"endos.{ename}", rows, dim, read)
     subspaces = {}
     for sname, vectors in sorted(_section(doc, "subspaces", dict).items()):
         if not isinstance(vectors, list) or not vectors:
@@ -320,7 +332,7 @@ def render_model(model: Model) -> str:
     ]
     doc["forms"] = {name: _matrix_json(f.matrix) for name, f in sorted(model.forms.items())}
     doc["metrics"] = {name: _matrix_json(f.matrix) for name, f in sorted(model.metrics.items())}
-    doc["endos"] = {name: _matrix_json(e.matrix) for name, e in sorted(model.endos.items())}
+    doc["endos"] = {name: _matrix_json(e) for name, e in sorted(model.endos.items())}
     doc["subspaces"] = {
         name: [[format_rational(v) for v in vec] for vec in s.given]
         for name, s in sorted(model.subspaces.items())

@@ -26,7 +26,6 @@ from .exact import (
     kernel_basis,
     linear_combination,
     splitting,
-    vector,
 )
 
 TYPE_CHECKING = False  # true for static checkers only; importing typing at run time is not needed
@@ -52,20 +51,9 @@ class BilinearForm(Value):
             raise ValueError(f"unknown symmetry type {symmetry!r}")
         super().__init__(matrix, symmetry)
 
-    @classmethod
-    def detect(cls, matrix: Matrix) -> "BilinearForm":
-        if matrix.is_symmetric():
-            return cls(matrix, SYMMETRIC)
-        if matrix.is_antisymmetric():
-            return cls(matrix, ANTISYMMETRIC)
-        return cls(matrix, NOSYM)
-
     @property
     def n(self) -> int:
         return self.matrix.n
-
-    def negated(self) -> "BilinearForm":
-        return BilinearForm(-self.matrix, self.symmetry)
 
     def transpose_times(self, t: Matrix, mt: Matrix) -> Matrix:
         """T^T M, given mt = M T: (M T)^T or -(M T)^T when M^T = M or -M, else a product."""
@@ -79,39 +67,7 @@ class BilinearForm(Value):
         return f"BilinearForm({self.symmetry}, {self.matrix!r})"
 
 
-class Endomorphism(Value):
-    """Endomorphism of the fixed basis; column j is the image of e_j."""
-
-    __slots__ = ("matrix",)
-
-    @classmethod
-    def identity(cls, n: int) -> "Endomorphism":
-        return cls(Matrix.identity(n))
-
-    @classmethod
-    def from_images(cls, images) -> "Endomorphism":
-        """Build from the list of images of e_1, ..., e_n."""
-        return cls(Matrix.from_columns([vector(v) for v in images]))
-
-    @property
-    def n(self) -> int:
-        return self.matrix.n
-
-    def compose(self, other: "Endomorphism") -> "Endomorphism":
-        """self after other (matrix product self * other)."""
-        return Endomorphism(self.matrix * other.matrix)
-
-    def squared(self) -> Matrix:
-        return self.matrix * self.matrix
-
-    def negated(self) -> "Endomorphism":
-        return Endomorphism(-self.matrix)
-
-    def __repr__(self):
-        return f"Endomorphism({self.matrix!r})"
-
-
-def recursion_operator(a: BilinearForm, b: BilinearForm) -> Endomorphism:
+def recursion_operator(a: BilinearForm, b: BilinearForm) -> Matrix:
     """The unique endomorphism A with a(A x, y) = b(x, y) for all x, y.
 
     Solving a(A e_j, e_i) = b(e_j, e_i) over all basis pairs gives
@@ -124,16 +80,15 @@ def recursion_operator(a: BilinearForm, b: BilinearForm) -> Endomorphism:
         ma_inv = invert(a.matrix)
     except SingularMatrixError:
         raise DegenerateFormError("source form of a recursion operator is degenerate") from None
-    return Endomorphism(ma_inv.transpose() * b.matrix.transpose())
+    return ma_inv.transpose() * b.matrix.transpose()
 
 
-def pullback(t: Endomorphism, b: BilinearForm) -> BilinearForm:
-    """(t^* b)(x, y) = b(t x, t y)."""
-    m = t.matrix.transpose() * b.matrix * t.matrix
-    return BilinearForm.detect(m)
+def pullback(t: Matrix, b: BilinearForm) -> BilinearForm:
+    """(t^* b)(x, y) = b(t x, t y), of the symmetry of b: (T^T M T)^T = T^T M^T T."""
+    return BilinearForm(t.transpose() * b.matrix * t, b.symmetry)
 
 
-def nijenhuis(L: "LieAlgebra", t: Endomorphism) -> Trilinear:
+def nijenhuis(L: "LieAlgebra", t: Matrix) -> Trilinear:
     """Nijenhuis tensor N(x, y) = [Tx,Ty] + T^2 [x,y] - T[Tx,y] - T[x,Ty] on basis pairs.
 
     Along x = e_i it is the matrix
@@ -147,13 +102,12 @@ def nijenhuis(L: "LieAlgebra", t: Endomorphism) -> Trilinear:
     n = L.n
     if t.n != n:
         raise DimensionMismatchError("endomorphism dimension does not match algebra")
-    m = t.matrix
-    v = [L.ad(k) * m - m * L.ad(k) for k in range(n)]
-    return Trilinear(tuple((linear_combination(m.column(i), v) - m * v[i]).transpose() for i in range(n)))
+    v = [L.ad(k) * t - t * L.ad(k) for k in range(n)]
+    return Trilinear(tuple((linear_combination(t.column(i), v) - t * v[i]).transpose() for i in range(n)))
 
 
 @lru_cache(maxsize=None)
-def involution_split(t: Endomorphism) -> Splitting:
+def involution_split(t: Matrix) -> Splitting:
     """The splitting into the (+1)/(-1) eigenspaces of t, whose involution is t.
 
     Requires t^2 = Id and t != +-Id; eigenspace bases come out in reduced
@@ -163,19 +117,19 @@ def involution_split(t: Endomorphism) -> Splitting:
     """
     n = t.n
     ident = Matrix.identity(n)
-    defect = t.squared() - ident
+    defect = t * t - ident
     if not defect.is_zero():
         raise NotInvolutionError(defect.first_witness())
-    if t.matrix == ident or t.matrix == -ident:
+    if t == ident or t == -ident:
         raise TrivialInvolutionError("involution is +-identity; no proper splitting")
-    plus = Subspace(n, kernel_basis(t.matrix - ident))
-    minus = Subspace(n, kernel_basis(t.matrix + ident))
+    plus = Subspace(n, kernel_basis(t - ident))
+    minus = Subspace(n, kernel_basis(t + ident))
     return splitting(plus, minus)
 
 
-def anticommutator_defect(s: Endomorphism, t: Endomorphism) -> Matrix:
+def anticommutator_defect(s: Matrix, t: Matrix) -> Matrix:
     """st + ts; the zero matrix exactly when s and t anti-commute."""
-    return s.matrix * t.matrix + t.matrix * s.matrix
+    return s * t + t * s
 
 
 def two_form(n: int, pairs) -> BilinearForm:

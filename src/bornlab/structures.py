@@ -43,7 +43,6 @@ from .multilinear import (
     ANTISYMMETRIC,
     SYMMETRIC,
     BilinearForm,
-    Endomorphism,
     anticommutator_defect,
     involution_split,
     nijenhuis,
@@ -82,8 +81,8 @@ def require_zero(which: str, defect, error=AxiomFailureError):
 def _require_tables(*tables):
     """Each (name, expected table or None, derived matrix) must match entry for entry where a table is given."""
     for name, expected, derived in tables:
-        if expected is not None and expected.matrix != derived:
-            raise AxiomFailureError(f"{name} matches expected table", (derived - expected.matrix).first_witness())
+        if expected is not None and expected != derived:
+            raise AxiomFailureError(f"{name} matches expected table", (derived - expected).first_witness())
 
 
 def subalgebra_witness(L: LieAlgebra, sub: Subspace) -> Witness | None:
@@ -138,9 +137,9 @@ def build_almost_kunneth(L: LieAlgebra, omega: BilinearForm, plus: Subspace, min
     return AlmostKunneth(L, omega, plus, minus, key=_CERTIFIED)
 
 
-def almost_product(k: AlmostKunneth) -> Endomorphism:
+def almost_product(k: AlmostKunneth) -> Matrix:
     """The involution that is +Id on the plus subspace and -Id on the minus one."""
-    return Endomorphism(splitting(k.plus, k.minus).involution)
+    return splitting(k.plus, k.minus).involution
 
 
 @lru_cache(maxsize=None)
@@ -156,7 +155,7 @@ def neutral_metric(k: AlmostKunneth) -> BilinearForm:
     form of signature (p, q) has no isotropic subspace of dimension above
     min(p, q), so p = q = n/2.
     """
-    return BilinearForm(almost_product(k).matrix.transpose() * k.omega.matrix, SYMMETRIC)
+    return BilinearForm(almost_product(k).transpose() * k.omega.matrix, SYMMETRIC)
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +202,9 @@ def build_born(
     h: BilinearForm,
     omega: BilinearForm,
     *,
-    expect_a: Endomorphism | None = None,
-    expect_b: Endomorphism | None = None,
-    expect_j: Endomorphism | None = None,
+    expect_a: Matrix | None = None,
+    expect_b: Matrix | None = None,
+    expect_j: Matrix | None = None,
 ) -> BornStructure:
     """Derive A, B, J from (g, h, omega) and certify the Born axioms.
 
@@ -227,18 +226,18 @@ def build_born(
 
     a_op = recursion_operator(g, omega)
     b_op = recursion_operator(g, h)
-    j_op = recursion_operator(omega, h).negated()
+    j_op = -recursion_operator(omega, h)
 
     ident = Matrix.identity(n)
     for name, defect in (
-        ("A^2 = Id", a_op.squared() - ident),
-        ("B^2 = Id", b_op.squared() - ident),
-        ("J^2 = -Id", j_op.squared() + ident),
-        ("AB = -J", a_op.matrix * b_op.matrix + j_op.matrix),
+        ("A^2 = Id", a_op * a_op - ident),
+        ("B^2 = Id", b_op * b_op - ident),
+        ("J^2 = -Id", j_op * j_op + ident),
+        ("AB = -J", a_op * b_op + j_op),
     ):
         require_zero(name, defect)
 
-    _require_tables(("A", expect_a, a_op.matrix), ("B", expect_b, b_op.matrix), ("J", expect_j, j_op.matrix))
+    _require_tables(("A", expect_a, a_op), ("B", expect_b, b_op), ("J", expect_j, j_op))
 
     split = involution_split(a_op)
     return BornStructure(L, g, h, omega, a_op, b_op, j_op, split.plus, split.minus, key=_CERTIFIED)
@@ -381,7 +380,7 @@ def integrability_report(b: BornStructure) -> Witness | None:
 # enhancement of an almost Kunneth structure to a Born structure
 
 
-def enhance_kunneth(k: AlmostKunneth, jtilde: Endomorphism | None = None) -> BornStructure:
+def enhance_kunneth(k: AlmostKunneth, jtilde: Matrix | None = None) -> BornStructure:
     """Complete an almost Kunneth structure to a Born structure.
 
     jtilde, when given, must restrict to an isomorphism plus -> minus with
@@ -403,12 +402,12 @@ def enhance_kunneth(k: AlmostKunneth, jtilde: Endomorphism | None = None) -> Bor
         # column c of P^-1 Jt P holds the frame coordinates of Jt f_c: its
         # plus part must vanish, and its minus part is column c of S; a
         # failure is (c, a), the first f_c whose image has plus coordinate a
-        t = split.in_frame(jtilde.matrix)
+        t = split.in_frame(jtilde)
         hit = split.block_witness(t.transpose(), "+", "+")
         if hit is not None:
             raise NotCompatibleError(hit, "jtilde does not map the plus subspace into the minus one")
         # entry (a, c) of the (+,+) block is omega(Jt f_a, f_c) + omega(f_a, Jt f_c)
-        compatibility = jtilde.matrix.transpose() * omega + omega * jtilde.matrix
+        compatibility = jtilde.transpose() * omega + omega * jtilde
         hit = split.block_witness(split.pairing(compatibility), "+", "+")
         if hit is not None:
             raise NotCompatibleError(hit)
@@ -421,10 +420,10 @@ def enhance_kunneth(k: AlmostKunneth, jtilde: Endomorphism | None = None) -> Bor
     m, d = s.n, lcm(s.den, s_inv.den)
     block = [[0] * m + [-v for v in row] for row in s_inv.num_over(d)]
     block += [list(row) + [0] * m for row in s.num_over(d)]
-    j_op = Endomorphism(split.frame * Matrix.over(block, d) * split.frame_inv)
+    j_op = split.frame * Matrix.over(block, d) * split.frame_inv
 
     g = neutral_metric(k)
-    h = BilinearForm(k.omega.matrix * j_op.matrix, SYMMETRIC)
+    h = BilinearForm(omega * j_op, SYMMETRIC)
     return build_born(k.algebra, g, h, k.omega, expect_j=j_op)
 
 
@@ -448,9 +447,9 @@ def build_hypersymplectic(
     alpha: BilinearForm,
     beta: BilinearForm,
     *,
-    expect_a: Endomorphism | None = None,
-    expect_b: Endomorphism | None = None,
-    expect_j: Endomorphism | None = None,
+    expect_a: Matrix | None = None,
+    expect_b: Matrix | None = None,
+    expect_j: Matrix | None = None,
     expect_metric: BilinearForm | None = None,
 ) -> Hypersymplectic:
     """Validate a hypersymplectic triple and derive its operators and metric.
@@ -480,21 +479,21 @@ def build_hypersymplectic(
 
     ident = Matrix.identity(n)
     for name, defect in (
-        ("A^2 = Id", a_op.squared() - ident),
-        ("B^2 = Id", b_op.squared() - ident),
-        ("J^2 = -Id", j_op.squared() + ident),
-        ("AJ = B", a_op.matrix * j_op.matrix - b_op.matrix),
+        ("A^2 = Id", a_op * a_op - ident),
+        ("B^2 = Id", b_op * b_op - ident),
+        ("J^2 = -Id", j_op * j_op + ident),
+        ("AJ = B", a_op * j_op - b_op),
     ):
         require_zero(name, defect)
 
-    metric_matrix = alpha.matrix * b_op.matrix
+    metric_matrix = alpha.matrix * b_op
     metric = BilinearForm(metric_matrix, SYMMETRIC)
 
     _require_tables(
-        ("A", expect_a, a_op.matrix),
-        ("B", expect_b, b_op.matrix),
-        ("J", expect_j, j_op.matrix),
-        ("metric", expect_metric, metric_matrix),
+        ("A", expect_a, a_op),
+        ("B", expect_b, b_op),
+        ("J", expect_j, j_op),
+        ("metric", None if expect_metric is None else expect_metric.matrix, metric_matrix),
     )
 
     return Hypersymplectic(L, omega, alpha, beta, a_op, b_op, j_op, metric)
@@ -535,7 +534,7 @@ class CirclePoint(Value):
 
 
 @lru_cache(maxsize=None)
-def s1_family(hs: Hypersymplectic, jtilde: Endomorphism, p: CirclePoint) -> BornStructure:
+def s1_family(hs: Hypersymplectic, jtilde: Matrix, p: CirclePoint) -> BornStructure:
     """Born structure at one point of the circle family of a hypersymplectic triple.
 
     Hypotheses (checked exactly): jtilde^2 = -Id, jtilde anti-commutes with A
@@ -552,7 +551,7 @@ def s1_family(hs: Hypersymplectic, jtilde: Endomorphism, p: CirclePoint) -> Born
     h_t(x, y) = beta_t(-jtilde x, y).
     """
     for which, defect in (
-        ("jtilde^2 = -Id", jtilde.squared() + Matrix.identity(hs.algebra.n)),
+        ("jtilde^2 = -Id", jtilde * jtilde + Matrix.identity(hs.algebra.n)),
         ("jtilde anti-commutes with A", anticommutator_defect(jtilde, hs.a_op)),
         ("jtilde anti-commutes with B", anticommutator_defect(jtilde, hs.b_op)),
         ("jtilde^* g = -g", pullback(jtilde, hs.metric).matrix + hs.metric.matrix),
@@ -562,9 +561,9 @@ def s1_family(hs: Hypersymplectic, jtilde: Endomorphism, p: CirclePoint) -> Born
     beta_t = BilinearForm(
         hs.alpha.matrix * (-p.sin) + hs.beta.matrix * p.cos, ANTISYMMETRIC
     )
-    i_t = Endomorphism(hs.a_op.matrix * p.cos + hs.b_op.matrix * p.sin)
-    bt = jtilde.compose(i_t)
-    h_t = BilinearForm(bt.matrix.transpose() * hs.metric.matrix, SYMMETRIC)
+    i_t = hs.a_op * p.cos + hs.b_op * p.sin
+    bt = jtilde * i_t
+    h_t = BilinearForm(bt.transpose() * hs.metric.matrix, SYMMETRIC)
 
     return build_born(
         hs.algebra,

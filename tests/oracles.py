@@ -1,12 +1,13 @@
-"""Test-only oracles: vectors on Fractions, nabla_x y of a connection and the
-antipode of a circle point, one-forms with their differential and wedge
-products, the Jacobi sums bracket by bracket, readers of Trilinear tensors
-that do not go through the engine's scan, two computations of Sylvester inertia, the Levi-Civita connection
-solved by sympy, the pairwise bracket-closure test on Fractions, the
-four-combination Kunneth connection, every leg of Born integrability computed
-on its own, the rational-literal reader the integer one replaced, the mixed
-torsion of a connection on a splitting, and the whole Born identity table
-computed from matrix products on raw data.
+"""Test-only oracles: vectors on Fractions, the negation and declared symmetry
+of a form, nabla_x y of a connection and the antipode of a circle point,
+one-forms with their differential and wedge products, the Jacobi sums
+bracket by bracket, readers of Trilinear tensors that do not go through the
+engine's scan, two computations of Sylvester inertia, the Levi-Civita
+connection solved by sympy, the pairwise bracket-closure test on Fractions,
+the four-combination Kunneth connection, every leg of Born integrability
+computed on its own, the rational-literal reader the integer one replaced,
+the mixed torsion of a connection on a splitting, and the whole Born
+identity table computed from matrix products on raw data.
 
 The engine needs d on two-forms only.  The d^2 = 0 and Leibniz tests, and the
 acceptance criteria on stated differentials, check ce_d2 against the
@@ -29,7 +30,7 @@ from bornlab import BilinearForm, CirclePoint, LieAlgebra, Matrix, Signature, Su
 from bornlab.connections import Connection
 from bornlab.exact import invert, linear_combination, splitting, vector
 from bornlab.liealg import ce_d2
-from bornlab.multilinear import ANTISYMMETRIC, nijenhuis
+from bornlab.multilinear import ANTISYMMETRIC, NOSYM, SYMMETRIC, nijenhuis
 from bornlab.structures import IDENTITY_TABLE, Witness, subalgebra_witness, witness_at, witness_of
 
 
@@ -44,6 +45,17 @@ def vec_add(x, y) -> tuple:
 
 def vec_sub(x, y) -> tuple:
     return tuple(a - b for a, b in zip(x, y))
+
+
+def negated(b: BilinearForm) -> BilinearForm:
+    return BilinearForm(-b.matrix, b.symmetry)
+
+
+def detect(m: Matrix) -> BilinearForm:
+    """The form of matrix m, declared symmetric or antisymmetric where it is."""
+    if m.is_symmetric():
+        return BilinearForm(m, SYMMETRIC)
+    return BilinearForm(m, ANTISYMMETRIC if m.is_antisymmetric() else NOSYM)
 
 
 def nabla(c: Connection, x, y) -> tuple:
@@ -367,9 +379,7 @@ class BornData(NamedTuple):
 
 def born_data(b) -> BornData:
     """The raw data of a built Born structure."""
-    return BornData(
-        b.g.matrix, b.h.matrix, b.omega.matrix, b.a_op.matrix, b.b_op.matrix, b.j_op.matrix, b.l_plus, b.l_minus
-    )
+    return BornData(b.g.matrix, b.h.matrix, b.omega.matrix, b.a_op, b.b_op, b.j_op, b.l_plus, b.l_minus)
 
 
 def gauss_jordan(rows, width: int) -> tuple[list, list]:

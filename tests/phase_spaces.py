@@ -18,7 +18,7 @@ but the graph is as a rule not a subalgebra, and Born structures fail at N_A.
 
 import random
 
-from bornlab import Endomorphism, LieAlgebra, Subspace, build_almost_kunneth, enhance_kunneth
+from bornlab import LieAlgebra, Subspace, build_almost_kunneth, enhance_kunneth
 from bornlab.exact import Matrix, determinant
 from bornlab.model import Model, StructureDecl, render_model
 from bornlab.multilinear import two_form
@@ -54,7 +54,7 @@ def phase_space(k: int, strict: bool):
     return build_almost_kunneth(L, omega, plus, minus)
 
 
-def seeded_jtilde(m: int, rng: random.Random) -> Endomorphism:
+def seeded_jtilde(m: int, rng: random.Random) -> Matrix:
     """jtilde = [[0, 0], [S, 0]] for a seeded invertible symmetric integer S."""
     while True:
         s = [[0] * m for _ in range(m)]
@@ -62,7 +62,7 @@ def seeded_jtilde(m: int, rng: random.Random) -> Endomorphism:
             for c in range(a, m):
                 s[a][c] = s[c][a] = rng.randint(-2, 2)
         if determinant(Matrix(s)) != 0:
-            return Endomorphism(Matrix([[0] * (2 * m) for _ in range(m)] + [row + [0] * m for row in s]))
+            return Matrix([[0] * (2 * m) for _ in range(m)] + [row + [0] * m for row in s])
 
 
 def sheared(kunneth, rng: random.Random):
@@ -72,7 +72,7 @@ def sheared(kunneth, rng: random.Random):
     subalgebra, so a Born structure on it fails integrability at N_A.
     """
     n = kunneth.algebra.n
-    shear = Matrix.identity(n) + seeded_jtilde(n // 2, rng).matrix
+    shear = Matrix.identity(n) + seeded_jtilde(n // 2, rng)
     plus = Subspace(n, [shear.column(a) for a in range(n // 2)])
     return build_almost_kunneth(kunneth.algebra, kunneth.omega, plus, kunneth.minus)
 

@@ -15,7 +15,6 @@ from bornlab import (
     anticommutator_defect,
     nabla_form,
     CirclePoint,
-    Endomorphism,
     LieAlgebra,
     Matrix,
     Subspace,
@@ -49,11 +48,13 @@ from oracles import (
     basis_vector,
     born_data,
     ce_d1,
+    detect,
     evaluate,
     integrability_legs,
     integrable,
     mixed_torsion_defect,
     nabla,
+    negated,
     reference_identity_table,
     vec_sub,
 )
@@ -80,17 +81,17 @@ def test_criterion_01_nil3_recursion_operators(catalog_models):
     with one certified correction: the printed Je4 = -e3 is impossible
     (J^2 = -Id fails on span{e3,e4}), the defining relation forces Je4 = e3."""
     hs = structures_of(catalog_models["nil3_r"], "hypersymplectic")[0]
-    a_table = Endomorphism.from_images([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]])
-    b_table = Endomorphism(Matrix.diagonal([1, -1, 1, -1]))
-    j_table = Endomorphism.from_images([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
-    assert (hs.a_op.matrix - a_table.matrix).is_zero()
-    assert (hs.b_op.matrix - b_table.matrix).is_zero()
-    assert (hs.j_op.matrix - j_table.matrix).is_zero()
+    a_table = Matrix.from_columns([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]])
+    b_table = Matrix.diagonal([1, -1, 1, -1])
+    j_table = Matrix.from_columns([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    assert (hs.a_op - a_table).is_zero()
+    assert (hs.b_op - b_table).is_zero()
+    assert (hs.j_op - j_table).is_zero()
     # the uncorrected table is demonstrably inconsistent
-    j_printed = Endomorphism.from_images([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]])
-    assert j_printed.squared() != -Matrix.identity(4)
+    j_printed = Matrix.from_columns([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]])
+    assert j_printed * j_printed != -Matrix.identity(4)
     e4, e2 = basis_vector(4, 3), basis_vector(4, 1)
-    assert evaluate(hs.alpha.matrix.rows, j_printed.matrix.matvec(e4), e2) != evaluate(hs.beta.matrix.rows, e4, e2)
+    assert evaluate(hs.alpha.matrix.rows, j_printed.matvec(e4), e2) != evaluate(hs.beta.matrix.rows, e4, e2)
     print("\nACCEPTANCE 1: nil3_r recursion operators reproduced exactly "
           "(J e4 corrected to +e3; printed value fails J^2=-Id): PASS")
 
@@ -151,10 +152,10 @@ def test_criterion_05_s1_family(catalog_models):
     hs = structures_of(entry, "hypersymplectic")[0]
     jt = entry.model.endos["jtilde"]
     # hypothesis checks, exact: built into s1_family, re-done explicitly here
-    assert jt.squared() == -Matrix.identity(4)
+    assert jt * jt == -Matrix.identity(4)
     assert anticommutator_defect(jt, hs.a_op).is_zero()
     assert anticommutator_defect(jt, hs.b_op).is_zero()
-    assert pullback(jt, hs.metric) == hs.metric.negated()
+    assert pullback(jt, hs.metric) == negated(hs.metric)
     for p in FAMILY_POINTS:
         member = s1_family(hs, jt, p)
         assert identities_hold(member), p.label()
@@ -187,7 +188,7 @@ def test_criterion_07_born_connection_theorem(catalog_models):
         assert generalized_torsion_defect(nb, nc, born.g).is_zero(), name
         for form in (born.g, born.h, born.omega):
             assert nabla_form(nb, form).is_zero(), name
-        nk, j = kunneth_connection(born.underlying_kunneth()), born.j_op.matrix
+        nk, j = kunneth_connection(born.underlying_kunneth()), born.j_op
         assert nb.gammas == tuple((g - j * g * j) * Fraction(1, 2) for g in nk.gammas), name
     entry = catalog_models["nil3_r"]
     hs = structures_of(entry, "hypersymplectic")[0]
@@ -315,9 +316,9 @@ def test_criterion_12_property_suites(catalog_models):
         while len(forms) < 3:
             m = Matrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)] for _ in range(n)])
             if determinant(m) != 0:
-                forms.append(BilinearForm.detect(m))
+                forms.append(detect(m))
         a, b, c = forms
-        assert recursion_operator(a, c) == recursion_operator(a, b).compose(recursion_operator(b, c))
+        assert recursion_operator(a, c) == recursion_operator(a, b) * recursion_operator(b, c)
     # involution split algebra on the catalog's product structures
     count = 0
     for entry in catalog_models.values():
@@ -327,7 +328,7 @@ def test_criterion_12_property_suites(catalog_models):
                 n = op.n
                 assert split.pi_plus + split.pi_minus == Matrix.identity(n)
                 assert split.pi_plus * split.pi_minus == Matrix.zero(n)
-                assert split.pi_plus - split.pi_minus == op.matrix
+                assert split.pi_plus - split.pi_minus == op
                 count += 1
             # two-out-of-three cross-check
             _, n_a, n_b, n_j, l_plus, l_minus = integrability_legs(born)

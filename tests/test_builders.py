@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from bornlab import LieAlgebra, Matrix, Trilinear, ce_d2, invert, nijenhuis
-from bornlab.multilinear import ANTISYMMETRIC, BilinearForm, Endomorphism
+from bornlab.multilinear import ANTISYMMETRIC, BilinearForm
 from oracles import basis_vector, contract, evaluate, nonzero_entries, vec_add, vec_sub
 
 SEEDS = (1, 2, 3)
@@ -48,15 +48,15 @@ def reference_ce_d2(L, m):
 def reference_nijenhuis(L, t):
     """[Te_i,Te_j] + T^2 [e_i,e_j] - T[Te_i,e_j] - T[e_i,Te_j], pair by pair."""
     n = L.n
-    t2 = t.squared()
-    images = [t.matrix.column(j) for j in range(n)]
+    t2 = t * t
+    images = [t.column(j) for j in range(n)]
 
     def component(i, j):
         ei, ej = basis_vector(n, i), basis_vector(n, j)
         term = L.bracket(images[i], images[j])
         term = vec_add(term, t2.matvec(L.bracket(ei, ej)))
-        term = vec_sub(term, t.matrix.matvec(L.bracket(images[i], ej)))
-        term = vec_sub(term, t.matrix.matvec(L.bracket(ei, images[j])))
+        term = vec_sub(term, t.matvec(L.bracket(images[i], ej)))
+        term = vec_sub(term, t.matvec(L.bracket(ei, images[j])))
         return term
 
     return reference_tensor(n, component)
@@ -110,7 +110,7 @@ def cases(catalog_models, catalog_structures):
                 f"{name}~{seed}",
                 moved_algebra(L, p),
                 [BilinearForm(p.transpose() * w.matrix * p, ANTISYMMETRIC) for w in forms],
-                [Endomorphism(p_inv * t.matrix * p) for t in endos],
+                [p_inv * t * p for t in endos],
             )
 
 
@@ -137,9 +137,7 @@ def test_nijenhuis_matches_four_bracket_oracle(catalog_models, catalog_structure
     checked = witnesses = 0
     for name, L, _, endos in cases(catalog_models, catalog_structures):
         rng = random.Random(name)
-        random_endo = Endomorphism(
-            Matrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(L.n)] for _ in range(L.n)])
-        )
+        random_endo = Matrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(L.n)] for _ in range(L.n)])
         for t in endos + [random_endo]:
             n_t, expected = nijenhuis(L, t), reference_nijenhuis(L, t)
             assert n_t == expected, name
@@ -169,7 +167,7 @@ def test_builders_are_covariant_under_change_of_basis(catalog_models, catalog_st
                     for k in range(j + 1, L.n):
                         assert d_moved.slices[i].entry(j + 1, k + 1) == evaluate(along, cols[j], cols[k]), name
         for t in endos:
-            n_t, n_moved = nijenhuis(L, t), nijenhuis(moved, Endomorphism(p_inv * t.matrix * p))
+            n_t, n_moved = nijenhuis(L, t), nijenhuis(moved, p_inv * t * p)
             for i in range(L.n):
                 along = contract(n_t, cols[i])
                 for j in range(i + 1, L.n):

@@ -27,7 +27,6 @@ from bornlab import (
     s1_family,
     torsion,
     CirclePoint,
-    Endomorphism,
     BilinearForm,
 )
 from bornlab import connections, model
@@ -42,6 +41,7 @@ import oracles
 from oracles import (
     basis_vector,
     contract,
+    detect,
     evaluate,
     fraction_residual,
     mixed_torsion_defect,
@@ -79,7 +79,7 @@ def nil3_family(nil3):
         two_form(4, {(1, 4): 1, (2, 3): -1}),
         two_form(4, {(1, 3): -1, (2, 4): -1}),
     )
-    jt = Endomorphism.from_images([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    jt = Matrix.from_columns([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
     return hs, jt
 
 
@@ -150,7 +150,7 @@ def test_levi_civita_matches_sympy_linsolve(catalog_models, catalog_structures, 
 
 def test_levi_civita_rejects_degenerate_metric(nil3):
     with pytest.raises(DegenerateFormError, match="^metric is degenerate$"):
-        levi_civita(nil3, BilinearForm.detect(Matrix.zero(4) + Matrix.zero(4)))
+        levi_civita(nil3, detect(Matrix.zero(4) + Matrix.zero(4)))
 
 
 # --- Kunneth connection --------------------------------------------------
@@ -242,7 +242,7 @@ def test_canonical_differs_from_kunneth_on_fixture(fixture_kunneth):
 
 
 def test_canonical_commutes_with_involution(fixture_kunneth):
-    a = almost_product(fixture_kunneth).matrix
+    a = almost_product(fixture_kunneth)
     nc = canonical_connection(fixture_kunneth)
     for g in nc.gammas:
         for j in range(4):
@@ -258,7 +258,7 @@ def test_born_connection_parallel_everything(catalog_models):
         nb = born_connection(born)
         for form in (born.g, born.h, born.omega):
             assert nabla_form(nb, form).is_zero()
-        nk, j = kunneth_connection(born.underlying_kunneth()), born.j_op.matrix
+        nk, j = kunneth_connection(born.underlying_kunneth()), born.j_op
         assert nb.gammas == tuple((g - j * g * j) * Fraction(1, 2) for g in nk.gammas)
 
 
@@ -316,7 +316,7 @@ def test_kunneth_vs_born_connection_on_h4(catalog_models):
     nb = born_connection(born)
     assert nk == nc
     assert generalized_torsion_defect(nk, nc, born.g).is_zero()
-    assert reference_commutator_hit(nk.gammas, born.b_op.matrix) is not None
+    assert reference_commutator_hit(nk.gammas, born.b_op) is not None
     assert nb != nk
     assert not nabla_form(nk, born.h).is_zero()
     assert not torsion(L, nb).is_zero()
@@ -598,7 +598,7 @@ def test_born_torsion_formula_family_branch(nil3_family):
     born = s1_family(hs, jt, CirclePoint.from_t(0))
     nk = kunneth_connection(born.underlying_kunneth())
     nb = born_connection(born)
-    commutes = reference_commutator_hit(nk.gammas, born.b_op.matrix) is None
+    commutes = reference_commutator_hit(nk.gammas, born.b_op) is None
     torsion_zero = torsion(born.algebra, nb).is_zero()
     assert torsion_zero == commutes
     assert born_torsion_formula_defect(born) is None
@@ -695,7 +695,7 @@ def test_canonical_commutation_failure_carries_its_commutator_witness(catalog_mo
     lc = levi_civita(k.algebra, g)
     assert skewed_average(lc, a_op, 2, Matrix.zero(6)) == canonical_connection(k)
     conn = skewed_average(lc, a_op, 2, unit_at(6, 0, 2, Fraction(2, 5)))
-    assert reference_commutator_hit(conn.gammas, a_op.matrix) is not None
+    assert reference_commutator_hit(conn.gammas, a_op) is not None
     expected = first_entry(reference_nabla_form(conn, g), 0)
     assert expected == ((3, 3, 3), Fraction(-4, 5))
     assert nabla_form(conn, g).first_witness() == expected
@@ -710,7 +710,7 @@ def test_born_commutation_failure_carries_its_commutator_witness(catalog_models)
     nk = kunneth_connection(born.underlying_kunneth())
     assert skewed_average(nk, born.b_op, 1, Matrix.zero(6)) == born_connection(born)
     conn = skewed_average(nk, born.b_op, 1, unit_at(6, 3, 0, Fraction(-3)))
-    assert all(reference_commutator_hit(conn.gammas, op.matrix) for op in (born.a_op, born.b_op, born.j_op))
+    assert all(reference_commutator_hit(conn.gammas, op) for op in (born.a_op, born.b_op, born.j_op))
     forms = (("g", born.g), ("h", born.h), ("omega", born.omega))
     expected = next((name, hit) for name, b in forms if (hit := first_entry(reference_nabla_form(conn, b), 0)))
     assert expected == ("g", ((2, 1, 5), -3))
@@ -750,7 +750,7 @@ def test_almost_product_is_an_involution_and_recovers_omega(kunneth_structures):
     entry by entry."""
     for name, k in kunneth_structures:
         n = k.algebra.n
-        a, g, omega = almost_product(k).matrix.rows, neutral_metric(k).matrix.rows, k.omega.matrix.rows
+        a, g, omega = almost_product(k).rows, neutral_metric(k).matrix.rows, k.omega.matrix.rows
         for i in range(n):
             image = [a[r][i] for r in range(n)]  # A e_i
             assert evaluate(list(zip(*a)), image) == basis_vector(n, i), name  # A (A e_i) = e_i
@@ -762,7 +762,7 @@ def test_canonical_connection_is_the_a_average_of_levi_civita(kunneth_structures
     and g = neutral_metric(k), as its docstring states, entry by entry."""
     for name, k in kunneth_structures:
         lc = levi_civita(k.algebra, neutral_metric(k)).gammas
-        assert canonical_connection(k).gammas == reference_conjugate_average(lc, almost_product(k).matrix, 1), name
+        assert canonical_connection(k).gammas == reference_conjugate_average(lc, almost_product(k), 1), name
 
 
 def test_constructions_prove_the_nine_connection_certifications(kunneth_structures, catalog_models, catalog_structures):
@@ -821,12 +821,12 @@ def test_born_average_is_the_j_average_and_commutes_with_a_b_j(catalog_models, c
     for name, b in borns:
         nk = kunneth_connection(b.underlying_kunneth()).gammas
         nb = born_connection(b).gammas
-        assert nb == reference_conjugate_average(nk, b.b_op.matrix, 1), name
-        assert nb == reference_conjugate_average(nk, b.j_op.matrix, -1), name
+        assert nb == reference_conjugate_average(nk, b.b_op, 1), name
+        assert nb == reference_conjugate_average(nk, b.j_op, -1), name
         for op in (b.a_op, b.b_op, b.j_op):
-            assert reference_commutator_hit(nb, op.matrix) is None, name
+            assert reference_commutator_hit(nb, op) is None, name
         nc = canonical_connection(b.underlying_kunneth()).gammas
-        assert reference_commutator_hit(nc, b.a_op.matrix) is None, name
+        assert reference_commutator_hit(nc, b.a_op) is None, name
         moved += nb != nk
     # the average does work: on these the Kunneth connection itself is not B-invariant
     assert moved > 30

@@ -36,7 +36,7 @@ from bornlab import connections
 from bornlab.connections import Connection
 from bornlab.errors import JacobiViolationError, NotCompatibleError, NotComplementaryError, NotIsotropicError
 from bornlab.exact import kernel_basis, linear_combination, projection_onto, splitting
-from bornlab.multilinear import ANTISYMMETRIC, SYMMETRIC, BilinearForm, Endomorphism
+from bornlab.multilinear import ANTISYMMETRIC, SYMMETRIC, BilinearForm
 from bornlab.structures import Witness, witness_at
 from oracles import (
     basis_vector,
@@ -88,9 +88,9 @@ def reference_torsion_formula(b, nb, nk):
     """First witness of T = 0 on B+ x B+, on B- x B-, and of the formula on B+ x B-."""
     L, n = b.algebra, b.algebra.n
     ident = Matrix.identity(n)
-    plus = Subspace(n, kernel_basis(b.b_op.matrix - ident))
-    minus = Subspace(n, kernel_basis(b.b_op.matrix + ident))
-    pi_plus, pi_minus = (ident + b.b_op.matrix) * Fraction(1, 2), (ident - b.b_op.matrix) * Fraction(1, 2)
+    plus = Subspace(n, kernel_basis(b.b_op - ident))
+    minus = Subspace(n, kernel_basis(b.b_op + ident))
+    pi_plus, pi_minus = (ident + b.b_op) * Fraction(1, 2), (ident - b.b_op) * Fraction(1, 2)
     out = []
     for basis in (plus.basis, minus.basis):
         pairs = (
@@ -115,7 +115,7 @@ def reference_enhance_error(k, jtilde):
     f_c whose image has a nonzero f_a coefficient, with that coefficient.
     """
     f = k.plus.basis
-    images = [jtilde.matrix.matvec(x) for x in f]
+    images = [jtilde.matvec(x) for x in f]
     for idx, image in enumerate(images):
         if any(fraction_residual(k.minus, image)):
             u = reference_coordinates(f + k.minus.basis, image)[: len(f)]
@@ -226,7 +226,7 @@ def test_identity_items_match_pairwise_oracles(catalog_models, catalog_structure
                     key = f"{op_name} maps {label}{src} to {label}{dst}"
                     if key in names:
                         source, target = (s.plus, s.minus) if src == "+" else (s.minus, s.plus)
-                        assert reference_maps_into(op.matrix, source, target), (name, key)
+                        assert reference_maps_into(op, source, target), (name, key)
                         checked += 1
         for key, form, left, right in (
             ("L+ Lagrangian for omega", b.omega, l_split.plus, l_split.plus),
@@ -316,7 +316,7 @@ def test_enhance_kunneth_errors_match_pairwise_oracle(catalog_models, catalog_st
                     frame_j[m + a][c] = rng.randint(-2, 2)
                     if trial >= 3 and rng.random() < 0.3:
                         frame_j[a][c] = rng.randint(-1, 1)
-            jtilde = Endomorphism(s.frame * Matrix(frame_j) * s.frame_inv)
+            jtilde = s.frame * Matrix(frame_j) * s.frame_inv
             expected = reference_enhance_error(k, jtilde)
             if expected is None:
                 try:
@@ -376,7 +376,7 @@ def test_torsion_formula_matches_pairwise_oracle(catalog_models, catalog_structu
         n = b.algebra.n
         # Delta_x y = R(pi_- x) pi_- y adds torsion on B- x B- alone, and the
         # true Born connection with a random Kunneth one fails on B+ x B- alone
-        pi_minus = (Matrix.identity(n) - b.b_op.matrix) * Fraction(1, 2)
+        pi_minus = (Matrix.identity(n) - b.b_op) * Fraction(1, 2)
         r = random_connection(n, rng).gammas
         delta = [linear_combination(pi_minus.column(i), r) * pi_minus for i in range(n)]
         skewed = Connection(tuple(g + d for g, d in zip(nb.gammas, delta)))
@@ -406,7 +406,7 @@ def test_projection_almost_product_and_involution_split_share_one_splitting(
         s = splitting(k.plus, k.minus)
         assert involution_split(almost_product(k)) is s, name
         assert projection_onto(k.plus, k.minus) == (s.pi_plus, s.pi_minus)
-        assert almost_product(k).matrix == s.involution == s.pi_plus - s.pi_minus
+        assert almost_product(k) == s.involution == s.pi_plus - s.pi_minus
         assert s.frame * s.frame_inv == Matrix.identity(k.algebra.n)
         assert s.pi_plus * s.pi_minus == Matrix.zero(k.algebra.n)
         for v in k.plus.basis:

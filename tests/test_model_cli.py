@@ -37,7 +37,7 @@ from bornlab.errors import (
     ModelSyntaxError,
     UnknownNameError,
 )
-from bornlab.multilinear import ANTISYMMETRIC, SYMMETRIC, Endomorphism, two_form
+from bornlab.multilinear import ANTISYMMETRIC, SYMMETRIC, two_form
 from bornlab.structures import Witness
 from test_builders import moved_algebra, random_unimodular
 from test_frames import moved_form, moved_subspace
@@ -93,6 +93,10 @@ MALFORMED_MODELS = {
     "dependent_subspace": _patched(("subspaces", "F", 1), ["2", "0", "0", "0"]),
     "non_rational_subspace_entry": _patched(("subspaces", "F", 0, 0), "one"),
     "trailing_newline": json.dumps({"name": "x", "dim": 1, "forms": {"w": [["0\n"]]}}),
+    "repeated_key": NOT_SUBALGEBRA.replace('"out": {"3": "1"}', '"out": {"3": "1", "3": "2"}'),
+    # past the decoder's depth on every supported Python: from 3.12 the C
+    # scanner checks nesting against the C recursion limit, not against 1000
+    "nested_too_deep": "[" * 100_000 + "]" * 100_000,
 }
 
 
@@ -471,7 +475,7 @@ def _moved_model(model, seed):
         algebra=moved_algebra(model.algebra, p),
         forms={k: moved_form(f, p, ANTISYMMETRIC) for k, f in model.forms.items()},
         metrics={k: moved_form(f, p, SYMMETRIC) for k, f in model.metrics.items()},
-        endos={k: Endomorphism(p_inv * e.matrix * p) for k, e in model.endos.items()},
+        endos={k: p_inv * e * p for k, e in model.endos.items()},
         subspaces={k: moved_subspace(s, p_inv) for k, s in model.subspaces.items()},
         structures=model.structures,
         checks=model.checks,
@@ -799,6 +803,14 @@ def test_cli_check_malformed_model_exit_2(tmp_path, capsys, text):
     assert main(["check", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_cli_check_non_utf8_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: 'utf-8' codec can't decode byte 0xff") and len(err.splitlines()) == 1
 
 
 def test_check_report_independent_of_cache_state(tmp_path):

@@ -10,7 +10,6 @@ from bornlab import (
     BilinearForm,
     BornStructure,
     CirclePoint,
-    Endomorphism,
     LieAlgebra,
     Matrix,
     Subspace,
@@ -56,6 +55,7 @@ from oracles import (
     evaluate,
     integrability_legs,
     integrable,
+    negated,
     reference_identity_table,
 )
 from phase_spaces import ALGEBRAS, phase_space, phase_space_borns, sheared
@@ -93,7 +93,7 @@ def nil3_hypersymplectic(nil3):
 
 @pytest.fixture(scope="module")
 def nil3_jtilde():
-    return Endomorphism.from_images([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    return Matrix.from_columns([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
 
 
 # --- almost Kunneth -----------------------------------------------------
@@ -132,11 +132,11 @@ def test_build_almost_kunneth_not_complementary(nil3):
 def test_almost_product_r2():
     L = LieAlgebra.abelian(2)
     k = build_almost_kunneth(L, two_form(2, {(1, 2): 1}), Subspace(2, [[1, 0]]), Subspace(2, [[0, 1]]))
-    assert almost_product(k).matrix == Matrix.diagonal([1, -1])
+    assert almost_product(k) == Matrix.diagonal([1, -1])
 
 
 def test_almost_product_h4(h4_kunneth):
-    assert almost_product(h4_kunneth).matrix == Matrix.diagonal([1, 1, -1, -1, 1, -1])
+    assert almost_product(h4_kunneth) == Matrix.diagonal([1, 1, -1, -1, 1, -1])
 
 
 def test_almost_product_fixture_splitting(nil3):
@@ -146,7 +146,7 @@ def test_almost_product_fixture_splitting(nil3):
         Subspace(4, [[1, 0, 0, 0], [0, 0, 0, 1]]),
         Subspace(4, [[0, 1, 0, 0], [0, 0, 1, 0]]),
     )
-    assert almost_product(k).matrix == Matrix.diagonal([1, -1, -1, 1])
+    assert almost_product(k) == Matrix.diagonal([1, -1, -1, 1])
 
 
 def test_neutral_metric_r2():
@@ -189,26 +189,26 @@ def test_build_born_standard_c1():
     h = symmetric_form(2, {(1, 1): 1, (2, 2): 1})
     g = symmetric_form(2, {(1, 2): 1})
     born = build_born(L, g, h, omega)
-    assert born.a_op.matrix == Matrix.diagonal([1, -1])
-    assert born.j_op == Endomorphism.from_images([[0, 1], [-1, 0]])
+    assert born.a_op == Matrix.diagonal([1, -1])
+    assert born.j_op == Matrix.from_columns([[0, 1], [-1, 0]])
     # the opposite sign of g is a Born structure too, with A and B negated
-    flipped = build_born(L, g.negated(), h, omega)
-    assert flipped.a_op == born.a_op.negated()
-    assert flipped.b_op == born.b_op.negated()
+    flipped = build_born(L, negated(g), h, omega)
+    assert flipped.a_op == -born.a_op
+    assert flipped.b_op == -born.b_op
     assert flipped.j_op == born.j_op
 
 
 def test_build_born_sign_flip_invariant(catalog_models):
     for name in ("h4", "h9_corrected", "torus_2_2"):
         for born in structures_of(catalog_models[name], "born"):
-            flipped = build_born(born.algebra, born.g.negated(), born.h, born.omega)
-            assert flipped.a_op == born.a_op.negated()
-            assert flipped.b_op == born.b_op.negated()
+            flipped = build_born(born.algebra, negated(born.g), born.h, born.omega)
+            assert flipped.a_op == -born.a_op
+            assert flipped.b_op == -born.b_op
             assert flipped.j_op == born.j_op
 
 
 def test_build_born_h4_from_enhancement_data(h4_algebra, h4_kunneth):
-    j = Endomorphism.from_images(
+    j = Matrix.from_columns(
         [
             [0, 0, -2, 0, 0, 0],
             [0, 0, 0, -1, 0, 0],
@@ -219,7 +219,7 @@ def test_build_born_h4_from_enhancement_data(h4_algebra, h4_kunneth):
         ]
     )
     g = neutral_metric(h4_kunneth)
-    h = BilinearForm(h4_kunneth.omega.matrix * j.matrix, "symmetric")
+    h = BilinearForm(h4_kunneth.omega.matrix * j, "symmetric")
     born = build_born(h4_algebra, g, h, h4_kunneth.omega, expect_j=j)
     assert born.a_op == almost_product(h4_kunneth)
 
@@ -244,7 +244,7 @@ def assert_recursion_relation(a, t, b):
     """a(T e_i, e_j) = b(e_i, e_j) on every basis pair, each side evaluated on its own."""
     n, rows = a.n, a.matrix.rows
     for i in range(n):
-        image = t.matrix.matvec(basis_vector(n, i))
+        image = t.matvec(basis_vector(n, i))
         for j in range(n):
             assert evaluate(rows, image, basis_vector(n, j)) == b.matrix.entry(i + 1, j + 1), (i + 1, j + 1)
 
@@ -258,7 +258,7 @@ def test_build_born_operators_are_the_recursion_operators(catalog_models, catalo
     for born in borns:
         assert_recursion_relation(born.g, born.a_op, born.omega)
         assert_recursion_relation(born.g, born.b_op, born.h)
-        assert_recursion_relation(born.omega, born.j_op.negated(), born.h)
+        assert_recursion_relation(born.omega, -born.j_op, born.h)
 
 
 def _first_degenerate(build, forms, singular, name):
@@ -341,10 +341,10 @@ def test_built_structures_decide_the_identity_table_in_the_frame(catalog_models,
     borns = built_borns(catalog_models, catalog_structures)
     for b in borns:
         n, m = b.algebra.n, b.algebra.n // 2
-        frame = list(b.l_plus.basis) + [b.b_op.matrix.matvec(f) for f in b.l_plus.basis]
+        frame = list(b.l_plus.basis) + [b.b_op.matvec(f) for f in b.l_plus.basis]
         p = Matrix([list(row) for row in zip(*frame)])
         p_inv = invert(p)
-        a, bb, j = (p_inv * t.matrix * p for t in (b.a_op, b.b_op, b.j_op))
+        a, bb, j = (p_inv * t * p for t in (b.a_op, b.b_op, b.j_op))
         assert a == Matrix.diagonal([1] * m + [-1] * m)
         assert bb == Matrix([[1 if abs(r - c) == m else 0 for c in range(n)] for r in range(n)])
         assert j == bb * a
@@ -371,7 +371,7 @@ def forged_borns(catalog_structures):
                 form = m - m.transpose() if name == "omega" else m + m.transpose()
                 out.append(born_data(b)._replace(**{name: form}))
     b = catalog_structures["h4"]["borns"][0]
-    tilted = Subspace(b.algebra.n, [tuple(map(sum, zip(f, b.j_op.matrix.matvec(f)))) for f in b.l_plus.basis])
+    tilted = Subspace(b.algebra.n, [tuple(map(sum, zip(f, b.j_op.matvec(f)))) for f in b.l_plus.basis])
     out.append(born_data(b)._replace(l_minus=tilted))
     return out
 
@@ -610,7 +610,7 @@ def test_enhance_default_frame_on_standard_kunneth():
         L, omega, Subspace(4, [[1, 0, 0, 0], [0, 1, 0, 0]]), Subspace(4, [[0, 0, 1, 0], [0, 0, 0, 1]])
     )
     born = enhance_kunneth(k)
-    assert born.j_op == Endomorphism.from_images(
+    assert born.j_op == Matrix.from_columns(
         [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
     )
     assert born.h == symmetric_form(4, {(i, i): 1 for i in range(1, 5)})
@@ -630,7 +630,7 @@ def test_enhance_h9_with_printed_j(h9_algebra):
         Subspace(6, [basis_vector(6, i) for i in (0, 4, 5)]),
         Subspace(6, [basis_vector(6, i) for i in (1, 2, 3)]),
     )
-    j = Endomorphism.from_images(
+    j = Matrix.from_columns(
         [
             [0, -1, 0, 0, 0, 0],
             [1, 0, 0, 0, 0, 0],
@@ -657,7 +657,7 @@ def test_enhance_round_trip_recovers_splitting(catalog_models):
 def test_enhance_rejects_incompatible_jtilde(h4_kunneth):
     # maps plus into minus but makes the pairing omega(f_i, Jt f_j)
     # asymmetric, violating omega(Jt x, y) = -omega(x, Jt y) on the plus side
-    bad = Endomorphism.from_images(
+    bad = Matrix.from_columns(
         [
             [0, 0, 1, 0, 0, 1],  # Jt e1 = e3 + e6
             [0, 0, 0, 0, 0, 1],  # Jt e2 = e6
@@ -674,14 +674,14 @@ def test_enhance_rejects_incompatible_jtilde(h4_kunneth):
 
 def test_enhance_rejects_jtilde_not_into_minus(h4_kunneth):
     with pytest.raises(NotCompatibleError):
-        enhance_kunneth(h4_kunneth, jtilde=Endomorphism.identity(6))
+        enhance_kunneth(h4_kunneth, jtilde=Matrix.identity(6))
 
 
 def test_enhance_rejects_jtilde_that_is_not_an_isomorphism(h4_kunneth):
     # the zero map sends plus into minus and passes the pairing test, but is singular
     message = "^jtilde is not an isomorphism onto the minus subspace$"
     with pytest.raises(NotCompatibleError, match=message) as info:
-        enhance_kunneth(h4_kunneth, jtilde=Endomorphism(Matrix.zero(6)))
+        enhance_kunneth(h4_kunneth, jtilde=Matrix.zero(6))
     assert info.value.hit is None
     assert info.value.__suppress_context__
 
@@ -691,9 +691,9 @@ def test_enhance_rejects_jtilde_that_is_not_an_isomorphism(h4_kunneth):
 
 def test_hypersymplectic_nil3_tables(nil3_hypersymplectic):
     hs = nil3_hypersymplectic
-    assert hs.a_op == Endomorphism.from_images([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]])
-    assert hs.b_op.matrix == Matrix.diagonal([1, -1, 1, -1])
-    assert hs.j_op == Endomorphism.from_images([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    assert hs.a_op == Matrix.from_columns([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]])
+    assert hs.b_op == Matrix.diagonal([1, -1, 1, -1])
+    assert hs.j_op == Matrix.from_columns([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
     assert hs.metric == symmetric_form(4, {(1, 4): -1, (2, 3): -1})
     assert signature_of_symmetric(hs.metric.matrix) == Signature(2, 2, 0)
 
@@ -727,7 +727,7 @@ def test_hypersymplectic_metric_is_symmetric_by_construction(catalog_models):
     than checking it: g(e_i, e_j) = alpha(e_i, B e_j) = alpha(e_j, B e_i),
     pair by pair, in the catalog basis and in seeded ones."""
     for hs in hypersymplectic_cases(catalog_models):
-        n, alpha, b = hs.algebra.n, hs.alpha.matrix.rows, hs.b_op.matrix
+        n, alpha, b = hs.algebra.n, hs.alpha.matrix.rows, hs.b_op
         for i in range(n):
             for j in range(n):
                 value = evaluate(alpha, basis_vector(n, i), b.column(j))
@@ -802,7 +802,7 @@ def test_family_third_leg_is_the_recursion_relation(catalog_models):
     jtilde = entry.model.endos["jtilde"]
     for p in FAMILY_POINTS:
         born = family_member(entry, p)
-        assert_recursion_relation(born.omega, jtilde.negated(), born.h)
+        assert_recursion_relation(born.omega, -jtilde, born.h)
 
 
 def test_family_quarter_turn_selects_b_leg(nil3_hypersymplectic, nil3_jtilde):
@@ -815,17 +815,17 @@ def test_family_antipode_negates_product_structure(nil3_hypersymplectic, nil3_jt
         p = CirclePoint.from_t(t)
         member = s1_family(nil3_hypersymplectic, nil3_jtilde, p)
         opposite = s1_family(nil3_hypersymplectic, nil3_jtilde, antipode(p))
-        assert opposite.a_op == member.a_op.negated()
-        assert opposite.b_op == member.b_op.negated()
+        assert opposite.a_op == -member.a_op
+        assert opposite.b_op == -member.b_op
         assert opposite.j_op == member.j_op
-        assert opposite.omega == member.omega.negated()
-        assert opposite.h == member.h.negated()
+        assert opposite.omega == negated(member.omega)
+        assert opposite.h == negated(member.h)
 
 
 def test_family_hypothesis_failure(nil3_hypersymplectic):
     # an almost complex structure commuting (not anti-commuting) with A; a
     # failure is not memoized, so every call raises
-    bad = Endomorphism.from_images([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    bad = Matrix.from_columns([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
     for _ in range(2):
         with pytest.raises(HypothesisFailureError):
             s1_family(nil3_hypersymplectic, bad, CirclePoint.from_t(0))
