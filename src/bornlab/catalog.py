@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BornlabError, UnknownEntryError
+from .errors import BornlabError, UnknownEntryError, shown
 from .exact import Matrix, Subspace, Value
 from .liealg import LieAlgebra, ce_d2
 from .model import CHECK_ORDER, Model, StructureDecl, materialize, render_model, run_checks
@@ -465,7 +465,7 @@ def list_entries():
 def get_entry(name: str) -> CatalogEntry:
     """Materialize a catalog entry; its declared structures validate on load."""
     if name not in _BUILDERS:
-        raise UnknownEntryError(f"unknown catalog entry {name!r}")
+        raise UnknownEntryError(f"unknown catalog entry {shown(name)}")
     entry = _BUILDERS[name]()
     for _, obj in materialize(entry.model):
         if isinstance(obj, Exception):

@@ -21,7 +21,8 @@ def _cmd_check(args) -> int:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # an OSError names the file itself; a decoding error does not
+        print(f"error: {exc}" + ("" if isinstance(exc, OSError) else f": {args.file!r}"), file=sys.stderr)
         return 2
     only = None if args.checks is None else args.checks.split(",") if args.checks else ()
     try:

@@ -29,8 +29,11 @@ def format_rational(x) -> str:
 
 
 def shown(value) -> str:
-    """repr(value) for a message, with an int printed by `format_rational`, exactly."""
-    return format_rational(value) if type(value) is int else repr(value)
+    """repr(value) for a message, with an int printed by `format_rational`; a
+    text over 60 characters is cut there and gives its length, so a message
+    stays one short line whatever the model holds."""
+    text = format_rational(value) if type(value) is int else repr(value)
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
 
 
 def _located(hit):

@@ -19,15 +19,20 @@ canonical form does not divide its zero rows.  Determinant, inverse and
 reduced row echelon form use fraction-free Gauss-Jordan elimination on the
 numerators (Bareiss 1968, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination"), and the signature its symmetric
-form; all their divisions are exact.  `invert` is memoized by value, so
-every fact read off one inverse shares one elimination.  A Subspace keeps
-its echelon basis as integer rows too, so the subalgebra test
-(`liealg.is_subalgebra`) never leaves the integers.
+form; all their divisions are exact.  Rows are scaled lazily: a step that
+finds a zero in a row's pivot column only multiplies the row by a ratio of
+pivots, so the row is brought up to date when a step needs it and at the
+end.  `invert` is memoized by value, so every fact read off one inverse
+shares one elimination.  A Subspace keeps its echelon basis as integer rows
+too, so the subalgebra test (`liealg.is_subalgebra`) never leaves the
+integers.
 
 A Splitting of the space into two complementary subspaces holds the frame
 adapted to it, its inverse, the two projections and the involution; it is
 built once per pair of subspaces (cached by value), and the properties of a
-splitting are blocks of products in that frame.
+splitting are blocks of products in that frame.  The splitting of an
+involution t eliminates only the columns of (Id +- t)/2, once each, and
+reads the frame inverse off their rows at the pivots of the echelon bases.
 
 A Trilinear tensor is n matrix slices, entry (j, k) of slice i being
 t(e_i, e_j, e_k); d omega, the Nijenhuis tensors, torsion and every defect
@@ -60,7 +65,6 @@ from .errors import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 # the one literal grammar: "p/q" or "n" in ASCII digits, no whitespace,
@@ -271,11 +275,6 @@ class Matrix(Value):
     @classmethod
     def zero(cls, n: int) -> "Matrix":
         return cls._of(((0,) * n,) * n, 1)
-
-    @classmethod
-    def diagonal(cls, entries: Iterable) -> "Matrix":
-        d = [rationalize(v) for v in entries]
-        return cls([[d[i] if i == j else ZERO for j in range(len(d))] for i in range(len(d))])
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence]) -> "Matrix":
@@ -507,8 +506,16 @@ def _gauss_jordan(a: list, ncols: int) -> tuple[list[int], int, int]:
     columns, so the reduced row echelon form is a / D, and for a square
     nonsingular block the determinant is sign * D.  Returns (pivot columns,
     D, sign of the row permutation).
+
+    Rows are scaled lazily.  A step changes a row whose pivot-column entry is
+    0 only by p / prev, so after a run of such steps the row is its value
+    when last brought up to date, at pivot s, times prev / s, a quotient that
+    is exact as every intermediate entry is a minor.  So each row keeps its
+    s and is brought up to date (v * prev // s) only when its entry in the
+    pivot column is nonzero, and at the end.
     """
     pivots, prev, sign = [], 1, 1
+    scale = [1] * len(a)
     for col in range(ncols):
         rank = len(pivots)
         pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
@@ -516,17 +523,25 @@ def _gauss_jordan(a: list, ncols: int) -> tuple[list[int], int, int]:
             continue
         if pivot != rank:
             a[rank], a[pivot] = a[pivot], a[rank]
+            scale[rank], scale[pivot] = scale[pivot], scale[rank]
             sign = -sign
+        for r, row in enumerate(a):
+            s = scale[r]
+            if row[col] and s != prev:
+                a[r] = [v * prev // s for v in row]
         top = a[rank]
         p = top[col]
         for r, row in enumerate(a):
-            if r != rank:
+            if r != rank and row[col]:
                 f = row[col]
                 a[r] = [(p * v - f * w) // prev for v, w in zip(row, top)]
+                scale[r] = p
+        scale[rank] = p
         pivots.append(col)
         prev = p
         if len(pivots) == len(a):
             break
+    a[:] = [row if s == prev else [v * prev // s for v in row] for row, s in zip(a, scale)]
     return pivots, prev, sign
 
 
@@ -554,19 +569,19 @@ def invert(m: Matrix) -> Matrix:
     return Matrix.over([[d * v for v in row[n:]] for row in a], last)
 
 
-def _echelon(a: list, width: int) -> tuple[list[tuple], list[int]]:
+def _echelon(a: list, width: int) -> tuple[tuple[int, tuple, int], ...]:
     """Reduced row echelon form of integer rows (each row may be scaled freely).
 
-    Returns the nonzero reduced rows as (numerators, denominator) pairs in
-    lowest terms, with a positive denominator equal to the numerator at the
-    row's pivot, and the pivot columns.
+    Returns the nonzero reduced rows as (pivot column, numerators,
+    denominator) in lowest terms, with a positive denominator equal to the
+    numerator at the pivot column.
     """
     pivots, last, _ = _gauss_jordan(a, width)
     out = []
-    for row in a[: len(pivots)]:
+    for pc, row in zip(pivots, a):
         g = gcd(last, *row) if last > 0 else -gcd(last, *row)
-        out.append((tuple(v // g for v in row), last // g))
-    return out, pivots
+        out.append((pc, tuple(v // g for v in row), last // g))
+    return tuple(out)
 
 
 def rref(vectors: Sequence[Sequence]) -> tuple[list[tuple[Fraction, ...]], list[int]]:
@@ -581,8 +596,8 @@ def rref(vectors: Sequence[Sequence]) -> tuple[list[tuple[Fraction, ...]], list[
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise DimensionMismatchError("vectors of unequal length")
-    reduced, pivots = _echelon([to_integers(r)[0] for r in rows], width)
-    return [from_integers(row, d) for row, d in reduced], pivots
+    reduced = _echelon([to_integers(r)[0] for r in rows], width)
+    return [from_integers(row, d) for _, row, d in reduced], [pc for pc, _, _ in reduced]
 
 
 def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
@@ -604,8 +619,7 @@ def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
             basis.append(v)
     if not basis:
         return []
-    reduced, _ = _echelon(basis, n)
-    return [from_integers(row, d) for row, d in reduced]
+    return [from_integers(row, d) for _, row, d in _echelon(basis, n)]
 
 
 class Signature(Value):
@@ -681,10 +695,10 @@ class Subspace(Value):
         given = tuple(vector(v) for v in vectors_)
         if any(len(v) != n for v in given):
             raise DimensionMismatchError("subspace vector of wrong length")
-        reduced, pivots = _echelon([to_integers(v)[0] for v in given], n)
-        if len(reduced) != len(given):
+        rows = _echelon([to_integers(v)[0] for v in given], n)
+        if len(rows) != len(given):
             raise ValueError("subspace basis vectors are linearly dependent")
-        super().__init__(n, given, tuple((pc, row, d) for pc, (row, d) in zip(pivots, reduced)))
+        super().__init__(n, given, rows)
 
     @property
     def basis(self) -> tuple:
@@ -768,24 +782,59 @@ class Splitting(Value):
         return None
 
 
-@lru_cache(maxsize=None)
+_SPLITTINGS: dict = {}  # (plus, minus) -> Splitting; `splitting` and `eigensplitting` read and fill it
+
+
+def _frame(plus: Subspace, minus: Subspace) -> Matrix:
+    """The matrix whose columns are the echelon rows of plus and then of minus."""
+    rows = plus._echelon + minus._echelon
+    d = lcm(*(e for _, _, e in rows))
+    return Matrix.over(list(zip(*([v * (d // e) for v in row] for _, row, e in rows))), d)
+
+
 def splitting(plus: Subspace, minus: Subspace) -> Splitting:
     """The splitting into two complementary subspaces, with its adapted frame.
 
     The frame inverse is the complementarity proof: NotComplementaryError when
-    the dimensions do not sum to n or the frame is singular.
+    the dimensions do not sum to n or the frame is singular.  pi_plus is the
+    frame with its minus columns zeroed times P^-1.  Memoized by value.
     """
+    s = _SPLITTINGS.get((plus, minus))
+    if s is not None:
+        return s
     message = "subspaces do not decompose the space"
     if plus.n != minus.n or plus.dim + minus.dim != plus.n:
         raise NotComplementaryError(message)
-    frame = Matrix.from_columns(plus.basis + minus.basis)
+    frame = _frame(plus, minus)
     try:
         frame_inv = invert(frame)
     except SingularMatrixError:
         raise NotComplementaryError(message) from None
-    pi_plus = frame * Matrix.diagonal([ONE] * plus.dim + [ZERO] * minus.dim) * frame_inv
+    pi_plus = Matrix.over([row[: plus.dim] + (0,) * minus.dim for row in frame.num], frame.den) * frame_inv
     pi_minus = Matrix.identity(plus.n) - pi_plus
-    return Splitting(plus, minus, frame, frame_inv, pi_plus, pi_minus, pi_plus - pi_minus)
+    s = _SPLITTINGS[plus, minus] = Splitting(plus, minus, frame, frame_inv, pi_plus, pi_minus, pi_plus - pi_minus)
+    return s
+
+
+def eigensplitting(t: Matrix) -> Splitting:
+    """The splitting into the +1 and -1 eigenspaces of t, for t^2 = Id and t != +-Id, unchecked.
+
+    Two eliminations and no frame inverse, as `multilinear.involution_split`
+    proves.  Reads and fills the memo of `splitting`.
+    """
+    n, d = t.n, t.den
+    # 2d pi_+ = d Id + num and 2d pi_- = d Id - num; the columns of each span its eigenspace
+    twice = [[[sign * v + d * (i == j) for j, v in enumerate(row)] for i, row in enumerate(t.num)] for sign in (1, -1)]
+    plus, minus = spaces = [object.__new__(Subspace) for _ in twice]
+    for space, m in zip(spaces, twice):
+        rows = _echelon([list(col) for col in zip(*m)], n)
+        Value.__init__(space, n, tuple(from_integers(row, e) for _, row, e in rows), rows)
+    s = _SPLITTINGS.get((plus, minus))
+    if s is None:
+        inv = [twice[0][pc] for pc, _, _ in plus._echelon] + [twice[1][pc] for pc, _, _ in minus._echelon]
+        frame_inv, pi_plus, pi_minus = (Matrix.over(m, 2 * d) for m in [inv, *twice])
+        s = _SPLITTINGS[plus, minus] = Splitting(plus, minus, _frame(plus, minus), frame_inv, pi_plus, pi_minus, t)
+    return s
 
 
 def projection_onto(plus: Subspace, minus: Subspace) -> tuple[Matrix, Matrix]:

@@ -190,7 +190,7 @@ def _object(pairs) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ValueError(f"key {key!r} is given twice")
+            raise ValueError(f"key {shown(key)} is given twice")
         obj[key] = value
     return obj
 
@@ -296,11 +296,11 @@ def parse_model(text: str) -> Model:
             if key == "type":
                 continue
             if key not in roles:
-                raise ModelSyntaxError(f"{kind} structure has no role {key!r}")
+                raise ModelSyntaxError(f"{kind} structure has no role {shown(key)}")
             if not isinstance(value, str):
                 raise ModelSyntaxError(f"{kind}.{key} must name a {roles[key]} entry")
             if value not in sections[roles[key]]:
-                raise UnknownNameError(f"{kind}.{key} references unknown {roles[key]} entry {value!r}")
+                raise UnknownNameError(f"{kind}.{key} references unknown {roles[key]} entry {shown(value)}")
             refs[key] = value
         missing = [r for r, _ in required if r not in refs]
         if missing:

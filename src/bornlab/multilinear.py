@@ -19,13 +19,11 @@ from .errors import (
 from .exact import (
     Matrix,
     Splitting,
-    Subspace,
     Trilinear,
     Value,
+    eigensplitting,
     invert,
-    kernel_basis,
     linear_combination,
-    splitting,
 )
 
 TYPE_CHECKING = False  # true for static checkers only; importing typing at run time is not needed
@@ -111,9 +109,18 @@ def involution_split(t: Matrix) -> Splitting:
     """The splitting into the (+1)/(-1) eigenspaces of t, whose involution is t.
 
     Requires t^2 = Id and t != +-Id; eigenspace bases come out in reduced
-    echelon form with deterministic pivoting.  Cached by the value of t.
-    The eigenspaces of an involution always decompose the space, as
-    x = (x + tx)/2 + (x - tx)/2, so `splitting` cannot fail here.
+    echelon form with deterministic pivoting.  Cached by the value of t; the
+    splitting is the one `splitting` gives for the same eigenspaces.
+
+    Once t^2 = Id, pi_+- = (Id +- t)/2 satisfy pi_+ + pi_- = Id, t pi_+- =
+    +-pi_+- and pi_+- x = x on the eigenspace E+-, so the columns of pi_+-
+    span E+-: one elimination each, and t = pi_+ - pi_-.  The frame P holds
+    the echelon bases b_1..b_p of E+ and c_1..c_m of E-; b_i is 1 at its
+    pivot column r_i and 0 at the other r_j, and c_i likewise at s_i.  Any
+    x is pi_+ x + pi_- x = sum alpha_i b_i + sum beta_i c_i, and coordinate
+    r_i of the first sum is alpha_i, so alpha_i = (pi_+ x)_{r_i} and beta_i
+    = (pi_- x)_{s_i}.  So P^-1 x = (alpha, beta) has as rows the rows r_i of
+    pi_+ and then the rows s_i of pi_-, and the frame is never eliminated.
     """
     n = t.n
     ident = Matrix.identity(n)
@@ -122,9 +129,7 @@ def involution_split(t: Matrix) -> Splitting:
         raise NotInvolutionError(defect.first_witness())
     if t == ident or t == -ident:
         raise TrivialInvolutionError("involution is +-identity; no proper splitting")
-    plus = Subspace(n, kernel_basis(t - ident))
-    minus = Subspace(n, kernel_basis(t + ident))
-    return splitting(plus, minus)
+    return eigensplitting(t)
 
 
 def anticommutator_defect(s: Matrix, t: Matrix) -> Matrix:

@@ -6,8 +6,9 @@ engine's scan, two computations of Sylvester inertia, the Levi-Civita
 connection solved by sympy, the pairwise bracket-closure test on Fractions,
 the four-combination Kunneth connection, every leg of Born integrability
 computed on its own, the rational-literal reader the integer one replaced,
-the mixed torsion of a connection on a splitting, and the whole Born
-identity table computed from matrix products on raw data.
+the mixed torsion of a connection on a splitting, the whole Born identity
+table computed from matrix products on raw data, and the eager
+fraction-free elimination that the lazily scaling one replaced.
 
 The engine needs d on two-forms only.  The d^2 = 0 and Leibniz tests, and the
 acceptance criteria on stated differentials, check ce_d2 against the
@@ -32,6 +33,12 @@ from bornlab.exact import invert, linear_combination, splitting, vector
 from bornlab.liealg import ce_d2
 from bornlab.multilinear import ANTISYMMETRIC, NOSYM, SYMMETRIC, nijenhuis
 from bornlab.structures import IDENTITY_TABLE, Witness, subalgebra_witness, witness_at, witness_of
+
+
+def diagonal(entries) -> Matrix:
+    """The diagonal matrix with these entries."""
+    d = list(entries)
+    return Matrix([[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))])
 
 
 def basis_vector(n: int, i: int) -> tuple:
@@ -399,6 +406,34 @@ def gauss_jordan(rows, width: int) -> tuple[list, list]:
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
     return rows, pivots
+
+
+def eager_bareiss(a: list, ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination that updates every row at every step, in place.
+
+    The engine's `_gauss_jordan` before it scaled rows lazily: the same pivot
+    rule, the same (pivots, last pivot, sign) and the same rows.
+    """
+    pivots, prev, sign = [], 1, 1
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            a[rank], a[pivot] = a[pivot], a[rank]
+            sign = -sign
+        top = a[rank]
+        p = top[col]
+        for r, row in enumerate(a):
+            if r != rank:
+                f = row[col]
+                a[r] = [(p * v - f * w) // prev for v, w in zip(row, top)]
+        pivots.append(col)
+        prev = p
+        if len(pivots) == len(a):
+            break
+    return pivots, prev, sign
 
 
 def fraction_kernel(rows) -> list:

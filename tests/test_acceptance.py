@@ -49,6 +49,7 @@ from oracles import (
     born_data,
     ce_d1,
     detect,
+    diagonal,
     evaluate,
     integrability_legs,
     integrable,
@@ -82,7 +83,7 @@ def test_criterion_01_nil3_recursion_operators(catalog_models):
     (J^2 = -Id fails on span{e3,e4}), the defining relation forces Je4 = e3."""
     hs = structures_of(catalog_models["nil3_r"], "hypersymplectic")[0]
     a_table = Matrix.from_columns([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]])
-    b_table = Matrix.diagonal([1, -1, 1, -1])
+    b_table = diagonal([1, -1, 1, -1])
     j_table = Matrix.from_columns([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
     assert (hs.a_op - a_table).is_zero()
     assert (hs.b_op - b_table).is_zero()

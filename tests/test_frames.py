@@ -32,7 +32,7 @@ from bornlab import (
     jacobi_defect,
     verify_born_identities,
 )
-from bornlab import connections
+from bornlab import connections, exact
 from bornlab.connections import Connection
 from bornlab.errors import JacobiViolationError, NotCompatibleError, NotComplementaryError, NotIsotropicError
 from bornlab.exact import kernel_basis, linear_combination, projection_onto, splitting
@@ -40,6 +40,7 @@ from bornlab.multilinear import ANTISYMMETRIC, SYMMETRIC, BilinearForm
 from bornlab.structures import Witness, witness_at
 from oracles import (
     basis_vector,
+    diagonal,
     evaluate,
     four_combination_kunneth,
     fraction_residual,
@@ -413,6 +414,57 @@ def test_projection_almost_product_and_involution_split_share_one_splitting(
             assert s.pi_plus.matvec(v) == v
         for v in k.minus.basis:
             assert s.pi_minus.matvec(v) == v
+
+
+def test_involution_split_reads_its_frame_inverse_off_the_projections(
+    catalog_models, catalog_structures, monkeypatch
+):
+    """On every catalog A and B, in the catalog basis and seeded ones, and on
+    seeded involutions: the eigenspaces are the kernels of T -+ Id, pi+- =
+    (Id +- T)/2, the frame inverse read off pi+- is the inverse of the frame,
+    the splitting is the one `splitting` gives for its eigenspaces, and a
+    fresh involution costs two eliminations."""
+    cases = [(f"{name} {op}", getattr(b, op)) for name, b in born_cases(catalog_models, catalog_structures)
+             for op in ("a_op", "b_op")]
+    rng = random.Random(28)
+    for i in range(40):
+        n = rng.randint(3, 8)
+        p = random_unimodular(n, rng)
+        signs = [1, -1] + [rng.choice((1, -1)) for _ in range(n - 2)]
+        rng.shuffle(signs)
+        cases.append((f"seeded {i}", p * diagonal(signs) * invert(p)))
+    original, eliminations = exact._gauss_jordan, []
+    monkeypatch.setattr(exact, "_gauss_jordan", lambda a, ncols: eliminations.append(ncols) or original(a, ncols))
+    fresh = 0
+    for name, t in cases:
+        n, ident = t.n, Matrix.identity(t.n)
+        misses = involution_split.cache_info().misses
+        eliminations.clear()
+        s = involution_split(t)
+        if involution_split.cache_info().misses > misses:
+            fresh += 1
+            assert len(eliminations) == 2, name
+        assert s.plus == Subspace(n, kernel_basis(t - ident)), name
+        assert s.minus == Subspace(n, kernel_basis(t + ident)), name
+        assert s.pi_plus == (ident + t) * Fraction(1, 2) and s.pi_minus == (ident - t) * Fraction(1, 2), name
+        assert s.involution == t, name
+        assert s.frame == Matrix.from_columns(s.plus.basis + s.minus.basis), name
+        assert s.frame * s.frame_inv == ident and s.frame_inv == invert(s.frame), name
+        assert splitting(s.plus, s.minus) is s, name
+    assert fresh >= 40
+
+
+def test_declared_splitting_projects_with_one_product():
+    rng = random.Random(29)
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        s = random_splitting(n, rng)
+        keep = diagonal([1] * s.plus.dim + [0] * s.minus.dim)
+        assert s.frame == Matrix.from_columns(s.plus.basis + s.minus.basis)
+        assert s.frame_inv == invert(s.frame)
+        assert s.pi_plus == s.frame * keep * s.frame_inv
+        assert s.pi_minus == Matrix.identity(n) - s.pi_plus
+        assert involution_split(s.involution) is s
 
 
 def random_brackets(n, rng):

@@ -7,7 +7,8 @@ linear combinations, brackets and subspace reduction run on integers; each
 is checked here against the textbook Fraction formula on inputs with zeros,
 negatives and large or coprime denominators.  Determinant, inverse, rank and
 reduced row echelon form run on fraction-free elimination; they are checked
-against sympy where it is installed.  Sylvester inertia runs on symmetric
+against sympy where it is installed, and the lazily scaled elimination
+against the eager one, row for row.  Sylvester inertia runs on symmetric
 fraction-free elimination; it is checked against a congruence reduction on
 Fractions and against the sign changes of the characteristic polynomial.
 """
@@ -22,8 +23,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from bornlab import LieAlgebra, Matrix, determinant, invert, signature_of_symmetric
 from bornlab.errors import DimensionMismatchError, SingularMatrixError
-from bornlab.exact import Subspace, column_slices, from_integers, linear_combination, rref, to_integers
-from oracles import congruence_signature, descartes_signature
+from bornlab.exact import Subspace, _gauss_jordan, column_slices, from_integers, linear_combination, rref, to_integers
+from oracles import congruence_signature, descartes_signature, diagonal, eager_bareiss
 
 ZERO = Fraction(0)
 
@@ -381,6 +382,49 @@ def test_rref_matches_sympy_on_rectangular_inputs():
         assert tuple(our_pivots) == tuple(pivots)
 
 
+# --- lazy row scaling against the eager elimination ---------------------------
+
+# 1x1, zero rows, zero columns, rank-deficient blocks and negative pivots, with
+# the number of columns to eliminate
+ADVERSARIAL_ELIMINATIONS = [
+    ([[5]], 1),
+    ([[-3]], 1),
+    ([[0]], 1),
+    ([[0, 0], [0, 0]], 2),
+    ([[0, 0, 0], [0, 2, 1], [0, 0, 0]], 3),
+    ([[0, 3, 1], [0, 6, 2], [0, -3, 4]], 3),
+    ([[2, 4, 1, 7], [1, 2, 3, 5], [3, 6, 4, 12]], 3),
+    ([[-2, 0, 0, 1], [0, -3, 0, 1], [0, 0, -5, 1], [0, 0, 0, -7]], 4),
+    # pivots 2, 3, 5 that do not divide one another, over rows that miss them
+    ([[2, 0, 0, 1, 0], [0, 3, 0, 1, 1], [0, 0, 5, 0, 1], [0, 0, 0, 4, 6]], 5),
+    ([[-2, 0, 1, 1], [0, 3, 1, 0], [0, 0, 0, 0], [0, 0, 5, 7]], 2),
+    ([[0, -4, 0, 3, 1, 0], [6, 0, -9, 0, 0, 1]], 3),
+]
+
+
+def random_elimination(rng):
+    """Integer rows of a random shape and density 0-1, some repeated, and how many columns to eliminate."""
+    height, width, density = rng.randint(1, 7), rng.randint(1, 9), rng.random()
+    rows = []
+    for _ in range(height):
+        if rows and rng.random() < 0.15:
+            rows.append([rng.choice((-2, -1, 2)) * v for v in rng.choice(rows)])
+        else:
+            rows.append([rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(width)])
+    return rows, rng.randint(0, width)
+
+
+def test_lazy_scaling_matches_eager_elimination():
+    """`_gauss_jordan` returns the pivots, last pivot and sign of the elimination
+    that updates every row at every step, and leaves every row equal."""
+    rng = random.Random(28)
+    cases = ADVERSARIAL_ELIMINATIONS + [random_elimination(rng) for _ in range(3000)]
+    for rows, ncols in cases:
+        lazy, eager = [list(r) for r in rows], [list(r) for r in rows]
+        assert _gauss_jordan(lazy, ncols) == eager_bareiss(eager, ncols), (rows, ncols)
+        assert lazy == eager, (rows, ncols)
+
+
 # --- inertia against two oracles ---------------------------------------------
 
 
@@ -406,8 +450,8 @@ def symmetric_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(symmetric_matrices())
 # a negative pivot before a positive one, and before a negative one
-@example(Matrix.diagonal([-1, 1]))
-@example(Matrix.diagonal([1, -1, -1]))
+@example(diagonal([-1, 1]))
+@example(diagonal([1, -1, -1]))
 # the hyperbolic repair after a negative pivot
 @example(Matrix([[-1, 0, 0], [0, 0, 3], [0, 3, 0]]))
 @example(Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 0]]))

@@ -36,6 +36,7 @@ from bornlab.errors import (
     JacobiViolationError,
     ModelSyntaxError,
     UnknownNameError,
+    shown,
 )
 from bornlab.multilinear import ANTISYMMETRIC, SYMMETRIC, two_form
 from bornlab.structures import Witness
@@ -97,6 +98,8 @@ MALFORMED_MODELS = {
     # past the decoder's depth on every supported Python: from 3.12 the C
     # scanner checks nesting against the C recursion limit, not against 1000
     "nested_too_deep": "[" * 100_000 + "]" * 100_000,
+    # quoted in the message by its first characters and its length
+    "long_structure_type": _patched(("structures", 0, "type"), "k" * 10**6),
 }
 
 
@@ -803,6 +806,7 @@ def test_cli_check_malformed_model_exit_2(tmp_path, capsys, text):
     assert main(["check", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+    assert len(err) < 300
 
 
 def test_cli_check_non_utf8_file_exit_2(tmp_path, capsys):
@@ -811,6 +815,15 @@ def test_cli_check_non_utf8_file_exit_2(tmp_path, capsys):
     assert main(["check", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: 'utf-8' codec can't decode byte 0xff") and len(err.splitlines()) == 1
+    assert err.endswith(f": {str(path)!r}\n")
+
+
+def test_shown_cuts_a_long_value_and_gives_its_length():
+    assert shown("k" * 60) == repr("k" * 60)[:60] + "... (62 characters)"
+    assert shown("k" * 58) == repr("k" * 58)
+    assert shown(["x"] * 5) == "['x', 'x', 'x', 'x', 'x']"
+    assert shown(-(10**58)) == "-1" + "0" * 58
+    assert shown(10**60) == "1" + "0" * 59 + "... (61 characters)"
 
 
 def test_check_report_independent_of_cache_state(tmp_path):
@@ -872,7 +885,10 @@ def test_cli_catalog_show(capsys):
 
 def test_cli_catalog_show_unknown(capsys):
     assert main(["catalog", "show", "bogus"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr() == ("", "error: unknown catalog entry 'bogus'\n")
+    # a long name is quoted by its first characters and its length
+    assert main(["catalog", "show", "x" * 100_000]) == 2
+    assert capsys.readouterr().err == "error: unknown catalog entry '" + "x" * 59 + "... (100002 characters)\n"
 
 
 def test_cli_catalog_export_round_trip(capsys):
@@ -1095,8 +1111,11 @@ def test_literals_over_the_digit_bound_are_syntax_errors(tmp_path, capsys):
 
 
 FIVE_THOUSAND = "7" * 5000
+# how a message quotes it as a model value: its first 60 digits and its length
+FIVE_THOUSAND_SHOWN = "7" * 60 + "... (5000 characters)"
 # a model with a JSON integer over the default digit limit -> its error line;
-# the integer is read exactly and printed in full under any digit limit
+# the integer is read exactly and printed the same under any digit limit, in
+# full where it is an index or a dimension
 JSON_INTEGERS = {
     "dim": (f'{{"name": "x", "dim": {FIVE_THOUSAND}}}', f"'dim' {FIVE_THOUSAND} is above the bound 32"),
     "bracket_j": (
@@ -1118,13 +1137,13 @@ JSON_INTEGERS = {
     ),
     "form_entry": (
         f'{{"name": "x", "dim": 1, "forms": {{"w": [[{FIVE_THOUSAND}]]}}}}',
-        f"forms.w: not a rational literal: {FIVE_THOUSAND}",
+        f"forms.w: not a rational literal: {FIVE_THOUSAND_SHOWN}",
     ),
     "structure_type": (
         f'{{"name": "x", "dim": 3, "structures": [{{"type": {FIVE_THOUSAND}}}]}}',
-        f"unknown structure type {FIVE_THOUSAND}",
+        f"unknown structure type {FIVE_THOUSAND_SHOWN}",
     ),
-    "check_name": (f'{{"name": "x", "dim": 3, "checks": [{FIVE_THOUSAND}]}}', f"unknown check {FIVE_THOUSAND}"),
+    "check_name": (f'{{"name": "x", "dim": 3, "checks": [{FIVE_THOUSAND}]}}', f"unknown check {FIVE_THOUSAND_SHOWN}"),
 }
 
 
@@ -1133,7 +1152,7 @@ JSON_INTEGERS = {
 def test_json_integers_past_the_digit_limit_are_syntax_errors(tmp_path, capsys, text, message):
     """A JSON integer over the interpreter's digit limit (a 5000-digit dim or
     bracket index, or an integer where a name or a literal belongs) exits 2
-    with one `error:` line printing it in full, the same under a 640-digit
+    with one `error:` line printing it exactly, the same under a 640-digit
     limit as under none; one of more than MAX_LITERAL_DIGITS digits is
     refused as a literal's integer is."""
     limit = _digit_limit()

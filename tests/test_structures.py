@@ -52,6 +52,7 @@ from oracles import (
     antipode,
     basis_vector,
     born_data,
+    diagonal,
     evaluate,
     integrability_legs,
     integrable,
@@ -132,11 +133,11 @@ def test_build_almost_kunneth_not_complementary(nil3):
 def test_almost_product_r2():
     L = LieAlgebra.abelian(2)
     k = build_almost_kunneth(L, two_form(2, {(1, 2): 1}), Subspace(2, [[1, 0]]), Subspace(2, [[0, 1]]))
-    assert almost_product(k) == Matrix.diagonal([1, -1])
+    assert almost_product(k) == diagonal([1, -1])
 
 
 def test_almost_product_h4(h4_kunneth):
-    assert almost_product(h4_kunneth) == Matrix.diagonal([1, 1, -1, -1, 1, -1])
+    assert almost_product(h4_kunneth) == diagonal([1, 1, -1, -1, 1, -1])
 
 
 def test_almost_product_fixture_splitting(nil3):
@@ -146,7 +147,7 @@ def test_almost_product_fixture_splitting(nil3):
         Subspace(4, [[1, 0, 0, 0], [0, 0, 0, 1]]),
         Subspace(4, [[0, 1, 0, 0], [0, 0, 1, 0]]),
     )
-    assert almost_product(k) == Matrix.diagonal([1, -1, -1, 1])
+    assert almost_product(k) == diagonal([1, -1, -1, 1])
 
 
 def test_neutral_metric_r2():
@@ -189,7 +190,7 @@ def test_build_born_standard_c1():
     h = symmetric_form(2, {(1, 1): 1, (2, 2): 1})
     g = symmetric_form(2, {(1, 2): 1})
     born = build_born(L, g, h, omega)
-    assert born.a_op == Matrix.diagonal([1, -1])
+    assert born.a_op == diagonal([1, -1])
     assert born.j_op == Matrix.from_columns([[0, 1], [-1, 0]])
     # the opposite sign of g is a Born structure too, with A and B negated
     flipped = build_born(L, negated(g), h, omega)
@@ -345,7 +346,7 @@ def test_built_structures_decide_the_identity_table_in_the_frame(catalog_models,
         p = Matrix([list(row) for row in zip(*frame)])
         p_inv = invert(p)
         a, bb, j = (p_inv * t * p for t in (b.a_op, b.b_op, b.j_op))
-        assert a == Matrix.diagonal([1] * m + [-1] * m)
+        assert a == diagonal([1] * m + [-1] * m)
         assert bb == Matrix([[1 if abs(r - c) == m else 0 for c in range(n)] for r in range(n)])
         assert j == bb * a
         moved = BornData(
@@ -407,7 +408,7 @@ def test_eigenspace_exchange_failures_carry_the_block_entry():
             split = random_splitting(n, rng)
             d = BornData(
                 m + m.transpose(), k + k.transpose(), m - m.transpose(), random_matrix(n, rng),
-                p * Matrix.diagonal(signs) * invert(p), random_matrix(n, rng), split.plus, split.minus,
+                p * diagonal(signs) * invert(p), random_matrix(n, rng), split.plus, split.minus,
             )
             columns = p.transpose().rows
             frames = {
@@ -692,7 +693,7 @@ def test_enhance_rejects_jtilde_that_is_not_an_isomorphism(h4_kunneth):
 def test_hypersymplectic_nil3_tables(nil3_hypersymplectic):
     hs = nil3_hypersymplectic
     assert hs.a_op == Matrix.from_columns([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]])
-    assert hs.b_op == Matrix.diagonal([1, -1, 1, -1])
+    assert hs.b_op == diagonal([1, -1, 1, -1])
     assert hs.j_op == Matrix.from_columns([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
     assert hs.metric == symmetric_form(4, {(1, 4): -1, (2, 3): -1})
     assert signature_of_symmetric(hs.metric.matrix) == Signature(2, 2, 0)
