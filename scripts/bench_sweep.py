@@ -5,9 +5,11 @@ unimodular basis random_unimodular(n, Random(k)) of perfbench/models.py,
 whose `direct_sum`, `change_basis` and `random_unimodular` build the model
 documents.  Each run is a fresh interpreter, so every cache starts cold, and
 records the CPU time of `parse_model` and of `run_checks`, and each check's
-`elapsed_ms` from the JSON report.  Per dim the median of RUNS runs is kept,
-and per metric the least-squares slope of log(time) against log(dim) over
-dims 12 to 24.  The statuses are recorded too, so a sweep of broken code
+`elapsed_ms` from the JSON report.  Per dim and per metric the minimum of
+RUNS runs is kept: noise on a cold run (another process, a cache miss) only
+adds time, so the least run is the steadiest estimate of the code's own cost.
+Per metric, the least-squares slope of log(time) against log(dim) over
+dims 12 to 24 is recorded.  The statuses are recorded too, so a sweep of broken code
 reads as such.  Report only: nothing is gated on it.
 
     python3 scripts/bench_sweep.py [--out BENCH_sweep.json]
@@ -30,7 +32,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from bornlab import catalog  # noqa: E402
 from models import CHECKS, Case, change_basis, direct_sum, random_unimodular  # noqa: E402
 
-RUNS = 3  # cold runs per dim; the median is kept
+RUNS = 5  # cold runs per dim; the minimum is kept
 
 # one cold run: the model text on stdin, one JSON line of timings on stdout
 CHILD = """
@@ -96,9 +98,9 @@ def main(argv=None) -> int:
         dim = 6 * k
         dims[dim] = {
             "model": f"h4x{k}_seeded",
-            "parse_s": statistics.median(r["parse_s"] for r in runs),
-            "run_checks_s": statistics.median(r["run_checks_s"] for r in runs),
-            "checks_ms": {c: statistics.median(r["checks_ms"][c] for r in runs) for c in runs[0]["checks_ms"]},
+            "parse_s": min(r["parse_s"] for r in runs),
+            "run_checks_s": min(r["run_checks_s"] for r in runs),
+            "checks_ms": {c: min(r["checks_ms"][c] for r in runs) for c in runs[0]["checks_ms"]},
             "statuses": runs[0]["statuses"],
         }
         print(f"dim {dim}: parse {dims[dim]['parse_s']:.3f} s, run_checks {dims[dim]['run_checks_s']:.3f} s",
@@ -108,7 +110,7 @@ def main(argv=None) -> int:
     metrics.update({f"checks_ms.{c}": (lambda row, c=c: row["checks_ms"][c]) for c in dims[6]["checks_ms"]})
     doc = {
         "what": "cold-cache CPU time of parse_model and run_checks, and each check's elapsed_ms, "
-                "on h4^(+k) in seeded unimodular bases; medians of the runs",
+                "on h4^(+k) in seeded unimodular bases; minimum of the runs",
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "processor": cpu_model(), "cpus": os.cpu_count()},
         "runs_per_dim": RUNS,

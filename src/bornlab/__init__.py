@@ -22,7 +22,6 @@ from .liealg import (
     jacobi_defect,
 )
 from .multilinear import (
-    BilinearForm,
     anticommutator_defect,
     involution_split,
     nijenhuis,

@@ -8,9 +8,7 @@ property is an identity between exact matrices:
     torsion           T(e_i, e_j) = Gamma_i e_j - Gamma_j e_i - [e_i, e_j]
     b parallel        nabla_{e_i} b = -(Gamma_i^T M_b + M_b Gamma_i) = 0
 
-When M_b^T = eps M_b (eps = +1 for a symmetric form, -1 for an
-antisymmetric one), Gamma_i^T M_b = eps (M_b Gamma_i)^T, so b is parallel
-exactly when -(P_i + eps P_i^T) = 0, with one product P_i = M_b Gamma_i.
+with M_b the Gram matrix of the form b.
 
 The canonical and Born connections are averages under conjugation:
 
@@ -53,7 +51,7 @@ from .exact import (
     splitting,
 )
 from .liealg import LieAlgebra, ce_d2
-from .multilinear import BilinearForm, involution_split
+from .multilinear import involution_split
 from .structures import (
     AlmostKunneth,
     BornStructure,
@@ -84,14 +82,9 @@ def torsion(L: LieAlgebra, c: Connection) -> Trilinear:
     return Trilinear(tuple(t_i.transpose() for t_i in _torsion_matrices(L, c)))
 
 
-def nabla_form(c: Connection, b: BilinearForm) -> Trilinear:
-    """(nabla_{e_i} b)(e_j, e_k) = -(Gamma_i^T M_b + M_b Gamma_i)[j][k]; zero iff b is parallel.
-
-    Gamma_i^T M_b comes from P_i = M_b Gamma_i (`BilinearForm.transpose_times`).
-    """
-    m = b.matrix
-    p = [m * g for g in c.gammas]
-    return Trilinear(tuple(-(b.transpose_times(g, p_i) + p_i) for g, p_i in zip(c.gammas, p)))
+def nabla_form(c: Connection, m: Matrix) -> Trilinear:
+    """(nabla_{e_i} b)(e_j, e_k) = -(Gamma_i^T M + M Gamma_i)[j][k], M the matrix of b; zero iff b is parallel."""
+    return Trilinear(tuple(-(g.transpose() * m + m * g) for g in c.gammas))
 
 
 def _conjugate_average(c: Connection, t: Matrix) -> Connection:
@@ -104,7 +97,7 @@ def _conjugate_average(c: Connection, t: Matrix) -> Connection:
 
 
 @lru_cache(maxsize=None)
-def levi_civita(L: LieAlgebra, g: BilinearForm) -> Connection:
+def levi_civita(L: LieAlgebra, g: Matrix) -> Connection:
     """Koszul formula restricted to left-invariant fields:
 
     2 g(nabla_{e_i} e_j, e_k) = g([e_i,e_j],e_k) - g([e_j,e_k],e_i) + g([e_k,e_i],e_j),
@@ -122,10 +115,10 @@ def levi_civita(L: LieAlgebra, g: BilinearForm) -> Connection:
     """
     n = L.n
     try:
-        half_g_inv = invert(g.matrix) * HALF
+        half_g_inv = invert(g) * HALF
     except SingularMatrixError:
         raise DegenerateFormError("metric is degenerate") from None
-    p = [g.matrix * L.ad(i) for i in range(n)]
+    p = [g * L.ad(i) for i in range(n)]
     r = column_slices([p_j.transpose() for p_j in p])
     return Connection(tuple(half_g_inv * (p[i] - p[i].transpose() - r[i]) for i in range(n)))
 
@@ -165,7 +158,7 @@ def kunneth_connection(k: AlmostKunneth) -> Connection:
       omega(y, [x_F, z]) by the defining relation of D, and the two cancel;
       G x F follows by antisymmetry.
     """
-    L, m = k.algebra, k.omega.matrix
+    L, m = k.algebra, k.omega
     n = L.n
     ad = [L.ad(a) for a in range(n)]
     m_t_inv = invert(m).transpose()
@@ -237,17 +230,16 @@ def born_connection(b: BornStructure) -> Connection:
     return _conjugate_average(kunneth_connection(b.underlying_kunneth()), b.b_op)
 
 
-def generalized_torsion_defect(c: Connection, cc: Connection, g: BilinearForm) -> Trilinear:
+def generalized_torsion_defect(c: Connection, cc: Connection, g: Matrix) -> Trilinear:
     """GT(x,y,z) = g(nabla_x y - nabla_y x, z) + g(nabla_z x, y), compared
     between c and the canonical connection cc on all basis triples.
 
     With Delta = c - cc and E_i the matrix whose column j is Delta_j e_i, the
     i-th slice of the defect is (Delta_i - E_i)^T M_g + M_g E_i.
     """
-    m = g.matrix
     delta = (c - cc).slices
     e = column_slices(delta)
-    return Trilinear(tuple((delta_i - e_i).transpose() * m + m * e_i for delta_i, e_i in zip(delta, e)))
+    return Trilinear(tuple((delta_i - e_i).transpose() * g + g * e_i for delta_i, e_i in zip(delta, e)))
 
 
 def omega_K_defect(k: AlmostKunneth) -> Trilinear:
@@ -273,7 +265,7 @@ def omega_K_defect(k: AlmostKunneth) -> Trilinear:
     As pi_G = Id - pi_F and C_i is antisymmetric (d omega is alternating),
     the correction is (X_i + X_i^T) / 2 with X_i = C_i pi_F.
     """
-    m = k.omega.matrix
+    m = k.omega
     kunneth = kunneth_connection(k)
     split = splitting(k.plus, k.minus)
     canonical = canonical_connection(k)

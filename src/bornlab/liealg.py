@@ -34,7 +34,6 @@ from .exact import (
     to_integers,
     vector,
 )
-from .multilinear import BilinearForm
 
 
 class LieAlgebra(Value):
@@ -198,26 +197,16 @@ def is_subalgebra(L: LieAlgebra, s: Subspace) -> SubalgebraResult:
     return SubalgebraResult(True)
 
 
-def _two_form_matrix(w) -> Matrix:
-    m = w.matrix if isinstance(w, BilinearForm) else w
-    if not isinstance(m, Matrix):
-        raise TypeError("expected a BilinearForm or Matrix")
-    if not m.is_antisymmetric():
-        raise ValueError("two-form matrix must be antisymmetric")
-    return m
-
-
 @lru_cache(maxsize=None)
-def ce_d2(L: LieAlgebra, w) -> Trilinear:
+def ce_d2(L: LieAlgebra, m: Matrix) -> Trilinear:
     """(d w)(e_i,e_j,e_k) = -w([e_i,e_j],e_k) + w([e_i,e_k],e_j) - w([e_j,e_k],e_i).
 
-    With M the matrix of w, Q_i = ad_i^T M has entry (j, k) = w([e_i,e_j], e_k),
+    For the 2-form w of antisymmetric matrix M, Q_i = ad_i^T M has entry (j, k) = w([e_i,e_j], e_k),
     and R = column_slices(Q) has entry (k, j) of R_i = Q_j[k][i] = w([e_j,e_k], e_i),
     so slice i of d w is
 
         W_i = Q_i^T - Q_i - R_i^T.
     """
-    m = _two_form_matrix(w)
     n = L.n
     if m.n != n:
         raise DimensionMismatchError("two-form dimension does not match algebra")
@@ -226,5 +215,5 @@ def ce_d2(L: LieAlgebra, w) -> Trilinear:
     return Trilinear(tuple(q_i.transpose() - q_i - r_i.transpose() for q_i, r_i in zip(q, r)))
 
 
-def is_closed(L: LieAlgebra, w) -> bool:
-    return ce_d2(L, w).is_zero()
+def is_closed(L: LieAlgebra, m: Matrix) -> bool:
+    return ce_d2(L, m).is_zero()

@@ -57,7 +57,6 @@ from .errors import (
 )
 from .exact import Matrix, Subspace, Value, format_rational, parse_rational, read_integer
 from .liealg import LieAlgebra, ce_d2
-from .multilinear import ANTISYMMETRIC, SYMMETRIC, BilinearForm
 from . import structures
 from .structures import (
     AlmostKunneth,
@@ -130,7 +129,11 @@ class StructureDecl(Value):
 
 
 class Model(Value):
-    """A parsed model: forms, metrics, endos and subspaces are dicts by name, so it is unhashable."""
+    """A parsed model: forms, metrics, endos and subspaces are dicts by name, so it is unhashable.
+
+    Forms and metrics are Gram matrices, checked antisymmetric and symmetric
+    at parse; endos are the matrices of endomorphisms.
+    """
 
     __slots__ = ("name", "algebra", "forms", "metrics", "endos", "subspaces", "structures", "checks")
     _defaults = {"checks": None}
@@ -259,13 +262,13 @@ def parse_model(text: str) -> Model:
         m = _parse_matrix(f"forms.{fname}", rows, dim, read)
         if not m.is_antisymmetric():
             raise ModelSyntaxError(f"forms.{fname} is not antisymmetric")
-        forms[fname] = BilinearForm(m, ANTISYMMETRIC)
+        forms[fname] = m
     metrics = {}
     for mname, rows in sorted(_section(doc, "metrics", dict).items()):
         m = _parse_matrix(f"metrics.{mname}", rows, dim, read)
         if not m.is_symmetric():
             raise ModelSyntaxError(f"metrics.{mname} is not symmetric")
-        metrics[mname] = BilinearForm(m, SYMMETRIC)
+        metrics[mname] = m
     endos = {}
     for ename, rows in sorted(_section(doc, "endos", dict).items()):
         endos[ename] = _parse_matrix(f"endos.{ename}", rows, dim, read)
@@ -330,8 +333,8 @@ def render_model(model: Model) -> str:
         {"i": i, "j": j, "out": {str(k): format_rational(c) for k, c in out.items()}}
         for (i, j), out in model.algebra.brackets.items()
     ]
-    doc["forms"] = {name: _matrix_json(f.matrix) for name, f in sorted(model.forms.items())}
-    doc["metrics"] = {name: _matrix_json(f.matrix) for name, f in sorted(model.metrics.items())}
+    doc["forms"] = {name: _matrix_json(f) for name, f in sorted(model.forms.items())}
+    doc["metrics"] = {name: _matrix_json(f) for name, f in sorted(model.metrics.items())}
     doc["endos"] = {name: _matrix_json(e) for name, e in sorted(model.endos.items())}
     doc["subspaces"] = {
         name: [[format_rational(v) for v in vec] for vec in s.given]

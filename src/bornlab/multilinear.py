@@ -1,8 +1,9 @@
 """Bilinear forms, endomorphism fields, recursion operators and Nijenhuis tensors.
 
 Over a fixed basis everything is an exact rational matrix: a bilinear form b is
-stored as the matrix b(e_i, e_j), an endomorphism T as the matrix whose j-th
-column is T(e_j).
+its Gram matrix b(e_i, e_j), an endomorphism T the matrix whose j-th column is
+T(e_j).  A form's symmetry is read off its matrix (`Matrix.is_symmetric`,
+`Matrix.is_antisymmetric`); the builders in `structures` certify it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .exact import (
     Matrix,
     Splitting,
     Trilinear,
-    Value,
     eigensplitting,
     invert,
     linear_combination,
@@ -30,42 +30,7 @@ TYPE_CHECKING = False  # true for static checkers only; importing typing at run 
 if TYPE_CHECKING:  # pragma: no cover
     from .liealg import LieAlgebra
 
-SYMMETRIC = "symmetric"
-ANTISYMMETRIC = "antisymmetric"
-NOSYM = "none"
-
-
-class BilinearForm(Value):
-    """Coordinate matrix of a bilinear form with a declared symmetry type."""
-
-    __slots__ = ("matrix", "symmetry")
-
-    def __init__(self, matrix: Matrix, symmetry: str = NOSYM):
-        if symmetry == SYMMETRIC and not matrix.is_symmetric():
-            raise ValueError("matrix is not symmetric")
-        if symmetry == ANTISYMMETRIC and not matrix.is_antisymmetric():
-            raise ValueError("matrix is not antisymmetric")
-        if symmetry not in (SYMMETRIC, ANTISYMMETRIC, NOSYM):
-            raise ValueError(f"unknown symmetry type {symmetry!r}")
-        super().__init__(matrix, symmetry)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.n
-
-    def transpose_times(self, t: Matrix, mt: Matrix) -> Matrix:
-        """T^T M, given mt = M T: (M T)^T or -(M T)^T when M^T = M or -M, else a product."""
-        if self.symmetry == SYMMETRIC:
-            return mt.transpose()
-        if self.symmetry == ANTISYMMETRIC:
-            return -mt.transpose()
-        return t.transpose() * self.matrix
-
-    def __repr__(self):
-        return f"BilinearForm({self.symmetry}, {self.matrix!r})"
-
-
-def recursion_operator(a: BilinearForm, b: BilinearForm) -> Matrix:
+def recursion_operator(a: Matrix, b: Matrix) -> Matrix:
     """The unique endomorphism A with a(A x, y) = b(x, y) for all x, y.
 
     Solving a(A e_j, e_i) = b(e_j, e_i) over all basis pairs gives
@@ -75,15 +40,15 @@ def recursion_operator(a: BilinearForm, b: BilinearForm) -> Matrix:
     if a.n != b.n:
         raise DimensionMismatchError("forms live on spaces of different dimension")
     try:
-        ma_inv = invert(a.matrix)
+        ma_inv = invert(a)
     except SingularMatrixError:
         raise DegenerateFormError("source form of a recursion operator is degenerate") from None
-    return ma_inv.transpose() * b.matrix.transpose()
+    return ma_inv.transpose() * b.transpose()
 
 
-def pullback(t: Matrix, b: BilinearForm) -> BilinearForm:
+def pullback(t: Matrix, b: Matrix) -> Matrix:
     """(t^* b)(x, y) = b(t x, t y), of the symmetry of b: (T^T M T)^T = T^T M^T T."""
-    return BilinearForm(t.transpose() * b.matrix * t, b.symmetry)
+    return t.transpose() * b * t
 
 
 def nijenhuis(L: "LieAlgebra", t: Matrix) -> Trilinear:
@@ -137,7 +102,7 @@ def anticommutator_defect(s: Matrix, t: Matrix) -> Matrix:
     return s * t + t * s
 
 
-def two_form(n: int, pairs) -> BilinearForm:
+def two_form(n: int, pairs) -> Matrix:
     """Antisymmetric form sum of c * alpha_i ^ alpha_j from {(i, j): c}, 1-based."""
     rows = [[0] * n for _ in range(n)]
     for (i, j), c in pairs.items():
@@ -145,10 +110,10 @@ def two_form(n: int, pairs) -> BilinearForm:
             raise DimensionMismatchError(f"bad two-form pair ({i},{j})")
         rows[i - 1][j - 1] += c
         rows[j - 1][i - 1] -= c
-    return BilinearForm(Matrix(rows), ANTISYMMETRIC)
+    return Matrix(rows)
 
 
-def symmetric_form(n: int, pairs) -> BilinearForm:
+def symmetric_form(n: int, pairs) -> Matrix:
     """Symmetric form with b(e_i, e_j) = b(e_j, e_i) = c from {(i, j): c}, 1-based."""
     rows = [[0] * n for _ in range(n)]
     for (i, j), c in pairs.items():
@@ -156,4 +121,4 @@ def symmetric_form(n: int, pairs) -> BilinearForm:
             raise DimensionMismatchError(f"bad symmetric-form pair ({i},{j})")
         rows[i - 1][j - 1] = c
         rows[j - 1][i - 1] = c
-    return BilinearForm(Matrix(rows), SYMMETRIC)
+    return Matrix(rows)

@@ -40,9 +40,6 @@ from .exact import (
 )
 from .liealg import LieAlgebra, ce_d2, is_subalgebra
 from .multilinear import (
-    ANTISYMMETRIC,
-    SYMMETRIC,
-    BilinearForm,
     anticommutator_defect,
     involution_split,
     nijenhuis,
@@ -116,19 +113,19 @@ class AlmostKunneth(Value):
 
     __slots__ = ("algebra", "omega", "plus", "minus")
 
-    def __init__(self, algebra: LieAlgebra, omega: BilinearForm, plus: Subspace, minus: Subspace, *, key=None):
+    def __init__(self, algebra: LieAlgebra, omega: Matrix, plus: Subspace, minus: Subspace, *, key=None):
         _require_builder(key, AlmostKunneth, "build_almost_kunneth")
         super().__init__(algebra, omega, plus, minus)
 
 
 @lru_cache(maxsize=None)
-def build_almost_kunneth(L: LieAlgebra, omega: BilinearForm, plus: Subspace, minus: Subspace) -> AlmostKunneth:
+def build_almost_kunneth(L: LieAlgebra, omega: Matrix, plus: Subspace, minus: Subspace) -> AlmostKunneth:
     n = L.n
     if omega.n != n or plus.n != n or minus.n != n:
         raise DimensionMismatchError("almost Kunneth data on mismatched dimensions")
-    _require_form("the 2-form", omega, ANTISYMMETRIC)
+    _require_form("the 2-form", omega, symmetric=False)
     s = splitting(plus, minus)
-    pairing = s.pairing(omega.matrix)
+    pairing = s.pairing(omega)
     for name, side in (("plus", "+"), ("minus", "-")):
         # the block is antisymmetric, so its first nonzero entry has a < c
         hit = s.block_witness(pairing, side, side)
@@ -143,7 +140,7 @@ def almost_product(k: AlmostKunneth) -> Matrix:
 
 
 @lru_cache(maxsize=None)
-def neutral_metric(k: AlmostKunneth) -> BilinearForm:
+def neutral_metric(k: AlmostKunneth) -> Matrix:
     """g(x, y) = omega(I x, y), I = `almost_product(k)`: symmetric and of
     signature (n/2, n/2, 0) by construction.
 
@@ -155,7 +152,7 @@ def neutral_metric(k: AlmostKunneth) -> BilinearForm:
     form of signature (p, q) has no isotropic subspace of dimension above
     min(p, q), so p = q = n/2.
     """
-    return BilinearForm(almost_product(k).transpose() * k.omega.matrix, SYMMETRIC)
+    return almost_product(k).transpose() * k.omega
 
 
 # ---------------------------------------------------------------------------
@@ -181,16 +178,17 @@ class BornStructure(Value):
         return build_almost_kunneth(self.algebra, self.omega, self.l_plus, self.l_minus)
 
 
-def _require_form(name: str, form: BilinearForm, symmetry: str):
-    """Certify the declared symmetry and nondegeneracy of a form.
+def _require_form(name: str, form: Matrix, *, symmetric: bool):
+    """Certify a form symmetric (or antisymmetric) and nondegenerate.
 
-    The proof is the memoized inverse of its matrix, which the recursion
-    operators and the connections read again.
+    The symmetry is read off the matrix.  The proof of nondegeneracy is the
+    memoized inverse of the matrix, which the recursion operators and the
+    connections read again.
     """
-    if form.symmetry != symmetry:
-        raise DegenerateFormError(f"{name} must be {symmetry}")
+    if not (form.is_symmetric() if symmetric else form.is_antisymmetric()):
+        raise DegenerateFormError(f"{name} must be {'symmetric' if symmetric else 'antisymmetric'}")
     try:
-        invert(form.matrix)
+        invert(form)
     except SingularMatrixError:
         raise DegenerateFormError(f"{name} is degenerate") from None
 
@@ -198,9 +196,9 @@ def _require_form(name: str, form: BilinearForm, symmetry: str):
 @lru_cache(maxsize=None)
 def build_born(
     L: LieAlgebra,
-    g: BilinearForm,
-    h: BilinearForm,
-    omega: BilinearForm,
+    g: Matrix,
+    h: Matrix,
+    omega: Matrix,
     *,
     expect_a: Matrix | None = None,
     expect_b: Matrix | None = None,
@@ -220,9 +218,9 @@ def build_born(
     n = L.n
     if g.n != n or h.n != n or omega.n != n:
         raise DimensionMismatchError("Born data on mismatched dimensions")
-    _require_form("g", g, SYMMETRIC)
-    _require_form("h", h, SYMMETRIC)
-    _require_form("omega", omega, ANTISYMMETRIC)
+    _require_form("g", g, symmetric=True)
+    _require_form("h", h, symmetric=True)
+    _require_form("omega", omega, symmetric=False)
 
     a_op = recursion_operator(g, omega)
     b_op = recursion_operator(g, h)
@@ -390,7 +388,7 @@ def enhance_kunneth(k: AlmostKunneth, jtilde: Matrix | None = None) -> BornStruc
     and h(x, y) = omega(x, J y).
     """
     split = splitting(k.plus, k.minus)
-    omega = k.omega.matrix
+    omega = k.omega
     if jtilde is None:
         # the omega-dual frame g'_c = sum_r (W^-1)_rc g_r, with W the (+,-)
         # block of P^T Omega P, has omega(f_a, g'_c) = delta_ac and S = W^-1
@@ -422,9 +420,7 @@ def enhance_kunneth(k: AlmostKunneth, jtilde: Matrix | None = None) -> BornStruc
     block += [list(row) + [0] * m for row in s.num_over(d)]
     j_op = split.frame * Matrix.over(block, d) * split.frame_inv
 
-    g = neutral_metric(k)
-    h = BilinearForm(omega * j_op, SYMMETRIC)
-    return build_born(k.algebra, g, h, k.omega, expect_j=j_op)
+    return build_born(k.algebra, neutral_metric(k), omega * j_op, omega, expect_j=j_op)
 
 
 # ---------------------------------------------------------------------------
@@ -443,14 +439,14 @@ class Hypersymplectic(Value):
 @lru_cache(maxsize=None)
 def build_hypersymplectic(
     L: LieAlgebra,
-    omega: BilinearForm,
-    alpha: BilinearForm,
-    beta: BilinearForm,
+    omega: Matrix,
+    alpha: Matrix,
+    beta: Matrix,
     *,
     expect_a: Matrix | None = None,
     expect_b: Matrix | None = None,
     expect_j: Matrix | None = None,
-    expect_metric: BilinearForm | None = None,
+    expect_metric: Matrix | None = None,
 ) -> Hypersymplectic:
     """Validate a hypersymplectic triple and derive its operators and metric.
 
@@ -470,7 +466,7 @@ def build_hypersymplectic(
     for name, form in (("omega", omega), ("alpha", alpha), ("beta", beta)):
         if form.n != n:
             raise DimensionMismatchError("hypersymplectic data on mismatched dimensions")
-        _require_form(name, form, ANTISYMMETRIC)
+        _require_form(name, form, symmetric=False)
         require_zero(name, ce_d2(L, form), NotClosedError)
 
     a_op = recursion_operator(omega, alpha)
@@ -486,14 +482,9 @@ def build_hypersymplectic(
     ):
         require_zero(name, defect)
 
-    metric_matrix = alpha.matrix * b_op
-    metric = BilinearForm(metric_matrix, SYMMETRIC)
-
+    metric = alpha * b_op
     _require_tables(
-        ("A", expect_a, a_op),
-        ("B", expect_b, b_op),
-        ("J", expect_j, j_op),
-        ("metric", None if expect_metric is None else expect_metric.matrix, metric_matrix),
+        ("A", expect_a, a_op), ("B", expect_b, b_op), ("J", expect_j, j_op), ("metric", expect_metric, metric)
     )
 
     return Hypersymplectic(L, omega, alpha, beta, a_op, b_op, j_op, metric)
@@ -554,16 +545,14 @@ def s1_family(hs: Hypersymplectic, jtilde: Matrix, p: CirclePoint) -> BornStruct
         ("jtilde^2 = -Id", jtilde * jtilde + Matrix.identity(hs.algebra.n)),
         ("jtilde anti-commutes with A", anticommutator_defect(jtilde, hs.a_op)),
         ("jtilde anti-commutes with B", anticommutator_defect(jtilde, hs.b_op)),
-        ("jtilde^* g = -g", pullback(jtilde, hs.metric).matrix + hs.metric.matrix),
+        ("jtilde^* g = -g", pullback(jtilde, hs.metric) + hs.metric),
     ):
         require_zero(which, defect, HypothesisFailureError)
 
-    beta_t = BilinearForm(
-        hs.alpha.matrix * (-p.sin) + hs.beta.matrix * p.cos, ANTISYMMETRIC
-    )
+    beta_t = hs.alpha * (-p.sin) + hs.beta * p.cos
     i_t = hs.a_op * p.cos + hs.b_op * p.sin
     bt = jtilde * i_t
-    h_t = BilinearForm(bt.transpose() * hs.metric.matrix, SYMMETRIC)
+    h_t = bt.transpose() * hs.metric
 
     return build_born(
         hs.algebra,

@@ -1,14 +1,14 @@
-"""Test-only oracles: vectors on Fractions, the negation and declared symmetry
-of a form, nabla_x y of a connection and the antipode of a circle point,
-one-forms with their differential and wedge products, the Jacobi sums
-bracket by bracket, readers of Trilinear tensors that do not go through the
-engine's scan, two computations of Sylvester inertia, the Levi-Civita
-connection solved by sympy, the pairwise bracket-closure test on Fractions,
-the four-combination Kunneth connection, every leg of Born integrability
-computed on its own, the rational-literal reader the integer one replaced,
-the mixed torsion of a connection on a splitting, the whole Born identity
-table computed from matrix products on raw data, and the eager
-fraction-free elimination that the lazily scaling one replaced.
+"""Test-only oracles: vectors on Fractions, nabla_x y of a connection and the
+antipode of a circle point, one-forms with their differential and wedge
+products, the Jacobi sums bracket by bracket, readers of Trilinear tensors
+that do not go through the engine's scan, two computations of Sylvester
+inertia, the Levi-Civita connection solved by sympy, the pairwise
+bracket-closure test on Fractions, the four-combination Kunneth connection,
+every leg of Born integrability computed on its own, the rational-literal
+reader the integer one replaced, the mixed torsion of a connection on a
+splitting, the whole Born identity table computed from matrix products on raw
+data, and the eager fraction-free elimination that the lazily scaling one
+replaced.
 
 The engine needs d on two-forms only.  The d^2 = 0 and Leibniz tests, and the
 acceptance criteria on stated differentials, check ce_d2 against the
@@ -27,11 +27,11 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from bornlab import BilinearForm, CirclePoint, LieAlgebra, Matrix, Signature, Subspace, Trilinear, torsion
+from bornlab import CirclePoint, LieAlgebra, Matrix, Signature, Subspace, Trilinear, torsion
 from bornlab.connections import Connection
 from bornlab.exact import invert, linear_combination, splitting, vector
 from bornlab.liealg import ce_d2
-from bornlab.multilinear import ANTISYMMETRIC, NOSYM, SYMMETRIC, nijenhuis
+from bornlab.multilinear import nijenhuis
 from bornlab.structures import IDENTITY_TABLE, Witness, subalgebra_witness, witness_at, witness_of
 
 
@@ -52,17 +52,6 @@ def vec_add(x, y) -> tuple:
 
 def vec_sub(x, y) -> tuple:
     return tuple(a - b for a, b in zip(x, y))
-
-
-def negated(b: BilinearForm) -> BilinearForm:
-    return BilinearForm(-b.matrix, b.symmetry)
-
-
-def detect(m: Matrix) -> BilinearForm:
-    """The form of matrix m, declared symmetric or antisymmetric where it is."""
-    if m.is_symmetric():
-        return BilinearForm(m, SYMMETRIC)
-    return BilinearForm(m, ANTISYMMETRIC if m.is_antisymmetric() else NOSYM)
 
 
 def nabla(c: Connection, x, y) -> tuple:
@@ -102,22 +91,22 @@ class OneForm:
         return sum(a * b for a, b in zip(self.coefficients, v))
 
 
-def ce_d1(L: LieAlgebra, a: OneForm) -> BilinearForm:
+def ce_d1(L: LieAlgebra, a: OneForm) -> Matrix:
     """(d a)(e_i, e_j) = -a([e_i, e_j])."""
     n = L.n
     rows = [[-a.evaluate(L.bracket(basis_vector(n, i), basis_vector(n, j))) for j in range(n)] for i in range(n)]
-    return BilinearForm(Matrix(rows), ANTISYMMETRIC)
+    return Matrix(rows)
 
 
-def wedge_one_one(a: OneForm, b: OneForm) -> BilinearForm:
-    """a ^ b as an antisymmetric bilinear form."""
+def wedge_one_one(a: OneForm, b: OneForm) -> Matrix:
+    """The matrix of the antisymmetric form a ^ b."""
     x, y = a.coefficients, b.coefficients
-    return BilinearForm(Matrix([[x[i] * y[j] - x[j] * y[i] for j in range(a.n)] for i in range(a.n)]), ANTISYMMETRIC)
+    return Matrix([[x[i] * y[j] - x[j] * y[i] for j in range(a.n)] for i in range(a.n)])
 
 
-def wedge_two_one(w: BilinearForm, a: OneForm) -> Trilinear:
+def wedge_two_one(w: Matrix, a: OneForm) -> Trilinear:
     """(w ^ a)(x,y,z) = w(x,y)a(z) - w(x,z)a(y) + w(y,z)a(x) on every basis triple."""
-    m, c, n = w.matrix.rows, a.coefficients, a.n
+    m, c, n = w.rows, a.coefficients, a.n
     return Trilinear(
         tuple(
             Matrix([[m[i][j] * c[k] - m[i][k] * c[j] + m[j][k] * c[i] for k in range(n)] for j in range(n)])
@@ -257,7 +246,7 @@ def reference_jacobi(L: LieAlgebra) -> dict:
     return sums
 
 
-def sympy_levi_civita(L: LieAlgebra, g: BilinearForm):
+def sympy_levi_civita(L: LieAlgebra, g: Matrix):
     """The torsion-free g-parallel connection, solved in all n^3 entries of Gamma at once (needs sympy).
 
     The unknown G[i][k][j] is coordinate k of nabla_{e_i} e_j.  Torsion-free:
@@ -269,7 +258,7 @@ def sympy_levi_civita(L: LieAlgebra, g: BilinearForm):
 
     n = L.n
     rational = lambda v: sympy.Rational(v.numerator, v.denominator)
-    gm = [[rational(v) for v in row] for row in g.matrix.rows]
+    gm = [[rational(v) for v in row] for row in g.rows]
     unknown = [[[sympy.Symbol(f"G_{i}_{k}_{j}") for j in range(n)] for k in range(n)] for i in range(n)]
     equations = []
     for i in range(n):
@@ -313,7 +302,7 @@ def four_combination_kunneth(k) -> Connection:
 
     with D_a solved from D_a^T M = -M ad_a and four combinations per slice.
     """
-    L, m = k.algebra, k.omega.matrix
+    L, m = k.algebra, k.omega
     ad = [L.ad(a) for a in range(L.n)]
     d = [-(invert(m.transpose()) * (m * ad_a).transpose()) for ad_a in ad]
     split = splitting(k.plus, k.minus)
@@ -386,7 +375,7 @@ class BornData(NamedTuple):
 
 def born_data(b) -> BornData:
     """The raw data of a built Born structure."""
-    return BornData(b.g.matrix, b.h.matrix, b.omega.matrix, b.a_op, b.b_op, b.j_op, b.l_plus, b.l_minus)
+    return BornData(b.g, b.h, b.omega, b.a_op, b.b_op, b.j_op, b.l_plus, b.l_minus)
 
 
 def gauss_jordan(rows, width: int) -> tuple[list, list]:

@@ -27,21 +27,19 @@ from bornlab import (
     s1_family,
     torsion,
     CirclePoint,
-    BilinearForm,
 )
 from bornlab import connections, model
 from bornlab.connections import Connection
 from bornlab.errors import DegenerateFormError, NotIntegrableError
 from bornlab.exact import determinant, invert, projection_onto, splitting
 from bornlab.liealg import ce_d2
-from bornlab.multilinear import ANTISYMMETRIC, NOSYM, SYMMETRIC, symmetric_form, two_form
+from bornlab.multilinear import symmetric_form, two_form
 from bornlab.structures import Witness
 from conftest import structures_of
 import oracles
 from oracles import (
     basis_vector,
     contract,
-    detect,
     evaluate,
     fraction_residual,
     mixed_torsion_defect,
@@ -105,7 +103,7 @@ def test_levi_civita_matches_koszul_oracle(nil3, h4_algebra):
         lc = levi_civita(L, g)
         n = L.n
         basis = [basis_vector(n, i) for i in range(n)]
-        rows = g.matrix.rows
+        rows = g.rows
         for i in range(n):
             for j in range(n):
                 rhs = []
@@ -116,7 +114,7 @@ def test_levi_civita_matches_koszul_oracle(nil3, h4_algebra):
                         + evaluate(rows, L.bracket(basis[k], basis[i]), basis[j])
                     )
                     rhs.append(value / 2)
-                expected = tuple(reference_coordinates([g.matrix.column(k) for k in range(n)], rhs))
+                expected = tuple(reference_coordinates([g.column(k) for k in range(n)], rhs))
                 assert lc.gammas[i].column(j) == expected
 
 
@@ -150,7 +148,7 @@ def test_levi_civita_matches_sympy_linsolve(catalog_models, catalog_structures, 
 
 def test_levi_civita_rejects_degenerate_metric(nil3):
     with pytest.raises(DegenerateFormError, match="^metric is degenerate$"):
-        levi_civita(nil3, detect(Matrix.zero(4) + Matrix.zero(4)))
+        levi_civita(nil3, Matrix.zero(4))
 
 
 # --- Kunneth connection --------------------------------------------------
@@ -410,7 +408,7 @@ def reference_nabla_form(c, b):
     M_b = mn / md, b(nabla_{e_i} e_j, e_k) = sum_a gn[a][j] mn[a][k] / (gd md)
     and b(e_j, nabla_{e_i} e_k) = sum_a mn[j][a] gn[a][k] / (gd md).
     """
-    n, mn, md = b.n, b.matrix.num, b.matrix.den
+    n, mn, md = b.n, b.num, b.den
 
     def row(i, j):
         gn, gd = c.gammas[i].num, c.gammas[i].den
@@ -421,7 +419,7 @@ def reference_nabla_form(c, b):
 
 def reference_generalized_torsion(c, cc, g):
     """GT_c - GT_cc on basis triples, GT(x,y,z) = g(nabla_x y - nabla_y x, z) + g(nabla_z x, y)."""
-    n, rows = g.n, g.matrix.rows
+    n, rows = g.n, g.rows
 
     def gt(conn):
         values = basis_values(conn)
@@ -442,9 +440,9 @@ def reference_omega_k(ks, nk, nc):
     L, n = ks.algebra, ks.algebra.n
     pf, pg = projection_onto(ks.plus, ks.minus)
     a = pf - pg
-    dw = reference_ce_d2(L, ks.omega.matrix)
+    dw = reference_ce_d2(L, ks.omega)
     along = [contract(dw, a.column(i)) for i in range(n)]  # d omega(A e_i, ., .)
-    omega = ks.omega.matrix.rows
+    omega = ks.omega.rows
     vk, vc = basis_values(nk), basis_values(nc)
     pf_columns, pg_columns = [pf.column(k) for k in range(n)], [pg.column(k) for k in range(n)]
 
@@ -466,12 +464,8 @@ def test_defect_witnesses_match_pairwise_definitions(catalog_models, catalog_str
     for name, L, _, _ in cases(catalog_models, catalog_structures):
         c, cc = random_connection(L.n, rng), random_connection(L.n, rng)
         m = random_matrix(L.n, rng)
-        # nabla_form takes one branch per declared symmetry
-        forms = (
-            BilinearForm(m + m.transpose(), SYMMETRIC),
-            BilinearForm(m - m.transpose(), ANTISYMMETRIC),
-            BilinearForm(m, NOSYM),
-        )
+        # a symmetric, an antisymmetric and a general form
+        forms = (m + m.transpose(), m - m.transpose(), m)
         checks = [(torsion(L, c), reference_torsion(L, c), 1)]
         checks += [(nabla_form(c, b), reference_nabla_form(c, b), 0) for b in forms]
         g = forms[0]
@@ -516,7 +510,7 @@ def test_omega_k_unprojected_variant_is_not_an_identity(fixture_kunneth, nil3):
     pf, pg = projection_onto(k.plus, k.minus)
     basis = [basis_vector(4, i) for i in range(4)]
     half = Fraction(1, 2)
-    omega = k.omega.matrix.rows
+    omega = k.omega.rows
     bad_holds = True
     for i in range(4):
         for j in range(4):
@@ -554,7 +548,7 @@ def test_omega_k_randomized_dimension_four(nil3):
         w = p_inv.transpose() * Matrix(blk) * p_inv
         k = build_almost_kunneth(
             L,
-            BilinearForm(w, "antisymmetric"),
+            w,
             Subspace(4, [p.column(0), p.column(1)]),
             Subspace(4, [p.column(2), p.column(3)]),
         )
@@ -750,7 +744,7 @@ def test_almost_product_is_an_involution_and_recovers_omega(kunneth_structures):
     entry by entry."""
     for name, k in kunneth_structures:
         n = k.algebra.n
-        a, g, omega = almost_product(k).rows, neutral_metric(k).matrix.rows, k.omega.matrix.rows
+        a, g, omega = almost_product(k).rows, neutral_metric(k).rows, k.omega.rows
         for i in range(n):
             image = [a[r][i] for r in range(n)]  # A e_i
             assert evaluate(list(zip(*a)), image) == basis_vector(n, i), name  # A (A e_i) = e_i

@@ -36,7 +36,6 @@ from bornlab import connections, exact
 from bornlab.connections import Connection
 from bornlab.errors import JacobiViolationError, NotCompatibleError, NotComplementaryError, NotIsotropicError
 from bornlab.exact import kernel_basis, linear_combination, projection_onto, splitting
-from bornlab.multilinear import ANTISYMMETRIC, SYMMETRIC, BilinearForm
 from bornlab.structures import Witness, witness_at
 from oracles import (
     basis_vector,
@@ -122,7 +121,7 @@ def reference_enhance_error(k, jtilde):
             u = reference_coordinates(f + k.minus.basis, image)[: len(f)]
             a = next(a for a, value in enumerate(u) if value != 0)
             return ((idx + 1, a + 1), u[a]), "jtilde does not map the plus subspace into the minus one"
-    omega = k.omega.matrix.rows
+    omega = k.omega.rows
     for a in range(len(f)):
         for c in range(len(f)):
             value = evaluate(omega, images[a], f[c]) + evaluate(omega, f[a], images[c])
@@ -151,8 +150,8 @@ def reference_jacobi(L):
 # --- inputs ------------------------------------------------------------------
 
 
-def moved_form(w, p, symmetry):
-    return BilinearForm(p.transpose() * w.matrix * p, symmetry)
+def moved_form(w, p):
+    return p.transpose() * w * p
 
 
 def moved_subspace(s, p_inv):
@@ -168,9 +167,9 @@ def born_cases(catalog_models, catalog_structures):
                 p = random_unimodular(b.algebra.n, random.Random(f"{name}-{seed}"))
                 moved = build_born(
                     moved_algebra(b.algebra, p),
-                    moved_form(b.g, p, SYMMETRIC),
-                    moved_form(b.h, p, SYMMETRIC),
-                    moved_form(b.omega, p, ANTISYMMETRIC),
+                    moved_form(b.g, p),
+                    moved_form(b.h, p),
+                    moved_form(b.omega, p),
                 )
                 yield f"{name}~{seed}", moved
 
@@ -186,7 +185,7 @@ def kunneth_cases(catalog_models, catalog_structures):
                 p_inv = invert(p)
                 yield f"{name}~{seed}", build_almost_kunneth(
                     moved_algebra(k.algebra, p),
-                    moved_form(k.omega, p, ANTISYMMETRIC),
+                    moved_form(k.omega, p),
                     moved_subspace(k.plus, p_inv),
                     moved_subspace(k.minus, p_inv),
                 )
@@ -236,7 +235,7 @@ def test_identity_items_match_pairwise_oracles(catalog_models, catalog_structure
             ("A-eigenspaces h-orthogonal", b.h, l_split.plus, l_split.minus),
             ("B-eigenspaces h-orthogonal", b.h, b_split.plus, b_split.minus),
         ):
-            hit = reference_pairing(form.matrix, left, right, left is right)
+            hit = reference_pairing(form, left, right, left is right)
             assert key in names and hit is None, (name, key)
             checked += 1
     assert checked > 400
@@ -288,7 +287,7 @@ def test_isotropy_witnesses_match_pairwise_oracle(catalog_models, catalog_struct
             s = random_splitting(n, rng)
             expected = None
             for which, sub in (("plus", s.plus), ("minus", s.minus)):
-                hit = reference_pairing(k.omega.matrix, sub, sub, upper=True)
+                hit = reference_pairing(k.omega, sub, sub, upper=True)
                 if hit is not None:
                     expected = (which, hit)
                     break

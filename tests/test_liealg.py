@@ -155,7 +155,7 @@ def test_d1_h4_alpha5(h4_algebra):
 def test_d1_abelian_zero():
     L = LieAlgebra.abelian(3)
     d = ce_d1(L, OneForm([1, 2, 3]))
-    assert d.matrix.is_zero()
+    assert d.is_zero()
 
 
 def test_d1_nil3_alpha3(nil3):

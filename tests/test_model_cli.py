@@ -38,7 +38,7 @@ from bornlab.errors import (
     UnknownNameError,
     shown,
 )
-from bornlab.multilinear import ANTISYMMETRIC, SYMMETRIC, two_form
+from bornlab.multilinear import two_form
 from bornlab.structures import Witness
 from test_builders import moved_algebra, random_unimodular
 from test_frames import moved_form, moved_subspace
@@ -476,8 +476,8 @@ def _moved_model(model, seed):
     return model_module.Model(
         name=f"{model.name}~{seed}",
         algebra=moved_algebra(model.algebra, p),
-        forms={k: moved_form(f, p, ANTISYMMETRIC) for k, f in model.forms.items()},
-        metrics={k: moved_form(f, p, SYMMETRIC) for k, f in model.metrics.items()},
+        forms={k: moved_form(f, p) for k, f in model.forms.items()},
+        metrics={k: moved_form(f, p) for k, f in model.metrics.items()},
         endos={k: p_inv * e * p for k, e in model.endos.items()},
         subspaces={k: moved_subspace(s, p_inv) for k, s in model.subspaces.items()},
         structures=model.structures,
@@ -502,7 +502,7 @@ def test_run_checks_eliminates_each_form_once(monkeypatch):
     monkeypatch.setattr(exact, "_gauss_jordan", counting)
     assert run_checks(model).overall == "pass"
     for role, table in tables.items():
-        m = table[born.ref(role)].matrix
+        m = table[born.ref(role)]
         assert sum(block in (m.num, m.transpose().num) for block in eliminated) == 1, role
 
 

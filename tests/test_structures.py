@@ -7,7 +7,6 @@ import pytest
 
 from bornlab import (
     AlmostKunneth,
-    BilinearForm,
     BornStructure,
     CirclePoint,
     LieAlgebra,
@@ -38,13 +37,7 @@ from bornlab.errors import (
 )
 from bornlab.exact import determinant, invert, splitting
 from bornlab.liealg import ce_d2
-from bornlab.multilinear import (
-    ANTISYMMETRIC,
-    nijenhuis,
-    pullback,
-    symmetric_form,
-    two_form,
-)
+from bornlab.multilinear import nijenhuis, pullback, symmetric_form, two_form
 from bornlab.structures import witness_at
 from conftest import structures_of
 from oracles import (
@@ -56,7 +49,6 @@ from oracles import (
     evaluate,
     integrability_legs,
     integrable,
-    negated,
     reference_identity_table,
 )
 from phase_spaces import ALGEBRAS, phase_space, phase_space_borns, sheared
@@ -107,7 +99,7 @@ def test_build_almost_kunneth_h4(h4_kunneth):
 def test_build_almost_kunneth_r2():
     L = LieAlgebra.abelian(2)
     k = build_almost_kunneth(L, two_form(2, {(1, 2): 1}), Subspace(2, [[1, 0]]), Subspace(2, [[0, 1]]))
-    assert evaluate(k.omega.matrix.rows, (1, 0), (0, 1)) == 1
+    assert evaluate(k.omega.rows, (1, 0), (0, 1)) == 1
 
 
 def test_build_almost_kunneth_isotropy_witness(h4_algebra):
@@ -158,13 +150,13 @@ def test_neutral_metric_r2():
     k = build_almost_kunneth(L, two_form(2, {(1, 2): 1}), Subspace(2, [[1, 0]]), Subspace(2, [[0, 1]]))
     g = neutral_metric(k)
     assert g == symmetric_form(2, {(1, 2): 1})
-    assert signature_of_symmetric(g.matrix) == Signature(1, 1, 0)
+    assert signature_of_symmetric(g) == Signature(1, 1, 0)
 
 
 def test_neutral_metric_is_neutral_catalog_wide(catalog_models):
     for entry in catalog_models.values():
         for k in structures_of(entry, "kunneth"):
-            sig = signature_of_symmetric(neutral_metric(k).matrix)
+            sig = signature_of_symmetric(neutral_metric(k))
             half = k.algebra.n // 2
             assert sig == Signature(half, half, 0)
 
@@ -172,7 +164,7 @@ def test_neutral_metric_is_neutral_catalog_wide(catalog_models):
 def test_neutral_metric_null_on_subspaces(catalog_models):
     for entry in catalog_models.values():
         for k in structures_of(entry, "kunneth"):
-            g, omega = neutral_metric(k).matrix.rows, k.omega.matrix.rows
+            g, omega = neutral_metric(k).rows, k.omega.rows
             for sub, sign in ((k.plus, 1), (k.minus, -1)):
                 for x in sub.basis:
                     assert evaluate(g, x, x) == 0
@@ -193,7 +185,7 @@ def test_build_born_standard_c1():
     assert born.a_op == diagonal([1, -1])
     assert born.j_op == Matrix.from_columns([[0, 1], [-1, 0]])
     # the opposite sign of g is a Born structure too, with A and B negated
-    flipped = build_born(L, negated(g), h, omega)
+    flipped = build_born(L, -g, h, omega)
     assert flipped.a_op == -born.a_op
     assert flipped.b_op == -born.b_op
     assert flipped.j_op == born.j_op
@@ -202,7 +194,7 @@ def test_build_born_standard_c1():
 def test_build_born_sign_flip_invariant(catalog_models):
     for name in ("h4", "h9_corrected", "torus_2_2"):
         for born in structures_of(catalog_models[name], "born"):
-            flipped = build_born(born.algebra, negated(born.g), born.h, born.omega)
+            flipped = build_born(born.algebra, -born.g, born.h, born.omega)
             assert flipped.a_op == -born.a_op
             assert flipped.b_op == -born.b_op
             assert flipped.j_op == born.j_op
@@ -220,7 +212,7 @@ def test_build_born_h4_from_enhancement_data(h4_algebra, h4_kunneth):
         ]
     )
     g = neutral_metric(h4_kunneth)
-    h = BilinearForm(h4_kunneth.omega.matrix * j, "symmetric")
+    h = h4_kunneth.omega * j
     born = build_born(h4_algebra, g, h, h4_kunneth.omega, expect_j=j)
     assert born.a_op == almost_product(h4_kunneth)
 
@@ -243,11 +235,11 @@ FAMILY_POINTS = tuple(CirclePoint.from_t(t) for t in (0, 1, -1, Fraction(1, 2), 
 
 def assert_recursion_relation(a, t, b):
     """a(T e_i, e_j) = b(e_i, e_j) on every basis pair, each side evaluated on its own."""
-    n, rows = a.n, a.matrix.rows
+    n, rows = a.n, a.rows
     for i in range(n):
         image = t.matvec(basis_vector(n, i))
         for j in range(n):
-            assert evaluate(rows, image, basis_vector(n, j)) == b.matrix.entry(i + 1, j + 1), (i + 1, j + 1)
+            assert evaluate(rows, image, basis_vector(n, j)) == b.entry(i + 1, j + 1), (i + 1, j + 1)
 
 
 def test_build_born_operators_are_the_recursion_operators(catalog_models, catalog_structures):
@@ -284,9 +276,44 @@ def test_build_born_rejects_each_degenerate_form_in_order(name):
     singular = {
         "g": symmetric_form(2, {(1, 1): 1}),
         "h": symmetric_form(2, {(2, 2): 1}),
-        "omega": BilinearForm(Matrix.zero(2), ANTISYMMETRIC),
+        "omega": Matrix.zero(2),
     }
     _first_degenerate(lambda *f: build_born(LieAlgebra.abelian(2), *f), forms, singular, name)
+
+
+def _rejects_wrong_symmetry(build, forms, name, symmetry):
+    """The builder accepts forms, and rejects `name` as not of its symmetry when
+    it is replaced by a nondegenerate matrix of the other symmetry (the identity,
+    or e^12 on the plane) or by one of neither (the identity plus E_12)."""
+    build(*forms.values())
+    n = forms[name].n
+    other = Matrix.identity(n) if symmetry == "antisymmetric" else two_form(2, {(1, 2): 1})
+    neither = Matrix.identity(n) + Matrix([[int((i, j) == (0, 1)) for j in range(n)] for i in range(n)])
+    for wrong in (other, neither):
+        assert determinant(wrong) != 0
+        with pytest.raises(DegenerateFormError, match=f"^{name} must be {symmetry}$"):
+            build(*{**forms, name: wrong}.values())
+
+
+@pytest.mark.parametrize("name", ["g", "h", "omega"])
+def test_build_born_rejects_a_form_of_the_wrong_symmetry(name):
+    forms = {
+        "g": symmetric_form(2, {(1, 2): 1}),
+        "h": symmetric_form(2, {(1, 1): 1, (2, 2): 1}),
+        "omega": two_form(2, {(1, 2): 1}),
+    }
+    symmetry = "antisymmetric" if name == "omega" else "symmetric"
+    _rejects_wrong_symmetry(lambda *f: build_born(LieAlgebra.abelian(2), *f), forms, name, symmetry)
+
+
+def test_build_almost_kunneth_rejects_a_form_of_the_wrong_symmetry():
+    plus, minus = Subspace(2, [[1, 0]]), Subspace(2, [[0, 1]])
+    _rejects_wrong_symmetry(
+        lambda w: build_almost_kunneth(LieAlgebra.abelian(2), w, plus, minus),
+        {"the 2-form": two_form(2, {(1, 2): 1})},
+        "the 2-form",
+        "antisymmetric",
+    )
 
 
 # --- identity table -----------------------------------------------------
@@ -300,9 +327,9 @@ def test_identities_pass_on_all_catalog_borns(catalog_models):
 
 def test_identities_fail_on_corrupted_structure(catalog_models):
     born = structures_of(catalog_models["h4"], "born")[0]
-    rows = [list(r) for r in born.h.matrix.rows]
+    rows = [list(r) for r in born.h.rows]
     rows[0][0] = -rows[0][0]  # flip h(e1, e1) = -2 to 2
-    h_bad = BilinearForm(Matrix(rows), "symmetric")
+    h_bad = Matrix(rows)
     with pytest.raises(AxiomFailureError):
         build_born(born.algebra, born.g, h_bad, born.omega)
 
@@ -350,7 +377,7 @@ def test_built_structures_decide_the_identity_table_in_the_frame(catalog_models,
         assert bb == Matrix([[1 if abs(r - c) == m else 0 for c in range(n)] for r in range(n)])
         assert j == bb * a
         moved = BornData(
-            *(moved_form(w, p, w.symmetry).matrix for w in (b.g, b.h, b.omega)),
+            *(moved_form(w, p) for w in (b.g, b.h, b.omega)),
             a, bb, j, moved_subspace(b.l_plus, p_inv), moved_subspace(b.l_minus, p_inv),
         )
         table = reference_identity_table(moved)
@@ -443,7 +470,7 @@ def test_structures_exist_only_as_their_builders_made_them(catalog_structures):
 
 def test_torus_2_2_signature(catalog_models):
     born = structures_of(catalog_models["torus_2_2"], "born")[0]
-    assert signature_of_symmetric(born.h.matrix) == Signature(2, 2, 0)
+    assert signature_of_symmetric(born.h) == Signature(2, 2, 0)
 
 
 # --- integrability ------------------------------------------------------
@@ -511,7 +538,7 @@ def random_kunneth(rng):
         p_inv = invert(p)
         return build_almost_kunneth(
             moved_algebra(k.algebra, p),
-            moved_form(k.omega, p, ANTISYMMETRIC),
+            moved_form(k.omega, p),
             moved_subspace(k.plus, p_inv),
             moved_subspace(k.minus, p_inv),
         )
@@ -532,7 +559,7 @@ def random_kunneth(rng):
             break
     frame_omega = [[0] * m + list(r) for r in s.rows] + [[-v for v in r] + [0] * m for r in s.transpose().rows]
     p_inv = invert(p)
-    omega = BilinearForm(p_inv.transpose() * Matrix(frame_omega) * p_inv, ANTISYMMETRIC)
+    omega = p_inv.transpose() * Matrix(frame_omega) * p_inv
     plus = Subspace(n, [p.column(a) for a in range(m)])
     minus = Subspace(n, [p.column(a) for a in range(m, n)])
     return build_almost_kunneth(L, omega, plus, minus)
@@ -619,7 +646,7 @@ def test_enhance_default_frame_on_standard_kunneth():
 
 def test_enhance_default_frame_h4_positive_definite(h4_kunneth):
     born = enhance_kunneth(h4_kunneth)
-    assert signature_of_symmetric(born.h.matrix) == Signature(6, 0, 0)
+    assert signature_of_symmetric(born.h) == Signature(6, 0, 0)
     assert all(witness is None for _, _, witness in reference_identity_table(born_data(born)))
 
 
@@ -696,7 +723,7 @@ def test_hypersymplectic_nil3_tables(nil3_hypersymplectic):
     assert hs.b_op == diagonal([1, -1, 1, -1])
     assert hs.j_op == Matrix.from_columns([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
     assert hs.metric == symmetric_form(4, {(1, 4): -1, (2, 3): -1})
-    assert signature_of_symmetric(hs.metric.matrix) == Signature(2, 2, 0)
+    assert signature_of_symmetric(hs.metric) == Signature(2, 2, 0)
 
 
 def hypersymplectic_cases(catalog_models):
@@ -707,7 +734,7 @@ def hypersymplectic_cases(catalog_models):
             triples.append(hs)
             for seed in SEEDS:
                 p = random_unimodular(hs.algebra.n, random.Random(f"{name}-{seed}"))
-                forms = (moved_form(f, p, ANTISYMMETRIC) for f in (hs.omega, hs.alpha, hs.beta))
+                forms = (moved_form(f, p) for f in (hs.omega, hs.alpha, hs.beta))
                 triples.append(build_hypersymplectic(moved_algebra(hs.algebra, p), *forms))
     assert len(triples) >= 4
     return triples
@@ -728,12 +755,12 @@ def test_hypersymplectic_metric_is_symmetric_by_construction(catalog_models):
     than checking it: g(e_i, e_j) = alpha(e_i, B e_j) = alpha(e_j, B e_i),
     pair by pair, in the catalog basis and in seeded ones."""
     for hs in hypersymplectic_cases(catalog_models):
-        n, alpha, b = hs.algebra.n, hs.alpha.matrix.rows, hs.b_op
+        n, alpha, b = hs.algebra.n, hs.alpha.rows, hs.b_op
         for i in range(n):
             for j in range(n):
                 value = evaluate(alpha, basis_vector(n, i), b.column(j))
                 assert value == evaluate(alpha, basis_vector(n, j), b.column(i)), (i + 1, j + 1)
-                assert hs.metric.matrix.entry(i + 1, j + 1) == value, (i + 1, j + 1)
+                assert hs.metric.entry(i + 1, j + 1) == value, (i + 1, j + 1)
 
 
 @pytest.mark.parametrize("name", ["omega", "alpha", "beta"])
@@ -743,6 +770,13 @@ def test_hypersymplectic_rejects_each_degenerate_form_in_order(nil3, nil3_hypers
     # closed and degenerate: e^12 is closed on nil3
     singular = dict.fromkeys(forms, two_form(4, {(1, 2): 1}))
     _first_degenerate(lambda *f: build_hypersymplectic(nil3, *f), forms, singular, name)
+
+
+@pytest.mark.parametrize("name", ["omega", "alpha", "beta"])
+def test_hypersymplectic_rejects_a_form_of_the_wrong_symmetry(nil3, nil3_hypersymplectic, name):
+    hs = nil3_hypersymplectic
+    forms = {"omega": hs.omega, "alpha": hs.alpha, "beta": hs.beta}
+    _rejects_wrong_symmetry(lambda *f: build_hypersymplectic(nil3, *f), forms, name, "antisymmetric")
 
 
 def test_hypersymplectic_degenerate_leg_fails(nil3):
@@ -819,8 +853,8 @@ def test_family_antipode_negates_product_structure(nil3_hypersymplectic, nil3_jt
         assert opposite.a_op == -member.a_op
         assert opposite.b_op == -member.b_op
         assert opposite.j_op == member.j_op
-        assert opposite.omega == negated(member.omega)
-        assert opposite.h == negated(member.h)
+        assert opposite.omega == -member.omega
+        assert opposite.h == -member.h
 
 
 def test_family_hypothesis_failure(nil3_hypersymplectic):
