@@ -1,16 +1,20 @@
 """Dimension sweep of `bornlab check`: where the time goes as n grows.
 
-Cases: h4^(+k) for k = 1..4 (dims 6, 12, 18, 24), each in the seeded
-unimodular basis random_unimodular(n, Random(k)) of perfbench/models.py,
-whose `direct_sum`, `change_basis` and `random_unimodular` build the model
-documents.  Each run is a fresh interpreter, so every cache starts cold, and
-records the CPU time of `parse_model` and of `run_checks`, and each check's
-`elapsed_ms` from the JSON report.  Per dim and per metric the minimum of
-RUNS runs is kept: noise on a cold run (another process, a cache miss) only
-adds time, so the least run is the steadiest estimate of the code's own cost.
-Per metric, the least-squares slope of log(time) against log(dim) over
-dims 12 to 24 is recorded.  The statuses are recorded too, so a sweep of broken code
-reads as such.  Report only: nothing is gated on it.
+Cases: h4^(+k) for k = 1..4 (dims 6, 12, 18, 24) in two series, built by
+`direct_sum`, `change_basis` and `random_unimodular` of perfbench/models.py:
+"standard", the sum in the standard basis, whose operands are mostly zero
+rows; and "seeded", the sum in the unimodular basis random_unimodular(n,
+Random(k)), whose operands are dense.  Each run is a fresh interpreter, so
+every cache starts cold, and records the CPU time of `parse_model` and of
+`run_checks`, and each check's `elapsed_ms` from the JSON report.  The runs
+are interleaved: run r of every case, then run r + 1, so a slow spell of the
+host falls on all dims alike rather than on one.  Per case and per metric
+the minimum of RUNS runs is kept: noise on a cold run (another process, a
+cache miss) only adds time, so the least run is the steadiest estimate of
+the code's own cost.  Per series and per metric, the least-squares slope of
+log(time) against log(dim) over dims 12 to 24 is recorded.  The statuses are
+recorded too, so a sweep of broken code reads as such.  Report only: no
+timing is gated on it.
 
     python3 scripts/bench_sweep.py [--out BENCH_sweep.json]
 """
@@ -32,7 +36,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from bornlab import catalog  # noqa: E402
 from models import CHECKS, Case, change_basis, direct_sum, random_unimodular  # noqa: E402
 
-RUNS = 5  # cold runs per dim; the minimum is kept
+RUNS = 5  # cold runs per case; the minimum is kept
 
 # one cold run: the model text on stdin, one JSON line of timings on stdout
 CHILD = """
@@ -53,14 +57,16 @@ print(json.dumps({"parse_s": t1 - t0, "run_checks_s": t2 - t1,
 
 
 def sweep_cases():
-    """(k, model text) of h4^(+k) in the basis random_unimodular(6k, Random(k)), k = 1..4."""
+    """(series, k, model document) of h4^(+k), k = 1..4, in the standard basis
+    and in the basis random_unimodular(6k, Random(k))."""
     h4 = Case(json.loads(catalog.export_entry("h4")), {c: "pass" for c in CHECKS})
     total = h4
     for k in range(1, 5):
         if k > 1:
             total = direct_sum(total, h4, name=f"h4x{k}")
+        yield "standard", k, total.doc
         p, p_inv = random_unimodular(total.dim, random.Random(k))
-        yield k, json.dumps(change_basis(total, p, p_inv, f"h4x{k}_seeded").doc)
+        yield "seeded", k, change_basis(total, p, p_inv, f"h4x{k}_seeded").doc
 
 
 def cold_run(text: str) -> dict:
@@ -90,33 +96,44 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", default=str(ROOT / "BENCH_sweep.json"))
     args = parser.parse_args(argv)
-    dims = {}
-    for k, text in sweep_cases():
-        runs = [cold_run(text) for _ in range(RUNS)]
-        statuses = {json.dumps(r["statuses"], sort_keys=True) for r in runs}
-        assert len(statuses) == 1, f"h4x{k}: statuses differ between runs"
-        dim = 6 * k
-        dims[dim] = {
-            "model": f"h4x{k}_seeded",
-            "parse_s": min(r["parse_s"] for r in runs),
-            "run_checks_s": min(r["run_checks_s"] for r in runs),
-            "checks_ms": {c: min(r["checks_ms"][c] for r in runs) for c in runs[0]["checks_ms"]},
-            "statuses": runs[0]["statuses"],
+    cases = list(sweep_cases())
+    runs = {(name, k): [] for name, k, _ in cases}
+    for _ in range(RUNS):
+        for name, k, doc in cases:
+            runs[name, k].append(cold_run(json.dumps(doc)))
+    series = {}
+    for name, k, doc in cases:
+        done = runs[name, k]
+        statuses = {json.dumps(r["statuses"], sort_keys=True) for r in done}
+        assert len(statuses) == 1, f"{doc['name']}: statuses differ between runs"
+        row = series.setdefault(name, {})[6 * k] = {
+            "model": doc["name"],
+            "parse_s": min(r["parse_s"] for r in done),
+            "run_checks_s": min(r["run_checks_s"] for r in done),
+            "checks_ms": {c: min(r["checks_ms"][c] for r in done) for c in done[0]["checks_ms"]},
+            "statuses": done[0]["statuses"],
         }
-        print(f"dim {dim}: parse {dims[dim]['parse_s']:.3f} s, run_checks {dims[dim]['run_checks_s']:.3f} s",
+        print(f"{name} dim {6 * k}: parse {row['parse_s']:.3f} s, run_checks {row['run_checks_s']:.3f} s",
               file=sys.stderr)
-    fitted = [d for d in sorted(dims) if 12 <= d <= 24]
     metrics = {"parse_s": lambda row: row["parse_s"], "run_checks_s": lambda row: row["run_checks_s"]}
-    metrics.update({f"checks_ms.{c}": (lambda row, c=c: row["checks_ms"][c]) for c in dims[6]["checks_ms"]})
+    metrics.update({f"checks_ms.{c}": (lambda row, c=c: row["checks_ms"][c]) for c in CHECKS})
     doc = {
         "what": "cold-cache CPU time of parse_model and run_checks, and each check's elapsed_ms, "
-                "on h4^(+k) in seeded unimodular bases; minimum of the runs",
+                "on h4^(+k) in the standard basis and in seeded unimodular bases; minimum of the "
+                "runs, interleaved across cases",
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "processor": cpu_model(), "cpus": os.cpu_count()},
-        "runs_per_dim": RUNS,
-        "dims": {str(d): dims[d] for d in sorted(dims)},
-        "loglog_slope_12_to_24": {name: round(slope([(d, read(dims[d])) for d in fitted]), 2)
-                                  for name, read in metrics.items()},
+        "runs_per_case": RUNS,
+        "series": {
+            name: {
+                "dims": {str(d): dims[d] for d in sorted(dims)},
+                "loglog_slope_12_to_24": {
+                    metric: round(slope([(d, read(dims[d])) for d in sorted(dims) if 12 <= d <= 24]), 2)
+                    for metric, read in metrics.items()
+                },
+            }
+            for name, dims in series.items()
+        },
     }
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return 0

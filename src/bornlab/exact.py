@@ -10,22 +10,25 @@ kept in canonical form: den > 0, gcd(den, every numerator) = 1, and the
 zero matrix over den = 1.  That makes equality and hashing structural, on
 ints.  Products, sums, differences, scalar multiples, transposes and linear
 combinations work on the numerators alone and bring each result to
-canonical form with one gcd over the whole matrix.  A zero operand costs
-nothing: a product with a zero factor or a zero scalar is the zero matrix
-at once (after the dimension check); a sum or difference with a zero
-operand is the other operand, or its negative; a linear combination skips
-zero matrices as it skips zero coefficients; and bringing a result to
-canonical form does not divide its zero rows.  Determinant, inverse and
-reduced row echelon form use fraction-free Gauss-Jordan elimination on the
-numerators (Bareiss 1968, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination"), and the signature its symmetric
-form; all their divisions are exact.  Rows are scaled lazily: a step that
-finds a zero in a row's pivot column only multiplies the row by a ratio of
-pivots, so the row is brought up to date when a step needs it and at the
-end.  `invert` is memoized by value, so every fact read off one inverse
-shares one elimination.  A Subspace keeps its echelon basis as integer rows
-too, so the subalgebra test (`liealg.is_subalgebra`) never leaves the
-integers.
+canonical form with one gcd over its nonzero entries.  Their work follows
+the nonzero rows, which `any`, `compress` and `filter` find at C speed.  A
+product with a zero factor is that factor (after the dimension check), a
+sum or difference with a zero operand is the other or its negative, and a
+zero matrix is its own transpose.  A zero row is skipped and kept as the
+same tuple.  A sparse row of a product meets only its nonzero entries and
+the nonzero entries of the rows of the right factor that they select; a
+denser row takes dot products with the columns.  A scalar with numerator 1
+changes only den, unless it shares a factor with the numerators.
+Determinant, inverse and reduced row echelon form use fraction-free
+Gauss-Jordan elimination on the numerators (Bareiss 1968, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination"), and the
+signature its symmetric form; all their divisions are exact.  Rows are
+scaled lazily: a step that finds a zero in a row's pivot column only
+multiplies the row by a ratio of pivots, so the row is brought up to date
+when a step needs it and at the end.  `invert` is memoized by value, so
+every fact read off one inverse shares one elimination.  A Subspace keeps
+its echelon basis as integer rows too, so the subalgebra test
+(`liealg.is_subalgebra`) never leaves the integers.
 
 A Splitting of the space into two complementary subspaces holds the frame
 adapted to it, its inverse, the two projections and the involution; it is
@@ -51,7 +54,7 @@ from collections.abc import Iterable, Sequence
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, compress, count
 from math import gcd, lcm
 from operator import add, mul, neg, sub
 
@@ -247,15 +250,15 @@ class Matrix(Value):
     def over(cls, num: Sequence[Sequence[int]], den: int) -> "Matrix":
         """The matrix num / den, for integer rows num and an int den != 0.
 
-        One gcd over all entries brings it to canonical form; a row of zeros
-        is not divided.
+        One gcd over the nonzero entries brings it to canonical form; a
+        tuple row that is zero or needs no division is kept as it is.
         """
         if den != 1:
-            g = gcd(den, *chain.from_iterable(num))
+            g = gcd(den, *filter(None, chain.from_iterable(num)))
             if den < 0:
                 g = -g
             if g != 1:
-                num = tuple(tuple(v // g for v in row) if any(row) else tuple(row) for row in num)
+                num = tuple(tuple([v // g for v in row]) if any(row) else tuple(row) for row in num)
                 return cls._of(num, den // g)
         return cls._of(tuple(map(tuple, num)), den)
 
@@ -283,10 +286,7 @@ class Matrix(Value):
 
     def num_over(self, d: int):
         """The numerators of this matrix over d, a multiple of den."""
-        if d == self.den:
-            return self.num
-        f = d // self.den
-        return [[v * f for v in row] for row in self.num]
+        return _scaled(self.num, d // self.den)
 
     @property
     def rows(self) -> tuple:
@@ -310,7 +310,7 @@ class Matrix(Value):
         return from_integers(sums, self.den * dv)
 
     def transpose(self) -> "Matrix":
-        return Matrix._of(tuple(zip(*self.num)), self.den)
+        return self if self.is_zero() else Matrix._of(tuple(zip(*self.num)), self.den)
 
     def is_zero(self) -> bool:
         return not any(map(any, self.num))
@@ -334,36 +334,40 @@ class Matrix(Value):
         return _combined(self, other, -1)
 
     def __neg__(self) -> "Matrix":
-        return Matrix._of(tuple(tuple(-v for v in row) for row in self.num), self.den)
+        return Matrix._of(_scaled(self.num, -1), self.den)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             self._check_dim(other)
             n = self.n
-            if self.is_zero() or other.is_zero():
-                return Matrix.zero(n)
-            cols = None
-            out = []
+            if self.is_zero():
+                return self
+            if other.is_zero():
+                return other
+            rhs, cols, zero, out = other.num, None, (0,) * n, []
             # a row more than a third nonzero is faster as dot products with
-            # the columns of other; a sparser one as the combination of the
-            # rows of other that its nonzero entries select
+            # the columns of other; a sparser one meets only the nonzero
+            # entries of the rows of other that its nonzero entries select
             for row in self.num:
-                if (n - row.count(0)) * 3 > n:
+                nonzero = n - row.count(0)
+                if not nonzero:
+                    out.append(zero)
+                elif nonzero * 3 > n:
                     if cols is None:
-                        cols = [col if any(col) else None for col in zip(*other.num)]
+                        cols = [col if any(col) else None for col in zip(*rhs)]
                     out.append([sum(map(mul, row, col)) if col is not None else 0 for col in cols])
-                    continue
-                acc = None
-                for x, b in zip(row, other.num):
-                    if x:
-                        acc = [x * y for y in b] if acc is None else [a + x * y for a, y in zip(acc, b)]
-                out.append(acc or [0] * n)
+                else:
+                    acc = [0] * n
+                    for k in compress(count(), row):
+                        x, b = row[k], rhs[k]
+                        for j in compress(count(), b):
+                            acc[j] += x * b[j]
+                    out.append(acc)
             return Matrix.over(out, self.den * other.den)
         c = rationalize(other)
-        if not c:
+        if not c or self.is_zero():
             return Matrix.zero(self.n)
-        p = c._numerator
-        return Matrix.over([[v * p for v in row] for row in self.num], self.den * c._denominator)
+        return Matrix.over(_scaled(self.num, c._numerator), self.den * c._denominator)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -389,28 +393,34 @@ class Matrix(Value):
 
 def _first_witness(rows, den: int):
     """First nonzero ((i, j) 1-based, value / den) in rows of integers, row-major; None if all zero."""
-    for i, row in enumerate(rows):
-        if any(row):
-            j = next(j for j, v in enumerate(row) if v)
-            return (i + 1, j + 1), _fraction(row[j], den)
-    return None
+    if not any(map(any, rows)):
+        return None
+    i, row = next((i, row) for i, row in enumerate(rows) if any(row))
+    j = next(compress(count(), row))
+    return (i + 1, j + 1), _fraction(row[j], den)
+
+
+def _scaled(rows, f: int):
+    """The integer rows times f; rows itself for f = 1, and a row of zeros is kept as it is."""
+    if f == 1:
+        return rows
+    return tuple(tuple([v * f for v in row]) if any(row) else row for row in rows)
 
 
 def _combined(a: Matrix, b: Matrix, sign: int) -> Matrix:
-    """a + sign * b."""
+    """a + sign * b; where a row of b is zero, the row of the sum is a's."""
     if b.is_zero():
         return a
     if a.is_zero():
         return b if sign > 0 else -b
-    if a.den == b.den:
-        if sign > 0:
-            num = [tuple(map(add, r, s)) for r, s in zip(a.num, b.num)]
-        else:
-            num = [tuple(map(sub, r, s)) for r, s in zip(a.num, b.num)]
-        return Matrix.over(num, a.den)
-    d = lcm(a.den, b.den)
-    fa, fb = d // a.den, sign * (d // b.den)
-    return Matrix.over([[x * fa + y * fb for x, y in zip(r, s)] for r, s in zip(a.num, b.num)], d)
+    ra, rb, d = a.num, b.num, a.den
+    if d != b.den:
+        d = lcm(d, b.den)
+        ra, rb = _scaled(ra, d // a.den), _scaled(rb, d // b.den)
+    op, num = add if sign > 0 else sub, list(ra)
+    for i in compress(count(), map(any, rb)):
+        num[i] = tuple(map(op, ra[i], rb[i]))
+    return Matrix.over(num, d)
 
 
 # Fractions at the boundary.  A vector may hold ints as well as Fractions, so
@@ -455,18 +465,21 @@ def linear_combination(coeffs, matrices: Sequence[Matrix]) -> Matrix:
     terms = [(c, m) for c, m in zip(coeffs, matrices) if c and not m.is_zero()]
     cs, dc = to_integers([c for c, _ in terms])
     dm = lcm(*{m.den for _, m in terms})
-    acc = [[0] * n for _ in range(n)]
+    acc = [(0,) * n] * n
     for c, (_, m) in zip(cs, terms):
-        f = c * (dm // m.den)
-        acc = [[a + f * v for a, v in zip(out, row)] if any(row) else out for out, row in zip(acc, m.num)]
+        f, rows = c * (dm // m.den), m.num
+        for i in compress(range(n), map(any, rows)):
+            acc[i] = [a + f * v for a, v in zip(acc[i], rows[i])]
     return Matrix.over(acc, dc * dm)
 
 
 def column_slices(matrices: Sequence[Matrix]) -> list[Matrix]:
     """For n matrices M_0..M_{n-1} of size n, the n matrices S_i whose column j is column i of M_j."""
-    d = lcm(*{m.den for m in matrices})
-    columns = [list(zip(*m.num_over(d))) for m in matrices]  # columns[j][i]: column i of M_j
-    return [Matrix.over(list(zip(*(c[i] for c in columns))), d) for i in range(len(columns))]
+    d, n = lcm(*{m.den for m in matrices}), len(matrices)
+    # rows k of all M_j, zipped: row k of every S_i; None where all are zero
+    blocks = [list(zip(*rows)) if any(map(any, rows)) else None for rows in zip(*(m.num_over(d) for m in matrices))]
+    zero = (0,) * n
+    return [Matrix.over([zero if b is None else b[i] for b in blocks], d) for i in range(n)]
 
 
 class Trilinear(Value):
@@ -695,10 +708,20 @@ class Subspace(Value):
         given = tuple(vector(v) for v in vectors_)
         if any(len(v) != n for v in given):
             raise DimensionMismatchError("subspace vector of wrong length")
-        rows = _echelon([to_integers(v)[0] for v in given], n)
+        self._span(n, given)
+
+    @classmethod
+    def _of_fractions(cls, n: int, given: tuple) -> "Subspace":
+        """The span of a tuple of tuples of n Fractions, whose entries are not read again."""
+        s = object.__new__(cls)
+        s._span(n, given)
+        return s
+
+    def _span(self, n: int, given: tuple):
+        rows = _echelon(list(_over_lcm(given)[0]), n)
         if len(rows) != len(given):
             raise ValueError("subspace basis vectors are linearly dependent")
-        super().__init__(n, given, rows)
+        Value.__init__(self, n, given, rows)
 
     @property
     def basis(self) -> tuple:

@@ -280,7 +280,7 @@ def parse_model(text: str) -> Model:
             if not isinstance(v, list) or len(v) != dim:
                 raise DimensionMismatchError(f"subspaces.{sname}: vector of wrong length")
         try:
-            subspaces[sname] = Subspace(dim, [[read(x) for x in v] for v in vectors])
+            subspaces[sname] = Subspace._of_fractions(dim, tuple(tuple(map(read, v)) for v in vectors))
         except ValueError as exc:
             raise ModelSyntaxError(f"subspaces.{sname}: {exc}") from exc
 

@@ -23,7 +23,16 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from bornlab import LieAlgebra, Matrix, determinant, invert, signature_of_symmetric
 from bornlab.errors import DimensionMismatchError, SingularMatrixError
-from bornlab.exact import Subspace, _gauss_jordan, column_slices, from_integers, linear_combination, rref, to_integers
+from bornlab.exact import (
+    HALF,
+    Subspace,
+    _gauss_jordan,
+    column_slices,
+    from_integers,
+    linear_combination,
+    rref,
+    to_integers,
+)
 from oracles import congruence_signature, descartes_signature, diagonal, eager_bareiss
 
 ZERO = Fraction(0)
@@ -241,6 +250,75 @@ def test_zero_operand_of_another_dimension_is_a_mismatch(op):
             op(x, y)
         with pytest.raises(DimensionMismatchError):
             op(y, x)
+
+
+# --- sparse operands at the sizes of direct sums ---------------------------------
+
+SPARSE_DIMS = st.integers(6, 12)
+
+
+@st.composite
+def sparse_rows(draw, n):
+    """n x n rows as direct sums in the standard basis give them: a few entries
+    in a few rows and columns, so that some whole rows and columns are zero, or
+    blocks on the diagonal, some of them zero."""
+    rows = zero_rows(n)
+    if draw(st.booleans()):
+        live_cols = draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1, max_size=n - 1))
+        for i in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n - 1)):
+            for j in draw(st.lists(st.sampled_from(live_cols), unique=True, min_size=1, max_size=3)):
+                rows[i][j] = draw(SCALARS)
+        return rows
+    start = 0
+    while start < n:
+        size = draw(st.integers(1, min(4, n - start)))
+        if draw(st.booleans()):
+            for i, row in enumerate(draw(rows_of(size)), start):
+                rows[i][start:start + size] = row
+        start += size
+    return rows
+
+
+SPARSE_PAIRS = SPARSE_DIMS.flatmap(lambda n: st.tuples(sparse_rows(n), sparse_rows(n)))
+
+
+def assert_fresh(result, expected):
+    """The Fraction rows expected, in canonical form, equal and hashed as a Matrix built afresh from them."""
+    assert_matrix(result, expected)
+    assert_canonical(result)
+    fresh = Matrix(expected)
+    assert result == fresh and hash(result) == hash(fresh)
+
+
+@settings(max_examples=80, deadline=None)
+@given(SPARSE_PAIRS, SCALARS)
+def test_sparse_operands_match_fraction_reference(pair, c):
+    a, b = pair
+    A, B = Matrix(a), Matrix(b)
+    cases = [
+        (A * B, ref_mul(a, b)),
+        (B * A, ref_mul(b, a)),
+        (A + B, [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]),
+        (A - B, [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]),
+        (-A, [[-x for x in row] for row in a]),
+        (A * HALF, [[x * HALF for x in row] for row in a]),
+        (c * B, [[c * x for x in row] for row in b]),
+        (A.transpose(), [list(col) for col in zip(*a)]),
+    ]
+    for result, expected in cases:
+        assert_fresh(result, expected)
+    assert A.first_witness() == ref_first_witness(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SPARSE_DIMS.flatmap(lambda n: st.tuples(st.lists(sparse_rows(n), min_size=n, max_size=n), vector_of(n))))
+def test_sparse_combinations_and_slices_match_fraction_reference(case):
+    mats, coeffs = case
+    n = len(mats)
+    matrices = [Matrix(m) for m in mats]
+    assert_fresh(linear_combination(coeffs, matrices), ref_combination(coeffs, mats))
+    for i, s in enumerate(column_slices(matrices)):
+        assert_fresh(s, [[mats[j][k][i] for j in range(n)] for k in range(n)])
 
 
 def ref_first_witness(rows):
