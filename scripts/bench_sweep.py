@@ -6,15 +6,19 @@ Cases: h4^(+k) for k = 1..4 (dims 6, 12, 18, 24) in two series, built by
 rows; and "seeded", the sum in the unimodular basis random_unimodular(n,
 Random(k)), whose operands are dense.  Each run is a fresh interpreter, so
 every cache starts cold, and records the CPU time of `parse_model` and of
-`run_checks`, and each check's `elapsed_ms` from the JSON report.  The runs
+`run_checks`, and each check's `elapsed_ms` from the JSON report.  Each run
+probes the host's speed right before and right after its timed section with
+the Fraction loop of perfbench/calm.py, and scales its times to that
+module's reference speed as `calm.Pacer.scale` does, so a slow spell that
+lasts the whole run is divided out rather than recorded.  The runs
 are interleaved: run r of every case, then run r + 1, so a slow spell of the
 host falls on all dims alike rather than on one.  Per case and per metric
-the minimum of RUNS runs is kept: noise on a cold run (another process, a
-cache miss) only adds time, so the least run is the steadiest estimate of
-the code's own cost.  Per series and per metric, the least-squares slope of
-log(time) against log(dim) over dims 12 to 24 is recorded.  The statuses are
-recorded too, so a sweep of broken code reads as such.  Report only: no
-timing is gated on it.
+the median of RUNS runs is kept: a scaled run errs both ways (a probe that
+meets a short slow spell the timed section missed makes the run read too
+fast), so the least run would keep the worst probe.  Per series and per
+metric, the least-squares slope of log(time) against log(dim) over dims 12
+to 24 is recorded.  The statuses are recorded too, so a sweep of broken
+code reads as such.  Report only: no timing is gated on it.
 
     python3 scripts/bench_sweep.py [--out BENCH_sweep.json]
 """
@@ -36,22 +40,29 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from bornlab import catalog  # noqa: E402
 from models import CHECKS, Case, change_basis, direct_sum, random_unimodular  # noqa: E402
 
-RUNS = 5  # cold runs per case; the minimum is kept
+RUNS = 5  # cold runs per case; the median is kept
 
-# one cold run: the model text on stdin, one JSON line of timings on stdout
+# one cold run: the model text on stdin, one JSON line of timings on stdout,
+# each at the reference speed of perfbench/calm.py by the probes that bracket them
 CHILD = """
 import json, sys, time
-sys.path.insert(0, sys.argv[1])
+sys.path[:0] = sys.argv[1:3]
+import calm
 from bornlab.model import parse_model, render_report, run_checks
 text = sys.stdin.read()
+pacer = calm.Pacer()
+before = pacer.read()
 t0 = time.process_time()
 model = parse_model(text)
 t1 = time.process_time()
 report = run_checks(model)
 t2 = time.process_time()
+after = pacer.read()
 rows = json.loads(render_report(report, "json"))["results"]
-print(json.dumps({"parse_s": t1 - t0, "run_checks_s": t2 - t1,
-                  "checks_ms": {r["check"]: r["elapsed_ms"] for r in rows},
+def scaled(seconds):
+    return pacer.scale(seconds, before, after)
+print(json.dumps({"parse_s": scaled(t1 - t0), "run_checks_s": scaled(t2 - t1),
+                  "checks_ms": {r["check"]: scaled(r["elapsed_ms"]) for r in rows},
                   "statuses": {r["check"]: r["status"] for r in rows}}))
 """
 
@@ -71,7 +82,8 @@ def sweep_cases():
 
 def cold_run(text: str) -> dict:
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, str(ROOT / "src")], input=text, capture_output=True, text=True, check=True
+        [sys.executable, "-c", CHILD, str(ROOT / "src"), str(ROOT / "perfbench")],
+        input=text, capture_output=True, text=True, check=True,
     )
     return json.loads(done.stdout)
 
@@ -108,9 +120,9 @@ def main(argv=None) -> int:
         assert len(statuses) == 1, f"{doc['name']}: statuses differ between runs"
         row = series.setdefault(name, {})[6 * k] = {
             "model": doc["name"],
-            "parse_s": min(r["parse_s"] for r in done),
-            "run_checks_s": min(r["run_checks_s"] for r in done),
-            "checks_ms": {c: min(r["checks_ms"][c] for r in done) for c in done[0]["checks_ms"]},
+            "parse_s": statistics.median(r["parse_s"] for r in done),
+            "run_checks_s": statistics.median(r["run_checks_s"] for r in done),
+            "checks_ms": {c: statistics.median(r["checks_ms"][c] for r in done) for c in done[0]["checks_ms"]},
             "statuses": done[0]["statuses"],
         }
         print(f"{name} dim {6 * k}: parse {row['parse_s']:.3f} s, run_checks {row['run_checks_s']:.3f} s",
@@ -119,8 +131,9 @@ def main(argv=None) -> int:
     metrics.update({f"checks_ms.{c}": (lambda row, c=c: row["checks_ms"][c]) for c in CHECKS})
     doc = {
         "what": "cold-cache CPU time of parse_model and run_checks, and each check's elapsed_ms, "
-                "on h4^(+k) in the standard basis and in seeded unimodular bases; minimum of the "
-                "runs, interleaved across cases",
+                "on h4^(+k) in the standard basis and in seeded unimodular bases, each scaled to "
+                "the reference speed of perfbench/calm.py by probes right before and after it; "
+                "median of the runs, interleaved across cases",
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "processor": cpu_model(), "cpus": os.cpu_count()},
         "runs_per_case": RUNS,

@@ -2,6 +2,7 @@
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 input or
 parse error (bad file, bad rational, Jacobi violation, unknown entry, ...).
+`check` parses each distinct document text once per process.
 """
 
 from __future__ import annotations
@@ -16,6 +17,15 @@ from .model import CHECK_ORDER, parse_model, render_report, run_checks
 from .structures import CirclePoint, integrability_report, verify_born_identities
 
 
+@lru_cache(maxsize=None)
+def _parsed(text: str):
+    """`parse_model(text)` once per distinct text; an error is not stored, so it is raised on every call.
+
+    Later checks of the text share the Model, whose dicts `_cmd_check` only reads.
+    """
+    return parse_model(text)
+
+
 def _cmd_check(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
@@ -26,7 +36,7 @@ def _cmd_check(args) -> int:
         return 2
     only = None if args.checks is None else args.checks.split(",") if args.checks else ()
     try:
-        model = parse_model(text)
+        model = _parsed(text)
         report = run_checks(model, only=only)
     except BornlabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -235,11 +235,13 @@ def generalized_torsion_defect(c: Connection, cc: Connection, g: Matrix) -> Tril
     between c and the canonical connection cc on all basis triples.
 
     With Delta = c - cc and E_i the matrix whose column j is Delta_j e_i, the
-    i-th slice of the defect is (Delta_i - E_i)^T M_g + M_g E_i.
+    i-th slice of the defect is (Delta_i - E_i)^T M_g + M_g E_i.  For g
+    symmetric (as `build_born` certifies) and Q_j = M_g Delta_j, column j of
+    M_g E_i is column i of Q_j, so M_g E_i = S_i with S = column_slices(Q)
+    and the slice is (Q_i - S_i)^T + S_i: n products.
     """
-    delta = (c - cc).slices
-    e = column_slices(delta)
-    return Trilinear(tuple((delta_i - e_i).transpose() * g + g * e_i for delta_i, e_i in zip(delta, e)))
+    q = [g * delta_i for delta_i in (c - cc).slices]
+    return Trilinear(tuple((q_i - s_i).transpose() + s_i for q_i, s_i in zip(q, column_slices(q))))
 
 
 def omega_K_defect(k: AlmostKunneth) -> Trilinear:

@@ -59,7 +59,7 @@ class SingularMatrixError(BornlabError):
 
 
 class NotSymmetricError(BornlabError):
-    pass
+    """A matrix lacks the symmetry, symmetric or antisymmetric, that its role requires."""
 
 
 class DegenerateFormError(BornlabError):

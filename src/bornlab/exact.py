@@ -587,13 +587,18 @@ def _echelon(a: list, width: int) -> tuple[tuple[int, tuple, int], ...]:
 
     Returns the nonzero reduced rows as (pivot column, numerators,
     denominator) in lowest terms, with a positive denominator equal to the
-    numerator at the pivot column.
+    numerator at the pivot column.  Rows already reduced up to those scalings
+    (no zero row, pivot columns increasing, no other row nonzero at a pivot
+    column) are read off without elimination.
     """
-    pivots, last, _ = _gauss_jordan(a, width)
+    pivots = [next(compress(range(width), row), width) for row in a]
+    reduced = width not in pivots and pivots == sorted(set(pivots))
+    if not reduced or any(a[q][pc] for r, pc in enumerate(pivots) for q in range(r)):
+        pivots = _gauss_jordan(a, width)[0]
     out = []
     for pc, row in zip(pivots, a):
-        g = gcd(last, *row) if last > 0 else -gcd(last, *row)
-        out.append((pc, tuple(v // g for v in row), last // g))
+        g = gcd(*row) if row[pc] > 0 else -gcd(*row)
+        out.append((pc, tuple(row) if g == 1 else tuple(v // g for v in row), row[pc] // g))
     return tuple(out)
 
 

@@ -27,6 +27,7 @@ from .errors import (
     NotClosedError,
     NotCompatibleError,
     NotIsotropicError,
+    NotSymmetricError,
     SingularMatrixError,
 )
 from .exact import (
@@ -186,7 +187,7 @@ def _require_form(name: str, form: Matrix, *, symmetric: bool):
     connections read again.
     """
     if not (form.is_symmetric() if symmetric else form.is_antisymmetric()):
-        raise DegenerateFormError(f"{name} must be {'symmetric' if symmetric else 'antisymmetric'}")
+        raise NotSymmetricError(f"{name} must be {'symmetric' if symmetric else 'antisymmetric'}")
     try:
         invert(form)
     except SingularMatrixError:

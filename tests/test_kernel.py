@@ -21,7 +21,7 @@ from operator import add, mul, sub
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from bornlab import LieAlgebra, Matrix, determinant, invert, signature_of_symmetric
+from bornlab import LieAlgebra, Matrix, determinant, exact, invert, signature_of_symmetric
 from bornlab.errors import DimensionMismatchError, SingularMatrixError
 from bornlab.exact import (
     HALF,
@@ -400,6 +400,90 @@ def test_subspace_reduction_matches_fraction_reduction(case):
     # equal spans are equal subspaces with equal hashes, whatever the spanning set
     again = Subspace(n, basis)
     assert again == s and hash(again) == hash(s)
+
+
+@st.composite
+def reduced_echelon_rows(draw):
+    """k rows of width n in reduced row echelon form: pivots 1, zeros above and below them."""
+    n = draw(st.integers(1, 6))
+    pivots = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    rows = []
+    for pc in pivots:
+        row = [ZERO] * n
+        row[pc] = Fraction(1)
+        for j in range(pc + 1, n):
+            if j not in pivots:
+                row[j] = draw(SCALARS)
+        rows.append(row)
+    return n, rows
+
+
+def eliminations(monkeypatch) -> list:
+    """The rows of each fraction-free elimination run from now on."""
+    runs, original = [], exact._gauss_jordan
+
+    def counted(a, ncols):
+        runs.append([list(row) for row in a])
+        return original(a, ncols)
+
+    monkeypatch.setattr(exact, "_gauss_jordan", counted)
+    return runs
+
+
+def assert_reference_echelon(s, vectors):
+    """s's echelon rows are the Fraction reduction of vectors, each in lowest terms over its pivot entry."""
+    basis, pivots = ref_echelon(vectors)
+    assert [pc for pc, _, _ in s._echelon] == pivots
+    for (pc, row, d), expected in zip(s._echelon, basis):
+        assert type(row) is tuple and d > 0 and row[pc] == d and gcd(d, *row) == 1
+        assert from_integers(row, d) == tuple(expected)
+
+
+def test_catalog_subspaces_are_read_off_without_elimination(catalog_models, monkeypatch):
+    """Every catalog subspace is given in reduced row echelon form: building it
+    runs no elimination and keeps the rows of the Fraction reduction."""
+    runs = eliminations(monkeypatch)
+    built = 0
+    for name, entry in catalog_models.items():
+        for s in entry.model.subspaces.values():
+            for again in (Subspace(s.n, s.given), Subspace._of_fractions(s.n, s.given)):
+                assert_reference_echelon(again, s.given)
+                assert again == s, name
+            built += 1
+    assert runs == [] and built == 20
+
+
+EDITS = ["none", "scale", "swap", "add", "zero", "repeat"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(reduced_echelon_rows(), st.sampled_from(EDITS), SCALARS)
+def test_echelon_input_is_read_off_and_other_input_is_eliminated(case, edit, c):
+    """Rows in reduced row echelon form, also with a row scaled, are read off;
+    rows out of order, combined, zero or repeated are eliminated.  Either way
+    the echelon rows are those of the Fraction reduction, and zero or
+    repeated rows raise the dependence error."""
+    n, rows = case
+    if edit == "scale" and c:
+        rows[0] = [c * x for x in rows[0]]
+    elif edit == "swap" and len(rows) > 1:
+        rows[0], rows[1] = rows[1], rows[0]
+    elif edit == "add" and len(rows) > 1:
+        rows[0] = [x + y for x, y in zip(rows[0], rows[1])]
+    elif edit == "zero":
+        rows.append([ZERO] * n)
+    elif edit == "repeat":
+        rows.append(list(rows[-1]))
+    else:
+        edit = "none"
+    with pytest.MonkeyPatch.context() as mp:
+        runs = eliminations(mp)
+        if edit in ("zero", "repeat"):
+            with pytest.raises(ValueError, match="^subspace basis vectors are linearly dependent$"):
+                Subspace(n, rows)
+        else:
+            assert_reference_echelon(Subspace(n, rows), rows)
+    assert (runs == []) == (edit in ("none", "scale"))
 
 
 # --- elimination against sympy -----------------------------------------------

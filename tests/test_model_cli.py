@@ -871,6 +871,60 @@ def test_cli_check_subset(tmp_path, capsys):
     assert "signatures" in out and "born_axioms" not in out
 
 
+def _counted_reads(monkeypatch) -> list:
+    """The literals that model parsing reads from now on, through parse_rational."""
+    reads = []
+
+    def counted(text):
+        reads.append(text)
+        return exact.parse_rational(text)
+
+    monkeypatch.setattr(model_module, "parse_rational", counted)
+    return reads
+
+
+def test_cli_check_parses_each_document_text_once(tmp_path, capsys, monkeypatch):
+    """A second check of the same text reads no literal and prints the same
+    bytes; a rewritten file is parsed again and reported as its new model,
+    and a subset of checks on a memoized text reports only that subset."""
+    reads = _counted_reads(monkeypatch)
+    path = tmp_path / "model.json"
+    # names no other test uses, so this process has parsed neither text yet
+    first_text = _patched(("name",), "parsed-once", catalog.export_entry("h4"))
+    second_text = _patched(("name",), "parsed-once-rewritten", NOT_SUBALGEBRA)
+    runs = []
+    for text in (first_text, first_text, second_text, first_text):
+        path.write_text(text)
+        reads.clear()
+        code = main(["check", str(path)])
+        runs.append((code, *capsys.readouterr(), len(reads)))
+    first, again, rewritten, back = runs
+    assert first[0] == 0 and first[3] > 0
+    assert again == first[:3] + (0,)
+    assert rewritten[0] == 1 and rewritten[3] > 0
+    assert rewritten[1].startswith("model: parsed-once-rewritten\n") and rewritten[1] != first[1]
+    assert back == again
+    reads.clear()
+    assert main(["check", str(path), "--checks", "signatures,omega_k"]) == 0
+    rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:-1]]
+    assert rows == ["signatures", "omega_k"] and reads == []
+
+
+def test_cli_check_parse_errors_are_not_memoized(tmp_path, capsys, monkeypatch):
+    """A text that fails to parse is read again and fails alike on each call."""
+    reads = _counted_reads(monkeypatch)
+    path = tmp_path / "bad.json"
+    path.write_text(_patched(("forms", "w", 0, 1), "8.0", _patched(("name",), "parse-error-twice")))
+    runs = []
+    for _ in range(2):
+        reads.clear()
+        code = main(["check", str(path)])
+        runs.append((code, *capsys.readouterr(), len(reads)))
+    assert runs[0] == runs[1]
+    assert runs[0][:3] == (2, "", "error: forms.w: not a rational literal: '8.0'\n")
+    assert runs[0][3] > 0
+
+
 def test_cli_catalog_list(capsys):
     assert main(["catalog", "list"]) == 0
     out = capsys.readouterr().out

@@ -34,6 +34,7 @@ from bornlab.errors import (
     NotCompatibleError,
     NotComplementaryError,
     NotIsotropicError,
+    NotSymmetricError,
 )
 from bornlab.exact import determinant, invert, splitting
 from bornlab.liealg import ce_d2
@@ -282,7 +283,7 @@ def test_build_born_rejects_each_degenerate_form_in_order(name):
 
 
 def _rejects_wrong_symmetry(build, forms, name, symmetry):
-    """The builder accepts forms, and rejects `name` as not of its symmetry when
+    """The builder accepts forms, and rejects `name` with NotSymmetricError when
     it is replaced by a nondegenerate matrix of the other symmetry (the identity,
     or e^12 on the plane) or by one of neither (the identity plus E_12)."""
     build(*forms.values())
@@ -291,7 +292,7 @@ def _rejects_wrong_symmetry(build, forms, name, symmetry):
     neither = Matrix.identity(n) + Matrix([[int((i, j) == (0, 1)) for j in range(n)] for i in range(n)])
     for wrong in (other, neither):
         assert determinant(wrong) != 0
-        with pytest.raises(DegenerateFormError, match=f"^{name} must be {symmetry}$"):
+        with pytest.raises(NotSymmetricError, match=f"^{name} must be {symmetry}$"):
             build(*{**forms, name: wrong}.values())
 
 
