@@ -17,9 +17,7 @@ from .exact import (
 from .liealg import (
     LieAlgebra,
     ce_d2,
-    is_closed,
     is_subalgebra,
-    jacobi_defect,
 )
 from .multilinear import (
     anticommutator_defect,
@@ -35,7 +33,6 @@ from .structures import (
     BornStructure,
     CirclePoint,
     Hypersymplectic,
-    almost_product,
     build_almost_kunneth,
     build_born,
     build_hypersymplectic,

@@ -48,14 +48,12 @@ from .exact import (
     column_slices,
     invert,
     linear_combination,
-    splitting,
 )
 from .liealg import LieAlgebra, ce_d2
 from .multilinear import involution_split
 from .structures import (
     AlmostKunneth,
     BornStructure,
-    almost_product,
     integrability_report,
     neutral_metric,
 )
@@ -164,8 +162,7 @@ def kunneth_connection(k: AlmostKunneth) -> Connection:
     m_t_inv = invert(m).transpose()
     d = [-(m_t_inv * (m * ad_a).transpose()) for ad_a in ad]
     c = [d_a - ad_a for d_a, ad_a in zip(d, ad)]
-    split = splitting(k.plus, k.minus)
-    pi_f, pi_g = split.pi_plus, split.pi_minus
+    pi_f, pi_g = k.split.pi_plus, k.split.pi_minus
     gammas = []
     for i in range(n):
         w = linear_combination(pi_f.column(i), c)
@@ -176,7 +173,7 @@ def kunneth_connection(k: AlmostKunneth) -> Connection:
 @lru_cache(maxsize=None)
 def canonical_connection(k: AlmostKunneth) -> Connection:
     """Average of the Levi-Civita connection of g = `neutral_metric(k)` under
-    conjugation with A = `almost_product(k)`:
+    conjugation with the almost product structure A = `k.split.involution`:
 
     Gamma^c_i = (Gamma^g_i + A Gamma^g_i A) / 2,
 
@@ -194,7 +191,7 @@ def canonical_connection(k: AlmostKunneth) -> Connection:
       A^2 = Id.  So nabla A = 0, and omega = g(A., .) gives nabla omega =
       (nabla g)(A., .) + g((nabla A)., .) = 0.
     """
-    return _conjugate_average(levi_civita(k.algebra, neutral_metric(k)), almost_product(k))
+    return _conjugate_average(levi_civita(k.algebra, neutral_metric(k)), k.split.involution)
 
 
 @lru_cache(maxsize=None)
@@ -227,7 +224,7 @@ def born_connection(b: BornStructure) -> Connection:
     - It commutes with A and J too: the average commutes with A because
       Gamma^K and B Gamma^K B do (BA = -AB), and then with J = BA.
     """
-    return _conjugate_average(kunneth_connection(b.underlying_kunneth()), b.b_op)
+    return _conjugate_average(kunneth_connection(b.kunneth), b.b_op)
 
 
 def generalized_torsion_defect(c: Connection, cc: Connection, g: Matrix) -> Trilinear:
@@ -269,7 +266,7 @@ def omega_K_defect(k: AlmostKunneth) -> Trilinear:
     """
     m = k.omega
     kunneth = kunneth_connection(k)
-    split = splitting(k.plus, k.minus)
+    split = k.split
     canonical = canonical_connection(k)
     d_omega = ce_d2(k.algebra, k.omega)
     out = []
@@ -292,7 +289,7 @@ def born_torsion_formula_defect(b: BornStructure):
     if integrability_report(b) is not None:
         raise NotIntegrableError("the torsion formula is asserted only for integrable structures")
     L = b.algebra
-    kunneth = kunneth_connection(b.underlying_kunneth())
+    kunneth = kunneth_connection(b.kunneth)
     born = born_connection(b)
     split = involution_split(b.b_op)
     t = _torsion_matrices(L, born)

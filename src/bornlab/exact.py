@@ -31,11 +31,12 @@ its echelon basis as integer rows too, so the subalgebra test
 (`liealg.is_subalgebra`) never leaves the integers.
 
 A Splitting of the space into two complementary subspaces holds the frame
-adapted to it, its inverse, the two projections and the involution; it is
-built once per pair of subspaces (cached by value), and the properties of a
-splitting are blocks of products in that frame.  The splitting of an
-involution t eliminates only the columns of (Id +- t)/2, once each, and
-reads the frame inverse off their rows at the pivots of the echelon bases.
+adapted to it, its inverse, the two projections and the involution; the
+structure that certified it keeps it (`AlmostKunneth.split`), and the
+properties of a splitting are blocks of products in that frame.  The
+splitting of an involution t eliminates only the columns of (Id +- t)/2,
+once each, and reads the frame inverse off their rows at the pivots of the
+echelon bases.
 
 A Trilinear tensor is n matrix slices, entry (j, k) of slice i being
 t(e_i, e_j, e_k); d omega, the Nijenhuis tensors, torsion and every defect
@@ -713,20 +714,10 @@ class Subspace(Value):
         given = tuple(vector(v) for v in vectors_)
         if any(len(v) != n for v in given):
             raise DimensionMismatchError("subspace vector of wrong length")
-        self._span(n, given)
-
-    @classmethod
-    def _of_fractions(cls, n: int, given: tuple) -> "Subspace":
-        """The span of a tuple of tuples of n Fractions, whose entries are not read again."""
-        s = object.__new__(cls)
-        s._span(n, given)
-        return s
-
-    def _span(self, n: int, given: tuple):
         rows = _echelon(list(_over_lcm(given)[0]), n)
         if len(rows) != len(given):
             raise ValueError("subspace basis vectors are linearly dependent")
-        Value.__init__(self, n, given, rows)
+        super().__init__(n, given, rows)
 
     @property
     def basis(self) -> tuple:
@@ -810,9 +801,6 @@ class Splitting(Value):
         return None
 
 
-_SPLITTINGS: dict = {}  # (plus, minus) -> Splitting; `splitting` and `eigensplitting` read and fill it
-
-
 def _frame(plus: Subspace, minus: Subspace) -> Matrix:
     """The matrix whose columns are the echelon rows of plus and then of minus."""
     rows = plus._echelon + minus._echelon
@@ -825,11 +813,8 @@ def splitting(plus: Subspace, minus: Subspace) -> Splitting:
 
     The frame inverse is the complementarity proof: NotComplementaryError when
     the dimensions do not sum to n or the frame is singular.  pi_plus is the
-    frame with its minus columns zeroed times P^-1.  Memoized by value.
+    frame with its minus columns zeroed times P^-1.
     """
-    s = _SPLITTINGS.get((plus, minus))
-    if s is not None:
-        return s
     message = "subspaces do not decompose the space"
     if plus.n != minus.n or plus.dim + minus.dim != plus.n:
         raise NotComplementaryError(message)
@@ -840,15 +825,14 @@ def splitting(plus: Subspace, minus: Subspace) -> Splitting:
         raise NotComplementaryError(message) from None
     pi_plus = Matrix.over([row[: plus.dim] + (0,) * minus.dim for row in frame.num], frame.den) * frame_inv
     pi_minus = Matrix.identity(plus.n) - pi_plus
-    s = _SPLITTINGS[plus, minus] = Splitting(plus, minus, frame, frame_inv, pi_plus, pi_minus, pi_plus - pi_minus)
-    return s
+    return Splitting(plus, minus, frame, frame_inv, pi_plus, pi_minus, pi_plus - pi_minus)
 
 
 def eigensplitting(t: Matrix) -> Splitting:
     """The splitting into the +1 and -1 eigenspaces of t, for t^2 = Id and t != +-Id, unchecked.
 
     Two eliminations and no frame inverse, as `multilinear.involution_split`
-    proves.  Reads and fills the memo of `splitting`.
+    proves.
     """
     n, d = t.n, t.den
     # 2d pi_+ = d Id + num and 2d pi_- = d Id - num; the columns of each span its eigenspace
@@ -857,12 +841,9 @@ def eigensplitting(t: Matrix) -> Splitting:
     for space, m in zip(spaces, twice):
         rows = _echelon([list(col) for col in zip(*m)], n)
         Value.__init__(space, n, tuple(from_integers(row, e) for _, row, e in rows), rows)
-    s = _SPLITTINGS.get((plus, minus))
-    if s is None:
-        inv = [twice[0][pc] for pc, _, _ in plus._echelon] + [twice[1][pc] for pc, _, _ in minus._echelon]
-        frame_inv, pi_plus, pi_minus = (Matrix.over(m, 2 * d) for m in [inv, *twice])
-        s = _SPLITTINGS[plus, minus] = Splitting(plus, minus, _frame(plus, minus), frame_inv, pi_plus, pi_minus, t)
-    return s
+    inv = [twice[0][pc] for pc, _, _ in plus._echelon] + [twice[1][pc] for pc, _, _ in minus._echelon]
+    frame_inv, pi_plus, pi_minus = (Matrix.over(m, 2 * d) for m in [inv, *twice])
+    return Splitting(plus, minus, _frame(plus, minus), frame_inv, pi_plus, pi_minus, t)
 
 
 def projection_onto(plus: Subspace, minus: Subspace) -> tuple[Matrix, Matrix]:

@@ -153,18 +153,6 @@ def _jacobi_sums(L: LieAlgebra):
             yield (i + 1, j + 1, k + 1), [0] * n
 
 
-def jacobi_defect(L: LieAlgebra) -> dict:
-    """All Jacobi sums [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j].
-
-    Keys are 1-based (i, j, k, l) for i < j < k; the algebra satisfies Jacobi
-    exactly when every value is zero.
-    """
-    dc = L._constants[0]
-    return {
-        (*triple, l): Fraction(value, dc * dc) for triple, sums in _jacobi_sums(L) for l, value in enumerate(sums, 1)
-    }
-
-
 class SubalgebraResult(Value):
     """Outcome of a bracket-closure test, with a witness on failure."""
 
@@ -213,7 +201,3 @@ def ce_d2(L: LieAlgebra, m: Matrix) -> Trilinear:
     q = [L.ad(i).transpose() * m for i in range(n)]
     r = column_slices(q)
     return Trilinear(tuple(q_i.transpose() - q_i - r_i.transpose() for q_i, r_i in zip(q, r)))
-
-
-def is_closed(L: LieAlgebra, m: Matrix) -> bool:
-    return ce_d2(L, m).is_zero()

@@ -23,10 +23,10 @@ other.
 
 The builders are memoized by value, and so is each check's outcome on one
 built structure, in one memo keyed by (check, kind, structure); a Born row
-that rests on its underlying Kunneth structure reads that outcome through
-the same memo.  A structure checked again (by `catalog show` after `check`,
-or in another model) costs lookups; memory grows with the number of distinct
-structures checked.  Reports and their timings are not memoized.
+that rests on its Kunneth structure (`born.kunneth`) reads that outcome
+through the same memo.  A structure checked again (by `catalog show` after
+`check`, or in another model) costs lookups; memory grows with the number
+of distinct structures checked.  Reports and their timings are not memoized.
 """
 
 from __future__ import annotations
@@ -280,7 +280,7 @@ def parse_model(text: str) -> Model:
             if not isinstance(v, list) or len(v) != dim:
                 raise DimensionMismatchError(f"subspaces.{sname}: vector of wrong length")
         try:
-            subspaces[sname] = Subspace._of_fractions(dim, tuple(tuple(map(read, v)) for v in vectors))
+            subspaces[sname] = Subspace(dim, [tuple(map(read, v)) for v in vectors])
         except ValueError as exc:
             raise ModelSyntaxError(f"subspaces.{sname}: {exc}") from exc
 
@@ -418,8 +418,8 @@ def _holds(structure):
 
 
 def _of_kunneth(check: str):
-    """Row of a Born structure that is its underlying Kunneth structure's outcome."""
-    return lambda born: _outcome(check, "kunneth", born.underlying_kunneth())
+    """Row of a Born structure that is the outcome of its Kunneth structure, `born.kunneth`."""
+    return lambda born: _outcome(check, "kunneth", born.kunneth)
 
 
 def _kunneth_integrability(k: AlmostKunneth):
@@ -465,7 +465,7 @@ def _kunneth_connections(k: AlmostKunneth):
 
 
 def _generalized_torsion(born: BornStructure):
-    nc = canonical_connection(born.underlying_kunneth())
+    nc = canonical_connection(born.kunneth)
     return witness_of(generalized_torsion_defect(born_connection(born), nc, born.g))
 
 
@@ -479,7 +479,8 @@ _CHECKS = {
     "born_axioms": {"born": _built, "hypersymplectic": _built},
     "identity_table": {"born": _holds},
     "integrability": {
-        "born": integrability_report,
+        # looked up by name at call time, as _KINDS looks up the builders
+        "born": lambda b: integrability_report(b),
         "kunneth": _kunneth_integrability,
     },
     "eigenspace_geometry": {"born": _holds, "kunneth": _built},

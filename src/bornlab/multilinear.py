@@ -8,8 +8,6 @@ T(e_j).  A form's symmetry is read off its matrix (`Matrix.is_symmetric`,
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import (
     DegenerateFormError,
     DimensionMismatchError,
@@ -69,13 +67,12 @@ def nijenhuis(L: "LieAlgebra", t: Matrix) -> Trilinear:
     return Trilinear(tuple((linear_combination(t.column(i), v) - t * v[i]).transpose() for i in range(n)))
 
 
-@lru_cache(maxsize=None)
 def involution_split(t: Matrix) -> Splitting:
     """The splitting into the (+1)/(-1) eigenspaces of t, whose involution is t.
 
     Requires t^2 = Id and t != +-Id; eigenspace bases come out in reduced
-    echelon form with deterministic pivoting.  Cached by the value of t; the
-    splitting is the one `splitting` gives for the same eigenspaces.
+    echelon form with deterministic pivoting.  The splitting equals the one
+    `splitting` gives for the same eigenspaces.
 
     Once t^2 = Id, pi_+- = (Id +- t)/2 satisfy pi_+ + pi_- = Id, t pi_+- =
     +-pi_+- and pi_+- x = x on the eigenspace E+-, so the columns of pi_+-

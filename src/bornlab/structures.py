@@ -110,13 +110,21 @@ def _require_builder(key, cls, builder: str):
 
 
 class AlmostKunneth(Value):
-    """Non-degenerate 2-form with two complementary isotropic subspaces; made by `build_almost_kunneth`."""
+    """Non-degenerate 2-form with two complementary isotropic subspaces.
 
-    __slots__ = ("algebra", "omega", "plus", "minus")
+    Made by `build_almost_kunneth`, or by `build_born` for a Born
+    structure's own Kunneth structure.  split is the Splitting of plus and
+    minus whose frame inverse proved them complementary.  It is not
+    compared, so structures on one (omega, plus, minus) are equal whichever
+    builder made them.
+    """
 
-    def __init__(self, algebra: LieAlgebra, omega: Matrix, plus: Subspace, minus: Subspace, *, key=None):
+    __slots__ = ("algebra", "omega", "plus", "minus", "split")
+    _uncompared = ("split",)
+
+    def __init__(self, algebra: LieAlgebra, omega: Matrix, plus: Subspace, minus: Subspace, split, *, key=None):
         _require_builder(key, AlmostKunneth, "build_almost_kunneth")
-        super().__init__(algebra, omega, plus, minus)
+        super().__init__(algebra, omega, plus, minus, split)
 
 
 @lru_cache(maxsize=None)
@@ -132,20 +140,16 @@ def build_almost_kunneth(L: LieAlgebra, omega: Matrix, plus: Subspace, minus: Su
         hit = s.block_witness(pairing, side, side)
         if hit is not None:
             raise NotIsotropicError(name, hit)
-    return AlmostKunneth(L, omega, plus, minus, key=_CERTIFIED)
-
-
-def almost_product(k: AlmostKunneth) -> Matrix:
-    """The involution that is +Id on the plus subspace and -Id on the minus one."""
-    return splitting(k.plus, k.minus).involution
+    return AlmostKunneth(L, omega, plus, minus, s, key=_CERTIFIED)
 
 
 @lru_cache(maxsize=None)
 def neutral_metric(k: AlmostKunneth) -> Matrix:
-    """g(x, y) = omega(I x, y), I = `almost_product(k)`: symmetric and of
+    """g(x, y) = omega(I x, y), with I = `k.split.involution` the almost
+    product structure (+Id on plus, -Id on minus): symmetric and of
     signature (n/2, n/2, 0) by construction.
 
-    `build_almost_kunneth` certified omega nondegenerate and plus, minus
+    The builder certified omega nondegenerate and plus, minus
     complementary and omega-isotropic.  Two complementary isotropic
     subspaces of a nondegenerate form have dimension n/2 each.  g is
     nondegenerate, I being invertible (I^2 = Id), and it vanishes on
@@ -153,7 +157,7 @@ def neutral_metric(k: AlmostKunneth) -> Matrix:
     form of signature (p, q) has no isotropic subspace of dimension above
     min(p, q), so p = q = n/2.
     """
-    return almost_product(k).transpose() * k.omega
+    return k.split.involution.transpose() * k.omega
 
 
 # ---------------------------------------------------------------------------
@@ -165,18 +169,15 @@ class BornStructure(Value):
 
     a_op, b_op, j_op are derived from the defining relations
     g(A x, y) = omega(x, y), g(B x, y) = h(x, y), omega(-J x, y) = h(x, y)
-    and satisfy A^2 = B^2 = Id, J^2 = -Id, AB = -J.  l_plus / l_minus are the
-    (+1)/(-1) eigenspaces of A.
+    and satisfy A^2 = B^2 = Id, J^2 = -Id, AB = -J.  kunneth is the Kunneth
+    structure (omega, L+, L-), L+ and L- the (+1)/(-1) eigenspaces of A.
     """
 
-    __slots__ = ("algebra", "g", "h", "omega", "a_op", "b_op", "j_op", "l_plus", "l_minus")
+    __slots__ = ("algebra", "g", "h", "omega", "a_op", "b_op", "j_op", "kunneth")
 
-    def __init__(self, algebra, g, h, omega, a_op, b_op, j_op, l_plus, l_minus, *, key=None):
+    def __init__(self, algebra, g, h, omega, a_op, b_op, j_op, kunneth, *, key=None):
         _require_builder(key, BornStructure, "build_born")
-        super().__init__(algebra, g, h, omega, a_op, b_op, j_op, l_plus, l_minus)
-
-    def underlying_kunneth(self) -> AlmostKunneth:
-        return build_almost_kunneth(self.algebra, self.omega, self.l_plus, self.l_minus)
+        super().__init__(algebra, g, h, omega, a_op, b_op, j_op, kunneth)
 
 
 def _require_form(name: str, form: Matrix, *, symmetric: bool):
@@ -215,6 +216,14 @@ def build_born(
     memoized inverses of g and omega that certified their nondegeneracy.
     What these certificates imply, the whole identity table, is proved at
     `verify_born_identities`.
+
+    The Kunneth structure (omega, L+, L-) of the result needs no second
+    certification: omega is certified nondegenerate above; L+ and L- are
+    the eigenspaces of the involution A, so they are complementary, and the
+    frame inverse of `involution_split` is read off the projections
+    (Id +- A)/2; and they are omega-Lagrangian, as `verify_born_identities`
+    proves.  So the triple meets every condition `build_almost_kunneth`
+    checks, and it keeps the splitting of A as its proof.
     """
     n = L.n
     if g.n != n or h.n != n or omega.n != n:
@@ -239,7 +248,8 @@ def build_born(
     _require_tables(("A", expect_a, a_op), ("B", expect_b, b_op), ("J", expect_j, j_op))
 
     split = involution_split(a_op)
-    return BornStructure(L, g, h, omega, a_op, b_op, j_op, split.plus, split.minus, key=_CERTIFIED)
+    kunneth = AlmostKunneth(L, omega, split.plus, split.minus, split, key=_CERTIFIED)
+    return BornStructure(L, g, h, omega, a_op, b_op, j_op, kunneth, key=_CERTIFIED)
 
 
 # Transformation table of (g, h, omega) under A, B, J: for each (form, op)
@@ -370,7 +380,7 @@ def integrability_report(b: BornStructure) -> Witness | None:
     """
     L = b.algebra
     w = witness_of(ce_d2(L, b.omega), "d omega")
-    if w is None and (subalgebra_witness(L, b.l_plus) or subalgebra_witness(L, b.l_minus)):
+    if w is None and (subalgebra_witness(L, b.kunneth.plus) or subalgebra_witness(L, b.kunneth.minus)):
         w = witness_of(nijenhuis(L, b.a_op), "N_A")  # nonzero by (i)
     return w or witness_of(nijenhuis(L, b.b_op), "N_B")
 
@@ -388,7 +398,7 @@ def enhance_kunneth(k: AlmostKunneth, jtilde: Matrix | None = None) -> BornStruc
     complex structure is assembled as J = Jt on plus and -Jt^(-1) on minus,
     and h(x, y) = omega(x, J y).
     """
-    split = splitting(k.plus, k.minus)
+    split = k.split
     omega = k.omega
     if jtilde is None:
         # the omega-dual frame g'_c = sum_r (W^-1)_rc g_r, with W the (+,-)

@@ -1,6 +1,7 @@
 """Test-only oracles: vectors on Fractions, nabla_x y of a connection and the
 antipode of a circle point, one-forms with their differential and wedge
-products, the Jacobi sums bracket by bracket, readers of Trilinear tensors
+products, the Jacobi sums bracket by bracket and as the engine's integer
+sums read off, closedness of a two-form, readers of Trilinear tensors
 that do not go through the engine's scan, two computations of Sylvester
 inertia, the Levi-Civita connection solved by sympy, the pairwise
 bracket-closure test on Fractions, the four-combination Kunneth connection,
@@ -30,7 +31,7 @@ from typing import NamedTuple
 from bornlab import CirclePoint, LieAlgebra, Matrix, Signature, Subspace, Trilinear, torsion
 from bornlab.connections import Connection
 from bornlab.exact import invert, linear_combination, splitting, vector
-from bornlab.liealg import ce_d2
+from bornlab.liealg import _jacobi_sums, ce_d2
 from bornlab.multilinear import nijenhuis
 from bornlab.structures import IDENTITY_TABLE, Witness, subalgebra_witness, witness_at, witness_of
 
@@ -246,6 +247,21 @@ def reference_jacobi(L: LieAlgebra) -> dict:
     return sums
 
 
+def jacobi_defect(L: LieAlgebra) -> dict:
+    """All Jacobi sums [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] as
+    the engine computes them, {(i, j, k, l) 1-based, i < j < k: value}; the
+    algebra satisfies Jacobi exactly when every value is zero."""
+    dc = L._constants[0]
+    return {
+        (*triple, l): Fraction(value, dc * dc) for triple, sums in _jacobi_sums(L) for l, value in enumerate(sums, 1)
+    }
+
+
+def is_closed(L: LieAlgebra, m: Matrix) -> bool:
+    """d m = 0 for the two-form m."""
+    return ce_d2(L, m).is_zero()
+
+
 def sympy_levi_civita(L: LieAlgebra, g: Matrix):
     """The torsion-free g-parallel connection, solved in all n^3 entries of Gamma at once (needs sympy).
 
@@ -326,8 +342,8 @@ def integrability_legs(b) -> tuple:
     return (
         witness_of(ce_d2(L, b.omega), "d omega"),
         *(witness_of(nijenhuis(L, op), f"N_{name}") for name, op in (("A", b.a_op), ("B", b.b_op), ("J", b.j_op))),
-        subalgebra_witness(L, b.l_plus),
-        subalgebra_witness(L, b.l_minus),
+        subalgebra_witness(L, b.kunneth.plus),
+        subalgebra_witness(L, b.kunneth.minus),
     )
 
 
@@ -375,7 +391,7 @@ class BornData(NamedTuple):
 
 def born_data(b) -> BornData:
     """The raw data of a built Born structure."""
-    return BornData(b.g, b.h, b.omega, b.a_op, b.b_op, b.j_op, b.l_plus, b.l_minus)
+    return BornData(b.g, b.h, b.omega, b.a_op, b.b_op, b.j_op, b.kunneth.plus, b.kunneth.minus)
 
 
 def gauss_jordan(rows, width: int) -> tuple[list, list]:

@@ -182,11 +182,11 @@ def test_criterion_07_born_connection_theorem(catalog_models):
     for name in ("h4", "h9_corrected", "h8"):
         born = structures_of(catalog_models[name], "born")[0]
         nb = born_connection(born)
-        nc = canonical_connection(born.underlying_kunneth())
+        nc = canonical_connection(born.kunneth)
         assert generalized_torsion_defect(nb, nc, born.g).is_zero(), name
         for form in (born.g, born.h, born.omega):
             assert nabla_form(nb, form).is_zero(), name
-        nk, j = kunneth_connection(born.underlying_kunneth()), born.j_op
+        nk, j = kunneth_connection(born.kunneth), born.j_op
         assert nb.gammas == tuple((g - j * g * j) * Fraction(1, 2) for g in nk.gammas), name
     entry = catalog_models["nil3_r"]
     hs = structures_of(entry, "hypersymplectic")[0]
@@ -195,7 +195,7 @@ def test_criterion_07_born_connection_theorem(catalog_models):
     for p in FAMILY_POINTS:
         member = s1_family(hs, jt, p)
         nb = born_connection(member)
-        nc = canonical_connection(member.underlying_kunneth())
+        nc = canonical_connection(member.kunneth)
         assert generalized_torsion_defect(nb, nc, member.g).is_zero()
         for form in (member.g, member.h, member.omega):
             assert nabla_form(nb, form).is_zero()
@@ -226,7 +226,7 @@ def test_criterion_09_omega_k_identity(catalog_models):
         for k in structures_of(entry, "kunneth"):
             assert omega_K_defect(k).is_zero()
         for born in structures_of(entry, "born"):
-            assert omega_K_defect(born.underlying_kunneth()).is_zero()
+            assert omega_K_defect(born.kunneth).is_zero()
     rng = random.Random(20260808)
     algebras = [
         LieAlgebra(4, {(1, 2): {3: 1}}),
@@ -282,7 +282,7 @@ def test_criterion_11_born_torsion_formula(catalog_models):
     assert born_torsion_formula_defect(born) is None
     # independent recomputation of the mixed-pair formula
     L = born.algebra
-    nk = kunneth_connection(born.underlying_kunneth())
+    nk = kunneth_connection(born.kunneth)
     nb = born_connection(born)
     split = involution_split(born.b_op)
     for x in split.plus.basis:

@@ -10,7 +10,6 @@ from bornlab import (
     LieAlgebra,
     Matrix,
     Subspace,
-    almost_product,
     born_connection,
     born_torsion_formula_defect,
     build_almost_kunneth,
@@ -225,8 +224,8 @@ def test_canonical_collapse_on_integrable(catalog_models):
             if integrability_report(born) is not None:
                 continue
             L = born.algebra
-            nc = canonical_connection(born.underlying_kunneth())
-            nk = kunneth_connection(born.underlying_kunneth())
+            nc = canonical_connection(born.kunneth)
+            nk = kunneth_connection(born.kunneth)
             lc = levi_civita(L, born.g)
             assert nc == nk == lc
 
@@ -240,7 +239,7 @@ def test_canonical_differs_from_kunneth_on_fixture(fixture_kunneth):
 
 
 def test_canonical_commutes_with_involution(fixture_kunneth):
-    a = almost_product(fixture_kunneth)
+    a = fixture_kunneth.split.involution
     nc = canonical_connection(fixture_kunneth)
     for g in nc.gammas:
         for j in range(4):
@@ -256,7 +255,7 @@ def test_born_connection_parallel_everything(catalog_models):
         nb = born_connection(born)
         for form in (born.g, born.h, born.omega):
             assert nabla_form(nb, form).is_zero()
-        nk, j = kunneth_connection(born.underlying_kunneth()), born.j_op
+        nk, j = kunneth_connection(born.kunneth), born.j_op
         assert nb.gammas == tuple((g - j * g * j) * Fraction(1, 2) for g in nk.gammas)
 
 
@@ -264,20 +263,20 @@ def test_born_connection_zero_on_abelian(catalog_models):
     born = structures_of(catalog_models["abelian_c2"], "born")[0]
     nb = born_connection(born)
     assert all(m.is_zero() for m in nb.gammas)
-    assert nb == kunneth_connection(born.underlying_kunneth())
+    assert nb == kunneth_connection(born.kunneth)
 
 
 def test_generalized_torsion_zero_for_born_connection(catalog_models):
     for name in ("h4", "h9_corrected", "h8"):
         born = structures_of(catalog_models[name], "born")[0]
         nb = born_connection(born)
-        nc = canonical_connection(born.underlying_kunneth())
+        nc = canonical_connection(born.kunneth)
         assert generalized_torsion_defect(nb, nc, born.g).is_zero()
 
 
 def test_generalized_torsion_self_is_zero(catalog_models):
     born = structures_of(catalog_models["h4"], "born")[0]
-    nc = canonical_connection(born.underlying_kunneth())
+    nc = canonical_connection(born.kunneth)
     assert generalized_torsion_defect(nc, nc, born.g).is_zero()
 
 
@@ -286,7 +285,7 @@ def test_generalized_torsion_family_points(nil3_family):
     for t in (0, 1, Fraction(1, 2), 2):
         born = s1_family(hs, jt, CirclePoint.from_t(t))
         nb = born_connection(born)
-        nc = canonical_connection(born.underlying_kunneth())
+        nc = canonical_connection(born.kunneth)
         assert generalized_torsion_defect(nb, nc, born.g).is_zero()
 
 
@@ -309,8 +308,8 @@ def test_kunneth_vs_born_connection_on_h4(catalog_models):
     is not a competitor among fully compatible connections."""
     born = structures_of(catalog_models["h4"], "born")[0]
     L = born.algebra
-    nk = kunneth_connection(born.underlying_kunneth())
-    nc = canonical_connection(born.underlying_kunneth())
+    nk = kunneth_connection(born.kunneth)
+    nc = canonical_connection(born.kunneth)
     nb = born_connection(born)
     assert nk == nc
     assert generalized_torsion_defect(nk, nc, born.g).is_zero()
@@ -349,7 +348,7 @@ def test_nabla_form_witness_levi_civita_omega_on_fixture(fixture_kunneth, nil3):
 
 def test_nabla_form_witness_kunneth_h_on_h4(catalog_models):
     born = structures_of(catalog_models["h4"], "born")[0]
-    nk = kunneth_connection(born.underlying_kunneth())
+    nk = kunneth_connection(born.kunneth)
     assert nabla_form(nk, born.h).first_witness() == ((1, 2, 2), 2)
 
 
@@ -496,7 +495,7 @@ def test_omega_k_zero_on_catalog_and_fixture(catalog_models, fixture_kunneth):
         for k in structures_of(entry, "kunneth"):
             assert omega_K_defect(k).is_zero()
         for born in structures_of(entry, "born"):
-            assert omega_K_defect(born.underlying_kunneth()).is_zero()
+            assert omega_K_defect(born.kunneth).is_zero()
 
 
 def test_omega_k_unprojected_variant_is_not_an_identity(fixture_kunneth, nil3):
@@ -590,7 +589,7 @@ def test_born_torsion_formula_family_branch(nil3_family):
     # Kunneth connection commutes with B; the engine reports which branch holds
     hs, jt = nil3_family
     born = s1_family(hs, jt, CirclePoint.from_t(0))
-    nk = kunneth_connection(born.underlying_kunneth())
+    nk = kunneth_connection(born.kunneth)
     nb = born_connection(born)
     commutes = reference_commutator_hit(nk.gammas, born.b_op) is None
     torsion_zero = torsion(born.algebra, nb).is_zero()
@@ -608,7 +607,7 @@ def test_connection_errors_carry_their_defect(monkeypatch, catalog_models):
     """A connections row that fails reports its defect: on integrable h4, a
     canonical connection bent by 7 Id at Gamma_4 differs from the Kunneth
     one, and the row's witness is the first nonzero entry of nabla^c - nabla^K."""
-    k = structures_of(catalog_models["h4"], "born")[0].underlying_kunneth()
+    k = structures_of(catalog_models["h4"], "born")[0].kunneth
     nk, nc = kunneth_connection(k), canonical_connection(k)
     assert model._kunneth_connections(k) is None
     bent = Connection(tuple(g + Matrix.identity(6) * 7 if i == 3 else g for i, g in enumerate(nc.gammas)))
@@ -658,7 +657,7 @@ def test_kunneth_mixed_torsion_failure_carries_its_witness(catalog_models):
     """Adding c (pi_F - pi_G) to each Gamma_i of the Kunneth connection keeps
     both subspaces preserved but gives mixed torsion, whose first witness is
     the pairwise oracle's."""
-    k = structures_of(catalog_models["h4"], "born")[0].underlying_kunneth()
+    k = structures_of(catalog_models["h4"], "born")[0].kunneth
     c = Fraction(1, 3)
     involution = splitting(k.plus, k.minus).involution
     conn = Connection(tuple(g + involution * c for g in kunneth_connection(k).gammas))
@@ -684,8 +683,8 @@ def test_canonical_commutation_failure_carries_its_commutator_witness(catalog_mo
     A-average: moved off it, an average that does not commute with A is not
     g-parallel (nabla g = nabla omega = 0 would give nabla A = 0), and
     nabla_form locates the failure at the first nonzero entry of nabla g."""
-    k = structures_of(catalog_models["h4"], "born")[0].underlying_kunneth()
-    g, a_op = neutral_metric(k), almost_product(k)
+    k = structures_of(catalog_models["h4"], "born")[0].kunneth
+    g, a_op = neutral_metric(k), k.split.involution
     lc = levi_civita(k.algebra, g)
     assert skewed_average(lc, a_op, 2, Matrix.zero(6)) == canonical_connection(k)
     conn = skewed_average(lc, a_op, 2, unit_at(6, 0, 2, Fraction(2, 5)))
@@ -701,7 +700,7 @@ def test_born_commutation_failure_carries_its_commutator_witness(catalog_models)
     B and J fails to keep one of g, h, omega parallel, and nabla_form locates
     the failure at the first nonzero entry of the first such nabla b."""
     born = structures_of(catalog_models["h4"], "born")[0]
-    nk = kunneth_connection(born.underlying_kunneth())
+    nk = kunneth_connection(born.kunneth)
     assert skewed_average(nk, born.b_op, 1, Matrix.zero(6)) == born_connection(born)
     conn = skewed_average(nk, born.b_op, 1, unit_at(6, 3, 0, Fraction(-3)))
     assert all(reference_commutator_hit(conn.gammas, op) for op in (born.a_op, born.b_op, born.j_op))
@@ -739,12 +738,12 @@ def test_kunneth_connection_preserves_both_subspaces_by_its_shape(kunneth_struct
 
 
 def test_almost_product_is_an_involution_and_recovers_omega(kunneth_structures):
-    """canonical_connection reads A = almost_product(k) and g = neutral_metric(k)
+    """canonical_connection reads A = k.split.involution and g = neutral_metric(k)
     without re-checking them: A^2 = Id and g(A e_i, e_j) = omega(e_i, e_j),
     entry by entry."""
     for name, k in kunneth_structures:
         n = k.algebra.n
-        a, g, omega = almost_product(k).rows, neutral_metric(k).rows, k.omega.rows
+        a, g, omega = k.split.involution.rows, neutral_metric(k).rows, k.omega.rows
         for i in range(n):
             image = [a[r][i] for r in range(n)]  # A e_i
             assert evaluate(list(zip(*a)), image) == basis_vector(n, i), name  # A (A e_i) = e_i
@@ -752,11 +751,11 @@ def test_almost_product_is_an_involution_and_recovers_omega(kunneth_structures):
 
 
 def test_canonical_connection_is_the_a_average_of_levi_civita(kunneth_structures):
-    """canonical_connection averages Levi-Civita with A = almost_product(k)
+    """canonical_connection averages Levi-Civita with A = k.split.involution
     and g = neutral_metric(k), as its docstring states, entry by entry."""
     for name, k in kunneth_structures:
         lc = levi_civita(k.algebra, neutral_metric(k)).gammas
-        assert canonical_connection(k).gammas == reference_conjugate_average(lc, almost_product(k), 1), name
+        assert canonical_connection(k).gammas == reference_conjugate_average(lc, k.split.involution, 1), name
 
 
 def test_constructions_prove_the_nine_connection_certifications(kunneth_structures, catalog_models, catalog_structures):
@@ -767,7 +766,7 @@ def test_constructions_prove_the_nine_connection_certifications(kunneth_structur
     torsion, and the canonical connection is g- and omega-parallel.  On every
     built Born structure the B-average is g-, h- and omega-parallel."""
     borns = built_borns(catalog_models, catalog_structures)
-    named = kunneth_structures + [(f"born-{r}", b.underlying_kunneth()) for r, b in enumerate(borns)]
+    named = kunneth_structures + [(f"born-{r}", b.kunneth) for r, b in enumerate(borns)]
     kunneths = {k: name for name, k in reversed(named)}  # each distinct structure once, under its first name
     for k, name in kunneths.items():
         L, g = k.algebra, neutral_metric(k)
@@ -813,13 +812,13 @@ def test_born_average_is_the_j_average_and_commutes_with_a_b_j(catalog_models, c
     borns += [(f"random-{r}", enhance_kunneth(random_kunneth(rng))) for r in range(20)]
     moved = 0
     for name, b in borns:
-        nk = kunneth_connection(b.underlying_kunneth()).gammas
+        nk = kunneth_connection(b.kunneth).gammas
         nb = born_connection(b).gammas
         assert nb == reference_conjugate_average(nk, b.b_op, 1), name
         assert nb == reference_conjugate_average(nk, b.j_op, -1), name
         for op in (b.a_op, b.b_op, b.j_op):
             assert reference_commutator_hit(nb, op) is None, name
-        nc = canonical_connection(b.underlying_kunneth()).gammas
+        nc = canonical_connection(b.kunneth).gammas
         assert reference_commutator_hit(nc, b.a_op) is None, name
         moved += nb != nk
     # the average does work: on these the Kunneth connection itself is not B-invariant

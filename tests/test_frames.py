@@ -21,7 +21,6 @@ from bornlab import (
     LieAlgebra,
     Matrix,
     Subspace,
-    almost_product,
     born_torsion_formula_defect,
     build_almost_kunneth,
     build_born,
@@ -29,7 +28,6 @@ from bornlab import (
     integrability_report,
     invert,
     involution_split,
-    jacobi_defect,
     verify_born_identities,
 )
 from bornlab import connections, exact
@@ -43,6 +41,7 @@ from oracles import (
     evaluate,
     four_combination_kunneth,
     fraction_residual,
+    jacobi_defect,
     mixed_torsion_defect,
     nabla,
     reference_coordinates,
@@ -178,7 +177,7 @@ def kunneth_cases(catalog_models, catalog_structures):
     """Every catalog almost Kunneth structure (declared or underlying a Born one), moved as well."""
     for name in catalog_models:
         structures = catalog_structures[name]
-        for k in structures["kunneths"] + [b.underlying_kunneth() for b in structures["borns"]]:
+        for k in structures["kunneths"] + [b.kunneth for b in structures["borns"]]:
             yield name, k
             for seed in SEEDS:
                 p = random_unimodular(k.algebra.n, random.Random(f"{name}-{seed}"))
@@ -372,7 +371,7 @@ def test_torsion_formula_matches_pairwise_oracle(catalog_models, catalog_structu
         if integrability_report(b) is not None:
             continue
         nb = connections.born_connection(b)
-        nk = connections.kunneth_connection(b.underlying_kunneth())
+        nk = connections.kunneth_connection(b.kunneth)
         n = b.algebra.n
         # Delta_x y = R(pi_- x) pi_- y adds torsion on B- x B- alone, and the
         # true Born connection with a random Kunneth one fails on B+ x B- alone
@@ -404,9 +403,9 @@ def test_projection_almost_product_and_involution_split_share_one_splitting(
 ):
     for name, k in kunneth_cases(catalog_models, catalog_structures):
         s = splitting(k.plus, k.minus)
-        assert involution_split(almost_product(k)) is s, name
+        assert k.split == s and involution_split(k.split.involution) == s, name
         assert projection_onto(k.plus, k.minus) == (s.pi_plus, s.pi_minus)
-        assert almost_product(k) == s.involution == s.pi_plus - s.pi_minus
+        assert k.split.involution == s.involution == s.pi_plus - s.pi_minus
         assert s.frame * s.frame_inv == Matrix.identity(k.algebra.n)
         assert s.pi_plus * s.pi_minus == Matrix.zero(k.algebra.n)
         for v in k.plus.basis:
@@ -421,8 +420,8 @@ def test_involution_split_reads_its_frame_inverse_off_the_projections(
     """On every catalog A and B, in the catalog basis and seeded ones, and on
     seeded involutions: the eigenspaces are the kernels of T -+ Id, pi+- =
     (Id +- T)/2, the frame inverse read off pi+- is the inverse of the frame,
-    the splitting is the one `splitting` gives for its eigenspaces, and a
-    fresh involution costs two eliminations."""
+    the splitting equals the one `splitting` gives for its eigenspaces, and
+    every call runs two eliminations."""
     cases = [(f"{name} {op}", getattr(b, op)) for name, b in born_cases(catalog_models, catalog_structures)
              for op in ("a_op", "b_op")]
     rng = random.Random(28)
@@ -434,23 +433,18 @@ def test_involution_split_reads_its_frame_inverse_off_the_projections(
         cases.append((f"seeded {i}", p * diagonal(signs) * invert(p)))
     original, eliminations = exact._gauss_jordan, []
     monkeypatch.setattr(exact, "_gauss_jordan", lambda a, ncols: eliminations.append(ncols) or original(a, ncols))
-    fresh = 0
     for name, t in cases:
         n, ident = t.n, Matrix.identity(t.n)
-        misses = involution_split.cache_info().misses
         eliminations.clear()
         s = involution_split(t)
-        if involution_split.cache_info().misses > misses:
-            fresh += 1
-            assert len(eliminations) == 2, name
+        assert len(eliminations) == 2, name
         assert s.plus == Subspace(n, kernel_basis(t - ident)), name
         assert s.minus == Subspace(n, kernel_basis(t + ident)), name
         assert s.pi_plus == (ident + t) * Fraction(1, 2) and s.pi_minus == (ident - t) * Fraction(1, 2), name
         assert s.involution == t, name
         assert s.frame == Matrix.from_columns(s.plus.basis + s.minus.basis), name
         assert s.frame * s.frame_inv == ident and s.frame_inv == invert(s.frame), name
-        assert splitting(s.plus, s.minus) is s, name
-    assert fresh >= 40
+        assert splitting(s.plus, s.minus) == s, name
 
 
 def test_declared_splitting_projects_with_one_product():
@@ -463,7 +457,7 @@ def test_declared_splitting_projects_with_one_product():
         assert s.frame_inv == invert(s.frame)
         assert s.pi_plus == s.frame * keep * s.frame_inv
         assert s.pi_minus == Matrix.identity(n) - s.pi_plus
-        assert involution_split(s.involution) is s
+        assert involution_split(s.involution) == s
 
 
 def random_brackets(n, rng):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from bornlab import LieAlgebra, Matrix, ce_d2, determinant, invert, is_closed, is_subalgebra, jacobi_defect
+from bornlab import LieAlgebra, Matrix, ce_d2, determinant, invert, is_subalgebra
 from bornlab.errors import DimensionMismatchError, JacobiViolationError
 from bornlab.exact import Subspace
 from bornlab.multilinear import two_form
@@ -15,6 +15,8 @@ from oracles import (
     OneForm,
     basis_vector,
     ce_d1,
+    is_closed,
+    jacobi_defect,
     nonzero_entries,
     pairwise_subalgebra,
     reference_jacobi,
@@ -291,7 +293,7 @@ def test_subalgebra_witness_and_residual_match_pairwise_oracle(catalog_models, c
     for name, entry in catalog_models.items():
         L = entry.model.algebra
         declared = list(entry.model.subspaces.values())
-        declared += [s for b in catalog_structures[name]["borns"] for s in (b.l_plus, b.l_minus)]
+        declared += [s for b in catalog_structures[name]["borns"] for s in (b.kunneth.plus, b.kunneth.minus)]
         cases.append((L, declared))
         for seed in (1, 2):
             p = random_unimodular(L.n, random.Random(f"{name}-{seed}"))

@@ -725,6 +725,23 @@ def test_kunneth_connection_rows_carry_real_witnesses(monkeypatch, cold_outcomes
     assert row(integrable) == Witness((1, 3, 2), "5", equal)
 
 
+def test_a_born_structure_reads_the_rows_of_its_declared_kunneth_structure(cold_outcomes):
+    """h4 declares kunneth(omega, F, G) and a born structure whose L+ and L-
+    are F and G.  The Born structure's Kunneth structure equals the declared
+    one, so after the declared one's rows its connections and omega_k rows
+    are outcome memo hits."""
+    built = dict((decl.kind, obj) for decl, obj in model_module.materialize(parse_model(catalog.export_entry("h4"))))
+    b, k = built["born"], built["kunneth"]
+    assert b.kunneth == k and hash(b.kunneth) == hash(k)
+    for check in ("connections", "omega_k"):
+        expected = model_module._outcome(check, "kunneth", k)
+        before = model_module._outcome.cache_info()
+        assert model_module._outcome(check, "born", b) == expected
+        after = model_module._outcome.cache_info()
+        # one miss for the Born row itself, one hit for the Kunneth row it reads
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1), check
+
+
 # --- rendering -----------------------------------------------------------
 
 

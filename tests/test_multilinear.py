@@ -17,7 +17,6 @@ from bornlab import (
     recursion_operator,
 )
 from bornlab.errors import DegenerateFormError, NotInvolutionError, TrivialInvolutionError
-from bornlab import exact
 from bornlab.exact import determinant, invert
 from bornlab.multilinear import symmetric_form, two_form
 from oracles import basis_vector, diagonal, evaluate
@@ -246,23 +245,6 @@ def test_involution_split_errors():
         involution_split(Matrix.identity(3))
     with pytest.raises(TrivialInvolutionError):
         involution_split(-Matrix.identity(3))
-
-
-def test_involution_split_is_cached_by_value(monkeypatch):
-    eigenspace_solves = []
-    original = exact._gauss_jordan
-    monkeypatch.setattr(exact, "_gauss_jordan", lambda a, ncols: eigenspace_solves.append(a) or original(a, ncols))
-    p = Matrix([[1, 2, 0, 0, 1], [0, 1, 3, 0, 0], [0, 0, 1, -1, 0], [0, 0, 0, 1, 2], [0, 0, 0, 0, 1]])
-    involution = p * diagonal([1, -1, 1, -1, -1]) * invert(p)
-    first = involution_split(involution)
-    solved = len(eigenspace_solves)
-    # an equal involution built anew is answered from the cache
-    assert involution_split(Matrix(involution.rows)) is first
-    assert len(eigenspace_solves) == solved
-    # errors are not cached: a non-involution raises on every call
-    for _ in range(2):
-        with pytest.raises(NotInvolutionError):
-            involution_split(Matrix([[1, 1], [0, 1]]))
 
 
 # --- anticommutators ---------------------------------------------------------

@@ -12,7 +12,6 @@ from bornlab import (
     LieAlgebra,
     Matrix,
     Subspace,
-    almost_product,
     build_almost_kunneth,
     build_born,
     build_hypersymplectic,
@@ -126,11 +125,11 @@ def test_build_almost_kunneth_not_complementary(nil3):
 def test_almost_product_r2():
     L = LieAlgebra.abelian(2)
     k = build_almost_kunneth(L, two_form(2, {(1, 2): 1}), Subspace(2, [[1, 0]]), Subspace(2, [[0, 1]]))
-    assert almost_product(k) == diagonal([1, -1])
+    assert k.split.involution == diagonal([1, -1])
 
 
 def test_almost_product_h4(h4_kunneth):
-    assert almost_product(h4_kunneth) == diagonal([1, 1, -1, -1, 1, -1])
+    assert h4_kunneth.split.involution == diagonal([1, 1, -1, -1, 1, -1])
 
 
 def test_almost_product_fixture_splitting(nil3):
@@ -140,7 +139,7 @@ def test_almost_product_fixture_splitting(nil3):
         Subspace(4, [[1, 0, 0, 0], [0, 0, 0, 1]]),
         Subspace(4, [[0, 1, 0, 0], [0, 0, 1, 0]]),
     )
-    assert almost_product(k) == diagonal([1, -1, -1, 1])
+    assert k.split.involution == diagonal([1, -1, -1, 1])
 
 
 def test_neutral_metric_r2():
@@ -215,7 +214,7 @@ def test_build_born_h4_from_enhancement_data(h4_algebra, h4_kunneth):
     g = neutral_metric(h4_kunneth)
     h = h4_kunneth.omega * j
     born = build_born(h4_algebra, g, h, h4_kunneth.omega, expect_j=j)
-    assert born.a_op == almost_product(h4_kunneth)
+    assert born.a_op == h4_kunneth.split.involution
 
 
 def test_build_born_axiom_failure_j_squared():
@@ -370,7 +369,7 @@ def test_built_structures_decide_the_identity_table_in_the_frame(catalog_models,
     borns = built_borns(catalog_models, catalog_structures)
     for b in borns:
         n, m = b.algebra.n, b.algebra.n // 2
-        frame = list(b.l_plus.basis) + [b.b_op.matvec(f) for f in b.l_plus.basis]
+        frame = list(b.kunneth.plus.basis) + [b.b_op.matvec(f) for f in b.kunneth.plus.basis]
         p = Matrix([list(row) for row in zip(*frame)])
         p_inv = invert(p)
         a, bb, j = (p_inv * t * p for t in (b.a_op, b.b_op, b.j_op))
@@ -379,11 +378,25 @@ def test_built_structures_decide_the_identity_table_in_the_frame(catalog_models,
         assert j == bb * a
         moved = BornData(
             *(moved_form(w, p) for w in (b.g, b.h, b.omega)),
-            a, bb, j, moved_subspace(b.l_plus, p_inv), moved_subspace(b.l_minus, p_inv),
+            a, bb, j, moved_subspace(b.kunneth.plus, p_inv), moved_subspace(b.kunneth.minus, p_inv),
         )
         table = reference_identity_table(moved)
         assert tuple(name for name, _, _ in table) == verify_born_identities(b)
         assert all(witness is None for _, _, witness in table)
+    assert len(borns) >= 70
+
+
+def test_a_born_structure_holds_the_kunneth_structure_it_certified(catalog_models, catalog_structures):
+    """build_born keeps (omega, L+, L-) as the Kunneth structure that
+    build_almost_kunneth would certify, with the splitting of A as its proof,
+    and enhancing that Kunneth structure gives it back."""
+    borns = built_borns(catalog_models, catalog_structures)
+    for b in borns:
+        k = b.kunneth
+        assert k == build_almost_kunneth(b.algebra, b.omega, k.plus, k.minus)
+        assert k.split == splitting(k.plus, k.minus)
+        assert k.split.involution == b.a_op
+        assert enhance_kunneth(k).kunneth == k
     assert len(borns) >= 70
 
 
@@ -400,7 +413,7 @@ def forged_borns(catalog_structures):
                 form = m - m.transpose() if name == "omega" else m + m.transpose()
                 out.append(born_data(b)._replace(**{name: form}))
     b = catalog_structures["h4"]["borns"][0]
-    tilted = Subspace(b.algebra.n, [tuple(map(sum, zip(f, b.j_op.matvec(f)))) for f in b.l_plus.basis])
+    tilted = Subspace(b.algebra.n, [tuple(map(sum, zip(f, b.j_op.matvec(f)))) for f in b.kunneth.plus.basis])
     out.append(born_data(b)._replace(l_minus=tilted))
     return out
 
@@ -461,12 +474,12 @@ def test_structures_exist_only_as_their_builders_made_them(catalog_structures):
     connections."""
     b = catalog_structures["h4"]["borns"][0]
     with pytest.raises(TypeError, match="build_born"):
-        BornStructure(b.algebra, b.g, b.h, b.omega, b.a_op, b.b_op, b.j_op, b.l_plus, b.l_minus)
-    k = b.underlying_kunneth()
+        BornStructure(b.algebra, b.g, b.h, b.omega, b.a_op, b.b_op, b.j_op, b.kunneth)
+    k = b.kunneth
     with pytest.raises(TypeError, match="build_almost_kunneth"):
-        AlmostKunneth(k.algebra, k.omega, k.plus, k.minus)
+        AlmostKunneth(k.algebra, k.omega, k.plus, k.minus, k.split)
     with pytest.raises(TypeError, match="build_almost_kunneth"):
-        AlmostKunneth(k.algebra, k.omega, k.plus, k.minus, key=object())
+        AlmostKunneth(k.algebra, k.omega, k.plus, k.minus, k.split, key=object())
 
 
 def test_torus_2_2_signature(catalog_models):
@@ -678,8 +691,7 @@ def test_enhance_round_trip_recovers_splitting(catalog_models):
     for entry in catalog_models.values():
         for k in structures_of(entry, "kunneth"):
             born = enhance_kunneth(k)
-            assert born.l_plus == k.plus
-            assert born.l_minus == k.minus
+            assert born.kunneth == k
             assert born.omega == k.omega
 
 

@@ -1,11 +1,11 @@
 """No orphan helpers: every public name that src/bornlab defines is reached.
 
 A public top-level function or class, or a public method, must be referenced
-in the code of src/bornlab (as a name, an attribute or an import, the
-package's exports included), or appear in the text of perfbench/tracing.py,
-whose per-layer metrics rebind names given as strings.  A mention in a
-docstring or comment does not count.  A helper that only tests call belongs
-in tests/oracles.py.
+in the code of src/bornlab (as a name, an attribute or an import), or appear
+in the text of perfbench/tracing.py, whose per-layer metrics rebind names
+given as strings.  A mention in a docstring or comment does not count.  An
+export of the package counts only for a name the README documents, as API.
+A helper that only tests call belongs in tests/oracles.py.
 """
 
 import ast
@@ -15,6 +15,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "bornlab"
 TRACING = ROOT / "perfbench" / "tracing.py"
+README = ROOT / "README.md"
 
 
 def public_definitions(tree):
@@ -41,7 +42,9 @@ def referenced_names(tree):
 
 def test_every_public_name_in_src_is_reached():
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    exports = set(referenced_names(trees.pop("__init__.py")))
     reached = {name for tree in trees.values() for name in referenced_names(tree)}
+    reached |= exports & set(re.findall(r"\w+", README.read_text(encoding="utf-8")))
     reached |= set(re.findall(r"\w+", TRACING.read_text(encoding="utf-8")))
     orphans = [
         f"{module}:{qualified}"
