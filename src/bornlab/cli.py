@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 input or
 parse error (bad file, bad rational, Jacobi violation, unknown entry, ...).
-`check` parses each distinct document text once per process.
+`check` and the catalog share one parse per distinct document text
+(`model.parsed`), so a catalog entry that was checked is not parsed again.
 """
 
 from __future__ import annotations
@@ -13,17 +14,8 @@ from functools import lru_cache
 
 from . import catalog
 from .errors import BornlabError, format_rational
-from .model import CHECK_ORDER, parse_model, render_report, run_checks
+from .model import CHECK_ORDER, parsed, render_report, run_checks
 from .structures import CirclePoint, integrability_report, verify_born_identities
-
-
-@lru_cache(maxsize=None)
-def _parsed(text: str):
-    """`parse_model(text)` once per distinct text; an error is not stored, so it is raised on every call.
-
-    Later checks of the text share the Model, whose dicts `_cmd_check` only reads.
-    """
-    return parse_model(text)
 
 
 def _cmd_check(args) -> int:
@@ -36,7 +28,7 @@ def _cmd_check(args) -> int:
         return 2
     only = None if args.checks is None else args.checks.split(",") if args.checks else ()
     try:
-        model = _parsed(text)
+        model = parsed(text)
         report = run_checks(model, only=only)
     except BornlabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -280,11 +280,6 @@ class Matrix(Value):
     def zero(cls, n: int) -> "Matrix":
         return cls._of(((0,) * n,) * n, 1)
 
-    @classmethod
-    def from_columns(cls, cols: Sequence[Sequence]) -> "Matrix":
-        n = len(cols)
-        return cls([[cols[j][i] for j in range(n)] for i in range(n)])
-
     def num_over(self, d: int):
         """The numerators of this matrix over d, a multiple of den."""
         return _scaled(self.num, d // self.den)

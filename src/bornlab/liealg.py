@@ -88,10 +88,6 @@ class LieAlgebra(Value):
                     l, value = next((l, v) for l, v in enumerate(sums, 1) if v)
                     raise JacobiViolationError(((*triple, l), Fraction(value, dc * dc)))
 
-    @classmethod
-    def abelian(cls, n: int) -> "LieAlgebra":
-        return cls(n, {})
-
     def ad(self, i: int) -> Matrix:
         """Matrix of ad_{e_{i+1}} (0-based argument): column j is [e_{i+1}, e_{j+1}]."""
         return self._ad[i]

@@ -27,6 +27,8 @@ that rests on its Kunneth structure (`born.kunneth`) reads that outcome
 through the same memo.  A structure checked again (by `catalog show` after
 `check`, or in another model) costs lookups; memory grows with the number
 of distinct structures checked.  Reports and their timings are not memoized.
+`parsed` memoizes the parse by document text; `check` and the catalog both
+read models through it.
 """
 
 from __future__ import annotations
@@ -320,6 +322,15 @@ def parse_model(text: str) -> Model:
         checks = tuple(checks)
 
     return Model(name, algebra, forms, metrics, endos, subspaces, tuple(decls), checks)
+
+
+@lru_cache(maxsize=None)
+def parsed(text: str) -> Model:
+    """`parse_model(text)` once per distinct text; an error is not stored, so it is raised on every call.
+
+    `check` and the catalog share the Model of a text, and only read its dicts.
+    """
+    return parse_model(text)
 
 
 def _matrix_json(m: Matrix):

@@ -42,6 +42,12 @@ def diagonal(entries) -> Matrix:
     return Matrix([[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))])
 
 
+def from_columns(cols) -> Matrix:
+    """The matrix whose j-th column is cols[j]."""
+    n = len(cols)
+    return Matrix([[cols[j][i] for j in range(n)] for i in range(n)])
+
+
 def basis_vector(n: int, i: int) -> tuple:
     """Standard basis vector e_{i+1} (index 0-based)."""
     return tuple(Fraction(int(j == i)) for j in range(n))

@@ -1,5 +1,8 @@
 """Catalog entries: self-validation, expectations and export round-trips."""
 
+import json
+from importlib.resources import files
+
 import pytest
 
 from bornlab import CirclePoint, catalog, parse_model, render_model
@@ -41,8 +44,43 @@ def test_get_entry_materializes():
 
 
 def test_get_entry_unknown():
-    with pytest.raises(UnknownEntryError):
-        catalog.get_entry("bogus")
+    for name in ("bogus", "../entries/h4", "entries/h4", "h4.json"):
+        with pytest.raises(UnknownEntryError):
+            catalog.get_entry(name)
+
+
+def test_an_entry_without_its_document_is_an_error_line(monkeypatch, tmp_path, capsys):
+    """An install that lost a document exits 2 with one error line, not a traceback."""
+    monkeypatch.setattr(catalog, "__file__", str(tmp_path / "catalog.py"))
+    monkeypatch.setattr(catalog, "get_entry", catalog.get_entry.__wrapped__)
+    assert main(["catalog", "show", "h4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: catalog entry h4 has no model document: ") and len(err.splitlines()) == 1
+
+
+def test_every_entry_is_one_packaged_document_named_as_the_entry():
+    names = [name for name, _ in catalog.list_entries()]
+    documents = {p.name: p for p in (files("bornlab") / "entries").iterdir() if p.name.endswith(".json")}
+    assert sorted(documents) == sorted(f"{name}.json" for name in names)
+    for name in names:
+        assert json.loads(documents[f"{name}.json"].read_text(encoding="utf-8"))["name"] == name
+
+
+def test_catalog_list_reads_the_table_alone(monkeypatch, capsys):
+    def unreachable(name):
+        raise AssertionError(f"catalog list parsed {name}")
+
+    monkeypatch.setattr(catalog, "get_entry", unreachable)
+    assert main(["catalog", "list"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[0] for row in rows] == [name for name, _ in catalog.list_entries()]
+    assert len(rows) == 10
+
+
+def test_an_entry_shares_the_parse_of_its_checked_text():
+    """`check` of an exported entry and the entry itself hold one Model object."""
+    for name, _ in catalog.list_entries():
+        assert catalog.get_entry(name).model is model_module.parsed(catalog.export_entry(name)), name
 
 
 def test_every_entry_passes_its_expectations(catalog_models):
@@ -118,9 +156,10 @@ def test_family_member_raises_the_error_of_a_structure_that_does_not_build(monke
     assert out == "" and err.startswith("error: dbeta") and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("name", ["h4", "nil3_r", "h9_corrected", "abelian_c2"])
+@pytest.mark.parametrize("name", [name for name, _ in catalog.list_entries()])
 def test_export_round_trip(name):
     text = catalog.export_entry(name)
+    assert text == (files("bornlab") / "entries" / f"{name}.json").read_text(encoding="utf-8")
     model = parse_model(text)
     entry = catalog.get_entry(name)
     assert model == entry.model

@@ -41,6 +41,7 @@ from oracles import (
     evaluate,
     four_combination_kunneth,
     fraction_residual,
+    from_columns,
     jacobi_defect,
     mixed_torsion_defect,
     nabla,
@@ -442,7 +443,7 @@ def test_involution_split_reads_its_frame_inverse_off_the_projections(
         assert s.minus == Subspace(n, kernel_basis(t + ident)), name
         assert s.pi_plus == (ident + t) * Fraction(1, 2) and s.pi_minus == (ident - t) * Fraction(1, 2), name
         assert s.involution == t, name
-        assert s.frame == Matrix.from_columns(s.plus.basis + s.minus.basis), name
+        assert s.frame == from_columns(s.plus.basis + s.minus.basis), name
         assert s.frame * s.frame_inv == ident and s.frame_inv == invert(s.frame), name
         assert splitting(s.plus, s.minus) == s, name
 
@@ -453,7 +454,7 @@ def test_declared_splitting_projects_with_one_product():
         n = rng.randint(2, 7)
         s = random_splitting(n, rng)
         keep = diagonal([1] * s.plus.dim + [0] * s.minus.dim)
-        assert s.frame == Matrix.from_columns(s.plus.basis + s.minus.basis)
+        assert s.frame == from_columns(s.plus.basis + s.minus.basis)
         assert s.frame_inv == invert(s.frame)
         assert s.pi_plus == s.frame * keep * s.frame_inv
         assert s.pi_minus == Matrix.identity(n) - s.pi_plus

@@ -80,7 +80,7 @@ def test_bracket_dimension_mismatch(nil3):
 
 
 def test_jacobi_abelian_zero():
-    defect = jacobi_defect(LieAlgebra.abelian(4))
+    defect = jacobi_defect(LieAlgebra(4, {}))
     assert all(v == 0 for v in defect.values())
 
 
@@ -155,7 +155,7 @@ def test_d1_h4_alpha5(h4_algebra):
 
 
 def test_d1_abelian_zero():
-    L = LieAlgebra.abelian(3)
+    L = LieAlgebra(3, {})
     d = ce_d1(L, OneForm([1, 2, 3]))
     assert d.is_zero()
 
@@ -172,7 +172,7 @@ def test_d2_h4_omega_closed(h4_algebra):
 
 
 def test_d2_abelian_zero():
-    L = LieAlgebra.abelian(4)
+    L = LieAlgebra(4, {})
     w = two_form(4, {(1, 2): 3, (1, 4): Fraction(-2, 3)})
     assert ce_d2(L, w).is_zero()
 
@@ -186,7 +186,7 @@ def test_d2_fixture_form_not_closed(nil3):
 
 def test_d_squared_is_zero(nil3, h4_algebra, h9_algebra):
     rng = random.Random(9)
-    for L in (nil3, h4_algebra, h9_algebra, LieAlgebra.abelian(4)):
+    for L in (nil3, h4_algebra, h9_algebra, LieAlgebra(4, {})):
         for i in range(L.n):
             assert ce_d2(L, ce_d1(L, OneForm.dual(L.n, i + 1))).is_zero()
         for _ in range(5):

@@ -47,6 +47,7 @@ from oracles import (
     born_data,
     diagonal,
     evaluate,
+    from_columns,
     integrability_legs,
     integrable,
     reference_identity_table,
@@ -86,7 +87,7 @@ def nil3_hypersymplectic(nil3):
 
 @pytest.fixture(scope="module")
 def nil3_jtilde():
-    return Matrix.from_columns([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    return from_columns([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
 
 
 # --- almost Kunneth -----------------------------------------------------
@@ -97,7 +98,7 @@ def test_build_almost_kunneth_h4(h4_kunneth):
 
 
 def test_build_almost_kunneth_r2():
-    L = LieAlgebra.abelian(2)
+    L = LieAlgebra(2, {})
     k = build_almost_kunneth(L, two_form(2, {(1, 2): 1}), Subspace(2, [[1, 0]]), Subspace(2, [[0, 1]]))
     assert evaluate(k.omega.rows, (1, 0), (0, 1)) == 1
 
@@ -123,7 +124,7 @@ def test_build_almost_kunneth_not_complementary(nil3):
 
 
 def test_almost_product_r2():
-    L = LieAlgebra.abelian(2)
+    L = LieAlgebra(2, {})
     k = build_almost_kunneth(L, two_form(2, {(1, 2): 1}), Subspace(2, [[1, 0]]), Subspace(2, [[0, 1]]))
     assert k.split.involution == diagonal([1, -1])
 
@@ -146,7 +147,7 @@ def test_neutral_metric_r2():
     # g(x, y) = omega(Ix, y) with I = diag(1, -1) and omega = a1 ^ a2 gives
     # the hyperbolic pairing +(a1*a2 + a2*a1); restricted to F and G it is
     # identically zero, matching the isotropy of the splitting
-    L = LieAlgebra.abelian(2)
+    L = LieAlgebra(2, {})
     k = build_almost_kunneth(L, two_form(2, {(1, 2): 1}), Subspace(2, [[1, 0]]), Subspace(2, [[0, 1]]))
     g = neutral_metric(k)
     assert g == symmetric_form(2, {(1, 2): 1})
@@ -177,13 +178,13 @@ def test_neutral_metric_null_on_subspaces(catalog_models):
 
 
 def test_build_born_standard_c1():
-    L = LieAlgebra.abelian(2)
+    L = LieAlgebra(2, {})
     omega = two_form(2, {(1, 2): 1})
     h = symmetric_form(2, {(1, 1): 1, (2, 2): 1})
     g = symmetric_form(2, {(1, 2): 1})
     born = build_born(L, g, h, omega)
     assert born.a_op == diagonal([1, -1])
-    assert born.j_op == Matrix.from_columns([[0, 1], [-1, 0]])
+    assert born.j_op == from_columns([[0, 1], [-1, 0]])
     # the opposite sign of g is a Born structure too, with A and B negated
     flipped = build_born(L, -g, h, omega)
     assert flipped.a_op == -born.a_op
@@ -201,7 +202,7 @@ def test_build_born_sign_flip_invariant(catalog_models):
 
 
 def test_build_born_h4_from_enhancement_data(h4_algebra, h4_kunneth):
-    j = Matrix.from_columns(
+    j = from_columns(
         [
             [0, 0, -2, 0, 0, 0],
             [0, 0, 0, -1, 0, 0],
@@ -219,7 +220,7 @@ def test_build_born_h4_from_enhancement_data(h4_algebra, h4_kunneth):
 
 def test_build_born_axiom_failure_j_squared():
     # with h = g the operator from omega to h does not square to -Id
-    L = LieAlgebra.abelian(2)
+    L = LieAlgebra(2, {})
     g = symmetric_form(2, {(1, 2): 1})
     omega = two_form(2, {(1, 2): 1})
     with pytest.raises(AxiomFailureError) as info:
@@ -278,7 +279,7 @@ def test_build_born_rejects_each_degenerate_form_in_order(name):
         "h": symmetric_form(2, {(2, 2): 1}),
         "omega": Matrix.zero(2),
     }
-    _first_degenerate(lambda *f: build_born(LieAlgebra.abelian(2), *f), forms, singular, name)
+    _first_degenerate(lambda *f: build_born(LieAlgebra(2, {}), *f), forms, singular, name)
 
 
 def _rejects_wrong_symmetry(build, forms, name, symmetry):
@@ -303,13 +304,13 @@ def test_build_born_rejects_a_form_of_the_wrong_symmetry(name):
         "omega": two_form(2, {(1, 2): 1}),
     }
     symmetry = "antisymmetric" if name == "omega" else "symmetric"
-    _rejects_wrong_symmetry(lambda *f: build_born(LieAlgebra.abelian(2), *f), forms, name, symmetry)
+    _rejects_wrong_symmetry(lambda *f: build_born(LieAlgebra(2, {}), *f), forms, name, symmetry)
 
 
 def test_build_almost_kunneth_rejects_a_form_of_the_wrong_symmetry():
     plus, minus = Subspace(2, [[1, 0]]), Subspace(2, [[0, 1]])
     _rejects_wrong_symmetry(
-        lambda w: build_almost_kunneth(LieAlgebra.abelian(2), w, plus, minus),
+        lambda w: build_almost_kunneth(LieAlgebra(2, {}), w, plus, minus),
         {"the 2-form": two_form(2, {(1, 2): 1})},
         "the 2-form",
         "antisymmetric",
@@ -646,13 +647,13 @@ def test_integrability_builds_at_most_one_nijenhuis_tensor(catalog_models, nil3,
 def test_enhance_default_frame_on_standard_kunneth():
     # flat R^4 = R^2 x R^2 with omega = a1^a3 + a2^a4 enhances to the
     # standard flat structure: J maps the first factor onto the second
-    L = LieAlgebra.abelian(4)
+    L = LieAlgebra(4, {})
     omega = two_form(4, {(1, 3): 1, (2, 4): 1})
     k = build_almost_kunneth(
         L, omega, Subspace(4, [[1, 0, 0, 0], [0, 1, 0, 0]]), Subspace(4, [[0, 0, 1, 0], [0, 0, 0, 1]])
     )
     born = enhance_kunneth(k)
-    assert born.j_op == Matrix.from_columns(
+    assert born.j_op == from_columns(
         [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
     )
     assert born.h == symmetric_form(4, {(i, i): 1 for i in range(1, 5)})
@@ -672,7 +673,7 @@ def test_enhance_h9_with_printed_j(h9_algebra):
         Subspace(6, [basis_vector(6, i) for i in (0, 4, 5)]),
         Subspace(6, [basis_vector(6, i) for i in (1, 2, 3)]),
     )
-    j = Matrix.from_columns(
+    j = from_columns(
         [
             [0, -1, 0, 0, 0, 0],
             [1, 0, 0, 0, 0, 0],
@@ -698,7 +699,7 @@ def test_enhance_round_trip_recovers_splitting(catalog_models):
 def test_enhance_rejects_incompatible_jtilde(h4_kunneth):
     # maps plus into minus but makes the pairing omega(f_i, Jt f_j)
     # asymmetric, violating omega(Jt x, y) = -omega(x, Jt y) on the plus side
-    bad = Matrix.from_columns(
+    bad = from_columns(
         [
             [0, 0, 1, 0, 0, 1],  # Jt e1 = e3 + e6
             [0, 0, 0, 0, 0, 1],  # Jt e2 = e6
@@ -732,9 +733,9 @@ def test_enhance_rejects_jtilde_that_is_not_an_isomorphism(h4_kunneth):
 
 def test_hypersymplectic_nil3_tables(nil3_hypersymplectic):
     hs = nil3_hypersymplectic
-    assert hs.a_op == Matrix.from_columns([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]])
+    assert hs.a_op == from_columns([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]])
     assert hs.b_op == diagonal([1, -1, 1, -1])
-    assert hs.j_op == Matrix.from_columns([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    assert hs.j_op == from_columns([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
     assert hs.metric == symmetric_form(4, {(1, 4): -1, (2, 3): -1})
     assert signature_of_symmetric(hs.metric) == Signature(2, 2, 0)
 
@@ -873,7 +874,7 @@ def test_family_antipode_negates_product_structure(nil3_hypersymplectic, nil3_jt
 def test_family_hypothesis_failure(nil3_hypersymplectic):
     # an almost complex structure commuting (not anti-commuting) with A; a
     # failure is not memoized, so every call raises
-    bad = Matrix.from_columns([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    bad = from_columns([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
     for _ in range(2):
         with pytest.raises(HypothesisFailureError):
             s1_family(nil3_hypersymplectic, bad, CirclePoint.from_t(0))

@@ -141,7 +141,7 @@ def test_lie_algebra_is_a_value_compared_by_n_and_brackets():
     a = LieAlgebra(3, {(1, 2): {3: 1}})
     same = LieAlgebra(3, {(1, 2): {3: "2/2", 1: 0}})
     assert same is not a and same == a and hash(same) == hash(a) and same.brackets == {(1, 2): {3: 1}}
-    assert a != LieAlgebra(3, {(1, 2): {3: 2}}) and a != LieAlgebra.abelian(3) and a != LieAlgebra(4, a.brackets)
+    assert a != LieAlgebra(3, {(1, 2): {3: 2}}) and a != LieAlgebra(3, {}) and a != LieAlgebra(4, a.brackets)
     assert a.__eq__(a.brackets) is NotImplemented
     # _ad and _constants are derived and not compared; brackets is a dict, so
     # the key is unhashable and the algebra keeps the hash it computed
