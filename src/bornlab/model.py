@@ -15,16 +15,17 @@ and optional roles with the model section each names, and by its order the
 order in which checks combine outcomes; parsing, labels and materialize all
 read it.  A second table, _CHECKS, says which check applies to which kind and
 how it is decided there.  materialize builds every declared structure,
-keeping construction errors, and orders them born, kunneth, hypersymplectic,
-each in declaration order; a check's row is the first failing outcome in that
-order.  A structure that did not build fails only its kind's construction
-check, the one whose row for that kind is _built, and is left out of every
-other.
+keeping construction errors, kind by kind in that order and each kind in
+declaration order, and follows a built Born structure with the Kunneth
+structure it holds, so one Kunneth structure per (omega, L+, L-) is checked,
+by the Kunneth rows, whether a Born structure holds it or the model declares
+it.  A check's row is the first failing outcome in that order.  A structure
+that did not build fails only its kind's construction check, the one whose
+row for that kind is _built, and is left out of every other.
 
-The builders are memoized by value, and so is each check's outcome on one
-built structure, in one memo keyed by (check, kind, structure); a Born row
-that rests on its Kunneth structure (`born.kunneth`) reads that outcome
-through the same memo.  A structure checked again (by `catalog show` after
+`build_born` and `build_hypersymplectic` are memoized by value, and so is
+each check's outcome on one built structure, in one memo keyed by (check,
+kind, structure).  A structure checked again (by `catalog show` after
 `check`, or in another model) costs lookups; memory grows with the number
 of distinct structures checked.  Reports and their timings are not memoized.
 `parsed` memoizes the parse by document text; `check` and the catalog both
@@ -376,30 +377,36 @@ class Report(Value):
 
 
 def materialize(model: Model) -> list:
-    """(decl, structure or its BornlabError) per declared structure.
+    """(kind, decl, structure or its BornlabError) per structure, in the order rows combine outcomes.
 
-    Structures are built in declaration order, each by its kind's row of
-    _KINDS, and returned in the order of _KINDS, each kind in declaration
-    order: the order in which every check combines outcomes, so a row's
-    witness is that of the first failing structure in it.
+    Kinds are built in the order of _KINDS, each in declaration order, by its
+    row of _KINDS, so a row's witness is that of the first failing structure
+    in the list.  A built Born structure is followed by its Kunneth structure
+    `born.kunneth`, a kunneth triple under the Born declaration.  A declared
+    Kunneth structure on an (omega, plus, minus) already there is that
+    structure, not built again: `build_born` proves that its Kunneth
+    structure meets every condition `build_almost_kunneth` checks.
     """
-    built = []
-    for decl in model.structures:
-        builder, required, optional = _KINDS[decl.kind]
-        try:
-            obj = getattr(structures, builder)(
-                model.algebra,
-                *(getattr(model, section)[decl.ref(role)] for role, section in required),
-                **{
-                    f"expect_{role.lower()}": getattr(model, section).get(decl.ref(role))
-                    for role, section in optional
-                },
-            )
-        except BornlabError as exc:
-            obj = exc
-        built.append((decl, obj))
-    order = list(_KINDS)
-    return sorted(built, key=lambda pair: order.index(pair[0].kind))
+    built, kunneths = [], {}
+    for kind, (builder, required, optional) in _KINDS.items():
+        for decl in model.structures:
+            if decl.kind != kind:
+                continue
+            tables = tuple(getattr(model, section)[decl.ref(role)] for role, section in required)
+            obj = kunneths.get(tables) if kind == "kunneth" else None
+            if obj is None:
+                expected = {f"expect_{role.lower()}": getattr(model, sec).get(decl.ref(role)) for role, sec in optional}
+                try:
+                    obj = getattr(structures, builder)(model.algebra, *tables, **expected)
+                except BornlabError as exc:
+                    obj = exc
+                k = obj.kunneth if isinstance(obj, BornStructure) else obj
+                if isinstance(k, AlmostKunneth):
+                    kunneths.setdefault((k.omega, k.plus, k.minus), k)
+            built.append((kind, decl, obj))
+            if isinstance(obj, BornStructure):
+                built.append(("kunneth", decl, obj.kunneth))
+    return built
 
 
 def _error_witness(exc: BornlabError) -> Witness:
@@ -420,17 +427,13 @@ def _built(structure):
 def _holds(structure):
     """The builder's certificates prove the check: it holds on every built structure.
 
-    The Born identity table, its eigenspace rows and both signature laws
-    (proved at `structures.verify_born_identities`) and the neutral signature
-    of a Kunneth structure's metric (proved at `structures.neutral_metric`).
+    The Born identity table (proved at `structures.verify_born_identities`)
+    and the neutral signature of a Kunneth structure's metric (proved at
+    `structures.neutral_metric`), which on a Born structure's own Kunneth
+    structure is its metric g.
     Unlike `_built`, the row is skipped on a structure that did not build.
     """
     return None
-
-
-def _of_kunneth(check: str):
-    """Row of a Born structure that is the outcome of its Kunneth structure, `born.kunneth`."""
-    return lambda born: _outcome(check, "kunneth", born.kunneth)
 
 
 def _kunneth_integrability(k: AlmostKunneth):
@@ -494,14 +497,11 @@ _CHECKS = {
         "born": lambda b: integrability_report(b),
         "kunneth": _kunneth_integrability,
     },
-    "eigenspace_geometry": {"born": _holds, "kunneth": _built},
-    "signatures": {"born": _holds, "kunneth": _holds},
-    "connections": {"born": _of_kunneth("connections"), "kunneth": _kunneth_connections},
+    "eigenspace_geometry": {"kunneth": _built},
+    "signatures": {"kunneth": _holds},
+    "connections": {"kunneth": _kunneth_connections},
     "generalized_torsion": {"born": _if_integrable(_generalized_torsion)},
-    "omega_k": {
-        "born": _of_kunneth("omega_k"),
-        "kunneth": lambda k: witness_of(omega_K_defect(k)),
-    },
+    "omega_k": {"kunneth": lambda k: witness_of(omega_K_defect(k))},
     "torsion_formula": {
         "born": _if_integrable(lambda b: witness_at(born_torsion_formula_defect(b))),
     },
@@ -510,15 +510,15 @@ _CHECKS = {
 
 @lru_cache(maxsize=None)
 def _outcome(check: str, kind: str, structure):
-    """One check's outcome for one built structure, memoized by value."""
-    row = _CHECKS[check].get(kind)
-    return row(structure) if row else _SKIP
+    """One check's outcome for one built structure of a kind it applies to, memoized by value."""
+    return _CHECKS[check][kind](structure)
 
 
 def _row(check: str, kind: str, obj):
-    """Outcome of a check on a structure or on its construction error."""
-    if isinstance(obj, BornlabError):
-        return _error_witness(obj) if _CHECKS[check].get(kind) is _built else _SKIP
+    """Outcome of a check on a structure or on its construction error; _SKIP where the check does not apply."""
+    row = _CHECKS[check].get(kind)
+    if row is None or isinstance(obj, BornlabError):
+        return _error_witness(obj) if row is _built else _SKIP
     return _outcome(check, kind, obj)
 
 
@@ -545,7 +545,7 @@ def run_checks(model: Model, only: Sequence[str] | None = None) -> Report:
             continue
         start = time.perf_counter()
         # every applicable structure is evaluated, so no error depends on an earlier failure
-        outcomes = [o for o in (_row(check, decl.kind, obj) for decl, obj in built) if o is not _SKIP]
+        outcomes = [o for o in (_row(check, kind, obj) for kind, _, obj in built) if o is not _SKIP]
         witness = next((o for o in outcomes if o is not None), None)
         status = "skipped" if not outcomes else "pass" if witness is None else "fail"
         elapsed = round((time.perf_counter() - start) * 1000, 3)

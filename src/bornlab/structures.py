@@ -114,20 +114,18 @@ class AlmostKunneth(Value):
 
     Made by `build_almost_kunneth`, or by `build_born` for a Born
     structure's own Kunneth structure.  split is the Splitting of plus and
-    minus whose frame inverse proved them complementary.  It is not
-    compared, so structures on one (omega, plus, minus) are equal whichever
-    builder made them.
+    minus that proved them complementary, a function of plus and minus, so
+    structures on one (omega, plus, minus) are equal whichever builder made
+    them.  A model builds none for a triple a Born structure of it holds.
     """
 
     __slots__ = ("algebra", "omega", "plus", "minus", "split")
-    _uncompared = ("split",)
 
     def __init__(self, algebra: LieAlgebra, omega: Matrix, plus: Subspace, minus: Subspace, split, *, key=None):
         _require_builder(key, AlmostKunneth, "build_almost_kunneth")
         super().__init__(algebra, omega, plus, minus, split)
 
 
-@lru_cache(maxsize=None)
 def build_almost_kunneth(L: LieAlgebra, omega: Matrix, plus: Subspace, minus: Subspace) -> AlmostKunneth:
     n = L.n
     if omega.n != n or plus.n != n or minus.n != n:

@@ -31,8 +31,11 @@ def catalog_models():
 
 
 def structures_of(entry, kind):
-    """The structures of one kind that an entry declares and that build, in declaration order."""
-    return [obj for decl, obj in materialize(entry.model) if decl.kind == kind and not isinstance(obj, BornlabError)]
+    """The structures of one kind that `materialize` gives for an entry and that build, in its order.
+
+    A Born structure's Kunneth structure is among the Kunneth ones, ahead of the declared ones.
+    """
+    return [obj for k, _, obj in materialize(entry.model) if k == kind and not isinstance(obj, BornlabError)]
 
 
 @pytest.fixture(scope="session")

@@ -641,10 +641,14 @@ WRONG_TABLES = [
     ("hypersymplectic", "hypersymplectic(omega,alpha,beta)"),
 ])
 def test_declaration_of_each_kind_builds_and_is_labelled_by_its_required_roles(kind, label):
+    """A Born declaration also yields the Kunneth structure it holds, under the same label."""
     name, decl = DECLARED[kind]
-    ((parsed, built),) = model_module.materialize(parse_model(_declaring(name, [decl])))
-    assert parsed.label() == label
-    assert not isinstance(built, BornlabError)
+    built = model_module.materialize(parse_model(_declaring(name, [decl])))
+    kinds = [kind, "kunneth"] if kind == "born" else [kind]
+    assert [(k, parsed.label()) for k, parsed, _ in built] == [(k, label) for k in kinds]
+    assert not any(isinstance(obj, BornlabError) for _, _, obj in built)
+    if kind == "born":
+        assert built[1][2] is built[0][2].kunneth
 
 
 @pytest.mark.parametrize("kind, role", REQUIRED_ROLES)
@@ -725,21 +729,82 @@ def test_kunneth_connection_rows_carry_real_witnesses(monkeypatch, cold_outcomes
     assert row(integrable) == Witness((1, 3, 2), "5", equal)
 
 
-def test_a_born_structure_reads_the_rows_of_its_declared_kunneth_structure(cold_outcomes):
-    """h4 declares kunneth(omega, F, G) and a born structure whose L+ and L-
-    are F and G.  The Born structure's Kunneth structure equals the declared
-    one, so after the declared one's rows its connections and omega_k rows
-    are outcome memo hits."""
-    built = dict((decl.kind, obj) for decl, obj in model_module.materialize(parse_model(catalog.export_entry("h4"))))
-    b, k = built["born"], built["kunneth"]
-    assert b.kunneth == k and hash(b.kunneth) == hash(k)
-    for check in ("connections", "omega_k"):
-        expected = model_module._outcome(check, "kunneth", k)
-        before = model_module._outcome.cache_info()
-        assert model_module._outcome(check, "born", b) == expected
-        after = model_module._outcome.cache_info()
-        # one miss for the Born row itself, one hit for the Kunneth row it reads
-        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1), check
+def test_a_catalog_kunneth_declaration_is_the_kunneth_structure_of_its_born_structure(monkeypatch):
+    """Every catalog model declares kunneth(omega, F, G) with F and G the
+    eigenspaces of its Born structure's A: that declaration is the Born
+    structure's own Kunneth structure, so no report builds one."""
+    names = [name for name, _ in catalog.list_entries()]
+    texts = {name: render_report(run_checks(catalog.get_entry(name).model)) for name in names}
+
+    def unreachable(*args):
+        raise AssertionError("build_almost_kunneth is called")
+
+    monkeypatch.setattr(model_module.structures, "build_almost_kunneth", unreachable)
+    for name in names:
+        model = catalog.get_entry(name).model
+        assert render_report(run_checks(model)) == texts[name], name
+        built = model_module.materialize(model)
+        (born,) = [obj for kind, _, obj in built if kind == "born"]
+        (declared,) = [obj for kind, decl, obj in built if kind == decl.kind == "kunneth"]
+        assert declared is born.kunneth, name
+
+
+def _unit(i, value="1"):
+    """value times e_i of R^6, as rational strings; i is 1-based."""
+    return [value if j == i else "0" for j in range(1, 7)]
+
+
+# the phase space of strictly upper triangular 3x3 matrices with its omega-dual
+# enhancement (h = Id), declaring its Born structure alone: omega = e14 + e25 +
+# e36, g pairs e_a with e_(a+3), and A is +Id on <e1,e2,e3> and -Id on <e4,e5,e6>
+PHASE = {
+    "name": "phase", "dim": 6,
+    "brackets": [{"i": 1, "j": 3, "out": {"2": "1"}}, {"i": 1, "j": 5, "out": {"6": "-1"}}],
+    "forms": {"omega": [_unit(a + 3) for a in (1, 2, 3)] + [_unit(a, "-1") for a in (1, 2, 3)]},
+    "metrics": {
+        "g": [_unit(a + 3) for a in (1, 2, 3)] + [_unit(a) for a in (1, 2, 3)],
+        "h": [_unit(a) for a in range(1, 7)],
+    },
+    "structures": [{"type": "born", "g": "g", "h": "h", "omega": "omega"}],
+}
+
+
+def test_a_born_model_reports_alike_with_its_kunneth_structure_declared():
+    """Declaring kunneth(omega, plus, minus) first, on the eigenspaces
+    <e1,e2,e3> and <e4,e5,e6> of A, adds no Kunneth structure and changes no
+    row: text reports are byte-identical and JSON ones equal but for timing."""
+    declared = dict(
+        PHASE,
+        subspaces={"plus": [_unit(a) for a in (1, 2, 3)], "minus": [_unit(a) for a in (4, 5, 6)]},
+        structures=[{"type": "kunneth", "omega": "omega", "plus": "plus", "minus": "minus"}, *PHASE["structures"]],
+    )
+    models = [parse_model(json.dumps(doc)) for doc in (PHASE, declared)]
+    (_, _, born), (_, _, own), (_, _, kunneth) = model_module.materialize(models[1])
+    assert kunneth is own is born.kunneth
+    texts = [render_report(run_checks(m)) for m in models]
+    assert texts[0] == texts[1]
+    assert "  integrability        FAIL  witness (1,2,3) = 1  [N_B]" in texts[0]
+    docs = [json.loads(render_report(run_checks(m), "json")) for m in models]
+    for doc in docs:
+        for row in doc["results"]:
+            assert row.pop("elapsed_ms") >= 0
+    assert docs[0] == docs[1]
+
+
+def test_a_kunneth_declaration_on_another_splitting_follows_the_born_ones():
+    """kunneth(omega_tilde, G, F), declared before the fixture's Born
+    structure whose L+ and L- are F and G, is a Kunneth structure of its own,
+    after the one the Born structure holds."""
+    swapped = dict(FIXTURE_KUNNETH, plus="G", minus="F")
+    built = model_module.materialize(parse_model(_declaring(NONINTEGRABLE, [swapped, FIXTURE_BORN])))
+    assert [(kind, decl.label()) for kind, decl, _ in built] == [
+        ("born", "born(g,h,omega_tilde)"),
+        ("kunneth", "born(g,h,omega_tilde)"),
+        ("kunneth", "kunneth(omega_tilde,G,F)"),
+    ]
+    (_, _, born), (_, _, own), (_, _, declared) = built
+    assert own is born.kunneth
+    assert (declared.omega, declared.plus, declared.minus) == (own.omega, own.minus, own.plus)
 
 
 # --- rendering -----------------------------------------------------------

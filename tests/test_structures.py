@@ -401,6 +401,17 @@ def test_a_born_structure_holds_the_kunneth_structure_it_certified(catalog_model
     assert len(borns) >= 70
 
 
+def test_the_born_metric_is_the_neutral_metric_of_its_kunneth_structure(catalog_models, catalog_structures):
+    """With A = `b.kunneth.split.involution`, omega(Ax, y) = g(A^2 x, y) =
+    g(x, y): the Born metric is the neutral metric of its Kunneth structure,
+    so the Kunneth rows decided on `b.kunneth` (nabla^g in the connections
+    row among them) are the Born structure's own."""
+    borns = built_borns(catalog_models, catalog_structures)
+    for b in borns:
+        assert neutral_metric(b.kunneth) == b.g
+    assert len(borns) >= 70
+
+
 def forged_borns(catalog_structures):
     """Raw data of built Born structures with one of g, h, omega replaced by
     a random form of its symmetry, and h4's with L- replaced by
