@@ -18,7 +18,12 @@ meets a short slow spell the timed section missed makes the run read too
 fast), so the least run would keep the worst probe.  Per series and per
 metric, the least-squares slope of log(time) against log(dim) over dims 12
 to 24 is recorded.  The statuses are recorded too, so a sweep of broken
-code reads as such.  Report only: no timing is gated on it.
+code reads as such.  One more cold run per case, untimed, counts the work
+of parse_model and run_checks: `products`, the calls of Matrix.__mul__
+with a Matrix operand, and `eliminations`, the calls of
+exact._gauss_jordan, each wrapped in the child.  Counts do not depend on
+the host, so they compare across commits where timings drift.  Report
+only: no timing or count is gated on it.
 
     python3 scripts/bench_sweep.py [--out BENCH_sweep.json]
 """
@@ -67,6 +72,27 @@ print(json.dumps({"parse_s": scaled(t1 - t0), "run_checks_s": scaled(t2 - t1),
 """
 
 
+# one cold run, untimed: the model text on stdin, one JSON line on stdout
+# with the Matrix products and the eliminations of parse_model and run_checks
+COUNT_CHILD = """
+import json, sys
+sys.path[:0] = sys.argv[1:2]
+from bornlab import exact
+from bornlab.model import parse_model, run_checks
+counts = {"products": 0, "eliminations": 0}
+multiply, eliminate = exact.Matrix.__mul__, exact._gauss_jordan
+def counted_product(self, other):
+    counts["products"] += isinstance(other, exact.Matrix)
+    return multiply(self, other)
+def counted_elimination(a, ncols):
+    counts["eliminations"] += 1
+    return eliminate(a, ncols)
+exact.Matrix.__mul__, exact._gauss_jordan = counted_product, counted_elimination
+run_checks(parse_model(sys.stdin.read()))
+print(json.dumps(counts))
+"""
+
+
 def sweep_cases():
     """(series, k, model document) of h4^(+k), k = 1..4, in the standard basis
     and in the basis random_unimodular(6k, Random(k))."""
@@ -80,9 +106,9 @@ def sweep_cases():
         yield "seeded", k, change_basis(total, p, p_inv, f"h4x{k}_seeded").doc
 
 
-def cold_run(text: str) -> dict:
+def cold_run(text: str, child: str = CHILD) -> dict:
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, str(ROOT / "src"), str(ROOT / "perfbench")],
+        [sys.executable, "-c", child, str(ROOT / "src"), str(ROOT / "perfbench")],
         input=text, capture_output=True, text=True, check=True,
     )
     return json.loads(done.stdout)
@@ -113,6 +139,7 @@ def main(argv=None) -> int:
     for _ in range(RUNS):
         for name, k, doc in cases:
             runs[name, k].append(cold_run(json.dumps(doc)))
+    counts = {(name, k): cold_run(json.dumps(doc), COUNT_CHILD) for name, k, doc in cases}
     series = {}
     for name, k, doc in cases:
         done = runs[name, k]
@@ -124,16 +151,19 @@ def main(argv=None) -> int:
             "run_checks_s": statistics.median(r["run_checks_s"] for r in done),
             "checks_ms": {c: statistics.median(r["checks_ms"][c] for r in done) for c in done[0]["checks_ms"]},
             "statuses": done[0]["statuses"],
+            **counts[name, k],
         }
-        print(f"{name} dim {6 * k}: parse {row['parse_s']:.3f} s, run_checks {row['run_checks_s']:.3f} s",
-              file=sys.stderr)
+        print(f"{name} dim {6 * k}: parse {row['parse_s']:.3f} s, run_checks {row['run_checks_s']:.3f} s, "
+              f"{row['products']} products, {row['eliminations']} eliminations", file=sys.stderr)
     metrics = {"parse_s": lambda row: row["parse_s"], "run_checks_s": lambda row: row["run_checks_s"]}
     metrics.update({f"checks_ms.{c}": (lambda row, c=c: row["checks_ms"][c]) for c in CHECKS})
     doc = {
         "what": "cold-cache CPU time of parse_model and run_checks, and each check's elapsed_ms, "
                 "on h4^(+k) in the standard basis and in seeded unimodular bases, each scaled to "
                 "the reference speed of perfbench/calm.py by probes right before and after it; "
-                "median of the runs, interleaved across cases",
+                "median of the runs, interleaved across cases; products (Matrix times Matrix) and "
+                "eliminations (exact._gauss_jordan) of parse_model and run_checks, counted in one "
+                "more, untimed run",
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "processor": cpu_model(), "cpus": os.cpu_count()},
         "runs_per_case": RUNS,

@@ -46,11 +46,11 @@ from .exact import (
     Trilinear,
     Value,
     column_slices,
+    eigensplitting,
     invert,
     linear_combination,
 )
-from .liealg import LieAlgebra, ce_d2
-from .multilinear import involution_split
+from .liealg import LieAlgebra, ad_pairings, ce_d2
 from .structures import (
     AlmostKunneth,
     BornStructure,
@@ -135,7 +135,15 @@ def kunneth_connection(k: AlmostKunneth) -> Connection:
 
     As pi_F e_i + pi_G e_i = e_i, one combination W_i = sum_a (pi_F e_i)_a C_a
     of C_a = D_a - ad_a gives both blocks: the first is W_i + ad_i and the
-    second D_i - W_i.
+    second Z_i = D_i - W_i.  Two identities make this 4n products, n for D
+    and three per slice, once the Q_a = ad_a^T M of `ad_pairings`, which
+    `ce_d2` reads too, are formed:
+    - D_a = -M^-1 Q_a.  Transposing D_a^T M = -M ad_a gives
+      M^T D_a = -ad_a^T M^T, and M^T = -M, so M D_a = -ad_a^T M = -Q_a.
+    - Gamma_i = pi_F ((D_i + ad_i) pi_F - Z_i) + Z_i - Z_i pi_F.  As
+      pi_G = Id - pi_F, pi_G Z_i pi_G = Z_i - pi_F Z_i - Z_i pi_F
+      + pi_F Z_i pi_F, and pi_F (W_i + ad_i) pi_F + pi_F Z_i pi_F =
+      pi_F (D_i + ad_i) pi_F as W_i + Z_i = D_i; the two blocks sum to it.
 
     Its three properties hold by construction, with F and G Lagrangian,
     as `build_almost_kunneth` certified; none is checked:
@@ -157,16 +165,15 @@ def kunneth_connection(k: AlmostKunneth) -> Connection:
       G x F follows by antisymmetry.
     """
     L, m = k.algebra, k.omega
-    n = L.n
-    ad = [L.ad(a) for a in range(n)]
-    m_t_inv = invert(m).transpose()
-    d = [-(m_t_inv * (m * ad_a).transpose()) for ad_a in ad]
+    ad = [L.ad(a) for a in range(L.n)]
+    minus_m_inv = -invert(m)
+    d = [minus_m_inv * q_a for q_a in ad_pairings(L, m)]
     c = [d_a - ad_a for d_a, ad_a in zip(d, ad)]
-    pi_f, pi_g = k.split.pi_plus, k.split.pi_minus
+    pi_f = k.split.pi_plus
     gammas = []
-    for i in range(n):
-        w = linear_combination(pi_f.column(i), c)
-        gammas.append(pi_f * (w + ad[i]) * pi_f + pi_g * (d[i] - w) * pi_g)
+    for i, (d_i, ad_i) in enumerate(zip(d, ad)):
+        z = d_i - linear_combination(pi_f.column(i), c)
+        gammas.append(pi_f * ((d_i + ad_i) * pi_f - z) + z - z * pi_f)
     return Connection(tuple(gammas))
 
 
@@ -285,13 +292,17 @@ def born_torsion_formula_defect(b: BornStructure):
     fails, reading B+ x B+, then B- x B-, then B+ x B- (a and c are 1-based
     positions in the echelon bases of the two eigenspaces, k the coordinate);
     None when it holds.
+
+    B is split by `exact.eigensplitting`, unchecked: `build_born` certified
+    B^2 = Id, and B = +-Id would make J = -AB = -+A, so J^2 = A^2 = Id
+    against the certified J^2 = -Id.
     """
     if integrability_report(b) is not None:
         raise NotIntegrableError("the torsion formula is asserted only for integrable structures")
     L = b.algebra
     kunneth = kunneth_connection(b.kunneth)
     born = born_connection(b)
-    split = involution_split(b.b_op)
+    split = eigensplitting(b.b_op)
     t = _torsion_matrices(L, born)
     # T is antisymmetric, so the first witness on a whole diagonal block has a < c
     hit = split.map_witness(t, "+", "+") or split.map_witness(t, "-", "-")

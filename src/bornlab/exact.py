@@ -12,13 +12,16 @@ ints.  Products, sums, differences, scalar multiples, transposes and linear
 combinations work on the numerators alone and bring each result to
 canonical form with one gcd over its nonzero entries.  Their work follows
 the nonzero rows, which `any`, `compress` and `filter` find at C speed.  A
-product with a zero factor is that factor (after the dimension check), a
-sum or difference with a zero operand is the other or its negative, and a
-zero matrix is its own transpose.  A zero row is skipped and kept as the
-same tuple.  A sparse row of a product meets only its nonzero entries and
-the nonzero entries of the rows of the right factor that they select; a
-denser row takes dot products with the columns.  A scalar with numerator 1
-changes only den, unless it shares a factor with the numerators.
+matrix records at construction whether it is zero (only one over den = 1
+can be, so only that one is scanned), and every zero test reads the
+record.  A product with a zero factor is that factor (after the dimension
+check), a sum or difference with a zero operand is the other or its
+negative, and a zero matrix is its own transpose.  A zero row is skipped
+and kept as the same tuple.  A sparse row of a product meets only its
+nonzero entries and the nonzero entries of the rows of the right factor
+that they select; a denser row takes dot products with the columns.  A
+scalar with numerator 1 changes only den, unless it shares a factor with
+the numerators.
 Determinant, inverse and reduced row echelon form use fraction-free
 Gauss-Jordan elimination on the numerators (Bareiss 1968, "Sylvester's
 identity and multistep integer-preserving Gaussian elimination"), and the
@@ -81,14 +84,16 @@ MAX_LITERAL_DIGITS = 10000
 
 
 def read_integer(digits: str) -> int:
-    """The ASCII integer text "-?[0-9]+" as an int, read through Decimal.
-
-    Decimal is exact at any length, so the text reads the same under any
+    """The ASCII integer text "-?[0-9]+" as an int, the same under any
     int-from-text limit of the interpreter (sys.get_int_max_str_digits), as
-    `format_rational` prints the same.  More than MAX_LITERAL_DIGITS digits
-    raise ValueError.
+    `format_rational` prints the same: no limit may be set below 640 digits,
+    so `int` reads up to 640 exactly, and longer text is read through
+    Decimal, exact at any length.  More than MAX_LITERAL_DIGITS digits raise
+    ValueError.
     """
     count = len(digits.removeprefix("-"))
+    if count <= 640:
+        return int(digits)
     if count > MAX_LITERAL_DIGITS:
         raise ValueError(f"an integer of {count} digits is above the bound of {MAX_LITERAL_DIGITS} digits")
     return int(Decimal(digits))
@@ -223,14 +228,14 @@ class Matrix(Value):
     int, kept in canonical form: den > 0, gcd(den, every entry of num) = 1,
     and the zero matrix over den = 1.  Equal matrices therefore have equal
     (num, den), which equality and hashing compare directly; the hash is
-    computed once.
+    computed once.  _zero, derived from (num, den), is `is_zero()`.
 
     Semantic indexing follows the geometry conventions: entry(i, j) is
     1-based, matching basis labels e_1..e_n.  `rows` is a 0-based tuple of
     row tuples of Fractions, built on each access.
     """
 
-    __slots__ = ("n", "num", "den")
+    __slots__ = ("n", "num", "den", "_zero")
 
     def __init__(self, rows: Sequence[Sequence]):
         data = tuple(tuple(rationalize(v) for v in row) for row in rows)
@@ -241,6 +246,7 @@ class Matrix(Value):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", d)
+        object.__setattr__(self, "_zero", d == 1 and not any(map(any, num)))
 
     @classmethod
     def of_fractions(cls, rows: Sequence[Sequence[Fraction]]) -> "Matrix":
@@ -270,6 +276,7 @@ class Matrix(Value):
         object.__setattr__(m, "n", len(num))
         object.__setattr__(m, "num", num)
         object.__setattr__(m, "den", den)
+        object.__setattr__(m, "_zero", den == 1 and not any(map(any, num)))
         return m
 
     @classmethod
@@ -306,10 +313,10 @@ class Matrix(Value):
         return from_integers(sums, self.den * dv)
 
     def transpose(self) -> "Matrix":
-        return self if self.is_zero() else Matrix._of(tuple(zip(*self.num)), self.den)
+        return self if self._zero else Matrix._of(tuple(zip(*self.num)), self.den)
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.num))
+        return self._zero
 
     def is_symmetric(self) -> bool:
         return self.num == tuple(zip(*self.num))
@@ -319,7 +326,7 @@ class Matrix(Value):
 
     def first_witness(self):
         """First nonzero ((i, j) 1-based, value) in row-major order; None if zero."""
-        return _first_witness(self.num, self.den)
+        return None if self._zero else _first_witness(self.num, self.den)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_dim(other)
@@ -336,9 +343,9 @@ class Matrix(Value):
         if isinstance(other, Matrix):
             self._check_dim(other)
             n = self.n
-            if self.is_zero():
+            if self._zero:
                 return self
-            if other.is_zero():
+            if other._zero:
                 return other
             rhs, cols, zero, out = other.num, None, (0,) * n, []
             # a row more than a third nonzero is faster as dot products with
@@ -361,7 +368,7 @@ class Matrix(Value):
                     out.append(acc)
             return Matrix.over(out, self.den * other.den)
         c = rationalize(other)
-        if not c or self.is_zero():
+        if not c or self._zero:
             return Matrix.zero(self.n)
         return Matrix.over(_scaled(self.num, c._numerator), self.den * c._denominator)
 
@@ -379,7 +386,7 @@ class Matrix(Value):
 
     @property
     def _key(self):
-        """(num, den), which the hash reads; no matrix keeps it, so `_of` stays three stores."""
+        """(num, den), which the hash reads; no matrix keeps it, so `_of` stays four stores."""
         return self.num, self.den
 
     def __repr__(self):
@@ -405,9 +412,9 @@ def _scaled(rows, f: int):
 
 def _combined(a: Matrix, b: Matrix, sign: int) -> Matrix:
     """a + sign * b; where a row of b is zero, the row of the sum is a's."""
-    if b.is_zero():
+    if b._zero:
         return a
-    if a.is_zero():
+    if a._zero:
         return b if sign > 0 else -b
     ra, rb, d = a.num, b.num, a.den
     if d != b.den:
@@ -458,7 +465,7 @@ def from_integers(numerators, d: int) -> tuple[Fraction, ...]:
 def linear_combination(coeffs, matrices: Sequence[Matrix]) -> Matrix:
     """sum_a coeffs[a] * matrices[a]; terms with a zero coefficient or a zero matrix are skipped."""
     n = matrices[0].n
-    terms = [(c, m) for c, m in zip(coeffs, matrices) if c and not m.is_zero()]
+    terms = [(c, m) for c, m in zip(coeffs, matrices) if c and not m._zero]
     cs, dc = to_integers([c for c, _ in terms])
     dm = lcm(*{m.den for _, m in terms})
     acc = [(0,) * n] * n

@@ -181,19 +181,25 @@ def is_subalgebra(L: LieAlgebra, s: Subspace) -> SubalgebraResult:
     return SubalgebraResult(True)
 
 
+@lru_cache(maxsize=4)
+def ad_pairings(L: LieAlgebra, m: Matrix) -> tuple[Matrix, ...]:
+    """Q_i = ad_i^T M, entry (j, k) w([e_i,e_j], e_k) for the form w of M, for `ce_d2` and
+    `connections.kunneth_connection`; the memo keeps the last four (L, M), enough for one check."""
+    if m.n != L.n:
+        raise DimensionMismatchError("two-form dimension does not match algebra")
+    return tuple(L.ad(i).transpose() * m for i in range(L.n))
+
+
 @lru_cache(maxsize=None)
 def ce_d2(L: LieAlgebra, m: Matrix) -> Trilinear:
     """(d w)(e_i,e_j,e_k) = -w([e_i,e_j],e_k) + w([e_i,e_k],e_j) - w([e_j,e_k],e_i).
 
-    For the 2-form w of antisymmetric matrix M, Q_i = ad_i^T M has entry (j, k) = w([e_i,e_j], e_k),
-    and R = column_slices(Q) has entry (k, j) of R_i = Q_j[k][i] = w([e_j,e_k], e_i),
+    For the 2-form w of antisymmetric matrix M, Q_i = `ad_pairings`(L, M)[i] has entry (j, k) =
+    w([e_i,e_j], e_k), and R = column_slices(Q) has entry (k, j) of R_i = Q_j[k][i] = w([e_j,e_k], e_i),
     so slice i of d w is
 
         W_i = Q_i^T - Q_i - R_i^T.
     """
-    n = L.n
-    if m.n != n:
-        raise DimensionMismatchError("two-form dimension does not match algebra")
-    q = [L.ad(i).transpose() * m for i in range(n)]
+    q = ad_pairings(L, m)
     r = column_slices(q)
     return Trilinear(tuple(q_i.transpose() - q_i - r_i.transpose() for q_i, r_i in zip(q, r)))

@@ -538,14 +538,18 @@ def run_checks(model: Model, only: Sequence[str] | None = None) -> Report:
             raise UnknownNameError(f"unknown check {name!r}")
     if not model.structures:
         raise ModelSyntaxError("model declares no structures")
-    built = materialize(model)
+    # a structure listed twice (a declared Kunneth structure a Born structure
+    # holds) is evaluated where first listed; its second outcome would repeat it
+    distinct = {}
+    for kind, _, obj in materialize(model):
+        distinct.setdefault(id(obj), (kind, obj))
     results = []
     for check in CHECK_ORDER:
         if check not in selected:
             continue
         start = time.perf_counter()
         # every applicable structure is evaluated, so no error depends on an earlier failure
-        outcomes = [o for o in (_row(check, kind, obj) for kind, _, obj in built) if o is not _SKIP]
+        outcomes = [o for o in (_row(check, kind, obj) for kind, obj in distinct.values()) if o is not _SKIP]
         witness = next((o for o in outcomes if o is not None), None)
         status = "skipped" if not outcomes else "pass" if witness is None else "fail"
         elapsed = round((time.perf_counter() - start) * 1000, 3)

@@ -34,6 +34,7 @@ from .exact import (
     Matrix,
     Subspace,
     Value,
+    eigensplitting,
     format_rational,
     invert,
     rationalize,
@@ -42,7 +43,6 @@ from .exact import (
 from .liealg import LieAlgebra, ce_d2, is_subalgebra
 from .multilinear import (
     anticommutator_defect,
-    involution_split,
     nijenhuis,
     pullback,
     recursion_operator,
@@ -215,11 +215,16 @@ def build_born(
     What these certificates imply, the whole identity table, is proved at
     `verify_born_identities`.
 
+    A is split by `exact.eigensplitting`, unchecked: A^2 = Id is certified
+    below, and A = +-Id would make omega(x, y) = g(Ax, y) = +-g(x, y) both
+    symmetric and antisymmetric, hence zero, against the certified
+    nondegenerate omega.
+
     The Kunneth structure (omega, L+, L-) of the result needs no second
     certification: omega is certified nondegenerate above; L+ and L- are
     the eigenspaces of the involution A, so they are complementary, and the
-    frame inverse of `involution_split` is read off the projections
-    (Id +- A)/2; and they are omega-Lagrangian, as `verify_born_identities`
+    frame inverse is read off the projections (Id +- A)/2 (`involution_split`
+    proves it); and they are omega-Lagrangian, as `verify_born_identities`
     proves.  So the triple meets every condition `build_almost_kunneth`
     checks, and it keeps the splitting of A as its proof.
     """
@@ -245,7 +250,7 @@ def build_born(
 
     _require_tables(("A", expect_a, a_op), ("B", expect_b, b_op), ("J", expect_j, j_op))
 
-    split = involution_split(a_op)
+    split = eigensplitting(a_op)
     kunneth = AlmostKunneth(L, omega, split.plus, split.minus, split, key=_CERTIFIED)
     return BornStructure(L, g, h, omega, a_op, b_op, j_op, kunneth, key=_CERTIFIED)
 
@@ -534,13 +539,25 @@ class CirclePoint(Value):
 
 
 @lru_cache(maxsize=None)
+def _family_hypotheses(hs: Hypersymplectic, jtilde: Matrix) -> None:
+    """Certify the hypotheses of the circle family once per (hs, jtilde); a failure raises on every call."""
+    for which, defect in (
+        ("jtilde^2 = -Id", jtilde * jtilde + Matrix.identity(hs.algebra.n)),
+        ("jtilde anti-commutes with A", anticommutator_defect(jtilde, hs.a_op)),
+        ("jtilde anti-commutes with B", anticommutator_defect(jtilde, hs.b_op)),
+        ("jtilde^* g = -g", pullback(jtilde, hs.metric) + hs.metric),
+    ):
+        require_zero(which, defect, HypothesisFailureError)
+
+
+@lru_cache(maxsize=None)
 def s1_family(hs: Hypersymplectic, jtilde: Matrix, p: CirclePoint) -> BornStructure:
     """Born structure at one point of the circle family of a hypersymplectic triple.
 
-    Hypotheses (checked exactly): jtilde^2 = -Id, jtilde anti-commutes with A
-    and B, and jtilde^* g = -g for the hypersymplectic metric g.  The member
-    is the diagram g -> beta_t (via I_t), g -> h_t (via Bt = jtilde I_t),
-    beta_t -> h_t (via -jtilde), with
+    Hypotheses (checked exactly, once per (hs, jtilde)): jtilde^2 = -Id,
+    jtilde anti-commutes with A and B, and jtilde^* g = -g for the
+    hypersymplectic metric g.  The member is the diagram g -> beta_t (via
+    I_t), g -> h_t (via Bt = jtilde I_t), beta_t -> h_t (via -jtilde), with
     beta_t = -sin * alpha + cos * beta and I_t = cos * A + sin * B.
     Members are memoized by value like the builders; a failed hypothesis
     raises again on every call.
@@ -550,14 +567,7 @@ def s1_family(hs: Hypersymplectic, jtilde: Matrix, p: CirclePoint) -> BornStruct
     and certifies J = jtilde entry for entry (expect_j); hence
     h_t(x, y) = beta_t(-jtilde x, y).
     """
-    for which, defect in (
-        ("jtilde^2 = -Id", jtilde * jtilde + Matrix.identity(hs.algebra.n)),
-        ("jtilde anti-commutes with A", anticommutator_defect(jtilde, hs.a_op)),
-        ("jtilde anti-commutes with B", anticommutator_defect(jtilde, hs.b_op)),
-        ("jtilde^* g = -g", pullback(jtilde, hs.metric) + hs.metric),
-    ):
-        require_zero(which, defect, HypothesisFailureError)
-
+    _family_hypotheses(hs, jtilde)
     beta_t = hs.alpha * (-p.sin) + hs.beta * p.cos
     i_t = hs.a_op * p.cos + hs.b_op * p.sin
     bt = jtilde * i_t

@@ -13,6 +13,7 @@ from bornlab import (
     born_connection,
     born_torsion_formula_defect,
     build_almost_kunneth,
+    build_born,
     build_hypersymplectic,
     canonical_connection,
     enhance_kunneth,
@@ -31,7 +32,7 @@ from bornlab import connections, model
 from bornlab.connections import Connection
 from bornlab.errors import DegenerateFormError, NotIntegrableError
 from bornlab.exact import determinant, invert, projection_onto, splitting
-from bornlab.liealg import ce_d2
+from bornlab.liealg import ad_pairings, ce_d2
 from bornlab.multilinear import symmetric_form, two_form
 from bornlab.structures import Witness
 from conftest import structures_of
@@ -824,3 +825,51 @@ def test_born_average_is_the_j_average_and_commutes_with_a_b_j(catalog_models, c
         moved += nb != nk
     # the average does work: on these the Kunneth connection itself is not B-invariant
     assert moved > 30
+
+
+def counted_products(monkeypatch):
+    """The factors of every Matrix product (a Matrix times a Matrix) made from now on, in order."""
+    products, original = [], Matrix.__mul__
+
+    def counting(self, other):
+        if isinstance(other, Matrix):
+            products.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting)
+    return products
+
+
+def test_kunneth_connection_makes_four_products_per_slice_and_reads_the_q_of_d_omega(
+    catalog_models, catalog_structures, monkeypatch
+):
+    """On every catalog Kunneth structure, in the catalog basis and seeded
+    ones: d omega from cold makes n products (the Q_a = ad_a^T omega), and
+    the Kunneth connection after it exactly 4n, n for D_a = -omega^-1 Q_a and
+    three per slice, with the same result as the memoized one."""
+    products = counted_products(monkeypatch)
+    for name, k in kunneth_cases(catalog_models, catalog_structures):
+        n, d_omega, nk = k.algebra.n, ce_d2(k.algebra, k.omega), kunneth_connection(k)
+        ad_pairings.cache_clear()
+        products.clear()
+        assert ce_d2.__wrapped__(k.algebra, k.omega) == d_omega, name
+        assert len(products) == n, name
+        products.clear()
+        assert kunneth_connection.__wrapped__(k) == nk, name
+        assert len(products) == 4 * n, name
+
+
+def test_certified_involutions_are_not_squared_again(catalog_models, catalog_structures, monkeypatch):
+    """On every catalog Born structure, in the catalog basis and seeded ones,
+    build_born forms A A and B B once each, to certify A^2 = B^2 = Id, and
+    the torsion formula of an integrable one forms no B B."""
+    products = counted_products(monkeypatch)
+    for name, b in born_cases(catalog_models, catalog_structures):
+        products.clear()
+        assert build_born.__wrapped__(b.algebra, b.g, b.h, b.omega) == b, name
+        assert products.count((b.a_op, b.a_op)) == 1 and products.count((b.b_op, b.b_op)) == 1, name
+        if integrability_report(b) is None:
+            born_connection(b)
+            products.clear()
+            born_torsion_formula_defect(b)
+            assert (b.b_op, b.b_op) not in products, name

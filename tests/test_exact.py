@@ -1,6 +1,7 @@
 """Exact scalar and linear-algebra substrate."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from bornlab.exact import (
     from_integers,
     parse_rational,
     rational_parts,
+    read_integer,
     splitting,
     to_integers,
 )
@@ -140,6 +142,25 @@ def test_literal_integers_are_bounded_in_digits():
     for text in ("9" + most, f"-9{most}", f"1/9{most}", f"9{most}/1"):
         with pytest.raises(ValueError, match="an integer of 10001 digits is above the bound of 10000 digits"):
             parse_rational(text)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="the interpreter has no int-from-text digit limit")
+@pytest.mark.parametrize("digits", [640, 641, 4400])
+def test_integer_reader_is_exact_under_the_least_digit_limit(digits):
+    """Under the least int-from-text limit an interpreter accepts, 640 digits,
+    integers of 640 digits (read by `int`), 641 and 4400 (read through
+    Decimal) read as digit-by-digit arithmetic gives them, with either sign."""
+    text = "".join(str((7 * i + 3) % 10) for i in range(digits - 1)) + "9"
+    value = 0
+    for ch in text:
+        value = 10 * value + ord(ch) - ord("0")
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        assert read_integer(text) == value and read_integer("-" + text) == -value
+        assert rational_parts(f"-{text}/{text}") == (-value, value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("value", [1, 1.5, True, None, ["1"], {"1": "1"}])

@@ -168,6 +168,8 @@ def assert_canonical(m):
     assert gcd(m.den, *(v for row in m.num for v in row)) == 1
     if all(v == 0 for row in m.num for v in row):
         assert m.den == 1
+    # the zero test recorded at construction is a scan of num
+    assert m.is_zero() is all(v == 0 for row in m.num for v in row)
 
 
 @settings(max_examples=100, deadline=None)

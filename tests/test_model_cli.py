@@ -506,6 +506,23 @@ def test_run_checks_eliminates_each_form_once(monkeypatch):
         assert sum(block in (m.num, m.transpose().num) for block in eliminated) == 1, role
 
 
+def test_run_checks_evaluates_each_structure_once_per_check(catalog_models, monkeypatch):
+    """On every catalog model each check evaluates each structure object
+    once, though `materialize` lists a declared Kunneth structure that a Born
+    structure holds twice: every catalog model lists born, kunneth, kunneth."""
+    evaluated, original = [], model_module._row
+    monkeypatch.setattr(model_module, "_row", lambda *args: evaluated.append((args[0], id(args[2]))) or original(*args))
+    listed_twice = 0
+    for name, entry in catalog_models.items():
+        listed = [id(obj) for _, _, obj in model_module.materialize(entry.model)]
+        listed_twice += len(listed) > len(set(listed))
+        evaluated.clear()
+        run_checks(entry.model)
+        checks = entry.model.checks or model_module.CHECK_ORDER
+        assert sorted(evaluated) == sorted((check, i) for check in checks for i in set(listed)), name
+    assert listed_twice == len(catalog_models) == 10
+
+
 _REPORTS = """
 import json, sys
 from bornlab import parse_model, render_report, run_checks

@@ -891,6 +891,18 @@ def test_family_hypothesis_failure(nil3_hypersymplectic):
             s1_family(nil3_hypersymplectic, bad, CirclePoint.from_t(0))
 
 
+def test_family_hypotheses_are_checked_once_per_triple_and_jtilde(nil3_hypersymplectic, nil3_jtilde, monkeypatch):
+    """Members at seven points no memo has seen certify the four hypotheses
+    once: one jtilde^* g pullback, not one per point."""
+    structures._family_hypotheses.cache_clear()
+    checked = []
+    monkeypatch.setattr(structures, "pullback", lambda *args: checked.append(args) or pullback(*args))
+    for t in range(101, 108):
+        born = s1_family(nil3_hypersymplectic, nil3_jtilde, CirclePoint.from_t(Fraction(t, 13)))
+        assert born.j_op == nil3_jtilde
+    assert len(checked) == 1
+
+
 def test_circle_points_hash_by_value():
     p, q = CirclePoint.from_t(0), antipode(CirclePoint.theta_pi())
     assert p is not q and p == q and hash(p) == hash(q)
