@@ -2,8 +2,9 @@
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 input or
 parse error (bad file, bad rational, Jacobi violation, unknown entry, ...).
-`check` and the catalog share one parse per distinct document text
-(`model.parsed`), so a catalog entry that was checked is not parsed again.
+`check` and the catalog read models through one parse memo keyed by the
+document text and bounded in documents (`model.parsed`), so a catalog entry
+that was checked is the same Model, with every result kept on it.
 """
 
 from __future__ import annotations

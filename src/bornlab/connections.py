@@ -37,8 +37,6 @@ each one with pairwise oracles on every structure they build.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import DegenerateFormError, NotIntegrableError, SingularMatrixError
 from .exact import (
     HALF,
@@ -49,6 +47,7 @@ from .exact import (
     eigensplitting,
     invert,
     linear_combination,
+    owned,
 )
 from .liealg import LieAlgebra, ad_pairings, ce_d2
 from .structures import (
@@ -94,7 +93,7 @@ def _conjugate_average(c: Connection, t: Matrix) -> Connection:
     return Connection(tuple((g + t * g * t) * HALF for g in c.gammas))
 
 
-@lru_cache(maxsize=None)
+@owned
 def levi_civita(L: LieAlgebra, g: Matrix) -> Connection:
     """Koszul formula restricted to left-invariant fields:
 
@@ -121,7 +120,7 @@ def levi_civita(L: LieAlgebra, g: Matrix) -> Connection:
     return Connection(tuple(half_g_inv * (p[i] - p[i].transpose() - r[i]) for i in range(n)))
 
 
-@lru_cache(maxsize=None)
+@owned
 def kunneth_connection(k: AlmostKunneth) -> Connection:
     """The unique connection preserving both subspaces, parallel for omega,
     with identically vanishing mixed torsion.
@@ -177,7 +176,7 @@ def kunneth_connection(k: AlmostKunneth) -> Connection:
     return Connection(tuple(gammas))
 
 
-@lru_cache(maxsize=None)
+@owned
 def canonical_connection(k: AlmostKunneth) -> Connection:
     """Average of the Levi-Civita connection of g = `neutral_metric(k)` under
     conjugation with the almost product structure A = `k.split.involution`:
@@ -201,7 +200,7 @@ def canonical_connection(k: AlmostKunneth) -> Connection:
     return _conjugate_average(levi_civita(k.algebra, neutral_metric(k)), k.split.involution)
 
 
-@lru_cache(maxsize=None)
+@owned
 def born_connection(b: BornStructure) -> Connection:
     """Average of the Kunneth connection under conjugation with B:
 

@@ -28,18 +28,18 @@ identity and multistep integer-preserving Gaussian elimination"), and the
 signature its symmetric form; all their divisions are exact.  Rows are
 scaled lazily: a step that finds a zero in a row's pivot column only
 multiplies the row by a ratio of pivots, so the row is brought up to date
-when a step needs it and at the end.  `invert` is memoized by value, so
-every fact read off one inverse shares one elimination.  A Subspace keeps
-its echelon basis as integer rows too, so the subalgebra test
-(`liealg.is_subalgebra`) never leaves the integers.
+when a step needs it and at the end.  `invert` is memoized on its matrix
+(`owned`), so every fact read off one inverse shares one elimination.  A
+Subspace keeps its echelon basis as integer rows too, so the subalgebra
+test (`liealg.is_subalgebra`) never leaves the integers.
 
 A Splitting of the space into two complementary subspaces holds the frame
-adapted to it, its inverse, the two projections and the involution; the
-structure that certified it keeps it (`AlmostKunneth.split`), and the
+adapted to it, its inverse, the projection onto plus and the involution;
+the structure that certified it keeps it (`AlmostKunneth.split`), and the
 properties of a splitting are blocks of products in that frame.  The
 splitting of an involution t eliminates only the columns of (Id +- t)/2,
-once each, and reads the frame inverse off their rows at the pivots of the
-echelon bases.
+at most once each, and reads the frame inverse off their rows at the
+pivots of the echelon bases.
 
 A Trilinear tensor is n matrix slices, entry (j, k) of slice i being
 t(e_i, e_j, e_k); d omega, the Nijenhuis tensors, torsion and every defect
@@ -57,7 +57,7 @@ import re
 from collections.abc import Iterable, Sequence
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
+from functools import wraps
 from itertools import chain, compress, count
 from math import gcd, lcm
 from operator import add, mul, neg, sub
@@ -142,10 +142,11 @@ class Value:
     class and their keys are equal; the hash of the key is computed on first
     use and kept, so a value used again as a cache key is not hashed again,
     and a value whose key holds a dict is unhashable.  repr lists every
-    field.
+    field.  _memo, also uncompared, holds the results that `owned` functions
+    computed from the value, and lives and dies with it.
     """
 
-    __slots__ = ("_key", "_hash")
+    __slots__ = ("_key", "_hash", "_memo")
     _uncompared = ()
     _defaults = {}
 
@@ -204,6 +205,25 @@ class Value:
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
+
+
+def owned(fn):
+    """Memoize fn(owner, *args, **kwargs) in the `_memo` of owner, a Value, keyed by fn and the other arguments by
+    value, so each result lives exactly as long as the value it was computed from; an exception is not stored."""
+
+    @wraps(fn)
+    def memoized(owner, *args, **kwargs):
+        key = (fn, args, *kwargs.items()) if kwargs else (fn, args)
+        try:
+            return owner._memo[key]
+        except AttributeError:
+            object.__setattr__(owner, "_memo", {})
+        except KeyError:
+            pass
+        result = owner._memo[key] = fn(owner, *args, **kwargs)
+        return result
+
+    return memoized
 
 
 # ---------------------------------------------------------------------------
@@ -569,13 +589,13 @@ def determinant(m: Matrix) -> Fraction:
     return Fraction(sign * last, m.den ** m.n)
 
 
-@lru_cache(maxsize=None)
+@owned
 def invert(m: Matrix) -> Matrix:
     """Inverse by fraction-free Gauss-Jordan elimination; raises SingularMatrixError.
 
     With m = M / d for an integer matrix M, reducing [M | Id] leaves
-    [D Id | D M^-1], so m^-1 = d (D M^-1) / D.  Memoized by value; an
-    exception is not cached, so a singular matrix raises on every call.
+    [D Id | D M^-1], so m^-1 = d (D M^-1) / D.  Memoized on m; an exception
+    is not stored, so a singular matrix raises on every call.
     """
     n, d = m.n, m.den
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.num)]
@@ -590,13 +610,14 @@ def _echelon(a: list, width: int) -> tuple[tuple[int, tuple, int], ...]:
 
     Returns the nonzero reduced rows as (pivot column, numerators,
     denominator) in lowest terms, with a positive denominator equal to the
-    numerator at the pivot column.  Rows already reduced up to those scalings
-    (no zero row, pivot columns increasing, no other row nonzero at a pivot
-    column) are read off without elimination.
+    numerator at the pivot column.  Zero rows are dropped, as they add
+    nothing to the span, and rows already reduced up to those scalings
+    (pivot columns increasing, no other row nonzero at a pivot column) are
+    read off without elimination.
     """
-    pivots = [next(compress(range(width), row), width) for row in a]
-    reduced = width not in pivots and pivots == sorted(set(pivots))
-    if not reduced or any(a[q][pc] for r, pc in enumerate(pivots) for q in range(r)):
+    a = [row for row in a if any(row)]
+    pivots = [next(compress(range(width), row)) for row in a]
+    if pivots != sorted(set(pivots)) or any(a[q][pc] for r, pc in enumerate(pivots) for q in range(r)):
         pivots = _gauss_jordan(a, width)[0]
     out = []
     for pc, row in zip(pivots, a):
@@ -752,8 +773,8 @@ class Splitting(Value):
     """A splitting V = plus + minus and the frame adapted to it.
 
     The frame P has the echelon bases of plus and then of minus as its
-    columns.  pi_plus = P diag(Id, 0) P^-1 and pi_minus = Id - pi_plus are the
-    projections, and involution = pi_plus - pi_minus = P diag(Id, -Id) P^-1.
+    columns.  pi_plus = P diag(Id, 0) P^-1 is the projection onto plus along
+    minus, and involution = 2 pi_plus - Id = P diag(Id, -Id) P^-1.
 
     Every property of the splitting is a block of one product in the frame:
     a bilinear form M reads P^T M P, whose entry (a, c) is M on frame vectors
@@ -764,7 +785,7 @@ class Splitting(Value):
     of frame vectors.
     """
 
-    __slots__ = ("plus", "minus", "frame", "frame_inv", "pi_plus", "pi_minus", "involution")
+    __slots__ = ("plus", "minus", "frame", "frame_inv", "pi_plus", "involution")
 
     def pairing(self, m: Matrix) -> Matrix:
         """P^T M P: the bilinear form with matrix m on pairs of frame vectors."""
@@ -826,15 +847,14 @@ def splitting(plus: Subspace, minus: Subspace) -> Splitting:
     except SingularMatrixError:
         raise NotComplementaryError(message) from None
     pi_plus = Matrix.over([row[: plus.dim] + (0,) * minus.dim for row in frame.num], frame.den) * frame_inv
-    pi_minus = Matrix.identity(plus.n) - pi_plus
-    return Splitting(plus, minus, frame, frame_inv, pi_plus, pi_minus, pi_plus - pi_minus)
+    return Splitting(plus, minus, frame, frame_inv, pi_plus, pi_plus + pi_plus - Matrix.identity(plus.n))
 
 
 def eigensplitting(t: Matrix) -> Splitting:
     """The splitting into the +1 and -1 eigenspaces of t, for t^2 = Id and t != +-Id, unchecked.
 
-    Two eliminations and no frame inverse, as `multilinear.involution_split`
-    proves.
+    At most two eliminations and no frame inverse, as
+    `multilinear.involution_split` proves.
     """
     n, d = t.n, t.den
     # 2d pi_+ = d Id + num and 2d pi_- = d Id - num; the columns of each span its eigenspace
@@ -844,11 +864,10 @@ def eigensplitting(t: Matrix) -> Splitting:
         rows = _echelon([list(col) for col in zip(*m)], n)
         Value.__init__(space, n, tuple(from_integers(row, e) for _, row, e in rows), rows)
     inv = [twice[0][pc] for pc, _, _ in plus._echelon] + [twice[1][pc] for pc, _, _ in minus._echelon]
-    frame_inv, pi_plus, pi_minus = (Matrix.over(m, 2 * d) for m in [inv, *twice])
-    return Splitting(plus, minus, _frame(plus, minus), frame_inv, pi_plus, pi_minus, t)
+    return Splitting(plus, minus, _frame(plus, minus), Matrix.over(inv, 2 * d), Matrix.over(twice[0], 2 * d), t)
 
 
 def projection_onto(plus: Subspace, minus: Subspace) -> tuple[Matrix, Matrix]:
-    """Projections (pi_plus, pi_minus) for a direct sum decomposition."""
-    s = splitting(plus, minus)
-    return s.pi_plus, s.pi_minus
+    """Projections (pi_plus, Id - pi_plus) for a direct sum decomposition."""
+    pi_plus = splitting(plus, minus).pi_plus
+    return pi_plus, Matrix.identity(plus.n) - pi_plus

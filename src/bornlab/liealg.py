@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import lcm
 from operator import mul
@@ -30,6 +29,7 @@ from .exact import (
     column_slices,
     format_rational,
     from_integers,
+    owned,
     rationalize,
     to_integers,
     vector,
@@ -159,9 +159,9 @@ class SubalgebraResult(Value):
         return self.ok
 
 
-@lru_cache(maxsize=None)
+@owned
 def is_subalgebra(L: LieAlgebra, s: Subspace) -> SubalgebraResult:
-    """True iff [s, s] is contained in s; cached by value.
+    """True iff [s, s] is contained in s; memoized on L.
 
     On failure the witness is the 1-based pair of positions into the echelon
     basis of s together with the residual of the bracket outside the span.
@@ -181,16 +181,16 @@ def is_subalgebra(L: LieAlgebra, s: Subspace) -> SubalgebraResult:
     return SubalgebraResult(True)
 
 
-@lru_cache(maxsize=4)
+@owned
 def ad_pairings(L: LieAlgebra, m: Matrix) -> tuple[Matrix, ...]:
     """Q_i = ad_i^T M, entry (j, k) w([e_i,e_j], e_k) for the form w of M, for `ce_d2` and
-    `connections.kunneth_connection`; the memo keeps the last four (L, M), enough for one check."""
+    `connections.kunneth_connection`; memoized on L, so the two share it while L lives."""
     if m.n != L.n:
         raise DimensionMismatchError("two-form dimension does not match algebra")
     return tuple(L.ad(i).transpose() * m for i in range(L.n))
 
 
-@lru_cache(maxsize=None)
+@owned
 def ce_d2(L: LieAlgebra, m: Matrix) -> Trilinear:
     """(d w)(e_i,e_j,e_k) = -w([e_i,e_j],e_k) + w([e_i,e_k],e_j) - w([e_j,e_k],e_i).
 

@@ -23,13 +23,13 @@ it.  A check's row is the first failing outcome in that order.  A structure
 that did not build fails only its kind's construction check, the one whose
 row for that kind is _built, and is left out of every other.
 
-`build_born` and `build_hypersymplectic` are memoized by value, and so is
-each check's outcome on one built structure, in one memo keyed by (check,
-kind, structure).  A structure checked again (by `catalog show` after
-`check`, or in another model) costs lookups; memory grows with the number
-of distinct structures checked.  Reports and their timings are not memoized.
-`parsed` memoizes the parse by document text; `check` and the catalog both
-read models through it.
+Every result is kept on the value it was computed from (`exact.owned`):
+the builders' results on the model's algebra, each check's outcome on its
+structure, keyed by (check, kind).  So all of them live exactly as long as
+one parsed Model.  `parsed`, the one memo across calls, keeps the Models of
+the last PARSED_DOCUMENTS document texts; `check` and the catalog both read
+models through it, so a structure checked again (by `catalog show` after
+`check`) costs lookups.  Reports and their timings are not memoized.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .errors import (
     UnknownNameError,
     shown,
 )
-from .exact import Matrix, Subspace, Value, format_rational, parse_rational, read_integer
+from .exact import Matrix, Subspace, Value, format_rational, owned, parse_rational, read_integer
 from .liealg import LieAlgebra, ce_d2
 from . import structures
 from .structures import (
@@ -83,6 +83,9 @@ CHECK_ORDER = (
     "omega_k",
     "torsion_formula",
 )
+
+# the documents whose Models `parsed` keeps: the catalog's ten and a few more
+PARSED_DOCUMENTS = 16
 
 # The largest dim a model may declare.  LieAlgebra builds an n^3 table of
 # structure constants and checks n^4 Jacobi sums, so an unbounded dim would
@@ -166,7 +169,7 @@ def _literal_reader():
     return read
 
 
-def _parse_matrix(name: str, rows, n: int, read) -> Matrix:
+def _parse_matrix(name: str, rows, n: int, read, tables: dict) -> Matrix:
     if not isinstance(rows, list) or len(rows) != n or any(
         not isinstance(r, list) or len(r) != n for r in rows
     ):
@@ -175,7 +178,8 @@ def _parse_matrix(name: str, rows, n: int, read) -> Matrix:
         values = [[read(v) for v in r] for r in rows]
     except ValueError as exc:
         raise ModelSyntaxError(f"{name}: {exc}") from exc
-    return Matrix.of_fractions(values)
+    m = Matrix.of_fractions(values)
+    return tables.setdefault(m, m)
 
 
 # a bracket-output key: a plain ASCII integer, so distinct keys are distinct indices
@@ -239,7 +243,8 @@ def parse_model(text: str) -> Model:
         raise ModelSyntaxError("missing or invalid 'dim'")
     if dim > MAX_DIM:
         raise ModelSyntaxError(f"'dim' {format_rational(dim)} is above the bound {MAX_DIM}")
-    read = _literal_reader()
+    # equal tables of a document are one Matrix, so what `exact.owned` keeps on one serves every name
+    read, tables = _literal_reader(), {}
 
     brackets = {}
     for item in _section(doc, "brackets", list):
@@ -262,19 +267,19 @@ def parse_model(text: str) -> Model:
 
     forms = {}
     for fname, rows in sorted(_section(doc, "forms", dict).items()):
-        m = _parse_matrix(f"forms.{fname}", rows, dim, read)
+        m = _parse_matrix(f"forms.{fname}", rows, dim, read, tables)
         if not m.is_antisymmetric():
             raise ModelSyntaxError(f"forms.{fname} is not antisymmetric")
         forms[fname] = m
     metrics = {}
     for mname, rows in sorted(_section(doc, "metrics", dict).items()):
-        m = _parse_matrix(f"metrics.{mname}", rows, dim, read)
+        m = _parse_matrix(f"metrics.{mname}", rows, dim, read, tables)
         if not m.is_symmetric():
             raise ModelSyntaxError(f"metrics.{mname} is not symmetric")
         metrics[mname] = m
     endos = {}
     for ename, rows in sorted(_section(doc, "endos", dict).items()):
-        endos[ename] = _parse_matrix(f"endos.{ename}", rows, dim, read)
+        endos[ename] = _parse_matrix(f"endos.{ename}", rows, dim, read, tables)
     subspaces = {}
     for sname, vectors in sorted(_section(doc, "subspaces", dict).items()):
         if not isinstance(vectors, list) or not vectors:
@@ -325,9 +330,9 @@ def parse_model(text: str) -> Model:
     return Model(name, algebra, forms, metrics, endos, subspaces, tuple(decls), checks)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PARSED_DOCUMENTS)
 def parsed(text: str) -> Model:
-    """`parse_model(text)` once per distinct text; an error is not stored, so it is raised on every call.
+    """`parse_model(text)` once per text of the last PARSED_DOCUMENTS; an error is not stored, so it raises again.
 
     `check` and the catalog share the Model of a text, and only read its dicts.
     """
@@ -468,7 +473,7 @@ def _kunneth_connections(k: AlmostKunneth):
     nc = canonical_connection(k)
     note = "torsion-free Kunneth connection iff integrable"
     torsion_witness = witness_of(torsion(L, nk), note)
-    obstruction = _outcome("integrability", "kunneth", k)
+    obstruction = _outcome(k, "integrability", "kunneth")
     if obstruction is not None:
         return None if torsion_witness is not None else Witness(obstruction.index, obstruction.value, note)
     if torsion_witness is not None or lc == nk == nc:
@@ -508,9 +513,9 @@ _CHECKS = {
 }
 
 
-@lru_cache(maxsize=None)
-def _outcome(check: str, kind: str, structure):
-    """One check's outcome for one built structure of a kind it applies to, memoized by value."""
+@owned
+def _outcome(structure, check: str, kind: str):
+    """One check's outcome for one built structure of a kind it applies to, memoized on the structure."""
     return _CHECKS[check][kind](structure)
 
 
@@ -519,7 +524,7 @@ def _row(check: str, kind: str, obj):
     row = _CHECKS[check].get(kind)
     if row is None or isinstance(obj, BornlabError):
         return _error_witness(obj) if row is _built else _SKIP
-    return _outcome(check, kind, obj)
+    return _outcome(obj, check, kind)
 
 
 def run_checks(model: Model, only: Sequence[str] | None = None) -> Report:

@@ -76,7 +76,7 @@ def involution_split(t: Matrix) -> Splitting:
 
     Once t^2 = Id, pi_+- = (Id +- t)/2 satisfy pi_+ + pi_- = Id, t pi_+- =
     +-pi_+- and pi_+- x = x on the eigenspace E+-, so the columns of pi_+-
-    span E+-: one elimination each, and t = pi_+ - pi_-.  The frame P holds
+    span E+-: at most one elimination each, and t = pi_+ - pi_-.  The frame P holds
     the echelon bases b_1..b_p of E+ and c_1..c_m of E-; b_i is 1 at its
     pivot column r_i and 0 at the other r_j, and c_i likewise at s_i.  Any
     x is pi_+ x + pi_- x = sum alpha_i b_i + sum beta_i c_i, and coordinate

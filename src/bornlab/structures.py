@@ -16,7 +16,6 @@ as a Witness, building at most one Nijenhuis tensor.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 from .errors import (
@@ -37,6 +36,7 @@ from .exact import (
     eigensplitting,
     format_rational,
     invert,
+    owned,
     rationalize,
     splitting,
 )
@@ -114,18 +114,20 @@ class AlmostKunneth(Value):
 
     Made by `build_almost_kunneth`, or by `build_born` for a Born
     structure's own Kunneth structure.  split is the Splitting of plus and
-    minus that proved them complementary, a function of plus and minus, so
-    structures on one (omega, plus, minus) are equal whichever builder made
-    them.  A model builds none for a triple a Born structure of it holds.
+    minus that proved them complementary and metric the neutral metric
+    (`neutral_metric`), functions of omega, plus and minus, so structures on
+    one (omega, plus, minus) are equal whichever builder made them.  A model
+    builds none for a triple a Born structure of it holds.
     """
 
-    __slots__ = ("algebra", "omega", "plus", "minus", "split")
+    __slots__ = ("algebra", "omega", "plus", "minus", "split", "metric")
 
-    def __init__(self, algebra: LieAlgebra, omega: Matrix, plus: Subspace, minus: Subspace, split, *, key=None):
+    def __init__(self, algebra: LieAlgebra, omega: Matrix, plus: Subspace, minus: Subspace, split, metric, *, key=None):
         _require_builder(key, AlmostKunneth, "build_almost_kunneth")
-        super().__init__(algebra, omega, plus, minus, split)
+        super().__init__(algebra, omega, plus, minus, split, metric)
 
 
+@owned
 def build_almost_kunneth(L: LieAlgebra, omega: Matrix, plus: Subspace, minus: Subspace) -> AlmostKunneth:
     n = L.n
     if omega.n != n or plus.n != n or minus.n != n:
@@ -138,14 +140,13 @@ def build_almost_kunneth(L: LieAlgebra, omega: Matrix, plus: Subspace, minus: Su
         hit = s.block_witness(pairing, side, side)
         if hit is not None:
             raise NotIsotropicError(name, hit)
-    return AlmostKunneth(L, omega, plus, minus, s, key=_CERTIFIED)
+    return AlmostKunneth(L, omega, plus, minus, s, s.involution.transpose() * omega, key=_CERTIFIED)
 
 
-@lru_cache(maxsize=None)
 def neutral_metric(k: AlmostKunneth) -> Matrix:
     """g(x, y) = omega(I x, y), with I = `k.split.involution` the almost
     product structure (+Id on plus, -Id on minus): symmetric and of
-    signature (n/2, n/2, 0) by construction.
+    signature (n/2, n/2, 0) by construction; the builder formed it.
 
     The builder certified omega nondegenerate and plus, minus
     complementary and omega-isotropic.  Two complementary isotropic
@@ -155,7 +156,7 @@ def neutral_metric(k: AlmostKunneth) -> Matrix:
     form of signature (p, q) has no isotropic subspace of dimension above
     min(p, q), so p = q = n/2.
     """
-    return k.split.involution.transpose() * k.omega
+    return k.metric
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +194,7 @@ def _require_form(name: str, form: Matrix, *, symmetric: bool):
         raise DegenerateFormError(f"{name} is degenerate") from None
 
 
-@lru_cache(maxsize=None)
+@owned
 def build_born(
     L: LieAlgebra,
     g: Matrix,
@@ -226,7 +227,8 @@ def build_born(
     frame inverse is read off the projections (Id +- A)/2 (`involution_split`
     proves it); and they are omega-Lagrangian, as `verify_born_identities`
     proves.  So the triple meets every condition `build_almost_kunneth`
-    checks, and it keeps the splitting of A as its proof.
+    checks, and it keeps the splitting of A as its proof and g itself as its
+    neutral metric omega(A x, y) = g(A A x, y) = g(x, y).
     """
     n = L.n
     if g.n != n or h.n != n or omega.n != n:
@@ -251,7 +253,7 @@ def build_born(
     _require_tables(("A", expect_a, a_op), ("B", expect_b, b_op), ("J", expect_j, j_op))
 
     split = eigensplitting(a_op)
-    kunneth = AlmostKunneth(L, omega, split.plus, split.minus, split, key=_CERTIFIED)
+    kunneth = AlmostKunneth(L, omega, split.plus, split.minus, split, g, key=_CERTIFIED)
     return BornStructure(L, g, h, omega, a_op, b_op, j_op, kunneth, key=_CERTIFIED)
 
 
@@ -349,7 +351,7 @@ def verify_born_identities(b: BornStructure) -> tuple[str, ...]:
     return _ITEMS
 
 
-@lru_cache(maxsize=None)
+@owned
 def integrability_report(b: BornStructure) -> Witness | None:
     """The first obstruction to integrability of a Born structure; None when it is integrable.
 
@@ -450,7 +452,7 @@ class Hypersymplectic(Value):
     __slots__ = ("algebra", "omega", "alpha", "beta", "a_op", "b_op", "j_op", "metric")
 
 
-@lru_cache(maxsize=None)
+@owned
 def build_hypersymplectic(
     L: LieAlgebra,
     omega: Matrix,
@@ -501,7 +503,8 @@ def build_hypersymplectic(
         ("A", expect_a, a_op), ("B", expect_b, b_op), ("J", expect_j, j_op), ("metric", expect_metric, metric)
     )
 
-    return Hypersymplectic(L, omega, alpha, beta, a_op, b_op, j_op, metric)
+    # a given table, certified equal, is kept: what is memoized on it is shared
+    return Hypersymplectic(L, omega, alpha, beta, a_op, b_op, j_op, metric if expect_metric is None else expect_metric)
 
 
 class CirclePoint(Value):
@@ -538,7 +541,7 @@ class CirclePoint(Value):
         return f"CirclePoint({self.label()}, cos={format_rational(self.cos)}, sin={format_rational(self.sin)})"
 
 
-@lru_cache(maxsize=None)
+@owned
 def _family_hypotheses(hs: Hypersymplectic, jtilde: Matrix) -> None:
     """Certify the hypotheses of the circle family once per (hs, jtilde); a failure raises on every call."""
     for which, defect in (
@@ -550,7 +553,7 @@ def _family_hypotheses(hs: Hypersymplectic, jtilde: Matrix) -> None:
         require_zero(which, defect, HypothesisFailureError)
 
 
-@lru_cache(maxsize=None)
+@owned
 def s1_family(hs: Hypersymplectic, jtilde: Matrix, p: CirclePoint) -> BornStructure:
     """Born structure at one point of the circle family of a hypersymplectic triple.
 
@@ -559,8 +562,8 @@ def s1_family(hs: Hypersymplectic, jtilde: Matrix, p: CirclePoint) -> BornStruct
     hypersymplectic metric g.  The member is the diagram g -> beta_t (via
     I_t), g -> h_t (via Bt = jtilde I_t), beta_t -> h_t (via -jtilde), with
     beta_t = -sin * alpha + cos * beta and I_t = cos * A + sin * B.
-    Members are memoized by value like the builders; a failed hypothesis
-    raises again on every call.
+    Members are memoized on hs like the builders' results on L; a failed
+    hypothesis raises again on every call.
 
     The third leg needs no check of its own.  build_born derives
     J = -rec(beta_t, h_t), so beta_t(-J x, y) = h_t(x, y) by construction,

@@ -48,6 +48,11 @@ def from_columns(cols) -> Matrix:
     return Matrix([[cols[j][i] for j in range(n)] for i in range(n)])
 
 
+def fresh(L: LieAlgebra) -> LieAlgebra:
+    """A new algebra equal to L: the memos on it, and on every structure built over it, start empty."""
+    return LieAlgebra(L.n, L.brackets)
+
+
 def basis_vector(n: int, i: int) -> tuple:
     """Standard basis vector e_{i+1} (index 0-based)."""
     return tuple(Fraction(int(j == i)) for j in range(n))
@@ -328,7 +333,7 @@ def four_combination_kunneth(k) -> Connection:
     ad = [L.ad(a) for a in range(L.n)]
     d = [-(invert(m.transpose()) * (m * ad_a).transpose()) for ad_a in ad]
     split = splitting(k.plus, k.minus)
-    pi_f, pi_g = split.pi_plus, split.pi_minus
+    pi_f, pi_g = split.pi_plus, Matrix.identity(L.n) - split.pi_plus
     gammas = []
     for i in range(L.n):
         x_f, x_g = pi_f.column(i), pi_g.column(i)

@@ -32,7 +32,7 @@ from bornlab import connections, model
 from bornlab.connections import Connection
 from bornlab.errors import DegenerateFormError, NotIntegrableError
 from bornlab.exact import determinant, invert, projection_onto, splitting
-from bornlab.liealg import ad_pairings, ce_d2
+from bornlab.liealg import ce_d2
 from bornlab.multilinear import symmetric_form, two_form
 from bornlab.structures import Witness
 from conftest import structures_of
@@ -42,6 +42,7 @@ from oracles import (
     contract,
     evaluate,
     fraction_residual,
+    fresh,
     from_columns,
     mixed_torsion_defect,
     nonzero_entries,
@@ -846,16 +847,17 @@ def test_kunneth_connection_makes_four_products_per_slice_and_reads_the_q_of_d_o
     """On every catalog Kunneth structure, in the catalog basis and seeded
     ones: d omega from cold makes n products (the Q_a = ad_a^T omega), and
     the Kunneth connection after it exactly 4n, n for D_a = -omega^-1 Q_a and
-    three per slice, with the same result as the memoized one."""
+    three per slice, with the same result as the memoized one.  The cold
+    copy is the structure built again over a fresh algebra."""
     products = counted_products(monkeypatch)
     for name, k in kunneth_cases(catalog_models, catalog_structures):
         n, d_omega, nk = k.algebra.n, ce_d2(k.algebra, k.omega), kunneth_connection(k)
-        ad_pairings.cache_clear()
+        cold = build_almost_kunneth(fresh(k.algebra), k.omega, k.plus, k.minus)
         products.clear()
-        assert ce_d2.__wrapped__(k.algebra, k.omega) == d_omega, name
+        assert ce_d2(cold.algebra, k.omega) == d_omega, name
         assert len(products) == n, name
         products.clear()
-        assert kunneth_connection.__wrapped__(k) == nk, name
+        assert kunneth_connection(cold) == nk, name
         assert len(products) == 4 * n, name
 
 

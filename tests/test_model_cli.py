@@ -1,6 +1,7 @@
 """Model parsing, check orchestration, report rendering and the CLI."""
 
 import decimal
+import gc
 import json
 import os
 import random
@@ -39,7 +40,8 @@ from bornlab.errors import (
     shown,
 )
 from bornlab.multilinear import two_form
-from bornlab.structures import Witness
+from bornlab.structures import BornStructure, Witness
+from oracles import fresh
 from test_builders import moved_algebra, random_unimodular
 from test_frames import moved_form, moved_subspace
 
@@ -451,7 +453,8 @@ def test_model_without_structures_is_an_error(tmp_path, capsys):
 
 
 def test_repeated_check_is_memoized(monkeypatch):
-    """A structure checked again in the same process reuses its check outcomes."""
+    """A document checked again in the same process is the same parsed Model,
+    whose structures keep their check outcomes."""
     original, calls = model_module.omega_K_defect, []
 
     def counting(k):
@@ -463,8 +466,8 @@ def test_repeated_check_is_memoized(monkeypatch):
     # this process has not checked yet
     rows = json.loads(FIXTURE_KUNNETH_ONLY)["forms"]["w"]
     text = _patched(("forms", "w"), [[f"{int(v) * 7919}/13" for v in row] for row in rows])
-    first = run_checks(parse_model(text))
-    second = run_checks(parse_model(text))
+    first = run_checks(model_module.parsed(text))
+    second = run_checks(model_module.parsed(text))
     assert len(calls) == 1
     assert render_report(first) == render_report(second)
 
@@ -483,6 +486,24 @@ def _moved_model(model, seed):
         structures=model.structures,
         checks=model.checks,
     )
+
+
+def test_check_keeps_the_structures_of_the_memoized_documents_alone(tmp_path, capsys):
+    """Checking 60 distinct documents in one process keeps the Born
+    structures of the documents the parse memo holds and no others: once the
+    memo is full, the number of live BornStructure objects is the same after
+    20, 40 and 60 documents."""
+    assert model_module.PARSED_DOCUMENTS < 20
+    sources = [catalog.get_entry(name).model for name in ("h4", "nil3_r", "h8")]
+    path, live = tmp_path / "moved.json", []
+    for i in range(1, 61):
+        path.write_text(render_model(_moved_model(sources[i % 3], f"lifetime-{i}")))
+        assert main(["check", str(path)]) == 0
+        if i % 20 == 0:
+            gc.collect()
+            live.append(sum(isinstance(obj, BornStructure) for obj in gc.get_objects()))
+    capsys.readouterr()
+    assert live[0] == live[1] == live[2], live
 
 
 def test_run_checks_eliminates_each_form_once(monkeypatch):
@@ -700,29 +721,27 @@ def bumped(c, i, j, k, value):
     return Connection(tuple(g + unit if m == i - 1 else g for m, g in enumerate(c.gammas)))
 
 
-@pytest.fixture
-def cold_outcomes():
-    """An empty outcome memo, emptied again afterwards: rows computed under a patched builder must not leak."""
-    model_module._outcome.cache_clear()
-    yield
-    model_module._outcome.cache_clear()
+def test_kunneth_connection_rows_carry_real_witnesses(monkeypatch, nil3):
+    """Each failing branch of the Kunneth connections row, forced by a patched builder, shows its witness.
 
-
-def test_kunneth_connection_rows_carry_real_witnesses(monkeypatch, cold_outcomes, nil3):
-    """Each failing branch of the Kunneth connections row, forced by a patched builder, shows its witness."""
+    Every row is decided on a structure built anew, whose outcome memo is
+    empty, so no row computed under a patched builder is read again."""
     e = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-    # closed e14 + e23 with abelian span(e1, e3) and span(e2, e4): integrable
-    integrable = build_almost_kunneth(
-        nil3, two_form(4, {(1, 4): 1, (2, 3): 1}), Subspace(4, [e[0], e[2]]), Subspace(4, [e[1], e[3]])
-    )
-    # e12 + e43 is not closed, d omega(1,2,4) = 1
-    fixture = build_almost_kunneth(
-        nil3, two_form(4, {(1, 2): 1, (4, 3): 1}), Subspace(4, [e[0], e[3]]), Subspace(4, [e[1], e[2]])
-    )
 
-    def row(k):
-        model_module._outcome.cache_clear()
-        return model_module._outcome("connections", "kunneth", k)
+    def integrable():
+        """Closed e14 + e23 with abelian span(e1, e3) and span(e2, e4)."""
+        return build_almost_kunneth(
+            fresh(nil3), two_form(4, {(1, 4): 1, (2, 3): 1}), Subspace(4, [e[0], e[2]]), Subspace(4, [e[1], e[3]])
+        )
+
+    def fixture():
+        """e12 + e43 is not closed, d omega(1,2,4) = 1."""
+        return build_almost_kunneth(
+            fresh(nil3), two_form(4, {(1, 2): 1, (4, 3): 1}), Subspace(4, [e[0], e[3]]), Subspace(4, [e[1], e[2]])
+        )
+
+    def row(build):
+        return model_module._outcome(build(), "connections", "kunneth")
 
     assert row(integrable) is None and row(fixture) is None
     iff = "torsion-free Kunneth connection iff integrable"

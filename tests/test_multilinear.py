@@ -232,9 +232,10 @@ def test_involution_split_projection_algebra():
                 break
         t = p * diagonal(diag) * invert(p)
         split = involution_split(t)
-        assert split.pi_plus + split.pi_minus == Matrix.identity(n)
-        assert split.pi_plus * split.pi_minus == Matrix.zero(n)
-        assert split.pi_plus - split.pi_minus == t
+        pi_minus = Matrix.identity(n) - split.pi_plus
+        assert split.pi_plus * split.pi_plus == split.pi_plus
+        assert split.pi_plus * pi_minus == Matrix.zero(n)
+        assert split.pi_plus - pi_minus == t
         assert split.plus.dim + split.minus.dim == n
 
 

@@ -47,6 +47,7 @@ from oracles import (
     born_data,
     diagonal,
     evaluate,
+    fresh,
     from_columns,
     integrability_legs,
     integrable,
@@ -489,9 +490,9 @@ def test_structures_exist_only_as_their_builders_made_them(catalog_structures):
         BornStructure(b.algebra, b.g, b.h, b.omega, b.a_op, b.b_op, b.j_op, b.kunneth)
     k = b.kunneth
     with pytest.raises(TypeError, match="build_almost_kunneth"):
-        AlmostKunneth(k.algebra, k.omega, k.plus, k.minus, k.split)
+        AlmostKunneth(k.algebra, k.omega, k.plus, k.minus, k.split, k.metric)
     with pytest.raises(TypeError, match="build_almost_kunneth"):
-        AlmostKunneth(k.algebra, k.omega, k.plus, k.minus, k.split, key=object())
+        AlmostKunneth(k.algebra, k.omega, k.plus, k.minus, k.split, k.metric, key=object())
 
 
 def test_torus_2_2_signature(catalog_models):
@@ -625,17 +626,19 @@ def test_integrability_legs_match_direct_computation(catalog_models, catalog_str
 
 def test_integrability_builds_at_most_one_nijenhuis_tensor(catalog_models, nil3, monkeypatch):
     """An integrable structure builds N_B alone, a non-closed one no tensor,
-    and a closed one whose L+ is not a subalgebra N_A alone."""
-    integrable_born = structures_of(catalog_models["h4"], "born")[0]
+    and a closed one whose L+ is not a subalgebra N_A alone; each is built
+    over a fresh algebra, so no memo has seen it."""
+    b = structures_of(catalog_models["h4"], "born")[0]
+    integrable_born = build_born(fresh(b.algebra), b.g, b.h, b.omega)
     not_closed = enhance_kunneth(build_almost_kunneth(
-        nil3,
+        fresh(nil3),
         two_form(4, {(1, 2): 1, (4, 3): 1}),
         Subspace(4, [[1, 0, 0, 0], [0, 0, 0, 1]]),
         Subspace(4, [[0, 1, 0, 0], [0, 0, 1, 0]]),
     ))
     # [e1, e2] = e3 leaves span(e1, e2) while omega = e^14 + e^23 is closed
     not_subalgebra = enhance_kunneth(build_almost_kunneth(
-        nil3,
+        fresh(nil3),
         two_form(4, {(1, 4): 1, (2, 3): 1}),
         Subspace(4, [[1, 0, 0, 0], [0, 1, 0, 0]]),
         Subspace(4, [[0, 0, 1, 0], [0, 0, 0, 1]]),
@@ -643,7 +646,6 @@ def test_integrability_builds_at_most_one_nijenhuis_tensor(catalog_models, nil3,
     built = []
     original = structures.nijenhuis
     monkeypatch.setattr(structures, "nijenhuis", lambda L, op: built.append(op) or original(L, op))
-    structures.integrability_report.cache_clear()
     notes = []
     for born in (integrable_born, not_closed, not_subalgebra):
         built.clear()
@@ -892,13 +894,14 @@ def test_family_hypothesis_failure(nil3_hypersymplectic):
 
 
 def test_family_hypotheses_are_checked_once_per_triple_and_jtilde(nil3_hypersymplectic, nil3_jtilde, monkeypatch):
-    """Members at seven points no memo has seen certify the four hypotheses
-    once: one jtilde^* g pullback, not one per point."""
-    structures._family_hypotheses.cache_clear()
+    """Members at seven points of a triple no memo has seen certify the four
+    hypotheses once: one jtilde^* g pullback, not one per point."""
+    hs = nil3_hypersymplectic
+    hs = build_hypersymplectic(fresh(hs.algebra), hs.omega, hs.alpha, hs.beta)
     checked = []
     monkeypatch.setattr(structures, "pullback", lambda *args: checked.append(args) or pullback(*args))
     for t in range(101, 108):
-        born = s1_family(nil3_hypersymplectic, nil3_jtilde, CirclePoint.from_t(Fraction(t, 13)))
+        born = s1_family(hs, nil3_jtilde, CirclePoint.from_t(Fraction(t, 13)))
         assert born.j_op == nil3_jtilde
     assert len(checked) == 1
 

@@ -28,13 +28,13 @@ FIELDS = {
     Connection: "gammas",
     Trilinear: "slices",
     Signature: "positive negative null",
-    Splitting: "plus minus frame frame_inv pi_plus pi_minus involution",
+    Splitting: "plus minus frame frame_inv pi_plus involution",
     StructureDecl: "kind refs",
     Model: "name algebra forms metrics endos subspaces structures checks",
     CheckResult: "check status witness elapsed_ms",
     Report: "model results",
     Witness: "index value note",
-    AlmostKunneth: "algebra omega plus minus split",
+    AlmostKunneth: "algebra omega plus minus split metric",
     BornStructure: "algebra g h omega a_op b_op j_op kunneth",
     Hypersymplectic: "algebra omega alpha beta a_op b_op j_op metric",
     SubalgebraResult: "ok witness residual",
