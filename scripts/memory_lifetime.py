@@ -11,10 +11,9 @@ this process (VmHWM in /proc/self/status, Linux only) is read after model
 first, that is, when what the checks keep grows with the number of models
 checked rather than with the parse memo's bound.
 
-    python3 scripts/memory_lifetime.py [--models 200]
+    python3 scripts/memory_lifetime.py
 """
 
-import argparse
 import json
 import random
 import sys
@@ -29,6 +28,7 @@ from bornlab.model import parsed, run_checks  # noqa: E402
 from models import CHECKS, Case, change_basis, direct_sum, random_unimodular  # noqa: E402
 
 PAIRS = (("h4", "h9_corrected"), ("h8", "h4"), ("h9_corrected", "h8"))
+MODELS = 200
 FIRST = 50  # the model after which the reference peak is read
 BOUND = 1.1
 
@@ -42,15 +42,10 @@ def peak_mb() -> float:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--models", type=int, default=200)
-    args = parser.parse_args()
-    if args.models <= FIRST:
-        parser.error(f"--models must be above {FIRST}")
     sources = {name: Case(json.loads(catalog.export_entry(name)), dict.fromkeys(CHECKS, "pass"))
                for pair in PAIRS for name in pair}
     first = None
-    for i in range(1, args.models + 1):
+    for i in range(1, MODELS + 1):
         a, b = PAIRS[i % len(PAIRS)]
         p, p_inv = random_unimodular(12, random.Random(i))
         case = change_basis(direct_sum(sources[a], sources[b]), p, p_inv, f"{a}+{b}~{i}")
@@ -61,7 +56,7 @@ def main() -> int:
         if i == FIRST:
             first = peak_mb()
     last = peak_mb()
-    print(f"VmHWM after model {FIRST}: {first:.1f} MB; after model {args.models}: {last:.1f} MB "
+    print(f"VmHWM after model {FIRST}: {first:.1f} MB; after model {MODELS}: {last:.1f} MB "
           f"({last / first:.3f}x, bound {BOUND}x)")
     return 0 if last <= BOUND * first else 1
 

@@ -220,8 +220,7 @@ def owned(fn):
             object.__setattr__(owner, "_memo", {})
         except KeyError:
             pass
-        result = owner._memo[key] = fn(owner, *args, **kwargs)
-        return result
+        return owner._memo.setdefault(key, fn(owner, *args, **kwargs))
 
     return memoized
 

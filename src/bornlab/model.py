@@ -124,10 +124,7 @@ class StructureDecl(Value):
         return cls(kind, tuple(sorted(refs.items())))
 
     def ref(self, role: str) -> str | None:
-        for key, name in self.refs:
-            if key == role:
-                return name
-        return None
+        return dict(self.refs).get(role)
 
     def label(self) -> str:
         named = ",".join(str(self.ref(role)) for role, _ in _KINDS[self.kind][1])
@@ -147,39 +144,6 @@ class Model(Value):
 
 # ---------------------------------------------------------------------------
 # parsing and rendering
-
-
-def _literal_reader():
-    """`parse_rational` for one document, reading each distinct literal once.
-
-    The memo lives as long as the reader, one `parse_model` call.  A literal
-    that fails is not stored, and a list or an object is no key and no
-    literal, so every bad entry raises as `parse_rational` alone would.
-    """
-    memo = {}
-
-    def read(text) -> Fraction:
-        try:
-            return memo[text]
-        except (KeyError, TypeError):
-            value = parse_rational(text)
-        memo[text] = value
-        return value
-
-    return read
-
-
-def _parse_matrix(name: str, rows, n: int, read, tables: dict) -> Matrix:
-    if not isinstance(rows, list) or len(rows) != n or any(
-        not isinstance(r, list) or len(r) != n for r in rows
-    ):
-        raise DimensionMismatchError(f"{name}: expected a {n}x{n} matrix of rational strings")
-    try:
-        values = [[read(v) for v in r] for r in rows]
-    except ValueError as exc:
-        raise ModelSyntaxError(f"{name}: {exc}") from exc
-    m = Matrix.of_fractions(values)
-    return tables.setdefault(m, m)
 
 
 # a bracket-output key: a plain ASCII integer, so distinct keys are distinct indices
@@ -243,8 +207,17 @@ def parse_model(text: str) -> Model:
         raise ModelSyntaxError("missing or invalid 'dim'")
     if dim > MAX_DIM:
         raise ModelSyntaxError(f"'dim' {format_rational(dim)} is above the bound {MAX_DIM}")
-    # equal tables of a document are one Matrix, so what `exact.owned` keeps on one serves every name
-    read, tables = _literal_reader(), {}
+    # each distinct literal of the document is read once; one that fails is not stored, and a list or an
+    # object is no key and no literal, so every bad entry raises as `parse_rational` alone would
+    literals = {}
+
+    def read(text) -> Fraction:
+        try:
+            return literals[text]
+        except (KeyError, TypeError):
+            value = parse_rational(text)
+        literals[text] = value
+        return value
 
     brackets = {}
     for item in _section(doc, "brackets", list):
@@ -265,22 +238,23 @@ def parse_model(text: str) -> Model:
         brackets[(i, j)] = out
     algebra = LieAlgebra(dim, brackets)
 
-    forms = {}
-    for fname, rows in sorted(_section(doc, "forms", dict).items()):
-        m = _parse_matrix(f"forms.{fname}", rows, dim, read, tables)
-        if not m.is_antisymmetric():
-            raise ModelSyntaxError(f"forms.{fname} is not antisymmetric")
-        forms[fname] = m
-    metrics = {}
-    for mname, rows in sorted(_section(doc, "metrics", dict).items()):
-        m = _parse_matrix(f"metrics.{mname}", rows, dim, read, tables)
-        if not m.is_symmetric():
-            raise ModelSyntaxError(f"metrics.{mname} is not symmetric")
-        metrics[mname] = m
-    endos = {}
-    for ename, rows in sorted(_section(doc, "endos", dict).items()):
-        endos[ename] = _parse_matrix(f"endos.{ename}", rows, dim, read, tables)
-    subspaces = {}
+    # equal tables of a document are one Matrix, so what `exact.owned` keeps on one serves every name
+    sections, tables = {}, {}
+    for section, symmetry in (("forms", "antisymmetric"), ("metrics", "symmetric"), ("endos", None)):
+        sections[section] = named = {}
+        for tname, rows in sorted(_section(doc, section, dict).items()):
+            where = f"{section}.{tname}"
+            square = isinstance(rows, list) and len(rows) == dim
+            if not square or not all(isinstance(r, list) and len(r) == dim for r in rows):
+                raise DimensionMismatchError(f"{where}: expected a {dim}x{dim} matrix of rational strings")
+            try:
+                m = Matrix.of_fractions([[read(v) for v in r] for r in rows])
+            except ValueError as exc:
+                raise ModelSyntaxError(f"{where}: {exc}") from exc
+            if symmetry and not getattr(m, f"is_{symmetry}")():
+                raise ModelSyntaxError(f"{where} is not {symmetry}")
+            named[tname] = tables.setdefault(m, m)
+    sections["subspaces"] = subspaces = {}
     for sname, vectors in sorted(_section(doc, "subspaces", dict).items()):
         if not isinstance(vectors, list) or not vectors:
             raise ModelSyntaxError(f"subspaces.{sname} must be a non-empty list of vectors")
@@ -292,7 +266,6 @@ def parse_model(text: str) -> Model:
         except ValueError as exc:
             raise ModelSyntaxError(f"subspaces.{sname}: {exc}") from exc
 
-    sections = {"forms": forms, "metrics": metrics, "endos": endos, "subspaces": subspaces}
     decls = []
     for decl in _section(doc, "structures", list):
         if not isinstance(decl, dict) or "type" not in decl:
@@ -327,7 +300,7 @@ def parse_model(text: str) -> Model:
                 raise UnknownNameError(f"unknown check {shown(c)}")
         checks = tuple(checks)
 
-    return Model(name, algebra, forms, metrics, endos, subspaces, tuple(decls), checks)
+    return Model(name, algebra, **sections, structures=tuple(decls), checks=checks)
 
 
 @lru_cache(maxsize=PARSED_DOCUMENTS)

@@ -474,7 +474,7 @@ def test_declared_splitting_projects_with_one_product():
         assert s.frame == from_columns(s.plus.basis + s.minus.basis)
         assert s.frame_inv == invert(s.frame)
         assert s.pi_plus == s.frame * keep * s.frame_inv
-        assert s.involution == s.pi_plus + s.pi_plus - Matrix.identity(n)
+        assert s.involution == s.frame * diagonal([1] * s.plus.dim + [-1] * s.minus.dim) * s.frame_inv
         assert involution_split(s.involution) == s
 
 
