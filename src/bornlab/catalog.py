@@ -10,7 +10,9 @@ in the entry's provenance note and backed by a negative expectation that
 shows the uncorrected data failing.
 
 An entry's document is parsed through `model.parsed`, the parse memo that
-`check` uses, so an entry whose text was checked before is not parsed again.
+`check` uses, so an entry whose text was checked before is not parsed again,
+and its report is the one `check` kept on the Model.  `verify_entry` keeps
+its outcomes on the entry.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import BornlabError, UnknownEntryError, shown
-from .exact import Value
+from .exact import Value, owned
 from .liealg import ce_d2
 from .model import CHECK_ORDER, materialize, parsed, render_model, run_checks
 from .structures import CirclePoint, integrability_report, s1_family
@@ -214,8 +216,9 @@ class ExpectationOutcome(Value):
         return self.actual == self.expectation.expected
 
 
-def verify_entry(entry: CatalogEntry):
-    """Run every expectation of an entry and report actual vs expected; the family is looked up once."""
+@owned
+def verify_entry(entry: CatalogEntry) -> tuple:
+    """Every expectation of an entry with its actual outcome, kept on the entry; the family is looked up once."""
     outcomes = []
     statuses = {r.check: r.status for r in run_checks(entry.model).results}
     try:
@@ -238,4 +241,4 @@ def verify_entry(entry: CatalogEntry):
             except BornlabError:
                 actual = "fail"
         outcomes.append(ExpectationOutcome(expectation, actual))
-    return outcomes
+    return tuple(outcomes)

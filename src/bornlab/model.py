@@ -25,11 +25,13 @@ row for that kind is _built, and is left out of every other.
 
 Every result is kept on the value it was computed from (`exact.owned`):
 the builders' results on the model's algebra, each check's outcome on its
-structure, keyed by (check, kind).  So all of them live exactly as long as
-one parsed Model.  `parsed`, the one memo across calls, keeps the Models of
-the last PARSED_DOCUMENTS document texts; `check` and the catalog both read
-models through it, so a structure checked again (by `catalog show` after
-`check`) costs lookups.  Reports and their timings are not memoized.
+structure, keyed by (check, kind), and each report on its Model, keyed by
+the selection.  So all of them live exactly as long as one parsed Model.
+`parsed`, the one memo across calls, keeps the Models of the last
+PARSED_DOCUMENTS document texts; `check` and the catalog both read models
+through it, so a document checked again, or an entry shown after its text
+was checked, is answered by the report kept on its Model, timings included.
+A JSON row names the declaration whose outcome gave its witness.
 """
 
 from __future__ import annotations
@@ -343,7 +345,8 @@ def render_model(model: Model) -> str:
 
 
 class CheckResult(Value):
-    __slots__ = ("check", "status", "witness", "elapsed_ms")  # status: pass | fail | skipped
+    # status: pass | fail | skipped; structure: the label of the declaration whose outcome gave the witness
+    __slots__ = ("check", "status", "witness", "structure", "elapsed_ms")
 
 
 class Report(Value):
@@ -504,11 +507,16 @@ def run_checks(model: Model, only: Sequence[str] | None = None) -> Report:
     """Execute the checks in only, else the model's checks, else all of them.
 
     Neither the selection nor the model's structures may be empty: a report of
-    nothing but skipped rows would read as a pass.
+    nothing but skipped rows would read as a pass.  The report is kept on the
+    model for the selection, with the timings of the run that produced it.
     """
-    if only is None:
-        only = CHECK_ORDER if model.checks is None else model.checks
-    selected = tuple(only)
+    return _report(model, None if only is None else tuple(only))
+
+
+@owned
+def _report(model: Model, selected: tuple | None) -> Report:
+    if selected is None:
+        selected = CHECK_ORDER if model.checks is None else model.checks
     if not selected:
         raise ModelSyntaxError("no checks selected")
     for name in selected:
@@ -517,21 +525,22 @@ def run_checks(model: Model, only: Sequence[str] | None = None) -> Report:
     if not model.structures:
         raise ModelSyntaxError("model declares no structures")
     # a structure listed twice (a declared Kunneth structure a Born structure
-    # holds) is evaluated where first listed; its second outcome would repeat it
+    # holds) is evaluated where first listed, under that declaration; its
+    # second outcome would repeat it
     distinct = {}
-    for kind, _, obj in materialize(model):
-        distinct.setdefault(id(obj), (kind, obj))
+    for kind, decl, obj in materialize(model):
+        distinct.setdefault(id(obj), (kind, decl, obj))
     results = []
     for check in CHECK_ORDER:
         if check not in selected:
             continue
         start = time.perf_counter()
         # every applicable structure is evaluated, so no error depends on an earlier failure
-        outcomes = [o for o in (_row(check, kind, obj) for kind, obj in distinct.values()) if o is not _SKIP]
-        witness = next((o for o in outcomes if o is not None), None)
+        outcomes = [(o, decl) for kind, decl, obj in distinct.values() if (o := _row(check, kind, obj)) is not _SKIP]
+        witness, decl = next(((o, decl) for o, decl in outcomes if o is not None), (None, None))
         status = "skipped" if not outcomes else "pass" if witness is None else "fail"
         elapsed = round((time.perf_counter() - start) * 1000, 3)
-        results.append(CheckResult(check, status, witness, elapsed))
+        results.append(CheckResult(check, status, witness, decl and decl.label(), elapsed))
     return Report(model.name, tuple(results))
 
 
@@ -563,6 +572,7 @@ def render_report(report: Report, fmt: str = "text") -> str:
                     "check": r.check,
                     "status": r.status,
                     "witness": _witness_json(r.witness),
+                    "structure": r.structure,
                     "elapsed_ms": r.elapsed_ms,
                 }
                 for r in report.results

@@ -24,6 +24,13 @@ def _nil3_r_with(forms=None, expectations=None):
     return catalog.CatalogEntry(entry.name, entry.summary, model, expectations, entry.provenance)
 
 
+def _fresh_entry(name):
+    """A catalog entry over a new parse of its text: no report or outcome is kept on it yet."""
+    entry = catalog.get_entry(name)
+    model = parse_model(catalog.export_entry(name))
+    return catalog.CatalogEntry(entry.name, entry.summary, model, entry.expectations, entry.provenance)
+
+
 def test_list_contains_expected_entries():
     names = [name for name, _ in catalog.list_entries()]
     assert "abelian_c1" in names
@@ -101,7 +108,7 @@ def test_family_point_programming_error_propagates(monkeypatch):
 
     monkeypatch.setattr(catalog, "s1_family", broken)
     with pytest.raises(TypeError, match="bug in the family builder"):
-        catalog.verify_entry(catalog.get_entry("nil3_r"))
+        catalog.verify_entry(_fresh_entry("nil3_r"))
 
 
 def test_family_point_bornlab_error_is_a_fail(monkeypatch):
@@ -109,7 +116,7 @@ def test_family_point_bornlab_error_is_a_fail(monkeypatch):
         raise DegenerateFormError("degenerate at this point")
 
     monkeypatch.setattr(catalog, "s1_family", degenerate)
-    outcomes = catalog.verify_entry(catalog.get_entry("nil3_r"))
+    outcomes = catalog.verify_entry(_fresh_entry("nil3_r"))
     family = [o for o in outcomes if o.expectation.kind == "family_point"]
     assert family and all(o.actual == "fail" for o in family)
 
@@ -125,10 +132,34 @@ def test_verify_entry_looks_the_family_up_once(monkeypatch):
 
     for module in (model_module, catalog):
         monkeypatch.setattr(module, "materialize", counting)
-    outcomes = catalog.verify_entry(catalog.get_entry("nil3_r"))
+    entry = _fresh_entry("nil3_r")
+    outcomes = catalog.verify_entry(entry)
     assert sum(o.expectation.kind == "family_point" for o in outcomes) == 7
     assert all(o.ok for o in outcomes)
-    assert len(calls) <= 2
+    assert calls == ["nil3_r", "nil3_r"]
+    # the outcomes are kept on the entry, as a tuple no caller can change
+    assert catalog.verify_entry(entry) is outcomes and isinstance(outcomes, tuple)
+    assert len(calls) == 2
+
+
+def test_catalog_show_again_repeats_no_family_point(monkeypatch, capsys):
+    """`catalog show nil3_r` builds its 7 family points on the first call
+    only, and prints the same bytes both times."""
+    entry, points, original = _fresh_entry("nil3_r"), [], catalog.s1_family
+
+    def counting(hs, jtilde, point):
+        points.append(point)
+        return original(hs, jtilde, point)
+
+    monkeypatch.setattr(catalog, "get_entry", lambda name: entry)
+    monkeypatch.setattr(catalog, "s1_family", counting)
+    outputs = []
+    for _ in range(2):
+        assert main(["catalog", "show", "nil3_r"]) == 0
+        outputs.append(capsys.readouterr().out)
+        assert len(points) == len(set(points)) == 7
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("  family_point:") == 7
 
 
 def test_verify_entry_fails_each_family_point_of_a_structure_that_does_not_build():

@@ -467,9 +467,38 @@ def test_repeated_check_is_memoized(monkeypatch):
     rows = json.loads(FIXTURE_KUNNETH_ONLY)["forms"]["w"]
     text = _patched(("forms", "w"), [[f"{int(v) * 7919}/13" for v in row] for row in rows])
     first = run_checks(model_module.parsed(text))
+    evaluated, row = [], model_module._row
+    monkeypatch.setattr(model_module, "_row", lambda *args: evaluated.append(args) or row(*args))
     second = run_checks(model_module.parsed(text))
     assert len(calls) == 1
+    # the report itself is kept on the Model: no row is evaluated again
+    assert second is first and evaluated == []
     assert render_report(first) == render_report(second)
+
+
+def test_a_kept_report_is_kept_for_its_selection(tmp_path, capsys):
+    """A selection checked first does not answer for the full selection on
+    the same text: the full report equals that of a fresh parse."""
+    rows = json.loads(FIXTURE_KUNNETH_ONLY)["forms"]["w"]
+    text = _patched(("forms", "w"), [[f"{int(v) * 7907}/17" for v in row] for row in rows])
+    path = tmp_path / "selected.json"
+    path.write_text(text)
+    assert main(["check", str(path), "--checks", "signatures,omega_k"]) == 0
+    assert capsys.readouterr().out.count("PASS") == 3
+    assert main(["check", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out == render_report(run_checks(parse_model(text))) and "integrability        FAIL" in out
+    model = model_module.parsed(text)
+    assert run_checks(model, ["signatures", "omega_k"]) is run_checks(model, ("signatures", "omega_k"))
+
+
+def test_a_failing_selection_raises_on_every_call():
+    model = parse_model(catalog.export_entry("h4"))
+    for _ in range(2):
+        with pytest.raises(UnknownNameError):
+            run_checks(model, only=["signatures", "nope"])
+        with pytest.raises(ModelSyntaxError, match="^no checks selected$"):
+            run_checks(model, only=[])
 
 
 def _moved_model(model, seed):
@@ -534,12 +563,14 @@ def test_run_checks_evaluates_each_structure_once_per_check(catalog_models, monk
     evaluated, original = [], model_module._row
     monkeypatch.setattr(model_module, "_row", lambda *args: evaluated.append((args[0], id(args[2]))) or original(*args))
     listed_twice = 0
-    for name, entry in catalog_models.items():
-        listed = [id(obj) for _, _, obj in model_module.materialize(entry.model)]
+    for name in catalog_models:
+        # a new parse, on which no report is kept yet
+        model = parse_model(catalog.export_entry(name))
+        listed = [id(obj) for _, _, obj in model_module.materialize(model)]
         listed_twice += len(listed) > len(set(listed))
         evaluated.clear()
-        run_checks(entry.model)
-        checks = entry.model.checks or model_module.CHECK_ORDER
+        run_checks(model)
+        checks = model.checks or model_module.CHECK_ORDER
         assert sorted(evaluated) == sorted((check, i) for check in checks for i in set(listed)), name
     assert listed_twice == len(catalog_models) == 10
 
@@ -843,6 +874,27 @@ def test_a_kunneth_declaration_on_another_splitting_follows_the_born_ones():
     assert (declared.omega, declared.plus, declared.minus) == (own.omega, own.minus, own.plus)
 
 
+def test_a_json_row_names_the_structure_behind_its_witness(monkeypatch):
+    """Of two Born structures where only the second fails, the failing row
+    names the second; a passing or skipped row names none.  A Kunneth row
+    decided on a Born structure's own Kunneth structure names the Born
+    declaration, though the model also declares that Kunneth structure."""
+    passing = {"type": "born", "g": "gH", "h": "h_t0", "omega": "beta_t0"}
+    nil3_r = json.loads(catalog.export_entry("nil3_r"))
+    text = _declaring(NONINTEGRABLE, [passing, FIXTURE_BORN], forms={"beta_t0": nil3_r["forms"]["beta_t0"]},
+                      metrics={name: nil3_r["metrics"][name] for name in ("gH", "h_t0")})
+    rows = json.loads(render_report(run_checks(parse_model(text)), "json"))["results"]
+    named = {row["check"]: row["structure"] for row in rows}
+    assert named == dict.fromkeys(model_module.CHECK_ORDER) | {"integrability": "born(g,h,omega_tilde)"}
+    assert [row["status"] for row in rows if row["structure"]] == ["fail"]
+    forced = Witness.at((1, 2, 3), 1, "forced")
+    monkeypatch.setitem(model_module._CHECKS["omega_k"], "kunneth", lambda k: forced)
+    model = parse_model(catalog.export_entry(NONINTEGRABLE))
+    assert [decl.kind for decl in model.structures] == ["kunneth", "born"]
+    (row,) = run_checks(model, ["omega_k"]).results
+    assert (row.witness, row.structure) == (forced, "born(g,h,omega_tilde)")
+
+
 # --- rendering -----------------------------------------------------------
 
 
@@ -869,7 +921,7 @@ def test_json_report_round_trips_and_is_stable():
     assert doc["overall"] == "pass"
     assert {r["check"] for r in doc["results"]} == {r.check for r in report.results}
     for r in doc["results"]:
-        assert set(r) == {"check", "status", "witness", "elapsed_ms"}
+        assert set(r) == {"check", "status", "witness", "structure", "elapsed_ms"}
     # deterministic modulo timing
     second = json.loads(render_report(run_checks(parse_model(model_text)), "json"))
     for a, b in zip(doc["results"], second["results"]):

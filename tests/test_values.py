@@ -31,7 +31,7 @@ FIELDS = {
     Splitting: "plus minus frame frame_inv pi_plus involution",
     StructureDecl: "kind refs",
     Model: "name algebra forms metrics endos subspaces structures checks",
-    CheckResult: "check status witness elapsed_ms",
+    CheckResult: "check status witness structure elapsed_ms",
     Report: "model results",
     Witness: "index value note",
     AlmostKunneth: "algebra omega plus minus split metric",
