@@ -11,26 +11,37 @@ this process (VmHWM in /proc/self/status, Linux only) is read after model
 first, that is, when what the checks keep grows with the number of models
 checked rather than with the parse memo's bound.
 
+Then it builds POINTS distinct circle-family members of the catalog entry
+nil3_r (`catalog.family_member` at t = 1/7, 2/7, ...), as `bornlab family`
+does, and decides each one's integrability.  The catalog keeps its entry
+for the process, so a member kept on the entry's structures would never be
+freed; the run fails when the live BornStructure objects after the last
+point are not as many as after the first.
+
     python3 scripts/memory_lifetime.py
 """
 
+import gc
 import json
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from bornlab import catalog  # noqa: E402
+from bornlab import CirclePoint, catalog  # noqa: E402
 from bornlab.model import parsed, run_checks  # noqa: E402
+from bornlab.structures import BornStructure, integrability_report  # noqa: E402
 from models import CHECKS, Case, change_basis, direct_sum, random_unimodular  # noqa: E402
 
 PAIRS = (("h4", "h9_corrected"), ("h8", "h4"), ("h9_corrected", "h8"))
 MODELS = 200
 FIRST = 50  # the model after which the reference peak is read
 BOUND = 1.1
+POINTS = 200
 
 
 def peak_mb() -> float:
@@ -39,6 +50,21 @@ def peak_mb() -> float:
         if line.startswith("VmHWM:"):
             return int(line.split()[1]) / 1024
     raise RuntimeError("no VmHWM in /proc/self/status")
+
+
+def live_born_structures() -> int:
+    gc.collect()
+    return sum(isinstance(o, BornStructure) for o in gc.get_objects())
+
+
+def family_phase() -> tuple[int, int]:
+    """Live BornStructure objects after the first and after the last of POINTS family members."""
+    entry, counts = catalog.get_entry("nil3_r"), []
+    for i in range(1, POINTS + 1):
+        integrability_report(catalog.family_member(entry, CirclePoint.from_t(Fraction(i, 7))))
+        if i in (1, POINTS):
+            counts.append(live_born_structures())
+    return counts[0], counts[1]
 
 
 def main() -> int:
@@ -58,7 +84,9 @@ def main() -> int:
     last = peak_mb()
     print(f"VmHWM after model {FIRST}: {first:.1f} MB; after model {MODELS}: {last:.1f} MB "
           f"({last / first:.3f}x, bound {BOUND}x)")
-    return 0 if last <= BOUND * first else 1
+    born_first, born_last = family_phase()
+    print(f"live BornStructure objects after family point 1: {born_first}; after point {POINTS}: {born_last}")
+    return 0 if last <= BOUND * first and born_last == born_first else 1
 
 
 if __name__ == "__main__":

@@ -10,9 +10,9 @@ in the entry's provenance note and backed by a negative expectation that
 shows the uncorrected data failing.
 
 An entry's document is parsed through `model.parsed`, the parse memo that
-`check` uses, so an entry whose text was checked before is not parsed again,
-and its report is the one `check` kept on the Model.  `verify_entry` keeps
-its outcomes on the entry.
+`check` uses, so an entry whose text the memo still holds is not parsed
+again, and its report is the one `check` kept on the Model.  `verify_entry`
+keeps its outcomes on the entry, and `materialize` its structures on the Model.
 """
 
 from __future__ import annotations
@@ -171,8 +171,8 @@ def get_entry(name: str) -> CatalogEntry:
     summary, expectations, provenance = _ENTRIES[name]
     entry = CatalogEntry(name, summary, model, expectations, provenance)
     for _, _, obj in materialize(model):
-        if isinstance(obj, Exception):
-            raise obj
+        if isinstance(obj, BornlabError):
+            raise obj.again()
     return entry
 
 
@@ -188,7 +188,7 @@ def _family(entry: CatalogEntry):
     if hs is None or jt is None:
         raise UnknownEntryError(f"{entry.name} does not carry a hypersymplectic structure with jtilde")
     if isinstance(hs, BornlabError):
-        raise hs
+        raise hs.again()
     return hs, jt
 
 

@@ -3,10 +3,10 @@
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 input or
 parse error (bad file, bad rational, Jacobi violation, unknown entry, ...).
 `check` and the catalog read models through one parse memo keyed by the
-document text and bounded in documents (`model.parsed`), so a catalog entry
-that was checked is the same Model, with every result kept on it: a check
-repeated with the same selection prints the report kept on the Model, and
-`catalog show` the outcomes kept on the entry.
+document text and bounded in documents (`model.parsed`), so a document, or a
+catalog entry, checked while the memo holds its text is the same Model, with
+every result kept on it: a check repeated with the same selection prints the
+report kept on the Model, and `catalog show` the outcomes kept on the entry.
 """
 
 from __future__ import annotations

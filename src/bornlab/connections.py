@@ -93,7 +93,7 @@ def _conjugate_average(c: Connection, t: Matrix) -> Connection:
     return Connection(tuple((g + t * g * t) * HALF for g in c.gammas))
 
 
-@owned
+@owned(owner="g")
 def levi_civita(L: LieAlgebra, g: Matrix) -> Connection:
     """Koszul formula restricted to left-invariant fields:
 

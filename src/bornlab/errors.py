@@ -49,6 +49,12 @@ class BornlabError(Exception):
         super().__init__(*args)
         self.hit = hit
 
+    def again(self) -> "BornlabError":
+        """A copy to raise in place of a kept error, which raised would keep the frames it passed through."""
+        error = BaseException.__new__(type(self), *self.args)
+        error.__dict__.update(self.__dict__)
+        return error
+
 
 class DimensionMismatchError(BornlabError):
     pass

@@ -57,7 +57,7 @@ import re
 from collections.abc import Iterable, Sequence
 from decimal import Decimal
 from fractions import Fraction
-from functools import wraps
+from functools import partial, wraps
 from itertools import chain, compress, count
 from math import gcd, lcm
 from operator import add, mul, neg, sub
@@ -207,20 +207,24 @@ class Value:
         return f"{type(self).__qualname__}({fields})"
 
 
-def owned(fn):
-    """Memoize fn(owner, *args, **kwargs) in the `_memo` of owner, a Value, keyed by fn and the other arguments by
-    value, so each result lives exactly as long as the value it was computed from; an exception is not stored."""
+def owned(fn=None, *, owner: str = ""):
+    """Memoize fn in the `_memo` of its owner, a Value passed by position (the parameter named owner, else the
+    first), keyed by fn and the other arguments by value; an exception is not stored.  Every memo keeps one rule:
+    neither result nor key references the owner, so what it keeps is acyclic and goes with it (test_lifetime)."""
+    if fn is None:
+        return partial(owned, owner=owner)
+    at = fn.__code__.co_varnames.index(owner) if owner else 0
 
     @wraps(fn)
-    def memoized(owner, *args, **kwargs):
-        key = (fn, args, *kwargs.items()) if kwargs else (fn, args)
+    def memoized(*args, **kwargs):
+        value, key = args[at], (fn, args[:at], args[at + 1:], *kwargs.items())
         try:
-            return owner._memo[key]
+            return value._memo[key]
         except AttributeError:
-            object.__setattr__(owner, "_memo", {})
+            object.__setattr__(value, "_memo", {})
         except KeyError:
             pass
-        return owner._memo.setdefault(key, fn(owner, *args, **kwargs))
+        return value._memo.setdefault(key, fn(*args, **kwargs))
 
     return memoized
 

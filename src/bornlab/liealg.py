@@ -159,9 +159,9 @@ class SubalgebraResult(Value):
         return self.ok
 
 
-@owned
+@owned(owner="s")
 def is_subalgebra(L: LieAlgebra, s: Subspace) -> SubalgebraResult:
-    """True iff [s, s] is contained in s; memoized on L.
+    """True iff [s, s] is contained in s; kept on s, keyed by L.
 
     On failure the witness is the 1-based pair of positions into the echelon
     basis of s together with the residual of the bracket outside the span.
@@ -181,16 +181,16 @@ def is_subalgebra(L: LieAlgebra, s: Subspace) -> SubalgebraResult:
     return SubalgebraResult(True)
 
 
-@owned
+@owned(owner="m")
 def ad_pairings(L: LieAlgebra, m: Matrix) -> tuple[Matrix, ...]:
     """Q_i = ad_i^T M, entry (j, k) w([e_i,e_j], e_k) for the form w of M, for `ce_d2` and
-    `connections.kunneth_connection`; memoized on L, so the two share it while L lives."""
+    `connections.kunneth_connection`; kept on M, keyed by L, so the two share it while M lives."""
     if m.n != L.n:
         raise DimensionMismatchError("two-form dimension does not match algebra")
     return tuple(L.ad(i).transpose() * m for i in range(L.n))
 
 
-@owned
+@owned(owner="m")
 def ce_d2(L: LieAlgebra, m: Matrix) -> Trilinear:
     """(d w)(e_i,e_j,e_k) = -w([e_i,e_j],e_k) + w([e_i,e_k],e_j) - w([e_j,e_k],e_i).
 

@@ -24,9 +24,9 @@ that did not build fails only its kind's construction check, the one whose
 row for that kind is _built, and is left out of every other.
 
 Every result is kept on the value it was computed from (`exact.owned`):
-the builders' results on the model's algebra, each check's outcome on its
-structure, keyed by (check, kind), and each report on its Model, keyed by
-the selection.  So all of them live exactly as long as one parsed Model.
+materialize's structures on the Model, each check's outcome on its
+structure, keyed by (check, kind), and each report on the Model, keyed by
+the selection.  None holds its owner, so all go with the parsed Model.
 `parsed`, the one memo across calls, keeps the Models of the last
 PARSED_DOCUMENTS document texts; `check` and the catalog both read models
 through it, so a document checked again, or an entry shown after its text
@@ -357,7 +357,8 @@ class Report(Value):
         return "fail" if any(r.status == "fail" for r in self.results) else "pass"
 
 
-def materialize(model: Model) -> list:
+@owned
+def materialize(model: Model) -> tuple:
     """(kind, decl, structure or its BornlabError) per structure, in the order rows combine outcomes.
 
     Kinds are built in the order of _KINDS, each in declaration order, by its
@@ -366,7 +367,9 @@ def materialize(model: Model) -> list:
     `born.kunneth`, a kunneth triple under the Born declaration.  A declared
     Kunneth structure on an (omega, plus, minus) already there is that
     structure, not built again: `build_born` proves that its Kunneth
-    structure meets every condition `build_almost_kunneth` checks.
+    structure meets every condition `build_almost_kunneth` checks.  The
+    result is kept on the model, a construction error without its traceback
+    and context, whose frames would reach the model.
     """
     built, kunneths = [], {}
     for kind, (builder, required, optional) in _KINDS.items():
@@ -380,14 +383,15 @@ def materialize(model: Model) -> list:
                 try:
                     obj = getattr(structures, builder)(model.algebra, *tables, **expected)
                 except BornlabError as exc:
-                    obj = exc
+                    exc.__context__ = None
+                    obj = exc.with_traceback(None)
                 k = obj.kunneth if isinstance(obj, BornStructure) else obj
                 if isinstance(k, AlmostKunneth):
                     kunneths.setdefault((k.omega, k.plus, k.minus), k)
             built.append((kind, decl, obj))
             if isinstance(obj, BornStructure):
                 built.append(("kunneth", decl, obj.kunneth))
-    return built
+    return tuple(built)
 
 
 def _error_witness(exc: BornlabError) -> Witness:

@@ -127,7 +127,6 @@ class AlmostKunneth(Value):
         super().__init__(algebra, omega, plus, minus, split, metric)
 
 
-@owned
 def build_almost_kunneth(L: LieAlgebra, omega: Matrix, plus: Subspace, minus: Subspace) -> AlmostKunneth:
     n = L.n
     if omega.n != n or plus.n != n or minus.n != n:
@@ -194,7 +193,6 @@ def _require_form(name: str, form: Matrix, *, symmetric: bool):
         raise DegenerateFormError(f"{name} is degenerate") from None
 
 
-@owned
 def build_born(
     L: LieAlgebra,
     g: Matrix,
@@ -452,7 +450,6 @@ class Hypersymplectic(Value):
     __slots__ = ("algebra", "omega", "alpha", "beta", "a_op", "b_op", "j_op", "metric")
 
 
-@owned
 def build_hypersymplectic(
     L: LieAlgebra,
     omega: Matrix,
@@ -553,7 +550,6 @@ def _family_hypotheses(hs: Hypersymplectic, jtilde: Matrix) -> None:
         require_zero(which, defect, HypothesisFailureError)
 
 
-@owned
 def s1_family(hs: Hypersymplectic, jtilde: Matrix, p: CirclePoint) -> BornStructure:
     """Born structure at one point of the circle family of a hypersymplectic triple.
 
@@ -562,8 +558,8 @@ def s1_family(hs: Hypersymplectic, jtilde: Matrix, p: CirclePoint) -> BornStruct
     hypersymplectic metric g.  The member is the diagram g -> beta_t (via
     I_t), g -> h_t (via Bt = jtilde I_t), beta_t -> h_t (via -jtilde), with
     beta_t = -sin * alpha + cos * beta and I_t = cos * A + sin * B.
-    Members are memoized on hs like the builders' results on L; a failed
-    hypothesis raises again on every call.
+    Each call builds a new member, which keeps what is computed from it; a
+    failed hypothesis raises again on every call.
 
     The third leg needs no check of its own.  build_born derives
     J = -rec(beta_t, h_t), so beta_t(-J x, y) = h_t(x, y) by construction,

@@ -384,6 +384,43 @@ def test_kunneth_only_model_skips_born_scope():
     assert report.overall == "fail"
 
 
+# [e3,e4] = e2 with omega = e13 + e24 closed: <e1,e2> is a subalgebra and <e3,e4> is not
+ONE_LEG_NOT_SUBALGEBRA = """
+{
+  "name": "one-leg",
+  "dim": 4,
+  "brackets": [{"i": 3, "j": 4, "out": {"2": "1"}}],
+  "forms": {"w": [["0","0","1","0"],["0","0","0","1"],["-1","0","0","0"],["0","-1","0","0"]]},
+  "subspaces": {"F": [["1","0","0","0"],["0","1","0","0"]], "G": [["0","0","1","0"],["0","0","0","1"]]},
+  "structures": [{"type": "kunneth", "omega": "w", "plus": "F", "minus": "G"}]
+}
+"""
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["minus_leg", "plus_leg"])
+def test_kunneth_integrability_reads_both_legs(swap):
+    """Only one of L+ and L- fails to be a subalgebra: integrability fails on
+    either leg with the witness (1,2,2) = 1 of [e3, e4] = e2 outside <e3, e4>,
+    and the connections row agrees, a torsion-free Kunneth connection being
+    the integrable case."""
+    text = ONE_LEG_NOT_SUBALGEBRA
+    if swap:
+        text = text.replace('"plus": "F", "minus": "G"', '"plus": "G", "minus": "F"')
+    assert render_report(run_checks(parse_model(text))) == (
+        "model: one-leg\n"
+        "  born_axioms          SKIPPED\n"
+        "  identity_table       SKIPPED\n"
+        "  integrability        FAIL  witness (1,2,2) = 1\n"
+        "  eigenspace_geometry  PASS\n"
+        "  signatures           PASS\n"
+        "  connections          PASS\n"
+        "  generalized_torsion  SKIPPED\n"
+        "  omega_k              PASS\n"
+        "  torsion_formula      SKIPPED\n"
+        "overall: FAIL\n"
+    )
+
+
 def test_mutated_omega_fails_with_witness():
     doc = json.loads(catalog.export_entry("h4"))
     # flip one sign in omega: breaks antisymmetry? no - flip the (1,3)/(3,1) pair
