@@ -20,10 +20,11 @@ metric, the least-squares slope of log(time) against log(dim) over dims 12
 to 24 is recorded.  The statuses are recorded too, so a sweep of broken
 code reads as such.  One more cold run per case, untimed, counts the work
 of parse_model and run_checks: `products`, the calls of Matrix.__mul__
-with a Matrix operand, and `eliminations`, the calls of
+with a Matrix operand plus each product a batch makes packed
+(exact._packed_products), and `eliminations`, the calls of
 exact._gauss_jordan, each wrapped in the child.  Counts do not depend on
-the host, so they compare across commits where timings drift.  Report
-only: no timing or count is gated on it.
+the host, so they compare across commits where timings drift; CI fails a
+sweep whose counts differ from the committed record.  No timing is gated.
 
     python3 scripts/bench_sweep.py [--out BENCH_sweep.json]
 """
@@ -80,14 +81,18 @@ sys.path[:0] = sys.argv[1:2]
 from bornlab import exact
 from bornlab.model import parse_model, run_checks
 counts = {"products": 0, "eliminations": 0}
-multiply, eliminate = exact.Matrix.__mul__, exact._gauss_jordan
+multiply, batch, eliminate = exact.Matrix.__mul__, exact._packed_products, exact._gauss_jordan
 def counted_product(self, other):
     counts["products"] += isinstance(other, exact.Matrix)
     return multiply(self, other)
+def counted_batch(xs, shared, right):
+    out = batch(xs, shared, right)
+    counts["products"] += 0 if out is None else len(xs)
+    return out
 def counted_elimination(a, ncols):
     counts["eliminations"] += 1
     return eliminate(a, ncols)
-exact.Matrix.__mul__, exact._gauss_jordan = counted_product, counted_elimination
+exact.Matrix.__mul__, exact._packed_products, exact._gauss_jordan = counted_product, counted_batch, counted_elimination
 run_checks(parse_model(sys.stdin.read()))
 print(json.dumps(counts))
 """
@@ -161,9 +166,9 @@ def main(argv=None) -> int:
         "what": "cold-cache CPU time of parse_model and run_checks, and each check's elapsed_ms, "
                 "on h4^(+k) in the standard basis and in seeded unimodular bases, each scaled to "
                 "the reference speed of perfbench/calm.py by probes right before and after it; "
-                "median of the runs, interleaved across cases; products (Matrix times Matrix) and "
-                "eliminations (exact._gauss_jordan) of parse_model and run_checks, counted in one "
-                "more, untimed run",
+                "median of the runs, interleaved across cases; products (Matrix times Matrix, a "
+                "packed batch counting one per product) and eliminations (exact._gauss_jordan) of "
+                "parse_model and run_checks, counted in one more, untimed run",
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "processor": cpu_model(), "cpus": os.cpu_count()},
         "runs_per_case": RUNS,

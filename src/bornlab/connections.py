@@ -44,10 +44,12 @@ from .exact import (
     Trilinear,
     Value,
     column_slices,
+    combinations,
     eigensplitting,
     invert,
-    linear_combination,
+    left_products,
     owned,
+    right_products,
 )
 from .liealg import LieAlgebra, ad_pairings, ce_d2
 from .structures import (
@@ -90,7 +92,7 @@ def _conjugate_average(c: Connection, t: Matrix) -> Connection:
     When T^2 = Id it commutes with T: T (Gamma + T Gamma T) = T Gamma + Gamma T
     = (Gamma + T Gamma T) T.
     """
-    return Connection(tuple((g + t * g * t) * HALF for g in c.gammas))
+    return Connection(tuple((g + h) * HALF for g, h in zip(c.gammas, right_products(left_products(t, c.gammas), t))))
 
 
 @owned(owner="g")
@@ -110,14 +112,13 @@ def levi_civita(L: LieAlgebra, g: Matrix) -> Connection:
     same antisymmetry and the symmetry of g, so g(nabla_i e_j, e_k) +
     g(e_j, nabla_i e_k) = 0.  g is nondegenerate, so T = 0 and nabla g = 0.
     """
-    n = L.n
     try:
         half_g_inv = invert(g) * HALF
     except SingularMatrixError:
         raise DegenerateFormError("metric is degenerate") from None
-    p = [g * L.ad(i) for i in range(n)]
+    p = left_products(g, L._ad)
     r = column_slices([p_j.transpose() for p_j in p])
-    return Connection(tuple(half_g_inv * (p[i] - p[i].transpose() - r[i]) for i in range(n)))
+    return Connection(tuple(left_products(half_g_inv, [p_i - p_i.transpose() - r_i for p_i, r_i in zip(p, r)])))
 
 
 @owned
@@ -163,17 +164,12 @@ def kunneth_connection(k: AlmostKunneth) -> Connection:
       omega(y, [x_F, z]) by the defining relation of D, and the two cancel;
       G x F follows by antisymmetry.
     """
-    L, m = k.algebra, k.omega
-    ad = [L.ad(a) for a in range(L.n)]
-    minus_m_inv = -invert(m)
-    d = [minus_m_inv * q_a for q_a in ad_pairings(L, m)]
-    c = [d_a - ad_a for d_a, ad_a in zip(d, ad)]
-    pi_f = k.split.pi_plus
-    gammas = []
-    for i, (d_i, ad_i) in enumerate(zip(d, ad)):
-        z = d_i - linear_combination(pi_f.column(i), c)
-        gammas.append(pi_f * ((d_i + ad_i) * pi_f - z) + z - z * pi_f)
-    return Connection(tuple(gammas))
+    L, m, pi_f = k.algebra, k.omega, k.split.pi_plus
+    d = left_products(-invert(m), ad_pairings(L, m))
+    z = [d_i - w_i for d_i, w_i in zip(d, combinations(pi_f, [d_a - ad_a for d_a, ad_a in zip(d, L._ad)], range(L.n)))]
+    u = right_products([d_i + ad_i for d_i, ad_i in zip(d, L._ad)] + z, pi_f)  # (D_i + ad_i) pi_F, then Z_i pi_F
+    v = left_products(pi_f, [u_i - z_i for u_i, z_i in zip(u, z)])
+    return Connection(tuple(v_i + z_i - zp_i for v_i, z_i, zp_i in zip(v, z, u[L.n:])))
 
 
 @owned
@@ -243,7 +239,7 @@ def generalized_torsion_defect(c: Connection, cc: Connection, g: Matrix) -> Tril
     M_g E_i is column i of Q_j, so M_g E_i = S_i with S = column_slices(Q)
     and the slice is (Q_i - S_i)^T + S_i: n products.
     """
-    q = [g * delta_i for delta_i in (c - cc).slices]
+    q = left_products(g, (c - cc).slices)
     return Trilinear(tuple((q_i - s_i).transpose() + s_i for q_i, s_i in zip(q, column_slices(q))))
 
 
@@ -270,16 +266,10 @@ def omega_K_defect(k: AlmostKunneth) -> Trilinear:
     As pi_G = Id - pi_F and C_i is antisymmetric (d omega is alternating),
     the correction is (X_i + X_i^T) / 2 with X_i = C_i pi_F.
     """
-    m = k.omega
-    kunneth = kunneth_connection(k)
-    split = k.split
-    canonical = canonical_connection(k)
-    d_omega = ce_d2(k.algebra, k.omega)
-    out = []
-    for i, (nk_i, nc_i) in enumerate(zip(kunneth.gammas, canonical.gammas)):
-        x_i = linear_combination(split.involution.column(i), d_omega.slices) * split.pi_plus
-        out.append((nk_i - nc_i).transpose() * m + (x_i + x_i.transpose()) * HALF)
-    return Trilinear(tuple(out))
+    L, split, delta = k.algebra, k.split, kunneth_connection(k) - canonical_connection(k)
+    x = right_products(combinations(split.involution, ce_d2(L, k.omega).slices, range(L.n)), split.pi_plus)
+    y = right_products([delta_i.transpose() for delta_i in delta.slices], k.omega)
+    return Trilinear(tuple(y_i + (x_i + x_i.transpose()) * HALF for x_i, y_i in zip(x, y)))
 
 
 def born_torsion_formula_defect(b: BornStructure):
@@ -311,5 +301,5 @@ def born_torsion_formula_defect(b: BornStructure):
     # D_i = T_i + pi+ Gamma^K_i - pi- E_i = T_i + pi+ (Gamma^K_i + E_i) - E_i,
     # with column j of E_i equal to Gamma^K_j e_i
     e = column_slices(kunneth.gammas)
-    d = [t_i + split.pi_plus * (g_i + e_i) - e_i for t_i, g_i, e_i in zip(t, kunneth.gammas, e)]
-    return split.map_witness(d, "+", "-")
+    p = left_products(split.pi_plus, [g_i + e_i for g_i, e_i in zip(kunneth.gammas, e)])
+    return split.map_witness([t_i + p_i - e_i for t_i, p_i, e_i in zip(t, p, e)], "+", "-")

@@ -45,15 +45,26 @@ A Trilinear tensor is n matrix slices, entry (j, k) of slice i being
 t(e_i, e_j, e_k); d omega, the Nijenhuis tensors, torsion and every defect
 are kept this way.
 
+The n slices of a tensor meet one shared matrix in batches that pack it once
+into 64-bit slots (Kronecker substitution; Harvey 2009): the rows of b for
+[x b], row k of every x side by side for [a x], each whole x for the column
+combinations [sum_a m[a][j] x_a].  A packed v is (int.from_bytes(array('q',
+v)) ^ S) - S, S holding 2^63 in every slot; a result row r is one dot product
+of big ints, and a batch decodes at once, all ((r + S) ^ S).to_bytes(..) cast
+to 'q' slots.  A batch packs its nonzero x against a factor with n >= 6 and
+over two thirds nonzero if the bound n max|a| max|b| (max_j sum_a |m[a][j]|
+max|x|) has at most 62 bits; else it calls the per-matrix kernel.
+
 Fractions (fractions.Fraction, reduced, with ZERO for zero) appear only at
 the boundary: vectors are tuples of Fractions, and `Matrix.rows`, `entry`,
-`column`, `first_witness` and `matvec` return Fractions.  `rows` is built on
-each access, so code that loops over entries reads `num` and `den`.
+`first_witness` and `matvec` return Fractions.  `rows` is built on each
+access, so code that loops over entries reads `num` and `den`.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Iterable, Sequence
 from decimal import Decimal
 from fractions import Fraction
@@ -323,10 +334,6 @@ class Matrix(Value):
         """1-based access m(e_i, e_j)."""
         return _fraction(self.num[i - 1][j - 1], self.den)
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        """0-based column extraction."""
-        return from_integers([row[j] for row in self.num], self.den)
-
     def matvec(self, v) -> tuple[Fraction, ...]:
         if len(v) != self.n:
             raise DimensionMismatchError("vector length does not match matrix dimension")
@@ -485,8 +492,8 @@ def from_integers(numerators, d: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(v, d) if v else ZERO for v in numerators)
 
 
-def linear_combination(coeffs, matrices: Sequence[Matrix]) -> Matrix:
-    """sum_a coeffs[a] * matrices[a]; terms with a zero coefficient or a zero matrix are skipped."""
+def linear_combination(coeffs, matrices: Sequence[Matrix], den: int = 1) -> Matrix:
+    """sum_a (coeffs[a] / den) * matrices[a]; terms with a zero coefficient or a zero matrix are skipped."""
     n = matrices[0].n
     terms = [(c, m) for c, m in zip(coeffs, matrices) if c and not m._zero]
     cs, dc = to_integers([c for c, _ in terms])
@@ -496,7 +503,62 @@ def linear_combination(coeffs, matrices: Sequence[Matrix]) -> Matrix:
         f, rows = c * (dm // m.den), m.num
         for i in compress(range(n), map(any, rows)):
             acc[i] = [a + f * v for a, v in zip(acc[i], rows[i])]
-    return Matrix.over(acc, dc * dm)
+    return Matrix.over(acc, dc * dm * den)
+
+
+def _pack(vectors, width: int) -> tuple[int, list[int]]:
+    """(S, each vector of width ints in [-2^63, 2^63) as the int sum_s v_s 2^(64 s)); S holds 2^63 in every slot."""
+    from array import array  # a process that never packs never loads the module
+    bias = int.from_bytes((1 << 63).to_bytes(8, sys.byteorder) * width, sys.byteorder)
+    return bias, [(int.from_bytes(array("q", v).tobytes(), sys.byteorder) ^ bias) - bias for v in vectors]
+
+
+def _packed(rows, vectors, wide: bool, n: int, dens) -> list[Matrix]:
+    """n x n matrices over dens: row i of matrix t is slots t n + i w (wide) or (t n + i) n of rows * vectors."""
+    bias, packed = _pack(vectors, width := len(vectors[0]))
+    sums = [((sum(map(mul, row, packed)) + bias) ^ bias).to_bytes(8 * width, sys.byteorder) for row in rows]
+    flat, (a, b) = memoryview(b"".join(sums)).cast("q").tolist(), (n, width) if wide else (n * n, n)
+    return [Matrix.over([flat[s:s + n] for s in range(t * a, t * a + n * b, b)], d) for t, d in enumerate(dens)]
+
+
+def _dense(m: Matrix) -> bool:
+    """Whether a batch packs against m: n >= 6 and more than two thirds of its entries nonzero."""
+    return m.n >= 6 and 3 * sum([m.n - row.count(0) for row in m.num]) > 2 * m.n * m.n
+
+
+def _packed_products(xs: Sequence[Matrix], m: Matrix, right: bool):
+    """[x * m] if right, else [m * x], the nonzero xs packed (a zero x is itself) if m is `_dense`; else None."""
+    n = m.n
+    if not (_dense(m) and all(x.n == n for x in xs)):
+        return None
+    live = [x for x in xs if not x._zero]
+    rows = [row for x in live for row in x.num]
+    if not rows or (n * max(map(abs, chain(*m.num))) * max(map(abs, chain(*rows)))).bit_length() > 62:
+        return None
+    args = (rows, m.num, False) if right else (m.num, [list(chain(*rows[k::n])) for k in range(n)], True)
+    out = iter(_packed(*args, n, [x.den * m.den for x in live]))
+    return [x if x._zero else next(out) for x in xs]
+
+
+def right_products(xs: Sequence[Matrix], b: Matrix) -> list[Matrix]:
+    """[x * b for x in xs]; one packing of the rows of b serves them all (`_packed_products`)."""
+    return _packed_products(xs, b, True) or [x * b for x in xs]
+
+
+def left_products(a: Matrix, xs: Sequence[Matrix]) -> list[Matrix]:
+    """[a * x for x in xs]; one wide packing of the xs serves them all (`_packed_products`)."""
+    return _packed_products(xs, a, False) or [a * x for x in xs]
+
+
+def combinations(m: Matrix, xs: Sequence[Matrix], cols: Iterable[int]) -> list[Matrix]:
+    """[sum_a m[a][j] xs[a] for j in cols] from the integer columns of m, packed, or per column if m is not
+    `_dense`, every x is zero or past the bound (`linear_combination`)."""
+    columns, d = [[row[j] for row in m.num] for j in cols], lcm(*{x.den for x in xs})
+    if _dense(m) and not all(x._zero for x in xs):
+        whole = [list(chain(*x.num_over(d))) for x in xs]
+        if (max((sum(map(abs, c)) for c in columns), default=0) * max(map(abs, chain(*whole)))).bit_length() <= 62:
+            return _packed(columns, whole, False, m.n, [m.den * d] * len(columns))
+    return [linear_combination(c, xs, m.den) for c in columns]
 
 
 def column_slices(matrices: Sequence[Matrix]) -> list[Matrix]:
@@ -819,8 +881,8 @@ class Splitting(Value):
         is M(x_a, x_c); a and c are 1-based within the rows and cols sides.
         """
         r, c = self._sides(rows, cols)
-        for a, x in enumerate(range(self.frame.n)[r], 1):
-            values = linear_combination(self.frame.column(x), matrices) * self.frame
+        sums = combinations(self.frame, matrices, range(self.frame.n)[r])
+        for a, values in enumerate(right_products(sums, self.frame), 1):
             hit = _first_witness(tuple(zip(*values.num))[c], values.den)
             if hit is not None:
                 return (a, *hit[0]), hit[1]

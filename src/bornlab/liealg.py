@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import lcm
 from operator import mul
 
@@ -26,11 +26,14 @@ from .exact import (
     Subspace,
     Trilinear,
     Value,
+    _dense,
+    _pack,
     column_slices,
     format_rational,
     from_integers,
     owned,
     rationalize,
+    right_products,
     to_integers,
     vector,
 )
@@ -131,20 +134,23 @@ def _jacobi_sums(L: LieAlgebra):
     is the combination of the columns [e_m, e_x] of ad_m with coefficients
     c^m_ij (x = k), c^m_jk (x = i) and c^m_ki (x = j): only the nonzero
     constants of three pairs enter, so a triple of abelian pairs costs no
-    arithmetic, and each sum is n dot products.
+    arithmetic.  If every ad_m is `exact._dense` and 3 n max|c|^2 has at most 62
+    bits, a triple is one sum of packed columns, expanded only if nonzero.
     """
     n = L.n
     dc, constants = L._constants
-    ad = [list(zip(*m.num_over(dc))) for m in L._ad]  # ad[m][x]: column x of ad_m
+    ad = [col for m in L._ad for col in zip(*m.num_over(dc))]  # ad[m n + x]: column x of ad_m
     out = {}  # (p, q) 0-based -> the nonzero (m, c^m_pq), in both orders
     for i, j, row in constants:
         out[i, j] = row
         out[j, i] = tuple((m, -c) for m, c in row)
+    dense = all(map(_dense, L._ad)) and (3 * n * max(map(abs, chain(*ad))) ** 2).bit_length() <= 62
+    packed = _pack(ad, n)[1] if dense else None
     for i, j, k in combinations(range(n), 3):
-        terms = [(c, ad[m][x]) for p, q, x in ((i, j, k), (j, k, i), (k, i, j)) for m, c in out.get((p, q), ())]
-        if terms:
-            coefficients, columns = zip(*terms)
-            yield (i + 1, j + 1, k + 1), [sum(map(mul, coefficients, entries)) for entries in zip(*columns)]
+        terms = [(c, m * n + x) for p, q, x in ((i, j, k), (j, k, i), (k, i, j)) for m, c in out.get((p, q), ())]
+        coefficients, keys = zip(*terms) if terms else ((), ())
+        if terms and (packed is None or sum(map(mul, coefficients, map(packed.__getitem__, keys)))):
+            yield (i + 1, j + 1, k + 1), [sum(map(mul, coefficients, e)) for e in zip(*map(ad.__getitem__, keys))]
         else:
             yield (i + 1, j + 1, k + 1), [0] * n
 
@@ -187,7 +193,7 @@ def ad_pairings(L: LieAlgebra, m: Matrix) -> tuple[Matrix, ...]:
     `connections.kunneth_connection`; kept on M, keyed by L, so the two share it while M lives."""
     if m.n != L.n:
         raise DimensionMismatchError("two-form dimension does not match algebra")
-    return tuple(L.ad(i).transpose() * m for i in range(L.n))
+    return tuple(right_products([ad.transpose() for ad in L._ad], m))
 
 
 @owned(owner="m")

@@ -19,9 +19,11 @@ from .exact import (
     Matrix,
     Splitting,
     Trilinear,
+    combinations,
     eigensplitting,
     invert,
-    linear_combination,
+    left_products,
+    right_products,
 )
 
 TYPE_CHECKING = False  # true for static checkers only; importing typing at run time is not needed
@@ -63,8 +65,8 @@ def nijenhuis(L: "LieAlgebra", t: Matrix) -> Trilinear:
     n = L.n
     if t.n != n:
         raise DimensionMismatchError("endomorphism dimension does not match algebra")
-    v = [L.ad(k) * t - t * L.ad(k) for k in range(n)]
-    return Trilinear(tuple((linear_combination(t.column(i), v) - t * v[i]).transpose() for i in range(n)))
+    v = [at - ta for at, ta in zip(right_products(L._ad, t), left_products(t, L._ad))]
+    return Trilinear(tuple((w - tv).transpose() for w, tv in zip(combinations(t, v, range(n)), left_products(t, v))))
 
 
 def involution_split(t: Matrix) -> Splitting:

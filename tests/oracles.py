@@ -42,6 +42,11 @@ def diagonal(entries) -> Matrix:
     return Matrix([[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))])
 
 
+def column(m: Matrix, j: int) -> tuple:
+    """Column j (0-based) of m, as Fractions."""
+    return tuple(row[j] for row in m.rows)
+
+
 def from_columns(cols) -> Matrix:
     """The matrix whose j-th column is cols[j]."""
     n = len(cols)
@@ -336,7 +341,7 @@ def four_combination_kunneth(k) -> Connection:
     pi_f, pi_g = split.pi_plus, Matrix.identity(L.n) - split.pi_plus
     gammas = []
     for i in range(L.n):
-        x_f, x_g = pi_f.column(i), pi_g.column(i)
+        x_f, x_g = column(pi_f, i), column(pi_g, i)
         on_f = linear_combination(x_f, d) + linear_combination(x_g, ad)
         on_g = linear_combination(x_g, d) + linear_combination(x_f, ad)
         gammas.append(pi_f * on_f * pi_f + pi_g * on_g * pi_g)

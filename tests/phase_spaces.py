@@ -22,7 +22,7 @@ from bornlab import LieAlgebra, Subspace, build_almost_kunneth, enhance_kunneth
 from bornlab.exact import Matrix, determinant
 from bornlab.model import Model, StructureDecl, render_model
 from bornlab.multilinear import two_form
-from oracles import basis_vector
+from oracles import basis_vector, column
 
 # (k, strict) of the algebras used: dims 6, 12 (strictly upper) and 6, 12 (upper)
 ALGEBRAS = ((3, True), (4, True), (2, False), (3, False))
@@ -73,7 +73,7 @@ def sheared(kunneth, rng: random.Random):
     """
     n = kunneth.algebra.n
     shear = Matrix.identity(n) + seeded_jtilde(n // 2, rng)
-    plus = Subspace(n, [shear.column(a) for a in range(n // 2)])
+    plus = Subspace(n, [column(shear, a) for a in range(n // 2)])
     return build_almost_kunneth(kunneth.algebra, kunneth.omega, plus, kunneth.minus)
 
 

@@ -47,6 +47,7 @@ from oracles import (
     basis_vector,
     born_data,
     ce_d1,
+    column,
     diagonal,
     evaluate,
     from_columns,
@@ -256,8 +257,8 @@ def test_criterion_09_omega_k_identity(catalog_models):
         k = build_almost_kunneth(
             L,
             w,
-            Subspace(4, [p.column(0), p.column(1)]),
-            Subspace(4, [p.column(2), p.column(3)]),
+            Subspace(4, [column(p, 0), column(p, 1)]),
+            Subspace(4, [column(p, 2), column(p, 3)]),
         )
         assert omega_K_defect(k).is_zero()
         checked += 1

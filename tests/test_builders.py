@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from bornlab import LieAlgebra, Matrix, Trilinear, ce_d2, invert, nijenhuis
-from oracles import basis_vector, contract, evaluate, nonzero_entries, vec_add, vec_sub
+from oracles import basis_vector, column, contract, evaluate, nonzero_entries, vec_add, vec_sub
 
 SEEDS = (1, 2, 3)
 
@@ -48,7 +48,7 @@ def reference_nijenhuis(L, t):
     """[Te_i,Te_j] + T^2 [e_i,e_j] - T[Te_i,e_j] - T[e_i,Te_j], pair by pair."""
     n = L.n
     t2 = t * t
-    images = [t.column(j) for j in range(n)]
+    images = [column(t, j) for j in range(n)]
 
     def component(i, j):
         ei, ej = basis_vector(n, i), basis_vector(n, j)
@@ -77,7 +77,7 @@ def moved_algebra(L, p, check=True):
     """The algebra in the basis f_a = P e_a: [f_a, f_b] = P^-1 [P e_a, P e_b];
     with check=False the brackets need not satisfy Jacobi."""
     n, p_inv = L.n, invert(p)
-    cols = [p.column(a) for a in range(n)]
+    cols = [column(p, a) for a in range(n)]
     brackets = {}
     for a in range(n):
         for b in range(a + 1, n):
@@ -157,7 +157,7 @@ def test_builders_are_covariant_under_change_of_basis(catalog_models, catalog_st
         p = random_unimodular(L.n, random.Random(f"{name}-{seed}"))
         p_inv = invert(p)
         moved = moved_algebra(L, p)
-        cols = [p.column(a) for a in range(L.n)]
+        cols = [column(p, a) for a in range(L.n)]
         for w in forms:
             d, d_moved = ce_d2(L, w), ce_d2(moved, p.transpose() * w * p)
             for i in range(L.n):

@@ -28,7 +28,7 @@ from bornlab import (
     torsion,
     CirclePoint,
 )
-from bornlab import connections, model
+from bornlab import connections, exact, model
 from bornlab.connections import Connection
 from bornlab.errors import DegenerateFormError, NotIntegrableError
 from bornlab.exact import determinant, invert, projection_onto, splitting
@@ -39,6 +39,7 @@ from conftest import structures_of
 import oracles
 from oracles import (
     basis_vector,
+    column,
     contract,
     evaluate,
     fraction_residual,
@@ -95,8 +96,8 @@ def test_levi_civita_abelian_is_zero():
 def test_levi_civita_nil3_metric_values(nil3):
     g = symmetric_form(4, {(1, 4): -1, (2, 3): -1})
     lc = levi_civita(nil3, g)
-    assert lc.gammas[1].column(1) == (0, 0, 0, 1)  # nabla_{e2} e2 = e4
-    assert lc.gammas[0].column(1) == (0, 0, 0, 0)  # nabla_{e1} e2 = 0
+    assert column(lc.gammas[1], 1) == (0, 0, 0, 1)  # nabla_{e2} e2 = e4
+    assert column(lc.gammas[0], 1) == (0, 0, 0, 0)  # nabla_{e1} e2 = 0
 
 
 def test_levi_civita_matches_koszul_oracle(nil3, h4_algebra):
@@ -116,8 +117,8 @@ def test_levi_civita_matches_koszul_oracle(nil3, h4_algebra):
                         + evaluate(rows, L.bracket(basis[k], basis[i]), basis[j])
                     )
                     rhs.append(value / 2)
-                expected = tuple(reference_coordinates([g.column(k) for k in range(n)], rhs))
-                assert lc.gammas[i].column(j) == expected
+                expected = tuple(reference_coordinates([column(g, k) for k in range(n)], rhs))
+                assert column(lc.gammas[i], j) == expected
 
 
 def test_levi_civita_certificates(catalog_models):
@@ -246,7 +247,7 @@ def test_canonical_commutes_with_involution(fixture_kunneth):
     nc = canonical_connection(fixture_kunneth)
     for g in nc.gammas:
         for j in range(4):
-            assert g.matvec(a.column(j)) == a.matvec(g.column(j))
+            assert g.matvec(column(a, j)) == a.matvec(column(g, j))
 
 
 # --- Born connection -----------------------------------------------------
@@ -394,13 +395,13 @@ def reference_torsion(L, c):
     """T(e_i, e_j) = nabla_{e_i} e_j - nabla_{e_j} e_i - [e_i, e_j], pair by pair."""
     basis = [basis_vector(L.n, i) for i in range(L.n)]
     return reference_tensor(
-        L.n, lambda i, j: vec_sub(vec_sub(c.gammas[i].column(j), c.gammas[j].column(i)), L.bracket(basis[i], basis[j]))
+        L.n, lambda i, j: vec_sub(vec_sub(column(c.gammas[i], j), column(c.gammas[j], i)), L.bracket(basis[i], basis[j]))
     )
 
 
 def basis_values(c):
     """values[i][j] = nabla_{e_i} e_j, as Fractions."""
-    return [[g.column(j) for j in range(len(c.gammas))] for g in c.gammas]
+    return [[column(g, j) for j in range(len(c.gammas))] for g in c.gammas]
 
 
 def reference_nabla_form(c, b):
@@ -443,10 +444,10 @@ def reference_omega_k(ks, nk, nc):
     pf, pg = projection_onto(ks.plus, ks.minus)
     a = pf - pg
     dw = reference_ce_d2(L, ks.omega)
-    along = [contract(dw, a.column(i)) for i in range(n)]  # d omega(A e_i, ., .)
+    along = [contract(dw, column(a, i)) for i in range(n)]  # d omega(A e_i, ., .)
     omega = ks.omega.rows
     vk, vc = basis_values(nk), basis_values(nc)
-    pf_columns, pg_columns = [pf.column(k) for k in range(n)], [pg.column(k) for k in range(n)]
+    pf_columns, pg_columns = [column(pf, k) for k in range(n)], [column(pg, k) for k in range(n)]
 
     def row(i, j):
         first = evaluate(omega, vec_sub(vk[i][j], vc[i][j]))  # omega(nabla^K_i e_j - nabla^c_i e_j, .)
@@ -517,7 +518,7 @@ def test_omega_k_unprojected_variant_is_not_an_identity(fixture_kunneth, nil3):
     for i in range(4):
         for j in range(4):
             for kk in range(4):
-                diff = vec_sub(nk.gammas[i].column(j), nc.gammas[i].column(j))
+                diff = vec_sub(column(nk.gammas[i], j), column(nc.gammas[i], j))
                 value = evaluate(omega, diff, basis[kk])
                 corr = evaluate(contract(dw, basis[i]), pf.matvec(basis[j]), pg.matvec(basis[kk]))
                 corr += evaluate(contract(dw, basis[i]), pg.matvec(basis[j]), pf.matvec(basis[kk]))
@@ -551,8 +552,8 @@ def test_omega_k_randomized_dimension_four(nil3):
         k = build_almost_kunneth(
             L,
             w,
-            Subspace(4, [p.column(0), p.column(1)]),
-            Subspace(4, [p.column(2), p.column(3)]),
+            Subspace(4, [column(p, 0), column(p, 1)]),
+            Subspace(4, [column(p, 2), column(p, 3)]),
         )
         assert omega_K_defect(k).is_zero()
         checked += 1
@@ -829,15 +830,23 @@ def test_born_average_is_the_j_average_and_commutes_with_a_b_j(catalog_models, c
 
 
 def counted_products(monkeypatch):
-    """The factors of every Matrix product (a Matrix times a Matrix) made from now on, in order."""
-    products, original = [], Matrix.__mul__
+    """The factors of every Matrix product (a Matrix times a Matrix) made from now on, in order; a product that
+    a batch makes packed (`exact._packed_products`) counts as one, as one made by `Matrix.__mul__` does."""
+    products, original, batch = [], Matrix.__mul__, exact._packed_products
 
     def counting(self, other):
         if isinstance(other, Matrix):
             products.append((self, other))
         return original(self, other)
 
+    def counting_batch(xs, shared, right):
+        out = batch(xs, shared, right)
+        if out is not None:
+            products.extend((x, shared) if right else (shared, x) for x in xs)
+        return out
+
     monkeypatch.setattr(Matrix, "__mul__", counting)
+    monkeypatch.setattr(exact, "_packed_products", counting_batch)
     return products
 
 

@@ -37,6 +37,7 @@ from bornlab.exact import kernel_basis, linear_combination, projection_onto, spl
 from bornlab.structures import Witness, witness_at
 from oracles import (
     basis_vector,
+    column,
     diagonal,
     evaluate,
     four_combination_kunneth,
@@ -378,7 +379,7 @@ def test_torsion_formula_matches_pairwise_oracle(catalog_models, catalog_structu
         # true Born connection with a random Kunneth one fails on B+ x B- alone
         pi_minus = (Matrix.identity(n) - b.b_op) * Fraction(1, 2)
         r = random_connection(n, rng).gammas
-        delta = [linear_combination(pi_minus.column(i), r) * pi_minus for i in range(n)]
+        delta = [linear_combination(column(pi_minus, i), r) * pi_minus for i in range(n)]
         skewed = Connection(tuple(g + d for g, d in zip(nb.gammas, delta)))
         pairs = [
             (nb, nk),

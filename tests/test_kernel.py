@@ -15,25 +15,28 @@ Fractions and against the sign changes of the characteristic polynomial.
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from operator import add, mul, sub
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from bornlab import LieAlgebra, Matrix, determinant, exact, invert, signature_of_symmetric
+from bornlab import LieAlgebra, Matrix, determinant, exact, invert, liealg, signature_of_symmetric
 from bornlab.errors import DimensionMismatchError, SingularMatrixError
 from bornlab.exact import (
     HALF,
     Subspace,
     _gauss_jordan,
     column_slices,
+    combinations,
     from_integers,
+    left_products,
     linear_combination,
+    right_products,
     rref,
     to_integers,
 )
-from oracles import congruence_signature, descartes_signature, diagonal, eager_bareiss
+from oracles import column, congruence_signature, descartes_signature, diagonal, eager_bareiss
 
 ZERO = Fraction(0)
 
@@ -149,7 +152,7 @@ def test_bracket_matches_structure_constant_reference(case):
     expected = [ZERO] * n
     for i in range(n):
         for j in range(n):
-            for k, c in enumerate(L.ad(i).column(j)):
+            for k, c in enumerate(column(L.ad(i), j)):
                 expected[k] += x[i] * y[j] * c
     result = L.bracket(x, y)
     assert result == tuple(expected)
@@ -342,10 +345,6 @@ def test_fraction_accessors_match_fraction_reference(pair):
             for j in range(n):
                 value = m.entry(i + 1, j + 1)
                 assert value == expected[i][j] and type(value) is Fraction
-        for j in range(n):
-            column = m.column(j)
-            assert column == tuple(row[j] for row in expected)
-            assert all(type(x) is Fraction for x in column)
         assert m.first_witness() == ref_first_witness(expected)
         hit = m.first_witness()
         assert hit is None or type(hit[1]) is Fraction
@@ -486,6 +485,94 @@ def test_echelon_input_is_read_off_and_other_input_is_eliminated(case, edit, c):
         else:
             assert_reference_echelon(Subspace(n, rows), rows)
     assert (runs == []) == (edit in ("none", "scale", "zero"))
+
+
+# --- packed batches against the per-matrix kernel ------------------------------
+
+
+def filled(n, v, den=1):
+    """The n x n matrix with every entry v / den."""
+    return Matrix.over([[v] * n] * n, den)
+
+
+def random_over(n, rng, density, bits, den):
+    """An n x n matrix over den with about density of its entries nonzero, of up to bits bits, either sign."""
+    num = [[rng.randint(-(2**bits), 2**bits) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+    return Matrix.over(num, den)
+
+
+def dense_algebra(n, rng, peak=None):
+    """Structure constants with every c^k_ij nonzero, so every ad_m is more than two thirds nonzero: random
+    Fractions, or +-peak; Jacobi need not hold."""
+    def constant():
+        return rng.choice((-1, 1)) * (peak or Fraction(rng.randint(1, 99), rng.choice((1, 2, 15))))
+    return LieAlgebra(n, {(i, j): {k: constant() for k in range(1, n + 1)}
+                          for i in range(1, n + 1) for j in range(i + 1, n + 1)}, check=False)
+
+
+def moved(L, p):
+    """L in the basis f_a = P e_a: [f_a, f_b] = P^-1 [P e_a, P e_b]."""
+    p_inv, cols = invert(p), [column(p, a) for a in range(L.n)]
+    return LieAlgebra(L.n, {(a + 1, b + 1): dict(enumerate(p_inv.matvec(L.bracket(cols[a], cols[b])), 1))
+                            for a in range(L.n) for b in range(a + 1, L.n)})
+
+
+def test_packed_batches_and_jacobi_match_the_per_matrix_kernel(monkeypatch):
+    """right_products, left_products and combinations equal x * b, a * x and
+    linear_combination, and _jacobi_sums its unpacked sums, over n = 1..12,
+    dense and sparse shared factors, negative entries, zero and mixed slices
+    and den != 1.  A batch packs exactly when its shared factor is dense, some
+    x is nonzero and its bound has at most 62 bits: at the bound (result
+    entries near 2^62) it packs, one past it does not, and neither does one
+    whose entries reach 2^63, one more than a slot holds.  The decode is exact
+    at the slot limits."""
+    rng = random.Random(48)
+    packed, pack, calls, packings = exact._packed, liealg._pack, [], []
+    monkeypatch.setattr(exact, "_packed", lambda *args: calls.append(1) or packed(*args))
+    monkeypatch.setattr(liealg, "_pack", lambda *args: packings.append(1) or pack(*args))
+
+    def check(shared, xs, packs):
+        """Each batch of xs against shared equals the per-matrix kernel, returns an x itself where it does, and
+        packs if packs."""
+        n = shared.n
+        for batch, expected in (
+            (right_products(xs, shared), [x * shared for x in xs]),
+            (left_products(shared, xs), [shared * x for x in xs]),
+        ):
+            assert batch == expected
+            assert [g is x for g, x in zip(batch, xs)] == [e is x for e, x in zip(expected, xs)]
+        assert combinations(shared, xs, range(n)) == [linear_combination(column(shared, j), xs) for j in range(n)]
+        assert calls == [1] * 3 * packs, (n, packs)
+        calls.clear()
+
+    for n in range(1, 13):
+        for density in (1.0, 0.5):
+            shared = random_over(n, rng, density, 20, rng.choice((1, 6)))
+            xs = [random_over(n, rng, rng.choice((0, 0.2, 1.0)), 20, rng.choice((1, 2, 35))) for _ in range(n)]
+            check(shared, xs, exact._dense(shared) and not all(x.is_zero() for x in xs))
+    # both bounds are 6 a b: 62 bits at b, 63 at b + 1
+    a = 2**31 - 1
+    b = (2**62 - 1) // (6 * a)
+    for sign in (1, -1):
+        check(filled(6, b), [filled(6, sign * a)] * 6, True)
+        check(filled(6, b + 1), [filled(6, sign * a, 5)] * 6, False)
+    check(filled(8, 2**30), [filled(8, 2**30), filled(8, 0)] * 4, False)  # entries 8 2^30 2^30 = 2^63
+    check(filled(6, 3), [filled(6, 0)] * 6, False)  # every x zero: nothing to pack
+    extremes = [[2**63 - 1, -(2**63)], [-1, 0]]
+    assert packed([[1, 0], [0, 1]], extremes, False, 2, [1]) == [Matrix.over(extremes, 1)]
+
+    # 3 n peak^2 at n = 6: 62 bits at peak, 63 at peak + 1; a valid algebra in a dense basis has zero sums
+    peak, basis = isqrt((2**62 - 1) // 18), random.Random(0)
+    lower = Matrix([[1 if i == j else basis.choice((-1, 1)) if i > j else 0 for j in range(6)] for i in range(6)])
+    filiform = LieAlgebra(6, {(1, k): {k + 1: 1} for k in range(2, 6)})
+    algebras = [dense_algebra(n, rng) for n in (6, 7, 8)] + [dense_algebra(6, rng, c) for c in (peak, peak + 1)]
+    for L, packs in zip(algebras + [moved(filiform, lower * lower.transpose())], (1, 1, 1, 1, 0, 1)):
+        packings.clear()
+        sums = list(liealg._jacobi_sums(L))
+        assert len(packings) == packs and any(any(s) for _, s in sums) == (L in algebras)
+        with monkeypatch.context() as unpacked:
+            unpacked.setattr(liealg, "_dense", lambda m: False)
+            assert sums == list(liealg._jacobi_sums(L))
 
 
 # --- elimination against sympy -----------------------------------------------

@@ -45,6 +45,7 @@ from oracles import (
     antipode,
     basis_vector,
     born_data,
+    column,
     diagonal,
     evaluate,
     fresh,
@@ -587,8 +588,8 @@ def random_kunneth(rng):
     frame_omega = [[0] * m + list(r) for r in s.rows] + [[-v for v in r] + [0] * m for r in s.transpose().rows]
     p_inv = invert(p)
     omega = p_inv.transpose() * Matrix(frame_omega) * p_inv
-    plus = Subspace(n, [p.column(a) for a in range(m)])
-    minus = Subspace(n, [p.column(a) for a in range(m, n)])
+    plus = Subspace(n, [column(p, a) for a in range(m)])
+    minus = Subspace(n, [column(p, a) for a in range(m, n)])
     return build_almost_kunneth(L, omega, plus, minus)
 
 
@@ -785,8 +786,8 @@ def test_hypersymplectic_metric_is_symmetric_by_construction(catalog_models):
         n, alpha, b = hs.algebra.n, hs.alpha.rows, hs.b_op
         for i in range(n):
             for j in range(n):
-                value = evaluate(alpha, basis_vector(n, i), b.column(j))
-                assert value == evaluate(alpha, basis_vector(n, j), b.column(i)), (i + 1, j + 1)
+                value = evaluate(alpha, basis_vector(n, i), column(b, j))
+                assert value == evaluate(alpha, basis_vector(n, j), column(b, i)), (i + 1, j + 1)
                 assert hs.metric.entry(i + 1, j + 1) == value, (i + 1, j + 1)
 
 
