@@ -19,10 +19,11 @@ fast), so the least run would keep the worst probe.  Per series and per
 metric, the least-squares slope of log(time) against log(dim) over dims 12
 to 24 is recorded.  The statuses are recorded too, so a sweep of broken
 code reads as such.  One more cold run per case, untimed, counts the work
-of parse_model and run_checks: `products`, the calls of Matrix.__mul__
-with a Matrix operand plus each product a batch makes packed
-(exact._packed_products), and `eliminations`, the calls of
-exact._gauss_jordan, each wrapped in the child.  Counts do not depend on
+of parse_model and run_checks: `products`, one for each call of
+Matrix.__mul__ with a Matrix operand and one per slice for each product of
+a tensor and a Matrix (Trilinear.__mul__ and __rmul__), packed or not, and
+`eliminations`, the calls of exact._gauss_jordan, each wrapped in the
+child.  Counts do not depend on
 the host, so they compare across commits where timings drift; CI fails a
 sweep whose counts differ from the committed record.  No timing is gated.
 
@@ -74,25 +75,26 @@ print(json.dumps({"parse_s": scaled(t1 - t0), "run_checks_s": scaled(t2 - t1),
 
 
 # one cold run, untimed: the model text on stdin, one JSON line on stdout
-# with the Matrix products and the eliminations of parse_model and run_checks
+# with the matrix products (one per slice of a tensor) and the eliminations of parse_model and run_checks
 COUNT_CHILD = """
 import json, sys
 sys.path[:0] = sys.argv[1:2]
 from bornlab import exact
 from bornlab.model import parse_model, run_checks
 counts = {"products": 0, "eliminations": 0}
-multiply, batch, eliminate = exact.Matrix.__mul__, exact._packed_products, exact._gauss_jordan
-def counted_product(self, other):
-    counts["products"] += isinstance(other, exact.Matrix)
-    return multiply(self, other)
-def counted_batch(xs, shared, right):
-    out = batch(xs, shared, right)
-    counts["products"] += 0 if out is None else len(xs)
-    return out
+def counted(multiply):
+    def product(self, other):
+        if isinstance(other, exact.Matrix):
+            counts["products"] += len(self.num) // self.n
+        return multiply(self, other)
+    return product
+eliminate = exact._gauss_jordan
 def counted_elimination(a, ncols):
     counts["eliminations"] += 1
     return eliminate(a, ncols)
-exact.Matrix.__mul__, exact._packed_products, exact._gauss_jordan = counted_product, counted_batch, counted_elimination
+Matrix, Trilinear = exact.Matrix, exact.Trilinear
+Matrix.__mul__, Trilinear.__mul__, Trilinear.__rmul__ = map(counted, (Matrix.__mul__, Trilinear.__mul__, Trilinear.__rmul__))
+exact._gauss_jordan = counted_elimination
 run_checks(parse_model(sys.stdin.read()))
 print(json.dumps(counts))
 """
@@ -167,7 +169,7 @@ def main(argv=None) -> int:
                 "on h4^(+k) in the standard basis and in seeded unimodular bases, each scaled to "
                 "the reference speed of perfbench/calm.py by probes right before and after it; "
                 "median of the runs, interleaved across cases; products (Matrix times Matrix, a "
-                "packed batch counting one per product) and eliminations (exact._gauss_jordan) of "
+                "tensor times a Matrix counting one per slice) and eliminations (exact._gauss_jordan) of "
                 "parse_model and run_checks, counted in one more, untimed run",
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "processor": cpu_model(), "cpus": os.cpu_count()},

@@ -1,9 +1,9 @@
 """Left-invariant connections: Levi-Civita, Kunneth, canonical and Born averages.
 
-A connection is stored as n matrices Gamma_i = nabla_{e_i} on the fixed
-basis: column j of Gamma_i is nabla_{e_i} e_j.  Because all data is
-left-invariant, derivatives of scalar pairings vanish, and every defining
-property is an identity between exact matrices:
+A connection is stored as the tensor of the n matrices Gamma_i = nabla_{e_i}
+on the fixed basis: column j of Gamma_i is nabla_{e_i} e_j.  Because all
+data is left-invariant, derivatives of scalar pairings vanish, and every
+defining property is an identity between exact matrices:
 
     torsion           T(e_i, e_j) = Gamma_i e_j - Gamma_j e_i - [e_i, e_j]
     b parallel        nabla_{e_i} b = -(Gamma_i^T M_b + M_b Gamma_i) = 0
@@ -20,7 +20,9 @@ Each is built once.  The forms it keeps parallel, that it commutes with A
 J-average (Gamma^K_i - J Gamma^K_i J) / 2, are proved in the constructors'
 docstrings from what the structure's builder certified, not recomputed.
 
-Torsion and every trilinear defect are `exact.Trilinear` tensors.
+Torsion and every trilinear defect are `exact.Trilinear` tensors, and each
+formula below is a tensor expression of sums, slice transposes (^T), the
+swap of the outer slots (E_i) and products of every slice with one matrix.
 
 Statements about a splitting are read in its adapted frame P, whose columns
 x_a are the bases of the two subspaces.  For a bilinear map M stored as n
@@ -43,13 +45,9 @@ from .exact import (
     Matrix,
     Trilinear,
     Value,
-    column_slices,
-    combinations,
     eigensplitting,
     invert,
-    left_products,
     owned,
-    right_products,
 )
 from .liealg import LieAlgebra, ad_pairings, ce_d2
 from .structures import (
@@ -61,29 +59,29 @@ from .structures import (
 
 
 class Connection(Value):
-    """Left-invariant connection as the matrices Gamma_i = nabla_{e_i}."""
+    """Left-invariant connection as the tensor gamma of the matrices Gamma_i = nabla_{e_i}."""
 
-    __slots__ = ("gammas",)  # gammas[i] is a Matrix whose column j is nabla_{e_i} e_j
+    __slots__ = ("gamma",)  # slice i of the Trilinear gamma is Gamma_i, whose column j is nabla_{e_i} e_j
+    gammas = property(lambda self: self.gamma.slices, doc="The Gamma_i as Matrices, built on each access.")
 
     def __sub__(self, other: "Connection") -> Trilinear:
         """The Gamma difference: slice i is Gamma_i - Gamma'_i, so witness (i, j, k) is entry (j, k) of it."""
-        return Trilinear(tuple(a - b for a, b in zip(self.gammas, other.gammas)))
+        return self.gamma - other.gamma
 
 
-def _torsion_matrices(L: LieAlgebra, c: Connection) -> list:
+def _torsion_slices(L: LieAlgebra, c: Connection) -> Trilinear:
     """T_i = Gamma_i - E_i - ad_i, whose column j is T(e_i, e_j); column j of E_i is Gamma_j e_i."""
-    e = column_slices(c.gammas)
-    return [g - e_i - L.ad(i) for i, (g, e_i) in enumerate(zip(c.gammas, e))]
+    return c.gamma - c.gamma.swap_outer() - L._ad
 
 
 def torsion(L: LieAlgebra, c: Connection) -> Trilinear:
     """T(e_i, e_j) = Gamma_i e_j - Gamma_j e_i - [e_i, e_j]; slice i is T_i^T."""
-    return Trilinear(tuple(t_i.transpose() for t_i in _torsion_matrices(L, c)))
+    return _torsion_slices(L, c).transpose()
 
 
 def nabla_form(c: Connection, m: Matrix) -> Trilinear:
     """(nabla_{e_i} b)(e_j, e_k) = -(Gamma_i^T M + M Gamma_i)[j][k], M the matrix of b; zero iff b is parallel."""
-    return Trilinear(tuple(-(g.transpose() * m + m * g) for g in c.gammas))
+    return -(c.gamma.transpose() * m + m * c.gamma)
 
 
 def _conjugate_average(c: Connection, t: Matrix) -> Connection:
@@ -92,7 +90,7 @@ def _conjugate_average(c: Connection, t: Matrix) -> Connection:
     When T^2 = Id it commutes with T: T (Gamma + T Gamma T) = T Gamma + Gamma T
     = (Gamma + T Gamma T) T.
     """
-    return Connection(tuple((g + h) * HALF for g, h in zip(c.gammas, right_products(left_products(t, c.gammas), t))))
+    return Connection((c.gamma + t * c.gamma * t) * HALF)
 
 
 @owned(owner="g")
@@ -116,9 +114,8 @@ def levi_civita(L: LieAlgebra, g: Matrix) -> Connection:
         half_g_inv = invert(g) * HALF
     except SingularMatrixError:
         raise DegenerateFormError("metric is degenerate") from None
-    p = left_products(g, L._ad)
-    r = column_slices([p_j.transpose() for p_j in p])
-    return Connection(tuple(left_products(half_g_inv, [p_i - p_i.transpose() - r_i for p_i, r_i in zip(p, r)])))
+    p = g * L._ad
+    return Connection(half_g_inv * (p - p.transpose() - p.transpose().swap_outer()))
 
 
 @owned
@@ -165,11 +162,9 @@ def kunneth_connection(k: AlmostKunneth) -> Connection:
       G x F follows by antisymmetry.
     """
     L, m, pi_f = k.algebra, k.omega, k.split.pi_plus
-    d = left_products(-invert(m), ad_pairings(L, m))
-    z = [d_i - w_i for d_i, w_i in zip(d, combinations(pi_f, [d_a - ad_a for d_a, ad_a in zip(d, L._ad)], range(L.n)))]
-    u = right_products([d_i + ad_i for d_i, ad_i in zip(d, L._ad)] + z, pi_f)  # (D_i + ad_i) pi_F, then Z_i pi_F
-    v = left_products(pi_f, [u_i - z_i for u_i, z_i in zip(u, z)])
-    return Connection(tuple(v_i + z_i - zp_i for v_i, z_i, zp_i in zip(v, z, u[L.n:])))
+    d = -invert(m) * ad_pairings(L, m)
+    z = d - (d - L._ad).combine(pi_f)
+    return Connection(pi_f * ((d + L._ad) * pi_f - z) + z - z * pi_f)
 
 
 @owned
@@ -236,11 +231,12 @@ def generalized_torsion_defect(c: Connection, cc: Connection, g: Matrix) -> Tril
     With Delta = c - cc and E_i the matrix whose column j is Delta_j e_i, the
     i-th slice of the defect is (Delta_i - E_i)^T M_g + M_g E_i.  For g
     symmetric (as `build_born` certifies) and Q_j = M_g Delta_j, column j of
-    M_g E_i is column i of Q_j, so M_g E_i = S_i with S = column_slices(Q)
+    M_g E_i is column i of Q_j, so M_g E_i = S_i with S = Q.swap_outer()
     and the slice is (Q_i - S_i)^T + S_i: n products.
     """
-    q = left_products(g, (c - cc).slices)
-    return Trilinear(tuple((q_i - s_i).transpose() + s_i for q_i, s_i in zip(q, column_slices(q))))
+    q = g * (c - cc)
+    s = q.swap_outer()
+    return (q - s).transpose() + s
 
 
 def omega_K_defect(k: AlmostKunneth) -> Trilinear:
@@ -266,10 +262,9 @@ def omega_K_defect(k: AlmostKunneth) -> Trilinear:
     As pi_G = Id - pi_F and C_i is antisymmetric (d omega is alternating),
     the correction is (X_i + X_i^T) / 2 with X_i = C_i pi_F.
     """
-    L, split, delta = k.algebra, k.split, kunneth_connection(k) - canonical_connection(k)
-    x = right_products(combinations(split.involution, ce_d2(L, k.omega).slices, range(L.n)), split.pi_plus)
-    y = right_products([delta_i.transpose() for delta_i in delta.slices], k.omega)
-    return Trilinear(tuple(y_i + (x_i + x_i.transpose()) * HALF for x_i, y_i in zip(x, y)))
+    split, delta = k.split, kunneth_connection(k) - canonical_connection(k)
+    x = ce_d2(k.algebra, k.omega).combine(split.involution) * split.pi_plus
+    return delta.transpose() * k.omega + (x + x.transpose()) * HALF
 
 
 def born_torsion_formula_defect(b: BornStructure):
@@ -292,7 +287,7 @@ def born_torsion_formula_defect(b: BornStructure):
     kunneth = kunneth_connection(b.kunneth)
     born = born_connection(b)
     split = eigensplitting(b.b_op)
-    t = _torsion_matrices(L, born)
+    t = _torsion_slices(L, born)
     # T is antisymmetric, so the first witness on a whole diagonal block has a < c
     hit = split.map_witness(t, "+", "+") or split.map_witness(t, "-", "-")
     if hit is not None:
@@ -300,6 +295,5 @@ def born_torsion_formula_defect(b: BornStructure):
     # D(x, y) = T(x, y) + pi+(nabla^K_x y) - pi-(nabla^K_y x) along e_i is
     # D_i = T_i + pi+ Gamma^K_i - pi- E_i = T_i + pi+ (Gamma^K_i + E_i) - E_i,
     # with column j of E_i equal to Gamma^K_j e_i
-    e = column_slices(kunneth.gammas)
-    p = left_products(split.pi_plus, [g_i + e_i for g_i, e_i in zip(kunneth.gammas, e)])
-    return split.map_witness([t_i + p_i - e_i for t_i, p_i, e_i in zip(t, p, e)], "+", "-")
+    e = kunneth.gamma.swap_outer()
+    return split.map_witness(t + split.pi_plus * (kunneth.gamma + e) - e, "+", "-")

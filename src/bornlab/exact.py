@@ -7,21 +7,20 @@ dimensions) and stored dense.
 
 A Matrix is integer numerators over one integer denominator, num / den,
 kept in canonical form: den > 0, gcd(den, every numerator) = 1, and the
-zero matrix over den = 1.  That makes equality and hashing structural, on
-ints.  Products, sums, differences, scalar multiples, transposes and linear
-combinations work on the numerators alone and bring each result to
-canonical form with one gcd over its nonzero entries.  Their work follows
-the nonzero rows, which `any`, `compress` and `filter` find at C speed.  A
-matrix records at construction whether it is zero (only one over den = 1
-can be, so only that one is scanned), and every zero test reads the
-record.  A product with a zero factor is that factor (after the dimension
-check), a sum or difference with a zero operand is the other or its
-negative, and a zero matrix is its own transpose.  A zero row is skipped
-and kept as the same tuple.  A sparse row of a product meets only its
-nonzero entries and the nonzero entries of the rows of the right factor
-that they select; a denser row takes dot products with the columns.  A
-scalar with numerator 1 changes only den, unless it shares a factor with
-the numerators.
+zero matrix over den = 1, so equality and hashing are structural, on ints.
+A Trilinear tensor t is one block of the same kind: its n x n slices
+stacked, row j of slice i at row i n + j, over one denominator; entry
+(j, k) of slice i is t(e_i, e_j, e_k).  d omega, the Nijenhuis tensors,
+torsion, every defect, the Gamma of a connection and the ad_i of an
+algebra are kept this way.  A matrix is the one-slice case: sums,
+differences, negation, scalar multiples, slice transposes, the
+first-witness scan and products by a Matrix are one kernel call per
+block, not one per slice, on the numerators alone, and each result takes
+one gcd over its nonzero rows.  A block keeps one byte per row, 1 where
+the row is nonzero, so a zero row or a zero slice costs one C-level test
+of its bytes and nothing else, and whether the block is zero (only one
+over den = 1 can be).  A scalar with numerator 1 changes only den, unless
+it shares a factor with the numerators.
 Determinant, inverse and reduced row echelon form use fraction-free
 Gauss-Jordan elimination on the numerators (Bareiss 1968, "Sylvester's
 identity and multistep integer-preserving Gaussian elimination"), and the
@@ -41,24 +40,26 @@ splitting of an involution t eliminates only the columns of (Id +- t)/2,
 at most once each, and reads the frame inverse off their rows at the
 pivots of the echelon bases.
 
-A Trilinear tensor is n matrix slices, entry (j, k) of slice i being
-t(e_i, e_j, e_k); d omega, the Nijenhuis tensors, torsion and every defect
-are kept this way.
-
-The n slices of a tensor meet one shared matrix in batches that pack it once
-into 64-bit slots (Kronecker substitution; Harvey 2009): the rows of b for
-[x b], row k of every x side by side for [a x], each whole x for the column
-combinations [sum_a m[a][j] x_a].  A packed v is (int.from_bytes(array('q',
-v)) ^ S) - S, S holding 2^63 in every slot; a result row r is one dot product
-of big ints, and a batch decodes at once, all ((r + S) ^ S).to_bytes(..) cast
-to 'q' slots.  A batch packs its nonzero x against a factor with n >= 6 and
-over two thirds nonzero if the bound n max|a| max|b| (max_j sum_a |m[a][j]|
-max|x|) has at most 62 bits; else it calls the per-matrix kernel.
+Each product with one shared Matrix, [t_i b], [a t_i] or the combinations
+[sum_a m[a][j] t_a] for some or all columns j of m, is integer rows
+against the integer rows of one factor: the tall block against b, the rows
+of a against the wide rows that lay row k of every nonzero slice side by
+side, the columns of m against the flattened nonzero slices.  The factor
+is packed once into 64-bit slots (Kronecker substitution; Harvey 2009): a
+packed v is (int.from_bytes(array('q', v)) ^ S) - S, S holding 2^63 in
+every slot, each nonzero row r of the result is one dot product of big
+ints, and all decode at once, ((r + S) ^ S).to_bytes(..) cast to 'q'
+slots.  It packs when the shared Matrix (b, a or m) has n >= 6 and is over
+two thirds nonzero and the bound n max|a| max|b| (max_j sum_a |m[a][j]|
+max|t|) has at most 62 bits.  Else a row more than a third nonzero takes
+dot products with the columns of the factor, and a sparser one meets only
+the nonzero entries of the factor rows it selects.
 
 Fractions (fractions.Fraction, reduced, with ZERO for zero) appear only at
 the boundary: vectors are tuples of Fractions, and `Matrix.rows`, `entry`,
 `first_witness` and `matvec` return Fractions.  `rows` is built on each
-access, so code that loops over entries reads `num` and `den`.
+access, as are the Matrix views `Trilinear.slices` and `Connection.gammas`,
+so code that loops over entries reads `num` and `den`.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ from collections.abc import Iterable, Sequence
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial, wraps
-from itertools import chain, compress, count
+from itertools import chain, compress, count, repeat
 from math import gcd, lcm
-from operator import add, mul, neg, sub
+from operator import add, floordiv, mul, neg, sub
 
 from .errors import (
     DimensionMismatchError,
@@ -252,35 +253,160 @@ def vector(entries: Iterable) -> tuple[Fraction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# matrices
+# blocks of integer rows: matrices and trilinear tensors
 
 
-class Matrix(Value):
-    """Immutable square matrix of rationals, stored as integers over one denominator.
+class _Block(Value):
+    """Integer rows num of width n over one integer denominator den, in canonical form; equal values have equal
+    (num, den), which equality and the hash (computed once) read.  _live, derived from num, holds one byte per row,
+    1 where the row is nonzero, and _zero, derived from (den, _live), is `is_zero()`."""
 
-    The matrix is num / den, with num a tuple of n rows of ints and den an
-    int, kept in canonical form: den > 0, gcd(den, every entry of num) = 1,
-    and the zero matrix over den = 1.  Equal matrices therefore have equal
-    (num, den), which equality and hashing compare directly; the hash is
-    computed once.  _zero, derived from (num, den), is `is_zero()`.
+    __slots__ = ("n", "num", "den", "_zero", "_live")
+
+    @classmethod
+    def over(cls, num: Sequence[Sequence[int]], den: int, live: bytes = None):
+        """The block num / den, for integer rows num and an int den != 0, and live its row bytes if known.
+
+        One gcd over the nonzero rows brings it to canonical form; a tuple
+        row that is zero or needs no division is kept as it is.
+        """
+        num = tuple(map(tuple, num))
+        if den != 1:
+            if live is None:
+                live = bytes(map(any, num))
+            g = gcd(den, *chain.from_iterable(compress(num, live)))
+            if den < 0:
+                g = -g
+            if g != 1:
+                num = _scaled(num, g, live, floordiv)
+                den //= g
+        return cls._of(num, den, live)
+
+    @classmethod
+    def _of(cls, num: tuple, den: int, live: bytes = None):
+        """Wrap a kernel result, unchecked: num / den already in canonical form, and live its row bytes if known."""
+        return _fill(object.__new__(cls), num, den, live)
+
+    def _zeros(self):
+        """The zero block of this shape."""
+        return self._of(((0,) * self.n,) * len(self.num), 1, bytes(len(self.num)))
+
+    def is_zero(self) -> bool:
+        return self._zero
+
+    def transpose(self):
+        """Each n x n slice transposed (a Matrix is one slice); a zero slice is kept as it is."""
+        if self._zero:
+            return self
+        n, num, live = self.n, self.num, self._live
+        rows, flags = _zipped([(num[s:s + n], live[s:s + n]) for s in range(0, len(num), n)])
+        return self._of(tuple(chain.from_iterable(rows)), self.den, b"".join(flags))
+
+    def first_witness(self):
+        """First nonzero ((row, column) 1-based, value) in row-major order; None if zero."""
+        if self._zero:
+            return None
+        i = self._live.find(1)
+        j = next(compress(count(), self.num[i]))
+        return (i + 1, j + 1), _fraction(self.num[i][j], self.den)
+
+    def __add__(self, other):
+        self._check_shape(other)
+        return _combined(self, other, add)
+
+    def __sub__(self, other):
+        self._check_shape(other)
+        return _combined(self, other, sub)
+
+    def __neg__(self):
+        return self._of(_scaled(self.num, -1, self._live), self.den, self._live)
+
+    def __mul__(self, other):
+        """Each slice times the Matrix other, row by row against its rows (for a Matrix, the product), or a scalar
+        multiple; packed if other is `_dense`."""
+        if isinstance(other, Matrix):
+            if self.n != other.n:
+                raise DimensionMismatchError("matrix dimensions differ")
+            if self._zero or other._zero:
+                return self if self._zero else self._zeros()
+            out, live = _product(self.num, self._live, other.num, _bound(other, self))
+            return self.over(out, self.den * other.den, live)
+        if isinstance(other, _Block):
+            return NotImplemented
+        return self._times(other)
+
+    def __rmul__(self, other):
+        """The Matrix other times each slice, or a scalar multiple.  Row k of every nonzero slice side by side is
+        one wide row, so row j of the product's nonzero slices is row j of other against the wide rows; packed if
+        other is `_dense`.  A zero slice stays zero."""
+        if not isinstance(other, Matrix):
+            return self._times(other)
+        n, num, live = self.n, self.num, self._live
+        if other.n != n:
+            raise DimensionMismatchError("matrix dimensions differ")
+        if self._zero or other._zero:
+            return self if self._zero else self._zeros()
+        starts = [s for s in range(0, len(num), n) if 1 in live[s:s + n]]
+        rows = tuple(chain.from_iterable(num[s:s + n] for s in starts))
+        wide = [tuple(chain.from_iterable(rows[k::n])) for k in range(n)]
+        wide = _product(other.num, other._live, wide, _bound(other, self))[0]
+        out, flags = list(num), bytearray(live)
+        for t, s in enumerate(starts):
+            out[s:s + n] = block = [row[t * n:t * n + n] for row in wide]
+            flags[s:s + n] = map(any, block)
+        return self.over(out, self.den * other.den, bytes(flags))
+
+    def _times(self, c) -> "_Block":
+        """The scalar multiple c * self."""
+        c = rationalize(c)
+        if self._zero or not c:
+            return self if self._zero else self._zeros()
+        return self.over(_scaled(self.num, c._numerator, self._live), self.den * c._denominator, self._live)
+
+    def _check_shape(self, other):
+        if self.n != other.n or len(self.num) != len(other.num):
+            raise DimensionMismatchError("matrix dimensions differ")
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self.den == other.den and self.num == other.num
+
+    __hash__ = Value.__hash__
+
+    @property
+    def _key(self):
+        """(num, den), which the hash reads; no block keeps it, so `_of` stays a few stores."""
+        return self.num, self.den
+
+
+def _fill(block: _Block, num: tuple, den: int, live: bytes = None) -> _Block:
+    """Set the fields of block to the canonical num / den, live the row bytes of num (found if None)."""
+    if live is None:
+        live = bytes(map(any, num))
+    store = object.__setattr__
+    store(block, "n", len(num[0]))
+    store(block, "num", num)
+    store(block, "den", den)
+    store(block, "_live", live)
+    store(block, "_zero", den == 1 and 1 not in live)
+    return block
+
+
+class Matrix(_Block):
+    """Immutable square matrix of rationals: num, n rows of n ints, over den.
 
     Semantic indexing follows the geometry conventions: entry(i, j) is
     1-based, matching basis labels e_1..e_n.  `rows` is a 0-based tuple of
     row tuples of Fractions, built on each access.
     """
 
-    __slots__ = ("n", "num", "den", "_zero")
+    __slots__ = ()
 
     def __init__(self, rows: Sequence[Sequence]):
         data = tuple(tuple(rationalize(v) for v in row) for row in rows)
         n = len(data)
         if n == 0 or any(len(row) != n for row in data):
             raise DimensionMismatchError("matrix must be square with dimension >= 1")
-        num, d = _over_lcm(data)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", d)
-        object.__setattr__(self, "_zero", d == 1 and not any(map(any, num)))
+        _fill(self, *_over_lcm(data))
 
     @classmethod
     def of_fractions(cls, rows: Sequence[Sequence[Fraction]]) -> "Matrix":
@@ -288,42 +414,16 @@ class Matrix(Value):
         return cls._of(*_over_lcm(rows))
 
     @classmethod
-    def over(cls, num: Sequence[Sequence[int]], den: int) -> "Matrix":
-        """The matrix num / den, for integer rows num and an int den != 0.
-
-        One gcd over the nonzero entries brings it to canonical form; a
-        tuple row that is zero or needs no division is kept as it is.
-        """
-        if den != 1:
-            g = gcd(den, *filter(None, chain.from_iterable(num)))
-            if den < 0:
-                g = -g
-            if g != 1:
-                num = tuple(tuple([v // g for v in row]) if any(row) else tuple(row) for row in num)
-                return cls._of(num, den // g)
-        return cls._of(tuple(map(tuple, num)), den)
-
-    @classmethod
-    def _of(cls, num: tuple, den: int) -> "Matrix":
-        """Wrap a kernel result, unchecked: num / den already in canonical form."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "n", len(num))
-        object.__setattr__(m, "num", num)
-        object.__setattr__(m, "den", den)
-        object.__setattr__(m, "_zero", den == 1 and not any(map(any, num)))
-        return m
-
-    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls._of(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
 
     @classmethod
     def zero(cls, n: int) -> "Matrix":
-        return cls._of(((0,) * n,) * n, 1)
+        return cls._of(((0,) * n,) * n, 1, bytes(n))
 
     def num_over(self, d: int):
         """The numerators of this matrix over d, a multiple of den."""
-        return _scaled(self.num, d // self.den)
+        return _scaled(self.num, d // self.den, self._live)
 
     @property
     def rows(self) -> tuple:
@@ -342,118 +442,183 @@ class Matrix(Value):
         sums = [sum(row[j] * x for j, x in nonzero) for row in self.num]
         return from_integers(sums, self.den * dv)
 
-    def transpose(self) -> "Matrix":
-        return self if self._zero else Matrix._of(tuple(zip(*self.num)), self.den)
-
-    def is_zero(self) -> bool:
-        return self._zero
-
     def is_symmetric(self) -> bool:
         return self.num == tuple(zip(*self.num))
 
     def is_antisymmetric(self) -> bool:
         return self.num == tuple(tuple(map(neg, col)) for col in zip(*self.num))
 
-    def first_witness(self):
-        """First nonzero ((i, j) 1-based, value) in row-major order; None if zero."""
-        return None if self._zero else _first_witness(self.num, self.den)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_dim(other)
-        return _combined(self, other, 1)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_dim(other)
-        return _combined(self, other, -1)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix._of(_scaled(self.num, -1), self.den)
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            self._check_dim(other)
-            n = self.n
-            if self._zero:
-                return self
-            if other._zero:
-                return other
-            rhs, cols, zero, out = other.num, None, (0,) * n, []
-            # a row more than a third nonzero is faster as dot products with
-            # the columns of other; a sparser one meets only the nonzero
-            # entries of the rows of other that its nonzero entries select
-            for row in self.num:
-                nonzero = n - row.count(0)
-                if not nonzero:
-                    out.append(zero)
-                elif nonzero * 3 > n:
-                    if cols is None:
-                        cols = [col if any(col) else None for col in zip(*rhs)]
-                    out.append([sum(map(mul, row, col)) if col is not None else 0 for col in cols])
-                else:
-                    acc = [0] * n
-                    for k in compress(count(), row):
-                        x, b = row[k], rhs[k]
-                        for j in compress(count(), b):
-                            acc[j] += x * b[j]
-                    out.append(acc)
-            return Matrix.over(out, self.den * other.den)
-        c = rationalize(other)
-        if not c or self._zero:
-            return Matrix.zero(self.n)
-        return Matrix.over(_scaled(self.num, c._numerator), self.den * c._denominator)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def _check_dim(self, other: "Matrix"):
-        if self.n != other.n:
-            raise DimensionMismatchError("matrix dimensions differ")
-
-    def __eq__(self, other):
-        return isinstance(other, Matrix) and self.den == other.den and self.num == other.num
-
-    __hash__ = Value.__hash__
-
-    @property
-    def _key(self):
-        """(num, den), which the hash reads; no matrix keeps it, so `_of` stays four stores."""
-        return self.num, self.den
-
     def __repr__(self):
         body = "; ".join(" ".join(format_rational(v) for v in row) for row in self.rows)
         return f"Matrix[{body}]"
 
 
-def _first_witness(rows, den: int):
-    """First nonzero ((i, j) 1-based, value / den) in rows of integers, row-major; None if all zero."""
-    if not any(map(any, rows)):
-        return None
-    i, row = next((i, row) for i, row in enumerate(rows) if any(row))
-    j = next(compress(count(), row))
-    return (i + 1, j + 1), _fraction(row[j], den)
+class Trilinear(_Block):
+    """A trilinear tensor t(e_i, e_j, e_k) on the fixed basis: slice i, with entry (j, k) t(e_i, e_j, e_k), is rows
+    i n .. i n + n - 1 of one block, so one row-major scan finds the first nonzero (i, j, k) in lexicographic
+    order.  A vector-valued tensor N(e_i, e_j) takes its output coordinate as k: when column j of N_i is
+    N(e_i, e_j), slice i is N_i^T.  For a tensor antisymmetric in i and j (or alternating) the witness already has
+    i < j (or i < j < k).  A combination of slices may have fewer than n of them.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, slices: Sequence[Matrix]):
+        """The tensor of these n x n Matrices: over the lcm of their denominators, which is canonical."""
+        d = lcm(*{m.den for m in slices})
+        num = tuple(chain.from_iterable(_scaled(m.num, d // m.den, m._live) for m in slices))
+        _fill(self, num, d, b"".join(m._live for m in slices))
+
+    @property
+    def slices(self) -> tuple:
+        """The slices as canonical Matrices, built on each access."""
+        n, num, live = self.n, self.num, self._live
+        return tuple(Matrix.over(num[s:s + n], self.den, live[s:s + n]) for s in range(0, len(num), n))
+
+    def swap_outer(self) -> "Trilinear":
+        """s(i, j, k) = t(k, j, i), for n slices: column j of slice i is column i of slice j; rows j of all
+        slices, zipped, are rows j of all slices of s."""
+        if self._zero:
+            return self
+        n, num, live = self.n, self.num, self._live
+        rows, flags = _zipped([(num[j::n], live[j::n]) for j in range(n)])
+        return self._of(tuple(chain.from_iterable(zip(*rows))), self.den, bytes(chain.from_iterable(zip(*flags))))
+
+    def combine(self, m: Matrix, cols: Iterable[int] = None) -> "Trilinear":
+        """The tensor whose slices are sum_a m[a][j] t_a, for j in cols (every column of m by default): each column
+        of m is one row of coefficients against the nonzero slices, each flattened into one row."""
+        n, num, live = self.n, self.num, self._live
+        if m.n != len(num) // n:
+            raise DimensionMismatchError("matrix dimension does not match the number of slices")
+        columns = list(zip(*m.num))
+        if cols is not None:
+            columns = [columns[j] for j in cols]
+        if self._zero:
+            return self._of(((0,) * n,) * (n * len(columns)), 1, bytes(n * len(columns)))
+        starts = [s for s in range(0, len(num), n) if 1 in live[s:s + n]]
+        flat = [tuple(chain.from_iterable(num[s:s + n])) for s in starts]
+        picked = [s // n for s in starts]
+        coefficients = [tuple(map(c.__getitem__, picked)) for c in columns]
+        bound = max(sum(map(abs, c)) for c in columns) * _peak(self) if _dense(m) else 0
+        out, flags = _product(coefficients, bytes(map(any, coefficients)), flat, bound)
+        rows = list(chain.from_iterable(((0,) * n,) * n if not x else (row[s:s + n] for s in range(0, n * n, n))
+                                        for row, x in zip(out, flags)))
+        return self.over(rows, m.den * self.den)
+
+    def first_witness(self):
+        """First nonzero ((i, j, k) 1-based, value) in lexicographic order; None if zero."""
+        hit = super().first_witness()
+        if hit is None:
+            return None
+        i, j = divmod(hit[0][0] - 1, self.n)
+        return (i + 1, j + 1, hit[0][1]), hit[1]
+
+    def __repr__(self):
+        return f"Trilinear({self.slices!r})"
 
 
-def _scaled(rows, f: int):
-    """The integer rows times f; rows itself for f = 1, and a row of zeros is kept as it is."""
+def _zipped(groups) -> tuple[tuple, tuple]:
+    """The rows and the row bytes of each group (n rows of width n, their row bytes) zipped, its columns as its
+    rows; a zero group is kept as it is."""
+    out = []
+    for rows, live in groups:
+        if 1 in live:
+            rows = tuple(zip(*rows))
+            live = bytes(map(any, rows))
+        out.append((rows, live))
+    return tuple(zip(*out))
+
+
+def _scaled(rows, f: int, live: bytes, op=mul) -> tuple:
+    """The integer rows, each entry v of a nonzero row (a 1 in live) taken to op(v, f); rows itself for f = 1, and a
+    zero row kept as it is."""
     if f == 1:
         return rows
-    return tuple(tuple([v * f for v in row]) if any(row) else row for row in rows)
+    if 0 not in live:
+        return tuple(map(tuple, map(map, repeat(op), rows, repeat(repeat(f)))))
+    out = list(rows)
+    for i in compress(count(), live):
+        out[i] = tuple(map(op, rows[i], repeat(f)))
+    return tuple(out)
 
 
-def _combined(a: Matrix, b: Matrix, sign: int) -> Matrix:
-    """a + sign * b; where a row of b is zero, the row of the sum is a's."""
+def _combined(a: _Block, b: _Block, op) -> _Block:
+    """a + b or a - b, op add or sub; where a row of b is zero, the row of the result is a's."""
     if b._zero:
         return a
     if a._zero:
-        return b if sign > 0 else -b
+        return b if op is add else -b
     ra, rb, d = a.num, b.num, a.den
     if d != b.den:
         d = lcm(d, b.den)
-        ra, rb = _scaled(ra, d // a.den), _scaled(rb, d // b.den)
-    op, num = add if sign > 0 else sub, list(ra)
-    for i in compress(count(), map(any, rb)):
-        num[i] = tuple(map(op, ra[i], rb[i]))
-    return Matrix.over(num, d)
+        ra, rb = _scaled(ra, d // a.den, a._live), _scaled(rb, d // b.den, b._live)
+    if 0 not in b._live:
+        return a.over(list(map(tuple, map(map, repeat(op), ra, rb))), d)
+    num, live = list(ra), bytearray(a._live)
+    for i in compress(count(), b._live):
+        num[i] = row = tuple(map(op, ra[i], rb[i]))
+        live[i] = any(row)
+    return a.over(num, d, bytes(live))
+
+
+def _peak(block: _Block) -> int:
+    """max |v| over the entries of a nonzero block."""
+    return max(map(abs, chain.from_iterable(compress(block.num, block._live))))
+
+
+def _dense(m: _Block) -> bool:
+    """Whether a product packs against m: n >= 6 and more than two thirds of its entries nonzero."""
+    n, live = m.n, m._live
+    nonzero = n * live.count(1) - sum(map(tuple.count, compress(m.num, live), repeat(0)))
+    return n >= 6 and 3 * nonzero > 2 * n * len(m.num)
+
+
+def _bound(shared: Matrix, x: _Block) -> int:
+    """n max|shared| max|x|, which bounds every entry of a product of shared and the rows of x, if a product
+    against shared packs (`_dense`); else 0."""
+    return shared.n * _peak(shared) * _peak(x) if _dense(shared) else 0
+
+
+def _pack(vectors, width: int) -> tuple[int, list[int]]:
+    """(S, each vector of width ints in [-2^63, 2^63) as the int sum_s v_s 2^(64 s), 0 for a zero vector); S holds
+    2^63 in every slot."""
+    from array import array  # a process that never packs never loads the module
+    bias = int.from_bytes((1 << 63).to_bytes(8, sys.byteorder) * width, sys.byteorder)
+    return bias, [(int.from_bytes(array("q", v).tobytes(), sys.byteorder) ^ bias) - bias if any(v) else 0
+                  for v in vectors]
+
+
+def _product(rows, live: bytes, factor, bound: int) -> tuple[list, bytes]:
+    """([sum_k row[k] factor[k] for row in rows], its row bytes): only the nonzero rows, a 1 in live, are
+    multiplied, each packed (see the module docstring) if 0 < bound < 2^62, bound at least every |entry| of the
+    result, and else by dot products with the nonzero columns of factor or, if sparse, by its nonzero entries."""
+    width, picked = len(factor[0]), compress(rows, live)
+    if 0 < bound < 1 << 62:
+        bias, packed = _pack(factor, width)
+        sums = [((sum(map(mul, row, packed)) + bias) ^ bias).to_bytes(8 * width, sys.byteorder) for row in picked]
+        flat = memoryview(b"".join(sums)).cast("q").tolist()
+        results = [flat[s:s + width] for s in range(0, len(flat), width)]
+    else:
+        results, q, cols = [], len(factor), None
+        for row in picked:
+            if (q - row.count(0)) * 3 > q:
+                if cols is None:
+                    cols = [col if any(col) else None for col in zip(*factor)]
+                results.append([sum(map(mul, row, col)) if col is not None else 0 for col in cols])
+            else:
+                acc = [0] * width
+                for k in compress(count(), row):
+                    x, b = row[k], factor[k]
+                    for j in compress(count(), b):
+                        acc[j] += x * b[j]
+                results.append(acc)
+    if len(results) == len(rows):
+        return results, bytes(map(any, results))
+    out, flags = [(0,) * width] * len(rows), bytearray(len(rows))
+    for i, row in zip(compress(count(), live), results):
+        out[i] = row
+        flags[i] = any(row)
+    return out, bytes(flags)
 
 
 # Fractions at the boundary.  A vector may hold ints as well as Fractions, so
@@ -490,110 +655,6 @@ def from_integers(numerators, d: int) -> tuple[Fraction, ...]:
     if d == 1:
         return tuple(Fraction(v) if v else ZERO for v in numerators)
     return tuple(Fraction(v, d) if v else ZERO for v in numerators)
-
-
-def linear_combination(coeffs, matrices: Sequence[Matrix], den: int = 1) -> Matrix:
-    """sum_a (coeffs[a] / den) * matrices[a]; terms with a zero coefficient or a zero matrix are skipped."""
-    n = matrices[0].n
-    terms = [(c, m) for c, m in zip(coeffs, matrices) if c and not m._zero]
-    cs, dc = to_integers([c for c, _ in terms])
-    dm = lcm(*{m.den for _, m in terms})
-    acc = [(0,) * n] * n
-    for c, (_, m) in zip(cs, terms):
-        f, rows = c * (dm // m.den), m.num
-        for i in compress(range(n), map(any, rows)):
-            acc[i] = [a + f * v for a, v in zip(acc[i], rows[i])]
-    return Matrix.over(acc, dc * dm * den)
-
-
-def _pack(vectors, width: int) -> tuple[int, list[int]]:
-    """(S, each vector of width ints in [-2^63, 2^63) as the int sum_s v_s 2^(64 s)); S holds 2^63 in every slot."""
-    from array import array  # a process that never packs never loads the module
-    bias = int.from_bytes((1 << 63).to_bytes(8, sys.byteorder) * width, sys.byteorder)
-    return bias, [(int.from_bytes(array("q", v).tobytes(), sys.byteorder) ^ bias) - bias for v in vectors]
-
-
-def _packed(rows, vectors, wide: bool, n: int, dens) -> list[Matrix]:
-    """n x n matrices over dens: row i of matrix t is slots t n + i w (wide) or (t n + i) n of rows * vectors."""
-    bias, packed = _pack(vectors, width := len(vectors[0]))
-    sums = [((sum(map(mul, row, packed)) + bias) ^ bias).to_bytes(8 * width, sys.byteorder) for row in rows]
-    flat, (a, b) = memoryview(b"".join(sums)).cast("q").tolist(), (n, width) if wide else (n * n, n)
-    return [Matrix.over([flat[s:s + n] for s in range(t * a, t * a + n * b, b)], d) for t, d in enumerate(dens)]
-
-
-def _dense(m: Matrix) -> bool:
-    """Whether a batch packs against m: n >= 6 and more than two thirds of its entries nonzero."""
-    return m.n >= 6 and 3 * sum([m.n - row.count(0) for row in m.num]) > 2 * m.n * m.n
-
-
-def _packed_products(xs: Sequence[Matrix], m: Matrix, right: bool):
-    """[x * m] if right, else [m * x], the nonzero xs packed (a zero x is itself) if m is `_dense`; else None."""
-    n = m.n
-    if not (_dense(m) and all(x.n == n for x in xs)):
-        return None
-    live = [x for x in xs if not x._zero]
-    rows = [row for x in live for row in x.num]
-    if not rows or (n * max(map(abs, chain(*m.num))) * max(map(abs, chain(*rows)))).bit_length() > 62:
-        return None
-    args = (rows, m.num, False) if right else (m.num, [list(chain(*rows[k::n])) for k in range(n)], True)
-    out = iter(_packed(*args, n, [x.den * m.den for x in live]))
-    return [x if x._zero else next(out) for x in xs]
-
-
-def right_products(xs: Sequence[Matrix], b: Matrix) -> list[Matrix]:
-    """[x * b for x in xs]; one packing of the rows of b serves them all (`_packed_products`)."""
-    return _packed_products(xs, b, True) or [x * b for x in xs]
-
-
-def left_products(a: Matrix, xs: Sequence[Matrix]) -> list[Matrix]:
-    """[a * x for x in xs]; one wide packing of the xs serves them all (`_packed_products`)."""
-    return _packed_products(xs, a, False) or [a * x for x in xs]
-
-
-def combinations(m: Matrix, xs: Sequence[Matrix], cols: Iterable[int]) -> list[Matrix]:
-    """[sum_a m[a][j] xs[a] for j in cols] from the integer columns of m, packed, or per column if m is not
-    `_dense`, every x is zero or past the bound (`linear_combination`)."""
-    columns, d = [[row[j] for row in m.num] for j in cols], lcm(*{x.den for x in xs})
-    if _dense(m) and not all(x._zero for x in xs):
-        whole = [list(chain(*x.num_over(d))) for x in xs]
-        if (max((sum(map(abs, c)) for c in columns), default=0) * max(map(abs, chain(*whole)))).bit_length() <= 62:
-            return _packed(columns, whole, False, m.n, [m.den * d] * len(columns))
-    return [linear_combination(c, xs, m.den) for c in columns]
-
-
-def column_slices(matrices: Sequence[Matrix]) -> list[Matrix]:
-    """For n matrices M_0..M_{n-1} of size n, the n matrices S_i whose column j is column i of M_j."""
-    d, n = lcm(*{m.den for m in matrices}), len(matrices)
-    # rows k of all M_j, zipped: row k of every S_i; None where all are zero
-    blocks = [list(zip(*rows)) if any(map(any, rows)) else None for rows in zip(*(m.num_over(d) for m in matrices))]
-    zero = (0,) * n
-    return [Matrix.over([zero if b is None else b[i] for b in blocks], d) for i in range(n)]
-
-
-class Trilinear(Value):
-    """A trilinear tensor t(e_i, e_j, e_k) on the fixed basis, kept as n matrices.
-
-    Entry (j, k) of slices[i] is t(e_i, e_j, e_k).  A vector-valued tensor
-    N(e_i, e_j) takes its output coordinate as k, so when column j of N_i is
-    N(e_i, e_j), slice i is N_i^T.  d omega, the Nijenhuis tensors, torsion
-    and every defect share this layout, so one row-major scan of the slices
-    finds the first nonzero (i, j, k) in lexicographic order.  For a tensor
-    antisymmetric in i and j (or alternating) that witness already has
-    i < j (or i < j < k).
-    """
-
-    __slots__ = ("slices",)
-
-    def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.slices)
-
-    def first_witness(self):
-        """First nonzero ((i, j, k) 1-based, value) in lexicographic order; None if zero."""
-        for i, m in enumerate(self.slices):
-            hit = m.first_witness()
-            if hit is not None:
-                return (i + 1, *hit[0]), hit[1]
-        return None
 
 
 def _gauss_jordan(a: list, ncols: int) -> tuple[list[int], int, int]:
@@ -872,21 +933,23 @@ class Splitting(Value):
     def block_witness(self, m: Matrix, rows: str, cols: str):
         """First nonzero ((a, c) 1-based within the block, value) of a block of m, row-major; None if zero."""
         r, c = self._sides(rows, cols)
-        return _first_witness([row[c] for row in m.num[r]], m.den)
+        return _Block.over([row[c] for row in m.num[r]], m.den).first_witness()
 
-    def map_witness(self, matrices: Sequence[Matrix], rows: str, cols: str):
+    def map_witness(self, m: Trilinear, rows: str, cols: str):
         """First ((a, c, k), value) in lexicographic order with M(x_a, x_c) nonzero at coordinate k.
 
-        M(e_i, e_j) is column j of matrices[i], so column c of (sum_i P_ia M_i) P
-        is M(x_a, x_c); a and c are 1-based within the rows and cols sides.
+        M(e_i, e_j) is column j of slice i of m, so column c of (sum_i P_ia M_i) P
+        is M(x_a, x_c): row c of slice a of x below.  a and c are 1-based
+        within the rows and cols sides.
         """
         r, c = self._sides(rows, cols)
-        sums = combinations(self.frame, matrices, range(self.frame.n)[r])
-        for a, values in enumerate(right_products(sums, self.frame), 1):
-            hit = _first_witness(tuple(zip(*values.num))[c], values.den)
-            if hit is not None:
-                return (a, *hit[0]), hit[1]
-        return None
+        x = (m.combine(self.frame, range(m.n)[r]) * self.frame).transpose()
+        n, width = x.n, len(range(x.n)[c])
+        hit = _Block.over([row for s in range(0, len(x.num), n) for row in x.num[s:s + n][c]], x.den).first_witness()
+        if hit is None:
+            return None
+        a, c = divmod(hit[0][0] - 1, width)
+        return (a + 1, c + 1, hit[0][1]), hit[1]
 
 
 def _frame(plus: Subspace, minus: Subspace) -> Matrix:

@@ -28,12 +28,10 @@ from .exact import (
     Value,
     _dense,
     _pack,
-    column_slices,
     format_rational,
     from_integers,
     owned,
     rationalize,
-    right_products,
     to_integers,
     vector,
 )
@@ -77,13 +75,14 @@ class LieAlgebra(Value):
             (i - 1, j - 1, tuple((k - 1, c.numerator * (dc // c.denominator)) for k, c in out.items()))
             for (i, j), out in canon.items()
         )
-        # entry (k, j) of ad_i is c^k_ij, the e_k coefficient of [e_i, e_j]
-        ad = [[[0] * n for _ in range(n)] for _ in range(n)]
+        # entry (k, j) of ad_i is c^k_ij, the e_k coefficient of [e_i, e_j], at row i n + k of one block; over the
+        # lcm dc of the reduced denominators the block is canonical
+        ad = [[0] * n for _ in range(n * n)]
         for i, j, out in constants:
             for k, c in out:
-                ad[i][k][j] = c
-                ad[j][k][i] = -c
-        super().__init__(n, canon, tuple(Matrix.over(m, dc) for m in ad), (dc, constants))
+                ad[i * n + k][j] = c
+                ad[j * n + k][i] = -c
+        super().__init__(n, canon, Trilinear._of(tuple(map(tuple, ad)), dc), (dc, constants))
         object.__setattr__(self, "_hash", hash((n, tuple((k, tuple(v.items())) for k, v in canon.items()))))
         if check:
             for triple, sums in _jacobi_sums(self):
@@ -93,7 +92,7 @@ class LieAlgebra(Value):
 
     def ad(self, i: int) -> Matrix:
         """Matrix of ad_{e_{i+1}} (0-based argument): column j is [e_{i+1}, e_{j+1}]."""
-        return self._ad[i]
+        return self._ad.slices[i]
 
     def bracket(self, x: Sequence, y: Sequence):
         """[x, y]^k = sum_{i<j} (x^i y^j - x^j y^i) c^k_{ij}; bilinear and antisymmetric.
@@ -134,17 +133,18 @@ def _jacobi_sums(L: LieAlgebra):
     is the combination of the columns [e_m, e_x] of ad_m with coefficients
     c^m_ij (x = k), c^m_jk (x = i) and c^m_ki (x = j): only the nonzero
     constants of three pairs enter, so a triple of abelian pairs costs no
-    arithmetic.  If every ad_m is `exact._dense` and 3 n max|c|^2 has at most 62
-    bits, a triple is one sum of packed columns, expanded only if nonzero.
+    arithmetic.  If the tensor of the ad_m is `exact._dense` and 3 n max|c|^2
+    has at most 62 bits, a triple is one sum of packed columns, expanded only
+    if nonzero.
     """
     n = L.n
     dc, constants = L._constants
-    ad = [col for m in L._ad for col in zip(*m.num_over(dc))]  # ad[m n + x]: column x of ad_m
+    ad = L._ad.transpose().num  # ad[m n + x]: column x of ad_m, over dc
     out = {}  # (p, q) 0-based -> the nonzero (m, c^m_pq), in both orders
     for i, j, row in constants:
         out[i, j] = row
         out[j, i] = tuple((m, -c) for m, c in row)
-    dense = all(map(_dense, L._ad)) and (3 * n * max(map(abs, chain(*ad))) ** 2).bit_length() <= 62
+    dense = _dense(L._ad) and (3 * n * max(map(abs, chain(*ad))) ** 2).bit_length() <= 62
     packed = _pack(ad, n)[1] if dense else None
     for i, j, k in combinations(range(n), 3):
         terms = [(c, m * n + x) for p, q, x in ((i, j, k), (j, k, i), (k, i, j)) for m, c in out.get((p, q), ())]
@@ -188,24 +188,25 @@ def is_subalgebra(L: LieAlgebra, s: Subspace) -> SubalgebraResult:
 
 
 @owned(owner="m")
-def ad_pairings(L: LieAlgebra, m: Matrix) -> tuple[Matrix, ...]:
-    """Q_i = ad_i^T M, entry (j, k) w([e_i,e_j], e_k) for the form w of M, for `ce_d2` and
+def ad_pairings(L: LieAlgebra, m: Matrix) -> Trilinear:
+    """The tensor of slices Q_i = ad_i^T M, entry (j, k) w([e_i,e_j], e_k) for the form w of M, for `ce_d2` and
     `connections.kunneth_connection`; kept on M, keyed by L, so the two share it while M lives."""
     if m.n != L.n:
         raise DimensionMismatchError("two-form dimension does not match algebra")
-    return tuple(right_products([ad.transpose() for ad in L._ad], m))
+    return L._ad.transpose() * m
 
 
 @owned(owner="m")
 def ce_d2(L: LieAlgebra, m: Matrix) -> Trilinear:
     """(d w)(e_i,e_j,e_k) = -w([e_i,e_j],e_k) + w([e_i,e_k],e_j) - w([e_j,e_k],e_i).
 
-    For the 2-form w of antisymmetric matrix M, Q_i = `ad_pairings`(L, M)[i] has entry (j, k) =
-    w([e_i,e_j], e_k), and R = column_slices(Q) has entry (k, j) of R_i = Q_j[k][i] = w([e_j,e_k], e_i),
-    so slice i of d w is
+    For the 2-form w of antisymmetric matrix M, slice i of Q = `ad_pairings`(L, M) has entry (j, k) =
+    w([e_i,e_j], e_k), and R = Q.swap_outer() has entry (k, j) of R_i = Q_j[k][i] = w([e_j,e_k], e_i),
+    so d w is the tensor
 
-        W_i = Q_i^T - Q_i - R_i^T.
+        W = Q^T - Q - R^T,
+
+    ^T transposing each slice.
     """
     q = ad_pairings(L, m)
-    r = column_slices(q)
-    return Trilinear(tuple(q_i.transpose() - q_i - r_i.transpose() for q_i, r_i in zip(q, r)))
+    return q.transpose() - q - q.swap_outer().transpose()

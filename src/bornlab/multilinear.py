@@ -19,11 +19,8 @@ from .exact import (
     Matrix,
     Splitting,
     Trilinear,
-    combinations,
     eigensplitting,
     invert,
-    left_products,
-    right_products,
 )
 
 TYPE_CHECKING = False  # true for static checkers only; importing typing at run time is not needed
@@ -60,13 +57,12 @@ def nijenhuis(L: "LieAlgebra", t: Matrix) -> Trilinear:
             = sum_k T_ki V_k - T V_i,   V_k = [ad_k, T],
 
     since ad_{Te_i} = sum_k T_ki ad_k; column j of N_i is N(e_i, e_j), so the
-    tensor's slices are the N_i^T.
+    tensor is N^T, slice by slice.
     """
-    n = L.n
-    if t.n != n:
+    if t.n != L.n:
         raise DimensionMismatchError("endomorphism dimension does not match algebra")
-    v = [at - ta for at, ta in zip(right_products(L._ad, t), left_products(t, L._ad))]
-    return Trilinear(tuple((w - tv).transpose() for w, tv in zip(combinations(t, v, range(n)), left_products(t, v))))
+    v = L._ad * t - t * L._ad
+    return (v.combine(t) - t * v).transpose()
 
 
 def involution_split(t: Matrix) -> Splitting:

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from bornlab import CirclePoint, LieAlgebra, Matrix, Signature, Subspace, Trilinear, torsion
 from bornlab.connections import Connection
-from bornlab.exact import invert, linear_combination, splitting, vector
+from bornlab.exact import invert, splitting, vector
 from bornlab.liealg import _jacobi_sums, ce_d2
 from bornlab.multilinear import nijenhuis
 from bornlab.structures import IDENTITY_TABLE, Witness, subalgebra_witness, witness_at, witness_of
@@ -329,6 +329,11 @@ def pairwise_subalgebra(L: LieAlgebra, s: Subspace):
     return True, None, None
 
 
+def linear_combination(coeffs, matrices) -> Matrix:
+    """sum_a coeffs[a] * matrices[a], one scalar multiple and one sum at a time."""
+    return sum((m * c for c, m in zip(coeffs, matrices)), Matrix.zero(matrices[0].n))
+
+
 def four_combination_kunneth(k) -> Connection:
     """Gamma_i = pi_F (D_{pi_F e_i} + ad_{pi_G e_i}) pi_F + pi_G (D_{pi_G e_i} + ad_{pi_F e_i}) pi_G,
 
@@ -345,7 +350,7 @@ def four_combination_kunneth(k) -> Connection:
         on_f = linear_combination(x_f, d) + linear_combination(x_g, ad)
         on_g = linear_combination(x_g, d) + linear_combination(x_f, ad)
         gammas.append(pi_f * on_f * pi_f + pi_g * on_g * pi_g)
-    return Connection(tuple(gammas))
+    return Connection(Trilinear(tuple(gammas)))
 
 
 def integrability_legs(b) -> tuple:
@@ -382,11 +387,10 @@ def mixed_torsion_defect(L: LieAlgebra, c: Connection, plus: Subspace, minus: Su
     """First ((a, b, k), value) in lexicographic order with T(x_a, y_b) nonzero at coordinate k.
 
     x_a and y_b run over the echelon bases of plus and minus; None when the
-    mixed torsion vanishes.  Read by `Splitting.map_witness` on the matrices
-    T_i, whose column j is T(e_i, e_j).
+    mixed torsion vanishes.  Read by `Splitting.map_witness` on the tensor of
+    the matrices T_i, whose column j is T(e_i, e_j).
     """
-    t = [s.transpose() for s in torsion(L, c).slices]
-    return splitting(plus, minus).map_witness(t, "+", "-")
+    return splitting(plus, minus).map_witness(torsion(L, c).transpose(), "+", "-")
 
 
 # --- the Born identity table, from matrix products on raw data --------------

@@ -28,10 +28,10 @@ from bornlab import (
     torsion,
     CirclePoint,
 )
-from bornlab import connections, exact, model
+from bornlab import connections, model
 from bornlab.connections import Connection
 from bornlab.errors import DegenerateFormError, NotIntegrableError
-from bornlab.exact import determinant, invert, projection_onto, splitting
+from bornlab.exact import Trilinear, determinant, invert, projection_onto, splitting
 from bornlab.liealg import ce_d2
 from bornlab.multilinear import symmetric_form, two_form
 from bornlab.structures import Witness
@@ -213,7 +213,7 @@ def test_levi_civita_differs_from_kunneth_on_fixture(fixture_kunneth, nil3):
 
 def test_zero_connection_mixed_torsion_empty():
     L = LieAlgebra(4, {})
-    zero = Connection((Matrix.zero(4),) * 4)
+    zero = Connection(Trilinear((Matrix.zero(4),) * 4))
     f = Subspace(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
     g = Subspace(4, [[0, 0, 1, 0], [0, 0, 0, 1]])
     assert mixed_torsion_defect(L, zero, f, g) is None
@@ -327,7 +327,7 @@ def test_kunneth_vs_born_connection_on_h4(catalog_models):
 
 
 def test_nabla_form_zero_connection():
-    zero = Connection((Matrix.zero(4),) * 4)
+    zero = Connection(Trilinear((Matrix.zero(4),) * 4))
     g = symmetric_form(4, {(1, 4): -1, (2, 3): -1})
     assert nabla_form(zero, g).is_zero()
 
@@ -614,7 +614,7 @@ def test_connection_errors_carry_their_defect(monkeypatch, catalog_models):
     k = structures_of(catalog_models["h4"], "born")[0].kunneth
     nk, nc = kunneth_connection(k), canonical_connection(k)
     assert model._kunneth_connections(k) is None
-    bent = Connection(tuple(g + Matrix.identity(6) * 7 if i == 3 else g for i, g in enumerate(nc.gammas)))
+    bent = Connection(Trilinear(tuple(g + Matrix.identity(6) * 7 if i == 3 else g for i, g in enumerate(nc.gammas))))
     monkeypatch.setattr(model, "canonical_connection", lambda _k: bent)
     note = "integrable case: nabla^g = nabla^K = nabla^c"
     assert first_entry(bent - nk, 0) == ((4, 1, 1), 7)
@@ -664,7 +664,7 @@ def test_kunneth_mixed_torsion_failure_carries_its_witness(catalog_models):
     k = structures_of(catalog_models["h4"], "born")[0].kunneth
     c = Fraction(1, 3)
     involution = splitting(k.plus, k.minus).involution
-    conn = Connection(tuple(g + involution * c for g in kunneth_connection(k).gammas))
+    conn = Connection(Trilinear(tuple(g + involution * c for g in kunneth_connection(k).gammas)))
     for s in (k.plus, k.minus):
         assert not any(any(fraction_residual(s, g.matvec(v))) for g in conn.gammas for v in s.basis)
     expected = next(iter(reference_mixed_torsion(k.algebra, conn, k.plus, k.minus)))
@@ -679,7 +679,7 @@ def skewed_average(c, t, at, unit):
     """The conjugation average of c by t, moved by unit at Gamma_at."""
     gammas = list(connections._conjugate_average(c, t).gammas)
     gammas[at] = gammas[at] + unit
-    return Connection(tuple(gammas))
+    return Connection(Trilinear(tuple(gammas)))
 
 
 def test_canonical_commutation_failure_carries_its_commutator_witness(catalog_models):
@@ -830,23 +830,21 @@ def test_born_average_is_the_j_average_and_commutes_with_a_b_j(catalog_models, c
 
 
 def counted_products(monkeypatch):
-    """The factors of every Matrix product (a Matrix times a Matrix) made from now on, in order; a product that
-    a batch makes packed (`exact._packed_products`) counts as one, as one made by `Matrix.__mul__` does."""
-    products, original, batch = [], Matrix.__mul__, exact._packed_products
+    """The factors of every product by a Matrix made from now on, in order: a Matrix times a Matrix counts as one,
+    and a tensor times a Matrix, or a Matrix times a tensor, as one per slice, packed or not."""
+    products = []
 
-    def counting(self, other):
-        if isinstance(other, Matrix):
-            products.append((self, other))
-        return original(self, other)
+    def counting(method, left):
+        def counted(self, other):
+            if isinstance(other, Matrix):
+                pair = (self, other) if left else (other, self)
+                products.extend([pair] * (len(self.num) // self.n))
+            return method(self, other)
+        return counted
 
-    def counting_batch(xs, shared, right):
-        out = batch(xs, shared, right)
-        if out is not None:
-            products.extend((x, shared) if right else (shared, x) for x in xs)
-        return out
-
-    monkeypatch.setattr(Matrix, "__mul__", counting)
-    monkeypatch.setattr(exact, "_packed_products", counting_batch)
+    monkeypatch.setattr(Matrix, "__mul__", counting(Matrix.__mul__, True))
+    monkeypatch.setattr(Trilinear, "__mul__", counting(Trilinear.__mul__, True))
+    monkeypatch.setattr(Trilinear, "__rmul__", counting(Trilinear.__rmul__, False))
     return products
 
 

@@ -33,7 +33,7 @@ from bornlab import (
 from bornlab import connections, exact
 from bornlab.connections import Connection
 from bornlab.errors import JacobiViolationError, NotCompatibleError, NotComplementaryError, NotIsotropicError
-from bornlab.exact import kernel_basis, linear_combination, projection_onto, splitting
+from bornlab.exact import Trilinear, kernel_basis, projection_onto, splitting
 from bornlab.structures import Witness, witness_at
 from oracles import (
     basis_vector,
@@ -44,6 +44,7 @@ from oracles import (
     fraction_residual,
     from_columns,
     jacobi_defect,
+    linear_combination,
     mixed_torsion_defect,
     nabla,
     reference_coordinates,
@@ -200,7 +201,7 @@ def random_matrix(n, rng, density=0.5):
 
 
 def random_connection(n, rng):
-    return Connection(tuple(random_matrix(n, rng) for _ in range(n)))
+    return Connection(Trilinear(tuple(random_matrix(n, rng) for _ in range(n))))
 
 
 def random_splitting(n, rng):
@@ -380,7 +381,7 @@ def test_torsion_formula_matches_pairwise_oracle(catalog_models, catalog_structu
         pi_minus = (Matrix.identity(n) - b.b_op) * Fraction(1, 2)
         r = random_connection(n, rng).gammas
         delta = [linear_combination(column(pi_minus, i), r) * pi_minus for i in range(n)]
-        skewed = Connection(tuple(g + d for g, d in zip(nb.gammas, delta)))
+        skewed = Connection(Trilinear(tuple(g + d for g, d in zip(nb.gammas, delta))))
         pairs = [
             (nb, nk),
             (random_connection(n, rng), random_connection(n, rng)),

@@ -1,11 +1,13 @@
 """The integer kernel against plain-Fraction references, and elimination against sympy.
 
-A Matrix is integer numerators over one denominator in canonical form; the
-form is checked after every kernel operation, and equality, hashing and the
-Fraction accessors are checked against plain Fraction rows.  Products, sums,
-linear combinations, brackets and subspace reduction run on integers; each
-is checked here against the textbook Fraction formula on inputs with zeros,
-negatives and large or coprime denominators.  Determinant, inverse, rank and
+A Matrix is integer numerators over one denominator in canonical form, and a
+Trilinear tensor its slices stacked into one such block; the form is checked
+after every kernel operation, and equality, hashing and the Fraction
+accessors are checked against plain Fraction rows.  Products, sums, tensor
+products by a matrix, combinations of slices, slice transposes, brackets and
+subspace reduction run on integers; each is checked here against the
+textbook Fraction formula on inputs with zeros, negatives and large or
+coprime denominators.  Determinant, inverse, rank and
 reduced row echelon form run on fraction-free elimination; they are checked
 against sympy where it is installed, and the lazily scaled elimination
 against the eager one, row for row.  Sylvester inertia runs on symmetric
@@ -15,7 +17,7 @@ Fractions and against the sign changes of the characteristic polynomial.
 
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import add, mul, sub
 
 import pytest
@@ -26,13 +28,9 @@ from bornlab.errors import DimensionMismatchError, SingularMatrixError
 from bornlab.exact import (
     HALF,
     Subspace,
+    Trilinear,
     _gauss_jordan,
-    column_slices,
-    combinations,
     from_integers,
-    left_products,
-    linear_combination,
-    right_products,
     rref,
     to_integers,
 )
@@ -65,17 +63,31 @@ PAIRS = DIMS.flatmap(lambda n: st.tuples(rows_of(n), rows_of(n)))
 
 def ref_mul(a, b):
     n = len(a)
-    return [[sum((a[i][k] * b[k][j] for k in range(n)), ZERO) for j in range(n)] for i in range(n)]
+    return [[sum((a[i][k] * b[k][j] for k in range(n) if a[i][k] and b[k][j]), ZERO) for j in range(n)]
+            for i in range(n)]
 
 
 def ref_combination(coeffs, mats):
     n = len(mats[0])
-    return [[sum((c * m[i][j] for c, m in zip(coeffs, mats)), ZERO) for j in range(n)] for i in range(n)]
+    return [[sum((c * m[i][j] for c, m in zip(coeffs, mats) if c and m[i][j]), ZERO) for j in range(n)]
+            for i in range(n)]
 
 
 def assert_matrix(result, expected):
     assert result.rows == tuple(tuple(row) for row in expected)
     assert all(type(x) is Fraction for row in result.rows for x in row)
+
+
+def coefficients(coeffs):
+    """The k x k Matrix every column of which is the k coeffs."""
+    return Matrix([[c] * len(coeffs) for c in coeffs])
+
+
+def combination(coeffs, slices):
+    """sum_a coeffs[a] slices[a], as `Trilinear.combine` forms it: its one slice, the tensor checked canonical."""
+    t = Trilinear(slices).combine(coefficients(coeffs), [0])
+    assert_canonical(t)
+    return t.slices[0]
 
 
 @settings(max_examples=100, deadline=None)
@@ -118,18 +130,20 @@ def test_matvec_accepts_integer_vectors():
 @given(DIMS.flatmap(lambda n: st.integers(1, 4).flatmap(
     lambda k: st.tuples(vector_of(k), st.lists(rows_of(n), min_size=k, max_size=k)))))
 def test_linear_combination_matches_fraction_reference(case):
+    """A combination of k slices of size n, k != n as well, by a k x k matrix of coefficients."""
     coeffs, mats = case
-    assert_matrix(linear_combination(coeffs, [Matrix(m) for m in mats]), ref_combination(coeffs, mats))
+    assert_matrix(combination(coeffs, [Matrix(m) for m in mats]), ref_combination(coeffs, mats))
 
 
 @settings(max_examples=100, deadline=None)
 @given(DIMS.flatmap(lambda n: st.lists(rows_of(n), min_size=n, max_size=n)))
 def test_column_slices_match_fraction_reference(mats):
+    """The outer slots swapped: column j of slice i is column i of slice j."""
     n = len(mats)
-    slices = column_slices([Matrix(m) for m in mats])
-    assert len(slices) == n
-    for i, s in enumerate(slices):
-        # column j of S_i is column i of M_j
+    swapped = Trilinear([Matrix(m) for m in mats]).swap_outer()
+    assert_canonical(swapped)
+    assert len(swapped.slices) == n
+    for i, s in enumerate(swapped.slices):
         assert_matrix(s, [[mats[j][k][i] for j in range(n)] for k in range(n)])
         assert_canonical(s)
 
@@ -163,24 +177,29 @@ def test_bracket_matches_structure_constant_reference(case):
 
 
 def assert_canonical(m):
-    """den > 0, no factor common to den and every numerator, zero over 1."""
+    """den > 0, no factor common to den and every numerator, zero over 1; n rows of a Matrix, whole slices of a
+    Trilinear."""
     assert type(m.den) is int and m.den > 0
-    assert type(m.num) is tuple and len(m.num) == m.n
+    assert type(m.num) is tuple and len(m.num) % m.n == 0 and (type(m) is Trilinear or len(m.num) == m.n)
     assert all(type(row) is tuple and len(row) == m.n for row in m.num)
     assert all(type(v) is int for row in m.num for v in row)
     assert gcd(m.den, *(v for row in m.num for v in row)) == 1
     if all(v == 0 for row in m.num for v in row):
         assert m.den == 1
-    # the zero test recorded at construction is a scan of num
+    # the zero test and the row bytes recorded at construction are scans of num
     assert m.is_zero() is all(v == 0 for row in m.num for v in row)
+    assert m._live == bytes(any(row) for row in m.num)
 
 
 @settings(max_examples=100, deadline=None)
 @given(PAIRS, SCALARS, st.lists(SCALARS, min_size=2, max_size=2))
 def test_every_kernel_result_is_canonical(pair, c, coeffs):
     a, b = Matrix(pair[0]), Matrix(pair[1])
+    t = Trilinear([a if i % 2 else b for i in range(a.n)])
     results = [a, b, a * b, a + b, a - b, a - a, -a, a * c, c * a, a.transpose(), a * 0,
-               linear_combination(coeffs, [a, b]), Matrix.identity(a.n), Matrix.zero(a.n)]
+               combination(coeffs, [a, b]), Matrix.identity(a.n), Matrix.zero(a.n),
+               t, t * b, a * t, t + t, t - t, -t, t * c, c * t, t * 0, t.transpose(), t.swap_outer(),
+               t.combine(a), t.combine(a, [a.n - 1]), *t.slices]
     if determinant(a) != 0:
         results.append(invert(a))
     for m in results:
@@ -232,10 +251,17 @@ def test_zero_operands_match_fraction_reference(a, c):
         (0 * A, z),
         (A * ZERO, z),
         (Z * c, z),
-        (linear_combination(coeffs, [A, Z, A]), ref_combination(coeffs, [a, z, a])),
-        (linear_combination([Fraction(-1, 2), c], [Z, Z]), z),
-        (linear_combination([ZERO, c], [A, Z]), z),
+        (combination(coeffs, [A, Z, A]), ref_combination(coeffs, [a, z, a])),
+        (combination([Fraction(-1, 2), c], [Z, Z]), z),
+        (combination([ZERO, c], [A, Z]), z),
     ]
+    # a zero tensor, and one whose slices but the first are zero, against a matrix and the zero matrix
+    for slices in ([z] * n, [a] + [z] * (n - 1)):
+        t = Trilinear([Matrix(m) for m in slices])
+        for result, expected in ((t * A, [ref_mul(m, a) for m in slices]), (A * t, [ref_mul(a, m) for m in slices]),
+                                 (t * Z, [z] * n), (Z * t, [z] * n), (t - t, [z] * n), (t * ZERO, [z] * n)):
+            assert_canonical(result)
+            cases += zip(result.slices, expected)
     for result, expected in cases:
         assert_matrix(result, expected)
         assert_canonical(result)
@@ -315,15 +341,52 @@ def test_sparse_operands_match_fraction_reference(pair, c):
     assert A.first_witness() == ref_first_witness(a)
 
 
+def ref_slices(t):
+    """The slices of a tensor as Fraction rows."""
+    return [[list(row) for row in m.rows] for m in t.slices]
+
+
+def ref_tensor_witness(slices):
+    hit = next(((i, ref_first_witness(m)) for i, m in enumerate(slices) if ref_first_witness(m)), None)
+    return None if hit is None else ((hit[0] + 1, *hit[1][0]), hit[1][1])
+
+
 @settings(max_examples=40, deadline=None)
-@given(SPARSE_DIMS.flatmap(lambda n: st.tuples(st.lists(sparse_rows(n), min_size=n, max_size=n), vector_of(n))))
+@given(SPARSE_DIMS.flatmap(lambda n: st.tuples(
+    st.lists(sparse_rows(n), min_size=n, max_size=n), sparse_rows(n), sparse_rows(n), vector_of(n), SCALARS,
+    st.lists(st.integers(0, n - 1), unique=True, min_size=1, max_size=n))))
 def test_sparse_combinations_and_slices_match_fraction_reference(case):
-    mats, coeffs = case
+    """Every tensor operation on slices as direct sums give them (zero slices and rows, mixed with dense blocks),
+    against two such matrices: the Fraction reference, in canonical form, slice by slice."""
+    mats, b1, b2, coeffs, c, cols = case
     n = len(mats)
-    matrices = [Matrix(m) for m in mats]
-    assert_fresh(linear_combination(coeffs, matrices), ref_combination(coeffs, mats))
-    for i, s in enumerate(column_slices(matrices)):
-        assert_fresh(s, [[mats[j][k][i] for j in range(n)] for k in range(n)])
+    t, u = Trilinear([Matrix(m) for m in mats]), Trilinear([Matrix(m) for m in reversed(mats)])
+    assert_fresh(combination(coeffs, t.slices), ref_combination(coeffs, mats))
+    ref_u = mats[::-1]
+    transposed = [[list(col) for col in zip(*m)] for m in mats]
+    cases = [
+        (t + u, [[[x + y for x, y in zip(r, q)] for r, q in zip(m, w)] for m, w in zip(mats, ref_u)]),
+        (t - u, [[[x - y for x, y in zip(r, q)] for r, q in zip(m, w)] for m, w in zip(mats, ref_u)]),
+        (-t, [[[-x for x in row] for row in m] for m in mats]),
+        (t * c, [[[x * c for x in row] for row in m] for m in mats]),
+        (t.transpose(), transposed),
+        (t.swap_outer(), [[[mats[j][k][i] for j in range(n)] for k in range(n)] for i in range(n)]),
+    ]
+    for b in (b1, b2):
+        m = Matrix(b)
+        cases += [
+            (t * m, [ref_mul(x, b) for x in mats]),
+            (m * t, [ref_mul(b, x) for x in mats]),
+            (t.combine(m), [ref_combination(column(m, j), mats) for j in range(n)]),
+            (t.combine(m, cols), [ref_combination(column(m, j), mats) for j in cols]),
+        ]
+    for result, expected in cases:
+        assert_canonical(result)
+        assert len(result.slices) == len(expected)
+        for got, want in zip(result.slices, expected):
+            assert_fresh(got, want)
+        assert result.first_witness() == ref_tensor_witness(expected)
+        assert result == Trilinear([Matrix(m) for m in expected])
 
 
 def ref_first_witness(rows):
@@ -517,32 +580,46 @@ def moved(L, p):
                             for a in range(L.n) for b in range(a + 1, L.n)})
 
 
+def int_mul(a, b):
+    """The textbook product of integer rows."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def reference_combination(m, xs, j):
+    """sum_a m[a][j] xs[a] on integer numerators over the lcm of the denominators of the xs."""
+    d = lcm(*(x.den for x in xs))
+    rows = [x.num_over(d) for x in xs]
+    n = m.n
+    return Matrix.over([[sum(m.num[a][j] * rows[a][r][c] for a in range(n)) for c in range(n)] for r in range(n)],
+                       m.den * d)
+
+
 def test_packed_batches_and_jacobi_match_the_per_matrix_kernel(monkeypatch):
-    """right_products, left_products and combinations equal x * b, a * x and
-    linear_combination, and _jacobi_sums its unpacked sums, over n = 1..12,
-    dense and sparse shared factors, negative entries, zero and mixed slices
-    and den != 1.  A batch packs exactly when its shared factor is dense, some
-    x is nonzero and its bound has at most 62 bits: at the bound (result
-    entries near 2^62) it packs, one past it does not, and neither does one
-    whose entries reach 2^63, one more than a slot holds.  The decode is exact
-    at the slot limits."""
+    """A tensor times a matrix, a matrix times a tensor and the combinations of a tensor's slices (all columns, and
+    fewer than n as the frame side of a splitting takes them) equal the textbook product of integer numerators,
+    slice by slice, and _jacobi_sums its unpacked sums, over n = 1..12, dense and sparse shared factors, negative
+    entries, zero and mixed slices and den != 1.  An operation packs exactly when its shared factor is dense, the
+    tensor is nonzero and its bound has at most 62 bits: at the bound (result entries near 2^62) it packs, one
+    past it does not, and neither does one whose entries reach 2^63, one more than a slot holds.  The decode is
+    exact at the slot limits."""
     rng = random.Random(48)
-    packed, pack, calls, packings = exact._packed, liealg._pack, [], []
-    monkeypatch.setattr(exact, "_packed", lambda *args: calls.append(1) or packed(*args))
-    monkeypatch.setattr(liealg, "_pack", lambda *args: packings.append(1) or pack(*args))
+    pack, jacobi_pack, calls, packings = exact._pack, liealg._pack, [], []
+    monkeypatch.setattr(exact, "_pack", lambda *args: calls.append(1) or pack(*args))
+    monkeypatch.setattr(liealg, "_pack", lambda *args: packings.append(1) or jacobi_pack(*args))
 
     def check(shared, xs, packs):
-        """Each batch of xs against shared equals the per-matrix kernel, returns an x itself where it does, and
-        packs if packs."""
-        n = shared.n
-        for batch, expected in (
-            (right_products(xs, shared), [x * shared for x in xs]),
-            (left_products(shared, xs), [shared * x for x in xs]),
+        """The three operations of the tensor of xs against shared equal the integer reference, and pack if packs."""
+        n, t = shared.n, Trilinear(xs)
+        cols = sorted(rng.sample(range(n), rng.randint(1, n)))
+        for result, expected in (
+            (t * shared, [Matrix.over(int_mul(x.num, shared.num), x.den * shared.den) for x in xs]),
+            (shared * t, [Matrix.over(int_mul(shared.num, x.num), x.den * shared.den) for x in xs]),
+            (t.combine(shared), [reference_combination(shared, xs, j) for j in range(n)]),
+            (t.combine(shared, cols), [reference_combination(shared, xs, j) for j in cols]),
         ):
-            assert batch == expected
-            assert [g is x for g, x in zip(batch, xs)] == [e is x for e, x in zip(expected, xs)]
-        assert combinations(shared, xs, range(n)) == [linear_combination(column(shared, j), xs) for j in range(n)]
-        assert calls == [1] * 3 * packs, (n, packs)
+            assert_canonical(result)
+            assert result.slices == tuple(expected)
+        assert calls == [1] * 4 * packs, (n, packs)
         calls.clear()
 
     for n in range(1, 13):
@@ -550,7 +627,7 @@ def test_packed_batches_and_jacobi_match_the_per_matrix_kernel(monkeypatch):
             shared = random_over(n, rng, density, 20, rng.choice((1, 6)))
             xs = [random_over(n, rng, rng.choice((0, 0.2, 1.0)), 20, rng.choice((1, 2, 35))) for _ in range(n)]
             check(shared, xs, exact._dense(shared) and not all(x.is_zero() for x in xs))
-    # both bounds are 6 a b: 62 bits at b, 63 at b + 1
+    # every bound is 6 a b: 62 bits at b, 63 at b + 1
     a = 2**31 - 1
     b = (2**62 - 1) // (6 * a)
     for sign in (1, -1):
@@ -559,7 +636,7 @@ def test_packed_batches_and_jacobi_match_the_per_matrix_kernel(monkeypatch):
     check(filled(8, 2**30), [filled(8, 2**30), filled(8, 0)] * 4, False)  # entries 8 2^30 2^30 = 2^63
     check(filled(6, 3), [filled(6, 0)] * 6, False)  # every x zero: nothing to pack
     extremes = [[2**63 - 1, -(2**63)], [-1, 0]]
-    assert packed([[1, 0], [0, 1]], extremes, False, 2, [1]) == [Matrix.over(extremes, 1)]
+    assert exact._product(((1, 0), (0, 1)), b"\1\1", extremes, 1) == (extremes, b"\1\1")
 
     # 3 n peak^2 at n = 6: 62 bits at peak, 63 at peak + 1; a valid algebra in a dense basis has zero sums
     peak, basis = isqrt((2**62 - 1) // 18), random.Random(0)

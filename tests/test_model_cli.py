@@ -27,7 +27,7 @@ from bornlab import (
     run_checks,
 )
 from bornlab import exact
-from bornlab.exact import MAX_LITERAL_DIGITS
+from bornlab.exact import MAX_LITERAL_DIGITS, Trilinear
 from bornlab import model as model_module
 from bornlab.connections import Connection
 from bornlab.cli import main
@@ -786,7 +786,7 @@ def bumped(c, i, j, k, value):
     """The connection c with value added to entry (j, k) of Gamma_i, 1-based."""
     n = len(c.gammas)
     unit = Matrix([[value if (r, s) == (j - 1, k - 1) else 0 for s in range(n)] for r in range(n)])
-    return Connection(tuple(g + unit if m == i - 1 else g for m, g in enumerate(c.gammas)))
+    return Connection(Trilinear(tuple(g + unit if m == i - 1 else g for m, g in enumerate(c.gammas))))
 
 
 def test_kunneth_connection_rows_carry_real_witnesses(monkeypatch, nil3):
@@ -819,7 +819,7 @@ def test_kunneth_connection_rows_carry_real_witnesses(monkeypatch, nil3):
     monkeypatch.setattr(model_module, "kunneth_connection", lambda k: levi_civita(k.algebra, neutral_metric(k)))
     assert row(fixture) == Witness((1, 2, 4), "1", iff)
     # integrable, but nabla^K = 0 has torsion T(e1, e2) = -[e1, e2] = -e3
-    monkeypatch.setattr(model_module, "kunneth_connection", lambda k: Connection((Matrix.zero(4),) * 4))
+    monkeypatch.setattr(model_module, "kunneth_connection", lambda k: Connection(Trilinear((Matrix.zero(4),) * 4)))
     assert row(integrable) == Witness((1, 2, 3), "-1", iff)
     monkeypatch.undo()
 

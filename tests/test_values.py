@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import subprocess
 import sys
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -25,8 +26,7 @@ FIELDS = {
     Expectation: "kind target expected",
     CatalogEntry: "name summary model expectations provenance",
     ExpectationOutcome: "expectation actual",
-    Connection: "gammas",
-    Trilinear: "slices",
+    Connection: "gamma",
     Signature: "positive negative null",
     Splitting: "plus minus frame frame_inv pi_plus involution",
     StructureDecl: "kind refs",
@@ -105,7 +105,12 @@ def test_kernel_values_are_immutable_and_compared_by_value():
     assert m == Matrix.over([[2, 4], [6, 8]], 2) and hash(m) == hash(Matrix([[1, 2], [3, 4]]))
     s, t = Subspace(2, [[1, 1]]), Subspace(2, [[2, 2]])
     assert s.given != t.given and s == t and hash(s) == hash(t)
-    for obj in (m, s):
+    # a tensor built from its slices is one block over one denominator, equal to the same block reached otherwise
+    tensor = Trilinear((m, m * Fraction(1, 2)))
+    assert (tensor.num, tensor.den) == (((2, 4), (6, 8), (1, 2), (3, 4)), 2) and tensor.slices == (m, m * Fraction(1, 2))
+    assert tensor == Trilinear.over([[4, 8], [12, 16], [2, 4], [6, 8]], 4) and hash(tensor) == hash(Trilinear(tensor.slices))
+    assert tensor != Trilinear((m, m)) and tensor != m
+    for obj in (m, s, tensor):
         with pytest.raises(AttributeError):
             obj.n = 3
         with pytest.raises(AttributeError):
