@@ -91,8 +91,9 @@ class LieAlgebra(Value):
                     raise JacobiViolationError(((*triple, l), Fraction(value, dc * dc)))
 
     def ad(self, i: int) -> Matrix:
-        """Matrix of ad_{e_{i+1}} (0-based argument): column j is [e_{i+1}, e_{j+1}]."""
-        return self._ad.slices[i]
+        """Matrix of ad_{e_{i+1}} (0-based argument): column j is [e_{i+1}, e_{j+1}]; slice i of the ad tensor."""
+        rows = slice(i * self.n, (i + 1) * self.n)
+        return Matrix.over(self._ad.num[rows], self._ad.den, self._ad._live[rows])
 
     def bracket(self, x: Sequence, y: Sequence):
         """[x, y]^k = sum_{i<j} (x^i y^j - x^j y^i) c^k_{ij}; bilinear and antisymmetric.
