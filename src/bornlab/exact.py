@@ -299,8 +299,8 @@ class _Block(Value):
         if self._zero:
             return self
         n, num, live = self.n, self.num, self._live
-        rows, flags = _zipped([(num[s:s + n], live[s:s + n]) for s in range(0, len(num), n)])
-        return self._of(tuple(chain.from_iterable(rows)), self.den, b"".join(flags))
+        blocks = (zip(*num[s:s + n]) if 1 in live[s:s + n] else num[s:s + n] for s in range(0, len(num), n))
+        return self._of(tuple(chain.from_iterable(blocks)), self.den)
 
     def first_witness(self):
         """First nonzero ((row, column) 1-based, value) in row-major order; None if zero."""
@@ -350,11 +350,10 @@ class _Block(Value):
         rows = tuple(chain.from_iterable(num[s:s + n] for s in starts))
         wide = [tuple(chain.from_iterable(rows[k::n])) for k in range(n)]
         wide = _product(other.num, other._live, wide, _bound(other, self))[0]
-        out, flags = list(num), bytearray(live)
+        out = list(num)
         for t, s in enumerate(starts):
-            out[s:s + n] = block = [row[t * n:t * n + n] for row in wide]
-            flags[s:s + n] = map(any, block)
-        return self.over(out, self.den * other.den, bytes(flags))
+            out[s:s + n] = [row[t * n:t * n + n] for row in wide]
+        return self.over(out, self.den * other.den)
 
     def _times(self, c) -> "_Block":
         """The scalar multiple c * self."""
@@ -481,8 +480,9 @@ class Trilinear(_Block):
         if self._zero:
             return self
         n, num, live = self.n, self.num, self._live
-        rows, flags = _zipped([(num[j::n], live[j::n]) for j in range(n)])
-        return self._of(tuple(chain.from_iterable(zip(*rows))), self.den, bytes(chain.from_iterable(zip(*flags))))
+        zero = ((0,) * n,) * n
+        blocks = [tuple(zip(*num[j::n])) if 1 in live[j::n] else zero for j in range(n)]
+        return self._of(tuple(chain.from_iterable(zip(*blocks))), self.den)
 
     def combine(self, m: Matrix, cols: Iterable[int] = None) -> "Trilinear":
         """The tensor whose slices are sum_a m[a][j] t_a, for j in cols (every column of m by default): each column
@@ -515,18 +515,6 @@ class Trilinear(_Block):
 
     def __repr__(self):
         return f"Trilinear({self.slices!r})"
-
-
-def _zipped(groups) -> tuple[tuple, tuple]:
-    """The rows and the row bytes of each group (n rows of width n, their row bytes) zipped, its columns as its
-    rows; a zero group is kept as it is."""
-    out = []
-    for rows, live in groups:
-        if 1 in live:
-            rows = tuple(zip(*rows))
-            live = bytes(map(any, rows))
-        out.append((rows, live))
-    return tuple(zip(*out))
 
 
 def _scaled(rows, f: int, live: bytes, op=mul) -> tuple:
