@@ -54,7 +54,7 @@ from .connections import (
     omega_K_defect,
     torsion,
 )
-from .model import Model, Report, parse_model, render_model, render_report, run_checks
+from .model import Model, Report, parse_model, render_report, run_checks
 from . import catalog, errors
 
 __version__ = "0.1.0"

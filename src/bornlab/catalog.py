@@ -1,10 +1,10 @@
 """Built-in example structures with exact, provenance-tagged data.
 
 Every entry is a model document, `entries/<name>.json`, that `bornlab check`
-reads like any user file.  Its tensors are explicit rational tables, not
-derived at load time, so the engine's recomputation of recursion operators,
-metrics and connections is a genuine cross-check of the transcribed source
-data.  The summary, provenance and expectations of every entry sit in one
+reads like any user file and `export_entry` returns as the file holds it.
+Its tensors are explicit rational tables, not derived at load time, so the
+engine's recomputation of recursion operators, metrics and connections is a
+genuine cross-check of the transcribed source data.  The summary, provenance and expectations of every entry sit in one
 table, _ENTRIES.  Transcription corrections are never silent: they are listed
 in the entry's provenance note and backed by a negative expectation that
 shows the uncorrected data failing.
@@ -22,7 +22,7 @@ from functools import lru_cache
 from .errors import BornlabError, UnknownEntryError, shown
 from .exact import Value, owned
 from .liealg import ce_d2
-from .model import CHECK_ORDER, materialize, parsed, render_model, run_checks
+from .model import CHECK_ORDER, materialize, parsed, run_checks
 from .structures import CirclePoint, integrability_report, s1_family
 
 
@@ -151,9 +151,8 @@ def list_entries():
     return [(name, summary) for name, (summary, _, _) in _ENTRIES.items()]
 
 
-@lru_cache(maxsize=None)
-def get_entry(name: str) -> CatalogEntry:
-    """Parse an entry's model document; its declared structures validate on load.
+def _document(name: str) -> str:
+    """The text of an entry's model document.
 
     Only a name in the table opens a file, so no name reaches outside entries/.
     An install that lacks the document raises UnknownEntryError, not OSError.
@@ -164,10 +163,15 @@ def get_entry(name: str) -> CatalogEntry:
 
     try:
         with open(os.path.join(os.path.dirname(__file__), "entries", f"{name}.json"), encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise UnknownEntryError(f"catalog entry {name} has no model document: {exc}") from None
-    model = parsed(text)
+
+
+@lru_cache(maxsize=None)
+def get_entry(name: str) -> CatalogEntry:
+    """Parse an entry's model document; its declared structures validate on load."""
+    model = parsed(_document(name))
     summary, expectations, provenance = _ENTRIES[name]
     entry = CatalogEntry(name, summary, model, expectations, provenance)
     for _, _, obj in materialize(model):
@@ -177,8 +181,8 @@ def get_entry(name: str) -> CatalogEntry:
 
 
 def export_entry(name: str) -> str:
-    """Model file text for an entry; parses back to an equal model."""
-    return render_model(get_entry(name).model)
+    """An entry's model document, the text `get_entry` parses, as the file holds it."""
+    return _document(name)
 
 
 def _family(entry: CatalogEntry):

@@ -29,7 +29,7 @@ scaled lazily: a step that finds a zero in a row's pivot column only
 multiplies the row by a ratio of pivots, so the row is brought up to date
 when a step needs it and at the end.  `invert` is memoized on its matrix
 (`owned`), so every fact read off one inverse shares one elimination.  A
-Subspace keeps its echelon basis as integer rows too, so the subalgebra
+Subspace keeps only its echelon basis, as integer rows, so the subalgebra
 test (`liealg.is_subalgebra`) never leaves the integers.
 
 A Splitting of the space into two complementary subspaces holds the frame
@@ -836,16 +836,14 @@ def signature_of_symmetric(m: Matrix) -> Signature:
 class Subspace(Value):
     """Span of rational vectors inside a fixed R^n.
 
-    The constructor keeps the spanning vectors as given (for serialization)
-    and canonicalizes the span to reduced row echelon form with deterministic
-    pivoting, so equality and reduction are reproducible.  The echelon
-    rows are kept as integers, (pivot column, numerators, denominator) with
-    the numerator at the pivot equal to the denominator; `basis` builds the
-    same rows as Fractions on each access.
+    The constructor canonicalizes the span to reduced row echelon form with
+    deterministic pivoting, so equality and reduction are reproducible, and
+    keeps only that: the echelon rows as integers, (pivot column,
+    numerators, denominator) with the numerator at the pivot equal to the
+    denominator.  `basis` builds the same rows as Fractions on each access.
     """
 
-    __slots__ = ("n", "given", "_echelon")
-    _uncompared = ("given",)
+    __slots__ = ("n", "_echelon")
 
     def __init__(self, n: int, vectors_: Sequence[Sequence]):
         given = tuple(vector(v) for v in vectors_)
@@ -854,7 +852,7 @@ class Subspace(Value):
         rows = _echelon(list(_over_lcm(given)[0]), n)
         if len(rows) != len(given):
             raise ValueError("subspace basis vectors are linearly dependent")
-        super().__init__(n, given, rows)
+        super().__init__(n, rows)
 
     @property
     def basis(self) -> tuple:
@@ -893,10 +891,10 @@ class Splitting(Value):
     Every property of the splitting is a block of one product in the frame:
     a bilinear form M reads P^T M P, whose entry (a, c) is M on frame vectors
     a and c, and an endomorphism T reads P^-1 T P, whose column c holds the
-    frame coordinates of T applied to frame vector c.  `block_witness` finds
-    the first nonzero entry of the (+, +), (+, -), (-, +) or (-, -) block of
-    either, and `map_witness` that of a vector-valued bilinear map on pairs
-    of frame vectors.
+    frame coordinates of T applied to frame vector c.  `block` reads the
+    (+, +), (+, -), (-, +) or (-, -) block of either, and `map_witness` the
+    first nonzero entry of a vector-valued bilinear map on pairs of frame
+    vectors.
     """
 
     __slots__ = ("plus", "minus", "frame", "frame_inv", "pi_plus", "involution")
@@ -917,11 +915,6 @@ class Splitting(Value):
         """The block of m with rows and columns on the "+" or "-" side; the two sides have one dimension."""
         r, c = self._sides(rows, cols)
         return Matrix.over([row[c] for row in m.num[r]], m.den)
-
-    def block_witness(self, m: Matrix, rows: str, cols: str):
-        """First nonzero ((a, c) 1-based within the block, value) of a block of m, row-major; None if zero."""
-        r, c = self._sides(rows, cols)
-        return _Block.over([row[c] for row in m.num[r]], m.den).first_witness()
 
     def map_witness(self, m: Trilinear, rows: str, cols: str):
         """First ((a, c, k), value) in lexicographic order with M(x_a, x_c) nonzero at coordinate k.
@@ -977,8 +970,7 @@ def eigensplitting(t: Matrix) -> Splitting:
     twice = [[[sign * v + d * (i == j) for j, v in enumerate(row)] for i, row in enumerate(t.num)] for sign in (1, -1)]
     plus, minus = spaces = [object.__new__(Subspace) for _ in twice]
     for space, m in zip(spaces, twice):
-        rows = _echelon([list(col) for col in zip(*m)], n)
-        Value.__init__(space, n, tuple(from_integers(row, e) for _, row, e in rows), rows)
+        Value.__init__(space, n, _echelon([list(col) for col in zip(*m)], n))
     inv = [twice[0][pc] for pc, _, _ in plus._echelon] + [twice[1][pc] for pc, _, _ in minus._echelon]
     return Splitting(plus, minus, _frame(plus, minus), Matrix.over(inv, 2 * d), Matrix.over(twice[0], 2 * d), t)
 

@@ -40,19 +40,24 @@ from .exact import (
 class LieAlgebra(Value):
     """Finite-dimensional Lie algebra over the rationals.
 
-    brackets maps 1-based pairs (i, j) with i < j to {k: coefficient of e_k
-    in [e_i, e_j]}.  Zero coefficients are dropped, so the stored table is
-    canonical and serializes deterministically.  Algebras are equal by
-    (n, brackets); as brackets is a dict, the hash is computed once here.
+    Given a dimension n and a table mapping 1-based pairs (i, j) with i < j to
+    {k: coefficient of e_k in [e_i, e_j]}, it keeps two derived forms of the
+    constants c^k_ij and nothing else: `_ad`, the tensor of the ad_i as one
+    canonical block, and `_constants`, its sparse index (dc, the common
+    denominator, and per pair with a nonzero output the 0-based (i, j) and
+    the nonzero (k, numerator over dc), pairs and outputs sorted).  Algebras
+    are equal by (n, `_ad`) and hashed by it; `brackets` reads the table back
+    off `_constants`, sorted, reduced and free of zeros.
     """
 
-    __slots__ = ("n", "brackets", "_ad", "_constants")
-    _uncompared = ("_ad", "_constants")
+    __slots__ = ("n", "_ad", "_constants")
+    _uncompared = ("_constants",)
 
     def __init__(self, n: int, brackets: Mapping = (), *, check: bool = True):
         if n < 1:
             raise DimensionMismatchError("dimension must be >= 1")
-        canon: dict[tuple[int, int], dict[int, Fraction]] = {}
+        # pairs and output keys are validated in the caller's order, before anything is sorted
+        table = []
         for (i, j), out in dict(brackets).items():
             if not (1 <= i < j <= n):
                 raise DimensionMismatchError(
@@ -65,15 +70,14 @@ class LieAlgebra(Value):
                     raise DimensionMismatchError(f"bracket output index {format_rational(k)} out of range")
                 c = rationalize(coeff)
                 if c != 0:
-                    row[k] = c
+                    row[k - 1] = c
             if row:
-                canon[(i, j)] = dict(sorted(row.items()))
-        canon = {key: canon[key] for key in sorted(canon)}
+                table.append((i - 1, j - 1, sorted(row.items())))
+        table.sort()
         # the structure constants as integers over their common denominator dc
-        dc = lcm(*{c.denominator for out in canon.values() for c in out.values()})
+        dc = lcm(*{c.denominator for _, _, row in table for _, c in row})
         constants = tuple(
-            (i - 1, j - 1, tuple((k - 1, c.numerator * (dc // c.denominator)) for k, c in out.items()))
-            for (i, j), out in canon.items()
+            (i, j, tuple((k, c.numerator * (dc // c.denominator)) for k, c in row)) for i, j, row in table
         )
         # entry (k, j) of ad_i is c^k_ij, the e_k coefficient of [e_i, e_j], at row i n + k of one block; over the
         # lcm dc of the reduced denominators the block is canonical
@@ -82,13 +86,18 @@ class LieAlgebra(Value):
             for k, c in out:
                 ad[i * n + k][j] = c
                 ad[j * n + k][i] = -c
-        super().__init__(n, canon, Trilinear._of(tuple(map(tuple, ad)), dc), (dc, constants))
-        object.__setattr__(self, "_hash", hash((n, tuple((k, tuple(v.items())) for k, v in canon.items()))))
+        super().__init__(n, Trilinear._of(tuple(map(tuple, ad)), dc), (dc, constants))
         if check:
             for triple, sums in _jacobi_sums(self):
                 if any(sums):
                     l, value = next((l, v) for l, v in enumerate(sums, 1) if v)
                     raise JacobiViolationError(((*triple, l), Fraction(value, dc * dc)))
+
+    @property
+    def brackets(self) -> dict:
+        """{(i, j): {k: c^k_ij}}, 1-based, for the pairs i < j with a nonzero bracket, built on each access."""
+        dc, constants = self._constants
+        return {(i + 1, j + 1): {k + 1: Fraction(c, dc) for k, c in out} for i, j, out in constants}
 
     def ad(self, i: int) -> Matrix:
         """Matrix of ad_{e_{i+1}} (0-based argument): column j is [e_{i+1}, e_{j+1}]; slice i of the ad tensor."""

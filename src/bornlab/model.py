@@ -17,16 +17,16 @@ read it.  A second table, _CHECKS, says which check applies to which kind and
 how it is decided there.  materialize builds every declared structure,
 keeping construction errors, kind by kind in that order and each kind in
 declaration order, and follows a built Born structure with the Kunneth
-structure it holds, so one Kunneth structure per (omega, L+, L-) is checked,
-by the Kunneth rows, whether a Born structure holds it or the model declares
-it.  A check's row is the first failing outcome in that order.  A structure
-that did not build fails only its kind's construction check, the one whose
-row for that kind is _built, and is left out of every other.
+structure it holds, so one Kunneth structure per (omega, L+, L-) is listed,
+and checked by the Kunneth rows, whether a Born structure holds it or the
+model declares it.  A report evaluates each row once on each listed
+structure; a check's row is the first failing outcome in that order.  A
+structure that did not build fails only its kind's construction check, the
+one whose row for that kind is _built, and is left out of every other.
 
 Every result is kept on the value it was computed from (`exact.owned`):
-materialize's structures on the Model, each check's outcome on its
-structure, keyed by (check, kind), and each report on the Model, keyed by
-the selection.  None holds its owner, so all go with the parsed Model.
+materialize's structures on the Model, and each report on the Model, keyed
+by the selection.  None holds its owner, so all go with the parsed Model.
 `parsed`, the one memo across calls, keeps the Models of the last
 PARSED_DOCUMENTS document texts; `check` and the catalog both read models
 through it, so a document checked again, or an entry shown after its text
@@ -145,7 +145,7 @@ class Model(Value):
 
 
 # ---------------------------------------------------------------------------
-# parsing and rendering
+# parsing
 
 
 # a bracket-output key: a plain ASCII integer, so distinct keys are distinct indices
@@ -314,32 +314,6 @@ def parsed(text: str) -> Model:
     return parse_model(text)
 
 
-def _matrix_json(m: Matrix):
-    return [[format_rational(v) for v in row] for row in m.rows]
-
-
-def render_model(model: Model) -> str:
-    """Canonical JSON serialization; parse(render(parse(x))) is idempotent."""
-    doc = {"name": model.name, "dim": model.algebra.n}
-    doc["brackets"] = [
-        {"i": i, "j": j, "out": {str(k): format_rational(c) for k, c in out.items()}}
-        for (i, j), out in model.algebra.brackets.items()
-    ]
-    doc["forms"] = {name: _matrix_json(f) for name, f in sorted(model.forms.items())}
-    doc["metrics"] = {name: _matrix_json(f) for name, f in sorted(model.metrics.items())}
-    doc["endos"] = {name: _matrix_json(e) for name, e in sorted(model.endos.items())}
-    doc["subspaces"] = {
-        name: [[format_rational(v) for v in vec] for vec in s.given]
-        for name, s in sorted(model.subspaces.items())
-    }
-    doc["structures"] = [
-        {"type": decl.kind, **{role: ref for role, ref in decl.refs}} for decl in model.structures
-    ]
-    if model.checks is not None:
-        doc["checks"] = list(model.checks)
-    return json.dumps(doc, indent=2) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # check execution
 
@@ -365,32 +339,33 @@ def materialize(model: Model) -> tuple:
     row of _KINDS, so a row's witness is that of the first failing structure
     in the list.  A built Born structure is followed by its Kunneth structure
     `born.kunneth`, a kunneth triple under the Born declaration.  A declared
-    Kunneth structure on an (omega, plus, minus) already there is that
-    structure, not built again: `build_born` proves that its Kunneth
-    structure meets every condition `build_almost_kunneth` checks.  The
+    Kunneth structure on an (omega, plus, minus) already listed is not built
+    or listed again: `build_born` proves that its Kunneth structure meets
+    every condition `build_almost_kunneth` checks.  So no structure is listed
+    twice, and each is checked under the declaration listed first.  The
     result is kept on the model, a construction error without its traceback
     and context, whose frames would reach the model.
     """
-    built, kunneths = [], {}
+    built, kunneths = [], set()
     for kind, (builder, required, optional) in _KINDS.items():
         for decl in model.structures:
             if decl.kind != kind:
                 continue
             tables = tuple(getattr(model, section)[decl.ref(role)] for role, section in required)
-            obj = kunneths.get(tables) if kind == "kunneth" else None
-            if obj is None:
-                expected = {f"expect_{role.lower()}": getattr(model, sec).get(decl.ref(role)) for role, sec in optional}
-                try:
-                    obj = getattr(structures, builder)(model.algebra, *tables, **expected)
-                except BornlabError as exc:
-                    exc.__context__ = None
-                    obj = exc.with_traceback(None)
-                k = obj.kunneth if isinstance(obj, BornStructure) else obj
-                if isinstance(k, AlmostKunneth):
-                    kunneths.setdefault((k.omega, k.plus, k.minus), k)
+            if kind == "kunneth" and tables in kunneths:
+                continue
+            expected = {f"expect_{role.lower()}": getattr(model, sec).get(decl.ref(role)) for role, sec in optional}
+            try:
+                obj = getattr(structures, builder)(model.algebra, *tables, **expected)
+            except BornlabError as exc:
+                exc.__context__ = None
+                obj = exc.with_traceback(None)
             built.append((kind, decl, obj))
-            if isinstance(obj, BornStructure):
-                built.append(("kunneth", decl, obj.kunneth))
+            k = obj.kunneth if isinstance(obj, BornStructure) else obj
+            if isinstance(k, AlmostKunneth):
+                kunneths.add((k.omega, k.plus, k.minus))
+                if k is not obj:
+                    built.append(("kunneth", decl, k))
     return tuple(built)
 
 
@@ -453,7 +428,7 @@ def _kunneth_connections(k: AlmostKunneth):
     nc = canonical_connection(k)
     note = "torsion-free Kunneth connection iff integrable"
     torsion_witness = witness_of(torsion(L, nk), note)
-    obstruction = _outcome(k, "integrability", "kunneth")
+    obstruction = _kunneth_integrability(k)
     if obstruction is not None:
         return None if torsion_witness is not None else Witness(obstruction.index, obstruction.value, note)
     if torsion_witness is not None or lc == nk == nc:
@@ -493,18 +468,12 @@ _CHECKS = {
 }
 
 
-@owned
-def _outcome(structure, check: str, kind: str):
-    """One check's outcome for one built structure of a kind it applies to, memoized on the structure."""
-    return _CHECKS[check][kind](structure)
-
-
 def _row(check: str, kind: str, obj):
     """Outcome of a check on a structure or on its construction error; _SKIP where the check does not apply."""
     row = _CHECKS[check].get(kind)
     if row is None or isinstance(obj, BornlabError):
         return _error_witness(obj) if row is _built else _SKIP
-    return _outcome(obj, check, kind)
+    return row(obj)
 
 
 def run_checks(model: Model, only: Sequence[str] | None = None) -> Report:
@@ -528,19 +497,13 @@ def _report(model: Model, selected: tuple | None) -> Report:
             raise UnknownNameError(f"unknown check {name!r}")
     if not model.structures:
         raise ModelSyntaxError("model declares no structures")
-    # a structure listed twice (a declared Kunneth structure a Born structure
-    # holds) is evaluated where first listed, under that declaration; its
-    # second outcome would repeat it
-    distinct = {}
-    for kind, decl, obj in materialize(model):
-        distinct.setdefault(id(obj), (kind, decl, obj))
-    results = []
+    listed, results = materialize(model), []
     for check in CHECK_ORDER:
         if check not in selected:
             continue
         start = time.perf_counter()
         # every applicable structure is evaluated, so no error depends on an earlier failure
-        outcomes = [(o, decl) for kind, decl, obj in distinct.values() if (o := _row(check, kind, obj)) is not _SKIP]
+        outcomes = [(o, decl) for kind, decl, obj in listed if (o := _row(check, kind, obj)) is not _SKIP]
         witness, decl = next(((o, decl) for o, decl in outcomes if o is not None), (None, None))
         status = "skipped" if not outcomes else "pass" if witness is None else "fail"
         elapsed = round((time.perf_counter() - start) * 1000, 3)

@@ -136,7 +136,7 @@ def build_almost_kunneth(L: LieAlgebra, omega: Matrix, plus: Subspace, minus: Su
     pairing = s.pairing(omega)
     for name, side in (("plus", "+"), ("minus", "-")):
         # the block is antisymmetric, so its first nonzero entry has a < c
-        hit = s.block_witness(pairing, side, side)
+        hit = s.block(pairing, side, side).first_witness()
         if hit is not None:
             raise NotIsotropicError(name, hit)
     return AlmostKunneth(L, omega, plus, minus, s, s.involution.transpose() * omega, key=_CERTIFIED)
@@ -415,12 +415,12 @@ def enhance_kunneth(k: AlmostKunneth, jtilde: Matrix | None = None) -> BornStruc
         # plus part must vanish, and its minus part is column c of S; a
         # failure is (c, a), the first f_c whose image has plus coordinate a
         t = split.in_frame(jtilde)
-        hit = split.block_witness(t.transpose(), "+", "+")
+        hit = split.block(t.transpose(), "+", "+").first_witness()
         if hit is not None:
             raise NotCompatibleError(hit, "jtilde does not map the plus subspace into the minus one")
         # entry (a, c) of the (+,+) block is omega(Jt f_a, f_c) + omega(f_a, Jt f_c)
         compatibility = jtilde.transpose() * omega + omega * jtilde
-        hit = split.block_witness(split.pairing(compatibility), "+", "+")
+        hit = split.block(split.pairing(compatibility), "+", "+").first_witness()
         if hit is not None:
             raise NotCompatibleError(hit)
         s = split.block(t, "-", "+")

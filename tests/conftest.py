@@ -33,7 +33,7 @@ def catalog_models():
 def structures_of(entry, kind):
     """The structures of one kind that `materialize` gives for an entry and that build, in its order.
 
-    A Born structure's Kunneth structure is among the Kunneth ones, ahead of the declared ones.
+    A Born structure's Kunneth structure is among the Kunneth ones, ahead of the declared ones on other splittings.
     """
     return [obj for k, _, obj in materialize(entry.model) if k == kind and not isinstance(obj, BornlabError)]
 

@@ -8,8 +8,9 @@ bracket-closure test on Fractions, the four-combination Kunneth connection,
 every leg of Born integrability computed on its own, the rational-literal
 reader the integer one replaced, the mixed torsion of a connection on a
 splitting, the whole Born identity table computed from matrix products on raw
-data, and the eager fraction-free elimination that the lazily scaling one
-replaced.
+data, the eager fraction-free elimination that the lazily scaling one
+replaced, any block of a matrix in a splitting's frame, and a writer of model
+documents, which bornlab itself never writes.
 
 The engine needs d on two-forms only.  The d^2 = 0 and Leibniz tests, and the
 acceptance criteria on stated differentials, check ce_d2 against the
@@ -24,13 +25,15 @@ torsion oracles compute them, on built structures, where they must hold,
 and on forged data, where they must fail with witnesses.
 """
 
+import json
 import re
 from fractions import Fraction
 from typing import NamedTuple
 
 from bornlab import CirclePoint, LieAlgebra, Matrix, Signature, Subspace, Trilinear, torsion
 from bornlab.connections import Connection
-from bornlab.exact import invert, splitting, vector
+from bornlab.errors import format_rational
+from bornlab.exact import Splitting, invert, splitting, vector
 from bornlab.liealg import _jacobi_sums, ce_d2
 from bornlab.multilinear import nijenhuis
 from bornlab.structures import IDENTITY_TABLE, Witness, subalgebra_witness, witness_at, witness_of
@@ -490,6 +493,36 @@ def reference_pairing(m: Matrix, left: Subspace, right: Subspace, upper: bool):
             if value != 0:
                 return (a + 1, c + 1), value
     return None
+
+
+def block_witness(s: Splitting, m: Matrix, rows: str, cols: str):
+    """First nonzero ((a, c) 1-based within the block, value), row-major, of the block of m with rows and columns
+    on the "+" or "-" side of s; None if zero.  Sliced from the Fraction rows, so the sides may differ in size."""
+    r, c = (slice(None, s.plus.dim) if side == "+" else slice(s.plus.dim, None) for side in (rows, cols))
+    hits = (((a + 1, b + 1), v) for a, row in enumerate(m.rows[r]) for b, v in enumerate(row[c]) if v)
+    return next(hits, None)
+
+
+def model_text(model) -> str:
+    """A model document for a Model, in the layout of the catalog's files.
+
+    Each subspace is written as its echelon basis, so the document parses back to a Model equal to this one.
+    """
+    def table(rows):
+        return [[format_rational(v) for v in row] for row in rows]
+
+    doc = {"name": model.name, "dim": model.algebra.n}
+    doc["brackets"] = [
+        {"i": i, "j": j, "out": {str(k): format_rational(c) for k, c in out.items()}}
+        for (i, j), out in model.algebra.brackets.items()
+    ]
+    for section in ("forms", "metrics", "endos"):
+        doc[section] = {name: table(m.rows) for name, m in sorted(getattr(model, section).items())}
+    doc["subspaces"] = {name: table(s.basis) for name, s in sorted(model.subspaces.items())}
+    doc["structures"] = [{"type": decl.kind, **dict(decl.refs)} for decl in model.structures]
+    if model.checks is not None:
+        doc["checks"] = list(model.checks)
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def _exchange_witness(t: Matrix, own, other):

@@ -20,7 +20,6 @@ import random
 
 from bornlab import LieAlgebra, Subspace, build_almost_kunneth, enhance_kunneth
 from bornlab.exact import Matrix, determinant
-from bornlab.model import Model, StructureDecl, render_model
 from bornlab.multilinear import two_form
 from oracles import basis_vector, column
 
@@ -88,18 +87,3 @@ def phase_space_borns(seeds=(1, 2)):
             jtilde = seeded_jtilde(kunneth.algebra.n // 2, random.Random(f"{name}-{seed}"))
             out.append((f"{name}_s{seed}", kunneth, enhance_kunneth(kunneth, jtilde)))
     return out
-
-
-def phase_space_model(name: str, kunneth, born) -> str:
-    """A model document declaring the Born structure and its Kunneth structure."""
-    model = Model(
-        name,
-        born.algebra,
-        {"omega": born.omega},
-        {"g": born.g, "h": born.h},
-        {},
-        {"F": kunneth.plus, "G": kunneth.minus},
-        (StructureDecl.of("born", g="g", h="h", omega="omega"),
-         StructureDecl.of("kunneth", omega="omega", plus="F", minus="G")),
-    )
-    return render_model(model)

@@ -37,6 +37,7 @@ from bornlab.exact import Trilinear, kernel_basis, projection_onto, splitting
 from bornlab.structures import Witness, witness_at
 from oracles import (
     basis_vector,
+    block_witness,
     column,
     diagonal,
     evaluate,
@@ -257,10 +258,12 @@ def test_frame_blocks_match_pairwise_oracles_on_random_data(seed):
         for rows, left in (("+", s.plus), ("-", s.minus)):
             # antisymmetric diagonal blocks: the first entry has a < c
             expected = reference_pairing(anti, left, left, upper=True)
-            assert s.block_witness(anti_pairing, rows, rows) == expected
+            assert s.block(anti_pairing, rows, rows).first_witness() == expected
             for cols, right in (("+", s.plus), ("-", s.minus)):
                 expected = reference_pairing(m, left, right, upper=False)
-                assert s.block_witness(pairing, rows, cols) == expected
+                assert block_witness(s, pairing, rows, cols) == expected
+                if rows == cols:
+                    assert s.block(pairing, rows, cols).first_witness() == expected
                 witnesses += expected is not None
         # an endomorphism whose diagonal blocks in the frame are zero at random,
         # so that exchanges both hold and fail
@@ -275,7 +278,7 @@ def test_frame_blocks_match_pairwise_oracles_on_random_data(seed):
         t = s.frame * frame_t * s.frame_inv
         in_frame = s.in_frame(t)
         for side, source, target in (("+", s.plus, s.minus), ("-", s.minus, s.plus)):
-            maps = s.block_witness(in_frame, side, side) is None
+            maps = s.block(in_frame, side, side).first_witness() is None
             assert maps == reference_maps_into(t, source, target)
     assert witnesses > 50
 

@@ -15,6 +15,7 @@ fraction-free elimination; it is checked against a congruence reduction on
 Fractions and against the sign changes of the characteristic polynomial.
 """
 
+import json
 import random
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -23,7 +24,7 @@ from operator import add, mul, sub
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from bornlab import LieAlgebra, Matrix, determinant, exact, invert, liealg, signature_of_symmetric
+from bornlab import LieAlgebra, Matrix, catalog, determinant, exact, invert, liealg, signature_of_symmetric
 from bornlab.errors import DimensionMismatchError, SingularMatrixError
 from bornlab.exact import (
     HALF,
@@ -505,13 +506,16 @@ def assert_reference_echelon(s, vectors):
 
 def test_catalog_subspaces_are_read_off_without_elimination(catalog_models, monkeypatch):
     """Every catalog subspace is given in reduced row echelon form: building it
-    runs no elimination and keeps the rows of the Fraction reduction."""
+    from the vectors of its document runs no elimination and keeps the rows
+    of the Fraction reduction."""
+    documents = {name: json.loads(catalog.export_entry(name)) for name in catalog_models}
     runs = eliminations(monkeypatch)
     built = 0
     for name, entry in catalog_models.items():
-        for s in entry.model.subspaces.values():
-            again = Subspace(s.n, s.given)
-            assert_reference_echelon(again, s.given)
+        for sname, s in entry.model.subspaces.items():
+            vectors = [tuple(map(Fraction, v)) for v in documents[name]["subspaces"][sname]]
+            again = Subspace(s.n, vectors)
+            assert_reference_echelon(again, vectors)
             assert again == s, name
             built += 1
     assert runs == [] and built == 20

@@ -149,6 +149,30 @@ def test_jacobi_violation_and_defect_match_pairwise_oracle(catalog_models):
 # --- differential -------------------------------------------------------
 
 
+def test_brackets_read_back_build_the_same_algebra(catalog_models):
+    """On every catalog algebra and on seeded moved ones, the table `brackets`
+    reads off the algebra builds an equal algebra with an equal hash; the
+    table is sorted, reduced and free of zeros.  A table given with pairs and
+    outputs out of order and with zero coefficients builds the same algebra."""
+    rng = random.Random(31)
+    algebras = []
+    for entry in catalog_models.values():
+        L = entry.model.algebra
+        algebras += [L, moved_algebra(L, random_unimodular(L.n, rng))]
+    for L in algebras:
+        table = L.brackets
+        assert list(table) == sorted(table) and all(i < j for i, j in table), L
+        for out in table.values():
+            assert out and list(out) == sorted(out), L
+            assert all(type(c) is Fraction and c != 0 for c in out.values()), L
+        again = LieAlgebra(L.n, table)
+        assert again == L and hash(again) == hash(L) and again.brackets == table, L
+    assert len(algebras) == 20 and sum(bool(L.brackets) for L in algebras) >= 10
+    h4 = LieAlgebra(6, {(1, 2): {5: -1}, (1, 4): {6: -1}, (2, 3): {6: -1}})
+    shuffled = LieAlgebra(6, {(2, 3): {6: "-2/2", 1: 0}, (3, 5): {2: 0}, (1, 4): {6: -1}, (1, 2): {5: Fraction(-1)}})
+    assert shuffled == h4 and hash(shuffled) == hash(h4) and shuffled.brackets == h4.brackets
+
+
 def test_d1_h4_alpha5(h4_algebra):
     d = ce_d1(h4_algebra, OneForm.dual(6, 5))
     assert d == two_form(6, {(1, 2): 1})

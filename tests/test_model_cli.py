@@ -22,7 +22,6 @@ from bornlab import (
     levi_civita,
     neutral_metric,
     parse_model,
-    render_model,
     render_report,
     run_checks,
 )
@@ -41,7 +40,7 @@ from bornlab.errors import (
 )
 from bornlab.multilinear import two_form
 from bornlab.structures import BornStructure, Witness
-from oracles import fresh
+from oracles import fresh, model_text
 from test_builders import moved_algebra, random_unimodular
 from test_frames import moved_form, moved_subspace
 
@@ -115,12 +114,13 @@ def test_parse_minimal_model():
 
 
 def test_parse_render_parse_idempotent():
+    """A model written by the tests' writer (bornlab writes no model) parses back to equal values."""
     for name in ("h4", "nil3_r", "torus_2_2"):
         text = catalog.export_entry(name)
         once = parse_model(text)
-        again = parse_model(render_model(once))
+        again = parse_model(model_text(once))
         assert once == again
-        assert render_model(once) == render_model(again)
+        assert model_text(once) == model_text(again)
 
 
 def test_parse_rejects_bad_json():
@@ -563,7 +563,7 @@ def test_check_keeps_the_structures_of_the_memoized_documents_alone(tmp_path, ca
     sources = [catalog.get_entry(name).model for name in ("h4", "nil3_r", "h8")]
     path, live = tmp_path / "moved.json", []
     for i in range(1, 61):
-        path.write_text(render_model(_moved_model(sources[i % 3], f"lifetime-{i}")))
+        path.write_text(model_text(_moved_model(sources[i % 3], f"lifetime-{i}")))
         assert main(["check", str(path)]) == 0
         if i % 20 == 0:
             gc.collect()
@@ -594,22 +594,32 @@ def test_run_checks_eliminates_each_form_once(monkeypatch):
 
 
 def test_run_checks_evaluates_each_structure_once_per_check(catalog_models, monkeypatch):
-    """On every catalog model each check evaluates each structure object
-    once, though `materialize` lists a declared Kunneth structure that a Born
-    structure holds twice: every catalog model lists born, kunneth, kunneth."""
+    """On every catalog model each check evaluates each structure that
+    `materialize` lists once, though every catalog model declares the
+    Kunneth structure its Born structure holds."""
     evaluated, original = [], model_module._row
     monkeypatch.setattr(model_module, "_row", lambda *args: evaluated.append((args[0], id(args[2]))) or original(*args))
-    listed_twice = 0
     for name in catalog_models:
         # a new parse, on which no report is kept yet
         model = parse_model(catalog.export_entry(name))
         listed = [id(obj) for _, _, obj in model_module.materialize(model)]
-        listed_twice += len(listed) > len(set(listed))
         evaluated.clear()
         run_checks(model)
         checks = model.checks or model_module.CHECK_ORDER
-        assert sorted(evaluated) == sorted((check, i) for check in checks for i in set(listed)), name
-    assert listed_twice == len(catalog_models) == 10
+        assert sorted(evaluated) == sorted((check, i) for check in checks for i in listed), name
+    assert len(catalog_models) == 10
+
+
+def test_materialize_lists_no_structure_twice(catalog_models):
+    """Every catalog model declares the Kunneth structure its Born structure
+    holds; `materialize` lists it once, under the Born declaration, and lists
+    no other object twice."""
+    for name in catalog_models:
+        model = parse_model(catalog.export_entry(name))
+        listed = model_module.materialize(model)
+        assert len({id(obj) for _, _, obj in listed}) == len(listed), name
+        assert [decl.kind for kind, decl, _ in listed if kind == "kunneth"] == ["born"], name
+    assert len(catalog_models) == 10
 
 
 _REPORTS = """
@@ -638,7 +648,7 @@ def test_reports_do_not_depend_on_cache_state(tmp_path):
     paths = []
     for i, m in enumerate(models):
         paths.append(tmp_path / f"{i:02d}.json")
-        paths[-1].write_text(render_model(m))
+        paths[-1].write_text(model_text(m))
     env = dict(os.environ, PYTHONPATH=str(Path(bornlab.__file__).parents[1]))
     fresh = subprocess.run(
         [sys.executable, "-c", _REPORTS, *map(str, paths[::-1])],
@@ -792,8 +802,8 @@ def bumped(c, i, j, k, value):
 def test_kunneth_connection_rows_carry_real_witnesses(monkeypatch, nil3):
     """Each failing branch of the Kunneth connections row, forced by a patched builder, shows its witness.
 
-    Every row is decided on a structure built anew, whose outcome memo is
-    empty, so no row computed under a patched builder is read again."""
+    Every row is decided on a structure built anew, on which no connection
+    is kept yet, so none built under a patched builder is read again."""
     e = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
 
     def integrable():
@@ -809,7 +819,7 @@ def test_kunneth_connection_rows_carry_real_witnesses(monkeypatch, nil3):
         )
 
     def row(build):
-        return model_module._outcome(build(), "connections", "kunneth")
+        return model_module._row("connections", "kunneth", build())
 
     assert row(integrable) is None and row(fixture) is None
     iff = "torsion-free Kunneth connection iff integrable"
@@ -836,7 +846,8 @@ def test_kunneth_connection_rows_carry_real_witnesses(monkeypatch, nil3):
 def test_a_catalog_kunneth_declaration_is_the_kunneth_structure_of_its_born_structure(monkeypatch):
     """Every catalog model declares kunneth(omega, F, G) with F and G the
     eigenspaces of its Born structure's A: that declaration is the Born
-    structure's own Kunneth structure, so no report builds one."""
+    structure's own Kunneth structure, so no report builds one, and
+    `materialize` lists that structure once, under the Born declaration."""
     names = [name for name, _ in catalog.list_entries()]
     texts = {name: render_report(run_checks(catalog.get_entry(name).model)) for name in names}
 
@@ -849,8 +860,10 @@ def test_a_catalog_kunneth_declaration_is_the_kunneth_structure_of_its_born_stru
         assert render_report(run_checks(model)) == texts[name], name
         built = model_module.materialize(model)
         (born,) = [obj for kind, _, obj in built if kind == "born"]
-        (declared,) = [obj for kind, decl, obj in built if kind == decl.kind == "kunneth"]
-        assert declared is born.kunneth, name
+        (listed,) = [obj for kind, _, obj in built if kind == "kunneth"]
+        (declared,) = [decl for decl in model.structures if decl.kind == "kunneth"]
+        tables = (model.forms[declared.ref("omega")], *(model.subspaces[declared.ref(r)] for r in ("plus", "minus")))
+        assert listed is born.kunneth and tables == (listed.omega, listed.plus, listed.minus), name
 
 
 def _unit(i, value="1"):
@@ -883,8 +896,8 @@ def test_a_born_model_reports_alike_with_its_kunneth_structure_declared():
         structures=[{"type": "kunneth", "omega": "omega", "plus": "plus", "minus": "minus"}, *PHASE["structures"]],
     )
     models = [parse_model(json.dumps(doc)) for doc in (PHASE, declared)]
-    (_, _, born), (_, _, own), (_, _, kunneth) = model_module.materialize(models[1])
-    assert kunneth is own is born.kunneth
+    (_, _, born), (_, decl, own) = model_module.materialize(models[1])
+    assert own is born.kunneth and decl.kind == "born"
     texts = [render_report(run_checks(m)) for m in models]
     assert texts[0] == texts[1]
     assert "  integrability        FAIL  witness (1,2,3) = 1  [N_B]" in texts[0]

@@ -452,7 +452,7 @@ def test_eigenspace_exchange_failures_carry_the_block_entry():
     """Raw data with random A and J breaks the eigenspace exchanges of the
     reference table; each failing item's witness (a, c) = value is the entry
     of the operator's diagonal block in the frame of the two eigenspaces,
-    as the engine's `Splitting.block_witness` reads it."""
+    as the engine's `Splitting.block` and `first_witness` read it."""
     rng = random.Random(59)
     failures = 0
     for n in (2, 4, 6):
@@ -477,7 +477,8 @@ def test_eigenspace_exchange_failures_carry_the_block_entry():
                 op_name, _, source, _, _ = name.split()  # "J maps L+ to L-"
                 frame = frames[source[0]]
                 side = source[1]
-                assert witness == witness_at(frame.block_witness(frame.in_frame(ops[op_name]), side, side)), name
+                block = frame.block(frame.in_frame(ops[op_name]), side, side)
+                assert witness == witness_at(block.first_witness()), name
                 failures += witness is not None
     assert failures > 50
 

@@ -104,7 +104,7 @@ def test_kernel_values_are_immutable_and_compared_by_value():
     m = Matrix([[1, 2], [3, 4]])
     assert m == Matrix.over([[2, 4], [6, 8]], 2) and hash(m) == hash(Matrix([[1, 2], [3, 4]]))
     s, t = Subspace(2, [[1, 1]]), Subspace(2, [[2, 2]])
-    assert s.given != t.given and s == t and hash(s) == hash(t)
+    assert s == t and hash(s) == hash(t) and s.basis == t.basis == ((1, 1),)
     # a tensor built from its slices is one block over one denominator, equal to the same block reached otherwise
     tensor = Trilinear((m, m * Fraction(1, 2)))
     assert (tensor.num, tensor.den) == (((2, 4), (6, 8), (1, 2), (3, 4)), 2) and tensor.slices == (m, m * Fraction(1, 2))
@@ -148,14 +148,11 @@ def test_lie_algebra_is_a_value_compared_by_n_and_brackets():
     assert same is not a and same == a and hash(same) == hash(a) and same.brackets == {(1, 2): {3: 1}}
     assert a != LieAlgebra(3, {(1, 2): {3: 2}}) and a != LieAlgebra(3, {}) and a != LieAlgebra(4, a.brackets)
     assert a.__eq__(a.brackets) is NotImplemented
-    # _ad and _constants are derived and not compared; brackets is a dict, so
-    # the key is unhashable and the algebra keeps the hash it computed
+    # compared and hashed by n and the canonical ad tensor; _constants, its sparse index, is not compared
     bare = object.__new__(LieAlgebra)
-    Value.__init__(bare, 3, a.brackets, (), (1, ()))
-    assert bare == a
-    with pytest.raises(TypeError):
-        hash(bare)
-    for name in LieAlgebra.__slots__ + ("extra",):
+    Value.__init__(bare, 3, a._ad, None)
+    assert bare == a and hash(bare) == hash(a)
+    for name in LieAlgebra.__slots__ + ("brackets", "extra"):
         with pytest.raises(AttributeError):
             setattr(a, name, None)
         with pytest.raises(AttributeError):
